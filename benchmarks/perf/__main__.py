@@ -63,9 +63,11 @@ def main(argv=None):
 
     baseline = harness.load_baseline()
     for name, measured in sorted(payload["scenarios"].items()):
-        line = ("{:<18} {:>9} events  {:>9} scheduled  {:>8.3f}s  "
+        line = ("{:<18} {:>9} events  {:>9} scheduled  {:>7} pending  "
+                "{:>6} cancelled  {:>8.3f}s  "
                 "{:>12,.0f} events/s  {:>9.0f} KiB".format(
                     name, measured["events"], measured["events_scheduled"],
+                    measured["pending_at_end"], measured["events_cancelled"],
                     measured["wall_s"], measured["events_per_sec"],
                     measured["peak_mem_kb"]))
         if baseline and name in baseline.get("scenarios", {}):

@@ -6,11 +6,11 @@ specific to the committed benchmark suite: the baseline file next to this
 file and the ``latest`` dump CI uploads as an artifact.
 
 Per scenario the payload records ``events``, ``events_scheduled``,
-``wall_s``, ``events_per_sec``, ``peak_mem_kb`` and the exact report
-``fingerprint`` — see :mod:`repro.perf.measure` for definitions. The
-``legacy_comparison`` section pins the virtual-time server's advantage
-over the event-per-job reference (scheduled-event reduction on fig3,
-wall-clock speedup on fig8).
+``pending_at_end``, ``events_cancelled``, ``wall_s``, ``events_per_sec``,
+``peak_mem_kb`` and the exact report ``fingerprint`` — see
+:mod:`repro.perf.measure` for definitions. The ``legacy_comparison`` section
+pins the virtual-time server's advantage over the event-per-job reference
+(scheduled-event reduction on fig3, wall-clock speedup on fig8).
 """
 
 import json

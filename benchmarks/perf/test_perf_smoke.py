@@ -1,6 +1,6 @@
 """CI smoke gate for the simulator hot path.
 
-Four checks per run:
+Five checks per run:
 
 * **Exactness** — every scenario's report fingerprint must match the
   committed baseline bit for bit. The fingerprint hashes the full
@@ -8,6 +8,10 @@ Four checks per run:
   floats rendered exactly, so any behavioural drift fails here no matter
   how fast the simulator got. Event counts are *not* pinned: they are an
   implementation property, precisely what hot-path optimisation changes.
+* **Event accounting** — every scheduled event is executed, still
+  pending at the horizon, or cancelled; nothing else. ``gossip_n1000``'s
+  ~0.6M scheduled-but-never-run events are all link arrivals in flight
+  when the 0.4 s horizon cuts the flood (none cancelled).
 * **Throughput** — events/sec must stay within ``TOLERANCE`` of baseline.
   The scenario set includes the large-N smokes (``fig3_n100`` and the
   reduced-duration ``gossip_n1000`` dissemination run), so the N=1000
@@ -72,6 +76,11 @@ def test_perf_smoke():
             "pins {}: the simulation's results changed; regenerate the "
             "baseline if intentional".format(
                 name, measured["fingerprint"], expected["fingerprint"]))
+        assert measured["events_scheduled"] == (
+            measured["events"] + measured["pending_at_end"]
+            + measured["events_cancelled"]), (
+            "scenario {!r}: scheduled events unaccounted for: {}".format(
+                name, measured))
         floor = TOLERANCE * expected["events_per_sec"]
         assert measured["events_per_sec"] >= floor, (
             "scenario {!r} ran at {} events/s, below {:.0f} "
@@ -84,6 +93,11 @@ def test_perf_smoke():
             "({}x baseline {}): the flat-state memory budget regressed".format(
                 name, measured["peak_mem_kb"], ceiling,
                 MEM_TOLERANCE, expected["peak_mem_kb"]))
+
+    flood = payload["scenarios"]["gossip_n1000"]
+    assert flood["pending_at_end"] > 0 and flood["events_cancelled"] == 0, (
+        "gossip_n1000's never-run events should all be arrivals in flight "
+        "at the horizon, got {}".format(flood))
 
     reduction = comparison["fig3_events_scheduled_reduction"]
     assert reduction >= EVENT_REDUCTION_FLOOR, (

@@ -371,14 +371,15 @@ def cmd_perf(args):
         measured = payload["scenarios"][name]
         rows.append([
             name, measured["events"], measured["events_scheduled"],
+            measured["pending_at_end"], measured["events_cancelled"],
             "{:.3f}".format(measured["wall_s"]),
             "{:,.0f}".format(measured["events_per_sec"]),
             "{:.0f}".format(measured["peak_mem_kb"]),
             measured["fingerprint"][:12],
         ])
     print(format_table(
-        ["scenario", "events", "scheduled", "wall s", "events/s",
-         "peak KiB", "fingerprint"],
+        ["scenario", "events", "scheduled", "pending", "cancelled",
+         "wall s", "events/s", "peak KiB", "fingerprint"],
         rows, title="simulator microbenchmarks"))
     comparison = payload.get("legacy_comparison")
     if comparison is not None:

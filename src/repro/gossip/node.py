@@ -134,8 +134,8 @@ class _PeerSender:
             # trip, no pump frame. Identical validate/charge/transmit
             # sequence to the single-message pump path.
             node = self.node
-            if node.validate_default or node.hooks.validate(payload,
-                                                            self.peer_id):
+            if node.validate_default or node._hooks.validate(payload,
+                                                             self.peer_id):
                 if node.hooks_charged:
                     self._charge_hooks(1)
                 # _transmit, inlined (nothing is queued behind this
@@ -165,7 +165,7 @@ class _PeerSender:
     def _pump(self):
         """Prepare the next batch (validate + aggregate) and start sending."""
         node = self.node
-        hooks = node.hooks
+        hooks = node._hooks
         queue = self.queue
         if not self.pending and len(queue) == 1:
             # Single queued message — the overwhelmingly common case below
@@ -581,7 +581,7 @@ class GossipNode(Actor):
                     obs.gossip_receive(self.process_id, src, payload, False)
                 self._cpu_acct(costs.recv_dup_s)
             return
-        parts = self.hooks.disaggregate(payload)
+        parts = self._hooks.disaggregate(payload)
         self.stats.disaggregated += len(parts)
         register = self._register
         fresh = []

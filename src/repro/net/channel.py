@@ -81,11 +81,6 @@ class DirectedLink:
         "loss_hook", "_base_latency_s", "_base_config", "_base_jitter_rng",
     )
 
-    #: Drain fast-path counters once this many transmissions accumulate
-    #: (reads through :attr:`stats` always drain; this bound only caps the
-    #: deque between reads).
-    _DRAIN_BATCH = 256
-
     def __init__(self, sim, src, dst, latency_s, config, deliver, loss_hook=None):
         """
         Parameters
@@ -114,7 +109,10 @@ class DirectedLink:
         self._arrive_cb = self._arrive
         #: Fast-path messages not yet drained into ``stats.sent``, as
         #: (serialisation_completion, size_bytes, payload, arrive_event)
-        #: in completion order.
+        #: in completion order. Every transmit retires the completed head
+        #: before appending, so this holds the unserialised messages plus
+        #: whatever completed since the last transmit — O(in-flight), not
+        #: O(history).
         self._in_flight = deque()
         self._jitter_rng = sim.rng("link-jitter") if config.jitter_s > 0 else None
         self._deliver = deliver
@@ -201,6 +199,7 @@ class DirectedLink:
         # kernel's unchecked hot path.
         event = sim.push_event(completion + self.latency_s,
                                self._arrive_cb, (payload,))
+        self._drain_sent(sim.now)
         self._in_flight.append((completion, payload.size_bytes,
                                 payload, event))
         return completion
@@ -221,8 +220,10 @@ class DirectedLink:
         config = self.config
         service = config.per_message_s + payload.size_bytes * config.per_byte_s
         completion = self._submit_chain(service)
-        event = self.sim.push_event(completion + self.latency_s,
-                                    self._arrive_cb, (payload,))
+        sim = self.sim
+        event = sim.push_event(completion + self.latency_s,
+                               self._arrive_cb, (payload,))
+        self._drain_sent(sim.now)
         self._in_flight.append((completion, payload.size_bytes,
                                 payload, event))
         return completion
@@ -277,6 +278,7 @@ class DirectedLink:
             sim = self.sim
             event = sim.push_event(completion + self.latency_s,
                                    self._arrive_cb, (payload,))
+            self._drain_sent(sim.now)
             self._in_flight.append((completion, payload.size_bytes,
                                     payload, event))
             if on_wire is not None:
@@ -304,10 +306,6 @@ class DirectedLink:
             on_wire()
 
     def _arrive(self, payload):
-        # Counter draining is lazy (any read through ``stats`` drains); the
-        # arrival itself only keeps the deque bounded between reads.
-        if len(self._in_flight) >= self._DRAIN_BATCH:
-            self._drain_sent(self.sim.now)
         if self.loss_hook is not None and self.loss_hook(self.dst):
             self._stats.dropped_loss += 1
             return

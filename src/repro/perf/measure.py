@@ -5,6 +5,9 @@ For every scenario we record
 * ``events``            — executed simulator events (machine-independent);
 * ``events_scheduled``  — kernel events ever pushed onto the heap; the
   quantity the virtual-time server work drives down (machine-independent);
+* ``pending_at_end`` / ``events_cancelled`` — where scheduled events that
+  never ran went: still queued at the horizon (in-flight arrivals), or
+  cancelled (timers); ``scheduled = events + pending + cancelled``;
 * ``wall_s``            — best-of-N wall-clock for the run;
 * ``events_per_sec``    — executed events over best wall-clock, the
   throughput figure the CI smoke gate tracks;
@@ -66,6 +69,7 @@ def measure_scenario(name, repeats=3):
         deployment, report, wall = _timed_run(factory())
         sim = deployment.sim
         observed = (sim.events_executed, sim.events_scheduled,
+                    sim.pending(), sim.events_cancelled,
                     report_fingerprint(report))
         if signature is None:
             signature = observed
@@ -74,7 +78,7 @@ def measure_scenario(name, repeats=3):
                 "scenario {!r} observed {} then {}: "
                 "determinism broken".format(name, signature, observed))
         best = wall if best is None else min(best, wall)
-    events, scheduled, fingerprint = signature
+    events, scheduled, pending, cancelled, fingerprint = signature
 
     # Separate pass for the memory high-water mark; tracemalloc's
     # per-allocation bookkeeping would poison the wall-clock numbers.
@@ -88,6 +92,8 @@ def measure_scenario(name, repeats=3):
     return {
         "events": events,
         "events_scheduled": scheduled,
+        "pending_at_end": pending,
+        "events_cancelled": cancelled,
         "wall_s": round(best, 4),
         "events_per_sec": round(events / best, 1),
         "peak_mem_kb": round(peak / 1024.0, 1),

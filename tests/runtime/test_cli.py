@@ -154,6 +154,9 @@ def test_perf_command_json_payload(capsys):
     assert measured["events"] > 0
     assert set(measured) >= {"events", "events_scheduled", "wall_s",
                              "events_per_sec", "peak_mem_kb", "fingerprint"}
+    assert measured["events_scheduled"] == (
+        measured["events"] + measured["pending_at_end"]
+        + measured["events_cancelled"])
     # Single-scenario runs skip the (expensive) legacy comparison.
     assert "legacy_comparison" not in payload
 

@@ -156,6 +156,20 @@ def test_events_executed_counter(sim):
     assert sim.events_executed == 3
 
 
+def test_scheduled_events_are_executed_pending_or_cancelled(sim):
+    """Double cancels and a callback cancelling its own (already retired)
+    event must not be counted: the three buckets partition the pushes."""
+    holder = {}
+    events = [sim.schedule(float(i), lambda: None) for i in range(6)]
+    holder["self"] = sim.schedule(0.5, lambda: sim.cancel(holder["self"]))
+    sim.cancel(events[1])
+    sim.cancel(events[1])
+    sim.cancel(events[5])
+    sim.run(until=3.5)
+    assert (sim.events_executed, sim.pending(), sim.events_cancelled) == (4, 1, 2)
+    assert sim.events_scheduled == 7
+
+
 def test_reentrant_run_raises(sim):
     def nested():
         sim.run()
