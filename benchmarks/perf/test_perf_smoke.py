@@ -6,8 +6,7 @@ Five checks per run:
   committed baseline bit for bit. The fingerprint hashes the full
   experiment report (config, raw latency samples, every counter) with
   floats rendered exactly, so any behavioural drift fails here no matter
-  how fast the simulator got. Event counts are *not* pinned: they are an
-  implementation property, precisely what hot-path optimisation changes.
+  how fast the simulator got.
 * **Event accounting** — every scheduled event is executed, still
   pending at the horizon, or cancelled; nothing else. ``gossip_n1000``'s
   ~0.6M scheduled-but-never-run events are all link arrivals in flight
@@ -22,12 +21,12 @@ Five checks per run:
   gate keeps a regression from quietly re-inflating the per-node state.
   Peaks are allocation high-water marks, machine-independent up to
   allocator details, so the tolerance is tighter than wall-clock's.
-* **Virtual-time advantage** — the fast path must keep beating the
-  event-per-job reference servers: ≥ 55% fewer scheduled kernel events on
-  fig3_workload (machine-independent; measured 61% after the batched
-  gossip rounds) and ≥ 1.2x wall-clock on fig8_saturation (measured
-  fresh, both sides on this host — kept loose because wall-clock ratios
-  are noisy on shared CI hosts).
+* **Event ceiling** — a scenario may never schedule more kernel events
+  than its baseline row (machine-independent, zero tolerance): event
+  counts are an implementation property that hot-path work drives down
+  (fig3_workload: 109,720 vs 282,561 with one event per server job), so
+  they are capped, not pinned — a lower count passes and is ratcheted in
+  by the next re-baseline.
 
 Regenerate the baseline deliberately with ``REPRO_PERF_UPDATE=1`` or
 ``python -m benchmarks.perf --update``.
@@ -42,20 +41,10 @@ TOLERANCE = float(os.environ.get("REPRO_PERF_TOLERANCE", "0.8"))
 #: Multiple of the baseline tracemalloc peak a scenario may reach.
 MEM_TOLERANCE = float(os.environ.get("REPRO_PERF_MEM_TOLERANCE", "1.3"))
 REPEATS = int(os.environ.get("REPRO_PERF_REPEATS", "3"))
-#: Interleaved VT/legacy pairs for the fig8 wall-clock comparison. More
-#: than REPEATS because the speedup gate compares two minima, and each
-#: must converge through host noise.
-COMPARISON_REPEATS = int(os.environ.get("REPRO_PERF_COMPARISON_REPEATS", "4"))
-#: Acceptance floors for the virtual-time servers vs the legacy reference.
-EVENT_REDUCTION_FLOOR = float(
-    os.environ.get("REPRO_PERF_EVENT_REDUCTION_FLOOR", "0.55"))
-SPEEDUP_FLOOR = float(os.environ.get("REPRO_PERF_SPEEDUP_FLOOR", "1.2"))
 
 
 def test_perf_smoke():
     payload = harness.measure_all(repeats=REPEATS)
-    payload["legacy_comparison"] = comparison = (
-        harness.measure_legacy_comparison(repeats=COMPARISON_REPEATS))
     harness.write_latest(payload)
 
     if os.environ.get("REPRO_PERF_UPDATE"):
@@ -81,6 +70,11 @@ def test_perf_smoke():
             + measured["events_cancelled"]), (
             "scenario {!r}: scheduled events unaccounted for: {}".format(
                 name, measured))
+        assert measured["events_scheduled"] <= expected["events_scheduled"], (
+            "scenario {!r} scheduled {} kernel events, above the baseline's "
+            "{}: the hot path grew an event".format(
+                name, measured["events_scheduled"],
+                expected["events_scheduled"]))
         floor = TOLERANCE * expected["events_per_sec"]
         assert measured["events_per_sec"] >= floor, (
             "scenario {!r} ran at {} events/s, below {:.0f} "
@@ -98,14 +92,3 @@ def test_perf_smoke():
     assert flood["pending_at_end"] > 0 and flood["events_cancelled"] == 0, (
         "gossip_n1000's never-run events should all be arrivals in flight "
         "at the horizon, got {}".format(flood))
-
-    reduction = comparison["fig3_events_scheduled_reduction"]
-    assert reduction >= EVENT_REDUCTION_FLOOR, (
-        "virtual-time servers schedule only {:.1%} fewer kernel events than "
-        "the event-per-job reference on fig3_workload (floor {:.0%})".format(
-            reduction, EVENT_REDUCTION_FLOOR))
-    speedup = comparison["fig8_speedup"]
-    assert speedup >= SPEEDUP_FLOOR, (
-        "virtual-time servers are only {}x faster than the event-per-job "
-        "reference on fig8_saturation (floor {}x)".format(
-            speedup, SPEEDUP_FLOOR))

@@ -263,11 +263,8 @@ def cmd_perf(args):
         PERF_SCENARIOS,
         SCENARIOS,
         compare_payloads,
-        format_queue_mixes,
         host_info,
         measure_all,
-        measure_legacy_comparison,
-        measure_queue_mixes,
         measure_scenario,
         measure_speedup,
     )
@@ -276,14 +273,6 @@ def cmd_perf(args):
         result = measure_speedup(workers=args.workers or 4)
         print(json.dumps(result, indent=2, sort_keys=True))
         return 0 if result["identical"] else 1
-
-    if args.queues:
-        payload = measure_queue_mixes(repeats=args.repeats)
-        if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(format_queue_mixes(payload))
-        return 0
 
     if args.profile:
         from repro.perf import profile_scenario
@@ -360,9 +349,6 @@ def cmd_perf(args):
             rows, title="vs baseline {}".format(args.compare)))
         return 0
 
-    if args.scenario == "all":
-        payload["legacy_comparison"] = measure_legacy_comparison(
-            repeats=args.repeats)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -381,12 +367,6 @@ def cmd_perf(args):
         ["scenario", "events", "scheduled", "pending", "cancelled",
          "wall s", "events/s", "peak KiB", "fingerprint"],
         rows, title="simulator microbenchmarks"))
-    comparison = payload.get("legacy_comparison")
-    if comparison is not None:
-        print("vs event-per-job servers: {:.1%} fewer scheduled events "
-              "(fig3), {}x wall-clock (fig8)".format(
-                  comparison["fig3_events_scheduled_reduction"],
-                  comparison["fig8_speedup"]))
     return 0
 
 
@@ -498,9 +478,6 @@ def build_parser():
     p.add_argument("--speedup", action="store_true",
                    help="measure the parallel loss_grid speedup instead "
                         "of the events/sec scenarios")
-    p.add_argument("--queues", action="store_true",
-                   help="run the isolated event-queue microbenchmarks "
-                        "(push/pop/cancel mixes, both backends)")
     p.add_argument("--compare", metavar="BASELINE.json", default=None,
                    help="measure the selected scenarios and print "
                         "events/sec and peak-mem deltas vs a saved "

@@ -14,8 +14,8 @@ Two implementations share the interface:
   :class:`repro.net.message.UidInterner`: membership is one byte-array
   index, the FIFO window is a deque of dense ints. Behaviourally
   identical (same freshness verdicts, same ``registered``/``hits``/
-  ``evictions`` counters — proven by property tests and the A/B
-  fingerprint suite) but O(1) without hashing structured uids, which is
+  ``evictions`` counters — proven by property tests and the committed
+  scenario fingerprints) but O(1) without hashing structured uids, which is
   what keeps the dedup probe flat at N=1000.
 
 The deployment builder selects the interned variant automatically when an

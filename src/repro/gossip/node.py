@@ -20,7 +20,7 @@ additionally charges transmission time. See DESIGN.md §5.2.
 from collections import deque
 
 from repro.sim.actors import Actor
-from repro.sim.server import make_server, noop as _noop
+from repro.sim.server import FifoServer
 from repro.gossip.cache import RecentlySeenCache
 from repro.gossip.hooks import SemanticHooks
 
@@ -82,9 +82,9 @@ class _PeerSender:
     validated/aggregated at the instant the link frees (the same instant
     the old per-message ``on_wire`` callback ran). A transmission with
     nothing behind it — the common case below saturation — schedules no
-    pacing event at all. Links that cannot precompute completions
-    (jittered, or event-per-job legacy servers) fall back to the two-event
-    path, where ``on_wire`` plays the wake-up's role.
+    pacing event at all. Jittered links cannot precompute completions
+    and fall back to the two-event path, where ``on_wire`` plays the
+    wake-up's role.
     """
 
     __slots__ = ("node", "sim", "peer_id", "link", "queue", "pending",
@@ -285,10 +285,10 @@ class _PeerSender:
         seq = sim.reserve_slot()
         completion = self.link.transmit_timed(payload)
         if completion is None:
-            # Two-event reference path (jittered link or legacy server):
-            # the serialisation completion is not precomputable, so the
-            # on_wire callback paces instead. The reservation goes unused
-            # — a harmless gap in the sequence counter.
+            # Two-event path (jittered link): the serialisation
+            # completion is not precomputable, so the on_wire callback
+            # paces instead. The reservation goes unused — a harmless gap
+            # in the sequence counter.
             self._wakeup_armed = True
             self.link.transmit(payload, on_wire=self._paced_wakeup)
             return
@@ -395,22 +395,13 @@ class GossipNode(Actor):
         self.cache = (cache if cache is not None  # property: binds probe
                       else RecentlySeenCache())
         self.deliver = deliver
-        self.cpu = cpu or make_server(sim)
+        self.cpu = cpu or FifoServer(sim)
         #: Fire-and-forget CPU submission for the receive/broadcast hot
-        #: path. ``submit_timed`` (virtual-time servers) skips the
-        #: bool-wrapping frame of ``submit``; servers without it (the
-        #: event-per-job reference) fall back to ``submit``. The return
-        #: value is never used at these call sites.
-        self._cpu_submit = getattr(self.cpu, "submit_timed", None) or self.cpu.submit
-        #: Accounting-only CPU charge (no callback): virtual-time servers
-        #: provide ``submit_acct`` (no varargs packing, no callback
-        #: checks); the event-per-job reference falls back to a ``noop``
-        #: submission — exactly the call the old code made, so the A/B
-        #: discipline is preserved.
-        cpu_acct = getattr(self.cpu, "submit_acct", None)
-        if cpu_acct is None:
-            cpu_acct = self._make_legacy_acct()
-        self._cpu_acct = cpu_acct
+        #: path: ``submit_timed`` skips the bool-wrapping frame of
+        #: ``submit``. The return value is never used at these call sites.
+        self._cpu_submit = self.cpu.submit_timed
+        #: Accounting-only CPU charge (no callback, no varargs packing).
+        self._cpu_acct = self.cpu.submit_acct
         #: Whether hook CPU time (``costs.hook_s``) is charged on the send
         #: path. Decided once against the hooks installed at construction,
         #: so observational wrappers attached later (e.g. the safety
@@ -433,14 +424,6 @@ class GossipNode(Actor):
         self._svc_broadcast = self.costs.recv_fresh_s
         self._svc_receive = self.costs.recv_fresh_s
         transport.on_receive(self._on_link_receive)
-
-    def _make_legacy_acct(self):
-        submit = self._cpu_submit
-
-        def cpu_acct(service):
-            submit(service, _noop)
-
-        return cpu_acct
 
     @property
     def hooks(self):

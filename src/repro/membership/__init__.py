@@ -17,7 +17,8 @@ this package makes the cluster dynamic:
 The layer is **fully inert when unconfigured**: a run without
 ``ExperimentConfig(membership=...)`` builds no service, arms no timers and
 draws from no streams, so fixed-membership results stay bit-identical
-(enforced by the A/B fingerprint suite). See docs/membership.md.
+(enforced by the committed scenario fingerprints). See
+docs/membership.md.
 """
 
 from repro.membership.config import MembershipConfig

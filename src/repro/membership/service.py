@@ -21,7 +21,7 @@ One :class:`MembershipService` per deployment (built only when
 Everything here is demand-driven: no service is constructed, no stream is
 opened and no timer armed unless the experiment configures membership, so
 fixed-membership runs are bit-identical with or without this package
-(enforced by the A/B fingerprint suite).
+(enforced by the committed scenario fingerprints).
 """
 
 from repro.membership.liveness import LivenessAgent

@@ -15,22 +15,22 @@ discarded, reproducing the paper's receiver-side fault injection (§4.5).
 Single-event hops
 -----------------
 
-With a virtual-time transmission server the serialisation completion of an
-accepted message is known at submit time, so a jitter-free link (the
-default configuration) schedules exactly **one** kernel event per hop — the
-propagation arrival at ``completion + latency`` — plus a pacing event at
-``completion`` only when the sender asked for ``on_wire``. Jittered links
-keep the legacy two-event path (serialisation completion, then arrival) so
-the ``link-jitter`` RNG is drawn at exactly the same instants and in the
-same order as before. :meth:`degrade` converts not-yet-serialised fast-path
-messages back onto the legacy path so they observe the post-degradation
+The transmission server runs in virtual time, so the serialisation
+completion of an accepted message is known at submit time and a jitter-free
+link (the default configuration) schedules exactly **one** kernel event per
+hop — the propagation arrival at ``completion + latency`` — plus a pacing
+event at ``completion`` only when the sender asked for ``on_wire``. Jittered
+links take a two-event path (serialisation completion, then arrival) so the
+``link-jitter`` RNG is drawn at the instant each message finishes
+serialising. :meth:`degrade` converts not-yet-serialised fast-path messages
+onto the two-event path so they observe the post-degradation
 latency/jitter, preserving the documented "only messages serialised after
 the call see the new parameters" contract.
 """
 
 from collections import deque
 
-from repro.sim.server import make_server
+from repro.sim.server import FifoServer
 
 
 class LinkConfig:
@@ -97,13 +97,11 @@ class DirectedLink:
         self.latency_s = latency_s
         self.config = config
         self._stats = LinkStats()
-        self._server = make_server(sim, capacity=config.queue_capacity,
-                                   on_drop=self._on_queue_drop)
-        # The fast path needs the completion time at submit; a server
-        # without submit_timed (the legacy reference) disables it.
-        self._submit_timed = getattr(self._server, "submit_timed", None)
-        self._submit_fast = getattr(self._server, "submit_fast", None)
-        self._submit_chain = getattr(self._server, "submit_chain", None)
+        self._server = FifoServer(sim, capacity=config.queue_capacity,
+                                  on_drop=self._on_queue_drop)
+        self._submit_timed = self._server.submit_timed
+        self._submit_fast = self._server.submit_fast
+        self._submit_chain = self._server.submit_chain
         # One bound method reused for every hop: creating `self._arrive`
         # per transmission is a measurable share of hot-path allocation.
         self._arrive_cb = self._arrive
@@ -127,8 +125,8 @@ class DirectedLink:
         """Counters, drained to the current instant before reading.
 
         Fast-path messages count as ``sent`` once their serialisation
-        completion has passed — the same instant the legacy path's
-        completion event incremented the counter.
+        completion has passed — the same instant the two-event path's
+        completion event increments the counter.
         """
         self._drain_sent(self.sim.now)
         return self._stats
@@ -161,7 +159,7 @@ class DirectedLink:
     @property
     def fast_path(self):
         """Whether :meth:`transmit_timed` will take the single-event hop."""
-        return self._submit_fast is not None and self._jitter_rng is None
+        return self._jitter_rng is None
 
     @property
     def busy(self):
@@ -178,20 +176,18 @@ class DirectedLink:
         link frees instead of asking for an ``on_wire`` event) call this
         first: when the single-event hop applies, the payload is committed
         to the wire, exactly one arrival event is scheduled, and the
-        instant the link frees is returned. Returns ``None`` when the fast
-        path is unavailable (jittered link, or an event-per-job legacy
-        server) — the caller must then fall back to :meth:`transmit`.
+        instant the link frees is returned. Returns ``None`` on a jittered
+        link — the caller must then fall back to :meth:`transmit`.
 
         Callers are expected to transmit only while the link is idle, so a
         queue-full drop cannot normally occur here; if it does, the drop
         is counted and the current time is returned (the link is free).
         """
-        submit_fast = self._submit_fast
-        if submit_fast is None or self._jitter_rng is not None:
+        if self._jitter_rng is not None:
             return None
         config = self.config
         service = config.per_message_s + payload.size_bytes * config.per_byte_s
-        completion = submit_fast(service, payload)
+        completion = self._submit_fast(service, payload)
         sim = self.sim
         if completion is None:
             return sim.now
@@ -236,19 +232,17 @@ class DirectedLink:
         The message in service stays — it is on the wire and arrives, as
         it does in the reference — while queued chain entries are removed
         from the transmission server and their pre-armed arrival events
-        cancelled. Entries already converted to the legacy path by
+        cancelled. Entries already converted to the two-event path by
         :meth:`degrade` are no longer in ``_in_flight`` and are left
         alone. Returns the number of withdrawn messages.
         """
-        server = self._server
-        abort = getattr(server, "abort_queued", None)
-        if abort is None or not self._in_flight:
-            # No abort hook (legacy server), or a mid-round degrade moved
-            # the chain onto the legacy serialisation path (emptying
-            # ``_in_flight``): those messages' serialisation events are
-            # armed and will fire, so their server jobs must stand.
+        if not self._in_flight:
+            # A mid-round degrade moved the chain onto the two-event
+            # serialisation path (emptying ``_in_flight``): those
+            # messages' serialisation events are armed and will fire, so
+            # their server jobs must stand.
             return 0
-        removed, busy_until = abort(self.sim.now)
+        removed, busy_until = self._server.abort_queued(self.sim.now)
         if removed:
             in_flight = self._in_flight
             sim = self.sim
@@ -266,13 +260,12 @@ class DirectedLink:
         """
         config = self.config
         service = config.per_message_s + payload.size_bytes * config.per_byte_s
-        submit_timed = self._submit_timed
-        if submit_timed is not None and self._jitter_rng is None:
+        if self._jitter_rng is None:
             # Fast path: the serialisation completion is arithmetic, so the
             # only event this hop needs is the propagation arrival (plus a
             # pacing wake-up when the sender asked for one). ``args`` carry
             # the payload and on_wire to _on_queue_drop.
-            completion = submit_timed(service, None, payload, on_wire)
+            completion = self._submit_timed(service, None, payload, on_wire)
             if completion is None:
                 return False
             sim = self.sim
@@ -334,14 +327,14 @@ class DirectedLink:
             stats.bytes_sent += record[1]
 
     def _requeue_in_flight(self):
-        """Move not-yet-serialised fast-path messages onto the legacy path.
+        """Move not-yet-serialised fast-path messages onto the two-event path.
 
         Called by :meth:`degrade`: those messages' arrival events were
         computed from the pre-degradation latency, but they serialise
         *after* the change and must observe the new parameters. Each gets
         its pre-computed arrival cancelled and a serialisation-completion
         event scheduled instead, which re-reads latency (and draws jitter)
-        at exactly the instant the legacy path would have.
+        at the instant the message finishes serialising.
         """
         in_flight = self._in_flight
         if not in_flight:

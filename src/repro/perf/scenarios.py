@@ -5,9 +5,9 @@ figures (workload sweep cell, lossy grid cell, overlay run, run at
 saturation). Because the simulator is deterministic, a scenario always
 executes exactly the same events and produces a bit-identical report;
 only the wall-clock varies with the machine and the hot-path
-implementation. These five are also the A/B fingerprint corpus: the
-equivalence suite re-runs them on the event-per-job reference servers
-and demands identical report fingerprints.
+implementation. These five are also the committed-fingerprint corpus:
+tier-1 re-runs them and demands the report fingerprints recorded in
+``benchmarks/perf/BENCH_perf.json``.
 """
 
 from repro.membership import MembershipConfig
@@ -78,9 +78,9 @@ def _gossip_n1000():
 
 
 #: Large-N scenarios benchmarked (and baselined in BENCH_perf.json) like
-#: the figure scenarios, but kept out of :data:`SCENARIOS` so the A/B
-#: reference-server suite does not re-run n=1000 deployments on every CI
-#: job. The race audit accepts them by name (CI audits gossip_n1000).
+#: the figure scenarios, but kept out of :data:`SCENARIOS` so the tier-1
+#: fingerprint test does not re-run n=1000 deployments on every CI job.
+#: The race audit accepts them by name (CI audits gossip_n1000).
 PERF_SCENARIOS = {
     "fig3_n100": _fig3_n100,
     "gossip_n1000": _gossip_n1000,
@@ -122,7 +122,7 @@ def _churn_leader():
 
 
 #: Regression configurations that are *not* perf-benchmarked but share the
-#: fixed-seed discipline: the A/B fingerprint suite and the race audit run
+#: fixed-seed discipline: the fingerprint test and the race audit run
 #: them alongside the figure scenarios. ``agg_heavy`` is the configuration
 #: on which PR 4's tie-break hazard surfaced (filtering off, send queues
 #: backed up, so pump-batch grouping is sensitive to same-instant ties).

@@ -24,10 +24,7 @@ from repro.sim.server import (
     FifoServer,
     LegacyFifoServer,
     ServerStats,
-    legacy_servers,
-    make_server,
     noop,
-    using_legacy_servers,
 )
 from repro.sim.random import stream_seed
 
@@ -39,9 +36,6 @@ __all__ = [
     "FifoServer",
     "LegacyFifoServer",
     "ServerStats",
-    "legacy_servers",
-    "make_server",
     "noop",
-    "using_legacy_servers",
     "stream_seed",
 ]

@@ -8,8 +8,10 @@ timestamp order. The simulator is single-threaded and deterministic.
 
 import gc
 
-from repro.sim.events import resolve_queue_backend
+from repro.sim.events import EventQueue
 from repro.sim.random import make_stream
+
+_INF = float("inf")
 
 
 class SimulationError(Exception):
@@ -29,25 +31,15 @@ class Simulator:
         scheduled event and RNG draw. Opt-in and zero-cost when ``None``:
         the only difference is which queue class and stream factory the
         constructor binds — no per-event branch exists on the hot path.
-    queue:
-        Event-queue backend: a class, a name from
-        :data:`repro.sim.events.QUEUE_BACKENDS`, or ``"auto"``. ``None``
-        (the default) defers to the :func:`repro.sim.events.queue_backend`
-        context override, then the ``REPRO_SIM_QUEUE`` environment
-        variable, then the auto heuristic. Both backends honour the exact
-        ``(time, seq)`` contract, so the choice affects wall-clock speed
-        only — every committed scenario is fingerprint-identical across
-        them (enforced by the A/B suite).
     """
 
-    def __init__(self, seed=0, auditor=None, queue=None):
+    def __init__(self, seed=0, auditor=None):
         self.seed = seed
-        backend = resolve_queue_backend(queue)
         if auditor is None:
-            self._queue = backend()
+            self._queue = EventQueue()
             self._stream_factory = make_stream
         else:
-            self._queue = auditor.make_queue(backend)
+            self._queue = auditor.make_queue()
             self._stream_factory = auditor.make_stream
             auditor.bind(self)
         #: Allocate a tie-breaking slot for a possible future event; the
@@ -102,26 +94,33 @@ class Simulator:
 
     def schedule(self, delay, fn, *args):
         """Run ``fn(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise SimulationError("cannot schedule {}s in the past".format(-delay))
+        if not 0 <= delay < _INF:
+            if delay < 0:
+                raise SimulationError(
+                    "cannot schedule {}s in the past".format(-delay))
+            raise SimulationError(
+                "cannot schedule a non-finite delay ({!r})".format(delay))
         return self._queue.push(self.now + delay, fn, args)
 
     def schedule_at(self, time, fn, *args):
         """Run ``fn(*args)`` at absolute simulated time ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                "cannot schedule at t={} (now is t={})".format(time, self.now)
-            )
+        if not self.now <= time < _INF:
+            raise self._bad_time(time)
         return self._queue.push(time, fn, args)
 
     def schedule_at_reserved(self, time, seq, fn, *args):
         """Like :meth:`schedule_at`, tie-broken as if scheduled when
         ``seq`` was reserved."""
-        if time < self.now:
-            raise SimulationError(
-                "cannot schedule at t={} (now is t={})".format(time, self.now)
-            )
+        if not self.now <= time < _INF:
+            raise self._bad_time(time)
         return self._queue.push(time, fn, args, seq)
+
+    def _bad_time(self, time):
+        if time < self.now:
+            return SimulationError(
+                "cannot schedule at t={} (now is t={})".format(time, self.now))
+        return SimulationError(
+            "cannot schedule at non-finite t={!r}".format(time))
 
     def cancel(self, event):
         """Cancel a pending event. Cancelling twice is a no-op."""
@@ -176,10 +175,11 @@ class Simulator:
                 # `until` queued, and returns the next live event.
                 event = pop(until)
                 if event is None:
-                    if until is not None:
-                        # A live event beyond `until` pins the clock at
-                        # `until`; a drained queue never moves it back.
-                        self.now = until if queue else max(self.now, until)
+                    if until is not None and until > self.now:
+                        # Stopping at `until` (live event beyond it, or
+                        # drained early) advances the clock exactly there;
+                        # an `until` behind the clock never moves it back.
+                        self.now = until
                     break
                 self.now = event.time
                 fn = event.fn

@@ -26,19 +26,17 @@ the moment it is accepted::
 :class:`FifoServer` exploits that: it tracks ``busy_until`` arithmetically
 and schedules **zero** kernel events for accounting-only jobs (callback
 ``None`` or :func:`noop`) and exactly one event — at the precomputed
-completion — for jobs with real callbacks. The legacy arrangement (one
-kernel event per job, chained start-to-completion) survives as
-:class:`LegacyFifoServer`; `tests/sim/test_server_equivalence.py` drives
-random traces through both and the A/B fingerprint suite
-(`tests/integration/test_ab_fingerprint.py`) proves full experiment
-reports identical. Stats (``completed``, ``busy_time``) are maintained by
-lazily draining a deque of completion timestamps whenever the server is
-observed — reads through :attr:`FifoServer.stats` always see the state a
-per-job event loop would have produced at the same instant.
+completion — for jobs with real callbacks. The event-per-job arrangement
+(one kernel event per job, chained start-to-completion) survives as
+:class:`LegacyFifoServer`, the reference that
+`tests/sim/test_server_equivalence.py` drives random traces against;
+nothing in `src/` constructs it. Stats (``completed``, ``busy_time``) are
+maintained by lazily draining a deque of completion timestamps whenever
+the server is observed — reads through :attr:`FifoServer.stats` always see
+the state a per-job event loop would have produced at the same instant.
 """
 
 from collections import deque
-from contextlib import contextmanager
 
 
 def noop():
@@ -326,10 +324,9 @@ class LegacyFifoServer:
     """Event-per-job FIFO server: the pre-virtual-time implementation.
 
     Kept verbatim as the executable reference for
-    :class:`FifoServer`'s semantics. The equivalence property tests and
-    the A/B report-fingerprint suite run both implementations against the
-    same traces; :func:`legacy_servers` switches a whole deployment onto
-    this class.
+    :class:`FifoServer`'s semantics: the equivalence property tests run
+    both implementations against the same traces. Deployments never use
+    it.
     """
 
     __slots__ = ("sim", "capacity", "on_drop", "stats", "slowdown",
@@ -385,43 +382,3 @@ class LegacyFifoServer:
             self._start(service_time, next_fn, next_args)
         else:
             self._busy = False
-
-
-#: When True, :func:`make_server` builds :class:`LegacyFifoServer`s.
-#: Toggled by :func:`legacy_servers`; never set directly.
-_legacy_mode = False
-
-
-def using_legacy_servers():
-    """Whether :func:`make_server` currently builds legacy servers."""
-    return _legacy_mode
-
-
-def make_server(sim, capacity=None, on_drop=None):
-    """Build the active FIFO-server implementation.
-
-    All production construction sites (process CPUs, link transmission
-    servers) go through this factory so the A/B verification harness can
-    run entire deployments on the event-per-job reference implementation.
-    """
-    if _legacy_mode:
-        return LegacyFifoServer(sim, capacity, on_drop)
-    return FifoServer(sim, capacity, on_drop)
-
-
-@contextmanager
-def legacy_servers():
-    """Context manager: deployments built inside use event-per-job servers.
-
-    Used by the A/B fingerprint harness to prove that the virtual-time
-    server (and the links' single-event fast path, which keys off
-    ``submit_timed`` and is therefore absent on legacy servers) produces
-    bitwise-identical experiment reports.
-    """
-    global _legacy_mode
-    previous = _legacy_mode
-    _legacy_mode = True
-    try:
-        yield
-    finally:
-        _legacy_mode = previous

@@ -20,7 +20,7 @@ def _noop(*_args):
 # -- attachment ------------------------------------------------------------
 
 def test_unattached_simulator_uses_plain_machinery():
-    sim = Simulator(seed=3, queue="heap")
+    sim = Simulator(seed=3)
     assert type(sim._queue) is EventQueue
     assert sim._stream_factory is make_stream
     assert type(sim.rng("a")) is not CountingStream

@@ -157,8 +157,6 @@ def test_perf_command_json_payload(capsys):
     assert measured["events_scheduled"] == (
         measured["events"] + measured["pending_at_end"]
         + measured["events_cancelled"])
-    # Single-scenario runs skip the (expensive) legacy comparison.
-    assert "legacy_comparison" not in payload
 
 
 def test_perf_command_table_output(capsys):
@@ -171,14 +169,6 @@ def test_perf_command_table_output(capsys):
 def test_perf_command_rejects_unknown_scenario(capsys):
     assert main(["perf", "--scenario", "bogus"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
-
-
-def test_perf_queues_command(capsys):
-    assert main(["perf", "--queues", "--repeats", "1"]) == 0
-    out = capsys.readouterr().out
-    for needle in ("queue backends", "push_pop", "interleaved",
-                   "cancel_heavy", "heap", "wheel"):
-        assert needle in out
 
 
 def test_perf_compare_command(tmp_path, capsys):

@@ -1,52 +1,33 @@
-"""Unit tests for the event queue backends.
+"""Unit tests for the event queue."""
 
-Every contract test runs against both backends through the ``queue_cls``
-fixture — the heap and the wheel must be observably identical through the
-public API (only wall-clock speed may differ).
-"""
-
-import pytest
-
-from repro.sim.events import (
-    Event,
-    EventQueue,
-    QUEUE_BACKENDS,
-    TimingWheelQueue,
-    queue_backend,
-    resolve_queue_backend,
-)
+from repro.sim.events import Event, EventQueue, resolve_queue_backend
 
 
-@pytest.fixture(params=sorted(QUEUE_BACKENDS), ids=str)
-def queue_cls(request):
-    return QUEUE_BACKENDS[request.param]
-
-
-def test_push_returns_event_handle(queue_cls):
-    queue = queue_cls()
+def test_push_returns_event_handle():
+    queue = EventQueue()
     event = queue.push(1.0, lambda: None, ())
     assert isinstance(event, Event)
     assert event.time == 1.0
     assert not event.cancelled
 
 
-def test_pop_returns_events_in_time_order(queue_cls):
-    queue = queue_cls()
+def test_pop_returns_events_in_time_order():
+    queue = EventQueue()
     queue.push(3.0, "c", ())
     queue.push(1.0, "a", ())
     queue.push(2.0, "b", ())
     assert [queue.pop().fn for _ in range(3)] == ["a", "b", "c"]
 
 
-def test_same_time_events_pop_in_scheduling_order(queue_cls):
-    queue = queue_cls()
+def test_same_time_events_pop_in_scheduling_order():
+    queue = EventQueue()
     for label in ("first", "second", "third"):
         queue.push(5.0, label, ())
     assert [queue.pop().fn for _ in range(3)] == ["first", "second", "third"]
 
 
-def test_pop_skips_cancelled_events(queue_cls):
-    queue = queue_cls()
+def test_pop_skips_cancelled_events():
+    queue = EventQueue()
     keep = queue.push(1.0, "keep", ())
     drop = queue.push(0.5, "drop", ())
     drop.cancel()
@@ -54,12 +35,12 @@ def test_pop_skips_cancelled_events(queue_cls):
     assert queue.pop() is keep
 
 
-def test_pop_empty_returns_none(queue_cls):
-    assert queue_cls().pop() is None
+def test_pop_empty_returns_none():
+    assert EventQueue().pop() is None
 
 
-def test_len_counts_live_events_only(queue_cls):
-    queue = queue_cls()
+def test_len_counts_live_events_only():
+    queue = EventQueue()
     event = queue.push(1.0, "x", ())
     queue.push(2.0, "y", ())
     assert len(queue) == 2
@@ -68,8 +49,8 @@ def test_len_counts_live_events_only(queue_cls):
     assert len(queue) == 1
 
 
-def test_peek_time_ignores_cancelled_head(queue_cls):
-    queue = queue_cls()
+def test_peek_time_ignores_cancelled_head():
+    queue = EventQueue()
     head = queue.push(1.0, "x", ())
     queue.push(2.0, "y", ())
     head.cancel()
@@ -77,28 +58,28 @@ def test_peek_time_ignores_cancelled_head(queue_cls):
     assert queue.peek_time() == 2.0
 
 
-def test_peek_time_empty_is_none(queue_cls):
-    assert queue_cls().peek_time() is None
+def test_peek_time_empty_is_none():
+    assert EventQueue().peek_time() is None
 
 
-def test_cancel_clears_references(queue_cls):
-    queue = queue_cls()
+def test_cancel_clears_references():
+    queue = EventQueue()
     event = queue.push(1.0, "payload", ("big-arg",))
     event.cancel()
     assert event.fn is None
     assert event.args == ()
 
 
-def test_pop_with_limit_leaves_future_event_queued(queue_cls):
-    queue = queue_cls()
+def test_pop_with_limit_leaves_future_event_queued():
+    queue = EventQueue()
     event = queue.push(5.0, "future", ())
     assert queue.pop(2.0) is None
     assert len(queue) == 1            # still queued, not consumed
     assert queue.pop(5.0) is event
 
 
-def test_pop_with_limit_discards_cancelled_heads_first(queue_cls):
-    queue = queue_cls()
+def test_pop_with_limit_discards_cancelled_heads_first():
+    queue = EventQueue()
     head = queue.push(1.0, "cancelled", ())
     queue.push(5.0, "future", ())
     head.cancel()
@@ -110,14 +91,14 @@ def test_pop_with_limit_discards_cancelled_heads_first(queue_cls):
     assert queue.heap_size == 1       # the shell was discarded in passing
 
 
-def test_pop_returns_event_exactly_at_limit(queue_cls):
-    queue = queue_cls()
+def test_pop_returns_event_exactly_at_limit():
+    queue = EventQueue()
     event = queue.push(2.0, "now", ())
     assert queue.pop(2.0) is event
 
 
-def test_reserved_seq_pins_tie_break_position(queue_cls):
-    queue = queue_cls()
+def test_reserved_seq_pins_tie_break_position():
+    queue = EventQueue()
     early_slot = queue.reserve()
     queue.push(1.0, "pushed-first", ())
     queue.push(1.0, "pushed-second", ())
@@ -127,8 +108,8 @@ def test_reserved_seq_pins_tie_break_position(queue_cls):
         "reserved", "pushed-first", "pushed-second"]
 
 
-def test_unused_reservation_is_harmless(queue_cls):
-    queue = queue_cls()
+def test_unused_reservation_is_harmless():
+    queue = EventQueue()
     queue.reserve()
     queue.push(1.0, "a", ())
     queue.reserve()
@@ -143,8 +124,8 @@ def _cancel(queue, event):
     queue.note_cancelled()
 
 
-def test_compaction_reclaims_cancelled_shells(queue_cls):
-    queue = queue_cls()
+def test_compaction_reclaims_cancelled_shells():
+    queue = EventQueue()
     events = [queue.push(float(i), "e", ()) for i in range(100)]
     for event in events[:70]:
         _cancel(queue, event)
@@ -155,8 +136,8 @@ def test_compaction_reclaims_cancelled_shells(queue_cls):
     assert queue.heap_size == 49
 
 
-def test_no_compaction_below_minimum_heap_size(queue_cls):
-    queue = queue_cls()
+def test_no_compaction_below_minimum_heap_size():
+    queue = EventQueue()
     events = [queue.push(float(i), "e", ()) for i in range(40)]
     for event in events[:30]:
         _cancel(queue, event)
@@ -166,8 +147,8 @@ def test_no_compaction_below_minimum_heap_size(queue_cls):
     assert queue.heap_size == 40
 
 
-def test_order_preserved_after_compaction(queue_cls):
-    queue = queue_cls()
+def test_order_preserved_after_compaction():
+    queue = EventQueue()
     events = [queue.push(float(i % 7), i, ()) for i in range(80)]
     for event in events[::2]:
         _cancel(queue, event)
@@ -183,8 +164,8 @@ def test_order_preserved_after_compaction(queue_cls):
     assert sorted(e.fn for e in survivors) == list(range(1, 80, 2))
 
 
-def test_pool_recycles_executed_events(queue_cls):
-    queue = queue_cls()
+def test_pool_recycles_executed_events():
+    queue = EventQueue()
     first = queue.push_pooled(1.0, "a", ())
     assert first.pooled
     popped = queue.pop()
@@ -200,8 +181,8 @@ def test_pool_recycles_executed_events(queue_cls):
     assert not second.cancelled
 
 
-def test_plain_push_never_draws_from_pool(queue_cls):
-    queue = queue_cls()
+def test_plain_push_never_draws_from_pool():
+    queue = EventQueue()
     pooled = queue.push_pooled(1.0, "a", ())
     queue.pop().cancel()
     queue.recycle(pooled)
@@ -212,8 +193,8 @@ def test_plain_push_never_draws_from_pool(queue_cls):
     assert not fresh.pooled
 
 
-def test_pool_is_bounded(queue_cls):
-    queue = queue_cls()
+def test_pool_is_bounded():
+    queue = EventQueue()
     for _ in range(queue.POOL_MAX + 10):
         event = queue.push_pooled(1.0, "e", ())
         queue.pop()
@@ -226,7 +207,7 @@ def test_wheel_orders_across_and_within_buckets():
     # Width 1e-3: 0.0004/0.0006 share bucket 0; 0.0014 is bucket 1;
     # 0.25 is bucket 250. Interleave pushes and pops so late pushes land
     # behind the drain frontier and must enter the current heap.
-    queue = TimingWheelQueue()
+    queue = EventQueue()
     queue.push(0.25, "far", ())
     queue.push(0.0006, "b", ())
     queue.push(0.0004, "a", ())
@@ -240,15 +221,8 @@ def test_wheel_orders_across_and_within_buckets():
     assert queue.pop() is None
 
 
-def test_wheel_custom_width():
-    queue = TimingWheelQueue(width=10.0)
-    queue.push(25.0, "late", ())
-    queue.push(3.0, "early", ())
-    assert [queue.pop().fn for _ in range(2)] == ["early", "late"]
-
-
 def test_wheel_compaction_drops_emptied_buckets():
-    queue = TimingWheelQueue()
+    queue = EventQueue()
     events = [queue.push(float(i), "e", ()) for i in range(100)]
     for event in events[:70]:
         _cancel(queue, event)
@@ -264,37 +238,9 @@ def test_wheel_compaction_drops_emptied_buckets():
     assert len(times) == 30
 
 
-def test_resolve_queue_backend_precedence(monkeypatch):
-    from repro.sim import events as events_mod
-
-    monkeypatch.delenv(events_mod.QUEUE_ENV_VAR, raising=False)
-    # Explicit class or name wins outright.
-    assert resolve_queue_backend(EventQueue) is EventQueue
-    assert resolve_queue_backend("heap") is EventQueue
-    assert resolve_queue_backend("wheel") is TimingWheelQueue
-    # Default is the auto heuristic.
-    assert resolve_queue_backend() is TimingWheelQueue
-    # Context override beats the environment variable...
-    monkeypatch.setenv(events_mod.QUEUE_ENV_VAR, "wheel")
-    with queue_backend("heap"):
-        assert resolve_queue_backend() is EventQueue
-        # ...but an explicit argument beats the context.
-        assert resolve_queue_backend("wheel") is TimingWheelQueue
-    # Environment applies once the context unwinds.
-    monkeypatch.setenv(events_mod.QUEUE_ENV_VAR, "heap")
+def test_resolve_queue_backend_is_the_benchmark_seam():
+    # benchmarks/e2e/drivers.py calls it with no argument for the class.
     assert resolve_queue_backend() is EventQueue
-
-
-def test_resolve_queue_backend_rejects_unknown_name():
-    with pytest.raises(ValueError, match="unknown queue backend"):
-        resolve_queue_backend("splay")
-
-
-def test_event_ordering_dunder():
-    a = Event(1.0, 0, None, ())
-    b = Event(1.0, 1, None, ())
-    c = Event(2.0, 0, None, ())
-    assert a < b < c
 
 
 def test_event_repr_mentions_state():

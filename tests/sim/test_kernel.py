@@ -117,6 +117,15 @@ def test_run_until_with_only_cancelled_future_events(sim):
     assert sim.now == 2.0
 
 
+def test_run_until_behind_the_clock_never_rewinds_over_a_live_event(sim):
+    sim.schedule(6.0, lambda: None)
+    sim.run(until=5.0)
+    sim.run(until=3.0)
+    assert sim.now == 5.0
+    with pytest.raises(SimulationError):
+        sim.schedule_at(4.0, lambda: None)
+
+
 def test_callback_cancelling_its_own_event_is_safe(sim):
     """A callback cancelling the very event that invoked it (e.g. a timer
     stopped from inside its firing) must not corrupt the live count."""
@@ -203,3 +212,19 @@ def test_schedule_at_reserved_in_past_raises(sim):
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at_reserved(0.5, slot, lambda: None)
+
+
+_SCHEDULERS = {
+    "schedule": lambda sim, t: sim.schedule(t, print),
+    "schedule_at": lambda sim, t: sim.schedule_at(t, print),
+    "schedule_at_reserved": lambda sim, t: sim.schedule_at_reserved(
+        t, sim.reserve_slot(), print),
+}
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+@pytest.mark.parametrize("entry", sorted(_SCHEDULERS))
+def test_non_finite_times_are_rejected_by_name(sim, entry, bad):
+    with pytest.raises(SimulationError, match="non-finite.*{}".format(bad)):
+        _SCHEDULERS[entry](sim, bad)
+    assert sim.pending() == 0

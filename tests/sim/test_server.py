@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.sim.server import (
-    FifoServer,
-    LegacyFifoServer,
-    legacy_servers,
-    make_server,
-    noop,
-    using_legacy_servers,
-)
+from repro.sim.server import FifoServer, noop
 
 
 def test_job_effect_runs_at_completion(sim):
@@ -148,13 +141,3 @@ def test_submit_timed_returns_none_on_drop(sim):
     assert server.submit_timed(1.0, None, "a") is not None  # enters service
     assert server.submit_timed(1.0, None, "b") is None
     assert dropped == [("b",)]
-
-
-def test_make_server_honours_legacy_context(sim):
-    assert isinstance(make_server(sim), FifoServer)
-    assert not using_legacy_servers()
-    with legacy_servers():
-        assert using_legacy_servers()
-        assert isinstance(make_server(sim), LegacyFifoServer)
-    assert not using_legacy_servers()
-    assert isinstance(make_server(sim), FifoServer)
