@@ -20,7 +20,7 @@ additionally charges transmission time. See DESIGN.md §5.2.
 from collections import deque
 
 from repro.sim.actors import Actor
-from repro.sim.server import FifoServer
+from repro.sim.server import FifoServer, check_service_time
 from repro.gossip.cache import RecentlySeenCache
 from repro.gossip.hooks import SemanticHooks
 
@@ -30,7 +30,8 @@ class GossipCosts:
 
     Times are in seconds per operation. They are deliberately explicit
     configuration — they play the role of the paper's t2.medium CPUs and
-    determine where the latency knees fall.
+    determine where the latency knees fall. Each must be finite and
+    non-negative; anything else raises a ``ValueError`` naming the field.
     """
 
     __slots__ = ("recv_fresh_s", "recv_dup_s", "send_per_peer_s", "hook_s")
@@ -41,6 +42,8 @@ class GossipCosts:
         self.recv_dup_s = recv_dup_s
         self.send_per_peer_s = send_per_peer_s
         self.hook_s = hook_s
+        for name in self.__slots__:
+            check_service_time("GossipCosts." + name, getattr(self, name))
 
 
 class GossipStats:
@@ -74,20 +77,23 @@ class GossipStats:
 class _PeerSender:
     """Send routine for one peer: queue + validate/aggregate + pacing.
 
-    Pacing is event-free on the fast path: a jitter-free link reports the
-    serialisation completion at transmit time, so the sender tracks the
-    instant the link frees (``_free_at``) arithmetically and arms a single
-    wake-up event only when there is follow-on work to pace — the rest of
-    a validated batch, or messages that queued mid-flight and must be
-    validated/aggregated at the instant the link frees (the same instant
-    the old per-message ``on_wire`` callback ran). A transmission with
-    nothing behind it — the common case below saturation — schedules no
-    pacing event at all. Jittered links cannot precompute completions
-    and fall back to the two-event path, where ``on_wire`` plays the
-    wake-up's role.
+    There is one way to send, and it is event-free. Every link reports
+    the serialisation completion at transmit time, so the sender tracks
+    the instant the link frees (``_free_at``) arithmetically: a lone
+    message on an idle link goes straight out (:meth:`enqueue`), a
+    backlog is validated/aggregated and committed whole as one chained
+    round (:meth:`_pump`), and neither schedules a pacing event. The only
+    event a sender ever arms is a wake-up at ``_free_at``, lazily, when a
+    message is enqueued while the link is busy: whatever has queued by
+    then is validated/aggregated at the instant the link frees, in the
+    tie-break slot reserved at the last transmit. A transmission with
+    nothing behind it — the common case below saturation — costs no
+    sender event at all. Link jitter changes none of this: the link draws
+    it when it commits an arrival, and it moves arrivals, never
+    completions.
     """
 
-    __slots__ = ("node", "sim", "peer_id", "link", "queue", "pending",
+    __slots__ = ("node", "sim", "peer_id", "link", "queue",
                  "capacity", "_free_at", "_wakeup_armed", "_wakeup_seq",
                  "_wakeup_event", "_round")
 
@@ -97,10 +103,9 @@ class _PeerSender:
         self.peer_id = peer_id
         self.link = link
         self.queue = deque()
-        self.pending = deque()   # current validated/aggregated batch
         self.capacity = capacity
         self._free_at = 0.0      # link serialises our traffic until then
-        self._wakeup_armed = False   # a wake-up (or on_wire) is outstanding
+        self._wakeup_armed = False   # a wake-up is outstanding
         self._wakeup_seq = 0     # reserved tie-break slot for the wake-up
         self._wakeup_event = None    # handle, valid only while armed
         self._round = []         # (completion, seq) per chained message
@@ -121,37 +126,32 @@ class _PeerSender:
         if self.sim.now < self._free_at:
             # Link busy with nothing paced behind it yet: wake exactly
             # when it frees to batch up whatever has queued by then. The
-            # reserved slot makes the wake-up fire in the heap position
+            # reserved slot makes the wake-up fire in the queue position
             # the reference implementation gave its completion event.
             queue.append(payload)
             self._wakeup_armed = True
             self._wakeup_event = self.sim.push_event(
                 self._free_at, self._wakeup, (), self._wakeup_seq)
             return
-        if not queue and not self.pending:
-            # Idle-link single message — the dominant case below
+        if not queue:
+            # Idle link, nothing queued — the dominant case below
             # saturation — goes straight to the wire: no deque round
-            # trip, no pump frame. Identical validate/charge/transmit
-            # sequence to the single-message pump path.
+            # trip, no batch lists.
             node = self.node
             if node.validate_default or node._hooks.validate(payload,
                                                              self.peer_id):
                 if node.hooks_charged:
                     self._charge_hooks(1)
-                # _transmit, inlined (nothing is queued behind this
-                # message, so the trailing wake-up arming there is dead):
-                # reserve the wake-up slot before the transmit, exactly
-                # where the event-per-job reference allocated its
-                # completion event.
-                sim = self.sim
-                seq = sim.reserve_slot()
-                completion = self.link.transmit_timed(payload)
-                if completion is None:
-                    self._wakeup_armed = True
-                    self.link.transmit(payload, on_wire=self._paced_wakeup)
-                else:
-                    self._wakeup_seq = seq
-                    self._free_at = completion
+                # Reserve the wake-up's tie-breaking slot *before* the
+                # transmit, where the event-per-job reference allocated
+                # its per-transmission completion event: a wake-up armed
+                # later (by an enqueue mid-flight) then fires in exactly
+                # the reference's position relative to other events
+                # landing on the completion instant — including the
+                # arrival event a zero-latency link would put there.
+                seq = self.sim.reserve_slot()
+                self._free_at = self.link.transmit_timed(payload)
+                self._wakeup_seq = seq
             else:
                 node.stats.filtered += 1
                 if node.obs is not None:
@@ -163,97 +163,70 @@ class _PeerSender:
         self._pump()
 
     def _pump(self):
-        """Prepare the next batch (validate + aggregate) and start sending."""
+        """Validate + aggregate what has queued and commit it to the wire."""
+        queue = self.queue
         node = self.node
         hooks = node._hooks
-        queue = self.queue
-        if not self.pending and len(queue) == 1:
-            # Single queued message — the overwhelmingly common case below
-            # saturation — skips the batch-list machinery: same validate,
-            # same hook charge, same transmit, no list copies.
-            payload = queue.popleft()
-            if node.validate_default or hooks.validate(payload, self.peer_id):
-                if node.hooks_charged:
-                    self._charge_hooks(1)
-                self._transmit(payload)
-            else:
-                node.stats.filtered += 1
-                if node.obs is not None:
-                    node.obs.gossip_filtered(node.process_id, self.peer_id,
-                                             payload)
-                self._charge_hooks(1)
-            return
-        examined = 0   # messages run through validate/aggregate this pump
-        while not self.pending:
-            if not self.queue:
-                self._charge_hooks(examined)
-                return
-            batch = list(self.queue)
-            self.queue.clear()
-            if node.validate_default:
-                # Default validate admits everything; skip the per-message
-                # calls (classic gossip's saturated batch path).
-                kept = batch
-            else:
-                kept = []
-                for payload in batch:
-                    if hooks.validate(payload, self.peer_id):
-                        kept.append(payload)
-                    else:
-                        node.stats.filtered += 1
-                        if node.obs is not None:
-                            node.obs.gossip_filtered(node.process_id,
-                                                     self.peer_id, payload)
-            examined += len(batch)
-            if len(kept) > 1:
-                examined += len(kept)
-                if not node.aggregate_default:
-                    before = len(kept)
-                    kept = hooks.aggregate(kept, self.peer_id)
-                    saved = before - len(kept)
-                    if saved > 0:
-                        node.stats.aggregated_in += saved + sum(
-                            1 for p in kept if p.aggregated
-                        )
-                        node.stats.aggregated_saved += saved
-                        if node.obs is not None:
-                            for p in kept:
-                                if p.aggregated:
-                                    node.obs.gossip_aggregated(
-                                        node.process_id, self.peer_id, p,
-                                        max(0, len(getattr(p, "senders", ())) - 1))
-            self.pending.extend(kept)
-        self._charge_hooks(examined)
-        if self.link.fast_path:
-            self._send_round()
+        batch = list(queue)
+        queue.clear()
+        if node.validate_default:
+            # Default validate admits everything; skip the per-message
+            # calls (classic gossip's saturated batch path).
+            kept = batch
         else:
-            self._transmit(self.pending.popleft())
+            kept = []
+            for payload in batch:
+                if hooks.validate(payload, self.peer_id):
+                    kept.append(payload)
+                else:
+                    node.stats.filtered += 1
+                    if node.obs is not None:
+                        node.obs.gossip_filtered(node.process_id,
+                                                 self.peer_id, payload)
+        # Messages run through validate, then (two or more) aggregate.
+        examined = len(batch)
+        if len(kept) > 1:
+            examined += len(kept)
+            if not node.aggregate_default:
+                before = len(kept)
+                kept = hooks.aggregate(kept, self.peer_id)
+                saved = before - len(kept)
+                if saved > 0:
+                    node.stats.aggregated_in += saved + sum(
+                        1 for p in kept if p.aggregated
+                    )
+                    node.stats.aggregated_saved += saved
+                    if node.obs is not None:
+                        for p in kept:
+                            if p.aggregated:
+                                node.obs.gossip_aggregated(
+                                    node.process_id, self.peer_id, p,
+                                    max(0, len(getattr(p, "senders", ())) - 1))
+        self._charge_hooks(examined)
+        if kept:
+            self._send_round(kept)
 
-    def _send_round(self):
+    def _send_round(self, batch):
         """Commit the whole validated batch to the wire arithmetically.
 
-        On a fast-path link every serialisation completion in the round
-        is known now (FIFO chain: each message starts when its
-        predecessor finishes), so the entire batch is chained onto the
-        transmission server in one pass — zero wake-up events instead of
-        one per message. Each message's tie-break slot is still reserved
-        immediately before its transmit, exactly where the per-message
-        pump reserved it, so a wake-up lazily armed later (by an enqueue
-        mid-round) fires in the reference's heap position at the
-        reference's instant: the end of the round, which is when the
-        per-message pump first looked at the queue again.
+        Every serialisation completion in the round is known now (FIFO
+        chain: each message starts when its predecessor finishes), so the
+        entire batch is chained onto the transmission server in one pass
+        — zero wake-up events instead of one per message. Each message's
+        tie-break slot is still reserved immediately before its transmit,
+        exactly where a per-message pump would reserve it, so a wake-up
+        lazily armed later (by an enqueue mid-round) fires in the
+        reference's queue position at the reference's instant: the end
+        of the round, which is when the per-message pump first looked at
+        the queue again.
         """
-        sim = self.sim
-        reserve = sim.reserve_slot
+        reserve = self.sim.reserve_slot
         chain = self.link.transmit_chained
-        pending = self.pending
         round_tail = self._round
         round_tail.clear()
-        seq = self._wakeup_seq
-        completion = self._free_at
-        while pending:
+        for payload in batch:
             seq = reserve()
-            completion = chain(pending.popleft())
+            completion = chain(payload)
             round_tail.append((completion, seq))
         self._wakeup_seq = seq
         self._free_at = completion
@@ -274,31 +247,6 @@ class _PeerSender:
         if service > 0.0:
             node._cpu_acct(service)
 
-    def _transmit(self, payload):
-        sim = self.sim
-        # Reserve the wake-up's tie-breaking slot *before* the transmit,
-        # where the event-per-job reference allocated its per-transmission
-        # completion event: a wake-up armed later (possibly by an enqueue
-        # mid-flight) then fires in exactly the reference's heap position
-        # relative to other events landing on the completion instant —
-        # including the arrival event a zero-latency link would put there.
-        seq = sim.reserve_slot()
-        completion = self.link.transmit_timed(payload)
-        if completion is None:
-            # Two-event path (jittered link): the serialisation
-            # completion is not precomputable, so the on_wire callback
-            # paces instead. The reservation goes unused — a harmless gap
-            # in the sequence counter.
-            self._wakeup_armed = True
-            self.link.transmit(payload, on_wire=self._paced_wakeup)
-            return
-        self._wakeup_seq = seq
-        self._free_at = completion
-        if (self.pending or self.queue) and not self._wakeup_armed:
-            self._wakeup_armed = True
-            self._wakeup_event = sim.push_event(completion, self._wakeup,
-                                                (), seq)
-
     def _wakeup(self):
         self._wakeup_armed = False
         self._wakeup_event = None
@@ -306,24 +254,12 @@ class _PeerSender:
             # The link was re-busied at this very instant (an enqueue at
             # the completion time pumped first); re-arm for the new
             # completion if there is still work to pace.
-            if self.pending or self.queue:
+            if self.queue:
                 self._wakeup_armed = True
                 self._wakeup_event = self.sim.push_event(
                     self._free_at, self._wakeup, (), self._wakeup_seq)
             return
-        self._resume()
-
-    def _paced_wakeup(self):
-        self._wakeup_armed = False
-        self._wakeup_event = None
-        self._free_at = self.sim.now   # the link just freed
-        self._resume()
-
-    def _resume(self):
-        if self.pending:
-            self._transmit(self.pending.popleft())
-        else:
-            self._pump()
+        self._pump()
 
     def abort_round(self):
         """Withdraw the committed-but-unserialised tail of the round.
@@ -481,7 +417,6 @@ class GossipNode(Actor):
         self.alive = False
         for sender in self._senders.values():
             sender.queue.clear()
-            sender.pending.clear()
             sender.abort_round()
 
     def recover(self):

@@ -16,21 +16,25 @@ Single-event hops
 -----------------
 
 The transmission server runs in virtual time, so the serialisation
-completion of an accepted message is known at submit time and a jitter-free
-link (the default configuration) schedules exactly **one** kernel event per
-hop — the propagation arrival at ``completion + latency`` — plus a pacing
-event at ``completion`` only when the sender asked for ``on_wire``. Jittered
-links take a two-event path (serialisation completion, then arrival) so the
-``link-jitter`` RNG is drawn at the instant each message finishes
-serialising. :meth:`degrade` converts not-yet-serialised fast-path messages
-onto the two-event path so they observe the post-degradation
-latency/jitter, preserving the documented "only messages serialised after
-the call see the new parameters" contract.
+completion of an accepted message is known the moment it is submitted.
+Every transmission is therefore committed right then as exactly **one**
+kernel event: the propagation arrival at ``completion + latency_s`` plus,
+on a jittered link, one ``uniform(0, jitter_s)`` draw taken at that same
+moment. Jitter is thus drawn in *commit* order — the order messages were
+handed to the link — which, like everything else, is a pure function of
+``(config, seed)``.
+
+:meth:`DirectedLink.degrade` re-times what has not finished serialising:
+each such message's arrival is cancelled and committed again at
+``completion + new delay`` (the new latency and, if jittered, a fresh draw,
+in FIFO order), which keeps the documented "only messages serialised after
+the call see the new parameters" contract. Messages already serialised are
+propagating and keep the arrival they were given.
 """
 
 from collections import deque
 
-from repro.sim.server import FifoServer
+from repro.sim.server import FifoServer, check_service_time
 
 
 class LinkConfig:
@@ -45,7 +49,10 @@ class LinkConfig:
     queue_capacity:
         Maximum queued messages per link direction; ``None`` = unbounded.
     jitter_s:
-        Half-width of uniform propagation jitter (seconds); 0 disables.
+        Width of the uniform propagation jitter (seconds); 0 disables.
+
+    Times must be finite and non-negative and the capacity ``None`` or
+    ``>= 0``; anything else raises a ``ValueError`` naming the field.
     """
 
     __slots__ = ("per_message_s", "per_byte_s", "queue_capacity", "jitter_s")
@@ -56,6 +63,12 @@ class LinkConfig:
         self.per_byte_s = per_byte_s
         self.queue_capacity = queue_capacity
         self.jitter_s = jitter_s
+        for name in ("per_message_s", "per_byte_s", "jitter_s"):
+            check_service_time("LinkConfig." + name, getattr(self, name))
+        if queue_capacity is not None and not queue_capacity >= 0:
+            raise ValueError(
+                "LinkConfig.queue_capacity must be None or >= 0, got "
+                "{!r}".format(queue_capacity))
 
 
 class LinkStats:
@@ -105,7 +118,7 @@ class DirectedLink:
         # One bound method reused for every hop: creating `self._arrive`
         # per transmission is a measurable share of hot-path allocation.
         self._arrive_cb = self._arrive
-        #: Fast-path messages not yet drained into ``stats.sent``, as
+        #: Messages not yet drained into ``stats.sent``, as
         #: (serialisation_completion, size_bytes, payload, arrive_event)
         #: in completion order. Every transmit retires the completed head
         #: before appending, so this holds the unserialised messages plus
@@ -124,9 +137,8 @@ class DirectedLink:
     def stats(self):
         """Counters, drained to the current instant before reading.
 
-        Fast-path messages count as ``sent`` once their serialisation
-        completion has passed — the same instant the two-event path's
-        completion event increments the counter.
+        A message counts as ``sent`` once its serialisation completion
+        has passed.
         """
         self._drain_sent(self.sim.now)
         return self._stats
@@ -137,8 +149,11 @@ class DirectedLink:
         Multiplies the one-way latency by ``latency_factor`` and widens the
         uniform jitter by ``extra_jitter_s`` (drawn from ``jitter_rng``).
         Neutral arguments (factor 1, no extra jitter) restore the link.
-        Queued and in-flight messages are unaffected; only messages
-        serialised after the call see the new parameters.
+        Messages already serialised keep their arrival; only messages
+        serialised after the call see the new parameters, so the arrival
+        of each message still queued or in service is cancelled and
+        committed again at ``completion + new delay`` (fresh jitter draw,
+        FIFO order).
         """
         base = self._base_config
         self.latency_s = self._base_latency_s * latency_factor
@@ -150,16 +165,17 @@ class DirectedLink:
         else:
             self.config = base
             self._jitter_rng = self._base_jitter_rng
-        self._requeue_in_flight()
+        sim = self.sim
+        self._drain_sent(sim.now)
+        in_flight = self._in_flight
+        for _ in range(len(in_flight)):
+            completion, _size, payload, event = in_flight.popleft()
+            sim.cancel(event)
+            self._commit(completion, payload)
 
     def restore(self):
         """Undo any degradation (see :meth:`degrade`)."""
         self.degrade()
-
-    @property
-    def fast_path(self):
-        """Whether :meth:`transmit_timed` will take the single-event hop."""
-        return self._jitter_rng is None
 
     @property
     def busy(self):
@@ -170,58 +186,41 @@ class DirectedLink:
         return self._server.queue_length
 
     def transmit_timed(self, payload):
-        """Fast-path transmit that returns the serialisation completion.
+        """Transmit on an (expected) idle link; returns the completion.
 
         Senders that pace themselves arithmetically (tracking when the
-        link frees instead of asking for an ``on_wire`` event) call this
-        first: when the single-event hop applies, the payload is committed
-        to the wire, exactly one arrival event is scheduled, and the
-        instant the link frees is returned. Returns ``None`` on a jittered
-        link — the caller must then fall back to :meth:`transmit`.
+        link frees) call this: the payload is committed to the wire,
+        exactly one arrival event is scheduled, and the instant the link
+        frees is returned.
 
         Callers are expected to transmit only while the link is idle, so a
         queue-full drop cannot normally occur here; if it does, the drop
         is counted and the current time is returned (the link is free).
         """
-        if self._jitter_rng is not None:
-            return None
         config = self.config
         service = config.per_message_s + payload.size_bytes * config.per_byte_s
-        completion = self._submit_fast(service, payload)
-        sim = self.sim
+        completion = self._submit_fast(service)
         if completion is None:
-            return sim.now
-        # completion >= now by construction, so the arrival can take the
-        # kernel's unchecked hot path.
-        event = sim.push_event(completion + self.latency_s,
-                               self._arrive_cb, (payload,))
-        self._drain_sent(sim.now)
-        self._in_flight.append((completion, payload.size_bytes,
-                                payload, event))
+            return self.sim.now
+        self._commit(completion, payload)
         return completion
 
     def transmit_chained(self, payload):
-        """Chain a payload behind the link's committed work; fast path only.
+        """Chain a payload behind the link's committed work.
 
         The batched gossip pump calls this for every message of a
         validated round in one go: each serialisation is appended to the
         transmission server's busy tail (:meth:`FifoServer.submit_chain`)
-        and exactly one arrival event is armed at its arithmetic
+        and exactly one arrival event is armed from its arithmetic
         completion — the same ``(time, seq)`` positions a per-message pump
-        paced by wake-up events would have produced. Callers must check
-        :attr:`fast_path` first; chains never drop (the sender paces
-        itself, so chain entries model pacing, not queue contention).
-        Returns the serialisation completion.
+        paced by wake-up events would have produced. Chains never drop
+        (the sender paces itself, so chain entries model pacing, not queue
+        contention). Returns the serialisation completion.
         """
         config = self.config
         service = config.per_message_s + payload.size_bytes * config.per_byte_s
         completion = self._submit_chain(service)
-        sim = self.sim
-        event = sim.push_event(completion + self.latency_s,
-                               self._arrive_cb, (payload,))
-        self._drain_sent(sim.now)
-        self._in_flight.append((completion, payload.size_bytes,
-                                payload, event))
+        self._commit(completion, payload)
         return completion
 
     def abort_pending_chain(self):
@@ -232,16 +231,8 @@ class DirectedLink:
         The message in service stays — it is on the wire and arrives, as
         it does in the reference — while queued chain entries are removed
         from the transmission server and their pre-armed arrival events
-        cancelled. Entries already converted to the two-event path by
-        :meth:`degrade` are no longer in ``_in_flight`` and are left
-        alone. Returns the number of withdrawn messages.
+        cancelled. Returns the number of withdrawn messages.
         """
-        if not self._in_flight:
-            # A mid-round degrade moved the chain onto the two-event
-            # serialisation path (emptying ``_in_flight``): those
-            # messages' serialisation events are armed and will fire, so
-            # their server jobs must stand.
-            return 0
         removed, busy_until = self._server.abort_queued(self.sim.now)
         if removed:
             in_flight = self._in_flight
@@ -250,53 +241,45 @@ class DirectedLink:
                 sim.cancel(in_flight.pop()[3])
         return removed
 
-    def transmit(self, payload, on_wire=None):
+    def transmit(self, payload):
         """Send a payload towards ``dst``.
 
-        ``on_wire`` (optional, zero-arg) fires when the message finishes
-        serialising — i.e. when the link is free for the next message —
-        which lets per-peer gossip senders pace themselves.
         Returns False if the transmit queue was full.
         """
         config = self.config
         service = config.per_message_s + payload.size_bytes * config.per_byte_s
-        if self._jitter_rng is None:
-            # Fast path: the serialisation completion is arithmetic, so the
-            # only event this hop needs is the propagation arrival (plus a
-            # pacing wake-up when the sender asked for one). ``args`` carry
-            # the payload and on_wire to _on_queue_drop.
-            completion = self._submit_timed(service, None, payload, on_wire)
-            if completion is None:
-                return False
-            sim = self.sim
-            event = sim.push_event(completion + self.latency_s,
-                                   self._arrive_cb, (payload,))
-            self._drain_sent(sim.now)
-            self._in_flight.append((completion, payload.size_bytes,
-                                    payload, event))
-            if on_wire is not None:
-                sim.push_event(completion, on_wire, ())
-            return True
-        return self._server.submit(service, self._on_serialised, payload, on_wire)
+        completion = self._submit_timed(service, None)
+        if completion is None:
+            return False
+        self._commit(completion, payload)
+        return True
 
-    def _on_queue_drop(self, fn, args):
-        self._stats.dropped_queue += 1
-        # Still notify the sender that the link "consumed" the message so
-        # pacing callbacks do not stall.
-        on_wire = args[1]
-        if on_wire is not None:
-            on_wire()
+    def _commit(self, completion, payload):
+        """Arm the one event of a hop that serialises at ``completion``.
 
-    def _on_serialised(self, payload, on_wire):
-        stats = self._stats
-        stats.sent += 1
-        stats.bytes_sent += payload.size_bytes
+        The arrival fires after the propagation delay: the latency plus,
+        on a jittered link, one draw taken here — when the arrival is
+        committed. :class:`LinkConfig` rejects negative times, so
+        ``completion >= now`` and ``delay >= 0`` by construction and the
+        arrival can take the kernel's unchecked hot path.
+        """
         delay = self.latency_s
         if self._jitter_rng is not None:
             delay += self._jitter_rng.uniform(0.0, self.config.jitter_s)
-        self.sim.schedule(delay, self._arrive_cb, payload)
-        if on_wire is not None:
-            on_wire()
+        sim = self.sim
+        event = sim.push_event(completion + delay, self._arrive_cb, (payload,))
+        # _drain_sent, inlined: this runs once per hop, and retiring
+        # before every append is what keeps the deque O(in-flight).
+        now = sim.now
+        in_flight = self._in_flight
+        stats = self._stats
+        while in_flight and in_flight[0][0] <= now:
+            stats.sent += 1
+            stats.bytes_sent += in_flight.popleft()[1]
+        in_flight.append((completion, payload.size_bytes, payload, event))
+
+    def _on_queue_drop(self, fn, args):
+        self._stats.dropped_queue += 1
 
     def _arrive(self, payload):
         if self.loss_hook is not None and self.loss_hook(self.dst):
@@ -316,7 +299,7 @@ class DirectedLink:
         self._deliver = deliver
 
     def _drain_sent(self, now):
-        """Count fast-path messages whose serialisation has completed."""
+        """Count messages whose serialisation has completed."""
         in_flight = self._in_flight
         if not in_flight:
             return
@@ -325,25 +308,3 @@ class DirectedLink:
             record = in_flight.popleft()
             stats.sent += 1
             stats.bytes_sent += record[1]
-
-    def _requeue_in_flight(self):
-        """Move not-yet-serialised fast-path messages onto the two-event path.
-
-        Called by :meth:`degrade`: those messages' arrival events were
-        computed from the pre-degradation latency, but they serialise
-        *after* the change and must observe the new parameters. Each gets
-        its pre-computed arrival cancelled and a serialisation-completion
-        event scheduled instead, which re-reads latency (and draws jitter)
-        at the instant the message finishes serialising.
-        """
-        in_flight = self._in_flight
-        if not in_flight:
-            return
-        sim = self.sim
-        self._drain_sent(sim.now)
-        while in_flight:
-            completion, _size, payload, event = in_flight.popleft()
-            sim.cancel(event)
-            # on_wire=None: the pacing event (if any) was scheduled
-            # separately at transmit time and still fires at ``completion``.
-            sim.schedule_at(completion, self._on_serialised, payload, None)

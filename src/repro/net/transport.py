@@ -63,9 +63,9 @@ class Transport:
         """All outgoing links owned by this transport."""
         return list(self._links.values())
 
-    def send(self, dst, payload, on_wire=None):
+    def send(self, dst, payload):
         """Transmit a payload to a directly connected process."""
-        return self._links[dst].transmit(payload, on_wire)
+        return self._links[dst].transmit(payload)
 
     def send_all(self, payload, exclude=()):
         """Transmit a payload to every connected peer not in ``exclude``."""

@@ -11,7 +11,9 @@ tier-1 re-runs them and demands the report fingerprints recorded in
 """
 
 from repro.membership import MembershipConfig
-from repro.net.faults.events import Crash, FaultPlan, Join, Leave, Rejoin
+from repro.net.channel import LinkConfig
+from repro.net.faults.events import (Crash, Degrade, FaultPlan, Join, Leave,
+                                     Rejoin)
 from repro.runtime.config import ExperimentConfig
 
 #: Overlay used by every scenario: fixed so the harness is self-contained
@@ -121,17 +123,38 @@ def _churn_leader():
                    membership=_membership(7))
 
 
+def _degrade_jitter():
+    """Saturated gossip over jittered links with one region pair degraded.
+
+    Every hop draws ``link-jitter`` when its arrival is committed; between
+    the two fault instants the links between regions 0 (the coordinator)
+    and 1 run three times slower and draw the wider window from
+    ``chaos-jitter`` instead. The rate keeps send queues backed up, so
+    all four ``degrade()`` calls land on a link holding committed but
+    unserialised messages and re-time them.
+    """
+    plan = FaultPlan([
+        (0.45, Degrade(0, 1, latency_factor=3.0, extra_jitter_s=0.002)),
+        (0.65, Degrade(0, 1)),
+    ])
+    return _config("gossip", 1600, n=7, warmup=0.3, duration=0.4, drain=1.0,
+                   link=LinkConfig(jitter_s=0.0005), faults=plan)
+
+
 #: Regression configurations that are *not* perf-benchmarked but share the
 #: fixed-seed discipline: the fingerprint test and the race audit run
 #: them alongside the figure scenarios. ``agg_heavy`` is the configuration
 #: on which PR 4's tie-break hazard surfaced (filtering off, send queues
 #: backed up, so pump-batch grouping is sensitive to same-instant ties).
 #: The churn entries put the membership layer (heartbeats, dead reports,
-#: overlay repair, heartbeat-driven election) under the same race audit.
+#: overlay repair, heartbeat-driven election) under the same race audit;
+#: ``degrade_jitter`` does the same for the link-jitter and chaos-jitter
+#: draws and for ``Degrade`` re-timing in-flight rounds.
 REGRESSION_SCENARIOS = {
     "agg_heavy": lambda: _config("semantic", 300, n=27,
                                  enable_filtering=False,
                                  duration=0.15, drain=1.0),
     "churn_smoke": _churn_smoke,
     "churn_leader": _churn_leader,
+    "degrade_jitter": _degrade_jitter,
 }

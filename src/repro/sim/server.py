@@ -36,7 +36,21 @@ the server is observed — reads through :attr:`FifoServer.stats` always see
 the state a per-job event loop would have produced at the same instant.
 """
 
+import math
 from collections import deque
+
+
+def check_service_time(name, value):
+    """Reject a negative or non-finite configured time, naming the field.
+
+    Completions are ``max(now, busy_until) + service`` and go through the
+    kernel's unchecked ``push_event``; ``completion >= now`` holds only
+    because every configured service time and delay passed this check.
+    """
+    if not 0.0 <= value < math.inf:
+        raise ValueError(
+            "{} must be a finite, non-negative time in seconds, got "
+            "{!r}".format(name, value))
 
 
 def noop():
@@ -173,22 +187,21 @@ class FifoServer:
             self.sim.push_event(completion, fn, args)
         return completion
 
-    def submit_fast(self, service_time, payload=None):
+    def submit_fast(self, service_time):
         """Accounting-only submission tuned for an expected-idle server.
 
         The per-transmission hot path (a gossip sender pacing itself never
         hands the link a message while it is busy) reduces to: drain the
         previous job, charge this one, return its completion. Anything off
         that path — server still busy after draining, a slowdown in force —
-        falls back to :meth:`submit_timed` (with ``payload`` describing the
-        job to ``on_drop``), so the semantics are identical; this method
-        only flattens the common case.
+        falls back to :meth:`submit_timed`, so the semantics are identical;
+        this method only flattens the common case.
         """
         pending = self._pending
         now = self.sim.now
         if pending:
             if pending[0][0] > now:
-                return self.submit_timed(service_time, None, payload, None)
+                return self.submit_timed(service_time, None)
             if len(pending) == 1 and self._head_charged:
                 # Sole predecessor, already charged at its service start:
                 # retiring it is one pop and one counter.
@@ -197,9 +210,9 @@ class FifoServer:
             else:
                 self._drain(now)
                 if pending:
-                    return self.submit_timed(service_time, None, payload, None)
+                    return self.submit_timed(service_time, None)
         if self.slowdown != 1.0:
-            return self.submit_timed(service_time, None, payload, None)
+            return self.submit_timed(service_time, None)
         stats = self._stats
         stats.submitted += 1
         stats.busy_time += service_time

@@ -226,6 +226,15 @@ def test_cpu_serializes_processing(sim):
     assert times[1] - times[0] == pytest.approx(0.1, abs=1e-6)
 
 
+@pytest.mark.parametrize("field", GossipCosts.__slots__)
+@pytest.mark.parametrize("bad", [-1e-3, float("nan"), float("inf")])
+def test_costs_reject_negative_or_non_finite_times(field, bad):
+    """A negative CPU time would complete work before it was submitted."""
+    with pytest.raises(ValueError, match="GossipCosts." + field):
+        GossipCosts(**{field: bad})
+    assert getattr(GossipCosts(**{field: 0.0}), field) == 0.0
+
+
 def test_peers_listing(sim):
     nodes = build_mesh(sim, LINE)
     assert nodes[1].peers() == [0, 2]

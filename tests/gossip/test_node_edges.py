@@ -1,5 +1,7 @@
 """Edge-case tests for the gossip node's receive and send paths."""
 
+import pytest
+
 from repro.gossip.cache import RecentlySeenCache
 from repro.gossip.hooks import SemanticHooks
 from repro.net.channel import LinkConfig
@@ -112,3 +114,30 @@ def test_filter_everything_leaves_sender_idle(sim):
     for sender in nodes[0]._senders.values():
         assert not sender.busy
         assert not sender.queue
+
+
+def test_jittered_link_backlog_goes_out_as_one_chained_round(sim):
+    """A sender has one way to send whatever the link's jitter: a backlog
+    is committed as one chained round costing one kernel event per
+    transmitted message (its arrival) and no pacing event."""
+    jittered = LinkConfig(per_message_s=1e-3, per_byte_s=0.0, jitter_s=5e-4)
+    nodes = build_mesh(sim, {0: [1], 1: [0]}, link_config=jittered)
+    sender = nodes[0]._senders[1]
+    before = sim.events_scheduled
+    sender.enqueue(RawPayload("head", 10))      # idle link: onto the wire
+    assert sim.events_scheduled == before + 1   # its arrival
+    for i in range(5):                          # link busy: these queue up
+        sender.enqueue(RawPayload(("m", i), 10))
+    assert sim.events_scheduled == before + 2   # one lazily armed wake-up
+    assert len(sender.queue) == 5
+    # The wake-up fires as "head" finishes serialising (its arrival is a
+    # latency away) and pumps the backlog: five arrivals, nothing else.
+    assert sim.run(until=1e-3) == 1
+    assert sim.events_scheduled == before + 2 + 5
+    assert not sender.queue and not sender._wakeup_armed
+    assert sender._free_at == pytest.approx(6e-3)
+    assert sender.busy
+    sim.run()
+    assert not sender.busy
+    stats = sender.link.stats
+    assert stats.sent == stats.delivered == nodes[1].stats.received == 6

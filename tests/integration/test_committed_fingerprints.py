@@ -6,7 +6,10 @@ that was committed for it. The figure scenarios' values live in
 ``benchmarks/perf/BENCH_perf.json`` — one copy, shared with the perf-smoke
 gate. The regression scenarios' values were captured at the last commit
 that still carried the event-per-job server deployments and the binary-heap
-queue, where the A/B suite proved them equal on all four combinations.
+queue, where the A/B suite proved them equal on all four combinations —
+except ``degrade_jitter``, captured at the commit that made every link hop
+a single event with jitter drawn when the arrival is committed (jittered
+runs have no older bits to hold on to).
 """
 
 import json
@@ -15,6 +18,7 @@ import pathlib
 import pytest
 
 from repro.analysis.fingerprint import report_fingerprint
+from repro.checks.monitor import SafetyMonitor
 from repro.perf.scenarios import REGRESSION_SCENARIOS, SCENARIOS
 from repro.runtime.runner import run_experiment
 
@@ -28,6 +32,8 @@ REGRESSION_FINGERPRINTS = {
         "04de14c8dec015cf96bbb539057c06bf309001600b56d6b0b106291f297690f3",
     "churn_smoke":
         "0812e07183daf648601c9bcd83b306b7ee2187de06514f67a35d0f9c600c3147",
+    "degrade_jitter":
+        "7f20b6bf7030f1e002a2b7f02af48f3ec4bb00de15a2e869c8e4b3986756e63c",
 }
 
 
@@ -42,6 +48,15 @@ def test_figure_scenario_matches_perf_baseline(name):
 def test_regression_scenario_matches_committed_fingerprint(name):
     report = run_experiment(REGRESSION_SCENARIOS[name]())
     assert report_fingerprint(report) == REGRESSION_FINGERPRINTS[name]
+
+
+def test_degrade_jitter_is_safe_under_a_strict_monitor():
+    """Jittered, degraded links reorder arrivals; Paxos safety must hold
+    anyway, and the armed run must reproduce the committed bits."""
+    report = run_experiment(REGRESSION_SCENARIOS["degrade_jitter"](),
+                            monitor=SafetyMonitor(strict=True))
+    assert (report_fingerprint(report)
+            == REGRESSION_FINGERPRINTS["degrade_jitter"])
 
 
 def test_membership_field_unconfigured_is_bitwise_inert():

@@ -15,6 +15,24 @@ def _link(sim, deliver, latency=0.01, loss_hook=None, **config_kwargs):
     return DirectedLink(sim, 0, 1, latency, config, deliver, loss_hook)
 
 
+@pytest.mark.parametrize("field", ["per_message_s", "per_byte_s", "jitter_s"])
+@pytest.mark.parametrize("bad", [-1e-3, float("nan"), float("inf")])
+def test_config_rejects_negative_or_non_finite_times(field, bad):
+    """A negative time would make messages arrive before they were sent;
+    a NaN jitter used to mean "no jitter" silently."""
+    with pytest.raises(ValueError, match="LinkConfig." + field):
+        LinkConfig(**{field: bad})
+    assert getattr(LinkConfig(**{field: 0.0}), field) == 0.0
+
+
+@pytest.mark.parametrize("bad", [-1, float("nan")])
+def test_config_rejects_negative_queue_capacity(bad):
+    with pytest.raises(ValueError, match="LinkConfig.queue_capacity"):
+        LinkConfig(queue_capacity=bad)
+    assert LinkConfig(queue_capacity=0).queue_capacity == 0
+    assert LinkConfig(queue_capacity=None).queue_capacity is None
+
+
 def test_delivery_after_tx_plus_latency(sim):
     seen = []
     link = _link(sim, lambda src, p: seen.append((src, p.uid, sim.now)),
@@ -44,16 +62,6 @@ def test_serialization_is_sequential(sim):
     assert seen == [("a", pytest.approx(0.001)), ("b", pytest.approx(0.002))]
 
 
-def test_on_wire_fires_at_serialization_end(sim):
-    events = []
-    link = _link(sim, lambda src, p: events.append(("deliver", sim.now)),
-                 latency=0.5, per_message_s=0.001, per_byte_s=0.0)
-    link.transmit(_payload(), on_wire=lambda: events.append(("wire", sim.now)))
-    sim.run()
-    assert events[0] == ("wire", pytest.approx(0.001))
-    assert events[1] == ("deliver", pytest.approx(0.501))
-
-
 def test_queue_capacity_drops_and_counts(sim):
     link = _link(sim, lambda src, p: None,
                  per_message_s=1.0, queue_capacity=1)
@@ -61,16 +69,6 @@ def test_queue_capacity_drops_and_counts(sim):
     link.transmit(_payload("b"))   # queued
     link.transmit(_payload("c"))   # dropped
     assert link.stats.dropped_queue == 1
-
-
-def test_queue_drop_still_fires_on_wire(sim):
-    """Senders pace on on_wire; a drop must not stall them."""
-    fired = []
-    link = _link(sim, lambda src, p: None,
-                 per_message_s=1.0, queue_capacity=0)
-    link.transmit(_payload("a"))
-    link.transmit(_payload("b"), on_wire=lambda: fired.append("b"))
-    assert fired == ["b"]
 
 
 def test_loss_hook_drops_at_delivery(sim):
@@ -129,7 +127,7 @@ def test_busy_and_queue_length(sim):
 
 
 def test_jitter_free_hop_schedules_single_event(sim):
-    """The fast path: one kernel event per hop (the propagation arrival)."""
+    """One kernel event per hop: the propagation arrival."""
     link = _link(sim, lambda src, p: None,
                  latency=0.01, per_message_s=0.001, per_byte_s=0.0)
     before = sim.events_scheduled
@@ -140,31 +138,29 @@ def test_jitter_free_hop_schedules_single_event(sim):
     assert link.stats.delivered == 1
 
 
-def test_on_wire_hop_schedules_pacing_event(sim):
-    """With on_wire the fast path adds exactly one pacing event."""
-    link = _link(sim, lambda src, p: None,
-                 latency=0.01, per_message_s=0.001, per_byte_s=0.0)
-    before = sim.events_scheduled
-    link.transmit(_payload(), on_wire=lambda: None)
-    assert sim.events_scheduled == before + 2
-
-
-def test_jittered_link_keeps_two_event_path(sim):
-    """Jittered links must draw link-jitter at the serialisation completion
-    (legacy order), so they stay on the event-per-hop path."""
-    link = _link(sim, lambda src, p: None,
+def test_jittered_hop_schedules_single_event(sim):
+    """Jitter is drawn when the arrival is committed, so a jittered hop
+    costs the same one event, landing inside the jitter window."""
+    arrived = {}
+    link = _link(sim, lambda src, p: arrived.update({p.uid: sim.now}),
                  latency=0.01, per_message_s=0.001, per_byte_s=0.0,
                  jitter_s=0.005)
     before = sim.events_scheduled
-    link.transmit(_payload())
+    assert link.transmit(_payload("a"))
+    serialised = {"a": 0.001,
+                  "b": link.transmit_timed(_payload("b")),
+                  "c": link.transmit_chained(_payload("c"))}
+    assert serialised == pytest.approx({"a": 0.001, "b": 0.002, "c": 0.003})
     sim.run()
-    assert sim.events_scheduled == before + 2
-    assert link.stats.delivered == 1
+    assert sim.events_scheduled == before + 3
+    assert link.stats.delivered == 3
+    for uid, done in serialised.items():
+        assert 0.01 <= arrived[uid] - done <= 0.015 + 1e-12
 
 
 def test_stats_sent_drained_at_observation(sim):
-    """Fast-path sent/bytes counters must read as if counted at each
-    message's serialisation completion, even mid-run."""
+    """The sent/bytes counters must read as if counted at each message's
+    serialisation completion, even mid-run."""
     link = _link(sim, lambda src, p: None,
                  latency=5.0, per_message_s=1.0, per_byte_s=0.0)
     link.transmit(_payload("a", size=10))
@@ -181,8 +177,8 @@ def test_stats_sent_drained_at_observation(sim):
 
 def test_degrade_applies_to_not_yet_serialised_messages(sim):
     """The documented contract: only messages serialised after degrade()
-    see the new parameters — including fast-path messages submitted
-    before the call whose serialisation completes after it."""
+    see the new parameters — including messages submitted before the
+    call whose serialisation completes after it."""
     seen = []
     link = _link(sim, lambda src, p: seen.append((p.uid, sim.now)),
                  latency=0.01, per_message_s=0.001, per_byte_s=0.0)
@@ -197,7 +193,7 @@ def test_degrade_applies_to_not_yet_serialised_messages(sim):
 
 
 def test_degrade_restore_roundtrip_with_in_flight(sim):
-    """restore() mid-flight must also convert pending fast-path messages."""
+    """restore() mid-flight must also re-time the unserialised messages."""
     seen = []
     link = _link(sim, lambda src, p: seen.append((p.uid, sim.now)),
                  latency=0.01, per_message_s=0.001, per_byte_s=0.0)
@@ -206,3 +202,59 @@ def test_degrade_restore_roundtrip_with_in_flight(sim):
     sim.schedule_at(0.0005, link.restore)
     sim.run()
     assert seen == [("a", pytest.approx(0.011))]
+
+
+def test_degrade_leaves_serialised_messages_alone(sim):
+    """A message that finished serialising before degrade() is propagating
+    and keeps its arrival; the one still on the wire is re-timed."""
+    seen = []
+    link = _link(sim, lambda src, p: seen.append((p.uid, sim.now)),
+                 latency=0.01, per_message_s=0.001, per_byte_s=0.0)
+    link.transmit(_payload("a"))
+    link.transmit(_payload("b"))
+    sim.schedule_at(0.0015, link.degrade, 10.0)
+    sim.run()
+    assert seen == [("a", pytest.approx(0.011)), ("b", pytest.approx(0.102))]
+
+
+def test_degrade_draws_jitter_for_unserialised_messages(sim):
+    """degrade() re-commits each unserialised arrival with a fresh draw
+    from the stream it was given, inside the widened window."""
+    seen = []
+    link = _link(sim, lambda src, p: seen.append(sim.now),
+                 latency=0.01, per_message_s=0.001, per_byte_s=0.0)
+    for uid in "abc":
+        link.transmit_chained(_payload(uid))
+    rng = sim.rng("test-jitter")
+    before = sim.events_scheduled
+    sim.schedule_at(0.0005, link.degrade, 2.0, 0.004, rng)
+    sim.run()
+    assert sim.events_scheduled == before + 1 + 3   # the call + 3 re-timed
+    assert sim.events_cancelled == 3
+    assert len(set(t - done for t, done in
+                   zip(seen, (0.001, 0.002, 0.003)))) == 3
+    for arrived_at, sent_at in zip(seen, (0.001, 0.002, 0.003)):
+        assert 0.02 <= arrived_at - sent_at <= 0.024 + 1e-12
+    assert link.stats.sent == link.stats.delivered == 3
+
+
+def test_abort_after_mid_round_degrade_withdraws_the_whole_tail(sim):
+    """Regression: degrade() used to move the unserialised chain onto a
+    second path the link no longer tracked, so a later abort rolled the
+    server back while those messages still serialised and arrived."""
+    seen = []
+    link = _link(sim, lambda src, p: seen.append((p.uid, sim.now)),
+                 latency=0.01, per_message_s=0.001, per_byte_s=0.0)
+    for uid in "abc":
+        link.transmit_chained(_payload(uid))
+    sim.run(until=0.0005)
+    link.degrade(2.0)
+    for uid in "de":
+        link.transmit_chained(_payload(uid))
+    assert link.abort_pending_chain() == 4
+    # The wire is free right after the in-service message, not before.
+    assert link.transmit_chained(_payload("f")) == pytest.approx(0.002)
+    sim.run()
+    assert seen == [("a", pytest.approx(0.021)), ("f", pytest.approx(0.022))]
+    assert link._server.stats.completed == link.stats.sent == len(seen) == 2
+    assert not link._in_flight

@@ -1,13 +1,16 @@
 """Property tests: a link's bookkeeping is exact and O(in-flight).
 
 A random interleaving of every way to hand a :class:`DirectedLink` a message
-(``transmit_timed`` / ``transmit_chained`` / ``transmit(on_wire=)``), the
-calls that rewrite its committed work (``degrade`` / ``restore`` /
+(``transmit_timed`` / ``transmit_chained`` / ``transmit``), the calls that
+rewrite its committed work (``degrade`` / ``restore`` /
 ``abort_pending_chain``), clock advances and ``stats`` probes is replayed
 against a brute-force reference: a flat list of every message ever accepted
-with its serialisation completion as the link itself reported it (the
-return value, or the instant ``on_wire`` fired). At every probe ``sent`` and
-``bytes_sent`` must equal a recount over that whole list.
+with its serialisation completion recomputed from first principles (FIFO
+wire: ``max(now, previous completion) + service``). At every probe ``sent``
+and ``bytes_sent`` must equal a recount over that whole list, every arrival
+must land at ``completion + latency`` plus a draw inside the jitter window
+in force when it was (last) committed, and at the end the transmission
+server, the link and the receiver agree on how many messages there were.
 
 The memory half: only transmits add to ``_in_flight`` and each one first
 retires what has completed, so right after a transmit, a probe or a
@@ -21,8 +24,6 @@ advances land exactly on completion instants and the ``<=`` edges of the
 lazy drain are exercised without float noise.
 """
 
-from collections import deque
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,8 @@ from repro.sim.kernel import Simulator
 
 TICK = 2.0 ** -11
 SIZES = st.sampled_from([512, 1024, 2048])
+LATENCY = 2.0 ** -7
+CONFIG = LinkConfig(per_message_s=2.0 ** -10, per_byte_s=2.0 ** -20)
 
 OPS = st.lists(
     st.one_of(
@@ -48,73 +51,77 @@ OPS = st.lists(
 class _Sent:
     """One accepted message as the reference remembers it."""
 
-    __slots__ = ("size", "done", "withdrawn")
+    __slots__ = ("size", "done", "latency", "jitter")
 
-    def __init__(self, size):
+    def __init__(self, size, done, latency, jitter):
         self.size = size
-        self.done = None        # serialisation completion, once known
-        self.withdrawn = False  # un-committed by abort_pending_chain
+        self.done = done        # serialisation completion
+        self.latency = latency  # propagation parameters in force when
+        self.jitter = jitter    # the arrival was (last) committed
 
 
 class _Harness:
     def __init__(self):
         self.sim = Simulator(seed=3)
         self.delivered = 0
-        self.link = DirectedLink(
-            self.sim, 0, 1, 2.0 ** -7,
-            LinkConfig(per_message_s=2.0 ** -10, per_byte_s=2.0 ** -20),
-            self._deliver)
-        self.messages = []      # every accepted message, submission order
-        self.live = deque()     # those the link tracks in _in_flight
+        self.link = DirectedLink(self.sim, 0, 1, LATENCY, CONFIG,
+                                 self._deliver)
+        self.latency = LATENCY
+        self.jitter = 0.0
+        self.messages = []      # accepted and not withdrawn, in order
         self.bound = 0
 
     def _deliver(self, src, payload):
         self.delivered += 1
+        message = payload.data
+        flight = self.sim.now - message.done - message.latency
+        assert 0.0 <= flight <= message.jitter
 
     def unserialised(self):
         now = self.sim.now
-        return sum(1 for m in self.live if m.done is None or m.done > now)
+        return [m for m in self.messages if m.done > now]
 
     def refresh_bound(self):
-        self.bound = self.unserialised()
+        self.bound = len(self.unserialised())
         assert len(self.link._in_flight) == self.bound
 
     # -- operations ----------------------------------------------------------
 
     def send(self, how, size):
         link = self.link
-        message = _Sent(size)
-        payload = RawPayload(len(self.messages), size)
-        if how == "chained" and link.fast_path:
-            message.done = link.transmit_chained(payload)
-        elif how == "timed" and link.fast_path:
-            message.done = link.transmit_timed(payload)
+        free_at = self.messages[-1].done if self.messages else 0.0
+        done = (max(self.sim.now, free_at)
+                + CONFIG.per_message_s + size * CONFIG.per_byte_s)
+        message = _Sent(size, done, self.latency, self.jitter)
+        payload = RawPayload(len(self.messages), size, data=message)
+        if how == "chained":
+            assert link.transmit_chained(payload) == done
+        elif how == "timed":
+            assert link.transmit_timed(payload) == done
         else:
-            # What callers do on a jittered link; also the plain op.
-            def on_wire():
-                message.done = self.sim.now
-            assert link.transmit(payload, on_wire=on_wire)
+            assert link.transmit(payload)
         self.messages.append(message)
-        if link.fast_path:
-            self.live.append(message)
-            self.refresh_bound()
+        self.refresh_bound()
 
     def degrade(self, factor=1.0, extra_jitter=0.0):
         self.link.degrade(factor, extra_jitter, self.sim.rng("test-jitter"))
-        self.live.clear()       # requeued onto the event-per-hop path
+        self.latency = LATENCY * factor
+        self.jitter = extra_jitter
+        for message in self.unserialised():     # re-timed by the link
+            message.latency = self.latency
+            message.jitter = self.jitter
         self.refresh_bound()
 
     def abort(self):
-        for _ in range(self.link.abort_pending_chain()):
-            # The server withdrew its newest jobs; those the link still
-            # tracked (converted ones it leaves alone) never serialise.
-            if self.live:
-                self.live.pop().withdrawn = True
+        # The newest jobs, bar the one in service, never serialise.
+        withdrawn = self.link.abort_pending_chain()
+        assert withdrawn == max(0, len(self.unserialised()) - 1)
+        if withdrawn:
+            del self.messages[-withdrawn:]
 
     def probe(self):
         now = self.sim.now
-        counted = [m for m in self.messages
-                   if not m.withdrawn and m.done is not None and m.done <= now]
+        counted = [m for m in self.messages if m.done <= now]
         stats = self.link.stats
         assert stats.sent == len(counted)
         assert stats.bytes_sent == sum(m.size for m in counted)
@@ -137,8 +144,8 @@ class _Harness:
     def finish(self):
         self.sim.run()
         self.probe()
-        kept = [m for m in self.messages if not m.withdrawn]
-        assert self.link.stats.sent == len(kept) == self.delivered
+        assert (self.link._server.stats.completed == self.link.stats.sent
+                == len(self.messages) == self.delivered)
         assert not self.link._in_flight
 
 
