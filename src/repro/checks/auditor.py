@@ -135,11 +135,12 @@ class TieGroup:
 class AuditQueue(EventQueue):
     """The event queue with the auditor callbacks wrapped around it.
 
-    Audited runs disable freelist recycling (``push_pooled`` delegates to
-    ``push``): the auditor keys pending-event provenance by sequence
-    number and keeps event identity out of the trace, but a recycled
-    record mid-inspection would make ``capture=True`` debugging needlessly
-    confusing for zero audit-mode perf benefit.
+    Every audited push gets a real :class:`~repro.sim.events.Event`
+    (``push_bare`` is ``push``): the auditor labels an event from its
+    callback and arguments when it is pushed and again when it runs, and
+    ``capture=True`` debugging wants an object to inspect. Order, counts
+    and results are those of the bare entries — only the handle differs,
+    and :meth:`Simulator.cancel` takes either kind.
     """
 
     __slots__ = ("_auditor",)
@@ -158,13 +159,13 @@ class AuditQueue(EventQueue):
         self._auditor.note_push(event, seq is not None)
         return event
 
-    push_pooled = push
+    push_bare = push
 
-    def pop(self, limit=None):
-        event = EventQueue.pop(self, limit)
-        if event is not None:
-            self._auditor.note_exec(event)
-        return event
+    def pop_entry(self, limit):
+        entry = EventQueue.pop_entry(self, limit)
+        if entry is not None:
+            self._auditor.note_exec(entry[2])
+        return entry
 
 
 class RaceAuditor:

@@ -112,10 +112,18 @@ class InternedSeenCache(_SeenCacheBase):
         return self._register_iid(self.interner.intern(uid))
 
     def register_payload(self, payload):
-        """Record ``payload``, interning its uid once per deployment."""
+        """Record ``payload``, interning its uid once per deployment.
+
+        A resident id — most probes, since most arrivals are duplicates
+        — is answered in this frame; only an insert calls on.
+        """
         iid = payload.iid
         if iid is None:
             payload.iid = iid = self.interner.intern(payload.uid)
+        present = self._present
+        if iid < len(present) and present[iid]:
+            self.hits += 1
+            return False
         return self._register_iid(iid)
 
     def _register_iid(self, iid):

@@ -1,12 +1,12 @@
 """Point-to-point directed links.
 
 A :class:`DirectedLink` models one direction of a (bi-directional) channel
-between two processes: a transmission server that serialises messages onto
-the wire one at a time (per-message overhead plus a per-byte cost), followed
-by a propagation delay equal to the one-way region-to-region latency plus
-optional jitter. Links may bound their transmit queue; when full, messages
-are dropped — mirroring the paper's note that its implementation discards
-messages when inter-routine queues fill up.
+between two processes: messages are serialised onto the wire one at a time
+(per-message overhead plus a per-byte cost), followed by a propagation
+delay equal to the one-way region-to-region latency plus optional jitter.
+Links may bound their transmit queue; when full, messages are dropped —
+mirroring the paper's note that its implementation discards messages when
+inter-routine queues fill up.
 
 Message loss: a per-link ``loss_hook`` (see :mod:`repro.net.faults`) is
 consulted at delivery time; if it returns True the message is silently
@@ -15,8 +15,11 @@ discarded, reproducing the paper's receiver-side fault injection (§4.5).
 Single-event hops
 -----------------
 
-The transmission server runs in virtual time, so the serialisation
-completion of an accepted message is known the moment it is submitted.
+A link is its own serialiser, in virtual time: the wire is a FIFO
+single-server queue whose service times are fixed at submission, so the
+serialisation completion of an accepted message is ``max(now, busy_until)
++ service`` the moment it is handed over, and the link keeps just that
+``busy_until`` plus one record per unserialised message.
 Every transmission is therefore committed right then as exactly **one**
 kernel event: the propagation arrival at ``completion + latency_s`` plus,
 on a jittered link, one ``uniform(0, jitter_s)`` draw taken at that same
@@ -34,7 +37,7 @@ propagating and keep the arrival they were given.
 
 from collections import deque
 
-from repro.sim.server import FifoServer, check_service_time
+from repro.sim.server import check_service_time
 
 
 class LinkConfig:
@@ -89,8 +92,7 @@ class DirectedLink:
 
     __slots__ = (
         "sim", "src", "dst", "latency_s", "config", "_stats",
-        "_server", "_submit_timed", "_submit_fast", "_submit_chain",
-        "_in_flight", "_jitter_rng", "_deliver", "_arrive_cb",
+        "_busy_until", "_in_flight", "_jitter_rng", "_deliver", "_arrive_cb",
         "loss_hook", "_base_latency_s", "_base_config", "_base_jitter_rng",
     )
 
@@ -110,19 +112,17 @@ class DirectedLink:
         self.latency_s = latency_s
         self.config = config
         self._stats = LinkStats()
-        self._server = FifoServer(sim, capacity=config.queue_capacity,
-                                  on_drop=self._on_queue_drop)
-        self._submit_timed = self._server.submit_timed
-        self._submit_fast = self._server.submit_fast
-        self._submit_chain = self._server.submit_chain
+        #: The instant the wire finishes everything committed so far.
+        self._busy_until = 0.0
         # One bound method reused for every hop: creating `self._arrive`
         # per transmission is a measurable share of hot-path allocation.
         self._arrive_cb = self._arrive
         #: Messages not yet drained into ``stats.sent``, as
-        #: (serialisation_completion, size_bytes, payload, arrive_event)
+        #: (serialisation_completion, size_bytes, payload, arrival_handle)
         #: in completion order. Every transmit retires the completed head
-        #: before appending, so this holds the unserialised messages plus
-        #: whatever completed since the last transmit — O(in-flight), not
+        #: before appending, so this holds the unserialised messages (the
+        #: one on the wire, then the transmit queue) plus whatever
+        #: completed since the last transmit — O(in-flight), not
         #: O(history).
         self._in_flight = deque()
         self._jitter_rng = sim.rng("link-jitter") if config.jitter_s > 0 else None
@@ -169,8 +169,8 @@ class DirectedLink:
         self._drain_sent(sim.now)
         in_flight = self._in_flight
         for _ in range(len(in_flight)):
-            completion, _size, payload, event = in_flight.popleft()
-            sim.cancel(event)
+            completion, _size, payload, handle = in_flight.popleft()
+            sim.cancel(handle)
             self._commit(completion, payload)
 
     def restore(self):
@@ -179,11 +179,14 @@ class DirectedLink:
 
     @property
     def busy(self):
-        return self._server.busy
+        """Whether a message is being serialised right now."""
+        return self.sim.now < self._busy_until
 
     @property
     def queue_length(self):
-        return self._server.queue_length
+        """Accepted messages waiting behind the one being serialised."""
+        self._drain_sent(self.sim.now)
+        return max(0, len(self._in_flight) - 1)
 
     def transmit_timed(self, payload):
         """Transmit on an (expected) idle link; returns the completion.
@@ -193,15 +196,22 @@ class DirectedLink:
         exactly one arrival event is scheduled, and the instant the link
         frees is returned.
 
-        Callers are expected to transmit only while the link is idle, so a
-        queue-full drop cannot normally occur here; if it does, the drop
-        is counted and the current time is returned (the link is free).
+        Callers are expected to transmit only while the link is idle. On
+        a busy link the payload queues behind the committed work like any
+        :meth:`transmit`; if the transmit queue is full it is dropped and
+        counted, and the current time is returned — not an instant the
+        link frees: it is busy, and nothing was committed.
         """
         config = self.config
         service = config.per_message_s + payload.size_bytes * config.per_byte_s
-        completion = self._submit_fast(service)
-        if completion is None:
-            return self.sim.now
+        now = self.sim.now
+        if self._busy_until <= now:
+            completion = now + service
+        elif self._drop_if_full(now):
+            return now
+        else:
+            completion = self._busy_until + service
+        self._busy_until = completion
         self._commit(completion, payload)
         return completion
 
@@ -209,17 +219,22 @@ class DirectedLink:
         """Chain a payload behind the link's committed work.
 
         The batched gossip pump calls this for every message of a
-        validated round in one go: each serialisation is appended to the
-        transmission server's busy tail (:meth:`FifoServer.submit_chain`)
-        and exactly one arrival event is armed from its arithmetic
-        completion — the same ``(time, seq)`` positions a per-message pump
-        paced by wake-up events would have produced. Chains never drop
-        (the sender paces itself, so chain entries model pacing, not queue
-        contention). Returns the serialisation completion.
+        validated round in one go: each serialisation starts when its
+        predecessor finishes and exactly one arrival event is armed from
+        its arithmetic completion — the same ``(time, seq)`` positions a
+        per-message pump paced by wake-up events would have produced.
+        Chains never drop (the sender paces itself, so chain entries model
+        pacing, not queue contention). Returns the serialisation
+        completion.
         """
         config = self.config
         service = config.per_message_s + payload.size_bytes * config.per_byte_s
-        completion = self._submit_chain(service)
+        now = self.sim.now
+        if self._busy_until <= now:
+            completion = now + service
+        else:
+            completion = self._busy_until + service
+        self._busy_until = completion
         self._commit(completion, payload)
         return completion
 
@@ -229,16 +244,20 @@ class DirectedLink:
         Called when the sending node crashes mid-round: the reference
         pump would simply never have transmitted the rest of the round.
         The message in service stays — it is on the wire and arrives, as
-        it does in the reference — while queued chain entries are removed
-        from the transmission server and their pre-armed arrival events
-        cancelled. Returns the number of withdrawn messages.
+        it does in the reference — while everything queued behind it is
+        removed, its pre-armed arrival cancelled, and the link frees when
+        the message in service completes. Returns the number of
+        withdrawn messages.
         """
-        removed, busy_until = self._server.abort_queued(self.sim.now)
-        if removed:
-            in_flight = self._in_flight
-            sim = self.sim
-            while in_flight and in_flight[-1][0] > busy_until:
-                sim.cancel(in_flight.pop()[3])
+        sim = self.sim
+        self._drain_sent(sim.now)
+        in_flight = self._in_flight
+        removed = len(in_flight) - 1
+        if removed <= 0:
+            return 0
+        for _ in range(removed):
+            sim.cancel(in_flight.pop()[3])
+        self._busy_until = in_flight[0][0]
         return removed
 
     def transmit(self, payload):
@@ -248,10 +267,27 @@ class DirectedLink:
         """
         config = self.config
         service = config.per_message_s + payload.size_bytes * config.per_byte_s
-        completion = self._submit_timed(service, None)
-        if completion is None:
+        now = self.sim.now
+        if self._busy_until <= now:
+            completion = now + service
+        elif self._drop_if_full(now):
             return False
+        else:
+            completion = self._busy_until + service
+        self._busy_until = completion
         self._commit(completion, payload)
+        return True
+
+    def _drop_if_full(self, now):
+        """On a busy link: True, and one more drop counted, if the transmit
+        queue is at its bound."""
+        capacity = self.config.queue_capacity
+        if capacity is None:
+            return False
+        self._drain_sent(now)
+        if len(self._in_flight) - 1 < capacity:
+            return False
+        self._stats.dropped_queue += 1
         return True
 
     def _commit(self, completion, payload):
@@ -267,7 +303,7 @@ class DirectedLink:
         if self._jitter_rng is not None:
             delay += self._jitter_rng.uniform(0.0, self.config.jitter_s)
         sim = self.sim
-        event = sim.push_event(completion + delay, self._arrive_cb, (payload,))
+        handle = sim.push_event(completion + delay, self._arrive_cb, (payload,))
         # _drain_sent, inlined: this runs once per hop, and retiring
         # before every append is what keeps the deque O(in-flight).
         now = sim.now
@@ -276,10 +312,7 @@ class DirectedLink:
         while in_flight and in_flight[0][0] <= now:
             stats.sent += 1
             stats.bytes_sent += in_flight.popleft()[1]
-        in_flight.append((completion, payload.size_bytes, payload, event))
-
-    def _on_queue_drop(self, fn, args):
-        self._stats.dropped_queue += 1
+        in_flight.append((completion, payload.size_bytes, payload, handle))
 
     def _arrive(self, payload):
         if self.loss_hook is not None and self.loss_hook(self.dst):

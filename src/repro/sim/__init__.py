@@ -12,20 +12,15 @@ Public API:
 * :class:`Simulator` — the event loop (schedule / cancel / run).
 * :class:`Event` — a handle for a scheduled callback.
 * :class:`Actor` — base class for reactive simulated components.
-* :class:`FifoServer` — a single-server FIFO queue used to model CPUs and
-  network links, the mechanism behind saturation behaviour.
+* :class:`FifoServer` — a single-server FIFO queue used to model CPUs,
+  the mechanism behind saturation behaviour.
 * :func:`stream_seed` — derive a child seed for a named RNG stream.
 """
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.actors import Actor
-from repro.sim.server import (
-    FifoServer,
-    LegacyFifoServer,
-    ServerStats,
-    noop,
-)
+from repro.sim.server import FifoServer, ServerStats, noop
 from repro.sim.random import stream_seed
 
 __all__ = [
@@ -34,7 +29,6 @@ __all__ = [
     "Simulator",
     "Actor",
     "FifoServer",
-    "LegacyFifoServer",
     "ServerStats",
     "noop",
     "stream_seed",

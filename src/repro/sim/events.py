@@ -11,34 +11,41 @@ horizon); only the bucket currently being drained is kept heap-ordered, so
 an insert into a future bucket is an O(1) list append instead of an
 O(log n) sift. Most simulator events are short-horizon link arrivals that
 land a few buckets ahead, which is exactly the distribution a wheel wins
-on. Entries are ``(time, seq, event)`` tuples so the heap sifts compare
-C-level tuples — ``(time, seq)`` is unique, so the event object itself is
-never compared.
+on.
 
-Cancellation is lazy: :meth:`Event.cancel` marks the event and the
-queue skips cancelled entries when popping. This is O(1) per cancellation
-and avoids the cost of re-heapifying. Lazy cancellation alone, however,
-lets cancelled shells pile up until their timestamp is reached — a
-retransmission timer cancelled on every ack, for instance, keeps one dead
-entry per ack queued, inflating every subsequent operation. The queue
-therefore *compacts* itself (drops all cancelled shells and rebuilds)
-whenever the shells outnumber the live events and the structure is large
-enough for the rebuild to pay for itself; the O(n) rebuild is amortised
-O(1) per cancellation.
+Entries are ``(time, seq, fn, args)`` tuples, so the heap sifts compare
+C-level tuples — ``(time, seq)`` is unique, so nothing behind it is ever
+compared — and an entry comes in two kinds:
 
-Allocation churn is bounded by a per-queue freelist: events pushed through
-``push_pooled`` are recycled by the kernel after their callback runs and
-reused for later pushes. Only the kernel's hot paths — whose event handles
-provably never outlive the callback — use the pooled entry point;
-``schedule``/``schedule_at`` hand out fresh events whose handles callers
-may keep indefinitely. Cancelled shells are never recycled, so a stale
-``cancel`` on an old handle remains the documented no-op instead of
-killing an unrelated new tenant.
+* a **bare** entry (:meth:`EventQueue.push_bare`) *is* the event: the
+  callback and its args tuple sit in the entry, no :class:`Event` is
+  created, and the handle is the entry's ``seq``. This is the kernel's
+  hot path (link arrivals, server completions, sender wake-ups — ~95 %
+  of all events), where one record per event instead of two is the
+  saving. ``args`` must be a tuple, because
+* a **handle** entry (:meth:`EventQueue.push`) is ``(time, seq, event,
+  None)`` — ``args is None`` is the marker — and the :class:`Event` it
+  returns is a handle callers may keep and cancel at any time
+  (``schedule``/``schedule_at``, timers).
+
+Cancellation is lazy and O(1) for both kinds: :meth:`Event.cancel` marks
+a handle, a bare ``seq`` goes into a tombstone set, and pop skips either
+kind of shell (the set is consulted only while it is non-empty). A bare
+handle must be cancelled only while its event is pending: a ``seq`` names
+no object, so the queue cannot tell a stale one from a live one — but for
+the same reason a stale one can never alias a later event. Lazy
+cancellation alone lets shells pile up until their timestamp is reached —
+a retransmission timer cancelled on every ack, for instance, keeps one
+dead entry per ack queued, inflating every subsequent operation. The
+queue therefore *compacts* itself (drops all shells, empties the
+tombstone set and rebuilds) whenever the shells outnumber the live events
+and the structure is large enough for the rebuild to pay for itself; the
+O(n) rebuild is amortised O(1) per cancellation.
 """
 
 from heapq import heapify, heappop, heappush
 
-#: Sentinel pop() limit meaning "no horizon": any event time compares
+#: Sentinel pop limit meaning "no horizon": any event time compares
 #: below +inf, so the hot loop needs no per-pop None check.
 _NO_LIMIT = float("inf")
 
@@ -46,7 +53,7 @@ _NO_LIMIT = float("inf")
 class Event:
     """A scheduled callback; returned by :meth:`Simulator.schedule`."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "pooled")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled")
 
     def __init__(self, time, seq, fn, args):
         self.time = time
@@ -54,7 +61,6 @@ class Event:
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self.pooled = False
 
     def cancel(self):
         """Mark the event so it will be skipped when its time comes."""
@@ -86,18 +92,20 @@ class EventQueue:
     ahead an event lands, and the index heap skips the empty gaps, so the
     wheel degrades gracefully (to roughly heap behaviour) on sparse
     long-horizon workloads instead of overflowing.
+
+    Bookkeeping is one counter store per operation: a push bumps
+    ``_pushed``, a pop ``_popped``, a cancellation ``_cancelled`` (and
+    ``_shells``, the cancelled entries still physically queued); the live
+    count, the physical size and the scheduled total are derived.
     """
 
-    __slots__ = ("_seq", "_live", "_pushed", "_pool", "_cur", "_cur_idx",
-                 "_future", "_bucket_heap", "_inv_width", "_physical")
+    __slots__ = ("_seq", "_pushed", "_popped", "_cancelled", "_shells",
+                 "_dead", "_cur", "_cur_idx", "_future", "_bucket_heap",
+                 "_inv_width")
 
     #: Minimum physical size before compaction is considered; below this the
     #: lazy pops clean up cancelled shells cheaply enough on their own.
     COMPACT_MIN_SIZE = 64
-
-    #: Freelist cap — enough to absorb the steady-state in-flight event
-    #: population of the committed scenarios without hoarding memory.
-    POOL_MAX = 4096
 
     #: Bucket width in simulated seconds. The committed scenarios'
     #: event horizons are bimodal — ~40% under 100 µs (virtual-time
@@ -109,24 +117,28 @@ class EventQueue:
 
     def __init__(self):
         self._seq = 0
-        self._live = 0
         self._pushed = 0
-        self._pool = []
+        self._popped = 0
+        self._cancelled = 0
+        self._shells = 0
+        #: Tombstones: the ``seq`` of every cancelled bare entry still
+        #: physically queued.
+        self._dead = set()
         self._inv_width = 1.0 / self.BUCKET_WIDTH
-        #: Heap of ``(time, seq, event)`` for every entry whose bucket index
-        #: is <= the drain frontier ``_cur_idx``.
+        #: Heap of entries whose bucket index is <= the drain frontier
+        #: ``_cur_idx``.
         self._cur = []
         self._cur_idx = -1
-        #: Bucket index -> unordered list of ``(time, seq, event)`` entries,
-        #: for indices strictly beyond the frontier.
+        #: Bucket index -> unordered list of entries, for indices strictly
+        #: beyond the frontier.
         self._future = {}
         #: Min-heap of future bucket indices; may hold stale indices for
         #: buckets emptied by compaction (skipped on pop).
         self._bucket_heap = []
-        self._physical = 0
 
     def __len__(self):
-        return self._live
+        """Live (pending, non-cancelled) events."""
+        return self._pushed - self._popped - self._cancelled
 
     @property
     def scheduled_total(self):
@@ -136,6 +148,17 @@ class EventQueue:
         counted: they cost one integer increment, not a queue operation.
         """
         return self._pushed
+
+    @property
+    def cancelled_total(self):
+        """Live events cancelled before running; closes ``scheduled_total
+        = popped + len(queue) + cancelled_total``."""
+        return self._cancelled
+
+    @property
+    def heap_size(self):
+        """Physical entries across all buckets, including shells."""
+        return len(self) + self._shells
 
     def reserve(self):
         """Allocate and return a sequence number without enqueueing.
@@ -150,81 +173,43 @@ class EventQueue:
         self._seq += 1
         return seq
 
-    def recycle(self, event):
-        """Return an executed pooled event to the freelist.
-
-        Only the kernel loop calls this, after the callback of an event it
-        retired itself — the handle cannot be cancelled or re-examined by
-        anyone else afterwards. Cancelled-in-queue shells never reach here.
-        """
-        if len(self._pool) < self.POOL_MAX:
-            self._pool.append(event)
-
-    @property
-    def heap_size(self):
-        """Physical entries across all buckets, including shells."""
-        return self._physical
-
     def push(self, time, fn, args, seq=None):
-        """Create and enqueue an event; returns its handle.
+        """Create and enqueue an event; returns its :class:`Event` handle.
 
         ``seq`` (from :meth:`reserve`) overrides the tie-breaking position;
-        by default the event is sequenced at push time.
+        by default the event is sequenced at push time. The handle may be
+        kept indefinitely.
         """
         if seq is None:
             seq = self._seq
             self._seq += 1
         event = Event(time, seq, fn, args)
-        self._pushed += 1
-        self._live += 1
-        self._physical += 1
-        idx = int(time * self._inv_width)
-        if idx <= self._cur_idx:
-            heappush(self._cur, (time, seq, event))
-        else:
-            bucket = self._future.get(idx)
-            if bucket is None:
-                self._future[idx] = [(time, seq, event)]
-                heappush(self._bucket_heap, idx)
-            else:
-                bucket.append((time, seq, event))
+        # Not self.push_bare: AuditQueue aliases that name to its push.
+        EventQueue.push_bare(self, time, event, None, seq)
         return event
 
-    def push_pooled(self, time, fn, args, seq=None):
-        """Like :meth:`push`, but may reuse a recycled event record.
+    def push_bare(self, time, fn, args, seq=None):
+        """Enqueue ``fn(*args)`` with no :class:`Event`; returns its ``seq``.
 
-        Only for callers whose handle never escapes structures drained
-        before the callback runs — the kernel recycles the record after
-        executing it, and a stale handle must not alias the next tenant.
+        The kernel's hot path. ``args`` must be a tuple (``None`` marks a
+        handle entry). The returned ``seq`` is the handle
+        :meth:`cancel_bare` takes — valid only while the event is pending.
         """
         if seq is None:
             seq = self._seq
             self._seq += 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, seq, fn, args)
-            event.pooled = True
         self._pushed += 1
-        self._live += 1
-        self._physical += 1
         idx = int(time * self._inv_width)
         if idx <= self._cur_idx:
-            heappush(self._cur, (time, seq, event))
+            heappush(self._cur, (time, seq, fn, args))
         else:
             bucket = self._future.get(idx)
             if bucket is None:
-                self._future[idx] = [(time, seq, event)]
+                self._future[idx] = [(time, seq, fn, args)]
                 heappush(self._bucket_heap, idx)
             else:
-                bucket.append((time, seq, event))
-        return event
+                bucket.append((time, seq, fn, args))
+        return seq
 
     def _advance(self):
         """Merge the earliest future bucket into the current heap.
@@ -252,69 +237,90 @@ class EventQueue:
             return True
         return False
 
-    def pop(self, limit=None):
-        """Remove and return the earliest non-cancelled event, or None.
+    def pop_entry(self, limit):
+        """Remove and return the earliest live ``(time, seq, fn, args)``.
 
-        With ``limit``, an event later than ``limit`` is left queued and
-        None is returned — cancelled shells ahead of it are still
-        discarded. This lets the simulator loop advance with a single
-        heap operation per executed event instead of a peek-then-pop pair.
+        What :meth:`Simulator.run` pops: the entry as stored, so a bare
+        event is dispatched without ever becoming an object (``args is
+        None`` means ``fn`` is the :class:`Event` of a handle entry).
+        Returns None when the queue is drained or the earliest live entry
+        is later than ``limit`` (it stays queued); shells ahead of it are
+        discarded either way, so the loop advances with a single heap
+        operation per executed event instead of a peek-then-pop pair.
         """
-        if limit is None:
-            limit = _NO_LIMIT
-        while True:
-            cur = self._cur
-            while cur:
-                time, _seq, event = cur[0]
-                if event.cancelled:
-                    heappop(cur)
-                    self._physical -= 1
-                    continue
-                if time > limit:
-                    return None
-                heappop(cur)
-                self._physical -= 1
-                self._live -= 1
-                return event
-            if not self._advance():
-                return None
-
-    def peek_time(self):
-        """Time of the earliest pending event, or None if empty."""
         while True:
             cur = self._cur
             while cur:
                 entry = cur[0]
-                if entry[2].cancelled:
+                if entry[3] is None:
+                    if entry[2].cancelled:
+                        heappop(cur)
+                        self._shells -= 1
+                        continue
+                elif self._dead and entry[1] in self._dead:
                     heappop(cur)
-                    self._physical -= 1
+                    self._dead.remove(entry[1])
+                    self._shells -= 1
                     continue
-                return entry[0]
+                if entry[0] > limit:
+                    return None
+                self._popped += 1
+                return heappop(cur)
             if not self._advance():
                 return None
 
+    def pop(self, limit=None):
+        """Remove and return the earliest live event as an :class:`Event`.
+
+        A bare entry is wrapped on demand (``.time/.seq/.fn/.args``).
+        ``limit`` as for :meth:`pop_entry`; None means no horizon.
+        """
+        entry = self.pop_entry(_NO_LIMIT if limit is None else limit)
+        if entry is None:
+            return None
+        if entry[3] is None:
+            return entry[2]
+        return Event(*entry)
+
     def note_cancelled(self):
         """Callers must invoke this once per cancelled live event."""
-        self._live -= 1
-        shells = self._physical - self._live
-        if shells > self._live and self._physical >= self.COMPACT_MIN_SIZE:
+        self._cancelled += 1
+        self._shells += 1
+        live = self._pushed - self._popped - self._cancelled
+        if (self._shells > live
+                and live + self._shells >= self.COMPACT_MIN_SIZE):
             self._compact()
 
+    def cancel_bare(self, seq):
+        """Cancel the pending bare event whose push returned ``seq``.
+
+        Only while it is pending: a ``seq`` that has already run (or was
+        already cancelled) would be counted as a second cancellation.
+        """
+        self._dead.add(seq)
+        self.note_cancelled()
+
     def _compact(self):
-        cur = [entry for entry in self._cur if not entry[2].cancelled]
+        dead = self._dead
+
+        def live(entries):
+            return [entry for entry in entries
+                    if (not entry[2].cancelled if entry[3] is None
+                        else entry[1] not in dead)]
+
+        cur = live(self._cur)
         heapify(cur)
         self._cur = cur
         future = {}
-        physical = len(cur)
         for idx, bucket in self._future.items():
-            live = [entry for entry in bucket if not entry[2].cancelled]
-            if live:
-                future[idx] = live
-                physical += len(live)
+            bucket = live(bucket)
+            if bucket:
+                future[idx] = bucket
         self._future = future
         self._bucket_heap = list(future)
         heapify(self._bucket_heap)
-        self._physical = physical
+        dead.clear()
+        self._shells = 0
 
 
 def resolve_queue_backend():

@@ -50,16 +50,16 @@ class Simulator:
         #: Bound straight to the queue's counter — it sits on the
         #: per-transmission hot path.
         self.reserve_slot = self._queue.reserve
-        #: Hot-path scheduling: push an event with pre-packed ``args`` and
-        #: an optional reserved ``seq``, skipping :meth:`schedule_at`'s
-        #: past-check. Only for callers whose target time is arithmetically
-        #: guaranteed not to precede the clock (virtual-time completions)
-        #: AND whose handle never outlives structures drained before the
-        #: callback runs: the record is recycled through the queue's
-        #: freelist after executing, so a kept stale handle would alias
-        #: the next tenant. Callers that retain handles (timers, generic
-        #: ``schedule``/``schedule_at``) get fresh, never-recycled events.
-        self.push_event = self._queue.push_pooled
+        #: Hot-path scheduling: push ``fn(*args)`` with pre-packed ``args``
+        #: (a tuple, always) and an optional reserved ``seq``, skipping
+        #: :meth:`schedule_at`'s past-check and creating no
+        #: :class:`~repro.sim.events.Event` — the queue entry is the whole
+        #: record. Only for callers whose target time is arithmetically
+        #: guaranteed not to precede the clock (virtual-time completions).
+        #: Returns a handle for :meth:`cancel` that is valid only while the
+        #: event is pending; callers that keep handles longer (timers,
+        #: generic ``schedule``/``schedule_at``) get an ``Event``.
+        self.push_event = self._queue.push_bare
         #: Current simulated time in seconds. Public but read-only by
         #: convention: only :meth:`run` advances it. A plain attribute
         #: rather than a property — the virtual-time hot paths (sender
@@ -68,9 +68,6 @@ class Simulator:
         self._rngs = {}
         self._running = False
         self.events_executed = 0
-        #: Live events cancelled before running; with :meth:`pending` this
-        #: closes ``events_scheduled = executed + pending + cancelled``.
-        self.events_cancelled = 0
 
     @property
     def events_scheduled(self):
@@ -83,6 +80,12 @@ class Simulator:
         computes (virtual-time servers, single-event link hops).
         """
         return self._queue.scheduled_total
+
+    @property
+    def events_cancelled(self):
+        """Live events cancelled before running; with :meth:`pending` this
+        closes ``events_scheduled = executed + pending + cancelled``."""
+        return self._queue.cancelled_total
 
     def rng(self, name):
         """Return the RNG for the named stream, creating it on first use."""
@@ -122,11 +125,20 @@ class Simulator:
         return SimulationError(
             "cannot schedule at non-finite t={!r}".format(time))
 
-    def cancel(self, event):
-        """Cancel a pending event. Cancelling twice is a no-op."""
-        if not event.cancelled:
-            event.cancel()
-            self.events_cancelled += 1
+    def cancel(self, handle):
+        """Cancel a pending event, given whatever its push returned.
+
+        An :class:`~repro.sim.events.Event` (``schedule*``) may be
+        cancelled at any time: twice, or after it ran, is a no-op. A
+        :attr:`push_event` handle is a bare sequence number and must be
+        cancelled only while its event is pending — the queue cannot tell
+        a stale one from a live one (nor can a stale one ever alias a
+        later event: sequence numbers are not reused).
+        """
+        if handle.__class__ is int:
+            self._queue.cancel_bare(handle)
+        elif not handle.cancelled:
+            handle.cancel()
             self._queue.note_cancelled()
 
     def pending(self):
@@ -154,42 +166,36 @@ class Simulator:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         executed = 0
-        queue = self._queue
-        pop = queue.pop
-        # The retire-and-recycle bookkeeping is inlined below (attribute
-        # stores instead of Event.cancel / queue.recycle calls): two saved
-        # call frames per executed event is a measurable share of the
-        # kernel loop. Semantics are identical — retire before running the
-        # callback (a callback cancelling its own popped event — e.g. a
-        # timer stopped from inside its firing — must not decrement the
-        # live count a second time), references dropped, and only pooled
-        # events popped and retired by this loop enter the freelist.
-        pool = queue._pool
-        pool_max = queue.POOL_MAX
+        pop = self._queue.pop_entry
+        limit = _INF if until is None else until
+        budget = _INF if max_events is None else max_events
         try:
-            while True:
-                if max_events is not None and executed >= max_events:
-                    break
-                # Single heap operation per executed event: pop(until)
+            while executed < budget:
+                # Single heap operation per executed event: pop_entry
                 # discards cancelled shells, leaves an event beyond
-                # `until` queued, and returns the next live event.
-                event = pop(until)
-                if event is None:
+                # `limit` queued, and returns the next live entry.
+                entry = pop(limit)
+                if entry is None:
                     if until is not None and until > self.now:
                         # Stopping at `until` (live event beyond it, or
                         # drained early) advances the clock exactly there;
                         # an `until` behind the clock never moves it back.
                         self.now = until
                     break
-                self.now = event.time
-                fn = event.fn
-                args = event.args
-                event.cancelled = True
-                event.fn = None
-                event.args = ()
+                self.now, _seq, fn, args = entry
+                if args is None:
+                    # A handle entry: `fn` is the Event. Retire it before
+                    # running the callback — a callback cancelling its own
+                    # event (a timer stopped from inside its firing) must
+                    # not count a second cancellation — and drop its
+                    # references, as Event.cancel would.
+                    event = fn
+                    fn = event.fn
+                    args = event.args
+                    event.cancelled = True
+                    event.fn = None
+                    event.args = ()
                 fn(*args)
-                if event.pooled and len(pool) < pool_max:
-                    pool.append(event)
                 executed += 1
         finally:
             self._running = False

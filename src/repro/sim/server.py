@@ -1,12 +1,13 @@
 """Single-server FIFO queue — the saturation mechanism.
 
-Every simulated process owns a CPU modelled as a :class:`FifoServer`;
-every link owns a transmission server. Work items (handling a received
-message, serialising a message onto the wire) are submitted with a service
-time; the server executes them one at a time in FIFO order. When offered
-load exceeds service capacity the queue grows without bound and sojourn
-times blow up — which is precisely the latency knee the paper circles in
-its Figure 3.
+Every simulated process owns a CPU modelled as a :class:`FifoServer`.
+Work items (handling a received message, forwarding it) are submitted with
+a service time; the server executes them one at a time in FIFO order. When
+offered load exceeds service capacity the queue grows without bound and
+sojourn times blow up — which is precisely the latency knee the paper
+circles in its Figure 3. (A link serialises its messages by the same
+arithmetic but keeps its own two fields for it: see
+:class:`repro.net.channel.DirectedLink`.)
 
 Servers optionally bound their queue. The paper notes that its Go
 implementation "may discard messages when queues connecting different
@@ -26,14 +27,13 @@ the moment it is accepted::
 :class:`FifoServer` exploits that: it tracks ``busy_until`` arithmetically
 and schedules **zero** kernel events for accounting-only jobs (callback
 ``None`` or :func:`noop`) and exactly one event — at the precomputed
-completion — for jobs with real callbacks. The event-per-job arrangement
-(one kernel event per job, chained start-to-completion) survives as
-:class:`LegacyFifoServer`, the reference that
-`tests/sim/test_server_equivalence.py` drives random traces against;
-nothing in `src/` constructs it. Stats (``completed``, ``busy_time``) are
-maintained by lazily draining a deque of completion timestamps whenever
-the server is observed — reads through :attr:`FifoServer.stats` always see
-the state a per-job event loop would have produced at the same instant.
+completion — for jobs with real callbacks. Stats (``completed``,
+``busy_time``) are maintained by lazily draining a deque of completion
+timestamps whenever the server is observed — reads through
+:attr:`FifoServer.stats` always see the state a per-job event loop (one
+kernel event per job, chained start-to-completion: the reference model in
+`tests/sim/test_server_equivalence.py`) would have produced at the same
+instant.
 """
 
 import math
@@ -110,8 +110,8 @@ class FifoServer:
         self._pending = deque()
         self._busy_until = 0.0
         #: Whether the head job's service is already in ``busy_time``
-        #: (legacy charged at service *start*, so an in-service job is
-        #: charged before it completes).
+        #: (an event-per-job server charges at service *start*, so an
+        #: in-service job is charged before it completes).
         self._head_charged = False
 
     @property
@@ -144,10 +144,9 @@ class FifoServer:
         """Like :meth:`submit`, but returns the job's completion time.
 
         Returns ``None`` if the job was dropped (queue full). A caller that
-        needs to act at the completion instant (e.g. a link scheduling the
-        propagation arrival directly) can pass ``fn=None`` and schedule its
-        own single event at the returned time — ``args`` are then only used
-        to describe the job to ``on_drop``.
+        needs to act at the completion instant can pass ``fn=None`` and
+        schedule its own single event at the returned time — ``args`` are
+        then only used to describe the job to ``on_drop``.
         """
         stats = self._stats
         stats.submitted += 1
@@ -182,44 +181,9 @@ class FifoServer:
             # The callback is scheduled directly: every observable read
             # (stats, busy, queue_length) drains lazily on access, so no
             # pre-drain wrapper is needed at the completion instant.
-            # completion >= now by construction and the handle never
-            # escapes this frame, so the pooled unchecked push applies.
+            # completion >= now by construction, so the unchecked bare
+            # push applies.
             self.sim.push_event(completion, fn, args)
-        return completion
-
-    def submit_fast(self, service_time):
-        """Accounting-only submission tuned for an expected-idle server.
-
-        The per-transmission hot path (a gossip sender pacing itself never
-        hands the link a message while it is busy) reduces to: drain the
-        previous job, charge this one, return its completion. Anything off
-        that path — server still busy after draining, a slowdown in force —
-        falls back to :meth:`submit_timed`, so the semantics are identical;
-        this method only flattens the common case.
-        """
-        pending = self._pending
-        now = self.sim.now
-        if pending:
-            if pending[0][0] > now:
-                return self.submit_timed(service_time, None)
-            if len(pending) == 1 and self._head_charged:
-                # Sole predecessor, already charged at its service start:
-                # retiring it is one pop and one counter.
-                pending.popleft()
-                self._stats.completed += 1
-            else:
-                self._drain(now)
-                if pending:
-                    return self.submit_timed(service_time, None)
-        if self.slowdown != 1.0:
-            return self.submit_timed(service_time, None)
-        stats = self._stats
-        stats.submitted += 1
-        stats.busy_time += service_time
-        self._head_charged = True
-        completion = now + service_time
-        self._busy_until = completion
-        pending.append((completion, service_time))
         return completion
 
     def submit_acct(self, service_time):
@@ -257,59 +221,6 @@ class FifoServer:
         pending.append((completion, service_time))
         return completion
 
-    def submit_chain(self, service_time):
-        """Append a job to the busy tail unconditionally; returns completion.
-
-        The batched gossip pump commits a whole validated round at once:
-        the sender paces itself, so the capacity bound and the
-        ``max_queue`` watermark — both of which model *contention* — do
-        not apply to chain entries, whose queueing is an accounting
-        artefact of committing future sends early. Completion instants
-        are identical to submitting each job the moment its predecessor
-        finishes (``busy_until + service``), and ``busy_time`` is charged
-        at each job's service *start* by the lazy drain, exactly as the
-        event-per-job reference charged it.
-        """
-        if self.slowdown != 1.0:
-            service_time = service_time * self.slowdown
-        stats = self._stats
-        stats.submitted += 1
-        now = self.sim.now
-        pending = self._pending
-        if pending and pending[0][0] <= now:
-            self._drain(now)
-        if pending:
-            completion = self._busy_until + service_time
-        else:
-            completion = now + service_time
-            stats.busy_time += service_time
-            self._head_charged = True
-        self._busy_until = completion
-        pending.append((completion, service_time))
-        return completion
-
-    def abort_queued(self, now):
-        """Remove jobs that have not started service; un-commit a chain.
-
-        Returns ``(removed, busy_until)``. Used when a gossip sender
-        crashes mid-round: the reference implementation simply never
-        submitted the rest of the round, so the queued (not-yet-started)
-        chain entries are withdrawn — completed jobs and the job in
-        service (already "on the wire") are untouched, leaving the server
-        exactly as a per-message pump would have left it.
-        """
-        self._drain(now)
-        pending = self._pending
-        removed = 0
-        stats = self._stats
-        while len(pending) > 1:
-            pending.pop()
-            removed += 1
-        if removed:
-            stats.submitted -= removed
-            self._busy_until = pending[0][0]
-        return removed, self._busy_until
-
     def _drain(self, now):
         """Retire completed jobs and charge the in-service job's time."""
         pending = self._pending
@@ -326,72 +237,8 @@ class FifoServer:
             stats.completed += 1
         if pending and not charged:
             # The new head entered service at its predecessor's completion
-            # (<= now): charge its full service, as the legacy server did
-            # at service start.
+            # (<= now): charge its full service, as an event-per-job
+            # server does at service start.
             stats.busy_time += pending[0][1]
             charged = True
         self._head_charged = charged
-
-
-class LegacyFifoServer:
-    """Event-per-job FIFO server: the pre-virtual-time implementation.
-
-    Kept verbatim as the executable reference for
-    :class:`FifoServer`'s semantics: the equivalence property tests run
-    both implementations against the same traces. Deployments never use
-    it.
-    """
-
-    __slots__ = ("sim", "capacity", "on_drop", "stats", "slowdown",
-                 "_queue", "_busy")
-
-    def __init__(self, sim, capacity=None, on_drop=None):
-        self.sim = sim
-        self.capacity = capacity
-        self.on_drop = on_drop
-        self.stats = ServerStats()
-        self.slowdown = 1.0
-        self._queue = deque()
-        self._busy = False
-
-    @property
-    def queue_length(self):
-        """Jobs waiting to start (excludes the in-service job)."""
-        return len(self._queue)
-
-    @property
-    def busy(self):
-        return self._busy
-
-    def submit(self, service_time, fn, *args):
-        """Enqueue a job; True if accepted, False if dropped (queue full)."""
-        stats = self.stats
-        stats.submitted += 1
-        if self.slowdown != 1.0:
-            service_time *= self.slowdown
-        if not self._busy:
-            self._start(service_time, fn, args)
-            return True
-        if self.capacity is not None and len(self._queue) >= self.capacity:
-            stats.dropped += 1
-            if self.on_drop is not None:
-                self.on_drop(fn, args)
-            return False
-        self._queue.append((service_time, fn, args))
-        if len(self._queue) > stats.max_queue:
-            stats.max_queue = len(self._queue)
-        return True
-
-    def _start(self, service_time, fn, args):
-        self._busy = True
-        self.stats.busy_time += service_time
-        self.sim.schedule(service_time, self._complete, fn, args)
-
-    def _complete(self, fn, args):
-        self.stats.completed += 1
-        fn(*args)
-        if self._queue:
-            service_time, next_fn, next_args = self._queue.popleft()
-            self._start(service_time, next_fn, next_args)
-        else:
-            self._busy = False

@@ -256,5 +256,6 @@ def test_abort_after_mid_round_degrade_withdraws_the_whole_tail(sim):
     assert link.transmit_chained(_payload("f")) == pytest.approx(0.002)
     sim.run()
     assert seen == [("a", pytest.approx(0.021)), ("f", pytest.approx(0.022))]
-    assert link._server.stats.completed == link.stats.sent == len(seen) == 2
+    assert link.stats.sent == len(seen) == 2
+    assert not link.busy and link.queue_length == 0
     assert not link._in_flight

@@ -9,8 +9,16 @@ with its serialisation completion recomputed from first principles (FIFO
 wire: ``max(now, previous completion) + service``). At every probe ``sent``
 and ``bytes_sent`` must equal a recount over that whole list, every arrival
 must land at ``completion + latency`` plus a draw inside the jitter window
-in force when it was (last) committed, and at the end the transmission
-server, the link and the receiver agree on how many messages there were.
+in force when it was (last) committed, and at the end the link and the
+receiver agree on how many messages there were.
+
+A link is its own serialiser (``_busy_until`` plus the ``_in_flight``
+deque); the second property holds it to the transmission *server* it
+replaced: a like interleaving — now with bounded transmit queues, bursts
+that fill them and ``transmit_timed`` on a busy link — drives a
+:class:`DirectedLink` and a reference link built on the event-per-job
+``LegacyFifoServer`` (tests/sim/reference_server.py), and every verdict,
+completion, arrival and counter must coincide.
 
 The memory half: only transmits add to ``_in_flight`` and each one first
 retires what has completed, so right after a transmit, a probe or a
@@ -30,6 +38,7 @@ from hypothesis import strategies as st
 from repro.net.channel import DirectedLink, LinkConfig
 from repro.net.message import RawPayload
 from repro.sim.kernel import Simulator
+from tests.sim.reference_server import LegacyFifoServer
 
 TICK = 2.0 ** -11
 SIZES = st.sampled_from([512, 1024, 2048])
@@ -144,8 +153,9 @@ class _Harness:
     def finish(self):
         self.sim.run()
         self.probe()
-        assert (self.link._server.stats.completed == self.link.stats.sent
-                == len(self.messages) == self.delivered)
+        assert (self.link.stats.sent == len(self.messages)
+                == self.delivered)
+        assert not self.link.busy and self.link.queue_length == 0
         assert not self.link._in_flight
 
 
@@ -156,6 +166,120 @@ def test_link_counters_match_recount_and_deque_is_bounded(ops):
     for op in ops:
         harness.step(op)
     harness.finish()
+
+
+class _ReferenceLink:
+    """What a link does, on an event-per-job transmission server: one
+    kernel event per serialisation, then one per propagation."""
+
+    def __init__(self, sim, capacity):
+        self.sim = sim
+        self.server = LegacyFifoServer(sim, capacity=capacity)
+        self.sent = self.bytes_sent = 0
+        self.completions = {}   # uid -> serialisation completion
+        self.arrivals = []      # (uid, arrival time)
+
+    def transmit(self, uid, size):
+        """True if accepted, False on a queue-full drop."""
+        return self.server.submit(
+            CONFIG.per_message_s + size * CONFIG.per_byte_s,
+            self._serialised, uid, size)
+
+    def chain(self, uid, size):
+        # Chain entries model pacing, not contention: no bound applies.
+        server = self.server
+        capacity, server.capacity = server.capacity, None
+        assert self.transmit(uid, size)
+        server.capacity = capacity
+
+    def abort(self):
+        """Withdraw every job that has not started; returns how many."""
+        waiting = self.server._queue
+        withdrawn = len(waiting)
+        waiting.clear()
+        return withdrawn
+
+    def _serialised(self, uid, size):
+        self.sent += 1
+        self.bytes_sent += size
+        self.completions[uid] = self.sim.now
+        self.sim.schedule(LATENCY, self._arrive, uid)
+
+    def _arrive(self, uid):
+        self.arrivals.append((uid, self.sim.now))
+
+
+SERVER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["timed", "chained", "transmit"]), SIZES),
+        st.tuples(st.just("burst"), SIZES,
+                  st.integers(min_value=2, max_value=6)),
+        st.tuples(st.just("advance"), st.integers(min_value=1, max_value=8)),
+        st.tuples(st.sampled_from(["probe", "abort"])),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([None, 0, 1, 3]), SERVER_OPS)
+def test_link_matches_the_transmission_server_it_replaced(capacity, ops):
+    config = LinkConfig(CONFIG.per_message_s, CONFIG.per_byte_s,
+                        queue_capacity=capacity)
+    sim, ref_sim = Simulator(seed=3), Simulator(seed=3)
+    arrivals = []
+    link = DirectedLink(sim, 0, 1, LATENCY, config,
+                        lambda src, p: arrivals.append((p.uid, sim.now)))
+    ref = _ReferenceLink(ref_sim, capacity)
+    completions = {}            # uid -> completion the link returned
+    uid = 0
+
+    def send(how, size):
+        nonlocal uid
+        uid += 1
+        payload = RawPayload(uid, size)
+        if how == "chained":
+            completions[uid] = link.transmit_chained(payload)
+            ref.chain(uid, size)
+        elif how == "timed":
+            free_at = link.transmit_timed(payload)
+            accepted = free_at > sim.now    # a drop returns the clock
+            if accepted:
+                completions[uid] = free_at
+            assert accepted == ref.transmit(uid, size)
+        else:
+            assert link.transmit(payload) == ref.transmit(uid, size)
+
+    def probe():
+        stats = link.stats
+        assert link.busy == ref.server.busy
+        assert link.queue_length == ref.server.queue_length
+        assert (stats.sent, stats.bytes_sent) == (ref.sent, ref.bytes_sent)
+        assert stats.dropped_queue == ref.server.stats.dropped
+
+    for op in ops:
+        kind = op[0]
+        if kind == "burst":
+            for _ in range(op[2]):
+                send("transmit", op[1])
+        elif kind == "advance":
+            until = sim.now + op[1] * TICK
+            sim.run(until=until)
+            ref_sim.run(until=until)
+        elif kind == "abort":
+            assert link.abort_pending_chain() == ref.abort()
+        elif kind != "probe":
+            send(kind, op[1])
+        probe()
+    sim.run()
+    ref_sim.run()
+    probe()
+    assert arrivals == ref.arrivals
+    # Every completion the link announced is when the server finished the
+    # job — unless the job was withdrawn before it started.
+    for done_uid, done in ref.completions.items():
+        assert completions.get(done_uid, done) == done
+    assert link.stats.delivered == ref.sent == len(arrivals)
 
 
 def test_paced_idle_link_sender_keeps_one_record():

@@ -49,19 +49,6 @@ def test_len_counts_live_events_only():
     assert len(queue) == 1
 
 
-def test_peek_time_ignores_cancelled_head():
-    queue = EventQueue()
-    head = queue.push(1.0, "x", ())
-    queue.push(2.0, "y", ())
-    head.cancel()
-    queue.note_cancelled()
-    assert queue.peek_time() == 2.0
-
-
-def test_peek_time_empty_is_none():
-    assert EventQueue().peek_time() is None
-
-
 def test_cancel_clears_references():
     queue = EventQueue()
     event = queue.push(1.0, "payload", ("big-arg",))
@@ -164,43 +151,23 @@ def test_order_preserved_after_compaction():
     assert sorted(e.fn for e in survivors) == list(range(1, 80, 2))
 
 
-def test_pool_recycles_executed_events():
+def test_bare_push_returns_its_seq_and_creates_no_event():
     queue = EventQueue()
-    first = queue.push_pooled(1.0, "a", ())
-    assert first.pooled
-    popped = queue.pop()
-    assert popped is first
-    # The kernel retires the event (cancel) before recycling it.
-    popped.cancel()
-    queue.recycle(popped)
-    second = queue.push_pooled(2.0, "b", ("arg",))
-    assert second is first             # record reused from the freelist
-    assert second.time == 2.0
-    assert second.fn == "b"
-    assert second.args == ("arg",)
-    assert not second.cancelled
+    slot = queue.reserve()
+    assert queue.push_bare(1.0, "a", ()) == 1
+    assert queue.push_bare(1.0, "b", ("arg",), slot) == slot
+    assert queue.scheduled_total == len(queue) == queue.heap_size == 2
+    # The entry is the whole record: (time, seq, fn, args) as pushed.
+    assert queue.pop_entry(5.0) == (1.0, slot, "b", ("arg",))
+    assert queue.pop_entry(0.5) is None
+    assert queue.pop_entry(5.0) == (1.0, 1, "a", ())
+    assert len(queue) == queue.heap_size == 0
 
 
-def test_plain_push_never_draws_from_pool():
+def test_pop_entry_marks_a_handle_entry_with_args_none():
     queue = EventQueue()
-    pooled = queue.push_pooled(1.0, "a", ())
-    queue.pop().cancel()
-    queue.recycle(pooled)
-    fresh = queue.push(2.0, "b", ())
-    # schedule()/schedule_at() handles may be kept indefinitely by callers,
-    # so they must be fresh objects, never freelist tenants.
-    assert fresh is not pooled
-    assert not fresh.pooled
-
-
-def test_pool_is_bounded():
-    queue = EventQueue()
-    for _ in range(queue.POOL_MAX + 10):
-        event = queue.push_pooled(1.0, "e", ())
-        queue.pop()
-        event.cancel()
-        queue.recycle(event)
-    assert len(queue._pool) <= queue.POOL_MAX
+    event = queue.push(1.0, "a", ("arg",))
+    assert queue.pop_entry(5.0) == (1.0, event.seq, event, None)
 
 
 def test_wheel_orders_across_and_within_buckets():

@@ -179,6 +179,34 @@ def test_scheduled_events_are_executed_pending_or_cancelled(sim):
     assert sim.events_scheduled == 7
 
 
+def test_bare_event_cancelled_from_another_callback_never_runs(sim):
+    """``push_event`` returns a bare handle (no Event); cancelling it while
+    pending — here from inside an earlier callback — is counted once and
+    the event never runs."""
+    seen = []
+    handle = sim.push_event(2.0, seen.append, ("cancelled",))
+    assert handle.__class__ is int
+    sim.push_event(3.0, seen.append, ("kept",))
+    sim.schedule(1.0, sim.cancel, handle)
+    assert sim.pending() == 3
+    sim.run()
+    assert seen == ["kept"]
+    assert (sim.events_executed, sim.pending(), sim.events_cancelled) == (2, 0, 1)
+    assert sim.events_scheduled == 3
+
+
+def test_pop_wraps_a_bare_entry_in_an_event(sim):
+    """The queue's Event-returning pop serves bare entries too: callers
+    outside the run loop see ``.time/.seq/.fn/.args`` either way."""
+    slot = sim.reserve_slot()
+    sim.push_event(1.5, print, ("x", 2), slot)
+    event = sim._queue.pop()
+    assert (event.time, event.seq, event.fn, event.args) == (
+        1.5, slot, print, ("x", 2))
+    assert not event.cancelled
+    assert sim.pending() == 0
+
+
 def test_reentrant_run_raises(sim):
     def nested():
         sim.run()

@@ -2,10 +2,11 @@
 
 Random job traces — mixed capacities, drops, mid-trace slowdown changes,
 noop and real callbacks, interleaved observation probes — are driven
-through :class:`FifoServer` and :class:`LegacyFifoServer` on separate
-simulators. Everything observable must coincide exactly: callback
-invocation times and order, drop decisions, and every stats field at every
-probe instant (the virtual-time server's lazy draining must be invisible).
+through :class:`FifoServer` and the test-local :class:`LegacyFifoServer`
+(`reference_server.py`) on separate simulators. Everything observable must
+coincide exactly: callback invocation times and order, drop decisions, and
+every stats field at every probe instant (the virtual-time server's lazy
+draining must be invisible).
 
 Probe and submission instants come from continuous uniform draws, so they
 never collide exactly with a completion instant; same-timestamp
@@ -18,7 +19,8 @@ import pytest
 
 from repro.sim.kernel import Simulator
 from repro.sim.random import make_stream
-from repro.sim.server import FifoServer, LegacyFifoServer, noop
+from repro.sim.server import FifoServer, noop
+from tests.sim.reference_server import LegacyFifoServer
 
 
 def _generate_trace(seed):
