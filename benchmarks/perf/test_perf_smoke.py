@@ -17,7 +17,7 @@ Five checks per run:
   hot path is gated on throughput like the committed figure scenarios.
 * **Memory** — tracemalloc peak must stay within ``MEM_TOLERANCE`` of
   baseline. The flat-state work (interned ids, array-backed dedup,
-  streaming-capable metrics) is what makes N=1000 overlays fit; this
+  flat per-hop layout) is what makes N=1000 overlays fit; this
   gate keeps a regression from quietly re-inflating the per-node state.
   Peaks are allocation high-water marks, machine-independent up to
   allocator details, so the tolerance is tighter than wall-clock's.

@@ -18,10 +18,11 @@ The gossip layer is used exactly as Paxos uses it — no changes needed.
 Run:  python examples/custom_semantics.py
 """
 
+from repro.gossip.cache import InternedSeenCache
 from repro.gossip.hooks import SemanticHooks
 from repro.gossip.node import GossipCosts, GossipNode
 from repro.net.channel import DirectedLink, LinkConfig
-from repro.net.message import Payload
+from repro.net.message import Payload, UidInterner
 from repro.net.overlay import generate_overlay
 from repro.net.topology import Topology
 from repro.net.transport import Transport
@@ -119,10 +120,14 @@ def build(sim, semantic):
             transports[a].deliver))
     progress = [dict() for _ in range(N)]
     nodes = []
+    # One interner for the whole overlay: a payload's dense id is stamped
+    # on it by the first cache that sees it and read by every later one.
+    interner = UidInterner()
     for i in range(N):
         hooks = WatermarkSemantics() if semantic else None
         node = GossipNode(sim, i, transports[i], costs=GossipCosts(),
-                          hooks=hooks)
+                          hooks=hooks,
+                          cache=InternedSeenCache(interner=interner))
         node.deliver = (lambda p, i=i:
                         progress[i].__setitem__(p.sender, max(
                             progress[i].get(p.sender, -1), p.watermark))

@@ -20,13 +20,21 @@ import dataclasses
 import hashlib
 import json
 
+#: Field metadata marking a dataclass field that is serialised only when
+#: it differs from its declared default. A field added after fingerprints
+#: were committed carries it: every report that leaves the field alone
+#: keeps its digest, and any other value changes the digest loudly.
+_OMIT_KEY = "fingerprint_omit_at_default"
+OMIT_AT_DEFAULT = {_OMIT_KEY: True}
+
 
 def _canonical(value):
     """Recursively convert ``value`` into JSON-encodable canonical form.
 
     Floats become their hex representation (exact, every bit), so 0.1+0.2
     and 0.3 fingerprint differently. Objects are walked structurally —
-    dataclasses by field, ``__slots__`` classes by slot, plain objects by
+    dataclasses by field (see :data:`OMIT_AT_DEFAULT` for the one
+    exception), ``__slots__`` classes by slot, plain objects by
     ``__dict__`` — tagged with the class name; ``repr`` is never used, so
     memory addresses cannot leak into the hash.
     """
@@ -41,11 +49,13 @@ def _canonical(value):
     if isinstance(value, (set, frozenset)):
         return sorted(_canonical(v) for v in value)
     if dataclasses.is_dataclass(value):
-        return {
-            "__class__": type(value).__name__,
-            **{f.name: _canonical(getattr(value, f.name))
-               for f in dataclasses.fields(value)},
-        }
+        document = {"__class__": type(value).__name__}
+        for f in dataclasses.fields(value):
+            field_value = getattr(value, f.name)
+            if _OMIT_KEY in f.metadata and field_value == f.default:
+                continue
+            document[f.name] = _canonical(field_value)
+        return document
     slots = getattr(type(value), "__slots__", None)
     if slots is not None:
         return {

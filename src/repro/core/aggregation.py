@@ -1,4 +1,4 @@
-"""Semantic aggregation rule for Paxos (paper §3.2).
+"""Semantic aggregation rule (paper §3.2).
 
 A single, reversible rule: Phase 2b messages pending for the same peer that
 refer to the same instance, round and value — so they differ only by their
@@ -12,6 +12,12 @@ aggregated again").
 The rule is opportunistic: it only does anything when the send routine has
 accumulated several pending messages, i.e. under moderate-to-high load —
 and, unlike batching, it never delays a send (paper §3.2).
+
+Nothing in the rule is specific to Paxos: a protocol says what its votes
+are (a function ``payload -> (key, senders)``, ``(None, None)`` for
+anything that is not a vote) and which message carries a merged vote
+(constructed as ``merged(*key[:-1], senders, key[-1])``). The defaults are
+the Paxos pair; :mod:`repro.core.raft_semantics` supplies Raft's.
 """
 
 from repro.paxos.messages import Aggregated2b, Phase2b
@@ -33,18 +39,23 @@ def _vote_key_and_senders(payload):
 class SemanticAggregator:
     """Groups identical pending votes into multi-sender votes."""
 
-    __slots__ = ("votes_absorbed", "aggregates_built")
+    __slots__ = ("votes_absorbed", "aggregates_built",
+                 "_key_and_senders", "_merged")
 
-    def __init__(self):
+    def __init__(self, key_and_senders=_vote_key_and_senders,
+                 merged=Aggregated2b):
         self.votes_absorbed = 0
         self.aggregates_built = 0
+        self._key_and_senders = key_and_senders
+        self._merged = merged
 
     def aggregate(self, payloads, peer_id):
         """Return the replacement send list (order-preserving)."""
+        key_and_senders = self._key_and_senders
         keys = []
         groups = {}
         for payload in payloads:
-            key, senders = _vote_key_and_senders(payload)
+            key, senders = key_and_senders(payload)
             keys.append(key)
             if key is None:
                 continue
@@ -71,14 +82,13 @@ class SemanticAggregator:
             if key in emitted:
                 continue  # absorbed into the aggregate emitted earlier
             emitted.add(key)
-            instance, round_, value_id, attempt = key
-            result.append(Aggregated2b(instance, round_, value_id, senders, attempt))
+            result.append(self._merged(*key[:-1], senders, key[-1]))
             self.aggregates_built += 1
             self.votes_absorbed += count - 1
         return result
 
     def disaggregate(self, payload):
         """Reconstruct the original votes (reversible rule)."""
-        if type(payload) is Aggregated2b:
+        if type(payload) is self._merged:
             return payload.disaggregate()
         return [payload]

@@ -10,14 +10,16 @@ The translation of the paper's Paxos rules is direct:
   sets of uncommitted indices — even cheaper than the Paxos summary.
 * **aggregation** — acks for the same (term, index) differing only by
   sender merge into one :class:`repro.raft.messages.AggregatedAck`
-  (reversible).
+  (reversible): the rule of :mod:`repro.core.aggregation`, handed Raft's
+  notion of a vote.
 
 As required by the paper's modularity principle, nothing here changes the
 Raft implementation; these are hooks of the gossip layer.
 """
 
+from repro.core.aggregation import SemanticAggregator
 from repro.core.filtering import FilterStats
-from repro.gossip.hooks import SemanticHooks
+from repro.core.semantics import PaxosSemantics
 from repro.raft.messages import (
     AggregatedAck,
     AppendAck,
@@ -96,87 +98,27 @@ class RaftSemanticFilter:
         return True
 
 
-class RaftAggregator:
-    """Merge identical pending acks into multi-sender acks."""
-
-    __slots__ = ("acks_absorbed", "aggregates_built")
-
-    def __init__(self):
-        self.acks_absorbed = 0
-        self.aggregates_built = 0
-
-    @staticmethod
-    def _key_and_senders(payload):
-        kind = type(payload)
-        if kind is AppendAck:
-            # uid = ("ACK", term, index, sender, attempt)
-            return ((payload.term, payload.index, payload.uid[4]),
-                    (payload.sender,))
-        if kind is AggregatedAck:
-            return ((payload.term, payload.index, payload.attempt),
-                    payload.senders)
-        return (None, None)
-
-    def aggregate(self, payloads, peer_id):
-        keys = []
-        groups = {}
-        for payload in payloads:
-            key, senders = self._key_and_senders(payload)
-            keys.append(key)
-            if key is None:
-                continue
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [set(senders), 1]
-            else:
-                group[0].update(senders)
-                group[1] += 1
-        if not any(group[1] >= 2 for group in groups.values()):
-            return payloads
-        result = []
-        emitted = set()
-        for payload, key in zip(payloads, keys):
-            if key is None:
-                result.append(payload)
-                continue
-            senders, count = groups[key]
-            if count < 2:
-                result.append(payload)
-                continue
-            if key in emitted:
-                continue
-            emitted.add(key)
-            term, index, attempt = key
-            result.append(AggregatedAck(term, index, senders, attempt))
-            self.aggregates_built += 1
-            self.acks_absorbed += count - 1
-        return result
-
-    def disaggregate(self, payload):
-        if type(payload) is AggregatedAck:
-            return payload.disaggregate()
-        return [payload]
+def _ack_key_and_senders(payload):
+    """(group key, senders) for ack messages; (None, None) otherwise."""
+    kind = type(payload)
+    if kind is AppendAck:
+        # uid = ("ACK", term, index, sender, attempt)
+        return ((payload.term, payload.index, payload.uid[4]),
+                (payload.sender,))
+    if kind is AggregatedAck:
+        return ((payload.term, payload.index, payload.attempt),
+                payload.senders)
+    return (None, None)
 
 
-class RaftSemantics(SemanticHooks):
-    """validate/aggregate/disaggregate with Raft knowledge."""
+class RaftSemantics(PaxosSemantics):
+    """validate/aggregate/disaggregate with Raft knowledge: the Paxos
+    composition over Raft's filter and Raft's votes."""
 
     def __init__(self, n, enable_filtering=True, enable_aggregation=True):
         self.n = n
         self.enable_filtering = enable_filtering
         self.enable_aggregation = enable_aggregation
         self.filter = RaftSemanticFilter(n) if enable_filtering else None
-        self.aggregator = RaftAggregator()
-
-    def validate(self, payload, peer_id):
-        if self.filter is None:
-            return True
-        return self.filter.validate(payload, peer_id)
-
-    def aggregate(self, payloads, peer_id):
-        if not self.enable_aggregation:
-            return payloads
-        return self.aggregator.aggregate(payloads, peer_id)
-
-    def disaggregate(self, payload):
-        return self.aggregator.disaggregate(payload)
+        self.aggregator = SemanticAggregator(_ack_key_and_senders,
+                                             AggregatedAck)

@@ -12,14 +12,15 @@ implemented for Paxos by :mod:`repro.core`.
 """
 
 from repro.gossip.hooks import SemanticHooks
-from repro.gossip.cache import RecentlySeenCache
-from repro.gossip.bloom import SlidingBloomFilter
+from repro.gossip.cache import InternedSeenCache
+from repro.gossip.bloom import BloomPositionCache, InternedSlidingBloomFilter
 from repro.gossip.node import GossipNode, GossipCosts, GossipStats
 
 __all__ = [
     "SemanticHooks",
-    "RecentlySeenCache",
-    "SlidingBloomFilter",
+    "InternedSeenCache",
+    "InternedSlidingBloomFilter",
+    "BloomPositionCache",
     "GossipNode",
     "GossipCosts",
     "GossipStats",

@@ -3,7 +3,7 @@
 The paper (§3.3) notes the recently-seen cache "could be obtained adopting
 other approaches, such as a sliding Bloom filter". This module provides that
 alternative with the same ``register`` interface as
-:class:`repro.gossip.cache.RecentlySeenCache`, so the two are drop-in
+:class:`repro.gossip.cache.InternedSeenCache`, so the two are drop-in
 interchangeable (see the gossip ablation bench).
 
 Two generations of plain Bloom filters are kept; inserts go to the current
@@ -13,13 +13,12 @@ scheme (Naor & Yogev). Bloom filters admit false positives: a fresh message
 may be misclassified as duplicate with small probability, which for gossip
 merely removes one redundant propagation path.
 
-:class:`InternedSlidingBloomFilter` is the array-era variant: bit positions
-are a pure function of the uid, so a deployment-wide
+Bit positions are a pure function of the uid, so a deployment-wide
 :class:`BloomPositionCache` (indexed by the interned dense id) computes the
-blake2b digest once per uid instead of once per probe per node. The bit
-generations and every counter evolve identically to
-:class:`SlidingBloomFilter` — including false positives — which the
-equivalence property tests pin down.
+blake2b digest once per uid instead of once per probe per node. The filter
+that digests on every probe is the reference model in
+``tests/gossip/reference_dedup.py``: bit generations and every counter
+evolve identically — false positives included.
 """
 
 import hashlib
@@ -38,21 +37,6 @@ class _BloomGeneration:
         self.bits = 0
         self.num_bits = num_bits
         self.inserted = 0
-
-    def _positions(self, uid, num_hashes):
-        digest = hashlib.blake2b(repr(uid).encode("utf-8"), digest_size=16).digest()
-        value = int.from_bytes(digest, "big")
-        for i in range(num_hashes):
-            yield (value >> (i * 17)) % self.num_bits
-
-    def add(self, uid, num_hashes):
-        for pos in self._positions(uid, num_hashes):
-            self.bits |= 1 << pos
-        self.inserted += 1
-
-    def contains(self, uid, num_hashes):
-        bits = self.bits
-        return all((bits >> pos) & 1 for pos in self._positions(uid, num_hashes))
 
     def add_positions(self, positions):
         for pos in positions:
@@ -91,52 +75,11 @@ class BloomPositionCache:
         return positions
 
 
-class SlidingBloomFilter:
-    """Duplicate detector with bounded memory and a sliding window."""
-
-    __slots__ = ("num_bits", "num_hashes", "generation_size",
-                 "_current", "_previous", "registered", "hits")
-
-    def __init__(self, num_bits=1 << 17, num_hashes=4, generation_size=20_000):
-        self.num_bits = num_bits
-        self.num_hashes = num_hashes
-        self.generation_size = generation_size
-        self._current = _BloomGeneration(num_bits)
-        self._previous = None
-        self.registered = 0
-        self.hits = 0
-
-    def __contains__(self, uid):
-        if self._current.contains(uid, self.num_hashes):
-            return True
-        if self._previous is not None:
-            return self._previous.contains(uid, self.num_hashes)
-        return False
-
-    def register(self, uid):
-        """Record ``uid``; returns True if it looked fresh."""
-        if uid in self:
-            self.hits += 1
-            return False
-        self._current.add(uid, self.num_hashes)
-        self.registered += 1
-        if self._current.inserted >= self.generation_size:
-            self._previous = self._current
-            self._current = _BloomGeneration(self.num_bits)
-        return True
-
-    def register_payload(self, payload):
-        """Record ``payload``; returns True if it looked fresh."""
-        return self.register(payload.uid)
-
-
 class InternedSlidingBloomFilter:
-    """:class:`SlidingBloomFilter` over a shared position cache.
+    """Duplicate detector with bounded memory and a sliding window.
 
-    Same sliding-generation scheme, same bitmaps, same counters and the
-    same false positives as the uid-keyed filter; the only difference is
-    that the blake2b digest per uid is computed once per deployment (in
-    the shared :class:`BloomPositionCache`) instead of per probe.
+    The blake2b digest per uid is computed once per deployment, in the
+    shared :class:`BloomPositionCache`, not once per probe.
     """
 
     __slots__ = ("num_bits", "num_hashes", "generation_size", "positions",

@@ -7,79 +7,23 @@ constant; when full, the oldest id is evicted, which means duplicate
 suppression is probabilistic — exactly the paper's "no actual guarantee of
 deliver-and-forward-once" behaviour.
 
-Two implementations share the interface:
-
-* :class:`RecentlySeenCache` — dict-backed, keyed by the raw (tuple) uid.
-* :class:`InternedSeenCache` — array-backed over a deployment-wide
-  :class:`repro.net.message.UidInterner`: membership is one byte-array
-  index, the FIFO window is a deque of dense ints. Behaviourally
-  identical (same freshness verdicts, same ``registered``/``hits``/
-  ``evictions`` counters — proven by property tests and the committed
-  scenario fingerprints) but O(1) without hashing structured uids, which is
-  what keeps the dedup probe flat at N=1000.
-
-The deployment builder selects the interned variant automatically when an
-interner is present (always, for gossip setups).
+The set is array-backed over a deployment-wide
+:class:`repro.net.message.UidInterner`: membership is one byte-array
+index, the FIFO window is a deque of dense ints — O(1) without hashing
+structured uids, which is what keeps the dedup probe flat at N=1000. The
+dict-backed, uid-keyed form it replaced is its reference model in
+``tests/gossip/reference_dedup.py``.
 """
 
 from collections import deque
 
 
-class _SeenCacheBase:
-    """Shared counter layout and the uid-keyed compatibility shim."""
-
-    __slots__ = ()
-
-    def register_payload(self, payload):
-        """Record ``payload``; returns True if it was not seen before.
-
-        Subclasses that can exploit the payload's interned dense id
-        override this; the base just delegates to :meth:`register`.
-        """
-        return self.register(payload.uid)
-
-
-class RecentlySeenCache(_SeenCacheBase):
-    """Bounded FIFO set of hashable message ids."""
-
-    __slots__ = ("capacity", "_entries", "registered", "hits", "evictions")
-
-    def __init__(self, capacity=100_000):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._entries = {}
-        self.registered = 0
-        self.hits = 0
-        self.evictions = 0
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __contains__(self, uid):
-        return uid in self._entries
-
-    def register(self, uid):
-        """Record ``uid``; returns True if it was not present (fresh)."""
-        entries = self._entries
-        if uid in entries:
-            self.hits += 1
-            return False
-        entries[uid] = None
-        self.registered += 1
-        if len(entries) > self.capacity:
-            # dicts preserve insertion order: the first key is the oldest.
-            entries.pop(next(iter(entries)))
-            self.evictions += 1
-        return True
-
-
-class InternedSeenCache(_SeenCacheBase):
-    """Array-backed :class:`RecentlySeenCache` over interned dense ids.
+class InternedSeenCache:
+    """Bounded FIFO set of message ids, over interned dense ids.
 
     Membership is ``present[iid]`` on a bytearray grown geometrically to
     the interner's size; the FIFO window is a deque of iids in insertion
-    order, so eviction order matches the dict implementation exactly.
+    order, so the oldest id is the one evicted.
     """
 
     __slots__ = ("capacity", "interner", "_present", "_order",

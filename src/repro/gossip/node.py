@@ -21,8 +21,9 @@ from collections import deque
 
 from repro.sim.actors import Actor
 from repro.sim.server import FifoServer, check_service_time
-from repro.gossip.cache import RecentlySeenCache
+from repro.gossip.cache import InternedSeenCache
 from repro.gossip.hooks import SemanticHooks
+from repro.net.message import UidInterner
 
 
 class GossipCosts:
@@ -317,7 +318,11 @@ class GossipNode(Actor):
             (classic gossip).
         cache:
             Duplicate detector (recently-seen cache or sliding Bloom
-            filter); defaults to a :class:`RecentlySeenCache`.
+            filter). Nodes that exchange payloads must build theirs over
+            one shared :class:`repro.net.message.UidInterner`, because a
+            payload carries a single interned id; the default, an
+            :class:`InternedSeenCache` over a private interner, suits a
+            node on its own.
         deliver:
             ``deliver(payload)`` callback into the application (consensus).
         cpu:
@@ -329,7 +334,7 @@ class GossipNode(Actor):
         self.costs = costs or GossipCosts()
         self.hooks = hooks or SemanticHooks()     # property: sets flags
         self.cache = (cache if cache is not None  # property: binds probe
-                      else RecentlySeenCache())
+                      else InternedSeenCache(interner=UidInterner()))
         self.deliver = deliver
         self.cpu = cpu or FifoServer(sim)
         #: Fire-and-forget CPU submission for the receive/broadcast hot
@@ -386,17 +391,10 @@ class GossipNode(Actor):
     @cache.setter
     def cache(self, cache):
         # Rebind the dedup probe on every swap: ``register_payload``
-        # interns the uid once and probes by dense id on array-backed
-        # caches; duck-typed caches exposing only ``register(uid)`` get a
-        # shim. The hot path always goes through ``self._register``.
+        # interns the uid once and probes by dense id. The hot path
+        # always goes through ``self._register``.
         self._cache = cache
-        register_payload = getattr(cache, "register_payload", None)
-        if register_payload is None:
-            register = cache.register
-
-            def register_payload(payload):
-                return register(payload.uid)
-        self._register = register_payload
+        self._register = cache.register_payload
 
     # -- wiring ----------------------------------------------------------
 

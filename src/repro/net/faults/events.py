@@ -34,7 +34,11 @@ that was already a member — so misconfigured plans fail loudly at config
 time instead of silently doing nothing mid-run.
 """
 
-from repro.net import regions as _regions
+from repro.net.regions import REGIONS
+
+#: Region count of the paper's built-in topology, the default that
+#: region-addressed events are validated against.
+NUM_REGIONS = len(REGIONS)
 
 
 def _check_probability(name, value):
@@ -50,6 +54,12 @@ def _check_process(name, value, n):
         raise ValueError("{} {} out of range for n={}".format(name, value, n))
 
 
+def _check_region(name, value, num_regions):
+    if not isinstance(value, int) or not 0 <= value < num_regions:
+        raise ValueError("{} {!r} is not a region index (< {})".format(
+            name, value, num_regions))
+
+
 class FaultEvent:
     """Base class: a declarative fault, applied by the engine."""
 
@@ -60,8 +70,9 @@ class FaultEvent:
         """Apply this event to a :class:`FaultEngine` (at its ``at`` time)."""
         raise NotImplementedError
 
-    def validate(self, n):
-        """Check parameters against system size ``n``; raises ValueError."""
+    def validate(self, n, num_regions=NUM_REGIONS):
+        """Check parameters against system size ``n`` and the topology's
+        region count; raises ValueError."""
 
     def describe(self):
         """Short human-readable parameter summary."""
@@ -86,7 +97,7 @@ class Partition(FaultEvent):
         if not self.groups:
             raise ValueError("a partition needs at least one group")
 
-    def validate(self, n):
+    def validate(self, n, num_regions=NUM_REGIONS):
         seen = set()
         for group in self.groups:
             for pid in group:
@@ -123,7 +134,7 @@ class LinkLoss(FaultEvent):
         self.dst = dst
         self.rate = rate
 
-    def validate(self, n):
+    def validate(self, n, num_regions=NUM_REGIONS):
         _check_process("src", self.src, n)
         _check_process("dst", self.dst, n)
         if self.src == self.dst:
@@ -190,13 +201,9 @@ class Degrade(FaultEvent):
         self.latency_factor = latency_factor
         self.extra_jitter_s = extra_jitter_s
 
-    def validate(self, n):
-        num_regions = len(_regions.REGIONS)
-        for name, region in (("region_a", self.region_a),
-                             ("region_b", self.region_b)):
-            if not isinstance(region, int) or not 0 <= region < num_regions:
-                raise ValueError("{} {!r} is not a region index (< {})".format(
-                    name, region, num_regions))
+    def validate(self, n, num_regions=NUM_REGIONS):
+        _check_region("region_a", self.region_a, num_regions)
+        _check_region("region_b", self.region_b, num_regions)
 
     def apply(self, engine):
         engine.degrade(self.region_a, self.region_b,
@@ -219,7 +226,7 @@ class GrayFailure(FaultEvent):
         self.process_id = process_id
         self.factor = factor
 
-    def validate(self, n):
+    def validate(self, n, num_regions=NUM_REGIONS):
         _check_process("process_id", self.process_id, n)
 
     def apply(self, engine):
@@ -240,7 +247,7 @@ class Crash(FaultEvent):
         self.process_id = process_id
         self.duration = duration
 
-    def validate(self, n):
+    def validate(self, n, num_regions=NUM_REGIONS):
         _check_process("process_id", self.process_id, n)
 
     def apply(self, engine):
@@ -261,11 +268,8 @@ class RegionOutage(FaultEvent):
         self.region = region
         self.duration = duration
 
-    def validate(self, n):
-        num_regions = len(_regions.REGIONS)
-        if not isinstance(self.region, int) or not 0 <= self.region < num_regions:
-            raise ValueError("region {!r} is not a region index (< {})".format(
-                self.region, num_regions))
+    def validate(self, n, num_regions=NUM_REGIONS):
+        _check_region("region", self.region, num_regions)
 
     def apply(self, engine):
         engine.region_outage(self.region, self.duration)
@@ -280,7 +284,7 @@ class MembershipEvent(FaultEvent):
     def __init__(self, process_id):
         self.process_id = process_id
 
-    def validate(self, n):
+    def validate(self, n, num_regions=NUM_REGIONS):
         _check_process("process_id", self.process_id, n)
 
     def describe(self):
@@ -413,8 +417,12 @@ class FaultPlan:
         normalized.sort(key=lambda entry: entry[0])
         self.entries = tuple(normalized)
 
-    def validate(self, n, membership=None):
+    def validate(self, n, membership=None, num_regions=NUM_REGIONS):
         """Validate the plan against system size ``n``; returns self.
+
+        ``num_regions`` is the region count of the topology the plan will
+        run on (the paper's 13 unless the config generates synthetic
+        regions); region-addressed events are checked against it.
 
         Beyond per-event parameter checks, the whole timeline is walked
         with membership tracked (``membership`` is the experiment's
@@ -423,7 +431,7 @@ class FaultPlan:
         members at the event's time raise ValueError.
         """
         for _, event in self.entries:
-            event.validate(n)
+            event.validate(n, num_regions)
         _validate_timeline(self.entries, n, membership)
         return self
 

@@ -21,7 +21,8 @@ class Payload:
     Subclasses must set ``uid`` (hashable, globally unique per logical
     message) and ``size_bytes``. ``iid`` is the interned dense id, filled
     lazily by the deployment's :class:`UidInterner` on first dedup probe;
-    ``None`` until then (and forever, in deployments without an interner).
+    ``None`` until then (and forever in the Baseline star, which has no
+    gossip layer and so nothing to deduplicate).
     """
 
     __slots__ = ("uid", "size_bytes", "iid")

@@ -71,12 +71,9 @@ def _gossip_n1000():
     exercising the interner, array-backed dedup and flat forward path on
     a thousand-node overlay. ``decided`` is 0 by design.
     """
-    config = _config("semantic", 4, n=1000, k=2, warmup=0.3, duration=0.05,
-                     drain=0.05, num_clients=1)
-    config.num_regions = 30
-    config.region_seed = 5
-    config.overlay_family = "powerlaw"
-    return config
+    return _config("semantic", 4, n=1000, k=2, warmup=0.3, duration=0.05,
+                   drain=0.05, num_clients=1, num_regions=30, region_seed=5,
+                   overlay_family="powerlaw")
 
 
 #: Large-N scenarios benchmarked (and baselined in BENCH_perf.json) like
@@ -149,7 +146,8 @@ def _degrade_jitter():
 #: The churn entries put the membership layer (heartbeats, dead reports,
 #: overlay repair, heartbeat-driven election) under the same race audit;
 #: ``degrade_jitter`` does the same for the link-jitter and chaos-jitter
-#: draws and for ``Degrade`` re-timing in-flight rounds.
+#: draws and for ``Degrade`` re-timing in-flight rounds; ``raft_semantic``
+#: is the one committed run of the Raft protocol and its semantic rules.
 REGRESSION_SCENARIOS = {
     "agg_heavy": lambda: _config("semantic", 300, n=27,
                                  enable_filtering=False,
@@ -157,4 +155,6 @@ REGRESSION_SCENARIOS = {
     "churn_smoke": _churn_smoke,
     "churn_leader": _churn_leader,
     "degrade_jitter": _degrade_jitter,
+    "raft_semantic": lambda: _config("semantic", 200, protocol="raft",
+                                     duration=0.4, drain=1.5),
 }

@@ -6,39 +6,25 @@ The defaults model the paper's environment at reduced duration; benchmarks
 override sizes, rates, and fault parameters per figure.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.analysis.fingerprint import OMIT_AT_DEFAULT
 from repro.gossip.node import GossipCosts
 from repro.membership.config import MembershipConfig
 from repro.net.channel import LinkConfig
 from repro.net.faults.events import FaultPlan
-from repro.net.overlay import default_k
+from repro.net.overlay import OVERLAY_FAMILIES, default_k
+from repro.net.regions import REGIONS
 
 #: The paper's three setups (§4.1).
 SETUPS = ("baseline", "gossip", "semantic")
-
-#: Extension knobs carried as plain class/instance attributes rather than
-#: dataclass fields. The report fingerprint canonicalises the config via
-#: ``dataclasses.fields``, so adding a *field* would change every committed
-#: fingerprint; class-level defaults keep existing configs byte-identical
-#: while factories for the large-N scenarios set instance attributes.
-#: :meth:`ExperimentConfig.replace` knows to carry them across copies.
-CONFIG_EXTENSIONS = ("num_regions", "region_seed", "overlay_family")
 
 
 @dataclass
 class ExperimentConfig:
     """All parameters of one experiment run."""
-
-    # -- extension knobs (see CONFIG_EXTENSIONS) -----------------------------
-    #: Number of synthetic regions (repro.net.regions.synthetic_regions);
-    #: None keeps the paper's 13 AWS regions.
-    num_regions = None
-    #: Seed of the synthetic-region placement stream.
-    region_seed = 0
-    #: Overlay wiring model: "kout" (paper §3.3) or "powerlaw".
-    overlay_family = "kout"
 
     # -- deployment ---------------------------------------------------------
     setup: str = "gossip"
@@ -98,6 +84,17 @@ class ExperimentConfig:
     cpu_queue_capacity: Optional[int] = None
     use_bloom_dedup: bool = False        # sliding Bloom filter instead of LRU cache
 
+    # -- beyond the paper's topology (the large-N scenarios) ----------------------
+    # Added after fingerprints were committed, hence OMIT_AT_DEFAULT: a
+    # config that leaves all three alone serialises as it always did.
+    #: Number of synthetic regions (repro.net.regions.synthetic_regions);
+    #: None keeps the paper's 13 AWS regions.
+    num_regions: Optional[int] = field(default=None, metadata=OMIT_AT_DEFAULT)
+    #: Seed of the synthetic-region placement stream.
+    region_seed: int = field(default=0, metadata=OMIT_AT_DEFAULT)
+    #: Overlay wiring model: "kout" (paper §3.3) or "powerlaw".
+    overlay_family: str = field(default="kout", metadata=OMIT_AT_DEFAULT)
+
     def __post_init__(self):
         if self.setup not in SETUPS:
             raise ValueError(
@@ -107,6 +104,24 @@ class ExperimentConfig:
             raise ValueError("Paxos needs at least 3 processes")
         if self.rate <= 0:
             raise ValueError("rate must be positive")
+        if not math.isfinite(self.duration) or self.duration <= 0:
+            raise ValueError(
+                "duration must be finite and positive, got {!r}".format(
+                    self.duration))
+        for name in ("warmup", "drain"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(
+                    "{} must be finite and non-negative, got {!r}".format(
+                        name, value))
+        if self.num_regions is not None and self.num_regions < 1:
+            raise ValueError(
+                "num_regions must be at least 1, got {!r}".format(
+                    self.num_regions))
+        if self.overlay_family not in OVERLAY_FAMILIES:
+            raise ValueError(
+                "unknown overlay_family {!r}; expected one of {}".format(
+                    self.overlay_family, OVERLAY_FAMILIES))
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError("loss_rate must be in [0, 1]")
         if self.gossip_strategy not in ("push", "pull", "push-pull"):
@@ -137,7 +152,10 @@ class ExperimentConfig:
         # Normalizing rejects malformed timelines (bad entry shapes, events
         # referencing unknown processes/regions, churn aimed at processes
         # that are not members at the event's time) at config time.
-        FaultPlan(self.faults).validate(self.n, membership=self.membership)
+        FaultPlan(self.faults).validate(
+            self.n, membership=self.membership,
+            num_regions=(len(REGIONS) if self.num_regions is None
+                         else self.num_regions))
 
     def _validate_membership(self):
         if self.membership is None:
@@ -218,8 +236,6 @@ class ExperimentConfig:
     @property
     def effective_num_clients(self):
         """One client per region, capped by the number of processes."""
-        from repro.net.regions import REGIONS
-
         if self.num_clients is not None:
             return min(self.num_clients, self.n)
         return min(len(REGIONS), self.n)
@@ -240,20 +256,5 @@ class ExperimentConfig:
         return self.n // 2 + 1
 
     def replace(self, **overrides):
-        """Return a copy with the given fields overridden.
-
-        Extension knobs (:data:`CONFIG_EXTENSIONS`) are carried over from
-        ``self`` and may be overridden here just like dataclass fields,
-        even though ``dataclasses.replace`` knows nothing about them.
-        """
-        from dataclasses import replace as _replace
-
-        extras = {name: overrides.pop(name) for name in CONFIG_EXTENSIONS
-                  if name in overrides}
-        copy = _replace(self, **overrides)
-        for name in CONFIG_EXTENSIONS:
-            if name in self.__dict__:
-                setattr(copy, name, self.__dict__[name])
-        for name, value in extras.items():
-            setattr(copy, name, value)
-        return copy
+        """Return a copy with the given fields overridden."""
+        return replace(self, **overrides)

@@ -33,7 +33,7 @@ from repro.runtime.client import Client
 from repro.runtime.communicators import BaselineCommunicator, GossipCommunicator
 from repro.runtime.crashes import CrashController, CrashSchedule
 from repro.runtime.direct import DirectNode
-from repro.runtime.metrics import MetricsCollector, StreamingMetricsCollector
+from repro.runtime.metrics import MetricsCollector
 from repro.sim.kernel import Simulator
 from repro.sim.random import make_stream
 
@@ -111,8 +111,7 @@ def _dedup_factory(config, interner):
     """Per-node dedup constructor over the deployment-wide interner.
 
     Both variants are array-backed: dedup probes index by interned dense
-    id instead of hashing structured uids (A/B-proven equivalent to the
-    uid-keyed ``RecentlySeenCache``/``SlidingBloomFilter``).
+    id instead of hashing structured uids.
     """
     if config.use_bloom_dedup:
         positions = BloomPositionCache(
@@ -126,23 +125,7 @@ def _dedup_factory(config, interner):
     return make
 
 
-def _make_collector(config, metrics):
-    """Resolve the ``metrics`` knob into a collector instance."""
-    if metrics is None:
-        return MetricsCollector()
-    if metrics == "streaming":
-        return StreamingMetricsCollector(
-            window_start=config.warmup,
-            window_end=config.warmup + config.duration,
-        )
-    if hasattr(metrics, "record_submit"):
-        return metrics
-    raise ValueError(
-        "metrics must be None, 'streaming' or a collector instance, "
-        "got {!r}".format(metrics))
-
-
-def build_deployment(config, auditor=None, obs=None, metrics=None):
+def build_deployment(config, auditor=None, obs=None):
     """Construct the simulated system described by ``config``.
 
     ``auditor`` (a :class:`repro.checks.auditor.RaceAuditor`) arms the
@@ -155,13 +138,6 @@ def build_deployment(config, auditor=None, obs=None, metrics=None):
     :meth:`Deployment.start`. Deliberately *not* an ``ExperimentConfig``
     field — the config is fingerprinted, and tracing must never change
     what a run reports.
-
-    ``metrics`` selects the collector: ``None`` (default) for the
-    record-backed :class:`MetricsCollector`, ``"streaming"`` for the
-    constant-memory :class:`StreamingMetricsCollector`, or a pre-built
-    collector instance. Off-config for the same reason as ``obs`` — the
-    choice shapes the *report*, never the run; simulated timelines are
-    identical either way.
     """
     n = config.n
     sim = Simulator(config.seed, auditor=auditor)
@@ -170,7 +146,7 @@ def build_deployment(config, auditor=None, obs=None, metrics=None):
     else:
         topology = Topology(n, matrix_ms=synthetic_regions(
             config.num_regions, config.region_seed))
-    collector = _make_collector(config, metrics)
+    collector = MetricsCollector()
     loss_injector = (
         ReceiverLossInjector(sim, config.loss_rate) if config.loss_rate > 0 else None
     )

@@ -10,6 +10,9 @@ aggregation savings).
 """
 
 import math
+from dataclasses import dataclass, field
+
+from repro.analysis.fingerprint import OMIT_AT_DEFAULT
 
 
 class _ValueRecord:
@@ -24,14 +27,9 @@ class _ValueRecord:
 class MetricsCollector:
     """Per-run event recorder, fed by clients.
 
-    The default, *record-backed* collector: one :class:`_ValueRecord` per
-    submitted value, kept for the whole run. Every committed fingerprint
-    is produced by this mode. :class:`StreamingMetricsCollector` is the
-    opt-in constant-memory alternative for large-N runs.
+    One :class:`_ValueRecord` per submitted value, kept for the whole
+    run.
     """
-
-    #: Discriminator read by :func:`build_report`.
-    streaming = False
 
     def __init__(self):
         self._records = {}
@@ -93,227 +91,51 @@ def percentile(sorted_xs, p):
     return min(max(value, sorted_xs[low]), sorted_xs[high])
 
 
-class StreamingStat:
-    """Constant-memory count/sum/min/max accumulator."""
-
-    __slots__ = ("count", "sum", "min", "max")
-
-    def __init__(self):
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, x):
-        self.count += 1
-        self.sum += x
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-
-    @property
-    def mean(self):
-        return self.sum / self.count if self.count else 0.0
-
-
-class LatencyAccumulator:
-    """Fixed-bin latency histogram with order-statistic percentile bounds.
-
-    Memory is ``num_bins`` ints regardless of sample count. Percentiles
-    are recovered by locating the bin holding the requested order
-    statistic: the estimate is the interpolated bin midpoint, so it is
-    within ``bin_width_s`` of the exact (sorted-data) percentile whenever
-    the two bracketing order statistics fall in the same or adjacent bins
-    — always true at realistic sample densities, and asserted by the
-    bracketing tests against exact record-backed percentiles. Samples
-    beyond the histogram range land in an overflow bucket bounded by the
-    observed maximum.
-    """
-
-    __slots__ = ("bin_width_s", "_bins", "_range_top",
-                 "_overflow", "stat")
-
-    def __init__(self, bin_width_s=0.001, num_bins=5000):
-        self.bin_width_s = bin_width_s
-        self._bins = [0] * num_bins
-        self._range_top = bin_width_s * num_bins
-        self._overflow = 0
-        self.stat = StreamingStat()
-
-    def add(self, latency_s):
-        self.stat.add(latency_s)
-        index = int(latency_s / self.bin_width_s)
-        if index < len(self._bins):
-            self._bins[index] += 1
-        else:
-            self._overflow += 1
-
-    @property
-    def count(self):
-        return self.stat.count
-
-    def _order_stat_bounds(self, k):
-        """(lo, hi) bounds on the k-th smallest sample, k in [0, count)."""
-        cumulative = 0
-        for i, c in enumerate(self._bins):
-            if not c:
-                continue
-            cumulative += c
-            if k < cumulative:
-                width = self.bin_width_s
-                return (i * width, (i + 1) * width)
-        return (self._range_top, self.stat.max)
-
-    def percentile_s(self, p):
-        """Histogram percentile estimate, p in [0, 100]."""
-        count = self.stat.count
-        if count == 0:
-            return 0.0
-        if count == 1:
-            return self.stat.min
-        rank = (p / 100.0) * (count - 1)
-        low = int(math.floor(rank))
-        high = min(low + 1, count - 1)
-        frac = rank - low
-        lo1, hi1 = self._order_stat_bounds(low)
-        lo2, hi2 = self._order_stat_bounds(high) if high != low else (lo1, hi1)
-        value = ((lo1 + hi1) / 2.0) * (1 - frac) + ((lo2 + hi2) / 2.0) * frac
-        # Clamp to the observed data range (mirrors percentile()).
-        return min(max(value, self.stat.min), self.stat.max)
-
-    def cdf(self, points=100):
-        """(latency_s, cumulative_fraction) pairs from bin upper edges."""
-        count = self.stat.count
-        if count == 0:
-            return []
-        pairs = []
-        cumulative = 0
-        width = self.bin_width_s
-        for i, c in enumerate(self._bins):
-            if not c:
-                continue
-            cumulative += c
-            pairs.append((min((i + 1) * width, self.stat.max),
-                          cumulative / count))
-        if self._overflow:
-            pairs.append((self.stat.max, 1.0))
-        step = max(1, len(pairs) // points)
-        sampled = pairs[::step]
-        if sampled[-1] is not pairs[-1]:
-            sampled.append(pairs[-1])
-        return sampled
-
-
-class StreamingMetricsCollector:
-    """Constant-memory collector for large-N runs (opt-in).
-
-    Keeps only the in-flight submissions (value id -> record) plus
-    streaming aggregates; a record is popped and folded into the
-    accumulators the moment its decision arrives, so resident size tracks
-    the number of *undecided* values instead of every value ever
-    submitted. Selected with ``metrics="streaming"`` on
-    :func:`repro.runtime.runner.run_experiment` — deliberately not an
-    ``ExperimentConfig`` field, since reports built from this collector
-    are summaries and are not fingerprint-comparable with record-backed
-    reports.
-
-    Because decided records are dropped, a repeat decision notification
-    is indistinguishable from a decision for a never-submitted value;
-    both are counted as ``decisions_unknown`` (the record-backed mode
-    separates them — use it when diagnosing harness anomalies).
-    """
-
-    streaming = True
-
-    def __init__(self, window_start, window_end,
-                 bin_width_s=0.001, num_bins=5000):
-        self.window_start = window_start
-        self.window_end = window_end
-        self._inflight = {}
-        self.submitted = 0
-        self.decided = 0
-        self.decided_in_window = 0
-        self.latency = LatencyAccumulator(bin_width_s, num_bins)
-        self.per_client = {}
-        self.decisions_unknown = 0
-        #: Always zero in streaming mode (merged into unknown, see above);
-        #: present so report assembly can read both counters uniformly.
-        self.decisions_duplicate = 0
-
-    def record_submit(self, value_id, client_id, now):
-        self._inflight[value_id] = _ValueRecord(client_id, now)
-        self.submitted += 1
-
-    def record_decided(self, value_id, now):
-        record = self._inflight.pop(value_id, None)
-        if record is None:
-            self.decisions_unknown += 1
-            return
-        self.decided += 1
-        submitted_at = record.submitted_at
-        if self.window_start <= submitted_at <= self.window_end:
-            latency = now - submitted_at
-            self.latency.add(latency)
-            client_stat = self.per_client.get(record.client_id)
-            if client_stat is None:
-                client_stat = self.per_client[record.client_id] = StreamingStat()
-            client_stat.add(latency)
-        if self.window_start <= now <= self.window_end:
-            self.decided_in_window += 1
-
-    def inflight(self):
-        """Number of submitted-but-undecided values currently tracked."""
-        return len(self._inflight)
-
-
+@dataclass
 class MessageStats:
     """Substrate-level counters aggregated across processes."""
 
+    received_total: int = 0
+    received_regular_mean: float = 0.0   # mean over non-coordinator processes
+    received_coordinator: int = 0
+    duplicates: int = 0
+    delivered: int = 0
+    filtered: int = 0
+    aggregated_saved: int = 0
+    disaggregated: int = 0
+    send_queue_drops: int = 0
+    loss_injected: int = 0
+    loss_examined: int = 0               # arrivals the loss hook inspected
+    retransmissions: int = 0             # coordinator timeout re-issues
+    #: Subset of retransmissions issued by coordinators/leaders born
+    #: from takeover or election (the rest are loss-triggered; see the
+    #: retransmissions_loss property).
+    retransmissions_election: int = 0
+    #: In-flight values re-proposed by takeover/elected coordinators.
+    reproposals_election: int = 0
+    #: Membership-layer counters (empty without membership configured).
+    membership: dict = field(default_factory=dict)
+    cpu_utilization_mean: float = 0.0    # mean per-process CPU busy frac.
+    cpu_utilization_max: float = 0.0     # the busiest process
+    # -- link-level aggregates (sum over every directed link) ---------------
+    link_sent: int = 0
+    link_delivered: int = 0
+    link_dropped_queue: int = 0
+    link_dropped_loss: int = 0
+    link_bytes_sent: int = 0
+    # -- fault engine attribution (zero / empty without a fault plan) -------
+    fault_injections: dict = field(default_factory=dict)  # kind -> applied
+    fault_partition_drops: int = 0
+    fault_link_loss_drops: int = 0
+    fault_burst_drops: int = 0
+    #: [(started_at, healed_at|None)]
+    partition_windows: list = field(default_factory=list)
     #: Decision notifications for unknown / already-decided value ids (see
-    #: MetricsCollector). Class-level defaults: the report fingerprint
-    #: canonicalises instances by ``__dict__``, so these only become
-    #: instance attributes when nonzero — committed fingerprints of clean
-    #: runs are unaffected, while any nonzero count changes the
-    #: fingerprint loudly (as a harness bug should).
-    decisions_unknown = 0
-    decisions_duplicate = 0
-
-    def __init__(self):
-        self.received_total = 0
-        self.received_regular_mean = 0.0   # mean over non-coordinator processes
-        self.received_coordinator = 0
-        self.duplicates = 0
-        self.delivered = 0
-        self.filtered = 0
-        self.aggregated_saved = 0
-        self.disaggregated = 0
-        self.send_queue_drops = 0
-        self.loss_injected = 0
-        self.loss_examined = 0             # arrivals the loss hook inspected
-        self.retransmissions = 0           # coordinator timeout re-issues
-        #: Subset of retransmissions issued by coordinators/leaders born
-        #: from takeover or election (the rest are loss-triggered; see the
-        #: retransmissions_loss property).
-        self.retransmissions_election = 0
-        #: In-flight values re-proposed by takeover/elected coordinators.
-        self.reproposals_election = 0
-        #: Membership-layer counters (empty without membership configured).
-        self.membership = {}
-        self.cpu_utilization_mean = 0.0    # mean per-process CPU busy frac.
-        self.cpu_utilization_max = 0.0     # the busiest process
-        # -- link-level aggregates (sum over every directed link) -----------
-        self.link_sent = 0
-        self.link_delivered = 0
-        self.link_dropped_queue = 0
-        self.link_dropped_loss = 0
-        self.link_bytes_sent = 0
-        # -- fault engine attribution (zero / empty without a fault plan) ---
-        self.fault_injections = {}         # fault kind -> events applied
-        self.fault_partition_drops = 0
-        self.fault_link_loss_drops = 0
-        self.fault_burst_drops = 0
-        self.partition_windows = []        # [(started_at, healed_at|None)]
+    #: MetricsCollector). Zero on every clean run and then absent from the
+    #: fingerprint; any nonzero count changes it loudly, as a harness bug
+    #: should.
+    decisions_unknown: int = field(default=0, metadata=OMIT_AT_DEFAULT)
+    decisions_duplicate: int = field(default=0, metadata=OMIT_AT_DEFAULT)
 
     @property
     def retransmissions_loss(self):
@@ -337,9 +159,6 @@ class MessageStats:
 
 class MetricsReport:
     """Everything a bench needs from one experiment run."""
-
-    #: Discriminator mirroring the collector that fed the report.
-    streaming = False
 
     #: Set on traced runs only (repro.obs): the per-phase latency
     #: decomposition and the timeline sampler's buckets. Class-level
@@ -441,68 +260,13 @@ class MetricsReport:
         )
 
 
-class StreamingMetricsReport(MetricsReport):
-    """Report assembled from a :class:`StreamingMetricsCollector`.
-
-    Latency statistics come from the fixed-bin accumulator instead of the
-    raw sample list: percentiles are histogram estimates (see
-    :class:`LatencyAccumulator` for the error bound), the mean and
-    extremes are exact, and the standard deviation is unavailable (0.0).
-    ``latencies_s`` is empty and ``per_client_latencies_s`` maps client id
-    to a :class:`StreamingStat` rather than a list.
-    """
-
-    streaming = True
-
-    def __init__(self, config, latency_accumulator, per_client_stats,
-                 submitted, decided, decided_in_window, message_stats,
-                 decided_by_majority, decided_by_message):
-        MetricsReport.__init__(
-            self, config, latencies_s=[],
-            per_client_latencies_s=per_client_stats,
-            submitted=submitted, decided=decided,
-            decided_in_window=decided_in_window,
-            message_stats=message_stats,
-            decided_by_majority=decided_by_majority,
-            decided_by_message=decided_by_message,
-        )
-        self.latency = latency_accumulator
-
-    @property
-    def avg_latency_s(self):
-        return self.latency.stat.mean
-
-    @property
-    def latency_stddev_s(self):
-        # Not tracked by the streaming accumulator.
-        return 0.0
-
-    def latency_percentile_s(self, p):
-        return self.latency.percentile_s(p)
-
-    @property
-    def min_latency_s(self):
-        return self.latency.stat.min if self.latency.count else 0.0
-
-    @property
-    def max_latency_s(self):
-        return self.latency.stat.max if self.latency.count else 0.0
-
-    def latency_cdf(self, points=100):
-        return self.latency.cdf(points)
-
-
 def _collect_message_stats(deployment):
-    """Substrate counters shared by both report modes."""
+    """Substrate counters of a finished deployment."""
     config = deployment.config
     stats = MessageStats()
     collector = deployment.collector
-    # Only materialise the anomaly counters when nonzero (see the class
-    # attribute comment on MessageStats).
-    if collector.decisions_unknown:
-        stats.decisions_unknown = collector.decisions_unknown
-    if collector.decisions_duplicate:
-        stats.decisions_duplicate = collector.decisions_duplicate
+    stats.decisions_unknown = collector.decisions_unknown
+    stats.decisions_duplicate = collector.decisions_duplicate
     regular_received = []
     for node in deployment.nodes:
         node_stats = node.stats
@@ -588,31 +352,12 @@ def _decision_mode_counts(deployment):
 
 
 def build_report(deployment):
-    """Aggregate a finished deployment's raw data into a report.
-
-    Record-backed collectors (the default) produce a
-    :class:`MetricsReport` with exact sorted-sample latency statistics —
-    the only mode whose reports are fingerprinted. A
-    :class:`StreamingMetricsCollector` produces a
-    :class:`StreamingMetricsReport` from its accumulators instead.
-    """
+    """Aggregate a finished deployment's raw data into a
+    :class:`MetricsReport` with exact sorted-sample latency statistics."""
     config = deployment.config
     collector = deployment.collector
     stats = _collect_message_stats(deployment)
     decided_by_majority, decided_by_message = _decision_mode_counts(deployment)
-
-    if collector.streaming:
-        return StreamingMetricsReport(
-            config=config,
-            latency_accumulator=collector.latency,
-            per_client_stats=collector.per_client,
-            submitted=collector.submitted,
-            decided=collector.decided,
-            decided_in_window=collector.decided_in_window,
-            message_stats=stats,
-            decided_by_majority=decided_by_majority,
-            decided_by_message=decided_by_message,
-        )
 
     window_start = config.warmup
     window_end = config.warmup + config.duration

@@ -4,9 +4,8 @@ from repro.runtime.deployment import build_deployment
 from repro.runtime.metrics import build_report
 
 
-def _execute(config, monitor, auditor=None, obs=None, metrics=None):
-    deployment = build_deployment(config, auditor=auditor, obs=obs,
-                                  metrics=metrics)
+def _execute(config, monitor, auditor=None, obs=None):
+    deployment = build_deployment(config, auditor=auditor, obs=obs)
     if monitor is not None:
         # Armed before start so the monitor observes every message of the
         # run, including the coordinator's t=0 Phase 1a.
@@ -30,8 +29,7 @@ def _finish_report(deployment):
     return report
 
 
-def run_experiment(config, monitor=None, auditor=None, obs=None,
-                   metrics=None):
+def run_experiment(config, monitor=None, auditor=None, obs=None):
     """Build, run and measure one experiment; returns a MetricsReport.
 
     Parameters
@@ -51,23 +49,16 @@ def run_experiment(config, monitor=None, auditor=None, obs=None,
         carries ``phases`` (per-phase latency decomposition) and
         ``timeline`` (the sampler's buckets). Never changes what the run
         computes or reports.
-    metrics:
-        Collector selection (see :func:`build_deployment`): ``None`` for
-        the default record-backed collector, ``"streaming"`` for the
-        constant-memory accumulator mode used by large-N benches. The
-        simulated run is identical in both modes; only the report's
-        latency representation differs.
     """
-    return _finish_report(_execute(config, monitor, auditor, obs, metrics))
+    return _finish_report(_execute(config, monitor, auditor, obs))
 
 
-def run_deployment(config, monitor=None, auditor=None, obs=None,
-                   metrics=None):
+def run_deployment(config, monitor=None, auditor=None, obs=None):
     """Like :func:`run_experiment` but returns the finished deployment too.
 
     Useful for tests and analyses that need to inspect internal state
     (per-node caches, learner counters, link statistics, the ``obs``
     tracer of a traced run).
     """
-    deployment = _execute(config, monitor, auditor, obs, metrics)
+    deployment = _execute(config, monitor, auditor, obs)
     return deployment, _finish_report(deployment)

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.gossip.cache import RecentlySeenCache
+from repro.gossip.cache import InternedSeenCache
 from repro.gossip.hooks import SemanticHooks
 from repro.gossip.node import GossipCosts, GossipNode
 from repro.net.channel import DirectedLink, LinkConfig
-from repro.net.message import Payload, RawPayload
+from repro.net.message import Payload, RawPayload, UidInterner
 from repro.net.transport import Transport
 from repro.sim.kernel import Simulator
 
@@ -29,10 +29,11 @@ def build_mesh(sim, adjacency, hooks_factory=None, costs=None,
                     sim, b, a, 0.001, link_config, transports[a].deliver,
                     loss_hook))
     nodes = []
+    interner = UidInterner()     # one per mesh: payloads carry one iid
     for i in range(n):
         hooks = hooks_factory(i) if hooks_factory else None
         node = GossipNode(sim, i, transports[i], costs=costs, hooks=hooks,
-                          cache=RecentlySeenCache(1000))
+                          cache=InternedSeenCache(1000, interner))
         if deliveries is not None:
             node.deliver = lambda p, i=i: deliveries[i].append(p.uid)
         nodes.append(node)

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.gossip.cache import RecentlySeenCache
+from repro.gossip.cache import InternedSeenCache
 from repro.gossip.hooks import SemanticHooks
 from repro.net.channel import LinkConfig
-from repro.net.message import Payload, RawPayload
+from repro.net.message import Payload, RawPayload, UidInterner
 from tests.gossip.test_node import LINE, build_mesh
 
 
@@ -66,8 +66,9 @@ def test_tiny_cache_causes_refording_not_deadlock(sim):
     line topology where forwarding never returns to the origin peer)."""
     deliveries = [[] for _ in range(4)]
     nodes = build_mesh(sim, LINE, deliveries=deliveries)
+    interner = UidInterner()
     for node in nodes:
-        node.cache = RecentlySeenCache(1)
+        node.cache = InternedSeenCache(1, interner)
     nodes[0].broadcast(RawPayload("m1", 10))
     nodes[0].broadcast(RawPayload("m2", 10))
     executed = sim.run(max_events=100_000)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gossip.cache import RecentlySeenCache
+from repro.gossip.cache import InternedSeenCache
 from repro.gossip.node import GossipCosts
 from repro.gossip.strategies import (
     MessageStore,
@@ -12,7 +12,7 @@ from repro.gossip.strategies import (
     PushPullGossipNode,
 )
 from repro.net.channel import DirectedLink, LinkConfig
-from repro.net.message import RawPayload
+from repro.net.message import RawPayload, UidInterner
 from repro.net.transport import Transport
 
 
@@ -33,9 +33,11 @@ def build_mesh(sim, adjacency, node_class, deliveries=None, loss_hook=None,
                     sim, b, a, 0.001, link_config, transports[a].deliver,
                     loss_hook))
     nodes = []
+    interner = UidInterner()     # one per mesh: payloads carry one iid
     for i in range(n):
         node = node_class(sim, i, transports[i], costs=costs,
-                          cache=RecentlySeenCache(10_000), **node_kwargs)
+                          cache=InternedSeenCache(10_000, interner),
+                          **node_kwargs)
         if deliveries is not None:
             node.deliver = lambda p, i=i: deliveries[i].append(p.uid)
         nodes.append(node)

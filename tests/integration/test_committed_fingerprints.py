@@ -9,7 +9,8 @@ that still carried the event-per-job server deployments and the binary-heap
 queue, where the A/B suite proved them equal on all four combinations —
 except ``degrade_jitter``, captured at the commit that made every link hop
 a single event with jitter drawn when the arrival is committed (jittered
-runs have no older bits to hold on to).
+runs have no older bits to hold on to) — and ``raft_semantic``, captured at
+the last commit where Raft had its own copy of the vote-merging rule.
 """
 
 import json
@@ -34,6 +35,8 @@ REGRESSION_FINGERPRINTS = {
         "0812e07183daf648601c9bcd83b306b7ee2187de06514f67a35d0f9c600c3147",
     "degrade_jitter":
         "7f20b6bf7030f1e002a2b7f02af48f3ec4bb00de15a2e869c8e4b3986756e63c",
+    "raft_semantic":
+        "453a43590ee3132d8ac11b16c5bc900248f55490343e6d33cfa64175a8e4882c",
 }
 
 

@@ -1,6 +1,8 @@
 """Property tests for the uid interner and the array-backed dedup caches.
 
-The flat-state hot path rests on two behavioural-equivalence claims:
+The flat-state hot path rests on two behavioural-equivalence claims
+against the uid-keyed reference models of
+``tests/gossip/reference_dedup.py``:
 
 * :class:`InternedSeenCache` is indistinguishable from
   :class:`RecentlySeenCache` — same freshness verdicts, same
@@ -10,20 +12,17 @@ The flat-state hot path rests on two behavioural-equivalence claims:
   :class:`SlidingBloomFilter` — including false positives, since both
   derive bit positions from the same blake2b digest.
 
-These properties are what lets the deployment builder swap the array
-variants in without disturbing a single committed fingerprint.
+These properties are what let the array forms replace the uid-keyed ones
+without disturbing a single committed fingerprint.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gossip.bloom import (
-    BloomPositionCache,
-    InternedSlidingBloomFilter,
-    SlidingBloomFilter,
-)
-from repro.gossip.cache import InternedSeenCache, RecentlySeenCache
+from repro.gossip.bloom import BloomPositionCache, InternedSlidingBloomFilter
+from repro.gossip.cache import InternedSeenCache
 from repro.net.message import Payload, UidInterner
+from tests.gossip.reference_dedup import RecentlySeenCache, SlidingBloomFilter
 
 #: Structured uids like the gossip layer's (kind, sender, counter) tuples,
 #: drawn from a small space so traces revisit uids (duplicates, eviction

@@ -5,7 +5,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gossip.cache import RecentlySeenCache
+from repro.gossip.cache import InternedSeenCache
+from repro.net.message import UidInterner
 from repro.net.overlay import generate_overlay
 from repro.paxos.log import DecisionLog
 from repro.runtime.metrics import percentile
@@ -18,7 +19,7 @@ from repro.sim.kernel import Simulator
 )
 @settings(max_examples=100, deadline=None)
 def test_cache_size_never_exceeds_capacity(uids, capacity):
-    cache = RecentlySeenCache(capacity)
+    cache = InternedSeenCache(capacity, UidInterner())
     for uid in uids:
         cache.register(uid)
         assert len(cache) <= capacity
@@ -28,7 +29,7 @@ def test_cache_size_never_exceeds_capacity(uids, capacity):
 @settings(max_examples=100, deadline=None)
 def test_cache_no_false_duplicates(uids):
     """register() returns False only for a uid registered before."""
-    cache = RecentlySeenCache(1000)  # large: no evictions
+    cache = InternedSeenCache(1000, UidInterner())  # large: no evictions
     seen = set()
     for uid in uids:
         fresh = cache.register(uid)

@@ -1,10 +1,6 @@
 """Tests for the Raft semantic rules (filtering + aggregation)."""
 
-from repro.core.raft_semantics import (
-    RaftAggregator,
-    RaftSemanticFilter,
-    RaftSemantics,
-)
+from repro.core.raft_semantics import RaftSemanticFilter, RaftSemantics
 from repro.paxos.messages import Value
 from repro.raft.messages import (
     AggregatedAck,
@@ -17,6 +13,11 @@ from repro.raft.messages import (
 
 def _ack(index, sender, term=1):
     return AppendAck(term, index, sender)
+
+
+def _aggregator():
+    """The one SemanticAggregator, as Raft deployments configure it."""
+    return RaftSemantics(5).aggregator
 
 
 def _entry(index, term=1):
@@ -70,31 +71,31 @@ class TestFilter:
 
 class TestAggregator:
     def test_identical_acks_merge(self):
-        agg = RaftAggregator()
+        agg = _aggregator()
         result = agg.aggregate([_ack(1, 0), _ack(1, 1), _ack(1, 2)], 5)
         assert len(result) == 1
         assert result[0].senders == {0, 1, 2}
-        assert agg.acks_absorbed == 2
+        assert agg.votes_absorbed == 2
 
     def test_different_indices_not_merged(self):
-        agg = RaftAggregator()
+        agg = _aggregator()
         assert len(agg.aggregate([_ack(1, 0), _ack(2, 0)], 5)) == 2
 
     def test_nested_aggregates_merge(self):
-        agg = RaftAggregator()
+        agg = _aggregator()
         existing = AggregatedAck(1, 1, senders={0, 1})
         (merged,) = agg.aggregate([existing, _ack(1, 2)], 5)
         assert merged.senders == {0, 1, 2}
 
     def test_roundtrip(self):
-        agg = RaftAggregator()
+        agg = _aggregator()
         (merged,) = agg.aggregate([_ack(4, s) for s in (2, 0, 1)], 5)
         restored = agg.disaggregate(merged)
         assert {(m.term, m.index, m.sender) for m in restored} == {
             (1, 4, 0), (1, 4, 1), (1, 4, 2)}
 
     def test_non_acks_untouched(self):
-        agg = RaftAggregator()
+        agg = _aggregator()
         notice = CommitNotice(1, 1)
         result = agg.aggregate([notice, _ack(1, 0), _ack(1, 1)], 5)
         assert notice in result

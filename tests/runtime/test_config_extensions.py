@@ -1,47 +1,89 @@
-"""Extension knobs: class-attribute defaults, replace(), synthetic regions."""
+"""Topology knobs beyond the paper: fingerprint rule, replace(),
+validation, synthetic regions."""
+
+from dataclasses import fields
 
 import pytest
 
+from repro.analysis.fingerprint import _canonical
+from repro.net.faults.events import Degrade, RegionOutage
 from repro.net.regions import (
     INTRA_REGION_LATENCY_MS,
+    REGIONS,
     TABLE1_LATENCY_MS,
     synthetic_regions,
 )
 from repro.net.topology import Topology
-from repro.runtime.config import CONFIG_EXTENSIONS, ExperimentConfig
+from repro.runtime.config import ExperimentConfig
+
+KNOBS = dict(num_regions=30, region_seed=5, overlay_family="powerlaw")
 
 
-def test_extension_defaults_are_not_dataclass_fields():
-    """The fingerprint walks dataclass *fields*; extension knobs must stay
-    class attributes so default-valued configs fingerprint unchanged."""
-    from dataclasses import fields
-
-    field_names = {f.name for f in fields(ExperimentConfig)}
-    for name in CONFIG_EXTENSIONS:
-        assert name not in field_names
+def test_extension_knobs_are_marked_dataclass_fields():
+    """The three knobs are ordinary fields, so validation and replace()
+    see them; they are serialised only off their defaults, so configs
+    that predate them fingerprint unchanged."""
     config = ExperimentConfig()
     assert config.num_regions is None
     assert config.region_seed == 0
     assert config.overlay_family == "kout"
-    for name in CONFIG_EXTENSIONS:
-        assert name not in vars(config)
+    reference = _canonical(config)
+    # At their defaults, these three and no other field are left out.
+    assert ({f.name for f in fields(ExperimentConfig)} - set(reference)
+            == set(KNOBS))
+    # A non-default value adds exactly its own key.
+    for name, value in KNOBS.items():
+        assert _canonical(ExperimentConfig(**{name: value})) == dict(
+            reference, **{name: value})
 
 
 def test_replace_carries_extension_attrs():
-    config = ExperimentConfig(n=27)
-    config.num_regions = 30
-    config.overlay_family = "powerlaw"
+    config = ExperimentConfig(n=27, num_regions=30, overlay_family="powerlaw")
     copy = config.replace(rate=100.0)
     assert copy.rate == 100.0
     assert copy.num_regions == 30
     assert copy.overlay_family == "powerlaw"
-    # And they are overridable through replace() like real fields.
+    # And they are overridable through replace() like every other field.
     other = config.replace(num_regions=7, overlay_family="kout", n=13)
     assert other.n == 13
     assert other.num_regions == 7
     assert other.overlay_family == "kout"
     # The original is untouched.
     assert config.num_regions == 30
+    # Keyword construction and replace() agree on all three.
+    assert (_canonical(ExperimentConfig().replace(**KNOBS))
+            == _canonical(ExperimentConfig(**KNOBS)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("duration", 0.0), ("duration", -1.0), ("duration", float("inf")),
+    ("warmup", -0.5), ("warmup", float("nan")),
+    ("drain", float("nan")), ("drain", -1.0),
+    ("num_regions", 0), ("overlay_family", "bogus"),
+])
+def test_bad_value_is_rejected_at_config_time(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig().replace(**{field: value})
+
+
+def test_zero_warmup_and_drain_stay_legal():
+    config = ExperimentConfig(warmup=0.0, drain=0.0)
+    assert config.end_of_run == config.duration
+
+
+def test_fault_plan_regions_follow_the_configured_region_count():
+    beyond_builtin = len(REGIONS) + 7
+    ExperimentConfig(n=40, num_regions=30,
+                     faults=[(0.5, Degrade(0, beyond_builtin)),
+                             (0.6, RegionOutage(beyond_builtin))])
+    for event in (Degrade(0, 7), RegionOutage(7)):
+        ExperimentConfig(faults=[(0.5, event)])     # 13 built-in regions
+        with pytest.raises(ValueError, match="region"):
+            ExperimentConfig(num_regions=5, faults=[(0.5, event)])
+    with pytest.raises(ValueError, match="region"):
+        ExperimentConfig(faults=[(0.5, RegionOutage(beyond_builtin))])
 
 
 def test_synthetic_regions_matrix_shape_and_anchoring():
@@ -93,10 +135,8 @@ def test_builtin_topology_region_names_unchanged():
 def test_deployment_uses_synthetic_topology():
     from repro.runtime.deployment import build_deployment
 
-    config = ExperimentConfig(n=20, rate=20.0)
-    config.num_regions = 5
-    config.region_seed = 2
-    config.overlay_family = "powerlaw"
+    config = ExperimentConfig(n=20, rate=20.0, num_regions=5, region_seed=2,
+                              overlay_family="powerlaw")
     deployment = build_deployment(config)
     assert deployment.topology.num_regions == 5
     assert deployment.topology.region_name(3) == "region-3"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.fingerprint import _canonical
 from repro.runtime.metrics import (
     MessageStats,
     MetricsCollector,
@@ -105,14 +106,14 @@ def test_message_stats_fault_fields_default_empty():
     assert stats.partition_windows == []
 
 
-def test_message_stats_decision_anomalies_default_to_class_attrs():
+def test_message_stats_decision_anomalies_default_to_zero():
     stats = MessageStats()
     assert stats.decisions_unknown == 0
     assert stats.decisions_duplicate == 0
-    # Defaults live on the class so the fingerprint's __dict__ walk never
-    # sees them; they materialise on the instance only when nonzero.
-    assert "decisions_unknown" not in vars(stats)
-    assert "decisions_duplicate" not in vars(stats)
+    # Zero counters are left out of the fingerprint's canonical form; they
+    # are serialised only when nonzero.
+    assert "decisions_unknown" not in _canonical(stats)
+    assert "decisions_duplicate" not in _canonical(stats)
 
 
 def test_failfree_run_reports_no_decision_anomalies():
@@ -123,9 +124,9 @@ def test_failfree_run_reports_no_decision_anomalies():
     assert deployment.collector.decisions_unknown == 0
     assert deployment.collector.decisions_duplicate == 0
     assert report.messages.decisions_unknown == 0
-    # Zero counters stay class-level, keeping the fingerprint unchanged.
-    assert "decisions_unknown" not in vars(report.messages)
-    assert "decisions_duplicate" not in vars(report.messages)
+    # Zero counters are not serialised, keeping the fingerprint unchanged.
+    assert "decisions_unknown" not in _canonical(report.messages)
+    assert "decisions_duplicate" not in _canonical(report.messages)
 
 
 def test_delivery_ratio():
