@@ -1,6 +1,6 @@
 """CI smoke gate for the simulator hot path.
 
-Five checks per run:
+Four machine-independent checks per run:
 
 * **Exactness** — every scenario's report fingerprint must match the
   committed baseline bit for bit. The fingerprint hashes the full
@@ -11,22 +11,23 @@ Five checks per run:
   pending at the horizon, or cancelled; nothing else. ``gossip_n1000``'s
   ~0.6M scheduled-but-never-run events are all link arrivals in flight
   when the 0.4 s horizon cuts the flood (none cancelled).
-* **Throughput** — events/sec must stay within ``TOLERANCE`` of baseline.
-  The scenario set includes the large-N smokes (``fig3_n100`` and the
-  reduced-duration ``gossip_n1000`` dissemination run), so the N=1000
-  hot path is gated on throughput like the committed figure scenarios.
 * **Memory** — tracemalloc peak must stay within ``MEM_TOLERANCE`` of
   baseline. The flat-state work (interned ids, array-backed dedup,
   flat per-hop layout) is what makes N=1000 overlays fit; this
   gate keeps a regression from quietly re-inflating the per-node state.
   Peaks are allocation high-water marks, machine-independent up to
-  allocator details, so the tolerance is tighter than wall-clock's.
+  allocator details. The scenario set includes the large-N smokes
+  (``fig3_n100`` and the reduced-duration ``gossip_n1000`` run).
 * **Event ceiling** — a scenario may never schedule more kernel events
   than its baseline row (machine-independent, zero tolerance): event
   counts are an implementation property that hot-path work drives down
   (fig3_workload: 109,720 vs 282,561 with one event per server job), so
   they are capped, not pinned — a lower count passes and is ratcheted in
   by the next re-baseline.
+
+Raw events/sec is recorded in ``BENCH_perf.latest.json`` as information
+only: the host's wall clock swings 2x, so a floor on it failed unchanged
+code; CPU cost is gated by the calibrated ``benchmarks/e2e`` instead.
 
 Regenerate the baseline deliberately with ``REPRO_PERF_UPDATE=1`` or
 ``python -m benchmarks.perf --update``.
@@ -36,10 +37,8 @@ import os
 
 from benchmarks.perf import harness
 
-#: Fraction of baseline events/sec the smoke run must reach.
-TOLERANCE = float(os.environ.get("REPRO_PERF_TOLERANCE", "0.8"))
 #: Multiple of the baseline tracemalloc peak a scenario may reach.
-MEM_TOLERANCE = float(os.environ.get("REPRO_PERF_MEM_TOLERANCE", "1.3"))
+MEM_TOLERANCE = 1.3
 REPEATS = int(os.environ.get("REPRO_PERF_REPEATS", "3"))
 
 
@@ -75,12 +74,6 @@ def test_perf_smoke():
             "{}: the hot path grew an event".format(
                 name, measured["events_scheduled"],
                 expected["events_scheduled"]))
-        floor = TOLERANCE * expected["events_per_sec"]
-        assert measured["events_per_sec"] >= floor, (
-            "scenario {!r} ran at {} events/s, below {:.0f} "
-            "({}x baseline {})".format(
-                name, measured["events_per_sec"], floor,
-                TOLERANCE, expected["events_per_sec"]))
         ceiling = MEM_TOLERANCE * expected["peak_mem_kb"]
         assert measured["peak_mem_kb"] <= ceiling, (
             "scenario {!r} peaked at {} KiB, above {:.0f} "

@@ -14,8 +14,8 @@ Run:  python examples/coordinator_failover.py
 """
 
 from repro import ExperimentConfig
+from repro.checks.monitor import SafetyMonitor
 from repro.runtime.deployment import build_deployment
-from repro.runtime.monitor import TotalOrderMonitor
 
 
 def main():
@@ -32,7 +32,7 @@ def main():
         retransmit_timeout=0.5,
     )
     deployment = build_deployment(config)
-    monitor = TotalOrderMonitor().attach(deployment)
+    monitor = SafetyMonitor().attach(deployment)
     deployment.start()
     deployment.run()
 

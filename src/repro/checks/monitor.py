@@ -1,13 +1,17 @@
-"""Online Paxos safety invariant monitor.
+"""Online safety invariant monitor.
 
 A :class:`SafetyMonitor` interposes on a deployment's delivery path (the
 ``node.deliver -> process.handle`` edge every message crosses, including
-local broadcasts) and on its semantic hooks, and checks four invariants
-while the simulation runs:
+local broadcasts), on every process's state-machine delivery and on its
+semantic hooks, and checks five invariants while the simulation runs:
 
 * **agreement** — no two learners decide different values for one
   instance (García-Pérez et al. call this the essential Paxos safety
   property; everything else exists to uphold it);
+* **total-order** — each process hands instances 1, 2, 3 … to its state
+  machine, gap-free and without repeats (a buggy semantic rule starves a
+  process rather than corrupt it; :meth:`SafetyMonitor.laggards` reports
+  who fell behind);
 * **ballot-monotonicity** — an acceptor's promised round never decreases,
   and its accepted round per instance never decreases;
 * **quorum** — every decided value is backed by Phase 2b votes from a
@@ -108,6 +112,8 @@ class SafetyMonitor:
         self.violations = []
         #: instance -> value_id first decided anywhere.
         self.chosen = {}
+        #: process id -> next instance its state machine expects.
+        self._next_delivery = {}
         #: acceptor id -> highest promised round observed.
         self._promised = {}
         #: (acceptor id, instance) -> highest accepted round observed.
@@ -116,6 +122,7 @@ class SafetyMonitor:
         self._votes = {}
         self.messages_observed = 0
         self.decisions_observed = 0
+        self.deliveries = 0
         self.aggregates_checked = 0
         self._check_quorum = True
         self._finalized = False
@@ -131,11 +138,12 @@ class SafetyMonitor:
         """Arm the monitor on a freshly built (not yet started) deployment."""
         config = deployment.config
         self.majority = config.majority
-        # Quorum accounting counts Phase 2b votes, which only the Paxos
-        # family emits; Raft decisions are checked for agreement only.
+        # Quorum and ballot accounting follow Phase 2b votes and acceptor
+        # state, which only the Paxos family has; Raft runs are checked
+        # for agreement and total order.
         self._check_quorum = config.protocol == "paxos"
         self._deployment = deployment
-        membership = getattr(deployment, "membership", None)
+        membership = deployment.membership
         self._view = membership.view if membership is not None else None
         for node, process in zip(deployment.nodes, deployment.processes):
             self._instrument_node(node, process)
@@ -144,7 +152,7 @@ class SafetyMonitor:
 
     def _instrument_node(self, node, process):
         downstream = node.deliver      # build_deployment wired process.handle
-        acceptor = getattr(process, "acceptor", None)
+        acceptor = process.acceptor if self._check_quorum else None
         process_id = process.process_id
 
         def deliver(payload):
@@ -158,26 +166,18 @@ class SafetyMonitor:
                     self.record_accept(process_id, instance, accepted_round)
 
         node.deliver = deliver
-        hooks = getattr(node, "hooks", None)
-        if hooks is not None:
-            node.hooks = CheckedHooks(hooks, self, node_id=process_id)
+        if node.hooks is not None:
+            node.hooks = CheckedHooks(node.hooks, self, node_id=process_id)
 
     def _instrument_delivery(self, process):
-        # Mirror TotalOrderMonitor: SPaxosProcess resolves value bodies in
-        # an on_deliver property; wrap its stored downstream callback so we
-        # observe the resolved stream.
-        if hasattr(process, "_downstream_deliver"):
-            downstream = process._downstream_deliver
-        else:
-            downstream = process.on_deliver
         process_id = process.process_id
 
         def observe(instance, value):
-            self.record_decision(process_id, instance, value.value_id)
+            self.record_delivery(process_id, instance, value.value_id)
             if downstream is not None:
                 downstream(instance, value)
 
-        process.on_deliver = observe
+        downstream = process.deliver_to(observe)
 
     # -- event feeds -------------------------------------------------------
 
@@ -226,6 +226,32 @@ class SafetyMonitor:
                 "already decided elsewhere".format(
                     instance, process_id, value_id, via, first),
             )
+
+    def record_delivery(self, process_id, instance, value_id):
+        """``process_id`` handed ``instance`` to its state machine."""
+        self.deliveries += 1
+        expected = self._next_delivery.get(process_id, 1)
+        if instance != expected:
+            self._violate(
+                "total-order",
+                "process {} delivered instance {} but expected {} "
+                "(gap-free order violated)".format(
+                    process_id, instance, expected),
+            )
+        self._next_delivery[process_id] = instance + 1
+        self.record_decision(process_id, instance, value_id)
+
+    def laggards(self):
+        """process id -> next expected instance, for every process behind
+        the most advanced delivery frontier."""
+        if not self._next_delivery:
+            return {}
+        frontier = max(self._next_delivery.values())
+        return {
+            process_id: next_instance
+            for process_id, next_instance in self._next_delivery.items()
+            if next_instance < frontier
+        }
 
     def record_promise(self, acceptor_id, round_):
         """Acceptor's current promised round; must never decrease."""
@@ -301,22 +327,21 @@ class SafetyMonitor:
     def finalize(self):
         """Run end-of-run checks; returns the violation list.
 
-        Checks cross-learner agreement over each learner's full decision
-        map (catching decisions that never reached state-machine delivery
-        because of gaps) and, for Paxos, that every chosen value is backed
-        by a quorum of observed votes.
+        Checks cross-process agreement over each process's full
+        ``decided_values()`` map — Paxos learner state or Raft's committed
+        log prefix, catching decisions that never reached state-machine
+        delivery because of gaps — and, for Paxos, that every chosen value
+        is backed by a quorum of observed votes.
         """
         if self._finalized:
             return self.violations
         self._finalized = True
         if self._deployment is not None:
             for process in self._deployment.processes:
-                learner = getattr(process, "learner", None)
-                if learner is None:
-                    continue
-                for instance, value in sorted(learner.decided.items()):
+                for instance, value in sorted(
+                        process.decided_values().items()):
                     self.record_decision(process.process_id, instance,
-                                         value.value_id, via="learner state")
+                                         value.value_id, via="final state")
         if self._check_quorum and self.majority:
             for instance, value_id in sorted(self.chosen.items()):
                 if not self._has_quorum(instance, value_id):

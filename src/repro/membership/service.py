@@ -15,8 +15,9 @@ One :class:`MembershipService` per deployment (built only when
   register with the lowest-id alive seed members first;
 * **leader election**: when the current leader is declared dead (or
   leaves), a backoff-plus-jitter driver promotes the next alive member —
-  ``take_over()`` for Paxos, ``start_election()`` for Raft — retrying with
-  exponential backoff while candidates keep dying (election storms).
+  ``take_over()``, a fresh round for Paxos and a fresh term for Raft —
+  retrying with exponential backoff while candidates keep dying (election
+  storms).
 
 Everything here is demand-driven: no service is constructed, no stream is
 opened and no timer armed unless the experiment configures membership, so
@@ -137,8 +138,8 @@ class MembershipService(Actor):
     Parameters
     ----------
     processes:
-        The consensus processes, indexed by id. Promotion duck-types on
-        them: ``take_over()`` (Paxos) or ``start_election()`` (Raft).
+        The :class:`~repro.paxos.process.ConsensusProcess` instances,
+        indexed by id; promotion is their ``take_over()``.
     overlay_rng:
         The deployment's ``"overlay"`` stream — the same generator that
         drew the initial k-out overlay, reused here so repairs and join
@@ -173,9 +174,7 @@ class MembershipService(Actor):
         self._installed = False
         self._wire_dispatch()
         for process in processes:
-            enable = getattr(process, "enable_value_tracking", None)
-            if enable is not None:
-                enable()
+            process.enable_value_tracking()
 
     # -- delivery dispatch -------------------------------------------------
 
@@ -224,7 +223,7 @@ class MembershipService(Actor):
                 self.agents[pid].start_heartbeats(self._phase(pid))
             else:
                 self.nodes[pid].crash()
-                self._crash_process(pid)
+                self.processes[pid].crash()
                 self._detach(pid)
         self.after(interval * (1.0 + 1.0 / 32.0), self._arm_scan)
 
@@ -244,16 +243,6 @@ class MembershipService(Actor):
         members = tuple(sorted(self.view.members()))
         for pid in members:
             self.agents[pid].scan(now, members)
-
-    def _crash_process(self, pid):
-        crash = getattr(self.processes[pid], "crash", None)
-        if crash is not None:
-            crash()
-
-    def _recover_process(self, pid):
-        recover = getattr(self.processes[pid], "recover", None)
-        if recover is not None:
-            recover()
 
     # -- join / leave / rejoin ----------------------------------------------
 
@@ -276,7 +265,7 @@ class MembershipService(Actor):
             node.broadcast(LeaveAnnounce(pid, self.view.incarnation(pid)))
         self.view.mark_leave(pid, self.now)
         self.stats.leaves += 1
-        self._crash_process(pid)
+        self.processes[pid].crash()
         self.agents[pid].stop_heartbeats()
         linger = LEAVE_LINGER_INTERVALS * self.mcfg.heartbeat_interval
         self.after(linger, self._finish_leave, pid)
@@ -307,15 +296,13 @@ class MembershipService(Actor):
             self.crash_controller.recover(pid)
         else:
             self.nodes[pid].recover()
-            self._recover_process(pid)
+            self.processes[pid].recover()
         if pid != self.leader_id:
-            # A rejoining ex-leader must not resume its old role: both
-            # protocols expose step_down (Raft renounces leadership; a
-            # Paxos ex-coordinator abandons its outdated round rather than
-            # retransmit rejected proposals forever).
-            demote = getattr(self.processes[pid], "step_down", None)
-            if demote is not None:
-                demote()
+            # A rejoining ex-leader must not resume its old role (Raft
+            # renounces leadership; a Paxos ex-coordinator abandons its
+            # outdated round rather than retransmit rejected proposals
+            # forever).
+            self.processes[pid].step_down()
         self._connect_joiner(pid)
         agent = self.agents[pid]
         agent.reset_watch(now)
@@ -371,18 +358,9 @@ class MembershipService(Actor):
     def promote(self, candidate):
         """Ask ``candidate``'s process to assume leadership."""
         process = self.processes[candidate]
-        take_over = getattr(process, "take_over", None)
-        if take_over is not None:          # Paxos
-            if take_over():
-                return True
-            # Already coordinating (e.g. the old leader recovered and this
-            # rotation landed back on it): count that as success.
-            return (getattr(process, "coordinator", None) is not None
-                    and getattr(process, "alive", False))
-        start_election = getattr(process, "start_election", None)
-        if start_election is not None:     # Raft
-            return bool(start_election())
-        return False
+        # Already leading (e.g. the old Paxos coordinator recovered and this
+        # rotation landed back on it) counts as success.
+        return process.take_over() or (process.leads and process.alive)
 
     # -- overlay surgery -----------------------------------------------------
 

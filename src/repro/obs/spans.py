@@ -236,33 +236,21 @@ class Tracer:
         """Arm the hooks on a built deployment (idempotent per run).
 
         Called from :meth:`repro.runtime.deployment.Deployment.start`,
-        before any event executes: sets the ``obs`` attribute on clients,
-        gossip nodes, processes and live coordinators, installs the
-        learner quorum callbacks, and arms the timeline sampler.
+        before any event executes: sets the ``obs`` attribute on clients
+        and nodes, hands itself to every process's ``install_obs`` (which
+        wires the roles the process hosts), and arms the timeline sampler.
         """
         for client in deployment.clients:
             client.obs = self
         for node in deployment.nodes:
             node.obs = self
         for process in deployment.processes:
-            process.obs = self
-            coordinator = getattr(process, "coordinator", None)
-            if coordinator is not None:
-                coordinator.obs = self
-            learner = getattr(process, "learner", None)
-            if learner is not None:
-                learner.on_quorum = self._quorum_hook(process.process_id)
+            process.install_obs(self)
         if self.obs_config.timeseries:
             from repro.obs.timeseries import TimelineSampler
 
             self.sampler = TimelineSampler(deployment, self)
             self.sampler.start()
-
-    def _quorum_hook(self, process_id):
-        def on_quorum(instance, value_id):
-            self.value_quorum(process_id, instance, value_id)
-
-        return on_quorum
 
     # -- value lifecycle hooks ---------------------------------------------
 

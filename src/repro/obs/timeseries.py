@@ -20,19 +20,6 @@ nothing the model can see.
 from repro.runtime.metrics import mean
 
 
-def _cumulative_retransmissions(processes):
-    """Mirror of build_report's retransmission summing, read mid-run."""
-    total = 0
-    for process in processes:
-        coordinator = getattr(process, "coordinator", None)
-        if coordinator is not None:
-            total += coordinator.retransmissions
-        process_stats = getattr(process, "stats", None)
-        if process_stats is not None:
-            total += getattr(process_stats, "retransmissions", 0)
-    return total
-
-
 class TimelineSampler:
     """Fixed-width virtual-time buckets over a running deployment.
 
@@ -122,7 +109,8 @@ class TimelineSampler:
         series["in_flight"].append(
             tracer.submitted_total - tracer.delivered_total)
 
-        retrans = _cumulative_retransmissions(deployment.processes)
+        retrans = sum(process.stats.retransmissions
+                      for process in deployment.processes)
         series["retransmissions"].append(retrans - prev["retransmissions"])
         prev["retransmissions"] = retrans
 

@@ -9,6 +9,9 @@ gossip layer's delivery queue or to direct links — and sends through a
 * ``phase2b`` — votes; the Baseline setup routes them to the coordinator
   only (classic three-phase Paxos), the gossip setups broadcast them so
   every process can learn decisions from a majority of votes (paper §3.1).
+
+:class:`ConsensusProcess` is the other side of that seam — what the runtime
+may ask of a process — and the base of the Paxos, S-Paxos and Raft classes.
 """
 
 from repro.sim.actors import Actor
@@ -42,17 +45,28 @@ class Communicator:
 
 
 class ProcessStats:
-    """Per-process consensus-level counters."""
+    """Per-process consensus-level counters, one field set for every protocol."""
 
     __slots__ = ("values_submitted", "values_forwarded", "decisions_delivered",
-                 "messages_handled", "election_retransmissions",
-                 "election_reproposals")
+                 "messages_handled", "decided_by_majority",
+                 "decided_by_message", "retransmissions", "elections",
+                 "election_retransmissions", "election_reproposals")
 
     def __init__(self):
         self.values_submitted = 0
         self.values_forwarded = 0
         self.decisions_delivered = 0
         self.messages_handled = 0
+        #: Raft commits learned from an ack majority / the leader's notice;
+        #: the Paxos learner role keeps its own pair — read either through
+        #: :meth:`ConsensusProcess.decision_modes`.
+        self.decided_by_majority = 0
+        self.decided_by_message = 0
+        #: Messages re-issued on timeout, counted when issued so the total
+        #: survives the coordinator object a ``step_down()`` discards.
+        self.retransmissions = 0
+        #: New-term elections this process started (Raft).
+        self.elections = 0
         #: Retransmissions issued by a coordinator born from takeover or
         #: election — attributed separately from loss-triggered ones.
         self.election_retransmissions = 0
@@ -60,7 +74,96 @@ class ProcessStats:
         self.election_reproposals = 0
 
 
-class PaxosProcess(Actor):
+class ConsensusProcess(Actor):
+    """What the runtime may ask of a protocol process, whatever the protocol.
+
+    The other side of the :class:`Communicator` seam: the substrate calls
+    :meth:`handle`, the co-located client :meth:`submit_value`, and the
+    runtime (crash controller, membership, monitors, obs, metrics) uses
+    only the attributes set here and the verbs and views declared below.
+    """
+
+    def __init__(self, sim, name, process_id, n, comm, retransmit_timeout,
+                 on_deliver):
+        super().__init__(sim, name)
+        self.process_id = process_id
+        self.n = n
+        self.majority = n // 2 + 1
+        self.comm = comm
+        #: Seconds before pending work is re-issued; ``None`` disables
+        #: retransmission (paper §4.5 setting).
+        self.retransmit_timeout = retransmit_timeout
+        #: ``on_deliver(instance, value)``, invoked for every decided value
+        #: in instance order, gap-free; installed through :meth:`deliver_to`.
+        self.on_deliver = None
+        self.stats = ProcessStats()
+        #: Tracer installed by ``obs=`` (repro.obs); None in untraced runs.
+        self.obs = None
+        self.alive = True
+        self._retransmit_timer = None
+        self.deliver_to(on_deliver)
+
+    # -- lifecycle ------------------------------------------------------------
+
+    def crash(self):
+        """Cease participating. Acceptor/learner/log state persists — the
+        crash-recovery model assumes stable storage (paper §2.1)."""
+        self.alive = False
+
+    def recover(self):
+        self.alive = True
+
+    def _start_retransmit_timer(self):
+        if self.retransmit_timeout is not None and self._retransmit_timer is None:
+            self._retransmit_timer = self.every(
+                self.retransmit_timeout / 2.0, self._check_timeouts)
+
+    def _stop_retransmit_timer(self):
+        if self._retransmit_timer is not None:
+            self._retransmit_timer.stop()
+            self._retransmit_timer = None
+
+    # -- leadership -----------------------------------------------------------
+
+    @property
+    def leads(self):
+        """Whether this process currently proposes (or stands to)."""
+        raise NotImplementedError
+
+    def take_over(self):
+        """Assume leadership in a fresh round/term; True when started."""
+        raise NotImplementedError
+
+    def step_down(self):
+        """Renounce any leading role (a rejoin under an elected successor)."""
+        raise NotImplementedError
+
+    def enable_value_tracking(self):
+        """Track in-flight values so an elected successor can re-propose."""
+
+    # -- delivery and views ---------------------------------------------------
+
+    def deliver_to(self, callback):
+        """Install the state-machine delivery callback; returns the one it
+        replaces, so an observer can chain in front of the client's."""
+        previous = self.on_deliver
+        self.on_deliver = callback
+        return previous
+
+    def install_obs(self, tracer):
+        """Arm the tracer on this process and the roles it hosts."""
+        self.obs = tracer
+
+    def decision_modes(self):
+        """``(decided_by_majority, decided_by_message)`` counts."""
+        return self.stats.decided_by_majority, self.stats.decided_by_message
+
+    def decided_values(self):
+        """instance -> Value of every decision this process knows."""
+        raise NotImplementedError
+
+
+class PaxosProcess(ConsensusProcess):
     """One Paxos participant playing all roles."""
 
     def __init__(self, sim, process_id, n, comm, coordinator_id=0,
@@ -71,13 +174,9 @@ class PaxosProcess(Actor):
         ----------
         comm:
             The :class:`Communicator` binding to the substrate.
-        retransmit_timeout:
-            Seconds before the coordinator re-issues pending Phase 1a/2a
-            messages; ``None`` disables retransmission (paper §4.5 setting).
-        on_deliver:
-            ``on_deliver(instance, value)`` invoked for every decided value
-            in instance order, gap-free — the state-machine delivery used to
-            notify clients.
+        retransmit_timeout, on_deliver:
+            See :class:`ConsensusProcess`; here the coordinator re-issues
+            pending Phase 1a/2a messages.
         failover_timeout:
             When set, a non-coordinator that observes no delivery progress
             for ``failover_timeout x its rank`` elects itself coordinator
@@ -85,27 +184,18 @@ class PaxosProcess(Actor):
             partitioned by process id so coordinators never collide).
             ``None`` (default, the paper's setting) disables failover.
         """
-        super().__init__(sim, "paxos-{}".format(process_id))
-        self.process_id = process_id
-        self.n = n
-        self.comm = comm
+        super().__init__(sim, "paxos-{}".format(process_id), process_id, n,
+                         comm, retransmit_timeout, on_deliver)
         self.coordinator_id = coordinator_id
         self.is_coordinator = process_id == coordinator_id
         self.acceptor = Acceptor(process_id)
         self.learner = Learner(n)
         self.log = DecisionLog()
-        self.on_deliver = on_deliver
-        self.stats = ProcessStats()
-        self.retransmit_timeout = retransmit_timeout
         self.failover_timeout = failover_timeout
         self.coordinator = (
             Coordinator(process_id, n, comm) if self.is_coordinator else None
         )
-        #: Tracer installed by ``obs=`` (repro.obs); None in untraced runs.
-        self.obs = None
-        self.alive = True
         self.takeovers = 0
-        self._retransmit_timer = None
         self._failover_timer = None
         self._heartbeat_timer = None
         self._heartbeat_seq = 0
@@ -123,7 +213,6 @@ class PaxosProcess(Actor):
         self._election_born = False
 
     def enable_value_tracking(self):
-        """Track in-flight values so an elected successor can re-propose."""
         self._track_values = True
 
     def start(self):
@@ -138,12 +227,6 @@ class PaxosProcess(Actor):
                 self.failover_timeout / 2.0, self._maybe_take_over
             )
 
-    def _start_retransmit_timer(self):
-        if self.retransmit_timeout is not None and self._retransmit_timer is None:
-            self._retransmit_timer = self.every(
-                self.retransmit_timeout / 2.0, self._check_timeouts
-            )
-
     def _start_heartbeats(self):
         if self.failover_timeout is not None and self._heartbeat_timer is None:
             self._heartbeat_timer = self.every(
@@ -156,18 +239,21 @@ class PaxosProcess(Actor):
         self._heartbeat_seq += 1
         self.comm.broadcast(Heartbeat(self.process_id, self._heartbeat_seq))
 
-    def stop(self):
-        for timer_name in ("_retransmit_timer", "_failover_timer",
-                           "_heartbeat_timer"):
-            timer = getattr(self, timer_name)
-            if timer is not None:
-                timer.stop()
-                setattr(self, timer_name, None)
+    def _stop_heartbeats(self):
+        if self._heartbeat_timer is not None:
+            self._heartbeat_timer.stop()
+            self._heartbeat_timer = None
 
-    def crash(self):
-        """Cease participating. Acceptor/learner state persists — the
-        crash-recovery model assumes stable storage (paper §2.1)."""
-        self.alive = False
+    def stop(self):
+        self._stop_retransmit_timer()
+        self._stop_heartbeats()
+        if self._failover_timer is not None:
+            self._failover_timer.stop()
+            self._failover_timer = None
+
+    @property
+    def leads(self):
+        return self.coordinator is not None
 
     def step_down(self):
         """Abdicate the coordinator role (membership rejoin under an
@@ -184,15 +270,27 @@ class PaxosProcess(Actor):
         self.is_coordinator = False
         self._election_born = False
         self.coordinator = None
-        if self._retransmit_timer is not None:
-            self._retransmit_timer.stop()
-            self._retransmit_timer = None
-        if self._heartbeat_timer is not None:
-            self._heartbeat_timer.stop()
-            self._heartbeat_timer = None
+        self._stop_retransmit_timer()
+        self._stop_heartbeats()
 
-    def recover(self):
-        self.alive = True
+    def install_obs(self, tracer):
+        """The live coordinator and the learner's quorum callback too."""
+        self.obs = tracer
+        if self.coordinator is not None:
+            self.coordinator.obs = tracer
+        process_id = self.process_id
+
+        def on_quorum(instance, value_id):
+            tracer.value_quorum(process_id, instance, value_id)
+
+        self.learner.on_quorum = on_quorum
+
+    def decision_modes(self):
+        learner = self.learner
+        return learner.decided_by_majority, learner.decided_by_message
+
+    def decided_values(self):
+        return self.learner.decided
 
     # -- client side --------------------------------------------------------
 
@@ -286,9 +384,10 @@ class PaxosProcess(Actor):
         if self.coordinator is not None and self.retransmit_timeout is not None:
             before = self.coordinator.retransmissions
             self.coordinator.check_timeouts(self.now, self.retransmit_timeout)
+            issued = self.coordinator.retransmissions - before
+            self.stats.retransmissions += issued
             if self._election_born:
-                self.stats.election_retransmissions += (
-                    self.coordinator.retransmissions - before)
+                self.stats.election_retransmissions += issued
 
     # -- coordinator failover ----------------------------------------------------
 

@@ -44,21 +44,19 @@ class SPaxosProcess(PaxosProcess):
         self._bodies = {}
         #: decided (instance, ref) pairs awaiting their body, in order.
         self._undelivered = deque()
-        # The inherited delivery callback is wrapped by body resolution;
-        # initialised before super().__init__ because the parent assigns
-        # self.on_deliver (through the property setter below).
-        self._downstream_deliver = None
+        #: The installed delivery callback; initialised before
+        #: super().__init__ because the shell calls deliver_to() there.
+        self._deliver_body = None
         super().__init__(*args, **kwargs)
 
-    # PaxosProcess reads self.on_deliver dynamically; interpose a property
-    # so decided refs funnel through body resolution before the client.
-    @property
-    def on_deliver(self):
-        return self._resolve_and_deliver if self._downstream_deliver else None
-
-    @on_deliver.setter
-    def on_deliver(self, callback):
-        self._downstream_deliver = callback
+    def deliver_to(self, callback):
+        """Body resolution stays in front of ``callback``: decided refs
+        funnel through it and the callback sees the resolved stream."""
+        previous = self._deliver_body
+        self._deliver_body = callback
+        self.on_deliver = (
+            self._resolve_and_deliver if callback is not None else None)
+        return previous
 
     # -- client path --------------------------------------------------------
 
@@ -100,7 +98,7 @@ class SPaxosProcess(PaxosProcess):
         self._drain_undelivered()
 
     def _drain_undelivered(self):
-        callback = self._downstream_deliver
+        callback = self._deliver_body
         while self._undelivered:
             instance, ref = self._undelivered[0]
             body = self._bodies.get(ref.value_id)

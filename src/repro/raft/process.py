@@ -1,11 +1,11 @@
 """A Raft process over a pluggable communication substrate.
 
-Mirrors :class:`repro.paxos.process.PaxosProcess` deliberately: the same
-:class:`repro.paxos.process.Communicator` interface binds it to direct
-links or to gossip, the same client path applies (values forwarded to the
-leader, decisions delivered gap-free in order), and the same metrics flow
-out. Process 0 stands for election at startup (term 1), the analogue of
-the Paxos coordinator's ranged Phase 1.
+Shares :class:`repro.paxos.process.ConsensusProcess` with the Paxos
+processes: the same :class:`repro.paxos.process.Communicator` interface
+binds it to direct links or to gossip, the same client path applies (values
+forwarded to the leader, decisions delivered gap-free in order), and the
+same metrics flow out. Process 0 stands for election at startup (term 1),
+the analogue of the Paxos coordinator's ranged Phase 1.
 
 Commit learning matches the paper's §3.1 observation for Phase 2b: acks
 are broadcast in the gossip setups, so every process counts them and
@@ -26,28 +26,7 @@ from repro.raft.messages import (
     VoteReply,
 )
 from repro.paxos.messages import ClientValue
-from repro.sim.actors import Actor
-
-
-class RaftStats:
-    __slots__ = ("values_submitted", "values_forwarded",
-                 "decisions_delivered", "messages_handled",
-                 "commits_by_acks", "commits_by_notice", "retransmissions",
-                 "elections", "election_retransmissions")
-
-    def __init__(self):
-        self.values_submitted = 0
-        self.values_forwarded = 0
-        self.decisions_delivered = 0
-        self.messages_handled = 0
-        self.commits_by_acks = 0
-        self.commits_by_notice = 0
-        self.retransmissions = 0
-        #: New-term elections this process started (membership layer).
-        self.elections = 0
-        #: Re-floods of uncommitted entries by a freshly elected leader —
-        #: election-triggered, counted apart from loss-triggered ones.
-        self.election_retransmissions = 0
+from repro.paxos.process import ConsensusProcess
 
 
 class _PendingReplication:
@@ -59,36 +38,24 @@ class _PendingReplication:
         self.attempt = 0
 
 
-class RaftProcess(Actor):
+class RaftProcess(ConsensusProcess):
     """One Raft participant (candidate/leader/follower as events dictate)."""
 
     def __init__(self, sim, process_id, n, comm, leader_id=0,
                  retransmit_timeout=None, on_deliver=None):
-        super().__init__(sim, "raft-{}".format(process_id))
-        self.process_id = process_id
-        self.n = n
-        self.majority = n // 2 + 1
-        self.comm = comm
-        self.leader_id = leader_id
+        super().__init__(sim, "raft-{}".format(process_id), process_id, n,
+                         comm, retransmit_timeout, on_deliver)
         self.is_leader_candidate = process_id == leader_id
         self.current_term = 0
         self.voted_for = {}          # term -> candidate granted
         self.is_leader = False
         self.log = RaftLog()
-        self.on_deliver = on_deliver
-        self.stats = RaftStats()
-        self.retransmit_timeout = retransmit_timeout
         self._votes = set()
         self._pending_values = deque()
         self._known_value_ids = set()
         self._replicating = {}       # index -> _PendingReplication
         self._ack_senders = {}       # (term, index) -> set of senders
-        self._committed_by_acks = set()
         self._next_index = 1
-        #: Tracer installed by ``obs=`` (repro.obs); None in untraced runs.
-        self.obs = None
-        self.alive = True
-        self._retransmit_timer = None
         # Leader-side per-follower progress (Raft's matchIndex, derived
         # from the per-sender acks): contiguous acked index + buffer.
         self._follower_contig = {}
@@ -107,12 +74,7 @@ class RaftProcess(Actor):
             self.comm.broadcast(RequestVote(1, self.process_id))
             self._start_retransmit_timer()
 
-    def _start_retransmit_timer(self):
-        if self.retransmit_timeout is not None and self._retransmit_timer is None:
-            self._retransmit_timer = self.every(
-                self.retransmit_timeout / 2.0, self._check_timeouts)
-
-    def start_election(self):
+    def take_over(self):
         """Stand for a fresh term (the membership layer's re-election path).
 
         Bumps the term, votes for self and solicits votes carrying the
@@ -143,17 +105,16 @@ class RaftProcess(Actor):
         self.is_leader_candidate = False
         self._votes = set()
 
-    def stop(self):
-        if self._retransmit_timer is not None:
-            self._retransmit_timer.stop()
-            self._retransmit_timer = None
+    @property
+    def leads(self):
+        return self.is_leader or self.is_leader_candidate
 
-    def crash(self):
-        """Cease participating; log state persists (stable storage)."""
-        self.alive = False
-
-    def recover(self):
-        self.alive = True
+    def decided_values(self):
+        """The committed log prefix, as far as this process stores it."""
+        commit_index = self.log.commit_index
+        return {index: entry.value
+                for index, entry in self.log.entries.items()
+                if index <= commit_index}
 
     # -- client path -----------------------------------------------------------
 
@@ -161,7 +122,7 @@ class RaftProcess(Actor):
         if not self.alive:
             return  # values sent to a crashed process are lost
         self.stats.values_submitted += 1
-        if self.is_leader or (self.is_leader_candidate and not self.is_leader):
+        if self.is_leader or self.is_leader_candidate:
             self._on_client_value(value)
             return
         self.stats.values_forwarded += 1
@@ -214,7 +175,7 @@ class RaftProcess(Actor):
             self._on_append_entries(payload)
         elif kind is CommitNotice:
             if self.log.advance_commit(payload.index):
-                self.stats.commits_by_notice += 1
+                self.stats.decided_by_message += 1
                 self._deliver_ready()
         elif kind is ClientValue:
             if self.is_leader or self.is_leader_candidate:
@@ -318,7 +279,7 @@ class RaftProcess(Actor):
             self.comm.phase2b(ack)
             self._count_ack(msg.term, msg.entry.index, self.process_id)
         if self.log.advance_commit(msg.leader_commit):
-            self.stats.commits_by_notice += 1
+            self.stats.decided_by_message += 1
         self._deliver_ready()
 
     # -- commit accounting -----------------------------------------------------------
@@ -339,7 +300,7 @@ class RaftProcess(Actor):
                     self.process_id, index,
                     self.log.entries[index].value.value_id)
             if self.log.advance_commit(index):
-                self.stats.commits_by_acks += 1
+                self.stats.decided_by_majority += 1
                 if self.is_leader:
                     self.comm.broadcast(CommitNotice(term, index))
                 self._deliver_ready()

@@ -43,42 +43,30 @@ class CrashController:
 
     def install(self):
         for schedule in self.schedules:
-            self.sim.schedule_at(schedule.crash_at, self._crash,
+            self.sim.schedule_at(schedule.crash_at, self.crash,
                                  schedule.process_id)
             if schedule.recover_at is not None:
-                self.sim.schedule_at(schedule.recover_at, self._recover,
+                self.sim.schedule_at(schedule.recover_at, self.recover,
                                      schedule.process_id)
 
     def is_crashed(self, process_id):
         return process_id in self.crashed
 
     def crash(self, process_id):
-        """Crash a process now (idempotent). Used by the fault engine for
-        unscheduled outages (Crash / RegionOutage events)."""
-        self._crash(process_id)
-
-    def recover(self, process_id):
-        """Recover a crashed process now (no-op when it is not crashed)."""
-        self._recover(process_id)
-
-    def _crash(self, process_id):
+        """Crash a process now (idempotent): the scheduled outages and the
+        fault engine's unscheduled ones (Crash / RegionOutage events)."""
         if process_id in self.crashed:
             return
         self.crashed.add(process_id)
         self.crash_events += 1
         self.nodes[process_id].crash()
-        process = self.processes[process_id]
-        crash = getattr(process, "crash", None)
-        if crash is not None:
-            crash()
+        self.processes[process_id].crash()
 
-    def _recover(self, process_id):
+    def recover(self, process_id):
+        """Recover a crashed process now (no-op when it is not crashed)."""
         if process_id not in self.crashed:
             return
         self.crashed.discard(process_id)
         self.recovery_events += 1
         self.nodes[process_id].recover()
-        process = self.processes[process_id]
-        recover = getattr(process, "recover", None)
-        if recover is not None:
-            recover()
+        self.processes[process_id].recover()

@@ -74,9 +74,7 @@ class Deployment:
             # process-id order, so the push-order tie at t=0 is stable.
             self.sim.schedule(0.0, process.start)  # repro: allow-unreserved-tie
         for node in self.nodes:
-            start = getattr(node, "start", None)
-            if start is not None:
-                start()
+            node.start()
         for client in self.clients:
             client.start()
         if self.crash_controller is not None:
@@ -245,7 +243,7 @@ def build_deployment(config, auditor=None, obs=None):
             phase=(client_id / num_clients) / per_client_rate,
         )
         lan = topology.client_latency_s(client_id)
-        process.on_deliver = _make_notifier(sim, lan, client)
+        process.deliver_to(_make_notifier(sim, lan, client))
         clients.append(client)
 
     fault_plan = config.fault_plan

@@ -13,14 +13,20 @@ from repro.sim.server import FifoServer
 
 
 class DirectStats:
-    """Counters for the Baseline node (subset of the gossip ones)."""
+    """Counters for the Baseline node; the gossip-only ones stay zero."""
 
-    __slots__ = ("received", "delivered", "sent")
+    __slots__ = ("received", "delivered", "sent", "duplicates", "filtered",
+                 "aggregated_saved", "disaggregated", "send_queue_drops")
 
     def __init__(self):
         self.received = 0
         self.delivered = 0
         self.sent = 0
+        self.duplicates = 0
+        self.filtered = 0
+        self.aggregated_saved = 0
+        self.disaggregated = 0
+        self.send_queue_drops = 0
 
 
 class DirectNode(Actor):
@@ -34,8 +40,12 @@ class DirectNode(Actor):
         self.deliver = deliver
         self.cpu = cpu or FifoServer(sim)
         self.stats = DirectStats()
+        self.hooks = None           # no semantic layer on direct links
         self.alive = True
         transport.on_receive(self._on_link_receive)
+
+    def start(self):
+        """Nothing to arm: a direct node has no periodic work."""
 
     def crash(self):
         """Stop participating (crash-recovery model)."""

@@ -276,13 +276,11 @@ def _collect_message_stats(deployment):
             stats.received_coordinator = node_stats.received
         else:
             regular_received.append(node_stats.received)
-        duplicates = getattr(node_stats, "duplicates", None)
-        if duplicates is not None:
-            stats.duplicates += duplicates
-            stats.filtered += node_stats.filtered
-            stats.aggregated_saved += node_stats.aggregated_saved
-            stats.disaggregated += node_stats.disaggregated
-            stats.send_queue_drops += node_stats.send_queue_drops
+        stats.duplicates += node_stats.duplicates
+        stats.filtered += node_stats.filtered
+        stats.aggregated_saved += node_stats.aggregated_saved
+        stats.disaggregated += node_stats.disaggregated
+        stats.send_queue_drops += node_stats.send_queue_drops
     stats.received_regular_mean = mean(regular_received)
     elapsed = deployment.sim.now
     utilizations = [node.cpu.stats.utilization(elapsed)
@@ -306,26 +304,16 @@ def _collect_message_stats(deployment):
             stats.link_bytes_sent += link_stats.bytes_sent
 
     for process in deployment.processes:
-        coordinator = getattr(process, "coordinator", None)
-        if coordinator is not None:
-            stats.retransmissions += coordinator.retransmissions
-        # Raft counts its re-floods (uncommitted re-issues + follower
-        # repair) on the process stats; Paxos ProcessStats has no such
-        # field, so this never double-counts the coordinator's.
-        process_stats = getattr(process, "stats", None)
-        if process_stats is not None:
-            stats.retransmissions += getattr(
-                process_stats, "retransmissions", 0)
-            stats.retransmissions_election += getattr(
-                process_stats, "election_retransmissions", 0)
-            stats.reproposals_election += getattr(
-                process_stats, "election_reproposals", 0)
+        process_stats = process.stats
+        stats.retransmissions += process_stats.retransmissions
+        stats.retransmissions_election += process_stats.election_retransmissions
+        stats.reproposals_election += process_stats.election_reproposals
 
-    membership = getattr(deployment, "membership", None)
+    membership = deployment.membership
     if membership is not None:
         stats.membership = membership.stats.to_dict()
 
-    engine = getattr(deployment, "fault_engine", None)
+    engine = deployment.fault_engine
     if engine is not None:
         fault = engine.stats
         stats.fault_injections = dict(fault.injections)
@@ -341,13 +329,9 @@ def _decision_mode_counts(deployment):
     decided_by_majority = 0
     decided_by_message = 0
     for process in deployment.processes:
-        learner = getattr(process, "learner", None)
-        if learner is not None:  # Paxos
-            decided_by_majority += learner.decided_by_majority
-            decided_by_message += learner.decided_by_message
-        else:  # Raft: commits by ack majority / by the leader's notice
-            decided_by_majority += process.stats.commits_by_acks
-            decided_by_message += process.stats.commits_by_notice
+        by_majority, by_message = process.decision_modes()
+        decided_by_majority += by_majority
+        decided_by_message += by_message
     return decided_by_majority, decided_by_message
 
 

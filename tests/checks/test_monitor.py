@@ -183,6 +183,26 @@ def test_finalize_is_idempotent():
     assert len(monitor.finalize()) == 1
 
 
+# -- final state -----------------------------------------------------------
+
+def test_raft_logs_disagreeing_at_a_committed_index_flagged_at_finalize():
+    """Final-state agreement covers Raft's committed log prefix too."""
+    from repro.paxos.messages import Value
+    from repro.raft.messages import LogEntry
+    from repro.runtime.deployment import build_deployment
+    from tests.conftest import fast_config
+
+    deployment = build_deployment(fast_config(protocol="raft", n=3))
+    monitor = SafetyMonitor(strict=False).attach(deployment)
+    for process, value_id in zip(deployment.processes, ("v-a", "v-b", "v-a")):
+        process.log.store(LogEntry(1, 1, Value(value_id, 0, 8)))
+        process.log.advance_commit(1)
+    violations = monitor.finalize()
+    assert [v.invariant for v in violations] == ["agreement"]
+    assert "process 1" in violations[0].message
+    assert "final state" in violations[0].message
+
+
 # -- payload observation ---------------------------------------------------
 
 def test_observe_payload_counts_votes_and_aggregates():

@@ -7,7 +7,7 @@ semantics, ...). Every run must still order values and keep total order.
 
 import pytest
 
-from repro.runtime.monitor import TotalOrderMonitor
+from repro.checks.monitor import SafetyMonitor
 from repro.runtime.deployment import build_deployment
 from repro.runtime.metrics import build_report
 from tests.conftest import fast_config
@@ -44,7 +44,7 @@ COMPOSITIONS = [
 def test_composition_orders_values_safely(overrides):
     config = fast_config(n=7, rate=40, **overrides)
     deployment = build_deployment(config)
-    monitor = TotalOrderMonitor().attach(deployment)
+    monitor = SafetyMonitor().attach(deployment)
     deployment.start()
     deployment.run()
     report = build_report(deployment)
@@ -58,11 +58,6 @@ def test_composition_orders_values_safely(overrides):
     # Total-order checkers on final state, instance by instance.
     chosen = {}
     for process in deployment.processes:
-        learner = getattr(process, "learner", None)
-        decided = (learner.decided if learner is not None
-                   else {e.index: e.value
-                         for e in process.log.entries.values()
-                         if e.index <= process.log.commit_index})
-        for instance, value in decided.items():
+        for instance, value in process.decided_values().items():
             expected = chosen.setdefault(instance, value.value_id)
             assert expected == value.value_id, (instance, overrides)

@@ -11,6 +11,7 @@ import pytest
 from repro.checks.monitor import SafetyMonitor
 from repro.membership import ALIVE, DEAD, LEFT, MembershipConfig
 from repro.net.faults.events import Crash, FaultPlan, Join, Leave, Rejoin
+from repro.obs import ObsConfig
 from repro.runtime.runner import run_deployment
 from tests.conftest import fast_config
 
@@ -181,3 +182,23 @@ def test_election_retransmissions_attributed_separately():
         messages.retransmissions_loss + messages.retransmissions_election)
     # The successor re-proposed the in-flight values it observed.
     assert messages.reproposals_election > 0
+
+
+def test_retransmissions_outlive_the_coordinator_that_issued_them():
+    """The lossy_failover_n13 shape: the coordinator re-issues Phase 1a
+    (the timeout is shorter than a WAN round trip), crashes, rejoins and
+    ``step_down()`` discards its Coordinator object — the count stays."""
+    config = _churn_config(
+        coordinator_id=6, retransmit_timeout=0.1,
+        membership=_membership(),
+        faults=FaultPlan([(0.5, Crash(6)), (1.2, Rejoin(6))]),
+    )
+    deployment, report = run_deployment(config, monitor=SafetyMonitor(),
+                                        obs=ObsConfig())
+    messages = report.messages
+    assert messages.retransmissions >= 1
+    assert deployment.processes[6].coordinator is None      # stepped down
+    assert deployment.processes[6].stats.retransmissions >= 1
+    assert messages.retransmissions_loss >= 0
+    assert min(report.timeline["retransmissions"]) >= 0
+    assert sum(report.timeline["retransmissions"]) == messages.retransmissions

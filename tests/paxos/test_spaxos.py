@@ -111,11 +111,11 @@ def test_missing_body_blocks_delivery_in_order():
     sim = Simulator(seed=0)
     delivered = []
     process = SPaxosProcess(sim, 1, 3, NullComm())
-    process.on_deliver = lambda i, v: delivered.append((i, v.value_id))
+    process.deliver_to(lambda i, v: delivered.append((i, v.value_id)))
 
     # Simulate two decided instances arriving before any body.
-    process._resolve_and_deliver(1, ValueRef("a"))
-    process._resolve_and_deliver(2, ValueRef("b"))
+    process.on_deliver(1, ValueRef("a"))
+    process.on_deliver(2, ValueRef("b"))
     assert delivered == []
     assert process.bodies_pending == 2
 

@@ -68,7 +68,7 @@ def test_followers_learn_from_ack_majority(sim):
     processes[1].submit_value(_value("a"))
     sim.run(until=0.5)
     assert all(d == [(1, "a")] for d in decided)
-    assert all(p.stats.commits_by_acks >= 1 for p in processes)
+    assert all(p.stats.decided_by_majority >= 1 for p in processes)
 
 
 def test_lost_append_blocks_without_retransmit(sim):

@@ -1,48 +1,44 @@
-"""Tests for the online total-order safety monitor."""
+"""SafetyMonitor's total-order half: per-process gap-free delivery."""
 
 import pytest
 
-from repro.paxos.messages import Value
+from repro.checks.monitor import InvariantViolation, SafetyMonitor
 from repro.runtime.deployment import build_deployment
-from repro.runtime.monitor import SafetyViolation, TotalOrderMonitor
 from tests.conftest import fast_config
-
-
-def _value(vid):
-    return Value(vid, 0, 8)
 
 
 class TestRecord:
     def test_clean_sequence_accepted(self):
-        monitor = TotalOrderMonitor()
+        monitor = SafetyMonitor()
         for process_id in (0, 1):
-            monitor.record(process_id, 1, _value("a"))
-            monitor.record(process_id, 2, _value("b"))
+            monitor.record_delivery(process_id, 1, "a")
+            monitor.record_delivery(process_id, 2, "b")
         assert monitor.deliveries == 4
+        assert monitor.violations == []
 
     def test_agreement_violation_detected(self):
-        monitor = TotalOrderMonitor()
-        monitor.record(0, 1, _value("a"))
-        with pytest.raises(SafetyViolation):
-            monitor.record(1, 1, _value("DIFFERENT"))
+        monitor = SafetyMonitor()
+        monitor.record_delivery(0, 1, "a")
+        with pytest.raises(InvariantViolation, match="agreement"):
+            monitor.record_delivery(1, 1, "DIFFERENT")
 
     def test_gap_detected(self):
-        monitor = TotalOrderMonitor()
-        monitor.record(0, 1, _value("a"))
-        with pytest.raises(SafetyViolation):
-            monitor.record(0, 3, _value("c"))
+        monitor = SafetyMonitor()
+        monitor.record_delivery(0, 1, "a")
+        with pytest.raises(InvariantViolation, match="total-order"):
+            monitor.record_delivery(0, 3, "c")
 
     def test_duplicate_instance_detected(self):
-        monitor = TotalOrderMonitor()
-        monitor.record(0, 1, _value("a"))
-        with pytest.raises(SafetyViolation):
-            monitor.record(0, 1, _value("a"))
+        monitor = SafetyMonitor()
+        monitor.record_delivery(0, 1, "a")
+        with pytest.raises(InvariantViolation, match="total-order"):
+            monitor.record_delivery(0, 1, "a")
 
     def test_laggards(self):
-        monitor = TotalOrderMonitor()
-        monitor.record(0, 1, _value("a"))
-        monitor.record(0, 2, _value("b"))
-        monitor.record(1, 1, _value("a"))
+        monitor = SafetyMonitor()
+        monitor.record_delivery(0, 1, "a")
+        monitor.record_delivery(0, 2, "b")
+        monitor.record_delivery(1, 1, "a")
         assert monitor.laggards() == {1: 2}
 
 
@@ -61,7 +57,7 @@ class TestAttached:
         failover — never trip the agreement/order monitor."""
         config = fast_config(n=7, rate=40, **kwargs)
         deployment = build_deployment(config)
-        monitor = TotalOrderMonitor().attach(deployment)
+        monitor = SafetyMonitor().attach(deployment)
         deployment.start()
         deployment.run()
         assert monitor.deliveries > 0
@@ -69,7 +65,7 @@ class TestAttached:
     def test_monitor_preserves_client_notifications(self):
         config = fast_config(setup="gossip", n=7, rate=40)
         deployment = build_deployment(config)
-        TotalOrderMonitor().attach(deployment)
+        SafetyMonitor().attach(deployment)
         deployment.start()
         deployment.run()
         assert all(c.own_decided > 0 for c in deployment.clients)
