@@ -3,9 +3,10 @@
 The paper's reliability study (Fig. 6) injects uniform receiver-side loss
 with every timeout-triggered procedure disabled. This bench runs the
 seeded chaos scenarios (docs/faults.md) — partition-and-heal around the
-coordinator, a coordinator crash with failover, Gilbert-Elliott loss
-bursts at Fig. 6 intensities, and a gray (slow-but-alive) coordinator —
-against every applicable setup with the safety monitor armed.
+coordinator, a coordinator crash with a heartbeat-elected successor,
+Gilbert-Elliott loss bursts at Fig. 6 intensities, a gray (slow-but-alive)
+coordinator, and membership churn — against every applicable setup with
+the safety monitor armed.
 
 Shape assertions: **safety always, liveness after heal** — zero invariant
 violations anywhere, every pre-fault and post-heal value decided, and

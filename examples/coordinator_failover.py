@@ -5,15 +5,16 @@ The paper keeps a fixed coordinator — "for the sake of progress a single
 process is expected to act as the coordinator at a time" (§2.3) — and its
 reliability study disables all timeout-triggered machinery. This example
 exercises the other half of Paxos: the coordinator crashes mid-workload,
-a backup detects the silence (missed heartbeats), elects itself with a
-fresh round, re-runs Phase 1 over gossip, re-proposes in-flight values,
-and the system resumes — with an attached safety monitor proving that no
-process ever delivers conflicting values across the round change.
+the membership layer's observers miss its heartbeats and declare it dead,
+the election promotes a backup with a fresh round, which re-runs Phase 1
+over gossip, re-proposes in-flight values, and the system resumes — with
+an attached safety monitor proving that no process ever delivers
+conflicting values across the round change.
 
 Run:  python examples/coordinator_failover.py
 """
 
-from repro import ExperimentConfig
+from repro import Crash, ExperimentConfig, FaultPlan, MembershipConfig
 from repro.checks.monitor import SafetyMonitor
 from repro.runtime.deployment import build_deployment
 
@@ -27,8 +28,8 @@ def main():
         duration=2.0,
         drain=4.0,
         seed=4,
-        crashes=((0, 1.8, None),),   # the coordinator dies at t=1.8s
-        failover_timeout=0.5,        # backups act after rank x 0.5s silence
+        faults=FaultPlan([(1.8, Crash(0))]),  # the coordinator dies at t=1.8s
+        membership=MembershipConfig(),        # heartbeats elect a successor
         retransmit_timeout=0.5,
     )
     deployment = build_deployment(config)

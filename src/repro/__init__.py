@@ -45,7 +45,6 @@ from repro.gossip.strategies import PullGossipNode, PushPullGossipNode
 from repro.paxos.process import PaxosProcess, Communicator
 from repro.paxos.spaxos import SPaxosProcess, ValueRef
 from repro.raft.process import RaftProcess
-from repro.runtime.crashes import CrashSchedule, CrashController
 from repro.net.faults.events import (
     FaultPlan,
     Partition,
@@ -95,8 +94,6 @@ __all__ = [
     "ValueRef",
     "RaftProcess",
     "Communicator",
-    "CrashSchedule",
-    "CrashController",
     "FaultPlan",
     "Partition",
     "Heal",

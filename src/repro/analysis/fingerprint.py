@@ -27,6 +27,12 @@ import json
 _OMIT_KEY = "fingerprint_omit_at_default"
 OMIT_AT_DEFAULT = {_OMIT_KEY: True}
 
+#: The reverse case: ``ExperimentConfig`` fields deleted after fingerprints
+#: were committed, in canonical form at the one value every committed run
+#: gave them. The config document still carries them, so deleting a knob
+#: no run used moves no digest.
+RETIRED_CONFIG_FIELDS = {"crashes": [], "failover_timeout": None}
+
 
 def _canonical(value):
     """Recursively convert ``value`` into JSON-encodable canonical form.
@@ -82,7 +88,7 @@ def report_to_dict(report):
     the fingerprint changes.
     """
     return {
-        "config": _canonical(report.config),
+        "config": {**RETIRED_CONFIG_FIELDS, **_canonical(report.config)},
         "latencies_s": _canonical(report.latencies_s),
         "per_client_latencies_s": _canonical(report.per_client_latencies_s),
         "submitted": report.submitted,

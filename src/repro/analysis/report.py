@@ -328,10 +328,10 @@ EXT_CHAOS_INTRO = """## Extension — chaos scenarios (beyond §4.5)
 The paper's reliability study injects uniform loss with every
 timeout-triggered procedure disabled. The chaos harness
 ([docs/faults.md](docs/faults.md), `python -m repro chaos`) extends it to
-partitions, coordinator crashes with failover, Gilbert-Elliott loss
-bursts and gray failures — seeded, with the safety invariant monitor
-armed. Contract asserted per run: **safety always, liveness after
-heal**."""
+partitions, coordinator crashes with a heartbeat-elected successor,
+Gilbert-Elliott loss bursts, gray failures and membership churn —
+seeded, with the safety invariant monitor armed. Contract asserted per
+run: **safety always, liveness after heal**."""
 
 DEVIATIONS = """## Known deviations
 

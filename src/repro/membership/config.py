@@ -13,7 +13,8 @@ latency, a suspicion timeout a few periods long, and a dead timeout with
 enough slack that multi-hop gossip propagation cannot alone kill a member.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Optional
 
 
@@ -23,10 +24,11 @@ class MembershipConfig:
 
     #: Seconds between one member's liveness heartbeats.
     heartbeat_interval: float = 0.06
-    #: Heartbeat silence after which an observer suspects a member.
+    #: Seconds without a heartbeat after which an observer suspects a member.
     suspicion_timeout: float = 0.25
-    #: Heartbeat silence after which an observer declares a member dead
-    #: (and broadcasts a dead report). Must exceed ``suspicion_timeout``.
+    #: Seconds without a heartbeat after which an observer declares a
+    #: member dead (and broadcasts a dead report). Must exceed
+    #: ``suspicion_timeout``.
     dead_timeout: float = 0.5
     #: Process ids forming the cluster at t=0; ``None`` means all ``n``
     #: processes. Ids outside this set start dormant and enter via ``Join``.
@@ -48,6 +50,11 @@ class MembershipConfig:
     election_jitter: float = 0.05
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ValueError("{} must be finite, got {!r}".format(
+                    f.name, value))
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         if self.suspicion_timeout <= self.heartbeat_interval:

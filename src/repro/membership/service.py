@@ -151,7 +151,7 @@ class MembershipService(Actor):
     """
 
     def __init__(self, sim, config, nodes, processes, overlay_rng,
-                 connect_pair, crash_controller=None):
+                 connect_pair):
         super().__init__(sim, "membership")
         self.config = config
         self.mcfg = config.membership
@@ -159,7 +159,6 @@ class MembershipService(Actor):
         self.processes = processes
         self.overlay_rng = overlay_rng
         self.connect_pair = connect_pair
-        self.crash_controller = crash_controller
         self.fault_engine = None   # set by build_deployment when present
         self.view = MembershipView(config.n,
                                    self.mcfg.members_at_start(config.n))
@@ -291,9 +290,9 @@ class MembershipService(Actor):
     def _activate(self, pid):
         now = self.now
         self._member_since[pid] = now
-        if (self.crash_controller is not None
-                and self.crash_controller.is_crashed(pid)):
-            self.crash_controller.recover(pid)
+        if (self.fault_engine is not None
+                and self.fault_engine.is_crashed(pid)):
+            self.fault_engine.recover(pid)
         else:
             self.nodes[pid].recover()
             self.processes[pid].recover()

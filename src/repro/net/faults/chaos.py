@@ -5,7 +5,8 @@ loss and explicitly disables every timeout-triggered procedure. The chaos
 harness extends that study to the correlated WAN failure modes the gossip
 substrate is meant to mask — and, because recovering from them *requires*
 the timeout-triggered procedures, scenarios run with retransmission (and,
-where a scenario kills the coordinator, failover) enabled.
+where a scenario kills the coordinator, the membership layer's election)
+enabled.
 
 Every scenario is **randomized but seeded**: parameters (partition
 membership, window boundaries, burst intensities, gray factors) are drawn
@@ -122,17 +123,14 @@ def _build_partition_heal(config, rng):
 
 
 def _build_coordinator_crash(config, rng):
-    """Kill the coordinator mid-Phase-1; a backup takes over (failover)."""
-    failover = 0.4
+    """Kill the coordinator mid-Phase-1; the election promotes a backup."""
+    membership = _churn_membership(tuple(range(config.n)))
     crash_at = rng.uniform(0.02, 0.08)  # Phase 1 needs a WAN round trip
     plan = FaultPlan([(crash_at, Crash(config.coordinator_id))])
-    # Rank-1 backup waits out `failover` of silence, then runs Phase 1
-    # itself; allow a takeover plus one Phase 1 before expecting progress.
-    heal_at = crash_at + 3.0 * failover
     return ScenarioRun(
-        config.replace(faults=plan, failover_timeout=failover),
+        config.replace(faults=plan, membership=membership),
         fault_start=crash_at - IN_FLIGHT_GUARD_S,
-        heal_at=heal_at,
+        heal_at=_elected_by(crash_at, membership),
         excluded_clients=(config.coordinator_id,),
     )
 
@@ -185,6 +183,17 @@ def _churn_membership(initial_members):
     )
 
 
+def _elected_by(crash_at, membership):
+    """When a successor of a leader dead at ``crash_at`` is making progress.
+
+    Silence -> dead report -> election backoff (+ jitter) -> the
+    successor's Phase 1; one WAN round trip on top before the liveness
+    gate expects progress.
+    """
+    return (crash_at + membership.dead_timeout + membership.election_backoff
+            + membership.election_jitter + 0.45)
+
+
 def _build_membership_churn(config, rng):
     """Join, graceful leave and rejoin on the fault timeline.
 
@@ -220,10 +229,9 @@ def _build_membership_churn(config, rng):
 def _build_leader_churn_rejoin(config, rng):
     """Crash the leader; heartbeats detect it and elect a successor.
 
-    Unlike ``coordinator-crash`` (fixed failover timeout), detection and
-    re-election run through the membership layer's suspicion/dead-report
-    pipeline; the dead leader later rejoins with a bumped incarnation and
-    the view readmits it under the elected successor.
+    Unlike ``coordinator-crash`` (a crash mid-Phase-1, never healed), the
+    crash lands mid-workload and the dead leader later rejoins with a
+    bumped incarnation; the view readmits it under the elected successor.
     """
     membership = _churn_membership(tuple(range(config.n)))
     t_crash = config.warmup + rng.uniform(0.10, 0.20) * config.duration
@@ -232,18 +240,11 @@ def _build_leader_churn_rejoin(config, rng):
         (t_crash, Crash(config.coordinator_id)),
         (t_rejoin, Rejoin(config.coordinator_id)),
     ])
-    # Silence -> dead report -> election backoff (+ jitter) -> the
-    # successor's Phase 1; allow one WAN round trip on top before the
-    # liveness gate expects progress.
-    heal_at = max(
-        t_rejoin + IN_FLIGHT_GUARD_S,
-        t_crash + membership.dead_timeout + membership.election_backoff
-        + membership.election_jitter + 0.45,
-    )
     return ScenarioRun(
         config.replace(faults=plan, membership=membership),
         fault_start=t_crash - IN_FLIGHT_GUARD_S,
-        heal_at=heal_at,
+        heal_at=max(t_rejoin + IN_FLIGHT_GUARD_S,
+                    _elected_by(t_crash, membership)),
         excluded_clients=(config.coordinator_id,),
     )
 
@@ -256,7 +257,8 @@ SCENARIOS = {
                  summary="coordinator isolated in a minority, then healed"),
         Scenario("coordinator-crash", _build_coordinator_crash,
                  setups=("gossip", "semantic"),
-                 summary="coordinator dies mid-Phase-1; backup fails over"),
+                 summary="coordinator dies mid-Phase-1; heartbeat election "
+                         "promotes a backup"),
         Scenario("burst-loss", _build_burst_loss,
                  summary="Gilbert-Elliott loss bursts at Fig. 6 rates"),
         Scenario("gray-coordinator", _build_gray_coordinator,
@@ -406,7 +408,7 @@ def run_chaos_scenario(name, base_config=None, seed=1, strict=False):
     base_config:
         Starting :class:`ExperimentConfig`; defaults to
         :func:`chaos_config`. The scenario overrides ``seed`` and installs
-        its fault plan (plus failover where it needs one).
+        its fault plan (plus membership where it needs an election).
     strict:
         Raise at the first safety violation instead of recording it.
     """

@@ -8,8 +8,11 @@ The engine owns every runtime mechanism behind the declarative events:
   injector (so ``loss_rate`` and fault plans compose);
 * link degradation through :meth:`repro.net.channel.DirectedLink.degrade`;
 * gray failures through the CPU server's ``slowdown`` factor;
-* process and region outages through the deployment's
-  :class:`repro.runtime.crashes.CrashController`.
+* process and region outages, the paper's crash-recovery model (§2.1): a
+  crashed process neither handles inbound messages nor initiates sends,
+  and its queued outbound messages are discarded, while acceptor/log state
+  survives as if on stable storage; the colocated client keeps submitting
+  (open loop) and values sent to the crashed process are lost.
 
 Every random decision draws from dedicated named streams
 (``chaos-link-loss``, ``chaos-burst``, ``chaos-jitter``) so arming a fault
@@ -86,15 +89,15 @@ class _ChaosHook:
 class FaultEngine:
     """Installs a fault plan's events on a deployment's clock and links."""
 
-    def __init__(self, sim, topology, transports, nodes, crash_controller,
-                 plan):
+    def __init__(self, sim, topology, transports, nodes, processes, plan):
         self.sim = sim
         self.topology = topology
         self.transports = transports
         self.nodes = nodes
-        self.crash_controller = crash_controller
+        self.processes = processes
         self.plan = plan
         self.stats = FaultStats()
+        self.crashed = set()           # ids of processes currently down
         self.gray = {}                 # process id -> active slowdown factor
         self._group_of = None          # pid -> group index while partitioned
         self._link_loss = {}           # (src, dst) -> drop rate
@@ -233,11 +236,26 @@ class FaultEngine:
         else:
             self.gray[process_id] = factor
 
+    def is_crashed(self, process_id):
+        return process_id in self.crashed
+
     def crash(self, process_id, duration=None):
-        self.crash_controller.crash(process_id)
+        """Crash a process now (idempotent); recover it after ``duration``
+        seconds when given."""
+        if process_id not in self.crashed:
+            self.crashed.add(process_id)
+            self.nodes[process_id].crash()
+            self.processes[process_id].crash()
         if duration is not None:
-            self.sim.schedule(duration, self.crash_controller.recover,
-                              process_id)
+            self.sim.schedule(duration, self.recover, process_id)
+
+    def recover(self, process_id):
+        """Recover a crashed process now (no-op when it is not crashed)."""
+        if process_id not in self.crashed:
+            return
+        self.crashed.discard(process_id)
+        self.nodes[process_id].recover()
+        self.processes[process_id].recover()
 
     def region_outage(self, region, duration=None):
         for pid in self.topology.processes_in_region(region):

@@ -20,9 +20,9 @@ Event catalogue (the WAN failure modes of ISSUE §4.5 and beyond):
   restores them.
 * :class:`GrayFailure` — a process's CPU slows by a factor: alive, never
   suspected, but late (``factor=1`` recovers it).
-* :class:`Crash` / :class:`RegionOutage` — full-process outages through the
-  :class:`repro.runtime.crashes.CrashController`, for one process or every
-  process hosted in a region.
+* :class:`Crash` / :class:`RegionOutage` — full-process outages (the
+  paper's crash-recovery model), for one process or every process hosted
+  in a region; the only way to take a process down.
 * :class:`Join` / :class:`Leave` / :class:`Rejoin` — membership churn
   through the :class:`repro.membership.service.MembershipService`; these
   require ``ExperimentConfig(membership=...)``.
@@ -34,11 +34,27 @@ that was already a member — so misconfigured plans fail loudly at config
 time instead of silently doing nothing mid-run.
 """
 
+import math
+
 from repro.net.regions import REGIONS
 
 #: Region count of the paper's built-in topology, the default that
 #: region-addressed events are validated against.
 NUM_REGIONS = len(REGIONS)
+
+
+def _check_finite(name, value):
+    """Reject NaN and infinities, which would only fail mid-run."""
+    if not math.isfinite(value):
+        raise ValueError("{} must be finite, got {!r}".format(name, value))
+
+
+def _check_duration(duration):
+    if duration is not None:
+        _check_finite("duration", duration)
+        if duration <= 0:
+            raise ValueError(
+                "duration must be positive, got {!r}".format(duration))
 
 
 def _check_probability(name, value):
@@ -192,6 +208,8 @@ class Degrade(FaultEvent):
 
     def __init__(self, region_a, region_b, latency_factor=1.0,
                  extra_jitter_s=0.0):
+        _check_finite("latency_factor", latency_factor)
+        _check_finite("extra_jitter_s", extra_jitter_s)
         if latency_factor <= 0:
             raise ValueError("latency_factor must be positive")
         if extra_jitter_s < 0:
@@ -221,6 +239,7 @@ class GrayFailure(FaultEvent):
     kind = "gray"
 
     def __init__(self, process_id, factor):
+        _check_finite("factor", factor)
         if factor < 1.0:
             raise ValueError("a gray failure slows a process: factor >= 1")
         self.process_id = process_id
@@ -242,8 +261,7 @@ class Crash(FaultEvent):
     kind = "crash"
 
     def __init__(self, process_id, duration=None):
-        if duration is not None and duration <= 0:
-            raise ValueError("crash duration must be positive")
+        _check_duration(duration)
         self.process_id = process_id
         self.duration = duration
 
@@ -263,8 +281,7 @@ class RegionOutage(FaultEvent):
     kind = "region-outage"
 
     def __init__(self, region, duration=None):
-        if duration is not None and duration <= 0:
-            raise ValueError("outage duration must be positive")
+        _check_duration(duration)
         self.region = region
         self.duration = duration
 
@@ -411,8 +428,9 @@ class FaultPlan:
                     "fault plan event must be a FaultEvent, got {!r}".format(
                         event))
             at = float(at)
+            _check_finite("at", at)
             if at < 0:
-                raise ValueError("fault time must be non-negative")
+                raise ValueError("at must be non-negative, got {!r}".format(at))
             normalized.append((at, event))
         normalized.sort(key=lambda entry: entry[0])
         self.entries = tuple(normalized)

@@ -19,7 +19,6 @@ from repro.paxos.messages import (
     Phase2b,
     Aggregated2b,
     Decision,
-    Heartbeat,
 )
 from repro.paxos.acceptor import Acceptor
 from repro.paxos.learner import Learner
@@ -36,7 +35,6 @@ __all__ = [
     "Phase2b",
     "Aggregated2b",
     "Decision",
-    "Heartbeat",
     "Acceptor",
     "Learner",
     "Coordinator",

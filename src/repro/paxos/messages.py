@@ -143,22 +143,6 @@ class Aggregated2b(Payload):
         ]
 
 
-class Heartbeat(Payload):
-    """Coordinator liveness beacon (used only when failover is enabled).
-
-    The paper's fixed-coordinator deployments never send these; they exist
-    so the failover extension can distinguish "no client load" from "the
-    coordinator is gone".
-    """
-
-    __slots__ = ("coordinator", "seq")
-
-    def __init__(self, coordinator, seq):
-        super().__init__(("HB", coordinator, seq), HEADER_BYTES)
-        self.coordinator = coordinator
-        self.seq = seq
-
-
 class Decision(Payload):
     """Coordinator announces the value decided in ``instance``."""
 

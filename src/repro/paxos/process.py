@@ -22,7 +22,6 @@ from repro.paxos.log import DecisionLog
 from repro.paxos.messages import (
     ClientValue,
     Decision,
-    Heartbeat,
     Phase1a,
     Phase1b,
     Phase2a,
@@ -79,7 +78,7 @@ class ConsensusProcess(Actor):
 
     The other side of the :class:`Communicator` seam: the substrate calls
     :meth:`handle`, the co-located client :meth:`submit_value`, and the
-    runtime (crash controller, membership, monitors, obs, metrics) uses
+    runtime (fault engine, membership, monitors, obs, metrics) uses
     only the attributes set here and the verbs and views declared below.
     """
 
@@ -167,8 +166,7 @@ class PaxosProcess(ConsensusProcess):
     """One Paxos participant playing all roles."""
 
     def __init__(self, sim, process_id, n, comm, coordinator_id=0,
-                 retransmit_timeout=None, on_deliver=None,
-                 failover_timeout=None):
+                 retransmit_timeout=None, on_deliver=None):
         """
         Parameters
         ----------
@@ -177,37 +175,28 @@ class PaxosProcess(ConsensusProcess):
         retransmit_timeout, on_deliver:
             See :class:`ConsensusProcess`; here the coordinator re-issues
             pending Phase 1a/2a messages.
-        failover_timeout:
-            When set, a non-coordinator that observes no delivery progress
-            for ``failover_timeout x its rank`` elects itself coordinator
-            and runs Phase 1 in a fresh, higher round (rounds are
-            partitioned by process id so coordinators never collide).
-            ``None`` (default, the paper's setting) disables failover.
+
+        The process never elects itself: a backup becomes coordinator only
+        when the membership layer's election calls :meth:`take_over`.
         """
         super().__init__(sim, "paxos-{}".format(process_id), process_id, n,
                          comm, retransmit_timeout, on_deliver)
-        self.coordinator_id = coordinator_id
         self.is_coordinator = process_id == coordinator_id
         self.acceptor = Acceptor(process_id)
         self.learner = Learner(n)
         self.log = DecisionLog()
-        self.failover_timeout = failover_timeout
         self.coordinator = (
             Coordinator(process_id, n, comm) if self.is_coordinator else None
         )
         self.takeovers = 0
-        self._failover_timer = None
-        self._heartbeat_timer = None
-        self._heartbeat_seq = 0
-        self._last_progress = 0.0
         self._max_seen_round = 1
-        #: in-flight client values observed via gossip (failover/election
-        #: only): re-proposed by a takeover coordinator so they are not lost.
+        #: in-flight client values observed via gossip (election only):
+        #: re-proposed by a takeover coordinator so they are not lost.
         self._seen_values = {}
         self._decided_value_ids = set()
-        #: Whether to track in-flight values for re-proposal; on by default
-        #: under failover, switched on by the membership layer's election.
-        self._track_values = failover_timeout is not None
+        #: Whether to track in-flight values for re-proposal; switched on
+        #: by the membership layer's election.
+        self._track_values = False
         #: Whether the current coordinator role was assumed by takeover or
         #: election (its retransmissions count as election-triggered).
         self._election_born = False
@@ -217,39 +206,12 @@ class PaxosProcess(ConsensusProcess):
 
     def start(self):
         """Begin operation; the coordinator launches Phase 1."""
-        self._last_progress = self.now
         if self.coordinator is not None:
             self.coordinator.start(self.now)
             self._start_retransmit_timer()
-            self._start_heartbeats()
-        elif self.failover_timeout is not None:
-            self._failover_timer = self.every(
-                self.failover_timeout / 2.0, self._maybe_take_over
-            )
-
-    def _start_heartbeats(self):
-        if self.failover_timeout is not None and self._heartbeat_timer is None:
-            self._heartbeat_timer = self.every(
-                self.failover_timeout / 3.0, self._send_heartbeat
-            )
-
-    def _send_heartbeat(self):
-        if not self.alive:
-            return
-        self._heartbeat_seq += 1
-        self.comm.broadcast(Heartbeat(self.process_id, self._heartbeat_seq))
-
-    def _stop_heartbeats(self):
-        if self._heartbeat_timer is not None:
-            self._heartbeat_timer.stop()
-            self._heartbeat_timer = None
 
     def stop(self):
         self._stop_retransmit_timer()
-        self._stop_heartbeats()
-        if self._failover_timer is not None:
-            self._failover_timer.stop()
-            self._failover_timer = None
 
     @property
     def leads(self):
@@ -271,7 +233,6 @@ class PaxosProcess(ConsensusProcess):
         self._election_born = False
         self.coordinator = None
         self._stop_retransmit_timer()
-        self._stop_heartbeats()
 
     def install_obs(self, tracer):
         """The live coordinator and the learner's quorum callback too."""
@@ -342,8 +303,6 @@ class PaxosProcess(ConsensusProcess):
         elif kind is Phase1b:
             if self.coordinator is not None:
                 self.coordinator.on_phase1b(payload, self.now)
-        elif kind is Heartbeat:
-            self._last_progress = self.now
 
     # -- decisions ------------------------------------------------------------
 
@@ -362,7 +321,6 @@ class PaxosProcess(ConsensusProcess):
         ready = self.log.pop_ready()
         if ready:
             self.stats.decisions_delivered += len(ready)
-            self._last_progress = self.now
             watermark = ready[-1][0]
             self.acceptor.forget_up_to(watermark)
             self.learner.forget_up_to(watermark)
@@ -389,31 +347,16 @@ class PaxosProcess(ConsensusProcess):
             if self._election_born:
                 self.stats.election_retransmissions += issued
 
-    # -- coordinator failover ----------------------------------------------------
-
-    def _maybe_take_over(self):
-        """Elect self coordinator after rank-staggered silence.
-
-        Staggering by rank makes the lowest-ranked live backup win in the
-        common case; a concurrent takeover is safe regardless — rounds are
-        unique per process and Paxos tolerates competing coordinators
-        (paper §2.3).
-        """
-        if not self.alive or self.coordinator is not None:
-            return
-        rank = (self.process_id - self.coordinator_id) % self.n
-        if self.now - self._last_progress < self.failover_timeout * rank:
-            return
-        self.take_over()
+    # -- coordinator takeover ----------------------------------------------------
 
     def take_over(self):
         """Assume the coordinator role in a fresh, higher round.
 
-        Invoked by the rank-staggered failover timer above and by the
-        membership layer's heartbeat-driven election. Returns True when the
-        role was assumed; False when this process is dead or already
-        coordinating. Concurrent takeovers are safe regardless — rounds are
-        unique per process and Paxos tolerates competing coordinators.
+        Invoked by the membership layer's heartbeat-driven election.
+        Returns True when the role was assumed; False when this process is
+        dead or already coordinating. Concurrent takeovers are safe
+        regardless — rounds are unique per process and Paxos tolerates
+        competing coordinators (paper §2.3).
         """
         if not self.alive or self.coordinator is not None:
             return False
@@ -431,9 +374,7 @@ class PaxosProcess(ConsensusProcess):
             self.obs.round_event("takeover", process=self.process_id,
                                  round=round_)
         self.coordinator.start(self.now)
-        self._last_progress = self.now
         self._start_retransmit_timer()
-        self._start_heartbeats()
         # Re-propose in-flight values observed before the takeover so they
         # are not lost with the old coordinator. A value that was in fact
         # already decided in an instance this process has not learned yet

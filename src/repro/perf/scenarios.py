@@ -13,7 +13,7 @@ tier-1 re-runs them and demands the report fingerprints recorded in
 from repro.membership import MembershipConfig
 from repro.net.channel import LinkConfig
 from repro.net.faults.events import (Crash, Degrade, FaultPlan, Join, Leave,
-                                     Rejoin)
+                                     RegionOutage, Rejoin)
 from repro.runtime.config import ExperimentConfig
 
 #: Overlay used by every scenario: fixed so the harness is self-contained
@@ -138,6 +138,18 @@ def _degrade_jitter():
                    link=LinkConfig(jitter_s=0.0005), faults=plan)
 
 
+def _crash_recover():
+    """Timed outages at the Fig. 3 knee: crash, region outage, recovery.
+
+    Both faults carry a duration, so the fault engine schedules each
+    recovery itself, and each crash withdraws what the victim's links had
+    committed but not yet serialised.
+    """
+    plan = FaultPlan([(0.55, Crash(3, duration=0.3)),
+                      (0.65, RegionOutage(5, duration=0.2))])
+    return _config("semantic", 200, duration=0.6, faults=plan)
+
+
 #: Regression configurations that are *not* perf-benchmarked but share the
 #: fixed-seed discipline: the fingerprint test and the race audit run
 #: them alongside the figure scenarios. ``agg_heavy`` is the configuration
@@ -147,11 +159,13 @@ def _degrade_jitter():
 #: overlay repair, heartbeat-driven election) under the same race audit;
 #: ``degrade_jitter`` does the same for the link-jitter and chaos-jitter
 #: draws and for ``Degrade`` re-timing in-flight rounds; ``raft_semantic``
-#: is the one committed run of the Raft protocol and its semantic rules.
+#: is the one committed run of the Raft protocol and its semantic rules;
+#: ``crash_recover`` the one of the fault engine's timed recoveries.
 REGRESSION_SCENARIOS = {
     "agg_heavy": lambda: _config("semantic", 300, n=27,
                                  enable_filtering=False,
                                  duration=0.15, drain=1.0),
+    "crash_recover": _crash_recover,
     "churn_smoke": _churn_smoke,
     "churn_leader": _churn_leader,
     "degrade_jitter": _degrade_jitter,

@@ -50,19 +50,16 @@ class ExperimentConfig:
     # -- faults (paper §4.5 message loss; §2.1 crash-recovery) -------------------
     loss_rate: float = 0.0
     retransmit_timeout: Optional[float] = None  # None = disabled (§4.5 setting)
-    #: Process outages: tuples of (process_id, crash_at, recover_at|None).
-    crashes: tuple = ()
-    #: Coordinator failover: silence (seconds x rank) before a backup takes
-    #: over with a fresh round. None (paper's setting) disables failover.
-    failover_timeout: Optional[float] = None
     #: Declarative fault timeline: a FaultPlan or an iterable of
     #: (at, FaultEvent) entries, applied by the fault engine (docs/faults.md).
-    #: Composes with loss_rate / crashes / retransmit / failover.
+    #: The only way to inject a process outage (Crash / RegionOutage);
+    #: composes with loss_rate and retransmission.
     faults: tuple = ()
     #: Dynamic membership (docs/membership.md): heartbeats, suspicion-based
     #: failure detection, Join/Leave/Rejoin churn and heartbeat-driven
-    #: leader election. None (the default) keeps the layer entirely out of
-    #: the run — fixed-membership results are bit-identical either way.
+    #: leader election — the only way a backup takes over from a dead
+    #: coordinator. None (the default) keeps the layer entirely out of the
+    #: run — fixed-membership results are bit-identical either way.
     membership: Optional[MembershipConfig] = None
 
     # -- semantics (paper §3.2; toggles for the ablation study) -----------------
@@ -102,12 +99,19 @@ class ExperimentConfig:
             )
         if self.n < 3:
             raise ValueError("Paxos needs at least 3 processes")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
-        if not math.isfinite(self.duration) or self.duration <= 0:
+        positive = ("rate", "duration", "pull_interval")
+        if self.retransmit_timeout is not None:
+            positive += ("retransmit_timeout",)
+        for name in positive:
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(
+                    "{} must be finite and positive, got {!r}".format(
+                        name, value))
+        if not self.value_size >= 0:
             raise ValueError(
-                "duration must be finite and positive, got {!r}".format(
-                    self.duration))
+                "value_size must be non-negative, got {!r}".format(
+                    self.value_size))
         for name in ("warmup", "drain"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
@@ -137,18 +141,7 @@ class ExperimentConfig:
                 "spaxos needs broadcast dissemination; the Baseline star "
                 "cannot deliver value bodies to non-coordinator processes"
             )
-        if self.failover_timeout is not None:
-            if self.protocol != "paxos" or self.spaxos:
-                raise ValueError(
-                    "coordinator failover is implemented for plain Paxos"
-                )
-            if self.setup == "baseline":
-                raise ValueError(
-                    "failover needs broadcast communication; the Baseline "
-                    "star dies with its hub"
-                )
         self._validate_membership()
-        self._validate_crashes()
         # Normalizing rejects malformed timelines (bad entry shapes, events
         # referencing unknown processes/regions, churn aimed at processes
         # that are not members at the event's time) at config time.
@@ -170,11 +163,6 @@ class ExperimentConfig:
                 "membership leader election is implemented for plain "
                 "Paxos and Raft, not S-Paxos"
             )
-        if self.failover_timeout is not None:
-            raise ValueError(
-                "membership replaces the fixed failover timeout with "
-                "heartbeat-driven election; set one or the other"
-            )
         initial = self.membership.members_at_start(self.n)
         for pid in initial:
             if (not isinstance(pid, int) or isinstance(pid, bool)
@@ -191,27 +179,6 @@ class ExperimentConfig:
                 "initial membership ({} processes) cannot form a quorum "
                 "of n={} (needs >= {})".format(
                     len(initial), self.n, self.majority))
-
-    def _validate_crashes(self):
-        """Reject malformed crash tuples before they reach the runtime."""
-        from repro.runtime.crashes import CrashSchedule
-
-        for entry in self.crashes:
-            if not isinstance(entry, (tuple, list)) or len(entry) not in (2, 3):
-                raise ValueError(
-                    "crash entries are (process_id, crash_at[, recover_at]) "
-                    "tuples; got {!r}".format(entry))
-            process_id, crash_at = entry[0], entry[1]
-            if (not isinstance(process_id, int) or isinstance(process_id, bool)
-                    or not 0 <= process_id < self.n):
-                raise ValueError(
-                    "crash process id {!r} out of range for n={}".format(
-                        process_id, self.n))
-            if crash_at < 0:
-                raise ValueError(
-                    "crash_at must be non-negative, got {!r}".format(crash_at))
-            # Reuses CrashSchedule's recover_at > crash_at check.
-            CrashSchedule(*entry)
 
     @property
     def effective_k(self):

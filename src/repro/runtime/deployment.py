@@ -31,7 +31,6 @@ from repro.paxos.spaxos import SPaxosProcess
 from repro.raft.process import RaftProcess
 from repro.runtime.client import Client
 from repro.runtime.communicators import BaselineCommunicator, GossipCommunicator
-from repro.runtime.crashes import CrashController, CrashSchedule
 from repro.runtime.direct import DirectNode
 from repro.runtime.metrics import MetricsCollector
 from repro.sim.kernel import Simulator
@@ -43,8 +42,8 @@ class Deployment:
 
     def __init__(self, config, sim, topology, overlay, transports, nodes,
                  processes, clients, collector, loss_injector,
-                 crash_controller=None, fault_engine=None, membership=None,
-                 obs=None, interner=None):
+                 fault_engine=None, membership=None, obs=None,
+                 interner=None):
         self.config = config
         self.sim = sim
         self.topology = topology
@@ -55,7 +54,6 @@ class Deployment:
         self.clients = clients
         self.collector = collector
         self.loss_injector = loss_injector
-        self.crash_controller = crash_controller
         self.fault_engine = fault_engine
         self.membership = membership    # MembershipService or None
         self.obs = obs                  # repro.obs Tracer or None
@@ -63,7 +61,8 @@ class Deployment:
 
     def start(self):
         """Schedule startup: every process at t=0 (the coordinator runs
-        Phase 1, backups arm failover timers if configured), then clients."""
+        Phase 1), then nodes and clients, then the fault plan's events and
+        the membership layer when configured."""
         if self.obs is not None:
             # Hook installation is pure attribute wiring plus the sampler's
             # first tick (at t = tick_interval > 0); nothing at t=0 moves.
@@ -77,8 +76,6 @@ class Deployment:
             node.start()
         for client in self.clients:
             client.start()
-        if self.crash_controller is not None:
-            self.crash_controller.install()
         if self.fault_engine is not None:
             self.fault_engine.install()
         if self.membership is not None:
@@ -221,7 +218,6 @@ def build_deployment(config, auditor=None, obs=None):
                 sim, i, n, communicators[i],
                 coordinator_id=config.coordinator_id,
                 retransmit_timeout=config.retransmit_timeout,
-                failover_timeout=config.failover_timeout,
             )
         nodes[i].deliver = process.handle
         processes.append(process)
@@ -247,17 +243,10 @@ def build_deployment(config, auditor=None, obs=None):
         clients.append(client)
 
     fault_plan = config.fault_plan
-    crash_controller = None
-    if config.crashes or fault_plan is not None:
-        # The fault engine routes Crash/RegionOutage events through the
-        # controller, so it exists whenever a fault plan does.
-        schedules = [CrashSchedule(*entry) for entry in config.crashes]
-        crash_controller = CrashController(sim, nodes, processes, schedules)
-
     fault_engine = None
     if fault_plan is not None:
         fault_engine = FaultEngine(sim, topology, transports, nodes,
-                                   crash_controller, fault_plan)
+                                   processes, fault_plan)
 
     membership = None
     if config.membership is not None:
@@ -271,9 +260,7 @@ def build_deployment(config, auditor=None, obs=None):
             return True
 
         membership = MembershipService(
-            sim, config, nodes, processes, overlay_rng, _lazy_connect,
-            crash_controller=crash_controller,
-        )
+            sim, config, nodes, processes, overlay_rng, _lazy_connect)
         if fault_engine is not None:
             fault_engine.membership = membership
             membership.fault_engine = fault_engine
@@ -287,8 +274,7 @@ def build_deployment(config, auditor=None, obs=None):
 
     return Deployment(config, sim, topology, overlay, transports, nodes,
                       processes, clients, collector, loss_injector,
-                      crash_controller, fault_engine, membership,
-                      obs=tracer, interner=interner)
+                      fault_engine, membership, obs=tracer, interner=interner)
 
 
 def _make_notifier(sim, lan_delay_s, client):

@@ -9,8 +9,10 @@ that still carried the event-per-job server deployments and the binary-heap
 queue, where the A/B suite proved them equal on all four combinations —
 except ``degrade_jitter``, captured at the commit that made every link hop
 a single event with jitter drawn when the arrival is committed (jittered
-runs have no older bits to hold on to) — and ``raft_semantic``, captured at
-the last commit where Raft had its own copy of the vote-merging rule.
+runs have no older bits to hold on to) — ``raft_semantic``, captured at
+the last commit where Raft had its own copy of the vote-merging rule — and
+``crash_recover``, captured at the last commit where process outages had a
+second, config-driven path beside the fault engine.
 """
 
 import json
@@ -31,6 +33,8 @@ REGRESSION_FINGERPRINTS = {
         "a277d5640d83672c8aec13ce1ce16b15d5ad4e45fa9b8bc959211faa202c9f64",
     "churn_leader":
         "04de14c8dec015cf96bbb539057c06bf309001600b56d6b0b106291f297690f3",
+    "crash_recover":
+        "cd0b984e0a10a5c56fa8b3513fd026a7467ba5a559da6be15bfac295cad1c98c",
     "churn_smoke":
         "0812e07183daf648601c9bcd83b306b7ee2187de06514f67a35d0f9c600c3147",
     "degrade_jitter":

@@ -8,6 +8,8 @@ semantics, ...). Every run must still order values and keep total order.
 import pytest
 
 from repro.checks.monitor import SafetyMonitor
+from repro.membership import MembershipConfig
+from repro.net.faults.events import Crash
 from repro.runtime.deployment import build_deployment
 from repro.runtime.metrics import build_report
 from tests.conftest import fast_config
@@ -24,7 +26,8 @@ COMPOSITIONS = [
     pytest.param(dict(setup="semantic", protocol="raft", loss_rate=0.05,
                       retransmit_timeout=0.4, drain=4.0),
                  id="raft+semantic+loss+retransmit"),
-    pytest.param(dict(setup="semantic", crashes=((4, 0.9, 1.3),),
+    pytest.param(dict(setup="semantic",
+                      faults=((0.9, Crash(4, duration=0.4)),),
                       retransmit_timeout=0.4, drain=4.0),
                  id="semantic+crash-recovery+retransmit"),
     pytest.param(dict(setup="gossip", gossip_strategy="push-pull",
@@ -33,8 +36,8 @@ COMPOSITIONS = [
     pytest.param(dict(setup="semantic", enable_aggregation=False,
                       use_bloom_dedup=True),
                  id="filtering-only+bloom"),
-    pytest.param(dict(setup="semantic", crashes=((0, 1.0, None),),
-                      failover_timeout=0.4, retransmit_timeout=0.4,
+    pytest.param(dict(setup="semantic", faults=((1.0, Crash(0)),),
+                      membership=MembershipConfig(), retransmit_timeout=0.4,
                       drain=5.0),
                  id="semantic+coordinator-failover"),
 ]

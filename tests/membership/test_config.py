@@ -45,9 +45,15 @@ def test_baseline_setup_rejected():
         fast_config(setup="baseline", membership=MembershipConfig())
 
 
-def test_mutually_exclusive_with_failover_timeout():
-    with pytest.raises(ValueError, match="failover"):
-        fast_config(membership=MembershipConfig(), failover_timeout=0.4)
+@pytest.mark.parametrize("field", [
+    "heartbeat_interval", "suspicion_timeout", "dead_timeout",
+    "election_backoff", "election_backoff_factor", "election_backoff_max",
+    "election_jitter",
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_timing_rejected_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        MembershipConfig(**{field: value})
 
 
 def test_spaxos_rejected():

@@ -130,6 +130,21 @@ def test_region_outage_validation():
         RegionOutage(0, duration=-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field, build", [
+    ("latency_factor", lambda v: Degrade(0, 1, latency_factor=v)),
+    ("extra_jitter_s", lambda v: Degrade(0, 1, extra_jitter_s=v)),
+    ("factor", lambda v: GrayFailure(0, v)),
+    ("duration", lambda v: Crash(0, duration=v)),
+    ("duration", lambda v: RegionOutage(0, duration=v)),
+    ("at", lambda v: FaultPlan([(v, Heal())])),
+])
+def test_non_finite_parameter_rejected_naming_the_field(field, build, value):
+    """NaN and infinities fail at construction, not inside the kernel."""
+    with pytest.raises(ValueError, match=field):
+        build(value)
+
+
 def test_events_have_stable_kinds_and_repr():
     events = [Partition([[0]]), Heal(), LinkLoss(0, 1, 0.1), BurstLoss(),
               ClearBurstLoss(), Degrade(0, 1), GrayFailure(0, 2.0),

@@ -1,37 +1,30 @@
 """Tests for coordinator failover (round change beyond startup).
 
 The paper keeps a fixed coordinator; this extension exercises the part of
-Paxos the fail-free deployment never reaches — a backup electing itself
-with a higher round, re-running Phase 1, and re-proposing in-flight
-values — over the actual gossip substrate with a crashed coordinator.
+Paxos the fail-free deployment never reaches — a backup promoted with a
+higher round, re-running Phase 1, and re-proposing in-flight values — over
+the actual gossip substrate with a crashed coordinator. The crash comes
+from the fault plan, the promotion from the membership layer's
+heartbeat-driven election.
 """
 
-import pytest
-
-from repro.runtime.config import ExperimentConfig
+from repro.membership import MembershipConfig
+from repro.net.faults.events import Crash
 from repro.runtime.runner import run_deployment
 from tests.conftest import fast_config
 
 
-def _failover_config(**overrides):
+def _failover_config(faults=((1.0, Crash(0)),), **overrides):
+    """The coordinator (process 0) dies mid-workload by default."""
     defaults = dict(
         setup="gossip", n=7, rate=40, warmup=0.6, duration=1.4, drain=4.0,
         seed=9,
-        crashes=((0, 1.0, None),),       # coordinator dies mid-workload
-        failover_timeout=0.4,
+        faults=faults,
+        membership=MembershipConfig(),
         retransmit_timeout=0.4,
     )
     defaults.update(overrides)
     return fast_config(**defaults)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(setup="baseline", failover_timeout=0.5)
-    with pytest.raises(ValueError):
-        ExperimentConfig(protocol="raft", failover_timeout=0.5)
-    with pytest.raises(ValueError):
-        ExperimentConfig(spaxos=True, failover_timeout=0.5)
 
 
 def test_backup_takes_over_after_coordinator_crash():
@@ -57,7 +50,7 @@ def test_progress_resumes_after_failover():
 
 def test_no_failover_without_silence():
     """A healthy coordinator never gets preempted."""
-    config = _failover_config(crashes=())
+    config = _failover_config(faults=())
     deployment, report = run_deployment(config)
     assert all(p.takeovers == 0 for p in deployment.processes)
     assert report.not_ordered == 0
@@ -88,11 +81,11 @@ def test_in_flight_values_reproposed():
         assert client.own_decided >= 0.7 * client.submitted
 
 
-def test_staggered_ranks_prefer_lowest_backup():
+def test_election_promotes_lowest_alive_id():
     deployment, _ = run_deployment(_failover_config(seed=11))
     takeovers = sorted(p.process_id for p in deployment.processes
                        if p.takeovers > 0)
-    # The rank-1 process (id 1) should be among the first to take over.
+    # The election's first candidate is the lowest alive member: id 1.
     assert takeovers[0] == 1
 
 
@@ -104,7 +97,7 @@ def test_crash_of_already_failed_over_coordinator():
     coordinator's round must exceed both.
     """
     deployment, report = run_deployment(_failover_config(
-        crashes=((0, 1.0, None), (1, 2.0, None)),
+        faults=((1.0, Crash(0)), (2.0, Crash(1))),
         duration=2.2, drain=5.0,
     ))
     survivors = [p for p in deployment.processes if p.process_id > 1]
@@ -127,7 +120,7 @@ def test_coordinator_crash_at_t0_before_any_decision():
     the takeover fires.
     """
     deployment, report = run_deployment(_failover_config(
-        crashes=((0, 0.0, None),),
+        faults=((0.0, Crash(0)),),
     ))
     assert len(deployment.processes[0].learner.decided) == 0
     takeovers = [p for p in deployment.processes if p.takeovers > 0]

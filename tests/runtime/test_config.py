@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.faults.events import Crash
 from repro.runtime.config import SETUPS, ExperimentConfig
 
 
@@ -73,37 +74,58 @@ def test_replace_validates():
         ExperimentConfig().replace(setup="bogus")
 
 
-# -- crash-tuple validation ----------------------------------------------------
+@pytest.mark.parametrize("field, value", [
+    ("rate", float("nan")),
+    ("rate", float("inf")),
+    ("rate", -1.0),
+    ("retransmit_timeout", 0.0),
+    ("retransmit_timeout", -1.0),
+    ("retransmit_timeout", float("nan")),
+    ("retransmit_timeout", float("inf")),
+    ("pull_interval", 0.0),
+    ("pull_interval", float("nan")),
+    ("value_size", -5),
+])
+def test_bad_value_rejected_naming_the_field(field, value):
+    """Values that would hang the run (an every(0) timer) or fail mid-run
+    (scheduling in the past, negative wire sizes) fail at construction."""
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(gossip_strategy="pull", **{field: value})
+
+
+def test_zero_value_size_and_disabled_retransmission_stay_legal():
+    ExperimentConfig(value_size=0, retransmit_timeout=None)
+
+
+# -- process outages (fault-plan crashes) -------------------------------------
 
 
 def test_valid_crashes_accepted():
-    config = ExperimentConfig(n=7, crashes=((3, 1.0), (4, 1.0, 2.0)))
-    assert config.crashes == ((3, 1.0), (4, 1.0, 2.0))
+    faults = ((1.0, Crash(3)), (1.0, Crash(4, duration=1.0)))
+    config = ExperimentConfig(n=7, faults=faults)
+    assert [event.process_id for _, event in config.fault_plan] == [3, 4]
 
 
 def test_crash_entry_shape_rejected():
     with pytest.raises(ValueError):
-        ExperimentConfig(crashes=(3,))             # not a tuple entry
+        ExperimentConfig(faults=(Crash(3),))       # not an (at, event) pair
     with pytest.raises(ValueError):
-        ExperimentConfig(crashes=((3,),))          # missing crash_at
+        ExperimentConfig(faults=((1.0,),))         # missing the event
     with pytest.raises(ValueError):
-        ExperimentConfig(crashes=((3, 1.0, 2.0, 3.0),))
+        ExperimentConfig(faults=((1.0, Crash(3), 2.0),))
 
 
 def test_crash_unknown_process_rejected():
-    with pytest.raises(ValueError):
-        ExperimentConfig(n=7, crashes=((7, 1.0),))
-    with pytest.raises(ValueError):
-        ExperimentConfig(n=7, crashes=((-1, 1.0),))
-    with pytest.raises(ValueError):
-        ExperimentConfig(n=7, crashes=((True, 1.0),))
+    for pid in (7, -1, True):
+        with pytest.raises(ValueError):
+            ExperimentConfig(n=7, faults=((1.0, Crash(pid)),))
 
 
 def test_crash_bad_times_rejected():
     with pytest.raises(ValueError):
-        ExperimentConfig(crashes=((3, -1.0),))
+        ExperimentConfig(faults=((-1.0, Crash(3)),))
     with pytest.raises(ValueError):
-        ExperimentConfig(crashes=((3, 2.0, 2.0),))  # recover_at <= crash_at
+        ExperimentConfig(faults=((1.0, Crash(3, duration=0.0)),))
 
 
 # -- fault-plan validation -----------------------------------------------------
@@ -122,8 +144,6 @@ def test_fault_plan_none_when_empty():
 
 
 def test_faults_validated_against_system_size():
-    from repro.net.faults.events import Crash
-
     ExperimentConfig(n=13, faults=((1.0, Crash(9)),))
     with pytest.raises(ValueError):
         ExperimentConfig(n=7, faults=((1.0, Crash(9)),))

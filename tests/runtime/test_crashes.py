@@ -2,24 +2,26 @@
 
 import pytest
 
-from repro.runtime.crashes import CrashSchedule
+from repro.net.faults.events import Crash
 from repro.runtime.runner import run_deployment
 from tests.conftest import fast_config
 
 
 def test_schedule_validates_ordering():
     with pytest.raises(ValueError):
-        CrashSchedule(1, crash_at=2.0, recover_at=1.0)
-    CrashSchedule(1, crash_at=1.0)  # permanent crash is fine
+        Crash(1, duration=-1.0)     # recovery must follow the crash
+    Crash(1)                        # permanent crash is fine
 
 
 def test_minority_crash_does_not_stop_consensus():
     """Paxos tolerates a crashed minority: decisions keep flowing."""
     config = fast_config(setup="gossip", n=7, rate=40,
-                         crashes=((3, 0.8, None), (5, 0.8, None)),
+                         faults=((0.8, Crash(3)), (0.8, Crash(5))),
                          drain=3.0)
     deployment, report = run_deployment(config)
-    assert deployment.crash_controller.crash_events == 2
+    assert deployment.fault_engine.stats.injections["crash"] == 2
+    assert not deployment.processes[3].alive
+    assert not deployment.processes[5].alive
     # Clients of live processes keep ordering values; the crashed
     # processes' clients lose the values submitted during the outage.
     live_clients = [c for c in deployment.clients
@@ -29,7 +31,7 @@ def test_minority_crash_does_not_stop_consensus():
 
 def test_crashed_process_handles_nothing():
     config = fast_config(setup="gossip", n=7, rate=40,
-                         crashes=((4, 0.0, None),))
+                         faults=((0.0, Crash(4)),))
     deployment, _ = run_deployment(config)
     crashed = deployment.processes[4]
     assert crashed.stats.messages_handled == 0
@@ -40,7 +42,7 @@ def test_crash_loses_submitted_values():
     """Values a client submits to a crashed process are lost (reliable
     client-process channel, but the process is not participating)."""
     config = fast_config(setup="gossip", n=7, rate=40,
-                         crashes=((2, 0.0, None),), drain=3.0)
+                         faults=((0.0, Crash(2)),), drain=3.0)
     deployment, report = run_deployment(config)
     client = deployment.clients[2]
     assert client.submitted > 0
@@ -50,11 +52,12 @@ def test_crash_loses_submitted_values():
 
 def test_recovery_resumes_participation():
     config = fast_config(setup="gossip", n=7, rate=40,
-                         crashes=((4, 0.7, 1.2),), drain=3.0)
+                         faults=((0.7, Crash(4, duration=0.5)),), drain=3.0)
     deployment, _ = run_deployment(config)
     process = deployment.processes[4]
-    assert deployment.crash_controller.recovery_events == 1
+    assert deployment.fault_engine.stats.injections == {"crash": 1}
     assert process.alive
+    assert deployment.nodes[4].alive
     # After recovery the process decides again (later instances at least).
     assert len(process.learner.decided) > 0
 
@@ -63,7 +66,7 @@ def test_recovered_client_values_order_again():
     """Values submitted after recovery are ordered; the outage window's
     values are lost (no client retry in the open-loop model)."""
     config = fast_config(setup="gossip", n=7, rate=70,
-                         crashes=((2, 0.7, 1.0),), drain=4.0)
+                         faults=((0.7, Crash(2, duration=0.3)),), drain=4.0)
     deployment, report = run_deployment(config)
     client = deployment.clients[2]
     assert 0 < client.own_decided < client.submitted
@@ -71,12 +74,10 @@ def test_recovered_client_values_order_again():
 
 def test_majority_crash_halts_progress():
     """With a majority gone, nothing decided during the outage."""
-    crashes = tuple((i, 0.8, None) for i in (1, 2, 3, 4))
-    config = fast_config(setup="gossip", n=7, rate=40, crashes=crashes,
+    faults = tuple((0.8, Crash(i)) for i in (1, 2, 3, 4))
+    config = fast_config(setup="gossip", n=7, rate=40, faults=faults,
                          drain=3.0)
     deployment, report = run_deployment(config)
-    coordinator = deployment.processes[0]
-    decided_instances = sorted(coordinator.learner.decided)
     # Whatever was decided happened before/around the crash point; the
     # workload continues to 1.6s but instances stop being decided.
     assert report.not_ordered > 0
@@ -84,7 +85,7 @@ def test_majority_crash_halts_progress():
 
 def test_coordinator_crash_halts_everything():
     config = fast_config(setup="gossip", n=7, rate=40,
-                         crashes=((0, 0.8, None),), drain=3.0)
+                         faults=((0.8, Crash(0)),), drain=3.0)
     _, report = run_deployment(config)
     assert report.not_ordered > 0
 
@@ -94,7 +95,7 @@ def test_crash_recovery_with_retransmission_recovers_everything():
     undecided instances; values submitted while crashed are still lost,
     but the log has no holes for live clients."""
     config = fast_config(setup="semantic", n=7, rate=40,
-                         crashes=((4, 0.7, 1.1),),
+                         faults=((0.7, Crash(4, duration=0.4)),),
                          retransmit_timeout=0.4, drain=4.0)
     deployment, report = run_deployment(config)
     live_clients = [c for c in deployment.clients if c.client_id != 4]
@@ -104,7 +105,7 @@ def test_crash_recovery_with_retransmission_recovers_everything():
 
 def test_raft_minority_crash_survives():
     config = fast_config(setup="semantic", protocol="raft", n=7, rate=40,
-                         crashes=((3, 0.8, None),), drain=3.0)
+                         faults=((0.8, Crash(3)),), drain=3.0)
     deployment, report = run_deployment(config)
     live_clients = [c for c in deployment.clients if c.client_id != 3]
     assert all(c.own_decided >= 0.8 * c.submitted for c in live_clients)
@@ -112,7 +113,7 @@ def test_raft_minority_crash_survives():
 
 def test_baseline_crash_supported_too():
     config = fast_config(setup="baseline", n=7, rate=40,
-                         crashes=((3, 0.8, None),), drain=3.0)
+                         faults=((0.8, Crash(3)),), drain=3.0)
     deployment, report = run_deployment(config)
     live_clients = [c for c in deployment.clients if c.client_id != 3]
     assert all(c.own_decided >= 0.8 * c.submitted for c in live_clients)

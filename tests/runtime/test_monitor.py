@@ -3,6 +3,8 @@
 import pytest
 
 from repro.checks.monitor import InvariantViolation, SafetyMonitor
+from repro.membership import MembershipConfig
+from repro.net.faults.events import Crash
 from repro.runtime.deployment import build_deployment
 from tests.conftest import fast_config
 
@@ -49,8 +51,9 @@ class TestAttached:
         dict(setup="semantic", protocol="raft"),
         dict(setup="gossip", spaxos=True),
         dict(setup="gossip", loss_rate=0.1, drain=3.0),
-        dict(setup="gossip", crashes=((0, 1.0, None),),
-             failover_timeout=0.4, retransmit_timeout=0.4, drain=4.0),
+        dict(setup="gossip", faults=((1.0, Crash(0)),),
+             membership=MembershipConfig(), retransmit_timeout=0.4,
+             drain=4.0),
     ])
     def test_no_violation_in_real_runs(self, kwargs):
         """Whole-system runs — including loss, S-Paxos and coordinator

@@ -33,6 +33,13 @@ def test_quickstart_example(capsys):
     assert "avg lat (ms)" in out
 
 
+def test_coordinator_failover_example(capsys):
+    out = _run_example("coordinator_failover.py", capsys)
+    assert "took over with round" in out
+    assert "(Phase 1 complete: True)" in out
+    assert "zero safety violations" in out
+
+
 def test_all_examples_importable():
     """Every example at least parses and imports cleanly."""
     for path in sorted(EXAMPLES.glob("*.py")):
