@@ -9,11 +9,11 @@ mantissa participates — and hashed. Two runs are behaviourally identical
 iff their fingerprints match; there is no tolerance, because the
 simulator is deterministic and the optimisations are meant to be exact.
 
-Used by the committed-fingerprint test
-(``tests/integration/test_committed_fingerprints.py``) and the perf-smoke
-gate (``benchmarks/perf``), which both pin each committed scenario's
-fingerprint so a perf change that silently alters results fails CI even
-when it is fast.
+Used by the committed-fingerprint tests
+(``tests/integration/test_committed_fingerprints.py`` and, for the
+large-N scenarios, ``benchmarks/test_large_scenarios.py``), which pin each
+committed scenario's fingerprint so a perf change that silently alters
+results fails CI even when it is fast.
 """
 
 import dataclasses

@@ -29,7 +29,7 @@ simulation behaviour:
 
 The auditor is strictly opt-in: an unattached simulator binds the plain
 :class:`EventQueue` and :func:`make_stream`, so the audited machinery is
-never on the hot path (BENCH_perf gates this).
+never on the hot path (``benchmarks/e2e`` gates its cost).
 
 :mod:`repro.checks.race` builds the double-run ``repro check --race``
 harness on top of this module.

@@ -25,8 +25,8 @@ localizes the **first divergent event**, reporting:
   count by that point — localizing stream-discipline leaks separately
   from tie-break leaks.
 
-Scenario names are the committed perf figure scenarios plus the
-regression configs (``agg_heavy``) — see :data:`race_scenarios` — and
+Scenario names are the committed corpus of :mod:`repro.checks.scenarios`
+(figure, regression and large-N runs) — see :func:`race_scenarios` — and
 ``synthetic-tiebreak``, a toy run with a deliberately planted set-ordered
 scheduling loop. The synthetic scenario exists to prove the detector
 works (its audit MUST fail); it is excluded from ``--race all``.
@@ -53,30 +53,15 @@ SYNTHETIC = "synthetic-tiebreak"
 
 
 def race_scenarios():
-    """Names accepted by :func:`race_check`, in sorted order.
+    """Names accepted by :func:`race_check`.
 
-    The committed figure scenarios and regression configs audit clean;
+    The committed scenarios audit clean;
     ``synthetic-tiebreak`` is the planted-hazard fixture and is excluded
     from ``--race all`` (it exists to *fail*).
     """
-    from repro.perf.scenarios import (PERF_SCENARIOS, REGRESSION_SCENARIOS,
-                                      SCENARIOS)
+    from repro.checks.scenarios import scenario_names
 
-    names = (sorted(SCENARIOS) + sorted(REGRESSION_SCENARIOS)
-             + sorted(PERF_SCENARIOS))
-    return names + [SYNTHETIC]
-
-
-def _scenario_config(name):
-    from repro.perf.scenarios import (PERF_SCENARIOS, REGRESSION_SCENARIOS,
-                                      SCENARIOS)
-
-    factory = (SCENARIOS.get(name) or REGRESSION_SCENARIOS.get(name)
-               or PERF_SCENARIOS.get(name))
-    if factory is None:
-        raise KeyError("unknown race scenario {!r}; known: {}".format(
-            name, ", ".join(race_scenarios())))
-    return factory()
+    return scenario_names() + [SYNTHETIC]
 
 
 def _auditor_payload(auditor, fingerprint):
@@ -145,6 +130,7 @@ def _traced_run(name, capture):
     if name == SYNTHETIC:
         return _run_synthetic(capture)
     from repro.analysis.fingerprint import report_fingerprint
+    from repro.checks.scenarios import scenario_config
 
     base_name, _, variant = name.partition(":")
     auditor = RaceAuditor(capture=capture)
@@ -153,7 +139,7 @@ def _traced_run(name, capture):
         from repro.runtime.runner import run_deployment
 
         deployment, report = run_deployment(
-            _scenario_config(base_name), auditor=auditor, obs=ObsConfig())
+            scenario_config(base_name), auditor=auditor, obs=ObsConfig())
         fingerprint = "{}+obs:{}".format(report_fingerprint(report),
                                          trace_digest(deployment.obs))
     elif variant:
@@ -162,7 +148,7 @@ def _traced_run(name, capture):
     else:
         from repro.runtime.runner import run_experiment
 
-        report = run_experiment(_scenario_config(base_name), auditor=auditor)
+        report = run_experiment(scenario_config(base_name), auditor=auditor)
         fingerprint = report_fingerprint(report)
     return _auditor_payload(auditor, fingerprint)
 

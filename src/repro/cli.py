@@ -14,10 +14,6 @@ Exposes the experiment harness without writing Python:
                     and the double-run determinism race audit
                     (``check --race SCENARIO``); see
                     docs/static-analysis.md.
-* ``perf``        — the simulator microbenchmarks (events/sec, scheduled
-                    kernel events, peak memory, report fingerprints; see
-                    benchmarks/perf for the committed baseline and gate);
-                    ``perf --profile`` runs a scenario under cProfile.
 * ``trace``       — run a committed scenario with the deterministic
                     tracer armed: per-phase latency decomposition,
                     timeline summary, JSONL / Chrome-trace (Perfetto)
@@ -255,121 +251,6 @@ def cmd_chaos(args):
     return 0
 
 
-def cmd_perf(args):
-    """Simulator microbenchmarks without knowing the module path."""
-    import json
-
-    from repro.perf import (
-        PERF_SCENARIOS,
-        SCENARIOS,
-        compare_payloads,
-        host_info,
-        measure_all,
-        measure_scenario,
-        measure_speedup,
-    )
-
-    if args.speedup:
-        result = measure_speedup(workers=args.workers or 4)
-        print(json.dumps(result, indent=2, sort_keys=True))
-        return 0 if result["identical"] else 1
-
-    if args.profile:
-        from repro.perf import profile_scenario
-
-        name = args.scenario if args.scenario != "all" else "fig5_latency"
-        try:
-            result = profile_scenario(name, memory=args.profile_memory)
-        except KeyError as exc:
-            print("repro perf: {}".format(exc.args[0]), file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(result, indent=2, sort_keys=True))
-            return 0
-        print("profile: {} (fingerprint {})".format(
-            name, result["fingerprint"][:12]))
-        print(result["stats_text"], end="")
-        if "peak_mem_kb" in result:
-            print("peak traced memory: {:.0f} KiB".format(
-                result["peak_mem_kb"]))
-            for stat in result["top_allocations"][:10]:
-                print("  {:>9.1f} KiB  x{:<7d} {}".format(
-                    stat["size_kb"], stat["count"], stat["site"]))
-        return 0
-
-    if args.scenario == "all":
-        # measure_all covers the figure scenarios plus the large-N perf
-        # smokes, capping repeats on the heavy ones (PERF_REPEATS).
-        payload = measure_all(repeats=args.repeats)
-    else:
-        name = args.scenario
-        if name not in SCENARIOS and name not in PERF_SCENARIOS:
-            print("unknown scenario {!r}; known: {}".format(
-                name, ", ".join(sorted(SCENARIOS) + sorted(PERF_SCENARIOS))),
-                file=sys.stderr)
-            return 2
-        payload = {
-            "host": host_info(),
-            "scenarios": {name: measure_scenario(name, repeats=args.repeats)},
-        }
-    if args.compare is not None:
-        try:
-            with open(args.compare) as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print("repro perf: cannot read baseline {!r}: {}".format(
-                args.compare, exc), file=sys.stderr)
-            return 2
-        deltas = compare_payloads(payload, baseline)
-        if args.json:
-            print(json.dumps({"baseline": args.compare, "deltas": deltas},
-                             indent=2, sort_keys=True))
-            return 0
-        rows = []
-        for row in deltas:
-            if row["baseline_events_per_sec"] is None:
-                rows.append([row["scenario"],
-                             "{:,.0f}".format(row["events_per_sec"]), "-", "-",
-                             "{:.0f}".format(row["peak_mem_kb"]), "-", "-",
-                             "not in baseline"])
-                continue
-            rows.append([
-                row["scenario"],
-                "{:,.0f}".format(row["events_per_sec"]),
-                "{:,.0f}".format(row["baseline_events_per_sec"]),
-                "{:+.1%}".format(row["events_per_sec_ratio"] - 1.0),
-                "{:.0f}".format(row["peak_mem_kb"]),
-                "{:.0f}".format(row["baseline_peak_mem_kb"]),
-                "{:+.1%}".format(row["peak_mem_ratio"] - 1.0),
-                "ok" if row["fingerprint_match"] else "DIVERGED",
-            ])
-        print(format_table(
-            ["scenario", "events/s", "base", "delta", "peak KiB",
-             "base KiB", "delta", "fingerprint"],
-            rows, title="vs baseline {}".format(args.compare)))
-        return 0
-
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    rows = []
-    for name in payload["scenarios"]:
-        measured = payload["scenarios"][name]
-        rows.append([
-            name, measured["events"], measured["events_scheduled"],
-            measured["pending_at_end"], measured["events_cancelled"],
-            "{:.3f}".format(measured["wall_s"]),
-            "{:,.0f}".format(measured["events_per_sec"]),
-            "{:.0f}".format(measured["peak_mem_kb"]),
-            measured["fingerprint"][:12],
-        ])
-    print(format_table(
-        ["scenario", "events", "scheduled", "pending", "cancelled",
-         "wall s", "events/s", "peak KiB", "fingerprint"],
-        rows, title="simulator microbenchmarks"))
-    return 0
-
-
 def cmd_trace(args):
     """Trace one committed scenario; print the decomposition, export."""
     import json
@@ -382,11 +263,11 @@ def cmd_trace(args):
         to_jsonl,
         trace_digest,
     )
-    from repro.perf.profile import _scenario_config
+    from repro.checks.scenarios import scenario_config
     from repro.runtime.runner import run_deployment, run_experiment
 
     try:
-        config = _scenario_config(args.scenario)
+        config = scenario_config(args.scenario)
     except KeyError as exc:
         print("repro trace: {}".format(exc.args[0]), file=sys.stderr)
         return 2
@@ -468,34 +349,10 @@ def build_parser():
     _add_workers(p)
     p.set_defaults(func=cmd_chaos)
 
-    p = sub.add_parser("perf", help="simulator microbenchmarks")
-    p.add_argument("--scenario", default="all",
-                   help='scenario name or "all" (see repro.perf.scenarios)')
-    p.add_argument("--repeats", type=int, default=3,
-                   help="repeats per scenario; best wall-clock wins")
-    p.add_argument("--json", action="store_true",
-                   help="print the raw measurement payload as JSON")
-    p.add_argument("--speedup", action="store_true",
-                   help="measure the parallel loss_grid speedup instead "
-                        "of the events/sec scenarios")
-    p.add_argument("--compare", metavar="BASELINE.json", default=None,
-                   help="measure the selected scenarios and print "
-                        "events/sec and peak-mem deltas vs a saved "
-                        "baseline payload (e.g. benchmarks/perf/"
-                        "BENCH_perf.json)")
-    p.add_argument("--profile", action="store_true",
-                   help="run one scenario under cProfile and print the "
-                        "hottest functions (default scenario: fig5_latency)")
-    p.add_argument("--profile-memory", action="store_true",
-                   help="with --profile, also trace allocations with "
-                        "tracemalloc (slower)")
-    _add_workers(p)
-    p.set_defaults(func=cmd_perf)
-
     p = sub.add_parser(
         "trace",
         help="deterministic trace of a committed scenario",
-        description="Run one committed perf/regression scenario with the "
+        description="Run one committed scenario with the "
                     "deterministic tracer armed and print the per-phase "
                     "latency decomposition, gossip hop totals, timeline "
                     "summary and round events. Optionally export the "
@@ -504,8 +361,8 @@ def build_parser():
                     "See docs/observability.md.",
     )
     p.add_argument("scenario",
-                   help="a repro.perf scenario name (figure or regression, "
-                        "e.g. fig7_overlay, churn_leader)")
+                   help="a repro.checks.scenarios name (figure, regression "
+                        "or large-N, e.g. fig7_overlay, churn_leader)")
     p.add_argument("--jsonl", metavar="PATH", default=None,
                    help="write the deterministic JSONL trace to PATH")
     p.add_argument("--chrome", metavar="PATH", default=None,

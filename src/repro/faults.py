@@ -30,7 +30,6 @@ from repro.net.faults import (
 from repro.net.faults.chaos import (
     SCENARIOS,
     ChaosResult,
-    ChaosSchedule,
     ChaosSummary,
     Scenario,
     chaos_config,
@@ -43,7 +42,6 @@ from repro.net.faults.chaos import (
 __all__ = [
     "BurstLoss",
     "ChaosResult",
-    "ChaosSchedule",
     "ChaosSummary",
     "ClearBurstLoss",
     "Crash",

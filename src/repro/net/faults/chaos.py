@@ -464,60 +464,3 @@ def run_chaos_suite(base_config=None, names=None, seeds=(1,), workers=1):
         return parallel_map(run_scenario_task, tasks, workers=workers)
     return [run_chaos_scenario(name, task_config, seed=seed)
             for name, task_config, seed in tasks]
-
-
-class ChaosSchedule:
-    """Seeded generator of randomized composite fault plans.
-
-    Where :data:`SCENARIOS` pins four curated failure stories,
-    ``ChaosSchedule`` derives arbitrary-but-reproducible plans for
-    exploratory sweeps (see :func:`repro.runtime.sweep.fault_grid`): every
-    draw comes from the ``"chaos"`` named stream of its seed, so
-    ``ChaosSchedule(seed, config).plan(...)`` is a pure function.
-    """
-
-    def __init__(self, seed, config):
-        self.seed = seed
-        self.config = config
-        self._rng = make_stream(seed, "chaos")
-
-    def partition_plan(self, duration=None):
-        """A random minority partition (never isolating a lone majority)."""
-        config = self.config
-        rng = self._rng
-        start = config.warmup + rng.uniform(0.2, 0.4) * config.duration
-        if duration is None:
-            duration = rng.uniform(0.2, 0.4) * config.duration
-        size = rng.randint(1, (config.n - 1) // 2)
-        isolated = sorted(rng.sample(range(config.n), size))
-        return FaultPlan([
-            (start, Partition([isolated])),
-            (start + duration, Heal()),
-        ])
-
-    def burst_plan(self, loss_bad=None):
-        """A random burst-loss episode at (by default) Fig. 6 intensities."""
-        config = self.config
-        rng = self._rng
-        start = config.warmup + rng.uniform(0.1, 0.3) * config.duration
-        stop = config.warmup + rng.uniform(0.6, 0.9) * config.duration
-        event = BurstLoss(
-            p_enter=rng.uniform(0.01, 0.04),
-            p_exit=rng.uniform(0.1, 0.3),
-            loss_bad=loss_bad if loss_bad is not None
-            else rng.uniform(0.1, 0.3),
-        )
-        return FaultPlan([(start, event), (stop, ClearBurstLoss())])
-
-    def gray_plan(self, factor=None):
-        """A random gray-failure episode on a random process."""
-        config = self.config
-        rng = self._rng
-        start, stop = _window(config, rng)
-        pid = rng.randrange(config.n)
-        if factor is None:
-            factor = rng.uniform(5.0, 25.0)
-        return FaultPlan([
-            (start, GrayFailure(pid, factor)),
-            (stop, GrayFailure(pid, 1.0)),
-        ])

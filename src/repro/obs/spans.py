@@ -21,7 +21,7 @@ duplicates, semantic-filter drops, aggregation savings) when
 The :class:`Tracer` is fed by lightweight hooks guarded by
 ``if self.obs is not None`` at every hook point — components default to
 ``obs = None`` and untraced runs pay one attribute test on the affected
-paths (measured within BENCH_perf noise). Hook methods read the virtual
+paths (measured within wall-clock noise). Hook methods read the virtual
 clock themselves (the tracer holds the simulator), never draw RNG, never
 schedule events and never mutate model state, so tracing cannot perturb
 a run.

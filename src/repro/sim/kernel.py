@@ -197,11 +197,17 @@ class Simulator:
                     event.args = ()
                 fn(*args)
                 executed += 1
+        except BaseException:
+            # Only a callback raises in the loop, and its event was
+            # popped: count it, or scheduled = executed + pending +
+            # cancelled breaks.
+            executed += 1
+            raise
         finally:
             self._running = False
             if gc_was_enabled:
                 gc.enable()
-        self.events_executed += executed
+            self.events_executed += executed
         return executed
 
     def step(self):

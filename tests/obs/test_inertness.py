@@ -63,7 +63,7 @@ def test_raft_trace_decomposes_phases():
 def test_paxos_takeover_appears_as_round_events():
     # The committed leader-churn scenario: coordinator crash + rejoin
     # under membership, so a successor runs Phase 1 and takes over.
-    from repro.perf.scenarios import REGRESSION_SCENARIOS
+    from repro.checks.scenarios import REGRESSION_SCENARIOS
 
     config = REGRESSION_SCENARIOS["churn_leader"]()
     deployment, _report = run_deployment(config, obs=ObsConfig())

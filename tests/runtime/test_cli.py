@@ -144,100 +144,19 @@ def test_chaos_workers_flag_output_identical(capsys):
     assert capsys.readouterr().out == serial
 
 
-def test_perf_command_json_payload(capsys):
-    import json
-
-    assert main(["perf", "--scenario", "fig7_overlay",
-                 "--repeats", "1", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    measured = payload["scenarios"]["fig7_overlay"]
-    assert measured["events"] > 0
-    assert set(measured) >= {"events", "events_scheduled", "wall_s",
-                             "events_per_sec", "peak_mem_kb", "fingerprint"}
-    assert measured["events_scheduled"] == (
-        measured["events"] + measured["pending_at_end"]
-        + measured["events_cancelled"])
+def test_trace_rejects_unknown_scenario_listing_known_names(capsys):
+    assert main(["trace", "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown scenario 'bogus'" in err
+    for name in ("fig7_overlay", "churn_leader", "gossip_n1000"):
+        assert name in err
 
 
-def test_perf_command_table_output(capsys):
-    assert main(["perf", "--scenario", "fig7_overlay", "--repeats", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "fig7_overlay" in out
-    assert "events/s" in out
+def test_trace_check_inert_writes_a_valid_jsonl_trace(tmp_path, capsys):
+    from repro.obs import validate_jsonl
 
-
-def test_perf_command_rejects_unknown_scenario(capsys):
-    assert main(["perf", "--scenario", "bogus"]) == 2
-    assert "unknown scenario" in capsys.readouterr().err
-
-
-def test_perf_compare_command(tmp_path, capsys):
-    import json
-
-    # Measure once to get a real payload shape, save a doctored baseline
-    # (half the throughput, double the memory), and compare against it.
-    assert main(["perf", "--scenario", "fig7_overlay",
-                 "--repeats", "1", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    measured = payload["scenarios"]["fig7_overlay"]
-    baseline = {"scenarios": {"fig7_overlay": {
-        "events_per_sec": measured["events_per_sec"] / 2.0,
-        "peak_mem_kb": measured["peak_mem_kb"] * 2.0,
-        "fingerprint": measured["fingerprint"],
-    }}}
-    path = tmp_path / "base.json"
-    path.write_text(json.dumps(baseline))
-
-    assert main(["perf", "--scenario", "fig7_overlay",
-                 "--repeats", "1", "--compare", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "fig7_overlay" in out
-    assert "vs baseline" in out
-    assert "ok" in out            # fingerprints match
-    assert "-50" in out           # peak mem halved vs doctored baseline
-
-    # JSON mode carries the structured deltas.
-    assert main(["perf", "--scenario", "fig7_overlay",
-                 "--repeats", "1", "--compare", str(path), "--json"]) == 0
-    deltas = json.loads(capsys.readouterr().out)["deltas"]
-    assert deltas[0]["scenario"] == "fig7_overlay"
-    assert deltas[0]["fingerprint_match"] is True
-    assert deltas[0]["events_per_sec_ratio"] > 1.0
-    assert 0.4 < deltas[0]["peak_mem_ratio"] < 0.6
-
-
-def test_perf_compare_rejects_unreadable_baseline(tmp_path, capsys):
-    missing = tmp_path / "nope.json"
-    assert main(["perf", "--scenario", "fig7_overlay", "--repeats", "1",
-                 "--compare", str(missing)]) == 2
-    assert "cannot read baseline" in capsys.readouterr().err
-
-
-def test_compare_payloads_flags_missing_and_diverged_scenarios():
-    from repro.perf import compare_payloads
-
-    current = {"scenarios": {
-        "a": {"events_per_sec": 100.0, "peak_mem_kb": 10.0,
-              "fingerprint": "xyz"},
-        "b": {"events_per_sec": 50.0, "peak_mem_kb": 5.0,
-              "fingerprint": "new"},
-    }}
-    baseline = {"scenarios": {
-        "a": {"events_per_sec": 80.0, "peak_mem_kb": 10.0,
-              "fingerprint": "xyz"},
-        "b": {"events_per_sec": 50.0, "peak_mem_kb": 5.0,
-              "fingerprint": "old"},
-    }}
-    rows = {row["scenario"]: row
-            for row in compare_payloads(current, baseline)}
-    assert rows["a"]["events_per_sec_ratio"] == 1.25
-    assert rows["a"]["fingerprint_match"] is True
-    assert rows["b"]["fingerprint_match"] is False
-
-    rows = compare_payloads(
-        {"scenarios": {"only_here": {"events_per_sec": 1.0,
-                                     "peak_mem_kb": 1.0,
-                                     "fingerprint": "f"}}},
-        {"scenarios": {}})
-    assert rows[0]["baseline_events_per_sec"] is None
-    assert rows[0]["fingerprint_match"] is None
+    path = tmp_path / "trace.jsonl"
+    assert main(["trace", "fig7_overlay", "--check-inert",
+                 "--jsonl", str(path)]) == 0
+    assert "check-inert: ok" in capsys.readouterr().out
+    assert validate_jsonl(path.read_text())

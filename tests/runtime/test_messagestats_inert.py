@@ -12,7 +12,7 @@ that are *not* under it.
 from dataclasses import fields
 
 from repro.analysis.fingerprint import _canonical, report_fingerprint
-from repro.perf.scenarios import SCENARIOS
+from repro.checks.scenarios import SCENARIOS
 from repro.runtime.metrics import MessageStats, build_report
 from repro.runtime.runner import run_deployment
 
@@ -48,7 +48,9 @@ def test_no_future_field_reintroduces_the_eager_pattern():
     this pins the exact set so additions are deliberate.
 
     Adding an unmarked field shifts every committed baseline fingerprint —
-    if that is intended, regenerate BENCH_perf.json and update this list;
+    if that is intended, re-pin the literals in
+    tests/integration/test_committed_fingerprints.py and
+    benchmarks/test_large_scenarios.py and update this list;
     if not, give the field ``metadata=OMIT_AT_DEFAULT``.
     """
     eager = sorted(set(_canonical(MessageStats())) - {"__class__"})

@@ -13,8 +13,8 @@ import gc
 
 import pytest
 
+from repro.checks.scenarios import REGRESSION_SCENARIOS, SCENARIOS
 from repro.obs import ObsConfig
-from repro.perf.scenarios import REGRESSION_SCENARIOS, SCENARIOS
 from repro.runtime.deployment import build_deployment
 from repro.sim.kernel import Simulator
 

@@ -179,6 +179,28 @@ def test_scheduled_events_are_executed_pending_or_cancelled(sim):
     assert sim.events_scheduled == 7
 
 
+def test_raising_callback_is_counted_and_the_run_resumes(sim):
+    """A callback that raises was popped: it counts as executed, the clock
+    stays at it, and a second run() executes what is left."""
+    seen = []
+
+    def boom():
+        raise RuntimeError("callback failed")
+
+    for t in (1.0, 2.0, 3.0):
+        sim.schedule(t, seen.append, t)
+    sim.schedule(4.0, boom)
+    sim.schedule(5.0, seen.append, 5.0)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert (sim.events_executed, sim.pending(), sim.events_cancelled) == (4, 1, 0)
+    assert sim.events_scheduled == 5
+    assert sim.now == 4.0
+    assert sim.run() == 1
+    assert seen == [1.0, 2.0, 3.0, 5.0]
+    assert sim.events_executed == 5
+
+
 def test_bare_event_cancelled_from_another_callback_never_runs(sim):
     """``push_event`` returns a bare handle (no Event); cancelling it while
     pending — here from inside an earlier callback — is counted once and
