@@ -36,10 +36,10 @@ MEM_TOLERANCE = 1.3
 COMMITTED = {
     "fig3_n100": (
         "7fafe305e8182b4e7b86d261867bbd8970cdea5e0b92cde8a42cad2b77d05e86",
-        777_359, 34194.9),
+        777_359, 25254.2),
     "gossip_n1000": (
         "09bd4f5ac1f01788b2ceb3089050442cffa772e8ffb3326ea8bde4e43c738936",
-        3_547_065, 158286.1),
+        3_547_065, 157240.0),
 }
 
 

@@ -38,6 +38,7 @@ records violations and keeps watching, the mode ``repro check
 from collections import Counter
 
 from repro.gossip.hooks import SemanticHooks
+from repro.paxos.messages import mask_senders
 
 
 class InvariantViolation(AssertionError):
@@ -197,7 +198,7 @@ class SafetyMonitor:
         elif kind == "A2B":
             # Aggregates are normally disaggregated by the gossip layer
             # before delivery; accept them anyway for direct feeds.
-            for sender in payload.senders:
+            for sender in mask_senders(payload.senders):
                 self.record_vote(sender, payload.instance,
                                  payload.round, payload.value_id)
         elif kind == "DEC":

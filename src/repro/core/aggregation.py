@@ -14,22 +14,23 @@ accumulated several pending messages, i.e. under moderate-to-high load —
 and, unlike batching, it never delays a send (paper §3.2).
 
 Nothing in the rule is specific to Paxos: a protocol says what its votes
-are (a function ``payload -> (key, senders)``, ``(None, None)`` for
-anything that is not a vote) and which message carries a merged vote
-(constructed as ``merged(*key[:-1], senders, key[-1])``). The defaults are
-the Paxos pair; :mod:`repro.core.raft_semantics` supplies Raft's.
+are (a function ``payload -> (key, mask)``, ``(None, None)`` for anything
+that is not a vote, where ``mask`` is the sender bitmask — ``1 << sender``
+for a single vote) and which message carries a merged vote (constructed as
+``merged(*key[:-1], mask, key[-1])``). The defaults are the Paxos pair;
+:mod:`repro.core.raft_semantics` supplies Raft's.
 """
 
 from repro.paxos.messages import Aggregated2b, Phase2b
 
 
-def _vote_key_and_senders(payload):
-    """(group key, senders) for vote messages; (None, None) otherwise."""
+def _vote_key_and_mask(payload):
+    """(group key, sender bitmask) for vote messages; (None, None) otherwise."""
     kind = type(payload)
     if kind is Phase2b:
         # uid = ("2B", instance, round, sender, attempt)
         return ((payload.instance, payload.round, payload.value_id,
-                 payload.uid[4]), (payload.sender,))
+                 payload.uid[4]), 1 << payload.sender)
     if kind is Aggregated2b:
         return ((payload.instance, payload.round, payload.value_id,
                  payload.attempt), payload.senders)
@@ -40,49 +41,48 @@ class SemanticAggregator:
     """Groups identical pending votes into multi-sender votes."""
 
     __slots__ = ("votes_absorbed", "aggregates_built",
-                 "_key_and_senders", "_merged")
+                 "_key_and_mask", "_merged")
 
-    def __init__(self, key_and_senders=_vote_key_and_senders,
-                 merged=Aggregated2b):
+    def __init__(self, key_and_mask=_vote_key_and_mask, merged=Aggregated2b):
         self.votes_absorbed = 0
         self.aggregates_built = 0
-        self._key_and_senders = key_and_senders
+        self._key_and_mask = key_and_mask
         self._merged = merged
 
     def aggregate(self, payloads, peer_id):
         """Return the replacement send list (order-preserving)."""
-        key_and_senders = self._key_and_senders
+        key_and_mask = self._key_and_mask
         keys = []
         groups = {}
         for payload in payloads:
-            key, senders = key_and_senders(payload)
+            key, mask = key_and_mask(payload)
             keys.append(key)
             if key is None:
                 continue
             group = groups.get(key)
             if group is None:
-                groups[key] = [set(senders), 1]
+                groups[key] = [mask, 1]
             else:
-                group[0].update(senders)
+                group[0] |= mask
                 group[1] += 1
 
         if not any(group[1] >= 2 for group in groups.values()):
             return payloads
 
         result = []
-        emitted = set()
         for payload, key in zip(payloads, keys):
             if key is None:
                 result.append(payload)
                 continue
-            senders, count = groups[key]
+            group = groups[key]
+            if group is None:
+                continue  # absorbed into the aggregate emitted earlier
+            mask, count = group
             if count < 2:
                 result.append(payload)
                 continue
-            if key in emitted:
-                continue  # absorbed into the aggregate emitted earlier
-            emitted.add(key)
-            result.append(self._merged(*key[:-1], senders, key[-1]))
+            groups[key] = None
+            result.append(self._merged(*key[:-1], mask, key[-1]))
             self.aggregates_built += 1
             self.votes_absorbed += count - 1
         return result

@@ -3,8 +3,9 @@
 The filter is "a lightweight execution of the consensus protocol on behalf
 of a peer": per peer it remembers a summary of what was already sent —
 which instances the peer must know the decision of, and which Phase 2b
-senders it has seen per (instance, round, value) — and uses the summary to
-drop messages the peer will disregard:
+senders it has seen per (instance, round, value), as a sender bitmask (bit
+*i* for process *i*) — and uses the summary to drop messages the peer will
+disregard:
 
 * **obsolete** — a Phase 2b for an instance whose Decision was already
   sent to the peer;
@@ -49,7 +50,7 @@ class _PeerSummary:
         # Instances <= watermark, plus those in the sparse set, are decided.
         self.decided_watermark = 0
         self.decided_sparse = set()
-        #: instance -> (round, value_id) -> set of sender ids sent.
+        #: instance -> (round, value_id) -> bitmask of the senders sent.
         self.vote_senders = {}
 
     def knows_decision(self, instance):
@@ -75,48 +76,46 @@ class SemanticFilter:
         self.stats = FilterStats()
         self._peers = {}
 
-    def _summary(self, peer_id):
-        summary = self._peers.get(peer_id)
-        if summary is None:
-            summary = _PeerSummary()
-            self._peers[peer_id] = summary
-        return summary
-
     def validate(self, payload, peer_id):
-        """Return False when ``payload`` must not be sent to ``peer_id``."""
+        """Return False when ``payload`` must not be sent to ``peer_id``.
+
+        The send path calls this once per (message, peer), so a vote is
+        judged in this one frame: summary lookup, decided test and the
+        sender-bitmask update are all inline.
+        """
         kind = type(payload)
         if kind is Phase2b:
-            return self._validate_vote(
-                payload.instance, payload.round, payload.value_id,
-                (payload.sender,), peer_id,
-            )
-        if kind is Aggregated2b:
-            return self._validate_vote(
-                payload.instance, payload.round, payload.value_id,
-                payload.senders, peer_id,
-            )
-        if kind is Decision:
-            self._summary(peer_id).mark_decided(payload.instance)
-        return True
-
-    def _validate_vote(self, instance, round_, value_id, senders, peer_id):
+            mask = 1 << payload.sender
+        elif kind is Aggregated2b:
+            mask = payload.senders
+        elif kind is Decision:
+            mask = None
+        else:
+            return True
+        summary = self._peers.get(peer_id)
+        if summary is None:
+            summary = self._peers[peer_id] = _PeerSummary()
+        instance = payload.instance
+        if mask is None:
+            summary.mark_decided(instance)
+            return True
         stats = self.stats
         stats.evaluated += 1
-        summary = self._summary(peer_id)
-        if summary.knows_decision(instance):
+        if (instance <= summary.decided_watermark
+                or instance in summary.decided_sparse):
             stats.filtered_obsolete += 1
             return False
-        votes = summary.vote_senders.setdefault(instance, {})
-        key = (round_, value_id)
-        sent = votes.get(key)
-        if sent is None:
-            sent = set()
-            votes[key] = sent
-        if len(sent) >= self.majority:
+        votes = summary.vote_senders.get(instance)
+        if votes is None:
+            votes = summary.vote_senders[instance] = {}
+        key = (payload.round, payload.value_id)
+        sent = votes.get(key, 0)
+        if sent.bit_count() >= self.majority:
             stats.filtered_redundant += 1
             return False
-        sent.update(senders)
-        if len(sent) >= self.majority:
+        sent |= mask
+        votes[key] = sent
+        if sent.bit_count() >= self.majority:
             # The peer can now learn the decision from the votes we sent;
             # any further vote for this instance is redundant.
             summary.mark_decided(instance)

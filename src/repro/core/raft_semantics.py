@@ -7,7 +7,7 @@ The translation of the paper's Paxos rules is direct:
   ``leader_commit``) covering i; it is *redundant* once identical acks
   from a majority of senders were sent to that peer. Commitment is a
   watermark, so per-peer state is a single integer plus the ack-sender
-  sets of uncommitted indices — even cheaper than the Paxos summary.
+  bitmasks of uncommitted indices — even cheaper than the Paxos summary.
 * **aggregation** — acks for the same (term, index) differing only by
   sender merge into one :class:`repro.raft.messages.AggregatedAck`
   (reversible): the rule of :mod:`repro.core.aggregation`, handed Raft's
@@ -17,7 +17,6 @@ As required by the paper's modularity principle, nothing here changes the
 Raft implementation; these are hooks of the gossip layer.
 """
 
-from repro.core.aggregation import SemanticAggregator
 from repro.core.filtering import FilterStats
 from repro.core.semantics import PaxosSemantics
 from repro.raft.messages import (
@@ -33,7 +32,7 @@ class _RaftPeerSummary:
 
     def __init__(self):
         self.commit_watermark = 0
-        #: (term, index) -> senders whose acks were sent to the peer.
+        #: (term, index) -> bitmask of the senders whose acks were sent.
         self.ack_senders = {}
 
     def raise_watermark(self, index):
@@ -53,58 +52,54 @@ class RaftSemanticFilter:
         self.stats = FilterStats()
         self._peers = {}
 
-    def _summary(self, peer_id):
-        summary = self._peers.get(peer_id)
-        if summary is None:
-            summary = _RaftPeerSummary()
-            self._peers[peer_id] = summary
-        return summary
-
     def validate(self, payload, peer_id):
+        """Return False when ``payload`` must not be sent to ``peer_id``;
+        one frame per ack, as :meth:`SemanticFilter.validate`."""
         kind = type(payload)
         if kind is AppendAck:
-            return self._validate_ack(payload.term, payload.index,
-                                      (payload.sender,), peer_id)
-        if kind is AggregatedAck:
-            return self._validate_ack(payload.term, payload.index,
-                                      payload.senders, peer_id)
-        if kind is CommitNotice:
-            self._summary(peer_id).raise_watermark(payload.index)
+            mask = 1 << payload.sender
+        elif kind is AggregatedAck:
+            mask = payload.senders
+        elif kind is CommitNotice:
+            mask, commit = None, payload.index
         elif kind is AppendEntries:
             # The commit watermark rides on AppendEntries too.
-            self._summary(peer_id).raise_watermark(payload.leader_commit)
-        return True
-
-    def _validate_ack(self, term, index, senders, peer_id):
+            mask, commit = None, payload.leader_commit
+        else:
+            return True
+        summary = self._peers.get(peer_id)
+        if summary is None:
+            summary = self._peers[peer_id] = _RaftPeerSummary()
+        if mask is None:
+            summary.raise_watermark(commit)
+            return True
         stats = self.stats
         stats.evaluated += 1
-        summary = self._summary(peer_id)
+        index = payload.index
         if index <= summary.commit_watermark:
             stats.filtered_obsolete += 1
             return False
-        key = (term, index)
-        sent = summary.ack_senders.get(key)
-        if sent is None:
-            sent = set()
-            summary.ack_senders[key] = sent
-        if len(sent) >= self.majority:
+        key = (payload.term, index)
+        sent = summary.ack_senders.get(key, 0)
+        if sent.bit_count() >= self.majority:
             stats.filtered_redundant += 1
             return False
-        sent.update(senders)
-        if len(sent) >= self.majority:
+        sent |= mask
+        summary.ack_senders[key] = sent
+        if sent.bit_count() >= self.majority:
             # The peer can now learn the commit from the acks we sent.
             summary.raise_watermark(index)
         stats.passed += 1
         return True
 
 
-def _ack_key_and_senders(payload):
-    """(group key, senders) for ack messages; (None, None) otherwise."""
+def _ack_key_and_mask(payload):
+    """(group key, sender bitmask) for ack messages; (None, None) otherwise."""
     kind = type(payload)
     if kind is AppendAck:
         # uid = ("ACK", term, index, sender, attempt)
         return ((payload.term, payload.index, payload.uid[4]),
-                (payload.sender,))
+                1 << payload.sender)
     if kind is AggregatedAck:
         return ((payload.term, payload.index, payload.attempt),
                 payload.senders)
@@ -115,10 +110,5 @@ class RaftSemantics(PaxosSemantics):
     """validate/aggregate/disaggregate with Raft knowledge: the Paxos
     composition over Raft's filter and Raft's votes."""
 
-    def __init__(self, n, enable_filtering=True, enable_aggregation=True):
-        self.n = n
-        self.enable_filtering = enable_filtering
-        self.enable_aggregation = enable_aggregation
-        self.filter = RaftSemanticFilter(n) if enable_filtering else None
-        self.aggregator = SemanticAggregator(_ack_key_and_senders,
-                                             AggregatedAck)
+    filter_type = RaftSemanticFilter
+    aggregator_args = (_ack_key_and_mask, AggregatedAck)

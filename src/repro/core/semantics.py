@@ -15,17 +15,27 @@ from repro.gossip.hooks import SemanticHooks
 class PaxosSemantics(SemanticHooks):
     """validate/aggregate/disaggregate with Paxos knowledge (paper §3.2)."""
 
+    #: The per-peer filter, and the aggregator's ``(key_and_mask, merged)``
+    #: vote description; :class:`repro.core.raft_semantics.RaftSemantics`
+    #: swaps in Raft's.
+    filter_type = SemanticFilter
+    aggregator_args = ()
+
     def __init__(self, n, enable_filtering=True, enable_aggregation=True):
         self.n = n
         self.enable_filtering = enable_filtering
         self.enable_aggregation = enable_aggregation
-        self.filter = SemanticFilter(n) if enable_filtering else None
-        self.aggregator = SemanticAggregator()
+        self.filter = None
+        if enable_filtering:
+            self.filter = self.filter_type(n)
+            # The gossip node calls the filter's own validate: no wrapper
+            # frame per (message, peer).
+            self.validate = self.filter.validate
+        self.aggregator = SemanticAggregator(*self.aggregator_args)
 
     def validate(self, payload, peer_id):
-        if self.filter is None:
-            return True
-        return self.filter.validate(payload, peer_id)
+        # Reached only with filtering disabled (see __init__).
+        return True
 
     def aggregate(self, payloads, peer_id):
         if not self.enable_aggregation:

@@ -142,7 +142,10 @@ class _PeerSender:
             if node.validate_default or node._hooks.validate(payload,
                                                              self.peer_id):
                 if node.hooks_charged:
-                    self._charge_hooks(1)
+                    # _charge_hooks(1), without its frame.
+                    hook_s = node.costs.hook_s
+                    if hook_s > 0.0:
+                        node._cpu_acct(hook_s)
                 # Reserve the wake-up's tie-breaking slot *before* the
                 # transmit, where the event-per-job reference allocated
                 # its per-transmission completion event: a wake-up armed
@@ -200,9 +203,12 @@ class _PeerSender:
                     if node.obs is not None:
                         for p in kept:
                             if p.aggregated:
+                                # Votes in the sender bitmask; a Batch
+                                # has none.
+                                votes = getattr(p, "senders", 0).bit_count()
                                 node.obs.gossip_aggregated(
                                     node.process_id, self.peer_id, p,
-                                    max(0, len(getattr(p, "senders", ())) - 1))
+                                    max(0, votes - 1))
         self._charge_hooks(examined)
         if kept:
             self._send_round(kept)

@@ -7,8 +7,8 @@ by the consensus protocol to prevent hash collisions" — and a size in bytes
 used to charge transmission time. Paxos messages subclass this directly so
 the hot path carries no extra envelope allocation per hop.
 
-Structured uids (tuples with instance/round/sender fields, frozensets of
-senders) are expensive to hash on every dedup probe. :class:`UidInterner`
+Structured uids (tuples with instance/round/sender fields and sender
+bitmasks) are expensive to hash on every dedup probe. :class:`UidInterner`
 maps each uid to a dense integer *once*, caching the result on the payload
 (``payload.iid``), so every subsequent membership test along the gossip
 path is an array index instead of a tuple hash.

@@ -16,7 +16,7 @@ class _InstanceState:
     __slots__ = ("votes", "values", "decided_value_id")
 
     def __init__(self):
-        #: (round, value_id) -> set of voter ids.
+        #: (round, value_id) -> voter bitmask (bit i for process i).
         self.votes = {}
         #: value_id -> Value, learned from Phase 2a / Decision messages.
         self.values = {}
@@ -71,12 +71,9 @@ class Learner:
             return None
         state = self._state(msg.instance)
         key = (msg.round, msg.value_id)
-        voters = state.votes.get(key)
-        if voters is None:
-            voters = set()
-            state.votes[key] = voters
-        voters.add(msg.sender)
-        if len(voters) >= self.majority and state.decided_value_id is None:
+        voters = state.votes.get(key, 0) | (1 << msg.sender)
+        state.votes[key] = voters
+        if voters.bit_count() >= self.majority and state.decided_value_id is None:
             state.decided_value_id = msg.value_id
             if self.on_quorum is not None:
                 self.on_quorum(msg.instance, msg.value_id)

@@ -12,13 +12,25 @@ Sizes: consensus metadata is accounted as a fixed 64-byte header; messages
 carrying a client value add the value's size (the paper evaluates 1 KB
 values). An aggregated Phase 2b has "essentially the same size regardless of
 the number of single vote messages it has replaced" (paper §3.2) — we charge
-the header plus a small sender bitmap.
+the header plus a small sender bitmap, and the bitmap is also what the
+message holds: a set of voters is an ``int`` whose bit *i* stands for
+process *i*.
 """
 
 from repro.net.message import Payload
 
 #: Fixed per-message metadata size in bytes.
 HEADER_BYTES = 64
+
+
+def mask_senders(mask):
+    """The process ids in sender bitmask ``mask``, ascending."""
+    senders = []
+    while mask:
+        low = mask & -mask
+        senders.append(low.bit_length() - 1)
+        mask ^= low
+    return senders
 
 
 class Value:
@@ -116,9 +128,10 @@ class Phase2b(Payload):
 class Aggregated2b(Payload):
     """Multiple identical Phase 2b messages merged by semantic aggregation.
 
-    Reversible (paper §3.2): carries one copy of the vote plus the set of
-    senders; :meth:`disaggregate` reconstructs the originals, so Paxos never
-    sees this type.
+    Reversible (paper §3.2): carries one copy of the vote plus ``senders``,
+    the sender bitmask (bit *i* set when process *i* voted);
+    :meth:`disaggregate` reconstructs the originals, so Paxos never sees
+    this type.
     """
 
     __slots__ = ("instance", "round", "value_id", "senders", "attempt")
@@ -126,8 +139,7 @@ class Aggregated2b(Payload):
     aggregated = True
 
     def __init__(self, instance, round_, value_id, senders, attempt=0):
-        senders = frozenset(senders)
-        size = HEADER_BYTES + 8 + len(senders) // 8  # vote + sender bitmap
+        size = HEADER_BYTES + 8 + senders.bit_count() // 8  # vote + bitmap
         super().__init__(("A2B", instance, round_, value_id, senders, attempt), size)
         self.instance = instance
         self.round = round_
@@ -136,10 +148,10 @@ class Aggregated2b(Payload):
         self.attempt = attempt
 
     def disaggregate(self):
-        """Reconstruct the original Phase 2b messages."""
+        """Reconstruct the original Phase 2b messages, ascending by sender."""
         return [
             Phase2b(self.instance, self.round, self.value_id, sender, self.attempt)
-            for sender in sorted(self.senders)
+            for sender in mask_senders(self.senders)
         ]
 
 

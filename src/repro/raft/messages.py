@@ -7,7 +7,7 @@ suppression never swallows a retransmission).
 """
 
 from repro.net.message import Payload
-from repro.paxos.messages import HEADER_BYTES
+from repro.paxos.messages import HEADER_BYTES, mask_senders
 
 
 class LogEntry:
@@ -97,24 +97,28 @@ class AppendAck(Payload):
 
 
 class AggregatedAck(Payload):
-    """Multiple identical acks merged by semantic aggregation (reversible)."""
+    """Multiple identical acks merged by semantic aggregation (reversible).
+
+    ``senders`` is the sender bitmask: bit *i* is set when process *i*
+    acknowledged.
+    """
 
     __slots__ = ("term", "index", "senders", "attempt")
 
     aggregated = True
 
     def __init__(self, term, index, senders, attempt=0):
-        senders = frozenset(senders)
         super().__init__(("AACK", term, index, senders, attempt),
-                         HEADER_BYTES + 8 + len(senders) // 8)
+                         HEADER_BYTES + 8 + senders.bit_count() // 8)
         self.term = term
         self.index = index
         self.senders = senders
         self.attempt = attempt
 
     def disaggregate(self):
+        """Reconstruct the original acks, ascending by sender."""
         return [AppendAck(self.term, self.index, sender, self.attempt)
-                for sender in sorted(self.senders)]
+                for sender in mask_senders(self.senders)]
 
 
 class CommitNotice(Payload):

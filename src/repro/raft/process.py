@@ -54,7 +54,7 @@ class RaftProcess(ConsensusProcess):
         self._pending_values = deque()
         self._known_value_ids = set()
         self._replicating = {}       # index -> _PendingReplication
-        self._ack_senders = {}       # (term, index) -> set of senders
+        self._ack_senders = {}       # (term, index) -> sender bitmask
         self._next_index = 1
         # Leader-side per-follower progress (Raft's matchIndex, derived
         # from the per-sender acks): contiguous acked index + buffer.
@@ -289,12 +289,9 @@ class RaftProcess(ConsensusProcess):
         if index <= self.log.commit_index:
             return
         key = (term, index)
-        senders = self._ack_senders.get(key)
-        if senders is None:
-            senders = set()
-            self._ack_senders[key] = senders
-        senders.add(sender)
-        if len(senders) >= self.majority:
+        acked = self._ack_senders.get(key, 0) | (1 << sender)
+        self._ack_senders[key] = acked
+        if acked.bit_count() >= self.majority:
             if self.obs is not None and self.log.has(index):
                 self.obs.value_quorum(
                     self.process_id, index,

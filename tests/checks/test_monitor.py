@@ -11,6 +11,7 @@ from repro.checks.monitor import (
 from repro.core.semantics import PaxosSemantics
 from repro.gossip.hooks import SemanticHooks
 from repro.paxos.messages import Aggregated2b, Phase2b
+from tests.conftest import mask
 
 
 def vote(sender, instance=1, round_=1, value_id="v1", attempt=0):
@@ -83,7 +84,7 @@ class InventingHooks(SemanticHooks):
     """Broken rule: claims a vote from an acceptor that never voted."""
 
     def aggregate(self, payloads, peer_id):
-        merged = Aggregated2b(1, 1, "v1", senders=(1, 2, 99))
+        merged = Aggregated2b(1, 1, "v1", senders=mask(1, 2, 99))
         return [merged]
 
     def disaggregate(self, payload):
@@ -124,10 +125,10 @@ def test_real_paxos_aggregation_passes_the_check():
 def test_reaggregation_of_aggregates_passes_the_check():
     monitor = SafetyMonitor()
     hooks = CheckedHooks(PaxosSemantics(n=7), monitor)
-    merged = Aggregated2b(1, 1, "v1", senders=(1, 2))
+    merged = Aggregated2b(1, 1, "v1", senders=mask(1, 2))
     out = hooks.aggregate([merged, vote(3)], peer_id=5)
     assert monitor.violations == []
-    assert len(out) == 1 and sorted(out[0].senders) == [1, 2, 3]
+    assert len(out) == 1 and out[0].senders == mask(1, 2, 3)
 
 
 def test_empty_disaggregation_detected():
@@ -138,7 +139,7 @@ def test_empty_disaggregation_detected():
             return []
 
     hooks = CheckedHooks(SwallowingHooks(), monitor)
-    hooks.disaggregate(Aggregated2b(1, 1, "v1", senders=(1, 2)))
+    hooks.disaggregate(Aggregated2b(1, 1, "v1", senders=mask(1, 2)))
     assert [v.invariant for v in monitor.violations] == [
         "aggregation-reversibility"
     ]
@@ -208,7 +209,7 @@ def test_raft_logs_disagreeing_at_a_committed_index_flagged_at_finalize():
 def test_observe_payload_counts_votes_and_aggregates():
     monitor = SafetyMonitor(majority=3)
     monitor.observe_payload(0, vote(0))
-    monitor.observe_payload(0, Aggregated2b(1, 1, "v1", senders=(1, 2)))
+    monitor.observe_payload(0, Aggregated2b(1, 1, "v1", senders=mask(1, 2)))
     monitor.record_decision(0, 1, "v1")
     assert monitor.finalize() == []
     assert monitor.messages_observed == 2

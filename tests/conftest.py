@@ -27,6 +27,14 @@ def fast_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+def mask(*senders):
+    """The sender bitmask of ``senders``: bit i set for process i."""
+    bits = 0
+    for sender in senders:
+        bits |= 1 << sender
+    return bits
+
+
 @pytest.fixture
 def config_factory():
     return fast_config

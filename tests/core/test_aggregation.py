@@ -2,6 +2,7 @@
 
 from repro.core.aggregation import SemanticAggregator
 from repro.paxos.messages import Aggregated2b, Decision, Phase2a, Phase2b, Value
+from tests.conftest import mask
 
 
 def _value(vid="v"):
@@ -18,7 +19,7 @@ def test_identical_votes_merge():
     assert len(result) == 1
     merged = result[0]
     assert type(merged) is Aggregated2b
-    assert merged.senders == {0, 1, 2}
+    assert merged.senders == mask(0, 1, 2)
     assert agg.votes_absorbed == 2
     assert agg.aggregates_built == 1
 
@@ -76,10 +77,10 @@ def test_non_vote_messages_pass_through():
 def test_existing_aggregates_merge_with_singles():
     """Received aggregated votes 'can be semantically aggregated again'."""
     agg = SemanticAggregator()
-    existing = Aggregated2b(1, 1, "v", senders={0, 1})
+    existing = Aggregated2b(1, 1, "v", senders=mask(0, 1))
     result = agg.aggregate([existing, _vote(1, 2)], peer_id=5)
     assert len(result) == 1
-    assert result[0].senders == {0, 1, 2}
+    assert result[0].senders == mask(0, 1, 2)
 
 
 def test_multiple_groups_aggregate_independently():
@@ -88,7 +89,7 @@ def test_multiple_groups_aggregate_independently():
     result = agg.aggregate(pending, peer_id=5)
     assert len(result) == 2
     assert {m.instance for m in result} == {1, 2}
-    assert all(m.senders == {0, 1} for m in result)
+    assert all(m.senders == mask(0, 1) for m in result)
 
 
 def test_disaggregate_roundtrip():

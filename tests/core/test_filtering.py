@@ -10,6 +10,7 @@ from repro.paxos.messages import (
     Phase2b,
     Value,
 )
+from tests.conftest import mask
 
 
 def _value(vid="v"):
@@ -71,7 +72,7 @@ def test_votes_from_different_rounds_counted_separately():
 
 def test_aggregated_votes_count_all_senders():
     f = SemanticFilter(n=5)
-    agg = Aggregated2b(1, 1, "v", senders={0, 1, 2})
+    agg = Aggregated2b(1, 1, "v", senders=mask(0, 1, 2))
     assert f.validate(agg, peer_id=9)
     # The aggregate alone reached majority: further votes are redundant.
     assert not f.validate(_vote(1, 4), peer_id=9)
@@ -80,7 +81,7 @@ def test_aggregated_votes_count_all_senders():
 def test_aggregated_vote_filtered_when_peer_knows_decision():
     f = SemanticFilter(n=5)
     f.validate(Decision(1, 1, _value()), peer_id=9)
-    assert not f.validate(Aggregated2b(1, 1, "v", senders={0, 1}), peer_id=9)
+    assert not f.validate(Aggregated2b(1, 1, "v", senders=mask(0, 1)), peer_id=9)
 
 
 def test_non_vote_messages_always_pass():

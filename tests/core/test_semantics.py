@@ -2,6 +2,7 @@
 
 from repro.core.semantics import PaxosSemantics
 from repro.paxos.messages import Aggregated2b, Decision, Phase2b, Value
+from tests.conftest import mask
 
 
 def _value():
@@ -45,7 +46,7 @@ def test_aggregate_identity_when_disabled():
 def test_disaggregate_works_even_with_aggregation_disabled():
     """Peers running full semantics may still send aggregated votes."""
     hooks = PaxosSemantics(n=5, enable_aggregation=False)
-    agg = Aggregated2b(1, 1, "v", senders={0, 1, 2})
+    agg = Aggregated2b(1, 1, "v", senders=mask(0, 1, 2))
     assert len(hooks.disaggregate(agg)) == 3
 
 

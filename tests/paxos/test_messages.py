@@ -11,6 +11,7 @@ from repro.paxos.messages import (
     Phase2b,
     Value,
 )
+from tests.conftest import mask
 
 
 def _value(vid=("c", 0), size=1024):
@@ -69,7 +70,7 @@ def test_decision_uid_per_instance_only():
 
 
 def test_aggregated2b_is_marked_and_small():
-    agg = Aggregated2b(1, 1, ("c", 0), senders={2, 3, 4, 5, 6})
+    agg = Aggregated2b(1, 1, ("c", 0), senders=mask(2, 3, 4, 5, 6))
     assert agg.aggregated is True
     # "Essentially the same size regardless of the number of votes".
     assert agg.size_bytes < HEADER_BYTES + 16
@@ -78,7 +79,7 @@ def test_aggregated2b_is_marked_and_small():
 
 
 def test_aggregated2b_disaggregate_reconstructs_originals():
-    agg = Aggregated2b(4, 2, ("c", 9), senders={3, 1, 2}, attempt=0)
+    agg = Aggregated2b(4, 2, ("c", 9), senders=mask(3, 1, 2), attempt=0)
     parts = agg.disaggregate()
     assert [p.sender for p in parts] == [1, 2, 3]
     for part in parts:
@@ -89,8 +90,8 @@ def test_aggregated2b_disaggregate_reconstructs_originals():
 
 
 def test_aggregated2b_uid_depends_on_sender_set():
-    a = Aggregated2b(1, 1, "v", senders={1, 2})
-    b = Aggregated2b(1, 1, "v", senders={1, 3})
+    a = Aggregated2b(1, 1, "v", senders=mask(1, 2))
+    b = Aggregated2b(1, 1, "v", senders=mask(1, 3))
     assert a.uid != b.uid
 
 

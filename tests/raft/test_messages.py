@@ -10,6 +10,7 @@ from repro.raft.messages import (
     RequestVote,
     VoteReply,
 )
+from tests.conftest import mask
 
 
 def _entry(index=1, term=1, size=1024):
@@ -35,7 +36,7 @@ def test_ack_uid_unique_per_sender_and_attempt():
 
 
 def test_aggregated_ack_roundtrip():
-    agg = AggregatedAck(1, 4, senders={3, 1, 2})
+    agg = AggregatedAck(1, 4, senders=mask(3, 1, 2))
     parts = agg.disaggregate()
     assert [p.sender for p in parts] == [1, 2, 3]
     assert all((p.term, p.index) == (1, 4) for p in parts)
@@ -43,7 +44,7 @@ def test_aggregated_ack_roundtrip():
 
 
 def test_aggregated_ack_stays_small():
-    many = AggregatedAck(1, 4, senders=set(range(50)))
+    many = AggregatedAck(1, 4, senders=mask(*range(50)))
     assert many.size_bytes < 2 * AppendAck(1, 4, 0).size_bytes
 
 

@@ -9,6 +9,7 @@ from repro.raft.messages import (
     CommitNotice,
     LogEntry,
 )
+from tests.conftest import mask
 
 
 def _ack(index, sender, term=1):
@@ -53,7 +54,7 @@ class TestFilter:
 
     def test_aggregated_ack_counts_all_senders(self):
         f = RaftSemanticFilter(n=5)
-        assert f.validate(AggregatedAck(1, 1, senders={0, 1, 2}), peer_id=9)
+        assert f.validate(AggregatedAck(1, 1, senders=mask(0, 1, 2)), peer_id=9)
         assert not f.validate(_ack(1, 4), peer_id=9)
 
     def test_per_peer_state(self):
@@ -74,7 +75,7 @@ class TestAggregator:
         agg = _aggregator()
         result = agg.aggregate([_ack(1, 0), _ack(1, 1), _ack(1, 2)], 5)
         assert len(result) == 1
-        assert result[0].senders == {0, 1, 2}
+        assert result[0].senders == mask(0, 1, 2)
         assert agg.votes_absorbed == 2
 
     def test_different_indices_not_merged(self):
@@ -83,9 +84,9 @@ class TestAggregator:
 
     def test_nested_aggregates_merge(self):
         agg = _aggregator()
-        existing = AggregatedAck(1, 1, senders={0, 1})
+        existing = AggregatedAck(1, 1, senders=mask(0, 1))
         (merged,) = agg.aggregate([existing, _ack(1, 2)], 5)
-        assert merged.senders == {0, 1, 2}
+        assert merged.senders == mask(0, 1, 2)
 
     def test_roundtrip(self):
         agg = _aggregator()
@@ -112,7 +113,7 @@ class TestCombinedHooks:
 
     def test_disaggregate_always_available(self):
         hooks = RaftSemantics(5, enable_aggregation=False)
-        assert len(hooks.disaggregate(AggregatedAck(1, 1, {0, 1}))) == 2
+        assert len(hooks.disaggregate(AggregatedAck(1, 1, mask(0, 1)))) == 2
 
 
 class TestDeploymentIntegration:
