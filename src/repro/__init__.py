@@ -38,7 +38,6 @@ from repro.runtime.sweep import (
 from repro.core.semantics import PaxosSemantics
 from repro.core.filtering import SemanticFilter
 from repro.core.aggregation import SemanticAggregator
-from repro.core.raft_semantics import RaftSemantics
 from repro.gossip.hooks import SemanticHooks
 from repro.gossip.node import GossipNode, GossipCosts
 from repro.gossip.strategies import PullGossipNode, PushPullGossipNode
@@ -83,7 +82,6 @@ __all__ = [
     "PaxosSemantics",
     "SemanticFilter",
     "SemanticAggregator",
-    "RaftSemantics",
     "SemanticHooks",
     "GossipNode",
     "GossipCosts",

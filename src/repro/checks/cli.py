@@ -2,8 +2,8 @@
 
 * ``repro check --lint [paths...]`` — run the determinism linter.
 * ``repro check --invariants`` — run short seeded simulations of the
-  gossip and semantic setups with a :class:`SafetyMonitor` armed and
-  report every invariant violation.
+  gossip and semantic setups (and semantic Raft) with a
+  :class:`SafetyMonitor` armed and report every invariant violation.
 * ``repro check --race SCENARIO`` — double-run determinism race audit:
   execute a committed scenario under different ``PYTHONHASHSEED`` values
   and report the first divergent event with tie-break and RNG-stream
@@ -40,9 +40,14 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 
-#: Setups exercised by the invariant pass: classic gossip stresses
-#: reordering/duplication, semantic adds filtering + aggregation.
-_INVARIANT_SETUPS = ("gossip", "semantic")
+#: Runs of the invariant pass, ``name -> (setup, protocol)``: classic
+#: gossip stresses reordering/duplication, semantic adds filtering +
+#: aggregation, and semantic Raft runs the same rules over acks.
+_INVARIANT_RUNS = {
+    "gossip": ("gossip", "paxos"),
+    "semantic": ("semantic", "paxos"),
+    "semantic_raft": ("semantic", "raft"),
+}
 
 
 def _default_lint_paths():
@@ -65,9 +70,10 @@ def _run_invariants(args):
 
     violations = []
     summaries = {}
-    for setup in _INVARIANT_SETUPS:
+    for name, (setup, protocol) in _INVARIANT_RUNS.items():
         config = ExperimentConfig(
             setup=setup,
+            protocol=protocol,
             n=args.n,
             rate=args.rate,
             warmup=0.5,
@@ -78,7 +84,7 @@ def _run_invariants(args):
         monitor = SafetyMonitor(strict=False)
         run_experiment(config, monitor=monitor)
         violations.extend(monitor.violations)
-        summaries[setup] = monitor.summary()
+        summaries[name] = monitor.summary()
     return violations, summaries
 
 
@@ -186,8 +192,8 @@ def add_check_parser(sub):
         "check",
         help="determinism lint + safety invariants + race audit",
         description="Static determinism lint over Python sources, dynamic "
-                    "Paxos safety invariants over seeded runs, and/or a "
-                    "double-run determinism race audit of committed "
+                    "safety invariants over seeded Paxos and Raft runs, "
+                    "and/or a double-run determinism race audit of committed "
                     "scenarios. Exit codes: 0 clean, 1 findings/violations/"
                     "divergence, 2 usage error.",
     )

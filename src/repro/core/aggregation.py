@@ -1,57 +1,60 @@
-"""Semantic aggregation rule (paper §3.2).
+"""Semantic aggregation rule (paper §3.2), for Paxos and Raft alike.
 
-A single, reversible rule: Phase 2b messages pending for the same peer that
-refer to the same instance, round and value — so they differ only by their
-senders — are replaced by one :class:`repro.paxos.messages.Aggregated2b`
-carrying the union of the senders. The aggregated message takes the list
-position of the first message it replaces; messages not prone to
-aggregation are left untouched and keep their relative order. Aggregated
-votes received from elsewhere participate too ("they can be semantically
-aggregated again").
+A single, reversible rule: votes pending for the same peer that carry the
+same vote key — Phase 2b messages for one instance, round and value, or
+Raft acks for one term and index — so they differ only by their senders,
+are replaced by one :class:`repro.paxos.messages.Aggregated2b` or
+:class:`repro.raft.messages.AggregatedAck` carrying the union of the
+senders. The aggregated message takes the list position of the first
+message it replaces; messages not prone to aggregation are left untouched
+and keep their relative order. Aggregated votes received from elsewhere
+participate too ("they can be semantically aggregated again").
 
 The rule is opportunistic: it only does anything when the send routine has
 accumulated several pending messages, i.e. under moderate-to-high load —
 and, unlike batching, it never delays a send (paper §3.2).
-
-Nothing in the rule is specific to Paxos: a protocol says what its votes
-are (a function ``payload -> (key, mask)``, ``(None, None)`` for anything
-that is not a vote, where ``mask`` is the sender bitmask — ``1 << sender``
-for a single vote) and which message carries a merged vote (constructed as
-``merged(*key[:-1], mask, key[-1])``). The defaults are the Paxos pair;
-:mod:`repro.core.raft_semantics` supplies Raft's.
 """
 
 from repro.paxos.messages import Aggregated2b, Phase2b
+from repro.raft.messages import AggregatedAck, AppendAck
 
 
 def _vote_key_and_mask(payload):
-    """(group key, sender bitmask) for vote messages; (None, None) otherwise."""
+    """(group key, sender bitmask) for votes; (None, None) otherwise.
+
+    A group key is ``(merged type, *vote key, attempt)``, so the aggregate
+    is ``key[0](*key[1:-1], mask, key[-1])``.
+    """
     kind = type(payload)
     if kind is Phase2b:
         # uid = ("2B", instance, round, sender, attempt)
-        return ((payload.instance, payload.round, payload.value_id,
-                 payload.uid[4]), 1 << payload.sender)
+        return ((Aggregated2b, payload.instance, payload.round,
+                 payload.value_id, payload.uid[4]), 1 << payload.sender)
     if kind is Aggregated2b:
-        return ((payload.instance, payload.round, payload.value_id,
-                 payload.attempt), payload.senders)
+        return ((Aggregated2b, payload.instance, payload.round,
+                 payload.value_id, payload.attempt), payload.senders)
+    if kind is AppendAck:
+        # uid = ("ACK", term, index, sender, attempt)
+        return ((AggregatedAck, payload.term, payload.index, payload.uid[4]),
+                1 << payload.sender)
+    if kind is AggregatedAck:
+        return ((AggregatedAck, payload.term, payload.index, payload.attempt),
+                payload.senders)
     return (None, None)
 
 
 class SemanticAggregator:
     """Groups identical pending votes into multi-sender votes."""
 
-    __slots__ = ("votes_absorbed", "aggregates_built",
-                 "_key_and_mask", "_merged")
+    __slots__ = ("votes_absorbed", "aggregates_built")
 
-    def __init__(self, key_and_mask=_vote_key_and_mask, merged=Aggregated2b):
+    def __init__(self):
         self.votes_absorbed = 0
         self.aggregates_built = 0
-        self._key_and_mask = key_and_mask
-        self._merged = merged
 
     def aggregate(self, payloads, peer_id):
         """Return the replacement send list (order-preserving)."""
-        key_and_mask = self._key_and_mask
+        key_and_mask = _vote_key_and_mask
         keys = []
         groups = {}
         for payload in payloads:
@@ -82,13 +85,14 @@ class SemanticAggregator:
                 result.append(payload)
                 continue
             groups[key] = None
-            result.append(self._merged(*key[:-1], mask, key[-1]))
+            result.append(key[0](*key[1:-1], mask, key[-1]))
             self.aggregates_built += 1
             self.votes_absorbed += count - 1
         return result
 
     def disaggregate(self, payload):
         """Reconstruct the original votes (reversible rule)."""
-        if type(payload) is self._merged:
+        kind = type(payload)
+        if kind is Aggregated2b or kind is AggregatedAck:
             return payload.disaggregate()
         return [payload]

@@ -1,10 +1,12 @@
-"""The Semantic Gossip hooks for Paxos.
+"""The Semantic Gossip hooks.
 
 :class:`PaxosSemantics` is the :class:`repro.gossip.hooks.SemanticHooks`
-implementation a Semantic Gossip deployment installs in its gossip nodes.
-It composes the filtering and aggregation techniques; each can be disabled
-independently, which the ablation benchmarks use to attribute the paper's
-improvements to the individual techniques.
+implementation a Semantic Gossip deployment installs in its gossip nodes,
+for Paxos, S-Paxos and Raft alike: the filter and the aggregator know the
+votes and decisions of both protocols. It composes the filtering and
+aggregation techniques; each can be disabled independently, which the
+ablation benchmarks use to attribute the paper's improvements to the
+individual techniques.
 """
 
 from repro.core.aggregation import SemanticAggregator
@@ -13,13 +15,7 @@ from repro.gossip.hooks import SemanticHooks
 
 
 class PaxosSemantics(SemanticHooks):
-    """validate/aggregate/disaggregate with Paxos knowledge (paper §3.2)."""
-
-    #: The per-peer filter, and the aggregator's ``(key_and_mask, merged)``
-    #: vote description; :class:`repro.core.raft_semantics.RaftSemantics`
-    #: swaps in Raft's.
-    filter_type = SemanticFilter
-    aggregator_args = ()
+    """validate/aggregate/disaggregate with consensus knowledge (§3.2)."""
 
     def __init__(self, n, enable_filtering=True, enable_aggregation=True):
         self.n = n
@@ -27,11 +23,11 @@ class PaxosSemantics(SemanticHooks):
         self.enable_aggregation = enable_aggregation
         self.filter = None
         if enable_filtering:
-            self.filter = self.filter_type(n)
+            self.filter = SemanticFilter(n)
             # The gossip node calls the filter's own validate: no wrapper
             # frame per (message, peer).
             self.validate = self.filter.validate
-        self.aggregator = SemanticAggregator(*self.aggregator_args)
+        self.aggregator = SemanticAggregator()
 
     def validate(self, payload, peer_id):
         # Reached only with filtering disabled (see __init__).

@@ -6,8 +6,8 @@ acknowledge — and that "the semantic extensions proposed for the regular
 operation of Paxos [are] easily applicable to a gossip-based Raft
 deployment". This package substantiates that claim: a Raft implementation
 (leader election, log replication, majority commit) that runs over the very
-same substrates as :mod:`repro.paxos`, with Raft-specific semantic rules in
-:mod:`repro.core.raft_semantics`.
+same substrates as :mod:`repro.paxos`, under the very same semantic rules:
+:mod:`repro.core` treats an ack as a vote and a commit as a decided prefix.
 
 Correspondence to the paper's Paxos deployment:
 

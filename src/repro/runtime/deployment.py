@@ -11,7 +11,6 @@ For a fair comparison (paper §4.2), Gossip and Semantic Gossip runs with
 the same ``overlay_seed`` use the *same* overlay.
 """
 
-from repro.core.raft_semantics import RaftSemantics
 from repro.core.semantics import PaxosSemantics
 from repro.gossip.bloom import BloomPositionCache, InternedSlidingBloomFilter
 from repro.gossip.cache import InternedSeenCache
@@ -169,12 +168,11 @@ def build_deployment(config, auditor=None, obs=None):
             a, b = sorted(edge)
             _connect_pair(sim, config, topology, transports, a, b, loss_injector)
         semantic = config.setup == "semantic"
-        hooks_class = RaftSemantics if config.protocol == "raft" else PaxosSemantics
         interner = UidInterner()
         make_dedup = _dedup_factory(config, interner)
         for i in range(n):
             hooks = (
-                hooks_class(
+                PaxosSemantics(
                     n,
                     enable_filtering=config.enable_filtering,
                     enable_aggregation=config.enable_aggregation,

@@ -141,7 +141,8 @@ def test_combined_json_envelope(tmp_path, capsys):
     assert payload["clean"] is True
     assert payload["lint"]["count"] == 0
     assert payload["invariants"]["count"] == 0
-    assert set(payload["invariant_runs"]) == {"gossip", "semantic"}
+    assert set(payload["invariant_runs"]) == {"gossip", "semantic",
+                                              "semantic_raft"}
     for summary in payload["invariant_runs"].values():
         assert summary["instances_decided"] > 0
         assert summary["violations"] == 0

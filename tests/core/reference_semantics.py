@@ -8,13 +8,31 @@ They live with the tests because nothing else constructs them:
 ``tests/properties/test_vote_mask_props.py`` drives random vote streams
 through each pair and demands the same verdicts, counters, aggregates and
 decisions.
+
+Both reference filters keep their "redundant" branch and its counter; the
+properties assert that it never fires.
 """
 
-from repro.core.filtering import FilterStats
 from repro.net.message import Payload
 from repro.paxos import learner
 from repro.paxos.messages import HEADER_BYTES, Decision, Phase2b
 from repro.raft.messages import AppendAck, AppendEntries, CommitNotice
+
+
+class FilterStats:
+    """Filtering outcome counters (feed the §4.3 message-count analysis)."""
+
+    __slots__ = ("evaluated", "passed", "filtered_obsolete", "filtered_redundant")
+
+    def __init__(self):
+        self.evaluated = 0
+        self.passed = 0
+        self.filtered_obsolete = 0
+        self.filtered_redundant = 0
+
+    @property
+    def filtered(self):
+        return self.filtered_obsolete + self.filtered_redundant
 
 
 class Aggregated2b(Payload):

@@ -24,14 +24,14 @@ def _vote(instance, sender, round_=1, vid="v"):
 def test_votes_pass_before_any_knowledge():
     f = SemanticFilter(n=5)
     assert f.validate(_vote(1, 0), peer_id=9)
-    assert f.stats.passed == 1
+    assert f.validate(_vote(1, 1), peer_id=9)
 
 
 def test_decision_makes_votes_obsolete_for_that_peer():
     f = SemanticFilter(n=5)
     assert f.validate(Decision(1, 1, _value()), peer_id=9)
     assert not f.validate(_vote(1, 0), peer_id=9)
-    assert f.stats.filtered_obsolete == 1
+    assert not f.validate(_vote(1, 0), peer_id=9)  # still obsolete
 
 
 def test_filtering_is_per_peer():
@@ -44,9 +44,12 @@ def test_majority_of_votes_makes_further_votes_redundant():
     f = SemanticFilter(n=5)  # majority = 3
     for sender in range(3):
         assert f.validate(_vote(1, sender), peer_id=9)
+    # The majority marked the instance decided for the peer: every later
+    # vote, for any round or value, is dropped as obsolete.
+    assert f._peers[9].decided_watermark == 1
     assert not f.validate(_vote(1, 3), peer_id=9)
     assert not f.validate(_vote(1, 4), peer_id=9)
-    assert f.stats.filtered >= 2
+    assert not f.validate(_vote(1, 4, round_=2, vid="w"), peer_id=9)
 
 
 def test_duplicate_senders_do_not_reach_majority():
@@ -122,11 +125,3 @@ def test_out_of_order_decisions_compact_later():
     f.validate(Decision(2, 1, _value()), peer_id=9)
     assert summary.decided_watermark == 3
     assert summary.decided_sparse == set()
-
-
-def test_stats_totals_consistent():
-    f = SemanticFilter(n=3)
-    for sender in range(3):
-        f.validate(_vote(1, sender), peer_id=5)
-    f.validate(_vote(1, 2), peer_id=5)
-    assert f.stats.evaluated == f.stats.passed + f.stats.filtered

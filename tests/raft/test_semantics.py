@@ -1,6 +1,8 @@
 """Tests for the Raft semantic rules (filtering + aggregation)."""
 
-from repro.core.raft_semantics import RaftSemanticFilter, RaftSemantics
+from repro.core.aggregation import SemanticAggregator
+from repro.core.filtering import SemanticFilter
+from repro.core.semantics import PaxosSemantics
 from repro.paxos.messages import Value
 from repro.raft.messages import (
     AggregatedAck,
@@ -17,8 +19,8 @@ def _ack(index, sender, term=1):
 
 
 def _aggregator():
-    """The one SemanticAggregator, as Raft deployments configure it."""
-    return RaftSemantics(5).aggregator
+    """The one SemanticAggregator, which Raft deployments share."""
+    return SemanticAggregator()
 
 
 def _entry(index, term=1):
@@ -27,11 +29,11 @@ def _entry(index, term=1):
 
 class TestFilter:
     def test_ack_passes_initially(self):
-        f = RaftSemanticFilter(n=5)
+        f = SemanticFilter(n=5)
         assert f.validate(_ack(1, 0), peer_id=9)
 
     def test_commit_notice_obsoletes_acks(self):
-        f = RaftSemanticFilter(n=5)
+        f = SemanticFilter(n=5)
         assert f.validate(CommitNotice(1, 3), peer_id=9)
         assert not f.validate(_ack(1, 0), peer_id=9)
         assert not f.validate(_ack(3, 0), peer_id=9)
@@ -39,35 +41,35 @@ class TestFilter:
         assert f.validate(_ack(4, 0), peer_id=9)
 
     def test_append_entries_commit_field_raises_watermark(self):
-        f = RaftSemanticFilter(n=5)
+        f = SemanticFilter(n=5)
         msg = AppendEntries(1, 0, 4, 1, _entry(5), leader_commit=2)
         assert f.validate(msg, peer_id=9)
         assert not f.validate(_ack(2, 0), peer_id=9)
         assert f.validate(_ack(5, 0), peer_id=9)
 
     def test_majority_acks_make_rest_redundant(self):
-        f = RaftSemanticFilter(n=5)
+        f = SemanticFilter(n=5)
         for sender in range(3):
             assert f.validate(_ack(1, sender), peer_id=9)
         assert not f.validate(_ack(1, 3), peer_id=9)
-        assert f.stats.filtered >= 1
+        assert not f.validate(_ack(1, 4, term=2), peer_id=9)
 
     def test_aggregated_ack_counts_all_senders(self):
-        f = RaftSemanticFilter(n=5)
+        f = SemanticFilter(n=5)
         assert f.validate(AggregatedAck(1, 1, senders=mask(0, 1, 2)), peer_id=9)
         assert not f.validate(_ack(1, 4), peer_id=9)
 
     def test_per_peer_state(self):
-        f = RaftSemanticFilter(n=5)
+        f = SemanticFilter(n=5)
         f.validate(CommitNotice(1, 3), peer_id=9)
         assert f.validate(_ack(1, 0), peer_id=8)
 
     def test_watermark_compacts_ack_state(self):
-        f = RaftSemanticFilter(n=5)
+        f = SemanticFilter(n=5)
         f.validate(_ack(1, 0), peer_id=9)
         f.validate(_ack(2, 0), peer_id=9)
         f.validate(CommitNotice(1, 2), peer_id=9)
-        assert f._peers[9].ack_senders == {}
+        assert f._peers[9].vote_senders == {}
 
 
 class TestAggregator:
@@ -104,15 +106,15 @@ class TestAggregator:
 
 class TestCombinedHooks:
     def test_flags(self):
-        hooks = RaftSemantics(5, enable_filtering=False)
+        hooks = PaxosSemantics(5, enable_filtering=False)
         hooks.validate(CommitNotice(1, 5), peer_id=1)
         assert hooks.validate(_ack(1, 0), peer_id=1)
-        hooks = RaftSemantics(5, enable_aggregation=False)
+        hooks = PaxosSemantics(5, enable_aggregation=False)
         acks = [_ack(1, 0), _ack(1, 1)]
         assert hooks.aggregate(acks, 1) is acks
 
     def test_disaggregate_always_available(self):
-        hooks = RaftSemantics(5, enable_aggregation=False)
+        hooks = PaxosSemantics(5, enable_aggregation=False)
         assert len(hooks.disaggregate(AggregatedAck(1, 1, mask(0, 1)))) == 2
 
 
