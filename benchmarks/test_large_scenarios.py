@@ -39,7 +39,7 @@ COMMITTED = {
         777_359, 25254.2),
     "gossip_n1000": (
         "09bd4f5ac1f01788b2ceb3089050442cffa772e8ffb3326ea8bde4e43c738936",
-        3_547_065, 157240.0),
+        3_547_065, 152002.6),
 }
 
 

@@ -31,7 +31,8 @@ OMIT_AT_DEFAULT = {_OMIT_KEY: True}
 #: were committed, in canonical form at the one value every committed run
 #: gave them. The config document still carries them, so deleting a knob
 #: no run used moves no digest.
-RETIRED_CONFIG_FIELDS = {"crashes": [], "failover_timeout": None}
+RETIRED_CONFIG_FIELDS = {"crashes": [], "failover_timeout": None,
+                         "cpu_queue_capacity": None}
 
 
 def _canonical(value):

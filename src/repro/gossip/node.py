@@ -344,8 +344,7 @@ class GossipNode(Actor):
         self.deliver = deliver
         self.cpu = cpu or FifoServer(sim)
         #: Fire-and-forget CPU submission for the receive/broadcast hot
-        #: path: ``submit_timed`` skips the bool-wrapping frame of
-        #: ``submit``. The return value is never used at these call sites.
+        #: path, bound once. The returned completion is never used here.
         self._cpu_submit = self.cpu.submit_timed
         #: Accounting-only CPU charge (no callback, no varargs packing).
         self._cpu_acct = self.cpu.submit_acct

@@ -114,7 +114,7 @@ class TimelineSampler:
         series["retransmissions"].append(retrans - prev["retransmissions"])
         prev["retransmissions"] = retrans
 
-        cpu_busy = sum(node.cpu.stats.busy_time for node in deployment.nodes)
+        cpu_busy = sum(node.cpu.busy_time for node in deployment.nodes)
         busy_delta = cpu_busy - prev["cpu_busy"]
         prev["cpu_busy"] = cpu_busy
         n = len(deployment.nodes)

@@ -78,7 +78,6 @@ class ExperimentConfig:
     link: LinkConfig = field(default_factory=LinkConfig)
     cache_capacity: int = 200_000
     send_queue_capacity: Optional[int] = 20_000
-    cpu_queue_capacity: Optional[int] = None
     use_bloom_dedup: bool = False        # sliding Bloom filter instead of LRU cache
 
     # -- beyond the paper's topology (the large-N scenarios) ----------------------

@@ -283,7 +283,7 @@ def _collect_message_stats(deployment):
         stats.send_queue_drops += node_stats.send_queue_drops
     stats.received_regular_mean = mean(regular_received)
     elapsed = deployment.sim.now
-    utilizations = [node.cpu.stats.utilization(elapsed)
+    utilizations = [node.cpu.utilization(elapsed)
                     for node in deployment.nodes]
     if utilizations:
         stats.cpu_utilization_mean = mean(utilizations)

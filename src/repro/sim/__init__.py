@@ -20,7 +20,7 @@ Public API:
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.actors import Actor
-from repro.sim.server import FifoServer, ServerStats, noop
+from repro.sim.server import FifoServer, noop
 from repro.sim.random import stream_seed
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "Simulator",
     "Actor",
     "FifoServer",
-    "ServerStats",
     "noop",
     "stream_seed",
 ]

@@ -97,6 +97,13 @@ def test_zero_value_size_and_disabled_retransmission_stay_legal():
     ExperimentConfig(value_size=0, retransmit_timeout=None)
 
 
+def test_retired_cpu_queue_capacity_rejected():
+    """The CPU queue bound was never wired to a server; the field is gone
+    and fingerprints keep it through RETIRED_CONFIG_FIELDS."""
+    with pytest.raises(TypeError):
+        ExperimentConfig(cpu_queue_capacity=4)
+
+
 # -- process outages (fault-plan crashes) -------------------------------------
 
 

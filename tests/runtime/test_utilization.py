@@ -37,8 +37,8 @@ def test_baseline_coordinator_is_hot_spot():
     deployment, report = run_deployment(fast_config(setup="baseline",
                                                     rate=100))
     elapsed = deployment.sim.now
-    coordinator = deployment.nodes[0].cpu.stats.utilization(elapsed)
-    others = [node.cpu.stats.utilization(elapsed)
+    coordinator = deployment.nodes[0].cpu.utilization(elapsed)
+    others = [node.cpu.utilization(elapsed)
               for node in deployment.nodes[1:]]
     assert coordinator > max(others)
     assert report.messages.cpu_utilization_max == coordinator

@@ -10,7 +10,25 @@ traces through it and ``FifoServer``, and
 
 from collections import deque
 
-from repro.sim.server import ServerStats
+
+class ServerStats:
+    """The reference's counters; ``capacity`` drops are counted too,
+    because `test_link_props.py` drives a bounded reference."""
+
+    __slots__ = ("submitted", "completed", "dropped", "busy_time", "max_queue")
+
+    def __init__(self):
+        self.submitted = 0
+        self.completed = 0
+        self.dropped = 0
+        self.busy_time = 0.0
+        self.max_queue = 0
+
+    def utilization(self, elapsed):
+        """Fraction of ``elapsed`` the server spent busy."""
+        if elapsed <= 0:
+            return 0.0
+        return min(1.0, self.busy_time / elapsed)
 
 
 class LegacyFifoServer:

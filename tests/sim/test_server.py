@@ -39,47 +39,28 @@ def test_idle_after_drain(sim):
     assert server.queue_length == 0
 
 
-def test_capacity_drops_excess_jobs(sim):
-    server = FifoServer(sim, capacity=1)
-    server.submit(1.0, lambda: None)   # starts immediately
-    assert server.submit(1.0, lambda: None) is True   # queued
-    assert server.submit(1.0, lambda: None) is False  # dropped
-    assert server.stats.dropped == 1
-
-
-def test_on_drop_callback_invoked(sim):
-    dropped = []
-    server = FifoServer(sim, capacity=0, on_drop=lambda fn, args: dropped.append(args))
-    server.submit(1.0, lambda: None)
-    server.submit(1.0, lambda x: None, "payload")
-    assert dropped == [("payload",)]
-
-
 def test_stats_counts(sim):
+    """busy_time charges each job at its start; waiting jobs are counted
+    by queue_length until they start."""
     server = FifoServer(sim)
     for _ in range(3):
         server.submit(1.0, lambda: None)
+    assert server.busy_time == 1.0
+    assert server.queue_length == 2
+    sim.run(until=1.5)
+    assert server.busy_time == 2.0
+    assert server.queue_length == 1
     sim.run()
-    assert server.stats.submitted == 3
-    assert server.stats.completed == 3
-    assert server.stats.busy_time == 3.0
+    assert server.busy_time == 3.0
+    assert not server.busy and server.queue_length == 0
 
 
 def test_utilization(sim):
     server = FifoServer(sim)
     server.submit(2.0, lambda: None)
     sim.run(until=4.0)
-    assert server.stats.utilization(4.0) == 0.5
-    assert server.stats.utilization(0.0) == 0.0
-
-
-def test_max_queue_tracks_high_water_mark(sim):
-    server = FifoServer(sim)
-    for _ in range(4):
-        server.submit(1.0, lambda: None)
-    assert server.stats.max_queue == 3
-    sim.run()
-    assert server.stats.max_queue == 3
+    assert server.utilization(4.0) == 0.5
+    assert server.utilization(0.0) == 0.0
 
 
 def test_submissions_during_service_preserve_order(sim):
@@ -112,12 +93,13 @@ def test_accounting_only_jobs_schedule_no_events(sim):
     before = sim.events_scheduled
     server.submit(1.0, noop)
     server.submit_timed(0.5, None)
+    server.submit_acct(0.25)
     assert sim.events_scheduled == before
+    assert server.busy and server.queue_length == 2
+    assert server.busy_time == 1.0
     sim.run(until=3.0)
-    stats = server.stats
-    assert stats.completed == 2
-    assert stats.busy_time == pytest.approx(1.5)
-    assert not server.busy
+    assert server.busy_time == 1.75
+    assert not server.busy and server.queue_length == 0
 
 
 def test_real_callback_schedules_exactly_one_event(sim):
@@ -132,12 +114,3 @@ def test_submit_timed_returns_completion_time(sim):
     assert server.submit_timed(0.5, None) == pytest.approx(0.5)
     # Queued behind the first job: completion chains off busy_until.
     assert server.submit_timed(0.25, None) == pytest.approx(0.75)
-
-
-def test_submit_timed_returns_none_on_drop(sim):
-    dropped = []
-    server = FifoServer(sim, capacity=0,
-                        on_drop=lambda fn, args: dropped.append(args))
-    assert server.submit_timed(1.0, None, "a") is not None  # enters service
-    assert server.submit_timed(1.0, None, "b") is None
-    assert dropped == [("b",)]
