@@ -17,8 +17,6 @@ forward fan-out) is charged to a single per-process CPU server; each link
 additionally charges transmission time. See DESIGN.md §5.2.
 """
 
-from collections import deque
-
 from repro.sim.actors import Actor
 from repro.sim.server import FifoServer, check_service_time
 from repro.gossip.cache import InternedSeenCache
@@ -92,6 +90,11 @@ class _PeerSender:
     sender event at all. Link jitter changes none of this: the link draws
     it when it commits an arrival, and it moves arrivals, never
     completions.
+
+    The queue is a plain list that :meth:`_pump` takes whole, leaving an
+    empty one in its place. A forwarded message that goes straight out
+    commits its arrival with the tuple its node built once for the whole
+    fan-out.
     """
 
     __slots__ = ("node", "sim", "peer_id", "link", "queue",
@@ -103,7 +106,7 @@ class _PeerSender:
         self.sim = node.sim
         self.peer_id = peer_id
         self.link = link
-        self.queue = deque()
+        self.queue = []
         self.capacity = capacity
         self._free_at = 0.0      # link serialises our traffic until then
         self._wakeup_armed = False   # a wake-up is outstanding
@@ -116,7 +119,11 @@ class _PeerSender:
         """True while a batch is being serialised or paced."""
         return self._wakeup_armed or self.sim.now < self._free_at
 
-    def enqueue(self, payload):
+    def enqueue(self, payload, args=None):
+        """Queue ``payload`` for the peer, or send it now if the link is
+        idle and nothing waits. ``args`` is the arrival tuple
+        ``(payload,)`` the link may commit with (see
+        :meth:`DirectedLink.transmit_timed`); a fan-out shares one."""
         queue = self.queue
         if self.capacity is not None and len(queue) >= self.capacity:
             self.node.stats.send_queue_drops += 1
@@ -136,7 +143,7 @@ class _PeerSender:
             return
         if not queue:
             # Idle link, nothing queued — the dominant case below
-            # saturation — goes straight to the wire: no deque round
+            # saturation — goes straight to the wire: no queue round
             # trip, no batch lists.
             node = self.node
             if node.validate_default or node._hooks.validate(payload,
@@ -154,7 +161,7 @@ class _PeerSender:
                 # landing on the completion instant — including the
                 # arrival event a zero-latency link would put there.
                 seq = self.sim.reserve_slot()
-                self._free_at = self.link.transmit_timed(payload)
+                self._free_at = self.link.transmit_timed(payload, args)
                 self._wakeup_seq = seq
             else:
                 node.stats.filtered += 1
@@ -168,11 +175,10 @@ class _PeerSender:
 
     def _pump(self):
         """Validate + aggregate what has queued and commit it to the wire."""
-        queue = self.queue
         node = self.node
         hooks = node._hooks
-        batch = list(queue)
-        queue.clear()
+        batch = self.queue
+        self.queue = []
         if node.validate_default:
             # Default validate admits everything; skip the per-message
             # calls (classic gossip's saturated batch path).
@@ -267,6 +273,14 @@ class _PeerSender:
                     self._free_at, self._wakeup, (), self._wakeup_seq)
             return
         self._pump()
+
+    def discard(self):
+        """Disarm the outstanding wake-up and forget the queue it would
+        have pumped: the peer is gone (:meth:`GossipNode.remove_peer`)."""
+        self.sim.cancel(self._wakeup_event)
+        self._wakeup_armed = False
+        self._wakeup_event = None
+        self.queue.clear()
 
     def abort_round(self):
         """Withdraw the committed-but-unserialised tail of the round.
@@ -437,7 +451,11 @@ class GossipNode(Actor):
 
     def remove_peer(self, peer_id):
         """Drop a peer (overlay repair); queued sends to it are lost."""
-        self._senders.pop(peer_id, None)
+        sender = self._senders.pop(peer_id, None)
+        if sender is not None and sender._wakeup_armed:
+            # The wake-up would still pump the queue onto the peer's link.
+            # A sender holds queued messages only while one is armed.
+            sender.discard()
         self._rebuild_forward()
 
     def _rebuild_forward(self):
@@ -550,10 +568,11 @@ class GossipNode(Actor):
             self.deliver(payload)
 
     def _forward(self, payload, exclude):
+        args = (payload,)   # one arrival tuple for every hop sent now
         forwarded = 0
         for peer_id, sender in self._fwd_pairs:
             if peer_id == exclude:
                 continue
             forwarded += 1
-            sender.enqueue(payload)
+            sender.enqueue(payload, args)
         self.stats.forwarded += forwarded

@@ -18,21 +18,29 @@ Single-event hops
 A link is its own serialiser, in virtual time: the wire is a FIFO
 single-server queue whose service times are fixed at submission, so the
 serialisation completion of an accepted message is ``max(now, busy_until)
-+ service`` the moment it is handed over, and the link keeps just that
-``busy_until`` plus one record per unserialised message.
-Every transmission is therefore committed right then as exactly **one**
-kernel event: the propagation arrival at ``completion + latency_s`` plus,
-on a jittered link, one ``uniform(0, jitter_s)`` draw taken at that same
-moment. Jitter is thus drawn in *commit* order — the order messages were
-handed to the link — which, like everything else, is a pure function of
-``(config, seed)``.
++ service`` the moment it is handed over. Every transmission is therefore
+committed right then as exactly **one** kernel event: the propagation
+arrival at ``completion + latency_s`` plus, on a jittered link, one
+``uniform(0, jitter_s)`` draw taken at that same moment. Jitter is thus
+drawn in *commit* order — the order messages were handed to the link —
+which, like everything else, is a pure function of ``(config, seed)``.
+
+What the link keeps is ``busy_until`` and the messages not yet counted as
+sent. A message committed on an idle wire has nothing ahead of it, so it
+lives in three slots (completion, payload, arrival handle) and costs no
+record; only a message committed behind a busy wire — a chained round, or
+a ``transmit`` while the wire serialises — gets a ``(completion, size,
+payload, handle)`` record, in a deque the link creates when the first
+such message waits and drops at the next commit on an idle wire. The slot
+message, when there is one, is the oldest.
 
 :meth:`DirectedLink.degrade` re-times what has not finished serialising:
 each such message's arrival is cancelled and committed again at
 ``completion + new delay`` (the new latency and, if jittered, a fresh draw,
-in FIFO order), which keeps the documented "only messages serialised after
-the call see the new parameters" contract. Messages already serialised are
-propagating and keep the arrival they were given.
+in FIFO order: the slot message, then the records), which keeps the
+documented "only messages serialised after the call see the new
+parameters" contract. Messages already serialised are propagating and keep
+the arrival they were given.
 """
 
 from collections import deque
@@ -91,9 +99,10 @@ class DirectedLink:
     """One direction of a channel: src -> dst."""
 
     __slots__ = (
-        "sim", "src", "dst", "latency_s", "config", "_stats",
-        "_busy_until", "_in_flight", "_jitter_rng", "_deliver", "_arrive_cb",
-        "loss_hook", "_base_latency_s", "_base_config", "_base_jitter_rng",
+        "sim", "src", "dst", "latency_s", "config", "_stats", "_busy_until",
+        "_done", "_payload", "_handle", "_behind", "_jitter_rng", "_deliver",
+        "_arrive_cb", "loss_hook", "_base_latency_s", "_base_config",
+        "_base_jitter_rng",
     )
 
     def __init__(self, sim, src, dst, latency_s, config, deliver, loss_hook=None):
@@ -117,14 +126,19 @@ class DirectedLink:
         # One bound method reused for every hop: creating `self._arrive`
         # per transmission is a measurable share of hot-path allocation.
         self._arrive_cb = self._arrive
-        #: Messages not yet drained into ``stats.sent``, as
-        #: (serialisation_completion, size_bytes, payload, arrival_handle)
-        #: in completion order. Every transmit retires the completed head
-        #: before appending, so this holds the unserialised messages (the
-        #: one on the wire, then the transmit queue) plus whatever
-        #: completed since the last transmit — O(in-flight), not
-        #: O(history).
-        self._in_flight = deque()
+        #: The message committed on an idle wire and not yet counted as
+        #: sent: its serialisation completion, payload (None: no such
+        #: message) and arrival handle.
+        self._done = 0.0
+        self._payload = None
+        self._handle = None
+        #: Messages committed behind a busy wire and not yet counted, as
+        #: (completion, size_bytes, payload, arrival_handle) in completion
+        #: order, after the slot message. The deque is created when a
+        #: message first has to wait and dropped at the next commit on an
+        #: idle wire: a link only ever handed messages while idle owns
+        #: none.
+        self._behind = None
         self._jitter_rng = sim.rng("link-jitter") if config.jitter_s > 0 else None
         self._deliver = deliver
         self.loss_hook = loss_hook
@@ -167,11 +181,16 @@ class DirectedLink:
             self._jitter_rng = self._base_jitter_rng
         sim = self.sim
         self._drain_sent(sim.now)
-        in_flight = self._in_flight
-        for _ in range(len(in_flight)):
-            completion, _size, payload, handle = in_flight.popleft()
-            sim.cancel(handle)
-            self._commit(completion, payload)
+        if self._payload is not None:
+            sim.cancel(self._handle)
+            self._handle = self._arm(self._done, self._payload)
+        behind = self._behind
+        if behind:
+            for _ in range(len(behind)):
+                completion, size, payload, handle = behind.popleft()
+                sim.cancel(handle)
+                behind.append((completion, size, payload,
+                               self._arm(completion, payload)))
 
     def restore(self):
         """Undo any degradation (see :meth:`degrade`)."""
@@ -185,16 +204,17 @@ class DirectedLink:
     @property
     def queue_length(self):
         """Accepted messages waiting behind the one being serialised."""
-        self._drain_sent(self.sim.now)
-        return max(0, len(self._in_flight) - 1)
+        return max(0, self._drain_sent(self.sim.now) - 1)
 
-    def transmit_timed(self, payload):
+    def transmit_timed(self, payload, args=None):
         """Transmit on an (expected) idle link; returns the completion.
 
         Senders that pace themselves arithmetically (tracking when the
         link frees) call this: the payload is committed to the wire,
         exactly one arrival event is scheduled, and the instant the link
-        frees is returned.
+        frees is returned. ``args`` is the arrival's argument tuple,
+        ``(payload,)``: a node forwarding one payload to many peers
+        passes one shared tuple instead of a fresh one per hop.
 
         Callers are expected to transmit only while the link is idle. On
         a busy link the payload queues behind the committed work like any
@@ -202,18 +222,10 @@ class DirectedLink:
         counted, and the current time is returned — not an instant the
         link frees: it is busy, and nothing was committed.
         """
-        config = self.config
-        service = config.per_message_s + payload.size_bytes * config.per_byte_s
         now = self.sim.now
-        if self._busy_until <= now:
-            completion = now + service
-        elif self._drop_if_full(now):
+        if self._busy_until > now and self._drop_if_full(now):
             return now
-        else:
-            completion = self._busy_until + service
-        self._busy_until = completion
-        self._commit(completion, payload)
-        return completion
+        return self._commit(payload, (payload,) if args is None else args)
 
     def transmit_chained(self, payload):
         """Chain a payload behind the link's committed work.
@@ -227,16 +239,7 @@ class DirectedLink:
         pacing, not queue contention). Returns the serialisation
         completion.
         """
-        config = self.config
-        service = config.per_message_s + payload.size_bytes * config.per_byte_s
-        now = self.sim.now
-        if self._busy_until <= now:
-            completion = now + service
-        else:
-            completion = self._busy_until + service
-        self._busy_until = completion
-        self._commit(completion, payload)
-        return completion
+        return self._commit(payload, (payload,))
 
     def abort_pending_chain(self):
         """Withdraw chained messages that have not started serialising.
@@ -250,14 +253,14 @@ class DirectedLink:
         withdrawn messages.
         """
         sim = self.sim
-        self._drain_sent(sim.now)
-        in_flight = self._in_flight
-        removed = len(in_flight) - 1
+        removed = self._drain_sent(sim.now) - 1
         if removed <= 0:
             return 0
+        behind = self._behind
         for _ in range(removed):
-            sim.cancel(in_flight.pop()[3])
-        self._busy_until = in_flight[0][0]
+            sim.cancel(behind.pop()[3])
+        self._busy_until = (self._done if self._payload is not None
+                            else behind[0][0])
         return removed
 
     def transmit(self, payload):
@@ -265,17 +268,10 @@ class DirectedLink:
 
         Returns False if the transmit queue was full.
         """
-        config = self.config
-        service = config.per_message_s + payload.size_bytes * config.per_byte_s
         now = self.sim.now
-        if self._busy_until <= now:
-            completion = now + service
-        elif self._drop_if_full(now):
+        if self._busy_until > now and self._drop_if_full(now):
             return False
-        else:
-            completion = self._busy_until + service
-        self._busy_until = completion
-        self._commit(completion, payload)
+        self._commit(payload, (payload,))
         return True
 
     def _drop_if_full(self, now):
@@ -284,35 +280,78 @@ class DirectedLink:
         capacity = self.config.queue_capacity
         if capacity is None:
             return False
-        self._drain_sent(now)
-        if len(self._in_flight) - 1 < capacity:
+        if self._drain_sent(now) - 1 < capacity:
             return False
         self._stats.dropped_queue += 1
         return True
 
-    def _commit(self, completion, payload):
-        """Arm the one event of a hop that serialises at ``completion``.
+    def _commit(self, payload, args):
+        """Serialise ``payload`` after the committed work and arm the one
+        event of its hop; returns the serialisation completion.
 
-        The arrival fires after the propagation delay: the latency plus,
-        on a jittered link, one draw taken here — when the arrival is
-        committed. :class:`LinkConfig` rejects negative times, so
-        ``completion >= now`` and ``delay >= 0`` by construction and the
-        arrival can take the kernel's unchecked hot path.
+        The arrival ``fn(*args)`` fires after the propagation delay: the
+        latency plus, on a jittered link, one draw taken here — when the
+        arrival is committed. :class:`LinkConfig` rejects negative times,
+        so ``completion >= now`` and ``delay >= 0`` by construction and
+        the arrival can take the kernel's unchecked hot path.
         """
+        config = self.config
+        size = payload.size_bytes
+        service = config.per_message_s + size * config.per_byte_s
+        sim = self.sim
+        now = sim.now
+        busy_until = self._busy_until
+        idle = busy_until <= now
+        completion = self._busy_until = (
+            now + service if idle else busy_until + service)
+        # _arm, inlined: this runs once per hop.
+        delay = self.latency_s
+        if self._jitter_rng is not None:
+            delay += self._jitter_rng.uniform(0.0, config.jitter_s)
+        handle = sim.push_event(completion + delay, self._arrive_cb, args)
+        stats = self._stats
+        behind = self._behind
+        if idle:
+            # Everything committed before has serialised: count it all,
+            # let the records go with their deque and keep the new
+            # message in the slots.
+            last = self._payload
+            if last is not None:
+                stats.sent += 1
+                stats.bytes_sent += last.size_bytes
+            if behind is not None:
+                for record in behind:
+                    stats.sent += 1
+                    stats.bytes_sent += record[1]
+                self._behind = None
+            self._done = completion
+            self._payload = payload
+            self._handle = handle
+            return completion
+        # _drain_sent, inlined: retiring before every append is what keeps
+        # the records O(in-flight).
+        last = self._payload
+        if last is not None and self._done <= now:
+            stats.sent += 1
+            stats.bytes_sent += last.size_bytes
+            self._payload = None
+        if behind is None:
+            behind = self._behind = deque()
+        else:
+            while behind and behind[0][0] <= now:
+                stats.sent += 1
+                stats.bytes_sent += behind.popleft()[1]
+        behind.append((completion, size, payload, handle))
+        return completion
+
+    def _arm(self, completion, payload):
+        """Schedule the arrival of a message serialising at ``completion``
+        under the current propagation parameters; returns its handle."""
         delay = self.latency_s
         if self._jitter_rng is not None:
             delay += self._jitter_rng.uniform(0.0, self.config.jitter_s)
-        sim = self.sim
-        handle = sim.push_event(completion + delay, self._arrive_cb, (payload,))
-        # _drain_sent, inlined: this runs once per hop, and retiring
-        # before every append is what keeps the deque O(in-flight).
-        now = sim.now
-        in_flight = self._in_flight
-        stats = self._stats
-        while in_flight and in_flight[0][0] <= now:
-            stats.sent += 1
-            stats.bytes_sent += in_flight.popleft()[1]
-        in_flight.append((completion, payload.size_bytes, payload, handle))
+        return self.sim.push_event(completion + delay, self._arrive_cb,
+                                   (payload,))
 
     def _arrive(self, payload):
         if self.loss_hook is not None and self.loss_hook(self.dst):
@@ -332,12 +371,22 @@ class DirectedLink:
         self._deliver = deliver
 
     def _drain_sent(self, now):
-        """Count messages whose serialisation has completed."""
-        in_flight = self._in_flight
-        if not in_flight:
-            return
+        """Count messages whose serialisation has completed; return the
+        number still serialising or queued."""
         stats = self._stats
-        while in_flight and in_flight[0][0] <= now:
-            record = in_flight.popleft()
-            stats.sent += 1
-            stats.bytes_sent += record[1]
+        pending = 0
+        last = self._payload
+        if last is not None:
+            if self._done > now:
+                pending = 1     # and nothing behind it has completed
+            else:
+                stats.sent += 1
+                stats.bytes_sent += last.size_bytes
+                self._payload = None
+        behind = self._behind
+        if behind:
+            while behind and behind[0][0] <= now:
+                stats.sent += 1
+                stats.bytes_sent += behind.popleft()[1]
+            pending += len(behind)
+        return pending

@@ -117,6 +117,23 @@ def test_filter_everything_leaves_sender_idle(sim):
         assert not sender.queue
 
 
+def test_remove_peer_loses_the_queued_sends(sim):
+    """Regression: remove_peer dropped the sender but left its wake-up
+    armed, which later pumped the queued message onto the removed peer's
+    link anyway."""
+    slow = LinkConfig(per_message_s=1e-3, per_byte_s=0.0)
+    nodes = build_mesh(sim, {0: [1], 1: [0]}, link_config=slow)
+    sender = nodes[0]._senders[1]
+    sender.enqueue(RawPayload("head", 10))      # idle link: onto the wire
+    sender.enqueue(RawPayload("next", 10))      # link busy: queued
+    assert sender.queue and sender._wakeup_armed
+    nodes[0].remove_peer(1)
+    assert not sender.queue and not sender._wakeup_armed
+    sim.run()
+    assert sender.link.stats.sent == nodes[1].stats.received == 1
+    assert sim.events_cancelled == 1
+
+
 def test_jittered_link_backlog_goes_out_as_one_chained_round(sim):
     """A sender has one way to send whatever the link's jitter: a backlog
     is committed as one chained round costing one kernel event per

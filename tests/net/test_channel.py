@@ -258,4 +258,4 @@ def test_abort_after_mid_round_degrade_withdraws_the_whole_tail(sim):
     assert seen == [("a", pytest.approx(0.021)), ("f", pytest.approx(0.022))]
     assert link.stats.sent == len(seen) == 2
     assert not link.busy and link.queue_length == 0
-    assert not link._in_flight
+    assert link._payload is None and not link._behind

@@ -12,20 +12,23 @@ must land at ``completion + latency`` plus a draw inside the jitter window
 in force when it was (last) committed, and at the end the link and the
 receiver agree on how many messages there were.
 
-A link is its own serialiser (``_busy_until`` plus the ``_in_flight``
-deque); the second property holds it to the transmission *server* it
+A link is its own serialiser (``_busy_until``, the slots of the message
+committed on an idle wire and the records of those committed behind a busy
+one); the second property holds it to the transmission *server* it
 replaced: a like interleaving — now with bounded transmit queues, bursts
 that fill them and ``transmit_timed`` on a busy link — drives a
 :class:`DirectedLink` and a reference link built on the event-per-job
 ``LegacyFifoServer`` (tests/sim/reference_server.py), and every verdict,
 completion, arrival and counter must coincide.
 
-The memory half: only transmits add to ``_in_flight`` and each one first
-retires what has completed, so right after a transmit, a probe or a
-degrade the deque holds exactly the messages still unserialised, and
-between those it never grows. For a sender that paces itself on an idle
-link that is one record (the regression at the bottom); a committed round
-adds its unserialised chain.
+The memory half: a message committed on an idle wire goes into the link's
+slots, never into a record, and each transmit first retires what has
+completed. So right after a transmit, a probe or a degrade the slots hold
+the unserialised message that was committed on an idle wire, if any, and
+the records exactly the unserialised messages committed behind a busy one;
+between those the records never grow. A sender that paces itself on an
+idle link keeps no record and owns no deque (the regression at the
+bottom); a committed round adds its unserialised chain.
 
 Times are dyadic (a 2**-11 s tick; services of 3, 4 and 6 ticks) so
 advances land exactly on completion instants and the ``<=`` edges of the
@@ -60,13 +63,19 @@ OPS = st.lists(
 class _Sent:
     """One accepted message as the reference remembers it."""
 
-    __slots__ = ("size", "done", "latency", "jitter")
+    __slots__ = ("size", "done", "idle", "latency", "jitter")
 
-    def __init__(self, size, done, latency, jitter):
+    def __init__(self, size, done, idle, latency, jitter):
         self.size = size
         self.done = done        # serialisation completion
+        self.idle = idle        # committed on an idle wire
         self.latency = latency  # propagation parameters in force when
         self.jitter = jitter    # the arrival was (last) committed
+
+
+def _records(link):
+    """How many messages the link holds as records (behind a busy wire)."""
+    return len(link._behind) if link._behind is not None else 0
 
 
 class _Harness:
@@ -91,8 +100,14 @@ class _Harness:
         return [m for m in self.messages if m.done > now]
 
     def refresh_bound(self):
-        self.bound = len(self.unserialised())
-        assert len(self.link._in_flight) == self.bound
+        waiting = self.unserialised()
+        slot = [m for m in waiting if m.idle]
+        assert slot == waiting[:1] or not slot     # only ever the oldest
+        self.bound = len(waiting) - len(slot)
+        link = self.link
+        held = link._payload
+        assert ([held.data] if held is not None else []) == slot
+        assert _records(link) == self.bound
 
     # -- operations ----------------------------------------------------------
 
@@ -101,7 +116,8 @@ class _Harness:
         free_at = self.messages[-1].done if self.messages else 0.0
         done = (max(self.sim.now, free_at)
                 + CONFIG.per_message_s + size * CONFIG.per_byte_s)
-        message = _Sent(size, done, self.latency, self.jitter)
+        message = _Sent(size, done, free_at <= self.sim.now, self.latency,
+                        self.jitter)
         payload = RawPayload(len(self.messages), size, data=message)
         if how == "chained":
             assert link.transmit_chained(payload) == done
@@ -148,7 +164,7 @@ class _Harness:
             self.degrade()
         else:
             getattr(self, kind)()
-        assert len(self.link._in_flight) <= self.bound
+        assert _records(self.link) <= self.bound
 
     def finish(self):
         self.sim.run()
@@ -156,7 +172,7 @@ class _Harness:
         assert (self.link.stats.sent == len(self.messages)
                 == self.delivered)
         assert not self.link.busy and self.link.queue_length == 0
-        assert not self.link._in_flight
+        assert self.link._payload is None and _records(self.link) == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -282,12 +298,15 @@ def test_link_matches_the_transmission_server_it_replaced(capacity, ops):
     assert link.stats.delivered == ref.sent == len(arrivals)
 
 
-def test_paced_idle_link_sender_keeps_one_record():
-    """A self-pacing sender transmits only once the link has freed; the
-    deque used to keep every such message until 256 had piled up."""
+def test_paced_idle_link_sender_keeps_no_record_and_owns_no_deque():
+    """A self-pacing sender transmits only once the link has freed, so
+    every message is committed on an idle wire and sits in the slots: the
+    link never builds a record or the deque to hold one. (It once kept
+    every such message until 256 had piled up, and later one record.)"""
     sim = Simulator(seed=3)
     link = DirectedLink(sim, 0, 1, 0.05, LinkConfig(), lambda src, p: None)
     for uid in range(10_000):
         sim.run(until=link.transmit_timed(RawPayload(uid, 100)))
-        assert len(link._in_flight) <= 1
+        assert link._behind is None
     assert link.stats.sent == 10_000
+    assert link._payload is None and link._behind is None
