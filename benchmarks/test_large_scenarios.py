@@ -4,8 +4,8 @@
 are too slow for tier-1, so CI runs them here, once each, under
 ``tracemalloc``. Every check is machine-independent:
 
-* **Exactness** — the report fingerprint matches the committed value bit
-  for bit.
+* **Exactness** — the outcome digest (``report_fingerprint``) matches
+  the committed value bit for bit.
 * **Event accounting** — every scheduled event is executed, still pending
   at the horizon, or cancelled. ``gossip_n1000``'s ~0.6M scheduled but
   never-run events are all link arrivals in flight when the horizon cuts
@@ -38,10 +38,10 @@ MEM_TOLERANCE = 1.3
 #: 25230.1 -> 21341.1, gossip_n1000 151867.8 -> 126445.5.
 COMMITTED = {
     "fig3_n100": (
-        "7fafe305e8182b4e7b86d261867bbd8970cdea5e0b92cde8a42cad2b77d05e86",
+        "795d47aca1cad169ca4d21d8a0cde8c4d30f8b49b922bb106c2bb98345a19521",
         777_359, 21341.1),
     "gossip_n1000": (
-        "09bd4f5ac1f01788b2ceb3089050442cffa772e8ffb3326ea8bde4e43c738936",
+        "d941a972a1ff715eabdee6267ec6dd0df79c643f35fdb0557d4de544f2e83405",
         3_547_065, 126445.5),
 }
 

@@ -1,13 +1,19 @@
-"""Exact fingerprints of experiment reports.
+"""Exact fingerprints of what an experiment run computed.
 
 The virtual-time server rework (and any future kernel optimisation)
 promises to change *how fast* the simulator runs without changing *what it
-computes*. That promise is checked by fingerprinting: a
-:class:`~repro.runtime.metrics.MetricsReport` is serialised to a canonical
-JSON document — floats rendered via :meth:`float.hex` so every bit of the
-mantissa participates — and hashed. Two runs are behaviourally identical
-iff their fingerprints match; there is no tolerance, because the
+computes*. That promise is checked by fingerprinting the outcome of a run:
+the raw latency samples, the per-client samples, the decision counters and
+every :class:`~repro.runtime.metrics.MessageStats` field of a
+:class:`~repro.runtime.metrics.MetricsReport` are serialised to a
+canonical JSON document — floats rendered via :meth:`float.hex` so every
+bit of the mantissa participates — and hashed. Two runs computed the same
+thing iff their fingerprints match; there is no tolerance, because the
 simulator is deterministic and the optimisations are meant to be exact.
+
+The config that produced the run is not part of the document: a config
+field can be added or deleted without moving a digest, and two configs
+that differ only in a knob the run never reads fingerprint alike.
 
 Used by the committed-fingerprint tests
 (``tests/integration/test_committed_fingerprints.py`` and, for the
@@ -20,30 +26,14 @@ import dataclasses
 import hashlib
 import json
 
-#: Field metadata marking a dataclass field that is serialised only when
-#: it differs from its declared default. A field added after fingerprints
-#: were committed carries it: every report that leaves the field alone
-#: keeps its digest, and any other value changes the digest loudly.
-_OMIT_KEY = "fingerprint_omit_at_default"
-OMIT_AT_DEFAULT = {_OMIT_KEY: True}
-
-#: The reverse case: ``ExperimentConfig`` fields deleted after fingerprints
-#: were committed, in canonical form at the one value every committed run
-#: gave them. The config document still carries them, so deleting a knob
-#: no run used moves no digest.
-RETIRED_CONFIG_FIELDS = {"crashes": [], "failover_timeout": None,
-                         "cpu_queue_capacity": None}
-
 
 def _canonical(value):
     """Recursively convert ``value`` into JSON-encodable canonical form.
 
     Floats become their hex representation (exact, every bit), so 0.1+0.2
-    and 0.3 fingerprint differently. Objects are walked structurally —
-    dataclasses by field (see :data:`OMIT_AT_DEFAULT` for the one
-    exception), ``__slots__`` classes by slot, plain objects by
-    ``__dict__`` — tagged with the class name; ``repr`` is never used, so
-    memory addresses cannot leak into the hash.
+    and 0.3 fingerprint differently. Dict keys become strings. Anything
+    else an outcome cannot hold raises :class:`TypeError`; ``repr`` is
+    never used, so memory addresses cannot leak into the hash.
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -53,43 +43,18 @@ def _canonical(value):
         return {str(k): _canonical(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_canonical(v) for v in value)
-    if dataclasses.is_dataclass(value):
-        document = {"__class__": type(value).__name__}
-        for f in dataclasses.fields(value):
-            field_value = getattr(value, f.name)
-            if _OMIT_KEY in f.metadata and field_value == f.default:
-                continue
-            document[f.name] = _canonical(field_value)
-        return document
-    slots = getattr(type(value), "__slots__", None)
-    if slots is not None:
-        return {
-            "__class__": type(value).__name__,
-            **{name: _canonical(getattr(value, name))
-               for name in slots if hasattr(value, name)},
-        }
-    state = getattr(value, "__dict__", None)
-    if state is not None:
-        return {
-            "__class__": type(value).__name__,
-            **{k: _canonical(v) for k, v in state.items()},
-        }
     raise TypeError(
         "cannot canonicalise {!r} for fingerprinting".format(type(value)))
 
 
 def report_to_dict(report):
-    """Canonical dict form of a MetricsReport (exact floats, sorted keys).
+    """Canonical dict form of a MetricsReport's outcome (exact floats).
 
-    Covers everything a report carries: the full config (cost model and
-    fault plan included), raw latency samples, per-client samples, decision
-    counters, and all MessageStats fields — if any of it shifts by one ulp
-    the fingerprint changes.
+    Covers everything the run computed: raw latency samples, per-client
+    samples, decision counters, and all MessageStats fields — if any of
+    it shifts by one ulp the fingerprint changes.
     """
     return {
-        "config": {**RETIRED_CONFIG_FIELDS, **_canonical(report.config)},
         "latencies_s": _canonical(report.latencies_s),
         "per_client_latencies_s": _canonical(report.per_client_latencies_s),
         "submitted": report.submitted,
@@ -97,7 +62,7 @@ def report_to_dict(report):
         "decided_in_window": report.decided_in_window,
         "decided_by_majority": report.decided_by_majority,
         "decided_by_message": report.decided_by_message,
-        "messages": _canonical(report.messages),
+        "messages": _canonical(dataclasses.asdict(report.messages)),
     }
 
 

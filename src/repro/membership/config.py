@@ -68,8 +68,8 @@ class MembershipConfig:
                 raise ValueError("initial_members contains duplicates")
             if not members:
                 raise ValueError("initial_members must not be empty")
-            # Normalize to a sorted tuple so configs compare and fingerprint
-            # independently of declaration order.
+            # Normalize to a sorted tuple so configs compare independently
+            # of declaration order.
             object.__setattr__(self, "initial_members",
                                tuple(sorted(members)))
         if self.seed_count < 1:

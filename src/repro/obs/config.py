@@ -1,8 +1,8 @@
 """Observability configuration.
 
 Deliberately *not* a field of :class:`~repro.runtime.config.ExperimentConfig`:
-the experiment config is part of the report fingerprint, and tracing must
-never change what a run reports. ``ObsConfig`` travels through the separate
+the experiment config describes what a run computes, and tracing must
+never change that. ``ObsConfig`` travels through the separate
 ``obs=`` argument of :func:`~repro.runtime.runner.run_experiment` /
 :func:`~repro.runtime.deployment.build_deployment`, exactly like the race
 ``auditor=``.

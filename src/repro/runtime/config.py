@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.analysis.fingerprint import OMIT_AT_DEFAULT
 from repro.gossip.node import GossipCosts
 from repro.membership.config import MembershipConfig
 from repro.net.channel import LinkConfig
@@ -76,20 +75,17 @@ class ExperimentConfig:
     # -- cost model --------------------------------------------------------------
     costs: GossipCosts = field(default_factory=GossipCosts)
     link: LinkConfig = field(default_factory=LinkConfig)
-    cache_capacity: int = 200_000
     send_queue_capacity: Optional[int] = 20_000
     use_bloom_dedup: bool = False        # sliding Bloom filter instead of LRU cache
 
     # -- beyond the paper's topology (the large-N scenarios) ----------------------
-    # Added after fingerprints were committed, hence OMIT_AT_DEFAULT: a
-    # config that leaves all three alone serialises as it always did.
     #: Number of synthetic regions (repro.net.regions.synthetic_regions);
     #: None keeps the paper's 13 AWS regions.
-    num_regions: Optional[int] = field(default=None, metadata=OMIT_AT_DEFAULT)
+    num_regions: Optional[int] = None
     #: Seed of the synthetic-region placement stream.
-    region_seed: int = field(default=0, metadata=OMIT_AT_DEFAULT)
+    region_seed: int = 0
     #: Overlay wiring model: "kout" (paper §3.3) or "powerlaw".
-    overlay_family: str = field(default="kout", metadata=OMIT_AT_DEFAULT)
+    overlay_family: str = "kout"
 
     def __post_init__(self):
         if self.setup not in SETUPS:
@@ -97,7 +93,18 @@ class ExperimentConfig:
                 "unknown setup {!r}; expected one of {}".format(self.setup, SETUPS)
             )
         if self.n < 3:
-            raise ValueError("Paxos needs at least 3 processes")
+            raise ValueError(
+                "n must be at least 3 (a Paxos quorum), got {!r}".format(
+                    self.n))
+        if not 0 <= self.coordinator_id < self.n:
+            raise ValueError(
+                "coordinator_id must be in [0, n={}), got {!r}".format(
+                    self.n, self.coordinator_id))
+        for name in ("k", "num_clients"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(
+                    "{} must be at least 1, got {!r}".format(name, value))
         positive = ("rate", "duration", "pull_interval")
         if self.retransmit_timeout is not None:
             positive += ("retransmit_timeout",)

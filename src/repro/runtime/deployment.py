@@ -35,6 +35,9 @@ from repro.runtime.metrics import MetricsCollector
 from repro.sim.kernel import Simulator
 from repro.sim.random import make_stream
 
+#: Entries each node's LRU dedup cache holds (the non-Bloom variant).
+DEDUP_CACHE_CAPACITY = 200_000
+
 
 class Deployment:
     """A fully wired simulated system, ready to run."""
@@ -115,7 +118,7 @@ def _dedup_factory(config, interner):
             return InternedSlidingBloomFilter(positions)
     else:
         def make():
-            return InternedSeenCache(config.cache_capacity, interner)
+            return InternedSeenCache(DEDUP_CACHE_CAPACITY, interner)
     return make
 
 
@@ -130,8 +133,8 @@ def build_deployment(config, auditor=None, obs=None):
     ``obs`` (a :class:`repro.obs.ObsConfig`) builds a
     :class:`repro.obs.Tracer` for the run, installed at
     :meth:`Deployment.start`. Deliberately *not* an ``ExperimentConfig``
-    field — the config is fingerprinted, and tracing must never change
-    what a run reports.
+    field — the config describes what a run computes, and tracing must
+    never change that.
     """
     n = config.n
     sim = Simulator(config.seed, auditor=auditor)

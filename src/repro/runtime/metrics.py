@@ -12,8 +12,6 @@ aggregation savings).
 import math
 from dataclasses import dataclass, field
 
-from repro.analysis.fingerprint import OMIT_AT_DEFAULT
-
 
 class _ValueRecord:
     __slots__ = ("client_id", "submitted_at", "decided_at")
@@ -131,11 +129,10 @@ class MessageStats:
     #: [(started_at, healed_at|None)]
     partition_windows: list = field(default_factory=list)
     #: Decision notifications for unknown / already-decided value ids (see
-    #: MetricsCollector). Zero on every clean run and then absent from the
-    #: fingerprint; any nonzero count changes it loudly, as a harness bug
-    #: should.
-    decisions_unknown: int = field(default=0, metadata=OMIT_AT_DEFAULT)
-    decisions_duplicate: int = field(default=0, metadata=OMIT_AT_DEFAULT)
+    #: MetricsCollector). Zero on every clean run; a nonzero count is a
+    #: harness bug.
+    decisions_unknown: int = 0
+    decisions_duplicate: int = 0
 
     @property
     def retransmissions_loss(self):

@@ -1,24 +1,19 @@
 """Committed report fingerprints: the oracle that holds behaviour still.
 
-Every fixed-seed scenario must keep producing the exact experiment report
-(every raw latency sample and counter, floats hashed via ``float.hex``)
-that was committed for it, and must schedule no more kernel events than
-its committed ceiling: event counts are an implementation property that
+Every fixed-seed scenario must keep producing the exact outcome (every raw
+latency sample and counter, floats hashed via ``float.hex``) that was
+committed for it, and must schedule no more kernel events than its
+committed ceiling: event counts are an implementation property that
 hot-path work drives down, so they are capped, not pinned — a lower count
 passes and is ratcheted in by editing the table. Every scheduled event is
 executed, still pending at the horizon, or cancelled; nothing else.
 
-The regression scenarios' values were captured at the last commit
-that still carried the event-per-job server deployments and the
-binary-heap queue, where the A/B suite proved them equal on all four
-combinations — except ``degrade_jitter``, captured at the commit that made
-every link hop a single event with jitter drawn when the arrival is
-committed (jittered runs have no older bits to hold on to) —
-``raft_semantic``, captured at the last commit where Raft had its own copy
-of the vote-merging rule — and ``crash_recover``, captured at the last
-commit where process outages had a second, config-driven path beside the
-fault engine. The large-N scenarios are pinned the same way by
-benchmarks/test_large_scenarios.py, outside tier-1.
+The digests hash outcome-only documents: the config that produced a run
+is not part of them. They were re-pinned once when the config left the
+document, after a comparison showed each new document equal to the old
+one minus its config (old → new table in CHANGES.md). The large-N
+scenarios are pinned the same way by benchmarks/test_large_scenarios.py,
+outside tier-1.
 """
 
 import pytest
@@ -27,41 +22,42 @@ from repro.analysis.fingerprint import report_fingerprint
 from repro.checks.monitor import SafetyMonitor
 from repro.checks.scenarios import REGRESSION_SCENARIOS, SCENARIOS
 from repro.runtime.runner import run_deployment, run_experiment
+from tests.conftest import fast_config
 
 #: name -> (report fingerprint, ceiling on kernel events scheduled).
 COMMITTED = {
     "fig3_workload": (
-        "0bce67466ab755b01cd0b9e8ab0d0159e36c5b19c717fbc5acea5cbe0c3b4b26",
+        "7f525613c3c5187161485953b83c369bda86cf263ec727d8687deff054d97c41",
         109_720),
     "fig5_latency": (
-        "5032970ffe6c7e568871dc3574212754cd1376abc917b8c5baa7fa6688913647",
+        "476f7201cf3acf3cd0bf9e91376ef8a07d8557d15dd9e927049d7404e356d71e",
         86_017),
     "fig6_loss": (
-        "6a91f5a6683b6dca61450ce6bf2016258754585ae272ecb92d9441698a0f2ceb",
+        "d4450e0894b9ebc557328353f8135856b6bca27d4bcce8e8b519b8490f53f20e",
         53_906),
     "fig7_overlay": (
-        "27ca88e09feadf05e669dc776b1a5f88049f55b0bd4fd28b012f0bbc1ae45575",
+        "4c7d15a2570c014e43078247e07cc200a3333efb606f886ad90072fe7ba668da",
         29_069),
     "fig8_saturation": (
-        "808a845132763a34201d918951898104927519e1997da5754f47d9e34cd0c3cc",
+        "f230a0b81b318e0a9a0815a4fcdd66d37010ff0696a84b9f3210854aeaf57bf4",
         481_562),
     "agg_heavy": (
-        "a277d5640d83672c8aec13ce1ce16b15d5ad4e45fa9b8bc959211faa202c9f64",
+        "92a5a9e5e8b0054e6d85cbd8d990b88905dba123c3db8e654194d47b21c5e07a",
         338_145),
     "churn_leader": (
-        "04de14c8dec015cf96bbb539057c06bf309001600b56d6b0b106291f297690f3",
+        "b32bc1f2f24f3abc41108f1e3df8f55cbc1185e32aafbc75566e805d20a0fb3f",
         20_556),
     "churn_smoke": (
-        "0812e07183daf648601c9bcd83b306b7ee2187de06514f67a35d0f9c600c3147",
+        "2bd86d2056d9e01c5dcb1be27f09f3a82dce0daebad69bea38a5d359ea2c4440",
         41_822),
     "crash_recover": (
-        "cd0b984e0a10a5c56fa8b3513fd026a7467ba5a559da6be15bfac295cad1c98c",
+        "74ff43af8a5d71904a0e43c1c0dea87a71cd8b822d911cd7ab498fe3458ad156",
         102_847),
     "degrade_jitter": (
-        "7f20b6bf7030f1e002a2b7f02af48f3ec4bb00de15a2e869c8e4b3986756e63c",
+        "f17242ec4336a792ad48e095ace757a6371d87087508201e9bb90abfb26480bd",
         210_686),
     "raft_semantic": (
-        "453a43590ee3132d8ac11b16c5bc900248f55490343e6d33cfa64175a8e4882c",
+        "5f5021874bc775bf0a7b90c510efc9a7e5dc4c3e9d9501649495269a66a12169",
         80_650),
 }
 
@@ -96,14 +92,11 @@ def test_degrade_jitter_is_safe_under_a_strict_monitor():
     assert report_fingerprint(report) == COMMITTED["degrade_jitter"][0]
 
 
-def test_membership_field_unconfigured_is_bitwise_inert():
-    """The membership *field* existing (as None) must not perturb a fixed
-    run: same seed, same report fingerprint, with the membership layer
-    compiled in but unconfigured. Guards the inert-when-unconfigured
-    contract at the report level (the event ceilings guard event counts).
-    """
-    config = SCENARIOS["fig7_overlay"]()
-    assert config.membership is None
-    first = report_fingerprint(run_experiment(config))
-    second = report_fingerprint(run_experiment(SCENARIOS["fig7_overlay"]()))
-    assert first == second
+def test_knob_the_run_never_reads_leaves_the_fingerprint_alone():
+    """Push gossip never reads ``pull_interval``: the run computes the same
+    outcome, so the fingerprint, which hashes outcomes only, is the same."""
+    config = fast_config(gossip_strategy="push")
+    other = config.replace(pull_interval=0.2)
+    assert other != config
+    assert (report_fingerprint(run_experiment(config))
+            == report_fingerprint(run_experiment(other)))

@@ -85,11 +85,19 @@ def test_replace_validates():
     ("pull_interval", 0.0),
     ("pull_interval", float("nan")),
     ("value_size", -5),
+    ("n", 2),
+    ("coordinator_id", 20),
+    ("coordinator_id", -1),
+    ("num_clients", 0),
+    ("num_clients", -2),
+    ("k", 0),
 ])
 def test_bad_value_rejected_naming_the_field(field, value):
-    """Values that would hang the run (an every(0) timer) or fail mid-run
-    (scheduling in the past, negative wire sizes) fail at construction."""
-    with pytest.raises(ValueError, match=field):
+    """Values that would hang the run (an every(0) timer), fail mid-run
+    (scheduling in the past, negative wire sizes, a division by zero
+    clients) or run without deciding anything fail at construction, with
+    a message that starts with the field's name."""
+    with pytest.raises(ValueError, match="^{} ".format(field)):
         ExperimentConfig(gossip_strategy="pull", **{field: value})
 
 
@@ -98,8 +106,8 @@ def test_zero_value_size_and_disabled_retransmission_stay_legal():
 
 
 def test_retired_cpu_queue_capacity_rejected():
-    """The CPU queue bound was never wired to a server; the field is gone
-    and fingerprints keep it through RETIRED_CONFIG_FIELDS."""
+    """The CPU queue bound was never wired to a server; the field is
+    gone."""
     with pytest.raises(TypeError):
         ExperimentConfig(cpu_queue_capacity=4)
 

@@ -1,11 +1,8 @@
-"""Topology knobs beyond the paper: fingerprint rule, replace(),
-validation, synthetic regions."""
-
-from dataclasses import fields
+"""Topology knobs beyond the paper: replace(), validation, synthetic
+regions."""
 
 import pytest
 
-from repro.analysis.fingerprint import _canonical
 from repro.net.faults.events import Degrade, RegionOutage
 from repro.net.regions import (
     INTRA_REGION_LATENCY_MS,
@@ -15,27 +12,6 @@ from repro.net.regions import (
 )
 from repro.net.topology import Topology
 from repro.runtime.config import ExperimentConfig
-
-KNOBS = dict(num_regions=30, region_seed=5, overlay_family="powerlaw")
-
-
-def test_extension_knobs_are_marked_dataclass_fields():
-    """The three knobs are ordinary fields, so validation and replace()
-    see them; they are serialised only off their defaults, so configs
-    that predate them fingerprint unchanged."""
-    config = ExperimentConfig()
-    assert config.num_regions is None
-    assert config.region_seed == 0
-    assert config.overlay_family == "kout"
-    reference = _canonical(config)
-    # At their defaults, these three and no other field are left out.
-    assert ({f.name for f in fields(ExperimentConfig)} - set(reference)
-            == set(KNOBS))
-    # A non-default value adds exactly its own key.
-    for name, value in KNOBS.items():
-        assert _canonical(ExperimentConfig(**{name: value})) == dict(
-            reference, **{name: value})
-
 
 def test_replace_carries_extension_attrs():
     config = ExperimentConfig(n=27, num_regions=30, overlay_family="powerlaw")
@@ -50,9 +26,6 @@ def test_replace_carries_extension_attrs():
     assert other.overlay_family == "kout"
     # The original is untouched.
     assert config.num_regions == 30
-    # Keyword construction and replace() agree on all three.
-    assert (_canonical(ExperimentConfig().replace(**KNOBS))
-            == _canonical(ExperimentConfig(**KNOBS)))
 
 
 @pytest.mark.parametrize("field, value", [

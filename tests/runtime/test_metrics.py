@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.fingerprint import _canonical
+from repro.analysis.fingerprint import report_to_dict
 from repro.runtime.metrics import (
     MessageStats,
     MetricsCollector,
@@ -110,10 +110,6 @@ def test_message_stats_decision_anomalies_default_to_zero():
     stats = MessageStats()
     assert stats.decisions_unknown == 0
     assert stats.decisions_duplicate == 0
-    # Zero counters are left out of the fingerprint's canonical form; they
-    # are serialised only when nonzero.
-    assert "decisions_unknown" not in _canonical(stats)
-    assert "decisions_duplicate" not in _canonical(stats)
 
 
 def test_failfree_run_reports_no_decision_anomalies():
@@ -124,9 +120,10 @@ def test_failfree_run_reports_no_decision_anomalies():
     assert deployment.collector.decisions_unknown == 0
     assert deployment.collector.decisions_duplicate == 0
     assert report.messages.decisions_unknown == 0
-    # Zero counters are not serialised, keeping the fingerprint unchanged.
-    assert "decisions_unknown" not in _canonical(report.messages)
-    assert "decisions_duplicate" not in _canonical(report.messages)
+    # Like every MessageStats field, both are in the fingerprinted outcome.
+    messages = report_to_dict(report)["messages"]
+    assert messages["decisions_unknown"] == 0
+    assert messages["decisions_duplicate"] == 0
 
 
 def test_delivery_ratio():
