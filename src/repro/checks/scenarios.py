@@ -12,8 +12,10 @@ benchmarks/test_large_scenarios.py), the race audit
 
 from repro.membership import MembershipConfig
 from repro.net.channel import LinkConfig
-from repro.net.faults.events import (Crash, Degrade, FaultPlan, Join, Leave,
-                                     RegionOutage, Rejoin)
+from repro.net.faults.events import (BurstLoss, ClearBurstLoss, Crash,
+                                     Degrade, FaultPlan, Heal, Join, Leave,
+                                     LinkLoss, Partition, RegionOutage,
+                                     Rejoin)
 from repro.runtime.config import ExperimentConfig
 
 #: Overlay used by every scenario: fixed so each run is self-contained
@@ -151,6 +153,30 @@ def _crash_recover():
     return _config("semantic", 200, duration=0.6, faults=plan)
 
 
+def _link_faults():
+    """Overlapping link faults over a lossy baseline.
+
+    The fault engine interposes on the links only while a partition, a
+    per-link loss or a burst is in force. These windows overlap so that
+    every transition happens: a fault starting while another is in force,
+    a heal and a link-loss clear while a burst is still in force, the last
+    clear handing each link back to the ``loss_rate`` injector, and a
+    second partition interposing again.
+    """
+    plan = FaultPlan([
+        (0.50, BurstLoss(p_enter=0.05, p_exit=0.3, loss_bad=0.3)),
+        (0.55, Partition([[5, 6]])),
+        (0.60, LinkLoss(0, 1, 0.3)),
+        (0.70, Heal()),
+        (0.80, LinkLoss(0, 1, 0.0)),
+        (0.90, ClearBurstLoss()),
+        (1.00, Partition([[3]])),
+        (1.10, Heal()),
+    ])
+    return _config("semantic", 60, n=7, loss_rate=0.01,
+                   retransmit_timeout=0.25, faults=plan)
+
+
 #: Regression configurations sharing the fixed-seed discipline: the
 #: fingerprint test and the race audit run them alongside the figure
 #: scenarios. ``agg_heavy`` is the configuration on which PR 4's
@@ -161,7 +187,8 @@ def _crash_recover():
 #: ``degrade_jitter`` does the same for the link-jitter and chaos-jitter
 #: draws and for ``Degrade`` re-timing in-flight rounds; ``raft_semantic``
 #: is the one committed run of the Raft protocol and its semantic rules;
-#: ``crash_recover`` the one of the fault engine's timed recoveries.
+#: ``crash_recover`` the one of the fault engine's timed recoveries;
+#: ``link_faults`` the one of its partition, per-link and burst loss.
 REGRESSION_SCENARIOS = {
     "agg_heavy": lambda: _config("semantic", 300, n=27,
                                  enable_filtering=False,
@@ -170,6 +197,7 @@ REGRESSION_SCENARIOS = {
     "churn_smoke": _churn_smoke,
     "churn_leader": _churn_leader,
     "degrade_jitter": _degrade_jitter,
+    "link_faults": _link_faults,
     "raft_semantic": lambda: _config("semantic", 200, protocol="raft",
                                      duration=0.4, drain=1.5),
 }

@@ -11,6 +11,8 @@ Architecture per the paper's §3.3:
 * one *send routine per peer* — drains that peer's send queue onto the
   link, applying the semantic ``validate`` filter per message and, when the
   queue holds several pending messages, the semantic ``aggregate`` hook.
+  One loop over the fan-out (:meth:`GossipNode._send`) validates and
+  commits a message for an idle link itself and queues only the rest.
 
 Saturation model: all application-visible work (duplicate checks, delivery,
 forward fan-out) is charged to a single per-process CPU server; each link
@@ -77,24 +79,24 @@ class _PeerSender:
     """Send routine for one peer: queue + validate/aggregate + pacing.
 
     There is one way to send, and it is event-free. Every link reports
-    the serialisation completion at transmit time, so the sender tracks
-    the instant the link frees (``_free_at``) arithmetically: a lone
-    message on an idle link goes straight out (:meth:`enqueue`), a
-    backlog is validated/aggregated and committed whole as one chained
-    round (:meth:`_pump`), and neither schedules a pacing event. The only
-    event a sender ever arms is a wake-up at ``_free_at``, lazily, when a
-    message is enqueued while the link is busy: whatever has queued by
-    then is validated/aggregated at the instant the link frees, in the
-    tie-break slot reserved at the last transmit. A transmission with
-    nothing behind it — the common case below saturation — costs no
-    sender event at all. Link jitter changes none of this: the link draws
-    it when it commits an arrival, and it moves arrivals, never
-    completions.
+    the serialisation completion at commit time, so the sender tracks the
+    instant the link frees (``_free_at``) arithmetically. A message for
+    an idle link is committed by the node's fan-out loop
+    (:meth:`GossipNode._send`), which records ``_free_at`` and the
+    tie-break slot here. A message for a busy link is queued
+    (:meth:`enqueue`), and the first one queued arms the only event a
+    sender ever arms: a wake-up at ``_free_at``, in the slot reserved at
+    the last commit. Nothing commits onto the link while it is armed, so
+    it fires as the link frees; whatever has queued by then is
+    validated/aggregated and committed whole as one chained round
+    (:meth:`_pump`). A transmission with nothing behind it — the common
+    case below saturation — costs no sender event at all. Link jitter
+    changes none of this: the link draws it when it commits an arrival,
+    and it moves arrivals, never completions.
 
     The queue is a plain list that :meth:`_pump` takes whole, leaving an
-    empty one in its place. A forwarded message that goes straight out
-    commits its arrival with the tuple its node built once for the whole
-    fan-out.
+    empty one in its place. It holds messages only while a wake-up is
+    armed.
     """
 
     __slots__ = ("node", "sim", "peer_id", "link", "queue",
@@ -119,59 +121,22 @@ class _PeerSender:
         """True while a batch is being serialised or paced."""
         return self._wakeup_armed or self.sim.now < self._free_at
 
-    def enqueue(self, payload, args=None):
-        """Queue ``payload`` for the peer, or send it now if the link is
-        idle and nothing waits. ``args`` is the arrival tuple
-        ``(payload,)`` the link may commit with (see
-        :meth:`DirectedLink.transmit_timed`); a fan-out shares one."""
+    def enqueue(self, payload):
+        """Queue ``payload`` behind the busy link (see :attr:`busy`).
+
+        The first message queued arms the wake-up: it fires when the link
+        frees, in the tie-break slot reserved at the last commit. A full
+        queue drops the message and counts the drop.
+        """
         queue = self.queue
         if self.capacity is not None and len(queue) >= self.capacity:
             self.node.stats.send_queue_drops += 1
             return
-        if self._wakeup_armed:
-            queue.append(payload)   # the outstanding wake-up will pump it
-            return
-        if self.sim.now < self._free_at:
-            # Link busy with nothing paced behind it yet: wake exactly
-            # when it frees to batch up whatever has queued by then. The
-            # reserved slot makes the wake-up fire in the queue position
-            # the reference implementation gave its completion event.
-            queue.append(payload)
+        queue.append(payload)
+        if not self._wakeup_armed:
             self._wakeup_armed = True
             self._wakeup_event = self.sim.push_event(
                 self._free_at, self._wakeup, (), self._wakeup_seq)
-            return
-        if not queue:
-            # Idle link, nothing queued — the dominant case below
-            # saturation — goes straight to the wire: no queue round
-            # trip, no batch lists.
-            node = self.node
-            if node.validate_default or node._hooks.validate(payload,
-                                                             self.peer_id):
-                if node.hooks_charged:
-                    # _charge_hooks(1), without its frame.
-                    hook_s = node.costs.hook_s
-                    if hook_s > 0.0:
-                        node._cpu_acct(hook_s)
-                # Reserve the wake-up's tie-breaking slot *before* the
-                # transmit, where the event-per-job reference allocated
-                # its per-transmission completion event: a wake-up armed
-                # later (by an enqueue mid-flight) then fires in exactly
-                # the reference's position relative to other events
-                # landing on the completion instant — including the
-                # arrival event a zero-latency link would put there.
-                seq = self.sim.reserve_slot()
-                self._free_at = self.link.transmit_timed(payload, args)
-                self._wakeup_seq = seq
-            else:
-                node.stats.filtered += 1
-                if node.obs is not None:
-                    node.obs.gossip_filtered(node.process_id, self.peer_id,
-                                             payload)
-                self._charge_hooks(1)
-            return
-        queue.append(payload)
-        self._pump()
 
     def _pump(self):
         """Validate + aggregate what has queued and commit it to the wire."""
@@ -215,7 +180,12 @@ class _PeerSender:
                                 node.obs.gossip_aggregated(
                                     node.process_id, self.peer_id, p,
                                     max(0, votes - 1))
-        self._charge_hooks(examined)
+        if node.hooks_charged:
+            # The hooks ran inline: the charge occupies the CPU without
+            # delaying this batch; queued CPU work behind it is what pays.
+            service = examined * node.costs.hook_s
+            if service > 0.0:
+                node._cpu_acct(service)
         if kept:
             self._send_round(kept)
 
@@ -234,44 +204,19 @@ class _PeerSender:
         the queue again.
         """
         reserve = self.sim.reserve_slot
-        chain = self.link.transmit_chained
+        commit = self.link.commit
         round_tail = self._round
         round_tail.clear()
         for payload in batch:
             seq = reserve()
-            completion = chain(payload)
+            completion = commit(payload, (payload,))
             round_tail.append((completion, seq))
         self._wakeup_seq = seq
         self._free_at = completion
 
-    def _charge_hooks(self, examined):
-        """Charge ``hook_s`` CPU per message examined by validate/aggregate.
-
-        Only non-default hooks are charged: the no-op base implementation
-        models classic gossip, whose send path does no semantic work, and
-        charging it would skew the gossip-vs-semantic comparison. The
-        charge occupies the node's CPU server without delaying this batch
-        (the hook ran inline); queued CPU work behind it is what pays.
-        """
-        node = self.node
-        if examined == 0 or not node.hooks_charged:
-            return
-        service = examined * node.costs.hook_s
-        if service > 0.0:
-            node._cpu_acct(service)
-
     def _wakeup(self):
         self._wakeup_armed = False
         self._wakeup_event = None
-        if self.sim.now < self._free_at:
-            # The link was re-busied at this very instant (an enqueue at
-            # the completion time pumped first); re-arm for the new
-            # completion if there is still work to pace.
-            if self.queue:
-                self._wakeup_armed = True
-                self._wakeup_event = self.sim.push_event(
-                    self._free_at, self._wakeup, (), self._wakeup_seq)
-            return
         self._pump()
 
     def discard(self):
@@ -494,8 +439,10 @@ class GossipNode(Actor):
                          payload)
 
     def _complete_broadcast(self, payload):
-        self._deliver(payload)
-        self._forward(payload, exclude=None)
+        self.stats.delivered += 1
+        if self.deliver is not None:
+            self.deliver(payload)
+        self.stats.forwarded += self._send(payload, self._fwd_pairs)
 
     # -- receive path ------------------------------------------------------
 
@@ -552,8 +499,11 @@ class GossipNode(Actor):
         self._cpu_submit(service, self._complete_receive, fresh, src)
 
     def _complete_receive_one(self, payload, src):
-        self._deliver(payload)
-        self._forward(payload, exclude=src)
+        stats = self.stats
+        stats.delivered += 1
+        if self.deliver is not None:
+            self.deliver(payload)
+        stats.forwarded += self._send(payload, self._fwd_pairs, src)
 
     def _complete_receive(self, fresh, src):
         for part in fresh:
@@ -568,11 +518,43 @@ class GossipNode(Actor):
             self.deliver(payload)
 
     def _forward(self, payload, exclude):
-        args = (payload,)   # one arrival tuple for every hop sent now
-        forwarded = 0
-        for peer_id, sender in self._fwd_pairs:
+        self.stats.forwarded += self._send(payload, self._fwd_pairs, exclude)
+
+    def _send(self, payload, pairs, exclude=None):
+        """Hand ``payload`` to each ``(peer_id, sender)`` of ``pairs`` but
+        ``exclude``'s; returns how many.
+
+        The send decision for a whole fan-out, in one loop. A busy peer
+        (link serialising or wake-up armed) has the message queued. An
+        idle peer's queue is empty, and the message is decided here: it
+        is validated and charged ``hook_s``; if admitted, it is committed
+        with the arrival tuple the fan-out shares, after reserving the
+        slot a later wake-up fires in (first, so that wake-up precedes a
+        zero-latency arrival at the completion instant).
+        """
+        sim = self.sim
+        now = sim.now
+        reserve = sim.reserve_slot
+        validate = None if self.validate_default else self._hooks.validate
+        hook_s = self.costs.hook_s if self.hooks_charged else 0.0
+        args = (payload,)
+        count = 0
+        for peer_id, sender in pairs:
             if peer_id == exclude:
                 continue
-            forwarded += 1
-            sender.enqueue(payload, args)
-        self.stats.forwarded += forwarded
+            count += 1
+            if sender._wakeup_armed or now < sender._free_at:
+                sender.enqueue(payload)
+            elif validate is None or validate(payload, peer_id):
+                if hook_s > 0.0:
+                    self._cpu_acct(hook_s)
+                sender._wakeup_seq = reserve()
+                sender._free_at = sender.link.commit(payload, args)
+            else:
+                self.stats.filtered += 1
+                if self.obs is not None:
+                    self.obs.gossip_filtered(self.process_id, peer_id,
+                                             payload)
+                if hook_s > 0.0:
+                    self._cpu_acct(hook_s)
+        return count

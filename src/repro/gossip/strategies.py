@@ -151,7 +151,7 @@ class PullGossipNode(GossipNode):
             self._pull_seq += 1
             self.pull_requests_sent += 1
             request = PullRequest(self.process_id, digest, self._pull_seq)
-            self._senders[peer_id].enqueue(request)
+            self._send(request, ((peer_id, self._senders[peer_id]),))
 
     # -- receive path --------------------------------------------------------
 
@@ -180,7 +180,7 @@ class PullGossipNode(GossipNode):
         response = PullResponse(self.process_id, missing, self._pull_seq)
         sender = self._senders.get(src)
         if sender is not None:
-            sender.enqueue(response)
+            self._send(response, ((src, sender),))
 
     def _absorb_pull(self, src, response):
         for payload in response.payloads:

@@ -25,6 +25,12 @@ arrival at ``completion + latency_s`` plus, on a jittered link, one
 drawn in *commit* order — the order messages were handed to the link —
 which, like everything else, is a pure function of ``(config, seed)``.
 
+There are two ways in. :meth:`DirectedLink.transmit` checks the transmit
+queue bound first and is what the Baseline star sends with.
+:meth:`DirectedLink.commit` has no bound: the gossip senders pace
+themselves, so their wire is idle when they commit a message, or they
+chain a whole round onto it at once.
+
 What the link keeps is ``busy_until`` and the messages not yet counted as
 sent. A message committed on an idle wire has nothing ahead of it, so it
 lives in three slots (completion, payload, arrival handle) and costs no
@@ -206,41 +212,6 @@ class DirectedLink:
         """Accepted messages waiting behind the one being serialised."""
         return max(0, self._drain_sent(self.sim.now) - 1)
 
-    def transmit_timed(self, payload, args=None):
-        """Transmit on an (expected) idle link; returns the completion.
-
-        Senders that pace themselves arithmetically (tracking when the
-        link frees) call this: the payload is committed to the wire,
-        exactly one arrival event is scheduled, and the instant the link
-        frees is returned. ``args`` is the arrival's argument tuple,
-        ``(payload,)``: a node forwarding one payload to many peers
-        passes one shared tuple instead of a fresh one per hop.
-
-        Callers are expected to transmit only while the link is idle. On
-        a busy link the payload queues behind the committed work like any
-        :meth:`transmit`; if the transmit queue is full it is dropped and
-        counted, and the current time is returned — not an instant the
-        link frees: it is busy, and nothing was committed.
-        """
-        now = self.sim.now
-        if self._busy_until > now and self._drop_if_full(now):
-            return now
-        return self._commit(payload, (payload,) if args is None else args)
-
-    def transmit_chained(self, payload):
-        """Chain a payload behind the link's committed work.
-
-        The batched gossip pump calls this for every message of a
-        validated round in one go: each serialisation starts when its
-        predecessor finishes and exactly one arrival event is armed from
-        its arithmetic completion — the same ``(time, seq)`` positions a
-        per-message pump paced by wake-up events would have produced.
-        Chains never drop (the sender paces itself, so chain entries model
-        pacing, not queue contention). Returns the serialisation
-        completion.
-        """
-        return self._commit(payload, (payload,))
-
     def abort_pending_chain(self):
         """Withdraw chained messages that have not started serialising.
 
@@ -264,36 +235,36 @@ class DirectedLink:
         return removed
 
     def transmit(self, payload):
-        """Send a payload towards ``dst``.
+        """Send a payload towards ``dst``: :meth:`commit` behind the
+        transmit-queue bound.
 
-        Returns False if the transmit queue was full.
+        Returns False, and counts a drop, if the transmit queue was full.
         """
         now = self.sim.now
-        if self._busy_until > now and self._drop_if_full(now):
-            return False
-        self._commit(payload, (payload,))
-        return True
-
-    def _drop_if_full(self, now):
-        """On a busy link: True, and one more drop counted, if the transmit
-        queue is at its bound."""
         capacity = self.config.queue_capacity
-        if capacity is None:
+        if (capacity is not None and self._busy_until > now
+                and self._drain_sent(now) - 1 >= capacity):
+            self._stats.dropped_queue += 1
             return False
-        if self._drain_sent(now) - 1 < capacity:
-            return False
-        self._stats.dropped_queue += 1
+        self.commit(payload, (payload,))
         return True
 
-    def _commit(self, payload, args):
+    def commit(self, payload, args):
         """Serialise ``payload`` after the committed work and arm the one
         event of its hop; returns the serialisation completion.
 
-        The arrival ``fn(*args)`` fires after the propagation delay: the
-        latency plus, on a jittered link, one draw taken here — when the
-        arrival is committed. :class:`LinkConfig` rejects negative times,
-        so ``completion >= now`` and ``delay >= 0`` by construction and
-        the arrival can take the kernel's unchecked hot path.
+        No queue bound applies: senders that pace themselves (tracking
+        the instant the link frees) call this, because their wire is idle
+        by construction, or because they chain a round onto it whose
+        entries model pacing, not queue contention. ``args`` is the
+        arrival's argument tuple ``(payload,)``; a node forwarding one
+        payload to many peers passes one shared tuple.
+
+        The arrival fires after the propagation delay: the latency plus,
+        on a jittered link, one draw taken here — when the arrival is
+        committed. :class:`LinkConfig` rejects negative times, so
+        ``completion >= now`` and ``delay >= 0`` by construction and the
+        arrival can take the kernel's unchecked hot path.
         """
         config = self.config
         size = payload.size_bytes

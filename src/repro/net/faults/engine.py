@@ -5,7 +5,10 @@ The engine owns every runtime mechanism behind the declarative events:
 * a per-link interposer on the ``loss_hook`` protocol that consults the
   partition state, asymmetric per-link loss rates and per-link
   Gilbert–Elliott burst chains before deferring to the configured baseline
-  injector (so ``loss_rate`` and fault plans compose);
+  injector (so ``loss_rate`` and fault plans compose). It sits on the
+  links only while one of those link faults is in force; with none in
+  force it would draw nothing and count nothing, so each link's hook is
+  then the baseline injector itself, or None;
 * link degradation through :meth:`repro.net.channel.DirectedLink.degrade`;
 * gray failures through the CPU server's ``slowdown`` factor;
 * process and region outages, the paper's crash-recovery model (§2.1): a
@@ -106,6 +109,7 @@ class FaultEngine:
         self._loss_rng = sim.rng("chaos-link-loss")
         self._burst_rng = sim.rng("chaos-burst")
         self._installed = False
+        self._interposed = False       # _ChaosHook on every link
         #: The deployment's MembershipService when membership is
         #: configured; Join/Leave/Rejoin events delegate to it.
         self.membership = None
@@ -118,30 +122,38 @@ class FaultEngine:
                 yield link
 
     def install(self):
-        """Interpose on every link and schedule the plan's events."""
+        """Schedule the plan's events (once)."""
         if self._installed:
             return
         self._installed = True
-        for link in self._links():
-            link.loss_hook = _ChaosHook(self, link.src, link.dst,
-                                        link.loss_hook)
         for at, event in self.plan:
             self.sim.schedule_at(at, self._apply, event)
 
     def adopt_pair(self, a, b):
-        """Interpose on the ``a <-> b`` links created after install().
+        """Interpose on the new ``a <-> b`` links if a link fault is in
+        force: overlay repair creates links lazily for joiners, and the
+        chaos rules stay uniform across the whole overlay."""
+        if self._interposed:
+            for src, dst in ((a, b), (b, a)):
+                self._wrap(self.transports[src].link_to(dst))
 
-        Overlay repair creates links lazily for joiners; adopting them
-        keeps chaos loss, burst and partition rules uniform across the
-        whole overlay.
-        """
-        if not self._installed:
+    def _wrap(self, link):
+        if not isinstance(link.loss_hook, _ChaosHook):
+            link.loss_hook = _ChaosHook(self, link.src, link.dst, link.loss_hook)
+
+    def _sync_links(self):
+        """Interpose on every link while a link fault is in force, and
+        hand each link back its inner hook once none is."""
+        in_force = (self._group_of is not None or bool(self._link_loss)
+                    or self._burst is not None)
+        if in_force == self._interposed:
             return
-        for src, dst in ((a, b), (b, a)):
-            link = self.transports[src].link_to(dst)
-            if isinstance(link.loss_hook, _ChaosHook):
-                continue
-            link.loss_hook = _ChaosHook(self, src, dst, link.loss_hook)
+        self._interposed = in_force
+        for link in self._links():
+            if in_force:
+                self._wrap(link)
+            elif isinstance(link.loss_hook, _ChaosHook):
+                link.loss_hook = link.loss_hook.inner
 
     def _apply(self, event):
         self.stats.injections[event.kind] = (
@@ -188,12 +200,14 @@ class FaultEngine:
                 group_of[pid] = index
         self._group_of = group_of
         self.stats.partition_starts.append(self.sim.now)
+        self._sync_links()
 
     def heal(self):
         if self._group_of is None:
             return
         self._group_of = None
         self.stats.partition_heals.append(self.sim.now)
+        self._sync_links()
 
     def same_side(self, a, b):
         """Whether processes ``a`` and ``b`` can currently talk directly."""
@@ -208,15 +222,18 @@ class FaultEngine:
             self._link_loss.pop((src, dst), None)
         else:
             self._link_loss[(src, dst)] = rate
+        self._sync_links()
 
     def set_burst(self, p_enter, p_exit, loss_bad, loss_good=0.0):
         """Arm burst loss; chains start fresh in the good state."""
         self._burst = (p_enter, p_exit, loss_bad, loss_good)
         self._burst_chains = {}
+        self._sync_links()
 
     def clear_burst(self):
         self._burst = None
         self._burst_chains = {}
+        self._sync_links()
 
     def degrade(self, region_a, region_b, latency_factor, extra_jitter_s):
         """Degrade (or restore) every link between the two regions."""

@@ -75,7 +75,7 @@ class ExperimentConfig:
     # -- cost model --------------------------------------------------------------
     costs: GossipCosts = field(default_factory=GossipCosts)
     link: LinkConfig = field(default_factory=LinkConfig)
-    send_queue_capacity: Optional[int] = 20_000
+    send_queue_capacity: Optional[int] = 20_000  # per peer; None = unbounded
     use_bloom_dedup: bool = False        # sliding Bloom filter instead of LRU cache
 
     # -- beyond the paper's topology (the large-N scenarios) ----------------------
@@ -100,7 +100,7 @@ class ExperimentConfig:
             raise ValueError(
                 "coordinator_id must be in [0, n={}), got {!r}".format(
                     self.n, self.coordinator_id))
-        for name in ("k", "num_clients"):
+        for name in ("k", "num_clients", "send_queue_capacity"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(

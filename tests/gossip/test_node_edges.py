@@ -26,6 +26,17 @@ class PackHooks(SemanticHooks):
         return list(payload.parts) if isinstance(payload, Packed) else [payload]
 
 
+def _send_to(node, peer_id, payload):
+    """One-peer send through the node's fan-out loop."""
+    node._send(payload, ((peer_id, node._senders[peer_id]),))
+
+
+def _committed(link):
+    """Uids the link has committed and not yet serialised, oldest first."""
+    slot = [link._payload.uid] if link._payload is not None else []
+    return slot + [record[2].uid for record in link._behind or ()]
+
+
 def test_aggregate_with_partially_known_parts(sim):
     """Disaggregated parts already seen are discarded; fresh ones flow."""
     slow = LinkConfig(per_message_s=0.05, per_byte_s=0.0)
@@ -124,8 +135,8 @@ def test_remove_peer_loses_the_queued_sends(sim):
     slow = LinkConfig(per_message_s=1e-3, per_byte_s=0.0)
     nodes = build_mesh(sim, {0: [1], 1: [0]}, link_config=slow)
     sender = nodes[0]._senders[1]
-    sender.enqueue(RawPayload("head", 10))      # idle link: onto the wire
-    sender.enqueue(RawPayload("next", 10))      # link busy: queued
+    _send_to(nodes[0], 1, RawPayload("head", 10))   # idle: onto the wire
+    _send_to(nodes[0], 1, RawPayload("next", 10))   # link busy: queued
     assert sender.queue and sender._wakeup_armed
     nodes[0].remove_peer(1)
     assert not sender.queue and not sender._wakeup_armed
@@ -142,10 +153,10 @@ def test_jittered_link_backlog_goes_out_as_one_chained_round(sim):
     nodes = build_mesh(sim, {0: [1], 1: [0]}, link_config=jittered)
     sender = nodes[0]._senders[1]
     before = sim.events_scheduled
-    sender.enqueue(RawPayload("head", 10))      # idle link: onto the wire
+    _send_to(nodes[0], 1, RawPayload("head", 10))   # idle: onto the wire
     assert sim.events_scheduled == before + 1   # its arrival
     for i in range(5):                          # link busy: these queue up
-        sender.enqueue(RawPayload(("m", i), 10))
+        _send_to(nodes[0], 1, RawPayload(("m", i), 10))
     assert sim.events_scheduled == before + 2   # one lazily armed wake-up
     assert len(sender.queue) == 5
     # The wake-up fires as "head" finishes serialising (its arrival is a
@@ -159,3 +170,42 @@ def test_jittered_link_backlog_goes_out_as_one_chained_round(sim):
     assert not sender.busy
     stats = sender.link.stats
     assert stats.sent == stats.delivered == nodes[1].stats.received == 6
+
+
+def test_one_forward_decides_each_peer_of_the_fan_out(sim):
+    """One forward over four peers in four states: an idle wire, a busy
+    wire with its wake-up armed, a busy wire without one (the forward arms
+    it) and a peer whose message validate filters. Only the idle peer's
+    message is committed and reserves a slot; the filtered one is counted
+    and charged like the admitted one."""
+    class SkipPeer4(SemanticHooks):
+        def validate(self, payload, peer_id):
+            return peer_id != 4
+
+    deliveries = [[] for _ in range(5)]
+    slow = LinkConfig(per_message_s=1e-3, per_byte_s=0.0)
+    nodes = build_mesh(sim, {0: [1, 2, 3, 4], 1: [0], 2: [0], 3: [0],
+                             4: [0]},
+                       link_config=slow, deliveries=deliveries,
+                       hooks_factory=lambda i: SkipPeer4())
+    node = nodes[0]
+    senders = node._senders
+    _send_to(node, 2, RawPayload("a", 10))      # onto peer 2's wire
+    _send_to(node, 2, RawPayload("b", 10))      # queued, wake-up armed
+    _send_to(node, 3, RawPayload("c", 10))      # onto peer 3's wire
+    assert [senders[p]._wakeup_seq for p in (1, 2, 3, 4)] == [0, 0, 2, 0]
+    node._forward(RawPayload("m", 10), exclude=None)
+    assert {p: _committed(senders[p].link) for p in (1, 2, 3, 4)} == {
+        1: ["m"], 2: ["a"], 3: ["c"], 4: []}
+    assert {p: [q.uid for q in senders[p].queue] for p in (1, 2, 3, 4)} == {
+        1: [], 2: ["b", "m"], 3: ["m"], 4: []}
+    assert [senders[p]._wakeup_armed for p in (1, 2, 3, 4)] == [
+        False, True, True, False]
+    assert (node.stats.forwarded, node.stats.filtered) == (4, 1)
+    assert node.cpu.busy_time.hex() == "0x1.0c6f7a0b5ed8dp-20"
+    # Reserved in send order: "a" (0), its arrival (1), "c" (2), the
+    # arrival of "c" (3), then "m" to the idle peer 1 (4).
+    assert [senders[p]._wakeup_seq for p in (1, 2, 3, 4)] == [4, 0, 2, 0]
+    assert sim.events_scheduled == 5            # 3 arrivals + 2 wake-ups
+    sim.run()
+    assert deliveries == [[], ["m"], ["a", "b", "m"], ["c", "m"], []]

@@ -56,6 +56,9 @@ COMMITTED = {
     "degrade_jitter": (
         "f17242ec4336a792ad48e095ace757a6371d87087508201e9bb90abfb26480bd",
         210_686),
+    "link_faults": (
+        "be0f4dba032fc82275f534315415c63c10f2290580a5bdbfbbacdff88eb14ed4",
+        13_644),
     "raft_semantic": (
         "5f5021874bc775bf0a7b90c510efc9a7e5dc4c3e9d9501649495269a66a12169",
         80_650),

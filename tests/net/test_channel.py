@@ -15,6 +15,10 @@ def _link(sim, deliver, latency=0.01, loss_hook=None, **config_kwargs):
     return DirectedLink(sim, 0, 1, latency, config, deliver, loss_hook)
 
 
+def _commit(link, payload):
+    return link.commit(payload, (payload,))
+
+
 @pytest.mark.parametrize("field", ["per_message_s", "per_byte_s", "jitter_s"])
 @pytest.mark.parametrize("bad", [-1e-3, float("nan"), float("inf")])
 def test_config_rejects_negative_or_non_finite_times(field, bad):
@@ -148,8 +152,8 @@ def test_jittered_hop_schedules_single_event(sim):
     before = sim.events_scheduled
     assert link.transmit(_payload("a"))
     serialised = {"a": 0.001,
-                  "b": link.transmit_timed(_payload("b")),
-                  "c": link.transmit_chained(_payload("c"))}
+                  "b": _commit(link, _payload("b")),
+                  "c": _commit(link, _payload("c"))}
     assert serialised == pytest.approx({"a": 0.001, "b": 0.002, "c": 0.003})
     sim.run()
     assert sim.events_scheduled == before + 3
@@ -224,7 +228,7 @@ def test_degrade_draws_jitter_for_unserialised_messages(sim):
     link = _link(sim, lambda src, p: seen.append(sim.now),
                  latency=0.01, per_message_s=0.001, per_byte_s=0.0)
     for uid in "abc":
-        link.transmit_chained(_payload(uid))
+        _commit(link, _payload(uid))
     rng = sim.rng("test-jitter")
     before = sim.events_scheduled
     sim.schedule_at(0.0005, link.degrade, 2.0, 0.004, rng)
@@ -246,14 +250,14 @@ def test_abort_after_mid_round_degrade_withdraws_the_whole_tail(sim):
     link = _link(sim, lambda src, p: seen.append((p.uid, sim.now)),
                  latency=0.01, per_message_s=0.001, per_byte_s=0.0)
     for uid in "abc":
-        link.transmit_chained(_payload(uid))
+        _commit(link, _payload(uid))
     sim.run(until=0.0005)
     link.degrade(2.0)
     for uid in "de":
-        link.transmit_chained(_payload(uid))
+        _commit(link, _payload(uid))
     assert link.abort_pending_chain() == 4
     # The wire is free right after the in-service message, not before.
-    assert link.transmit_chained(_payload("f")) == pytest.approx(0.002)
+    assert _commit(link, _payload("f")) == pytest.approx(0.002)
     sim.run()
     assert seen == [("a", pytest.approx(0.021)), ("f", pytest.approx(0.022))]
     assert link.stats.sent == len(seen) == 2

@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.faults.engine import _ChaosHook
 from repro.net.faults.events import Crash, FaultPlan, Heal, Partition
-from repro.runtime.deployment import build_deployment
+from repro.runtime.deployment import _connect_pair, build_deployment
 from repro.runtime.runner import run_deployment
 from tests.conftest import fast_config
 
@@ -75,17 +75,71 @@ def test_burst_chains_are_per_link_and_clearable():
     assert engine.examine(0, 1) is False
 
 
-def test_install_interposes_on_every_link_preserving_inner_hook():
-    deployment = _deployment(loss_rate=0.2)
-    deployment.fault_engine.install()
-    for transport in deployment.transports:
-        for link in transport.links():
-            assert isinstance(link.loss_hook, _ChaosHook)
-            assert link.loss_hook.inner is deployment.loss_injector
-    # Idempotent: a second install must not double-wrap.
-    deployment.fault_engine.install()
-    link = deployment.transports[0].links()[0]
-    assert not isinstance(link.loss_hook.inner, _ChaosHook)
+def _loss_hooks(deployment):
+    return [link.loss_hook for transport in deployment.transports
+            for link in transport.links()]
+
+
+def _connect_new_pair(deployment):
+    """Connect the first unconnected pair, as overlay repair does."""
+    transports = deployment.transports
+    a, b = next((a, b) for a in range(len(transports))
+                for b in range(a + 1, len(transports))
+                if b not in transports[a].peers())
+    _connect_pair(deployment.sim, deployment.config, deployment.topology,
+                  transports, a, b, deployment.loss_injector)
+    return a, b
+
+
+@pytest.mark.parametrize("loss_rate", [0.0, 0.2])
+def test_interposer_sits_on_links_only_while_a_link_fault_is_in_force(
+        loss_rate):
+    deployment = _deployment(loss_rate=loss_rate)
+    engine = deployment.fault_engine
+    inner = deployment.loss_injector            # None without loss_rate
+
+    def bare():
+        return all(hook is inner for hook in _loss_hooks(deployment))
+
+    def interposed():
+        return all(isinstance(hook, _ChaosHook) and hook.inner is inner
+                   for hook in _loss_hooks(deployment))
+
+    engine.install()
+    assert bare()
+    engine.adopt_pair(*_connect_new_pair(deployment))
+    assert bare()
+    faults = [
+        (lambda: engine.partition([[0, 1]]), engine.heal),
+        (lambda: engine.set_link_loss(0, 1, 0.5),
+         lambda: engine.set_link_loss(0, 1, 0.0)),
+        (lambda: engine.set_burst(0.1, 0.2, 0.3), engine.clear_burst),
+    ]
+    for start, clear in faults:
+        start()
+        assert interposed()
+        clear()
+        assert bare()
+    # Overlapping faults: a second start or an adopted pair never wraps
+    # a hook twice, and a clear leaves the interposer while another
+    # fault is still in force.
+    for start, _ in faults:
+        start()
+    engine.adopt_pair(*_connect_new_pair(deployment))
+    assert interposed()
+    for start, _ in faults:
+        start()
+        assert interposed()
+    pending = engine.sim.pending()
+    engine.install()
+    assert interposed() and engine.sim.pending() == pending
+    for _, clear in faults[:-1]:
+        clear()
+        assert interposed()
+    faults[-1][1]()
+    assert bare()
+    engine.install()
+    assert bare() and engine.sim.pending() == pending
 
 
 def test_degrade_scales_latency_and_restores():

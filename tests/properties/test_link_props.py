@@ -1,7 +1,7 @@
 """Property tests: a link's bookkeeping is exact and O(in-flight).
 
 A random interleaving of every way to hand a :class:`DirectedLink` a message
-(``transmit_timed`` / ``transmit_chained`` / ``transmit``), the calls that
+(``commit`` / ``transmit``), the calls that
 rewrite its committed work (``degrade`` / ``restore`` /
 ``abort_pending_chain``), clock advances and ``stats`` probes is replayed
 against a brute-force reference: a flat list of every message ever accepted
@@ -16,7 +16,7 @@ A link is its own serialiser (``_busy_until``, the slots of the message
 committed on an idle wire and the records of those committed behind a busy
 one); the second property holds it to the transmission *server* it
 replaced: a like interleaving — now with bounded transmit queues, bursts
-that fill them and ``transmit_timed`` on a busy link — drives a
+that fill them and ``commit`` on a busy link — drives a
 :class:`DirectedLink` and a reference link built on the event-per-job
 ``LegacyFifoServer`` (tests/sim/reference_server.py), and every verdict,
 completion, arrival and counter must coincide.
@@ -50,7 +50,7 @@ CONFIG = LinkConfig(per_message_s=2.0 ** -10, per_byte_s=2.0 ** -20)
 
 OPS = st.lists(
     st.one_of(
-        st.tuples(st.sampled_from(["timed", "chained", "transmit"]), SIZES),
+        st.tuples(st.sampled_from(["commit", "transmit"]), SIZES),
         st.tuples(st.just("advance"), st.integers(min_value=1, max_value=8)),
         st.tuples(st.sampled_from(["probe", "abort", "restore"])),
         st.tuples(st.just("degrade"), st.sampled_from([0.5, 1.0, 2.0]),
@@ -119,10 +119,8 @@ class _Harness:
         message = _Sent(size, done, free_at <= self.sim.now, self.latency,
                         self.jitter)
         payload = RawPayload(len(self.messages), size, data=message)
-        if how == "chained":
-            assert link.transmit_chained(payload) == done
-        elif how == "timed":
-            assert link.transmit_timed(payload) == done
+        if how == "commit":
+            assert link.commit(payload, (payload,)) == done
         else:
             assert link.transmit(payload)
         self.messages.append(message)
@@ -154,7 +152,7 @@ class _Harness:
 
     def step(self, op):
         kind = op[0]
-        if kind in ("timed", "chained", "transmit"):
+        if kind in ("commit", "transmit"):
             self.send(kind, op[1])
         elif kind == "advance":
             self.sim.run(until=self.sim.now + op[1] * TICK)
@@ -227,7 +225,7 @@ class _ReferenceLink:
 
 SERVER_OPS = st.lists(
     st.one_of(
-        st.tuples(st.sampled_from(["timed", "chained", "transmit"]), SIZES),
+        st.tuples(st.sampled_from(["commit", "transmit"]), SIZES),
         st.tuples(st.just("burst"), SIZES,
                   st.integers(min_value=2, max_value=6)),
         st.tuples(st.just("advance"), st.integers(min_value=1, max_value=8)),
@@ -254,15 +252,9 @@ def test_link_matches_the_transmission_server_it_replaced(capacity, ops):
         nonlocal uid
         uid += 1
         payload = RawPayload(uid, size)
-        if how == "chained":
-            completions[uid] = link.transmit_chained(payload)
+        if how == "commit":
+            completions[uid] = link.commit(payload, (payload,))
             ref.chain(uid, size)
-        elif how == "timed":
-            free_at = link.transmit_timed(payload)
-            accepted = free_at > sim.now    # a drop returns the clock
-            if accepted:
-                completions[uid] = free_at
-            assert accepted == ref.transmit(uid, size)
         else:
             assert link.transmit(payload) == ref.transmit(uid, size)
 
@@ -306,7 +298,8 @@ def test_paced_idle_link_sender_keeps_no_record_and_owns_no_deque():
     sim = Simulator(seed=3)
     link = DirectedLink(sim, 0, 1, 0.05, LinkConfig(), lambda src, p: None)
     for uid in range(10_000):
-        sim.run(until=link.transmit_timed(RawPayload(uid, 100)))
+        payload = RawPayload(uid, 100)
+        sim.run(until=link.commit(payload, (payload,)))
         assert link._behind is None
     assert link.stats.sent == 10_000
     assert link._payload is None and link._behind is None

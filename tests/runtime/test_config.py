@@ -91,6 +91,8 @@ def test_replace_validates():
     ("num_clients", 0),
     ("num_clients", -2),
     ("k", 0),
+    ("send_queue_capacity", 0),
+    ("send_queue_capacity", -3),
 ])
 def test_bad_value_rejected_naming_the_field(field, value):
     """Values that would hang the run (an every(0) timer), fail mid-run
