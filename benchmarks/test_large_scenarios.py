@@ -33,16 +33,17 @@ MEM_TOLERANCE = 1.3
 
 #: name -> (report fingerprint, ceiling on kernel events scheduled,
 #: committed tracemalloc peak in KiB). The peaks were measured on one
-#: host (Python 3.11, x86-64 Xeon), before and after idle links stopped keeping
-#: records and a fan-out started sharing one arrival tuple: fig3_n100
-#: 25230.1 -> 21341.1, gossip_n1000 151867.8 -> 126445.5.
+#: host (Python 3.11, x86-64 Xeon), before and after future event-queue
+#: buckets became flat columns (a raw time, a raw seq and two list slots
+#: per pending event instead of an entry tuple and two boxed numbers):
+#: fig3_n100 21341.1 -> 11379.3, gossip_n1000 126445.5 -> 57353.2.
 COMMITTED = {
     "fig3_n100": (
         "795d47aca1cad169ca4d21d8a0cde8c4d30f8b49b922bb106c2bb98345a19521",
-        777_359, 21341.1),
+        777_359, 11379.3),
     "gossip_n1000": (
         "d941a972a1ff715eabdee6267ec6dd0df79c643f35fdb0557d4de544f2e83405",
-        3_547_065, 126445.5),
+        3_547_065, 57353.2),
 }
 
 

@@ -22,7 +22,8 @@ anything other than the experiment seed:
   (``repro/sim|gossip|paxos|raft|net``) where hash order can reach the
   simulator's heap;
 * ``identity-tie-break`` — ``id()``/``hash()`` buried inside a
-  ``heapq.heappush``/``heappushpop``/``heapreplace`` entry or deep in a
+  ``heapq.heappush``/``heappushpop``/``heapreplace`` or
+  ``bisect.insort``/``insort_left``/``insort_right`` entry, or deep in a
   sort-key lambda (the trivial direct case stays ``unstable-sort-key``);
 * ``unreserved-tie`` — ``schedule(0, ...)``/``schedule(0.0, ...)`` or
   ``schedule_at(<x>.now, ...)``: a same-timestamp event tie-broken by
@@ -72,8 +73,10 @@ _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
 _MUTABLE_FACTORIES = frozenset(("list", "dict", "set", "bytearray", "deque",
                                 "defaultdict", "Counter", "OrderedDict"))
 
-#: heapq entry points whose pushed entries become heap comparison keys.
-_HEAP_FUNCS = frozenset(("heappush", "heappushpop", "heapreplace"))
+#: heapq and bisect entry points whose inserted entries become the
+#: comparison keys of an ordered queue.
+_HEAP_FUNCS = frozenset(("heappush", "heappushpop", "heapreplace",
+                         "insort", "insort_left", "insort_right"))
 
 
 class Finding:
@@ -312,14 +315,14 @@ class _DeterminismVisitor(ast.NodeVisitor):
             return
         if name not in _HEAP_FUNCS:
             return
-        # args[0] is the heap itself; everything after is pushed entries
-        # whose components become heap comparison keys.
+        # args[0] is the heap or sorted list itself; everything after is
+        # inserted entries whose components become comparison keys.
         for arg in node.args[1:]:
             identity = self._find_identity_call(arg)
             if identity is not None:
                 self._report(
                     IDENTITY_TIE_BREAK, identity,
-                    "`{}()` inside a `{}` entry; heap order would depend on "
+                    "`{}()` inside a `{}` entry; queue order would depend on "
                     "memory layout — use a monotonic sequence number "
                     "instead".format(identity.func.id, name),
                 )

@@ -88,8 +88,8 @@ HOT_SET_ITERATION = Rule(
 
 IDENTITY_TIE_BREAK = Rule(
     "identity-tie-break",
-    "id()/hash() inside a heap entry or sort key; object identity is "
-    "not stable across runs",
+    "id()/hash() inside a heap or insort entry or sort key; object "
+    "identity is not stable across runs",
 )
 
 UNRESERVED_TIE = Rule(

@@ -7,15 +7,22 @@ deterministic without relying on heap tie-breaking behaviour.
 
 :class:`EventQueue` is a calendar queue / bucketed timing wheel. Time is
 partitioned into fixed-width buckets held in a dict (sparse — no fixed
-horizon); only the bucket currently being drained is kept heap-ordered, so
-an insert into a future bucket is an O(1) list append instead of an
-O(log n) sift. Most simulator events are short-horizon link arrivals that
-land a few buckets ahead, which is exactly the distribution a wheel wins
-on.
+horizon). A bucket beyond the drain frontier is kept as three flat
+columns — an ``array("d")`` of times, an ``array("q")`` of seqs and one
+list alternating ``fn, args`` — so an insert is three O(1) appends and a
+pending event costs about 32 bytes: no entry tuple, no boxed time or
+seq. Most simulator events are short-horizon link arrivals that land a
+few buckets ahead, which is exactly the distribution a wheel wins on,
+and the flood of them in flight is most of a large run's memory.
 
-Entries are ``(time, seq, fn, args)`` tuples, so the heap sifts compare
-C-level tuples — ``(time, seq)`` is unique, so nothing behind it is ever
-compared — and an entry comes in two kinds:
+When the frontier reaches a bucket its ``(time, seq, fn, args)`` entries
+are built once and sorted once; the *current* bucket is then a sorted
+list read at a head index, so a pop is O(1) and a push at or behind the
+frontier is a binary insertion after the head. ``(time, seq)`` is
+unique, so the sort and the insertions compare C-level tuples and
+nothing behind ``seq`` is ever compared. (The time column holds doubles:
+a time pushed as an ``int`` pops as the equal ``float``.) An entry comes
+in two kinds:
 
 * a **bare** entry (:meth:`EventQueue.push_bare`) *is* the event: the
   callback and its args tuple sit in the entry, no :class:`Event` is
@@ -43,6 +50,8 @@ and the structure is large enough for the rebuild to pay for itself; the
 O(n) rebuild is amortised O(1) per cancellation.
 """
 
+from array import array
+from bisect import insort
 from heapq import heapify, heappop, heappush
 
 #: Sentinel pop limit meaning "no horizon": any event time compares
@@ -79,14 +88,16 @@ class EventQueue:
     """Calendar queue of events ordered by ``(time, seq)``.
 
     Time is partitioned into fixed-width buckets indexed by
-    ``int(time / width)``. Entries land in an unordered per-bucket list
-    (O(1) append); only when the drain frontier reaches a bucket is it
-    heapified into the *current* heap. A separate min-heap of bucket
-    indices finds the next non-empty bucket without scanning. Because a
-    bucket's entire time range lies strictly before every later bucket's,
-    the current heap's root is always the global minimum — the ``(time,
-    seq)`` total order (including :meth:`reserve`-pinned ties, which share
-    a timestamp and therefore a bucket) is preserved exactly.
+    ``int(time / width)``. A bucket beyond the drain frontier is three
+    columns (times, seqs, and ``fn, args`` pairs) that a push appends
+    to; only when the frontier reaches the bucket are its entries built
+    and sorted into the *current* list, which pop reads at a head index.
+    A min-heap of bucket indices finds the next non-empty bucket without
+    scanning. Because a bucket's entire time range lies strictly before
+    every later bucket's, the current list's head is always the global
+    minimum — the ``(time, seq)`` total order (including
+    :meth:`reserve`-pinned ties, which share a timestamp and therefore a
+    bucket) is preserved exactly.
 
     There is no fixed horizon: buckets are created on demand however far
     ahead an event lands, and the index heap skips the empty gaps, so the
@@ -100,8 +111,8 @@ class EventQueue:
     """
 
     __slots__ = ("_seq", "_pushed", "_popped", "_cancelled", "_shells",
-                 "_dead", "_cur", "_cur_idx", "_future", "_bucket_heap",
-                 "_inv_width")
+                 "_dead", "_cur", "_head", "_cur_idx", "_future",
+                 "_bucket_heap", "_inv_width")
 
     #: Minimum physical size before compaction is considered; below this the
     #: lazy pops clean up cancelled shells cheaply enough on their own.
@@ -110,9 +121,9 @@ class EventQueue:
     #: Bucket width in simulated seconds. The committed scenarios'
     #: event horizons are bimodal — ~40% under 100 µs (virtual-time
     #: completions, local hops) and ~55% between 10 ms and 100 ms (WAN
-    #: link arrivals, pacing rounds) — so 1 ms buckets keep same-bucket
-    #: heap ordering work to the short-horizon cluster while WAN arrivals
-    #: spread across O(10-100) cheap list-append buckets.
+    #: link arrivals, pacing rounds) — so 1 ms buckets keep the binary
+    #: insertions to the short-horizon cluster while WAN arrivals spread
+    #: across O(10-100) cheap column-append buckets.
     BUCKET_WIDTH = 1e-3
 
     def __init__(self):
@@ -125,12 +136,14 @@ class EventQueue:
         #: physically queued.
         self._dead = set()
         self._inv_width = 1.0 / self.BUCKET_WIDTH
-        #: Heap of entries whose bucket index is <= the drain frontier
-        #: ``_cur_idx``.
+        #: Sorted entries whose bucket index is <= the drain frontier
+        #: ``_cur_idx``; those before ``_head`` are consumed (None).
         self._cur = []
+        self._head = 0
         self._cur_idx = -1
-        #: Bucket index -> unordered list of entries, for indices strictly
-        #: beyond the frontier.
+        #: Bucket index -> ``(times, seqs, objs)`` columns in push order,
+        #: ``objs`` alternating ``fn, args``, for indices strictly beyond
+        #: the frontier.
         self._future = {}
         #: Min-heap of future bucket indices; may hold stale indices for
         #: buckets emptied by compaction (skipped on pop).
@@ -201,23 +214,28 @@ class EventQueue:
         self._pushed += 1
         idx = int(time * self._inv_width)
         if idx <= self._cur_idx:
-            heappush(self._cur, (time, seq, fn, args))
+            insort(self._cur, (time, seq, fn, args), self._head)
         else:
             bucket = self._future.get(idx)
             if bucket is None:
-                self._future[idx] = [(time, seq, fn, args)]
+                self._future[idx] = (array("d", (time,)), array("q", (seq,)),
+                                     [fn, args])
                 heappush(self._bucket_heap, idx)
             else:
-                bucket.append((time, seq, fn, args))
+                times, seqs, objs = bucket
+                times.append(time)
+                seqs.append(seq)
+                objs.append(fn)
+                objs.append(args)
         return seq
 
     def _advance(self):
-        """Merge the earliest future bucket into the current heap.
+        """Make the earliest future bucket the current list.
 
-        Returns False when no future bucket holds entries. Advancing the
-        frontier past the kernel clock is harmless: later pushes whose
-        index falls at or behind the frontier go straight into the current
-        heap, which orders them correctly regardless.
+        Called only once the current list is consumed. Returns False when
+        no future bucket holds entries. Advancing the frontier past the
+        kernel clock is harmless: later pushes whose index falls at or
+        behind the frontier are inserted into the current list in order.
         """
         future = self._future
         bheap = self._bucket_heap
@@ -226,14 +244,12 @@ class EventQueue:
             bucket = future.pop(idx, None)
             if bucket is None:
                 continue
+            times, seqs, objs = bucket
+            cur = list(zip(times, seqs, objs[0::2], objs[1::2]))
+            cur.sort()
+            self._cur = cur
+            self._head = 0
             self._cur_idx = idx
-            cur = self._cur
-            if cur:
-                for entry in bucket:
-                    heappush(cur, entry)
-            else:
-                heapify(bucket)
-                self._cur = bucket
             return True
         return False
 
@@ -245,29 +261,39 @@ class EventQueue:
         None`` means ``fn`` is the :class:`Event` of a handle entry).
         Returns None when the queue is drained or the earliest live entry
         is later than ``limit`` (it stays queued); shells ahead of it are
-        discarded either way, so the loop advances with a single heap
-        operation per executed event instead of a peek-then-pop pair.
+        discarded either way, so the loop advances with a single O(1) read
+        per executed event instead of a peek-then-pop pair. A consumed
+        slot is cleared, so the entry is freed once its callback is done.
         """
+        cur = self._cur
+        head = self._head
         while True:
-            cur = self._cur
-            while cur:
-                entry = cur[0]
-                if entry[3] is None:
-                    if entry[2].cancelled:
-                        heappop(cur)
-                        self._shells -= 1
-                        continue
-                elif self._dead and entry[1] in self._dead:
-                    heappop(cur)
-                    self._dead.remove(entry[1])
+            if head == len(cur):
+                if not self._advance():
+                    self._head = head
+                    return None
+                cur = self._cur
+                head = 0
+            entry = cur[head]
+            if entry[3] is None:
+                if entry[2].cancelled:
+                    cur[head] = None
+                    head += 1
                     self._shells -= 1
                     continue
-                if entry[0] > limit:
-                    return None
-                self._popped += 1
-                return heappop(cur)
-            if not self._advance():
+            elif self._dead and entry[1] in self._dead:
+                cur[head] = None
+                head += 1
+                self._dead.remove(entry[1])
+                self._shells -= 1
+                continue
+            if entry[0] > limit:
+                self._head = head
                 return None
+            cur[head] = None
+            self._head = head + 1
+            self._popped += 1
+            return entry
 
     def pop(self, limit=None):
         """Remove and return the earliest live event as an :class:`Event`.
@@ -303,19 +329,24 @@ class EventQueue:
     def _compact(self):
         dead = self._dead
 
-        def live(entries):
-            return [entry for entry in entries
-                    if (not entry[2].cancelled if entry[3] is None
-                        else entry[1] not in dead)]
+        def live(time, seq, fn, args):
+            return not fn.cancelled if args is None else seq not in dead
 
-        cur = live(self._cur)
-        heapify(cur)
-        self._cur = cur
+        self._cur = [entry for entry in self._cur[self._head:]
+                     if live(*entry)]
+        self._head = 0
         future = {}
-        for idx, bucket in self._future.items():
-            bucket = live(bucket)
-            if bucket:
-                future[idx] = bucket
+        for idx, (times, seqs, objs) in self._future.items():
+            kept_times, kept_seqs, kept_objs = kept = array("d"), array("q"), []
+            for time, seq, fn, args in zip(times, seqs, objs[0::2],
+                                           objs[1::2]):
+                if live(time, seq, fn, args):
+                    kept_times.append(time)
+                    kept_seqs.append(seq)
+                    kept_objs.append(fn)
+                    kept_objs.append(args)
+            if kept_seqs:
+                future[idx] = kept
         self._future = future
         self._bucket_heap = list(future)
         heapify(self._bucket_heap)

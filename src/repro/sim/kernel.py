@@ -152,6 +152,8 @@ class Simulator:
         ``until``, or after ``max_events`` callbacks. Returns the number of
         events executed by this call. When stopping at ``until`` the clock is
         advanced exactly to ``until`` so back-to-back ``run`` calls compose.
+        ``until`` must be finite: NaN would disable the horizon and an
+        infinite one would park the clock where nothing can be scheduled.
 
         The cyclic garbage collector is paused for the duration of the
         loop and the caller's setting restored on exit: a run allocates
@@ -162,6 +164,9 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() called re-entrantly")
+        if until is not None and not -_INF < until < _INF:
+            raise SimulationError(
+                "until must be finite (got {!r})".format(until))
         self._running = True
         gc_was_enabled = gc.isenabled()
         gc.disable()

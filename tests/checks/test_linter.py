@@ -268,6 +268,18 @@ def test_id_inside_heappush_entry_flagged():
     assert "heappush" in findings[0].message
 
 
+def test_id_inside_insort_entry_flagged():
+    source = """
+        import bisect
+
+        def push(xs, t, x):
+            bisect.insort(xs, (t, id(x), x))
+        """
+    findings = lint(source)
+    assert rule_ids(findings) == ["identity-tie-break"]
+    assert "insort" in findings[0].message
+
+
 def test_hash_deep_in_sort_key_lambda_flagged():
     findings = lint(
         "def f(xs): return sorted(xs, key=lambda x: (x.t, hash(x)))\n")
@@ -280,6 +292,16 @@ def test_plain_heappush_entry_not_flagged():
 
         def push(heap, t, seq, item):
             heapq.heappush(heap, (t, seq, item))
+        """
+    assert lint(source) == []
+
+
+def test_plain_insort_entry_not_flagged():
+    source = """
+        from bisect import insort_right
+
+        def push(xs, t, seq, x, lo):
+            insort_right(xs, (t, seq, x), lo)
         """
     assert lint(source) == []
 

@@ -10,7 +10,10 @@ plain arithmetic on everything it derives from its four counters:
 ``scheduled_total`` and the identity ``scheduled = popped + pending +
 cancelled`` that ``Simulator.events_scheduled`` reports. The tombstone set
 of cancelled bare entries must be empty after every compaction and after
-a full drain.
+a full drain. Every push carries its own ``fn`` (the push index) and
+``args`` (``(index,)``), checked on every pop of either kind, so a
+callback shifted against its ``(time, seq)`` — in a bucket's columns or
+by a compaction — cannot pass.
 
 Times are drawn from a palette engineered to stress the wheel: exact ties
 (tie-break by seq), near-ties inside one 1 ms bucket, bucket-boundary
@@ -54,7 +57,8 @@ class _Model:
 
     def __init__(self):
         self.queue = EventQueue()
-        self.live = {}          # (time, seq) -> handle: an Event or a seq
+        # (time, seq) -> (handle, push index); a handle is an Event or a seq
+        self.live = {}
         self.reserved = []      # outstanding reservation seqs, oldest first
         self.pushed = self.popped = self.cancelled = 0
         self.shells = {}        # cancelled but still queued: key -> handle
@@ -63,18 +67,19 @@ class _Model:
     def push(self, time, bare, seq=None):
         queue = self.queue
         self.pushed += 1
+        index = self.pushed
         if bare:
-            handle = seq = queue.push_bare(time, self.pushed, (), seq)
+            handle = seq = queue.push_bare(time, index, (index,), seq)
             assert handle.__class__ is int
         else:
-            handle = queue.push(time, self.pushed, (), seq)
+            handle = queue.push(time, index, (index,), seq)
             assert handle.__class__ is Event and handle.time == time
             seq = handle.seq
-        self.live[(time, seq)] = handle
+        self.live[(time, seq)] = (handle, index)
 
     def cancel(self, index):
         key = sorted(self.live)[index % len(self.live)]
-        handle = self.live.pop(key)
+        handle, _index = self.live.pop(key)
         # Mirror Simulator.cancel: a seq goes to the tombstones; an Event
         # is marked, then the queue notified.
         if handle.__class__ is int:
@@ -103,10 +108,10 @@ class _Model:
             assert got is None
         else:
             assert (got.time, got.seq) == expect
-            handle = self.live.pop(expect)
+            handle, index = self.live.pop(expect)
             # A handle entry pops as its own Event; a bare one is wrapped.
             assert handle.__class__ is int or got is handle
-            assert got.args == ()
+            assert got.fn == index and got.args == (index,)
             self.popped += 1
 
     def check(self):
@@ -142,8 +147,9 @@ class _Model:
             event = self.queue.pop()
             if event is None:
                 break
-            drained.append((event.time, event.seq))
-        assert drained == sorted(self.live)
+            drained.append((event.time, event.seq, event.fn, event.args))
+        assert drained == [key + (index, (index,))
+                           for key, (_handle, index) in sorted(self.live.items())]
         assert len(self.queue) == self.queue.heap_size == 0
         assert not self.queue._dead
 

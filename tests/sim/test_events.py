@@ -1,5 +1,7 @@
 """Unit tests for the event queue."""
 
+import tracemalloc
+
 from repro.sim.events import Event, EventQueue, resolve_queue_backend
 
 
@@ -173,7 +175,7 @@ def test_pop_entry_marks_a_handle_entry_with_args_none():
 def test_wheel_orders_across_and_within_buckets():
     # Width 1e-3: 0.0004/0.0006 share bucket 0; 0.0014 is bucket 1;
     # 0.25 is bucket 250. Interleave pushes and pops so late pushes land
-    # behind the drain frontier and must enter the current heap.
+    # behind the drain frontier and must enter the current list in order.
     queue = EventQueue()
     queue.push(0.25, "far", ())
     queue.push(0.0006, "b", ())
@@ -203,6 +205,29 @@ def test_wheel_compaction_drops_emptied_buckets():
         times.append(event.time)
     assert times == sorted(times)
     assert len(times) == 30
+
+
+def test_a_pending_future_event_retains_at_most_48_bytes():
+    # Future buckets are columns: a pending bare event is a raw double,
+    # a raw int64 and two list slots — no entry tuple, no boxed time or
+    # seq (an entry tuple alone is 80 bytes).
+    def fn():
+        pass
+
+    args = ()
+    count = 20_000
+    queue = EventQueue()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(count):
+            # 200 buckets, 100 events each, distinct times within a bucket.
+            queue.push_bare((1 + i % 200) * 1e-3 + i * 1e-8, fn, args)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(queue) == count
+    assert retained / count <= 48
 
 
 def test_resolve_queue_backend_is_the_benchmark_seam():

@@ -61,6 +61,20 @@ def test_run_until_with_empty_queue_still_advances(sim):
     assert sim.now == 7.0
 
 
+@pytest.mark.parametrize("until", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_run_rejects_a_non_finite_until(sim, until):
+    seen = []
+    sim.schedule(1.0, seen.append, "a")
+    with pytest.raises(SimulationError, match="^until "):
+        sim.run(until=until)
+    # Rejected before anything ran: the clock, the queue and the
+    # re-entrancy guard are untouched, and a finite run still works.
+    assert seen == [] and sim.now == 0.0 and sim.pending() == 1
+    sim.run(until=2.0)
+    assert seen == ["a"] and sim.now == 2.0
+
+
 def test_max_events_limits_execution(sim):
     seen = []
     for i in range(5):
