@@ -15,6 +15,7 @@ the failure traces).
 """
 
 from benchmarks.conftest import SCALE, save_results
+from repro.analysis.fingerprint import report_fingerprint
 from repro.analysis.tables import format_table
 from repro.net.faults.chaos import SCENARIOS, chaos_config, run_chaos_suite
 from repro.runtime.config import SETUPS
@@ -91,4 +92,5 @@ def test_ext_chaos_scenarios(benchmark):
     sample = results["gossip"][0]
     config = chaos_config(setup="gossip", n=plan["n"], rate=plan["rate"])
     rerun = run_chaos_scenario(sample.scenario, config, seed=sample.seed)
-    assert rerun.fingerprint() == sample.fingerprint()
+    assert (report_fingerprint(rerun.report)
+            == report_fingerprint(sample.report))

@@ -104,10 +104,6 @@ class TieGroup:
         self.time = time
         self.members = []
 
-    def push_ordered(self):
-        """Members whose tie-break position came from push order."""
-        return [m for m in self.members if not m.reserved]
-
     def is_hazard(self):
         """Whether this group's ordering depends on push order.
 

@@ -52,9 +52,9 @@ GLOBAL_RANDOM = Rule(
 WALL_CLOCK = Rule(
     "wall-clock",
     "wall-clock read inside simulation code (use sim.now instead)",
-    # Analysis, the perf measurement core, and the benchmarks measure the
-    # simulator from the outside; wall-clock is their subject, not a hazard.
-    exempt_fragments=("repro/analysis/", "repro/perf/", "benchmarks/"),
+    # Analysis and the benchmarks measure the simulator from the outside;
+    # wall-clock is their subject, not a hazard.
+    exempt_fragments=("repro/analysis/", "benchmarks/"),
 )
 
 SET_ITERATION = Rule(

@@ -188,7 +188,9 @@ def _link_faults():
 #: draws and for ``Degrade`` re-timing in-flight rounds; ``raft_semantic``
 #: is the one committed run of the Raft protocol and its semantic rules;
 #: ``crash_recover`` the one of the fault engine's timed recoveries;
-#: ``link_faults`` the one of its partition, per-link and burst loss.
+#: ``link_faults`` the one of its partition, per-link and burst loss;
+#: ``push_pull_loss`` is the one committed run of a pull strategy, where
+#: pull rounds serve what the lossy push path missed.
 REGRESSION_SCENARIOS = {
     "agg_heavy": lambda: _config("semantic", 300, n=27,
                                  enable_filtering=False,
@@ -198,6 +200,8 @@ REGRESSION_SCENARIOS = {
     "churn_leader": _churn_leader,
     "degrade_jitter": _degrade_jitter,
     "link_faults": _link_faults,
+    "push_pull_loss": lambda: _config("gossip", 40, n=7, loss_rate=0.1,
+                                      gossip_strategy="push-pull"),
     "raft_semantic": lambda: _config("semantic", 200, protocol="raft",
                                      duration=0.4, drain=1.5),
 }

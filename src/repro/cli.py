@@ -190,6 +190,7 @@ def cmd_chaos(args):
     from repro.net.faults.chaos import (
         SCENARIOS,
         chaos_config,
+        chaos_tasks,
         run_scenario_task,
     )
 
@@ -203,44 +204,28 @@ def cmd_chaos(args):
         return 2
     setups = SETUPS if args.setups == "all" else tuple(args.setups.split(","))
     seeds = [int(s) for s in args.seeds.split(",")]
-    # Lay the table out first, then fan all runnable (scenario, setup,
-    # seed) triples out to the executor; the layout maps the ordered
-    # results back onto their rows.
-    tasks = []
-    layout = []   # row skeleton: ("skip", name, setup) | ("run", task index)
-    for setup in setups:
-        config = chaos_config(
-            setup=setup, n=args.n, rate=args.rate, warmup=args.warmup,
-            duration=args.duration, drain=args.drain,
-        )
-        for name in names:
-            if not SCENARIOS[name].supports(setup):
-                layout.append(("skip", name, setup))
-                continue
-            for seed in seeds:
-                layout.append(("run", len(tasks)))
-                tasks.append((name, config, seed))
+    configs = [
+        chaos_config(setup=setup, n=args.n, rate=args.rate,
+                     warmup=args.warmup, duration=args.duration,
+                     drain=args.drain)
+        for setup in setups
+    ]
+    tasks, skipped = chaos_tasks(configs, names, seeds)
     results = parallel_map(run_scenario_task, tasks, workers=args.workers)
-    rows = []
-    failed = 0
-    for entry in layout:
-        if entry[0] == "skip":
-            rows.append([entry[1], entry[2], "-", "skipped",
-                         "-", "-", "-", "-"])
-            continue
-        result = results[entry[1]]
-        if not result.ok:
-            failed += 1
-        rows.append([
-            result.scenario, result.setup, result.seed,
-            "ok" if result.ok else "FAIL",
-            len(result.violations),
-            len(result.missing),
-            "{}/{}".format(result.report.decided,
-                           result.report.submitted),
-            "{}+{}".format(result.report.messages.retransmissions_loss,
-                           result.report.messages.retransmissions_election),
-        ])
+    failed = sum(1 for result in results if not result.ok)
+    rows = [
+        [result.scenario, result.setup, result.seed,
+         "ok" if result.ok else "FAIL",
+         len(result.violations),
+         len(result.missing),
+         "{}/{}".format(result.report.decided, result.report.submitted),
+         "{}+{}".format(result.report.messages.retransmissions_loss,
+                        result.report.messages.retransmissions_election)]
+        for result in results
+    ]
+    # Latest first, so each index still counts only the runs before it.
+    for index, name, setup in reversed(skipped):
+        rows.insert(index, [name, setup, "-", "skipped", "-", "-", "-", "-"])
     print(format_table(
         ["scenario", "setup", "seed", "status", "violations",
          "missing", "decided", "retransmits loss+elec"],

@@ -435,14 +435,16 @@ class GossipNode(Actor):
         self.stats.broadcasts += 1
         if not self._register(payload):
             return  # re-broadcast of a known message: nothing to do
-        self._cpu_submit(self._svc_broadcast, self._complete_broadcast,
-                         payload)
+        self._cpu_submit(self._svc_broadcast, self._complete, payload, None)
 
-    def _complete_broadcast(self, payload):
-        self.stats.delivered += 1
+    def _complete(self, payload, src):
+        """Deliver a fresh ``payload`` and forward it to every peer but
+        ``src`` (``None`` for a local broadcast)."""
+        stats = self.stats
+        stats.delivered += 1
         if self.deliver is not None:
             self.deliver(payload)
-        self.stats.forwarded += self._send(payload, self._fwd_pairs)
+        stats.forwarded += self._send(payload, self._fwd_pairs, src)
 
     # -- receive path ------------------------------------------------------
 
@@ -459,8 +461,8 @@ class GossipNode(Actor):
             if self._register(payload):
                 if obs is not None:
                     obs.gossip_receive(self.process_id, src, payload, True)
-                self._cpu_submit(self._svc_receive,
-                                 self._complete_receive_one, payload, src)
+                self._cpu_submit(self._svc_receive, self._complete,
+                                 payload, src)
             else:
                 stats.duplicates += 1
                 if obs is not None:
@@ -496,29 +498,14 @@ class GossipNode(Actor):
         if fanout < 0:
             fanout = 0
         service += len(fresh) * fanout * costs.send_per_peer_s
-        self._cpu_submit(service, self._complete_receive, fresh, src)
+        self._cpu_submit(service, self._complete_parts, fresh, src)
 
-    def _complete_receive_one(self, payload, src):
-        stats = self.stats
-        stats.delivered += 1
-        if self.deliver is not None:
-            self.deliver(payload)
-        stats.forwarded += self._send(payload, self._fwd_pairs, src)
-
-    def _complete_receive(self, fresh, src):
+    def _complete_parts(self, fresh, src):
+        """The fresh parts of one aggregate, in its one CPU job."""
         for part in fresh:
-            self._deliver(part)
-            self._forward(part, exclude=src)
+            self._complete(part, src)
 
-    # -- helpers -----------------------------------------------------------
-
-    def _deliver(self, payload):
-        self.stats.delivered += 1
-        if self.deliver is not None:
-            self.deliver(payload)
-
-    def _forward(self, payload, exclude):
-        self.stats.forwarded += self._send(payload, self._fwd_pairs, exclude)
+    # -- send path ---------------------------------------------------------
 
     def _send(self, payload, pairs, exclude=None):
         """Hand ``payload`` to each ``(peer_id, sender)`` of ``pairs`` but

@@ -107,8 +107,6 @@ class PullGossipNode(GossipNode):
         self._pull_seq = 0
         self._pull_timer = None
 
-    eager_push = False
-
     def start(self):
         """Begin the periodic pull rounds (phase-shifted per process)."""
         if self._pull_timer is None:
@@ -132,13 +130,15 @@ class PullGossipNode(GossipNode):
         if not self._register(payload):
             return
         self.store.add(payload)
-        self.cpu.submit(self.costs.recv_fresh_s, self._complete_broadcast,
-                        payload)
+        self.cpu.submit_timed(self.costs.recv_fresh_s, self._complete,
+                              payload, None)
 
-    def _complete_broadcast(self, payload):
-        self._deliver(payload)
-        if self.eager_push:
-            self._forward(payload, exclude=None)
+    def _complete(self, payload, src):
+        """Store and deliver a fresh ``payload``; pull never forwards."""
+        self.store.add(payload)
+        self.stats.delivered += 1
+        if self.deliver is not None:
+            self.deliver(payload)
 
     def _pull_round(self):
         peers = self.peers()
@@ -161,13 +161,13 @@ class PullGossipNode(GossipNode):
         kind = type(payload)
         if kind is PullRequest:
             self.stats.received += 1
-            self.cpu.submit(self.costs.recv_fresh_s,
-                            self._answer_pull, src, payload)
+            self.cpu.submit_timed(self.costs.recv_fresh_s,
+                                  self._answer_pull, src, payload)
             return
         if kind is PullResponse:
             self.stats.received += 1
             service = self.costs.recv_fresh_s * max(1, len(payload.payloads))
-            self.cpu.submit(service, self._absorb_pull, src, payload)
+            self.cpu.submit_timed(service, self._absorb_pull, src, payload)
             return
         super()._on_link_receive(src, payload)
 
@@ -192,26 +192,21 @@ class PullGossipNode(GossipNode):
                 if not self._register(part):
                     continue
                 self.pull_messages_recovered += 1
-                self.store.add(part)
-                self._deliver(part)
-                if self.eager_push:
-                    self._forward(part, exclude=src)
-
-    # Fresh pushed messages must also enter the store so later pull
-    # rounds can serve them (push-pull mode).
-    def _complete_receive(self, fresh, src):
-        for part in fresh:
-            self.store.add(part)
-        super()._complete_receive(fresh, src)
+                self._complete(part, src)
 
 
 class PushPullGossipNode(PullGossipNode):
     """Eager push with periodic pull as anti-entropy repair."""
-
-    eager_push = True
 
     def __init__(self, sim, process_id, transport, pull_interval=0.2,
                  pull_fanout=1, **kwargs):
         super().__init__(sim, process_id, transport,
                          pull_interval=pull_interval,
                          pull_fanout=pull_fanout, **kwargs)
+
+    def _complete(self, payload, src):
+        """Store, deliver and push-forward a fresh ``payload``: pushed and
+        pulled messages alike enter the store, so later pull rounds can
+        serve them."""
+        self.store.add(payload)
+        GossipNode._complete(self, payload, src)

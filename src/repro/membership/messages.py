@@ -21,12 +21,6 @@ MEMBERSHIP_HEADER_BYTES = 64
 MEMBERSHIP_KINDS = frozenset(("MHB", "MDR", "MJN", "MLV"))
 
 
-def is_membership_payload(payload):
-    """Whether ``payload`` belongs to the membership layer (by uid kind)."""
-    uid = payload.uid
-    return isinstance(uid, tuple) and bool(uid) and uid[0] in MEMBERSHIP_KINDS
-
-
 class MemberHeartbeat(Payload):
     """Periodic liveness beacon of one member.
 

@@ -275,107 +275,35 @@ SCENARIOS = {
 
 
 class ChaosResult:
-    """Outcome of one chaos scenario run."""
+    """Outcome of one chaos scenario run.
+
+    Holds only picklable state — the report, the recorded violations and
+    the liveness gaps — so a process-pool worker can ship it back whole.
+    Compare runs by ``report_fingerprint(result.report)``.
+    """
 
     __slots__ = ("scenario", "setup", "seed", "config", "report",
-                 "deployment", "monitor", "missing", "fault_start", "heal_at")
+                 "violations", "missing", "fault_start", "heal_at")
 
-    def __init__(self, scenario, setup, seed, config, report, deployment,
-                 monitor, missing, fault_start, heal_at):
+    def __init__(self, scenario, setup, seed, config, report, violations,
+                 missing, fault_start, heal_at):
         self.scenario = scenario
         self.setup = setup
         self.seed = seed
         self.config = config
         self.report = report
-        self.deployment = deployment
-        self.monitor = monitor
+        self.violations = violations    # the safety monitor's findings
         self.missing = missing          # value ids failing the liveness gate
         self.fault_start = fault_start
         self.heal_at = heal_at
 
     @property
-    def violations(self):
-        return self.monitor.violations
-
-    @property
     def liveness_ok(self):
         return not self.missing
 
     @property
     def ok(self):
         return not self.violations and self.liveness_ok
-
-    def fingerprint(self):
-        """Deterministic run digest: equal for equal (scenario, seed)."""
-        report = self.report
-        engine = self.deployment.fault_engine
-        fault = engine.stats if engine is not None else None
-        return (
-            report.submitted,
-            report.decided,
-            report.messages.received_total,
-            report.messages.retransmissions,
-            self.monitor.messages_observed,
-            len(self.monitor.chosen),
-            (fault.total_drops, tuple(sorted(fault.injections.items())))
-            if fault is not None else None,
-        )
-
-    def detach(self):
-        """A picklable :class:`ChaosSummary` of this result.
-
-        Drops the live deployment and monitor (neither crosses a process
-        boundary — they are webs of scheduled callbacks) while keeping
-        everything reporting aggregates over: the report, the recorded
-        violations, the liveness gaps and the precomputed fingerprint.
-        """
-        return ChaosSummary(
-            scenario=self.scenario, setup=self.setup, seed=self.seed,
-            config=self.config, report=self.report,
-            violations=list(self.violations), missing=list(self.missing),
-            fault_start=self.fault_start, heal_at=self.heal_at,
-            fingerprint=self.fingerprint(),
-        )
-
-
-class ChaosSummary:
-    """Deployment-free view of a :class:`ChaosResult`.
-
-    Mirrors the result's reporting surface (``ok``, ``violations``,
-    ``missing``, ``report``, ``fingerprint()``) but holds only picklable
-    state, so it can be produced worker-side by the parallel chaos suite
-    and shipped back whole. White-box fields (``deployment``, ``monitor``)
-    are deliberately absent: inspect those via a serial run.
-    """
-
-    __slots__ = ("scenario", "setup", "seed", "config", "report",
-                 "violations", "missing", "fault_start", "heal_at",
-                 "_fingerprint")
-
-    def __init__(self, scenario, setup, seed, config, report, violations,
-                 missing, fault_start, heal_at, fingerprint):
-        self.scenario = scenario
-        self.setup = setup
-        self.seed = seed
-        self.config = config
-        self.report = report
-        self.violations = violations
-        self.missing = missing
-        self.fault_start = fault_start
-        self.heal_at = heal_at
-        self._fingerprint = fingerprint
-
-    @property
-    def liveness_ok(self):
-        return not self.missing
-
-    @property
-    def ok(self):
-        return not self.violations and self.liveness_ok
-
-    def fingerprint(self):
-        """The digest computed by the worker that ran the scenario."""
-        return self._fingerprint
 
 
 def liveness_gaps(deployment, monitor, fault_start, heal_at,
@@ -426,41 +354,51 @@ def run_chaos_scenario(name, base_config=None, seed=1, strict=False):
                             run.heal_at, run.excluded_clients)
     return ChaosResult(
         scenario=name, setup=config.setup, seed=seed, config=run.config,
-        report=report, deployment=deployment, monitor=monitor,
-        missing=missing, fault_start=run.fault_start, heal_at=run.heal_at,
+        report=report, violations=list(monitor.violations), missing=missing,
+        fault_start=run.fault_start, heal_at=run.heal_at,
     )
 
 
 def run_scenario_task(task):
-    """Run one ``(name, config, seed)`` task and return a detached summary.
+    """Run one ``(name, config, seed)`` task of :func:`chaos_tasks`.
 
-    The worker body of the parallel chaos suite (and the CLI's
-    ``--workers`` path): top-level so the spawn start method can import
-    it, detached so the result pickles back to the parent.
+    The worker body of the chaos suite and the CLI: top-level so the
+    spawn start method can import it.
     """
     name, config, seed = task
-    return run_chaos_scenario(name, config, seed=seed).detach()
+    return run_chaos_scenario(name, config, seed=seed)
+
+
+def chaos_tasks(configs, names=None, seeds=(1,)):
+    """The ``(name, config, seed)`` runs of scenarios x seeds per config.
+
+    Returns ``(tasks, skipped)``. ``skipped`` holds ``(index, name,
+    setup)`` for each scenario that does not support a config's setup;
+    ``index`` is where that pair falls in ``tasks``, so a report can show
+    it in place.
+    """
+    names = list(SCENARIOS) if names is None else names
+    tasks = []
+    skipped = []
+    for config in configs:
+        for name in names:
+            if not SCENARIOS[name].supports(config.setup):
+                skipped.append((len(tasks), name, config.setup))
+                continue
+            tasks.extend((name, config, seed) for seed in seeds)
+    return tasks, skipped
 
 
 def run_chaos_suite(base_config=None, names=None, seeds=(1,), workers=1):
     """Run scenarios x seeds against one setup; skips unsupported pairs.
 
-    Returns the list of :class:`ChaosResult` (unsupported combinations are
-    silently omitted — the CLI reports them as skipped). With ``workers``
-    above 1 the runs execute on the process-pool executor and the list
-    holds :class:`ChaosSummary` objects instead — same order, same
-    reporting surface, identical fingerprints, but no live deployments.
+    Returns the :class:`ChaosResult` list in task order (unsupported
+    combinations are omitted — the CLI reports them as skipped). The runs
+    go through :func:`repro.runtime.parallel.parallel_map`, so the list
+    is the same at any ``workers``.
     """
-    from repro.runtime.parallel import parallel_map, resolve_workers
+    from repro.runtime.parallel import parallel_map
 
     config = base_config if base_config is not None else chaos_config()
-    tasks = [
-        (name, config, seed)
-        for name in (names if names is not None else list(SCENARIOS))
-        if SCENARIOS[name].supports(config.setup)
-        for seed in seeds
-    ]
-    if resolve_workers(workers, len(tasks)) > 1:
-        return parallel_map(run_scenario_task, tasks, workers=workers)
-    return [run_chaos_scenario(name, task_config, seed=seed)
-            for name, task_config, seed in tasks]
+    tasks, _ = chaos_tasks([config], names, seeds)
+    return parallel_map(run_scenario_task, tasks, workers=workers)

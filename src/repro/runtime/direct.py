@@ -62,7 +62,8 @@ class DirectNode(Actor):
             self._local_delivery(payload)
             return
         self.stats.sent += 1
-        self.cpu.submit(self.costs.send_per_peer_s, self._transmit, dst, payload)
+        self.cpu.submit_timed(self.costs.send_per_peer_s, self._transmit,
+                              dst, payload)
 
     def send_all(self, payload, include_self=True):
         """Send to every connected peer (the coordinator's one-to-many)."""
@@ -71,7 +72,7 @@ class DirectNode(Actor):
         peers = self.transport.peers()
         self.stats.sent += len(peers)
         service = len(peers) * self.costs.send_per_peer_s
-        self.cpu.submit(service, self._transmit_all, peers, payload)
+        self.cpu.submit_timed(service, self._transmit_all, peers, payload)
         if include_self:
             self._local_delivery(payload)
 
@@ -84,13 +85,13 @@ class DirectNode(Actor):
             transport.send(dst, payload)
 
     def _local_delivery(self, payload):
-        self.cpu.submit(self.costs.recv_fresh_s, self._deliver, payload)
+        self.cpu.submit_timed(self.costs.recv_fresh_s, self._deliver, payload)
 
     def _on_link_receive(self, src, payload):
         if not self.alive:
             return
         self.stats.received += 1
-        self.cpu.submit(self.costs.recv_fresh_s, self._deliver, payload)
+        self.cpu.submit_timed(self.costs.recv_fresh_s, self._deliver, payload)
 
     def _deliver(self, payload):
         self.stats.delivered += 1

@@ -20,7 +20,7 @@ Public API:
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.actors import Actor
-from repro.sim.server import FifoServer, noop
+from repro.sim.server import FifoServer
 from repro.sim.random import stream_seed
 
 __all__ = [
@@ -29,6 +29,5 @@ __all__ = [
     "Simulator",
     "Actor",
     "FifoServer",
-    "noop",
     "stream_seed",
 ]

@@ -49,8 +49,3 @@ class CountingStream(random.Random):
     def getrandbits(self, k):
         self.draws += 1
         return super().getrandbits(k)
-
-
-def make_counting_stream(root_seed, name):
-    """A :func:`make_stream`-compatible factory that counts draws."""
-    return CountingStream(root_seed, name)

@@ -16,7 +16,7 @@ at submission, so a job's completion is known when it is accepted::
     completion = max(now, busy_until) + service
 
 :class:`FifoServer` schedules **zero** kernel events for accounting-only
-jobs (``submit_acct``, or a callback of ``None`` / :func:`noop`) and one
+jobs (``submit_acct``, or a callback of ``None``) and one
 event, at the precomputed completion, for a job with a real callback.
 A job that starts on submission leaves no record; only the service times
 of jobs that wait are kept, until they start. ``busy_time`` charges each
@@ -40,10 +40,6 @@ def check_service_time(name, value):
         raise ValueError(
             "{} must be a finite, non-negative time in seconds, got "
             "{!r}".format(name, value))
-
-
-def noop():
-    """Accounting-only callback: its job charges service, no kernel event."""
 
 
 class FifoServer:
@@ -110,12 +106,10 @@ class FifoServer:
                 self._charge_started(now)   # emptied: start is busy_until
             waiting.append(service_time)
         completion = self._busy_until = busy_until + service_time
-        if fn is not None and fn is not noop:
+        if fn is not None:
             # completion >= now by construction: the unchecked push applies.
             self.sim.push_event(completion, fn, args)
         return completion
-
-    submit = submit_timed
 
     def submit_acct(self, service_time):
         """:meth:`submit_timed` with ``fn=None``, without the varargs

@@ -194,7 +194,7 @@ def test_one_forward_decides_each_peer_of_the_fan_out(sim):
     _send_to(node, 2, RawPayload("b", 10))      # queued, wake-up armed
     _send_to(node, 3, RawPayload("c", 10))      # onto peer 3's wire
     assert [senders[p]._wakeup_seq for p in (1, 2, 3, 4)] == [0, 0, 2, 0]
-    node._forward(RawPayload("m", 10), exclude=None)
+    node._complete(RawPayload("m", 10), None)
     assert {p: _committed(senders[p].link) for p in (1, 2, 3, 4)} == {
         1: ["m"], 2: ["a"], 3: ["c"], 4: []}
     assert {p: [q.uid for q in senders[p].queue] for p in (1, 2, 3, 4)} == {
@@ -208,4 +208,4 @@ def test_one_forward_decides_each_peer_of_the_fan_out(sim):
     assert [senders[p]._wakeup_seq for p in (1, 2, 3, 4)] == [4, 0, 2, 0]
     assert sim.events_scheduled == 5            # 3 arrivals + 2 wake-ups
     sim.run()
-    assert deliveries == [[], ["m"], ["a", "b", "m"], ["c", "m"], []]
+    assert deliveries == [["m"], ["m"], ["a", "b", "m"], ["c", "m"], []]

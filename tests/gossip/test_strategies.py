@@ -207,6 +207,18 @@ class TestDeploymentIntegration:
         assert report.not_ordered == 0
         assert report.decided > 20
 
+    def test_push_pull_stores_every_delivered_message(self):
+        """Pushed single messages enter the store too, so a later pull
+        round can serve them: loss-free, a node stores what it delivers."""
+        from repro.runtime.runner import run_deployment
+        from tests.conftest import fast_config
+
+        deployment, _ = run_deployment(fast_config(
+            setup="gossip", n=7, rate=30, gossip_strategy="push-pull"))
+        delivered = [node.stats.delivered for node in deployment.nodes]
+        assert [len(node.store) for node in deployment.nodes] == delivered
+        assert min(delivered) > 0
+
     def test_invalid_strategy_rejected(self):
         from tests.conftest import fast_config
 

@@ -11,10 +11,11 @@ import pickle
 
 import pytest
 
+from repro.analysis.fingerprint import report_fingerprint
 from repro.checks.monitor import SafetyMonitor
 from repro.net.faults.chaos import (
     SCENARIOS,
-    ChaosSummary,
+    ChaosResult,
     chaos_config,
     liveness_gaps,
     run_chaos_scenario,
@@ -23,6 +24,7 @@ from repro.net.faults.chaos import (
 from repro.net.faults.events import Crash, FaultPlan, Heal, Partition
 from repro.runtime.metrics import MetricsCollector
 from repro.runtime.runner import run_deployment
+from repro.sim.random import make_stream
 from tests.conftest import fast_config
 
 
@@ -33,7 +35,7 @@ def test_scenario_safe_and_live_on_gossip(name):
     assert result.missing == []
     assert result.ok
     assert result.report.decided > 0
-    assert result.monitor.messages_observed > 0
+    assert result.report.messages.delivered > 0
 
 
 @pytest.mark.parametrize("setup", ["baseline", "semantic"])
@@ -47,7 +49,7 @@ def test_partition_heal_safe_on_other_setups(setup):
 def test_same_seed_runs_are_identical():
     a = run_chaos_scenario("burst-loss", seed=11)
     b = run_chaos_scenario("burst-loss", seed=11)
-    assert a.fingerprint() == b.fingerprint()
+    assert report_fingerprint(a.report) == report_fingerprint(b.report)
     assert a.ok and b.ok
 
 
@@ -73,44 +75,45 @@ def test_suite_skips_unsupported_pairs():
     assert all(result.ok for result in results)
 
 
+def _outcome(result):
+    return (result.scenario, result.setup, result.seed, result.ok,
+            result.violations, result.missing,
+            report_fingerprint(result.report))
+
+
 def test_parallel_suite_matches_serial_fingerprints():
-    """The chaos suite on the process pool returns detached summaries with
-    the same order, outcomes and fingerprints as the serial suite."""
+    """The chaos suite returns the same results, in the same order, on
+    the process pool as in process."""
     names = ["partition-heal", "burst-loss"]
     serial = run_chaos_suite(names=names, seeds=(3,), workers=1)
     parallel = run_chaos_suite(names=names, seeds=(3,), workers=2)
-    assert all(isinstance(result, ChaosSummary) for result in parallel)
-    assert ([(r.scenario, r.setup, r.seed) for r in serial]
-            == [(r.scenario, r.setup, r.seed) for r in parallel])
-    assert ([r.fingerprint() for r in serial]
-            == [r.fingerprint() for r in parallel])
+    assert all(isinstance(result, ChaosResult) for result in parallel)
+    assert ([_outcome(r) for r in serial]
+            == [_outcome(r) for r in parallel])
     assert all(result.ok for result in parallel)
 
 
-def test_chaos_summary_pickles_and_mirrors_result():
+def test_chaos_result_pickles():
     result = run_chaos_scenario("burst-loss", seed=11)
-    summary = pickle.loads(pickle.dumps(result.detach()))
-    assert summary.scenario == result.scenario
-    assert summary.setup == result.setup
-    assert summary.seed == result.seed
-    assert summary.ok == result.ok
-    assert summary.violations == result.violations
-    assert summary.missing == result.missing
-    assert summary.fingerprint() == result.fingerprint()
+    copy = pickle.loads(pickle.dumps(result))
+    assert _outcome(copy) == _outcome(result)
 
 
 def test_coordinator_crash_mid_phase1_fails_over():
     """The coordinator dies before Phase 1 completes; a backup must take
     over and the system must decide the surviving clients' values."""
-    result = run_chaos_scenario("coordinator-crash", seed=7)
-    assert result.violations == []
-    assert result.missing == []
-    deployment = result.deployment
-    coordinator_id = result.config.coordinator_id
+    run = SCENARIOS["coordinator-crash"].build(chaos_config(seed=7),
+                                               make_stream(7, "chaos"))
+    monitor = SafetyMonitor()
+    deployment, report = run_deployment(run.config, monitor=monitor)
+    assert monitor.violations == []
+    assert liveness_gaps(deployment, monitor, run.fault_start, run.heal_at,
+                         run.excluded_clients) == []
+    coordinator_id = run.config.coordinator_id
     backups = [p for p in deployment.processes
                if p.process_id != coordinator_id and p.coordinator is not None]
     assert backups, "no backup took over after the coordinator crash"
-    assert result.report.decided > 0
+    assert report.decided > 0
 
 
 def test_crash_plus_loss_plus_retransmission_composes():

@@ -59,6 +59,9 @@ COMMITTED = {
     "link_faults": (
         "be0f4dba032fc82275f534315415c63c10f2290580a5bdbfbbacdff88eb14ed4",
         13_644),
+    "push_pull_loss": (
+        "32626df5ec5f8aa2beda50c4f62aa843714b9f94b51f419233c8750fe145ee62",
+        13_799),
     "raft_semantic": (
         "5f5021874bc775bf0a7b90c510efc9a7e5dc4c3e9d9501649495269a66a12169",
         80_650),

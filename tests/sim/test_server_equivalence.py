@@ -4,7 +4,7 @@ Random job traces — single submits and same-instant bursts of 2-6 (the
 shape of a receive followed by its per-peer hook charges), services drawn
 log-uniformly from 1e-6 to 3e-2 s so that the order of the ``busy_time``
 sum shows in its bits, slowdown changes while jobs wait, callback,
-:func:`noop`, ``None`` and ``submit_acct`` jobs, interleaved observation
+``None`` and ``submit_acct`` jobs, interleaved observation
 probes — are driven through :class:`FifoServer` and the test-local
 :class:`LegacyFifoServer` (`reference_server.py`) on separate simulators.
 Everything observable must coincide exactly: callback times and order,
@@ -29,10 +29,10 @@ import pytest
 
 from repro.sim.kernel import Simulator
 from repro.sim.random import make_stream
-from repro.sim.server import FifoServer, noop
+from repro.sim.server import FifoServer
 from tests.sim.reference_server import LegacyFifoServer
 
-_KINDS = ("callback", "noop", "none", "acct")
+_KINDS = ("callback", "none", "acct")
 
 
 def _generate_trace(seed):
@@ -91,8 +91,6 @@ def _drive(server_cls, ops, horizon):
             return server.queue_length
         if kind == "callback":
             completion = server.submit_timed(service, fire, uid)
-        elif kind == "noop":
-            completion = server.submit(service, noop)
         elif kind == "none":
             completion = server.submit_timed(service, None)
         else:
@@ -142,8 +140,6 @@ class _PathCounter(FifoServer):
     def submit_timed(self, service_time, fn, *args):
         self._count()
         return super().submit_timed(service_time, fn, *args)
-
-    submit = submit_timed
 
     def submit_acct(self, service_time):
         self._count()
