@@ -40,7 +40,7 @@ MEM_TOLERANCE = 1.3
 COMMITTED = {
     "fig3_n100": (
         "795d47aca1cad169ca4d21d8a0cde8c4d30f8b49b922bb106c2bb98345a19521",
-        777_359, 11379.3),
+        777_167, 11379.3),
     "gossip_n1000": (
         "d941a972a1ff715eabdee6267ec6dd0df79c643f35fdb0557d4de544f2e83405",
         3_547_065, 57353.2),

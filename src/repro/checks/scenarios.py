@@ -190,11 +190,14 @@ def _link_faults():
 #: ``crash_recover`` the one of the fault engine's timed recoveries;
 #: ``link_faults`` the one of its partition, per-link and burst loss;
 #: ``push_pull_loss`` is the one committed run of a pull strategy, where
-#: pull rounds serve what the lossy push path missed.
+#: pull rounds serve what the lossy push path missed; ``baseline_star``
+#: the one of the direct star (no gossip, no core), where Paxos and the
+#: client path carry the whole run.
 REGRESSION_SCENARIOS = {
     "agg_heavy": lambda: _config("semantic", 300, n=27,
                                  enable_filtering=False,
                                  duration=0.15, drain=1.0),
+    "baseline_star": lambda: _config("baseline", 800, duration=0.6),
     "crash_recover": _crash_recover,
     "churn_smoke": _churn_smoke,
     "churn_leader": _churn_leader,

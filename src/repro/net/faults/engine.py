@@ -48,10 +48,6 @@ class FaultStats:
         self.partition_starts = []
         self.partition_heals = []
 
-    @property
-    def total_drops(self):
-        return self.partition_drops + self.link_loss_drops + self.burst_drops
-
     def partition_windows(self):
         """(started_at, healed_at|None) per partition, in order."""
         windows = []

@@ -2,10 +2,10 @@
 
 One client per region submits values to a Paxos process hosted in the same
 region at a fixed rate, without waiting for decisions (open loop). The
-process informs the client of every decided value in total order — clients
-are state-machine replicas — and the client computes end-to-end latency for
-the values it submitted itself. Client-process communication is reliable:
-a plain scheduled delivery with LAN latency, not a lossy channel.
+process hands the client every decided value in total order; only the
+values the client submitted itself cross back to it, and it computes their
+end-to-end latency. Client-process communication is reliable: a plain
+scheduled delivery with LAN latency, not a lossy channel.
 """
 
 from repro.sim.actors import Actor
@@ -38,7 +38,6 @@ class Client(Actor):
         self.stop_at = stop_at
         self.phase = phase
         self.submitted = 0
-        self.decisions_seen = 0
         self.own_decided = 0
         #: Tracer installed by ``obs=`` (repro.obs); None in untraced runs.
         self.obs = None
@@ -54,17 +53,28 @@ class Client(Actor):
         self.collector.record_submit(value_id, self.client_id, self.now)
         if self.obs is not None:
             self.obs.value_submitted(value_id, self.client_id)
-        # Reliable same-region delivery to the serving process.
-        self.sim.schedule(self.lan_delay_s, self.process.submit_value, value)
-        next_at = self.now + self.interval
+        # Reliable same-region delivery to the serving process. Neither
+        # time precedes the clock, so the pushes skip schedule's check.
+        sim = self.sim
+        now = sim.now
+        sim.push_event(now + self.lan_delay_s, self.process.submit_value,
+                       (value,))
+        next_at = now + self.interval
         if next_at <= self.stop_at:
-            self.sim.schedule_at(next_at, self._submit)
+            sim.push_event(next_at, self._submit, ())
+
+    def notify(self, instance, value):
+        """The serving process's delivery callback (``deliver_to``): an
+        own value reaches this client one LAN hop later; any other value
+        costs no event."""
+        if value.client_id == self.client_id:
+            sim = self.sim
+            sim.push_event(sim.now + self.lan_delay_s, self.on_decision,
+                           (instance, value))
 
     def on_decision(self, instance, value):
-        """The serving process delivered a decided value (in order)."""
-        self.decisions_seen += 1
-        if value.client_id == self.client_id:
-            self.own_decided += 1
-            self.collector.record_decided(value.value_id, self.now)
-            if self.obs is not None:
-                self.obs.value_delivered(value.value_id, self.client_id)
+        """One of this client's values was decided (in order)."""
+        self.own_decided += 1
+        self.collector.record_decided(value.value_id, self.now)
+        if self.obs is not None:
+            self.obs.value_delivered(value.value_id, self.client_id)

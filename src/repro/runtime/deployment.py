@@ -239,8 +239,7 @@ def build_deployment(config, auditor=None, obs=None):
             stop_at=config.end_of_workload,
             phase=(client_id / num_clients) / per_client_rate,
         )
-        lan = topology.client_latency_s(client_id)
-        process.deliver_to(_make_notifier(sim, lan, client))
+        process.deliver_to(client.notify)
         clients.append(client)
 
     fault_plan = config.fault_plan
@@ -276,10 +275,3 @@ def build_deployment(config, auditor=None, obs=None):
     return Deployment(config, sim, topology, overlay, transports, nodes,
                       processes, clients, collector, loss_injector,
                       fault_engine, membership, obs=tracer, interner=interner)
-
-
-def _make_notifier(sim, lan_delay_s, client):
-    def notify(instance, value):
-        sim.schedule(lan_delay_s, client.on_decision, instance, value)
-
-    return notify

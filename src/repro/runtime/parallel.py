@@ -22,7 +22,7 @@ Design rules:
 
 Usage::
 
-    from repro.parallel import run_experiments
+    from repro.runtime.parallel import run_experiments
 
     reports = run_experiments(configs, workers=4)   # input order preserved
 """

@@ -28,43 +28,46 @@ from tests.conftest import fast_config
 COMMITTED = {
     "fig3_workload": (
         "7f525613c3c5187161485953b83c369bda86cf263ec727d8687deff054d97c41",
-        109_720),
+        107_908),
     "fig5_latency": (
         "476f7201cf3acf3cd0bf9e91376ef8a07d8557d15dd9e927049d7404e356d71e",
-        86_017),
+        84_577),
     "fig6_loss": (
         "d4450e0894b9ebc557328353f8135856b6bca27d4bcce8e8b519b8490f53f20e",
-        53_906),
+        53_210),
     "fig7_overlay": (
         "4c7d15a2570c014e43078247e07cc200a3333efb606f886ad90072fe7ba668da",
-        29_069),
+        28_709),
     "fig8_saturation": (
         "f230a0b81b318e0a9a0815a4fcdd66d37010ff0696a84b9f3210854aeaf57bf4",
-        481_562),
+        476_270),
     "agg_heavy": (
         "92a5a9e5e8b0054e6d85cbd8d990b88905dba123c3db8e654194d47b21c5e07a",
-        338_145),
+        337_053),
+    "baseline_star": (
+        "97399f2a91fa6e3f1145d0db243e5b2a459f1a4a658156d037e196257bb1413c",
+        57_030),
     "churn_leader": (
         "b32bc1f2f24f3abc41108f1e3df8f55cbc1185e32aafbc75566e805d20a0fb3f",
-        20_556),
+        20_353),
     "churn_smoke": (
         "2bd86d2056d9e01c5dcb1be27f09f3a82dce0daebad69bea38a5d359ea2c4440",
-        41_822),
+        41_431),
     "crash_recover": (
         "74ff43af8a5d71904a0e43c1c0dea87a71cd8b822d911cd7ab498fe3458ad156",
-        102_847),
+        101_234),
     "degrade_jitter": (
         "f17242ec4336a792ad48e095ace757a6371d87087508201e9bb90abfb26480bd",
-        210_686),
+        206_366),
     "link_faults": (
         "be0f4dba032fc82275f534315415c63c10f2290580a5bdbfbbacdff88eb14ed4",
-        13_644),
+        13_364),
     "push_pull_loss": (
         "32626df5ec5f8aa2beda50c4f62aa843714b9f94b51f419233c8750fe145ee62",
-        13_799),
+        13_523),
     "raft_semantic": (
         "5f5021874bc775bf0a7b90c510efc9a7e5dc4c3e9d9501649495269a66a12169",
-        80_650),
+        79_318),
 }
 
 

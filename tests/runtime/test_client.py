@@ -1,8 +1,12 @@
 """Tests for the open-loop client."""
 
+import pytest
+
 from repro.paxos.messages import Value
 from repro.runtime.client import Client
+from repro.runtime.deployment import build_deployment
 from repro.runtime.metrics import MetricsCollector
+from tests.conftest import fast_config
 
 
 class FakeProcess:
@@ -77,11 +81,50 @@ def test_decision_recording_for_own_values(sim):
     assert record.decided_at is not None
 
 
-def test_foreign_decisions_counted_but_not_recorded(sim):
+def test_foreign_decisions_are_not_recorded(sim):
     collector = MetricsCollector()
     client = _client(sim, rate=10.0, stop=0.0, collector=collector)
     client.start()
     sim.run()
-    client.on_decision(1, Value(("other", 0), client_id=9, size_bytes=10))
-    assert client.decisions_seen == 1
+    client.notify(1, Value(("other", 0), client_id=9, size_bytes=10))
+    sim.run()
     assert client.own_decided == 0
+    (record,) = collector.records()
+    assert record.decided_at is None
+
+
+def test_only_own_decisions_schedule_an_event(sim):
+    client = _client(sim, rate=10.0, stop=0.0)
+    client.start()
+    sim.run()
+    scheduled = sim.events_scheduled
+    client.notify(1, Value(("other", 0), client_id=9, size_bytes=10))
+    assert sim.events_scheduled == scheduled
+    client.notify(2, client.process.values[0])
+    assert sim.events_scheduled == scheduled + 1
+    decided_at = sim.now + client.lan_delay_s
+    sim.run()
+    assert client.own_decided == 1
+    (record,) = client.collector.records()
+    assert record.decided_at == decided_at
+
+
+@pytest.mark.parametrize("setup", ["baseline", "gossip"])
+def test_on_decision_runs_once_per_own_decided_value(setup):
+    deployment = build_deployment(fast_config(setup=setup, duration=0.5))
+    seen = {}
+    for client in deployment.clients:
+        def count(instance, value, client=client, original=client.on_decision):
+            seen.setdefault(client.client_id, []).append(value.value_id)
+            original(instance, value)
+
+        client.on_decision = count
+    deployment.start()
+    deployment.run()
+    for client in deployment.clients:
+        decided = client.process.decided_values().values()
+        own = sorted(v.value_id for v in decided
+                     if v.client_id == client.client_id)
+        assert own
+        assert sorted(seen[client.client_id]) == own
+        assert client.own_decided == len(own)
