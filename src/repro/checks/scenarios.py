@@ -13,9 +13,9 @@ benchmarks/test_large_scenarios.py), the race audit
 from repro.membership import MembershipConfig
 from repro.net.channel import LinkConfig
 from repro.net.faults.events import (BurstLoss, ClearBurstLoss, Crash,
-                                     Degrade, FaultPlan, Heal, Join, Leave,
-                                     LinkLoss, Partition, RegionOutage,
-                                     Rejoin)
+                                     Degrade, FaultPlan, GrayFailure, Heal,
+                                     Join, Leave, LinkLoss, Partition,
+                                     RegionOutage, Rejoin)
 from repro.runtime.config import ExperimentConfig
 
 #: Overlay used by every scenario: fixed so each run is self-contained
@@ -177,6 +177,30 @@ def _link_faults():
                    retransmit_timeout=0.25, faults=plan)
 
 
+def _baseline_faults():
+    """The direct star under faults, with a binding transmit-queue bound.
+
+    The coordinator's CPU runs twice as slow while its links to region 1
+    run three times slower, a process crashes and recovers, and a
+    partition cuts the coordinator off from a majority. When it heals,
+    the retransmission burst overruns the two-message transmit queues,
+    so the bound drops messages; both ``Degrade`` instants land while the
+    coordinator has sends committed but not yet serialised.
+    """
+    plan = FaultPlan([
+        (0.42, GrayFailure(0, 2.0)),
+        (0.45, Degrade(0, 1, latency_factor=3.0)),
+        (0.48, Crash(3, duration=0.2)),
+        (0.50, Partition([[0, 1, 2, 3, 4, 5]])),
+        (0.62, Heal()),
+        (0.68, Degrade(0, 1)),
+        (0.70, GrayFailure(0, 1.0)),
+    ])
+    return _config("baseline", 2000, duration=0.4,
+                   link=LinkConfig(queue_capacity=2),
+                   retransmit_timeout=0.25, faults=plan)
+
+
 #: Regression configurations sharing the fixed-seed discipline: the
 #: fingerprint test and the race audit run them alongside the figure
 #: scenarios. ``agg_heavy`` is the configuration on which PR 4's
@@ -192,11 +216,13 @@ def _link_faults():
 #: ``push_pull_loss`` is the one committed run of a pull strategy, where
 #: pull rounds serve what the lossy push path missed; ``baseline_star``
 #: the one of the direct star (no gossip, no core), where Paxos and the
-#: client path carry the whole run.
+#: client path carry the whole run; ``baseline_faults`` the star under
+#: faults, the one run where a transmit-queue bound drops messages.
 REGRESSION_SCENARIOS = {
     "agg_heavy": lambda: _config("semantic", 300, n=27,
                                  enable_filtering=False,
                                  duration=0.15, drain=1.0),
+    "baseline_faults": _baseline_faults,
     "baseline_star": lambda: _config("baseline", 800, duration=0.6),
     "crash_recover": _crash_recover,
     "churn_smoke": _churn_smoke,

@@ -203,13 +203,15 @@ class _PeerSender:
         of the round, which is when the per-message pump first looked at
         the queue again.
         """
-        reserve = self.sim.reserve_slot
+        sim = self.sim
+        reserve = sim.reserve_slot
         commit = self.link.commit
+        now = sim.now
         round_tail = self._round
         round_tail.clear()
         for payload in batch:
             seq = reserve()
-            completion = commit(payload, (payload,))
+            completion = commit(payload, (payload,), now)
             round_tail.append((completion, seq))
         self._wakeup_seq = seq
         self._free_at = completion
@@ -536,7 +538,7 @@ class GossipNode(Actor):
                 if hook_s > 0.0:
                     self._cpu_acct(hook_s)
                 sender._wakeup_seq = reserve()
-                sender._free_at = sender.link.commit(payload, args)
+                sender._free_at = sender.link.commit(payload, args, now)
             else:
                 self.stats.filtered += 1
                 if self.obs is not None:

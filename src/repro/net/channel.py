@@ -17,28 +17,37 @@ Single-event hops
 
 A link is its own serialiser, in virtual time: the wire is a FIFO
 single-server queue whose service times are fixed at submission, so the
-serialisation completion of an accepted message is ``max(now, busy_until)
-+ service`` the moment it is handed over. Every transmission is therefore
-committed right then as exactly **one** kernel event: the propagation
-arrival at ``completion + latency_s`` plus, on a jittered link, one
-``uniform(0, jitter_s)`` draw taken at that same moment. Jitter is thus
-drawn in *commit* order — the order messages were handed to the link —
-which, like everything else, is a pure function of ``(config, seed)``.
+serialisation completion of a message handed over for an instant ``at``
+is ``max(at, busy_until) + service`` the moment it is handed over. Every
+transmission is therefore committed right then as exactly **one** kernel
+event: the propagation arrival at ``completion + latency_s`` plus, on a
+jittered link, one ``uniform(0, jitter_s)`` draw taken at that same
+moment. Jitter is thus drawn in *commit* order — the order messages were
+handed to the link — which, like everything else, is a pure function of
+``(config, seed)``.
 
-There are two ways in. :meth:`DirectedLink.transmit` checks the transmit
-queue bound first and is what the Baseline star sends with.
-:meth:`DirectedLink.commit` has no bound: the gossip senders pace
-themselves, so their wire is idle when they commit a message, or they
-chain a whole round onto it at once.
+There are two ways in. :meth:`DirectedLink.transmit` ``(payload, at)``
+checks the transmit queue bound first and is what the Baseline star
+sends with: a star link's one feeder is its node's FIFO CPU, which
+knows when a send's job completes as soon as it accepts the job, so the
+node hands the message over right then with ``at`` = that completion
+(never decreasing on a link), and the jitter draw happens at acceptance.
+The bound is judged as the wire stands at ``at``: a message that
+finishes serialising by then does not count against it. Called with the
+payload alone, ``at`` is now. :meth:`DirectedLink.commit` has no bound:
+the gossip senders pace themselves, so their wire is idle when they
+commit a message at ``now``, or they chain a whole round onto it at once.
 
 What the link keeps is ``busy_until`` and the messages not yet counted as
-sent. A message committed on an idle wire has nothing ahead of it, so it
+sent; a message counts once its completion has passed the real clock.
+A message committed on a wire idle now has nothing ahead of it, so it
 lives in three slots (completion, payload, arrival handle) and costs no
-record; only a message committed behind a busy wire — a chained round, or
-a ``transmit`` while the wire serialises — gets a ``(completion, size,
-payload, handle)`` record, in a deque the link creates when the first
-such message waits and drops at the next commit on an idle wire. The slot
-message, when there is one, is the oldest.
+record; only a message committed behind work not yet serialised — a
+chained round, or a star send while earlier ones are still in flight —
+gets a ``(completion, size, payload, handle)`` record, in a deque the
+link creates when the first such message waits and drops at the next
+commit on an idle wire. The slot message, when there is one, is the
+oldest.
 
 :meth:`DirectedLink.degrade` re-times what has not finished serialising:
 each such message's arrival is cancelled and committed again at
@@ -49,9 +58,13 @@ parameters" contract. Messages already serialised are propagating and keep
 the arrival they were given.
 """
 
+from bisect import bisect_right
 from collections import deque
+from operator import itemgetter
 
 from repro.sim.server import check_service_time
+
+_completion = itemgetter(0)
 
 
 class LinkConfig:
@@ -204,12 +217,12 @@ class DirectedLink:
 
     @property
     def busy(self):
-        """Whether a message is being serialised right now."""
+        """Whether committed work is still unserialised right now."""
         return self.sim.now < self._busy_until
 
     @property
     def queue_length(self):
-        """Accepted messages waiting behind the one being serialised."""
+        """Committed messages behind the oldest one not yet serialised."""
         return max(0, self._drain_sent(self.sim.now) - 1)
 
     def abort_pending_chain(self):
@@ -234,31 +247,46 @@ class DirectedLink:
                             else behind[0][0])
         return removed
 
-    def transmit(self, payload):
-        """Send a payload towards ``dst``: :meth:`commit` behind the
-        transmit-queue bound.
+    def transmit(self, payload, at=None):
+        """Send a payload towards ``dst`` from instant ``at`` (default
+        now): :meth:`commit` behind the transmit-queue bound.
 
-        Returns False, and counts a drop, if the transmit queue was full.
+        The bound counts the messages still serialising at ``at``, so a
+        caller may hand a message over ahead of time as long as ``at``
+        never decreases on the link. Returns False, and counts a drop,
+        if the transmit queue was full.
         """
-        now = self.sim.now
+        if at is None:
+            at = self.sim.now
         capacity = self.config.queue_capacity
-        if (capacity is not None and self._busy_until > now
-                and self._drain_sent(now) - 1 >= capacity):
-            self._stats.dropped_queue += 1
-            return False
-        self.commit(payload, (payload,))
+        if capacity is not None and self._busy_until > at:
+            # The slot and the records bound what is unfinished at
+            # ``at``; only when they could exceed the capacity are the
+            # records that finish by ``at`` found, by bisection.
+            behind = self._behind
+            unfinished = len(behind) if behind else 0
+            if unfinished >= capacity:
+                if self._payload is not None and self._done > at:
+                    unfinished += 1
+                elif unfinished:
+                    unfinished -= bisect_right(behind, at, key=_completion)
+                if unfinished > capacity:
+                    self._stats.dropped_queue += 1
+                    return False
+        self.commit(payload, (payload,), at)
         return True
 
-    def commit(self, payload, args):
-        """Serialise ``payload`` after the committed work and arm the one
-        event of its hop; returns the serialisation completion.
+    def commit(self, payload, args, at):
+        """Serialise ``payload`` from instant ``at`` (``>= now``), after
+        the committed work, and arm the one event of its hop; returns the
+        serialisation completion.
 
         No queue bound applies: senders that pace themselves (tracking
-        the instant the link frees) call this, because their wire is idle
-        by construction, or because they chain a round onto it whose
-        entries model pacing, not queue contention. ``args`` is the
-        arrival's argument tuple ``(payload,)``; a node forwarding one
-        payload to many peers passes one shared tuple.
+        the instant the link frees) call this with ``at`` = now, because
+        their wire is idle by construction, or because they chain a round
+        onto it whose entries model pacing, not queue contention. ``args``
+        is the arrival's argument tuple ``(payload,)``; a node forwarding
+        one payload to many peers passes one shared tuple.
 
         The arrival fires after the propagation delay: the latency plus,
         on a jittered link, one draw taken here — when the arrival is
@@ -270,11 +298,9 @@ class DirectedLink:
         size = payload.size_bytes
         service = config.per_message_s + size * config.per_byte_s
         sim = self.sim
-        now = sim.now
         busy_until = self._busy_until
-        idle = busy_until <= now
         completion = self._busy_until = (
-            now + service if idle else busy_until + service)
+            (at if busy_until <= at else busy_until) + service)
         # _arm, inlined: this runs once per hop.
         delay = self.latency_s
         if self._jitter_rng is not None:
@@ -282,7 +308,8 @@ class DirectedLink:
         handle = sim.push_event(completion + delay, self._arrive_cb, args)
         stats = self._stats
         behind = self._behind
-        if idle:
+        now = sim.now
+        if busy_until <= now:
             # Everything committed before has serialised: count it all,
             # let the records go with their deque and keep the new
             # message in the slots.

@@ -2,9 +2,10 @@
 
 A :class:`Transport` owns the outgoing :class:`DirectedLink` objects of one
 process and hands received payloads to a registered callback. It is the
-layer both communication substrates build on: the Baseline setup uses it
-directly (coordinator connected to everyone) and the gossip layer uses it
-for its per-peer links.
+layer both communication substrates build on: the Baseline node sends on
+its links directly (coordinator connected to everyone) and the gossip
+layer uses it for its per-peer links. Sending is the links' business
+(:meth:`DirectedLink.transmit` / :meth:`DirectedLink.commit`).
 """
 
 
@@ -62,13 +63,3 @@ class Transport:
     def links(self):
         """All outgoing links owned by this transport."""
         return list(self._links.values())
-
-    def send(self, dst, payload):
-        """Transmit a payload to a directly connected process."""
-        return self._links[dst].transmit(payload)
-
-    def send_all(self, payload, exclude=()):
-        """Transmit a payload to every connected peer not in ``exclude``."""
-        for dst, link in self._links.items():
-            if dst not in exclude:
-                link.transmit(payload)

@@ -277,16 +277,22 @@ class PaxosProcess(ConsensusProcess):
         if kind is Phase2b:
             if payload.round > self._max_seen_round:
                 self._max_seen_round = payload.round
-            self._on_decided(self.learner.on_phase2b(payload))
+            decided = self.learner.on_phase2b(payload)
+            if decided is not None:
+                self._on_decided(decided)
         elif kind is Phase2a:
             if payload.round > self._max_seen_round:
                 self._max_seen_round = payload.round
             vote = self.acceptor.on_phase2a(payload, attempt=payload.uid[3])
             if vote is not None:
                 self.comm.phase2b(vote)
-            self._on_decided(self.learner.on_phase2a(payload))
+            decided = self.learner.on_phase2a(payload)
+            if decided is not None:
+                self._on_decided(decided)
         elif kind is Decision:
-            self._on_decided(self.learner.on_decision(payload))
+            decided = self.learner.on_decision(payload)
+            if decided is not None:
+                self._on_decided(decided)
         elif kind is ClientValue:
             if self._track_values:
                 value = payload.value
@@ -307,8 +313,6 @@ class PaxosProcess(ConsensusProcess):
     # -- decisions ------------------------------------------------------------
 
     def _on_decided(self, decided):
-        if decided is None:
-            return
         instance, value = decided
         if self.obs is not None:
             self.obs.value_decided(self.process_id, instance, value.value_id)

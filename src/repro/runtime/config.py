@@ -114,11 +114,7 @@ class ExperimentConfig:
                 raise ValueError(
                     "{} must be finite and positive, got {!r}".format(
                         name, value))
-        if not self.value_size >= 0:
-            raise ValueError(
-                "value_size must be non-negative, got {!r}".format(
-                    self.value_size))
-        for name in ("warmup", "drain"):
+        for name in ("value_size", "warmup", "drain"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(

@@ -6,6 +6,11 @@ forwarding and no duplicate suppression. To keep the comparison fair the
 Baseline charges the same CPU cost model as the gossip setups — receiving a
 message and fanning out sends consume the same service times — so the
 difference between setups is communication structure, not bookkeeping.
+
+A send is one step: the CPU accepts its job, whose completion a FIFO
+server knows at once, and the message is committed to each link to
+serialise from that completion (:meth:`DirectedLink.transmit` with
+``at``). No kernel event marks the hand-over.
 """
 
 from repro.sim.actors import Actor
@@ -62,27 +67,20 @@ class DirectNode(Actor):
             self._local_delivery(payload)
             return
         self.stats.sent += 1
-        self.cpu.submit_timed(self.costs.send_per_peer_s, self._transmit,
-                              dst, payload)
+        at = self.cpu.submit_acct(self.costs.send_per_peer_s)
+        self.transport.link_to(dst).transmit(payload, at)
 
     def send_all(self, payload, include_self=True):
         """Send to every connected peer (the coordinator's one-to-many)."""
         if not self.alive:
             return
-        peers = self.transport.peers()
-        self.stats.sent += len(peers)
-        service = len(peers) * self.costs.send_per_peer_s
-        self.cpu.submit_timed(service, self._transmit_all, peers, payload)
+        links = self.transport.links()
+        self.stats.sent += len(links)
+        at = self.cpu.submit_acct(len(links) * self.costs.send_per_peer_s)
+        for link in links:
+            link.transmit(payload, at)
         if include_self:
             self._local_delivery(payload)
-
-    def _transmit(self, dst, payload):
-        self.transport.send(dst, payload)
-
-    def _transmit_all(self, peers, payload):
-        transport = self.transport
-        for dst in peers:
-            transport.send(dst, payload)
 
     def _local_delivery(self, payload):
         self.cpu.submit_timed(self.costs.recv_fresh_s, self._deliver, payload)

@@ -44,9 +44,12 @@ COMMITTED = {
     "agg_heavy": (
         "92a5a9e5e8b0054e6d85cbd8d990b88905dba123c3db8e654194d47b21c5e07a",
         337_053),
+    "baseline_faults": (
+        "ac94e5e2406450a083b3ed75554b02b4077fd5189cd583cd55532d2f65d38c4b",
+        78_281),
     "baseline_star": (
         "97399f2a91fa6e3f1145d0db243e5b2a459f1a4a658156d037e196257bb1413c",
-        57_030),
+        48_049),
     "churn_leader": (
         "b32bc1f2f24f3abc41108f1e3df8f55cbc1185e32aafbc75566e805d20a0fb3f",
         20_353),

@@ -16,7 +16,7 @@ def _link(sim, deliver, latency=0.01, loss_hook=None, **config_kwargs):
 
 
 def _commit(link, payload):
-    return link.commit(payload, (payload,))
+    return link.commit(payload, (payload,), link.sim.now)
 
 
 @pytest.mark.parametrize("field", ["per_message_s", "per_byte_s", "jitter_s"])
@@ -73,6 +73,26 @@ def test_queue_capacity_drops_and_counts(sim):
     link.transmit(_payload("b"))   # queued
     link.transmit(_payload("c"))   # dropped
     assert link.stats.dropped_queue == 1
+
+
+def test_bound_is_judged_as_the_wire_stands_at_the_handover(sim):
+    """``transmit(payload, at)`` counts against the bound only what is
+    still serialising at ``at``; ``stats.sent`` still waits for the clock
+    to pass each completion."""
+    link = _link(sim, lambda src, p: None,
+                 per_message_s=1.0, per_byte_s=0.0, queue_capacity=1)
+    assert link.transmit(_payload("a"))            # serialises [0, 1)
+    assert link.transmit(_payload("b"))            # queued, [1, 2)
+    assert not link.transmit(_payload("c"))        # full now
+    assert link.transmit(_payload("d"), 1.0)       # "a" is done by 1
+    assert not link.transmit(_payload("e"), 1.0)   # "b" and "d" are not
+    assert link.transmit(_payload("f"), 2.0)       # "b" is done by 2
+    assert link.stats.dropped_queue == 2
+    assert link.stats.sent == 0
+    sim.run(until=1.0)
+    assert link.stats.sent == 1
+    sim.run()
+    assert link.stats.sent == link.stats.delivered == 4
 
 
 def test_loss_hook_drops_at_delivery(sim):

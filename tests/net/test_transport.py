@@ -20,7 +20,7 @@ def test_send_and_receive(sim):
     ta, tb = _wire(sim, 0, 1)
     seen = []
     tb.on_receive(lambda src, p: seen.append((src, p.uid)))
-    ta.send(1, RawPayload("hello", 10))
+    ta.link_to(1).transmit(RawPayload("hello", 10))
     sim.run()
     assert seen == [(0, "hello")]
 
@@ -43,21 +43,6 @@ def test_link_to_unknown_raises(sim):
     ta, _ = _wire(sim, 0, 1)
     with pytest.raises(KeyError):
         ta.link_to(9)
-
-
-def test_send_all_with_exclusion(sim):
-    hub = Transport(0)
-    received = {1: [], 2: [], 3: []}
-    config = LinkConfig(per_message_s=0.0, per_byte_s=0.0)
-    for dst in (1, 2, 3):
-        spoke = Transport(dst)
-        spoke.on_receive(
-            lambda src, p, dst=dst: received[dst].append(p.uid)
-        )
-        hub.connect(DirectedLink(sim, 0, dst, 0.001, config, spoke.deliver))
-    hub.send_all(RawPayload("m", 10), exclude=(2,))
-    sim.run()
-    assert received == {1: ["m"], 2: [], 3: ["m"]}
 
 
 def test_deliver_without_callback_is_safe(sim):

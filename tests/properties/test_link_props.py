@@ -21,6 +21,12 @@ that fill them and ``commit`` on a busy link — drives a
 ``LegacyFifoServer`` (tests/sim/reference_server.py), and every verdict,
 completion, arrival and counter must coincide.
 
+The third property holds a star send, handed over when its CPU job is
+accepted as ``transmit(payload, at)`` with ``at`` its completion (never
+decreasing), to a second link transmitting the same payload at ``at``:
+the verdicts, arrivals and counters coincide, latency-only degrades and
+bounded queues included.
+
 The memory half: a message committed on an idle wire goes into the link's
 slots, never into a record, and each transmit first retires what has
 completed. So right after a transmit, a probe or a degrade the slots hold
@@ -120,7 +126,7 @@ class _Harness:
                         self.jitter)
         payload = RawPayload(len(self.messages), size, data=message)
         if how == "commit":
-            assert link.commit(payload, (payload,)) == done
+            assert link.commit(payload, (payload,), self.sim.now) == done
         else:
             assert link.transmit(payload)
         self.messages.append(message)
@@ -253,7 +259,7 @@ def test_link_matches_the_transmission_server_it_replaced(capacity, ops):
         uid += 1
         payload = RawPayload(uid, size)
         if how == "commit":
-            completions[uid] = link.commit(payload, (payload,))
+            completions[uid] = link.commit(payload, (payload,), sim.now)
             ref.chain(uid, size)
         else:
             assert link.transmit(payload) == ref.transmit(uid, size)
@@ -290,6 +296,60 @@ def test_link_matches_the_transmission_server_it_replaced(capacity, ops):
     assert link.stats.delivered == ref.sent == len(arrivals)
 
 
+AHEAD_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("send"), SIZES, st.integers(min_value=0, max_value=6)),
+        st.tuples(st.just("advance"), st.integers(min_value=1, max_value=8)),
+        st.tuples(st.just("probe")),
+        st.tuples(st.just("degrade"), st.sampled_from([0.5, 1.0, 2.0])),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([None, 0, 1, 3]), AHEAD_OPS)
+def test_transmit_ahead_matches_transmit_at_the_instant(capacity, ops):
+    config = LinkConfig(CONFIG.per_message_s, CONFIG.per_byte_s,
+                        queue_capacity=capacity)
+    sim = Simulator(seed=3)
+    arrivals, ref_arrivals = [], []
+    link = DirectedLink(sim, 0, 1, LATENCY, config,
+                        lambda src, p: arrivals.append((p.uid, sim.now)))
+    ref = DirectedLink(sim, 0, 1, LATENCY, config,
+                       lambda src, p: ref_arrivals.append((p.uid, sim.now)))
+    verdicts, ref_verdicts = {}, {}
+    at = 0.0
+
+    def ref_transmit(payload):
+        ref_verdicts[payload.uid] = ref.transmit(payload)
+
+    def probe():
+        stats, ref_stats = link.stats, ref.stats
+        assert ((stats.sent, stats.bytes_sent)
+                == (ref_stats.sent, ref_stats.bytes_sent))
+
+    for op in ops:
+        kind = op[0]
+        if kind == "send":
+            at = max(at, sim.now) + op[2] * TICK
+            payload = RawPayload(len(verdicts), op[1])
+            verdicts[payload.uid] = link.transmit(payload, at)
+            sim.schedule_at(at, ref_transmit, payload)
+        elif kind == "advance":
+            sim.run(until=sim.now + op[1] * TICK)
+        elif kind == "degrade":
+            link.degrade(op[1])
+            ref.degrade(op[1])
+        probe()
+    sim.run()
+    probe()
+    assert verdicts == ref_verdicts
+    assert arrivals == ref_arrivals
+    assert link.stats.dropped_queue == ref.stats.dropped_queue
+    assert link.stats.delivered == ref.stats.delivered == len(arrivals)
+
+
 def test_paced_idle_link_sender_keeps_no_record_and_owns_no_deque():
     """A self-pacing sender transmits only once the link has freed, so
     every message is committed on an idle wire and sits in the slots: the
@@ -299,7 +359,7 @@ def test_paced_idle_link_sender_keeps_no_record_and_owns_no_deque():
     link = DirectedLink(sim, 0, 1, 0.05, LinkConfig(), lambda src, p: None)
     for uid in range(10_000):
         payload = RawPayload(uid, 100)
-        sim.run(until=link.commit(payload, (payload,)))
+        sim.run(until=link.commit(payload, (payload,), sim.now))
         assert link._behind is None
     assert link.stats.sent == 10_000
     assert link._payload is None and link._behind is None

@@ -85,6 +85,7 @@ def test_replace_validates():
     ("pull_interval", 0.0),
     ("pull_interval", float("nan")),
     ("value_size", -5),
+    ("value_size", float("inf")),
     ("n", 2),
     ("coordinator_id", 20),
     ("coordinator_id", -1),

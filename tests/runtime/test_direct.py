@@ -9,11 +9,11 @@ from repro.net.transport import Transport
 from repro.runtime.direct import DirectNode
 
 
-def build_star(sim, n=4, costs=None):
+def build_star(sim, n=4, costs=None, config=None):
     """Hub (id 0) connected to spokes 1..n-1, as the Baseline setup."""
     costs = costs or GossipCosts(recv_fresh_s=1e-6, recv_dup_s=1e-6,
                                  send_per_peer_s=1e-6)
-    config = LinkConfig(per_message_s=1e-6, per_byte_s=0.0)
+    config = config or LinkConfig(per_message_s=1e-6, per_byte_s=0.0)
     transports = [Transport(i) for i in range(n)]
     for i in range(1, n):
         transports[0].connect(DirectedLink(sim, 0, i, 0.001, config,
@@ -71,6 +71,38 @@ def test_cpu_charges_fanout(sim):
     assert deliveries[1] == []  # 3 peers x 0.1s still serialising
     sim.run(until=0.5)
     assert deliveries[1] == ["m"]
+
+
+def test_a_send_schedules_no_handoff_event(sim):
+    """A send's CPU job and its wire commit are one step: a send_all to
+    k peers, run to drain, schedules k arrivals, k receive completions
+    and one local delivery; a point-to-point send one of each."""
+    nodes, deliveries = build_star(sim)
+    k = len(nodes) - 1
+    before = sim.events_scheduled
+    nodes[0].send_all(RawPayload("m", 10))
+    sim.run()
+    assert deliveries == [["m"]] * (k + 1)
+    assert sim.events_scheduled - before == 2 * k + 1
+    before = sim.events_scheduled
+    nodes[1].send(0, RawPayload("x", 10))
+    sim.run()
+    assert sim.events_scheduled - before == 2
+
+
+def test_jittered_star_draws_when_the_send_is_accepted(sim):
+    """On a jittered star the link-jitter draws are taken when the CPU
+    accepts the send, one per peer, and none when the job completes."""
+    config = LinkConfig(per_message_s=1e-6, per_byte_s=0.0, jitter_s=1e-3)
+    nodes, deliveries = build_star(sim, config=config)
+    stream = sim.rng("link-jitter")
+    state = stream.getstate()
+    nodes[0].send_all(RawPayload("m", 10), include_self=False)
+    drawn = stream.getstate()
+    assert drawn != state
+    sim.run()
+    assert stream.getstate() == drawn
+    assert deliveries[1:] == [["m"]] * 3
 
 
 def test_no_dedup_in_baseline(sim):
