@@ -27,9 +27,12 @@ simulation behaviour:
   traces. A rolling SHA-256 digest of the trace is always maintained;
   the full entry list is kept only when ``capture=True``.
 
-The auditor is strictly opt-in: an unattached simulator binds the plain
-:class:`EventQueue` and :func:`make_stream`, so the audited machinery is
-never on the hot path (``benchmarks/e2e`` gates its cost).
+The auditor is strictly opt-in. It is the event queue's *observer*
+(:mod:`repro.sim.events`): the compiled queue tells it about every
+reservation, push and execution, and runs the same loop either way. An
+unattached simulator's queue has no observer and binds the plain
+:func:`make_stream`, so the audited machinery is never on the hot path
+(``benchmarks/e2e`` gates its cost).
 
 :mod:`repro.checks.race` builds the double-run ``repro check --race``
 harness on top of this module.
@@ -37,7 +40,6 @@ harness on top of this module.
 
 import hashlib
 
-from repro.sim.events import EventQueue
 from repro.sim.random import CountingStream
 
 #: Origin marker for events pushed before the first event executed
@@ -121,54 +123,18 @@ class TieGroup:
 
     def to_dict(self):
         return {
-            "time": self.time.hex() if isinstance(self.time, float)
-            else self.time,
+            "time": self.time.hex(),
             "members": [m.to_dict() for m in self.members],
             "hazard": self.is_hazard(),
         }
 
 
-class AuditQueue(EventQueue):
-    """The event queue with the auditor callbacks wrapped around it.
-
-    Every audited push gets a real :class:`~repro.sim.events.Event`
-    (``push_bare`` is ``push``): the auditor labels an event from its
-    callback and arguments when it is pushed and again when it runs, and
-    ``capture=True`` debugging wants an object to inspect. Order, counts
-    and results are those of the bare entries — only the handle differs,
-    and :meth:`Simulator.cancel` takes either kind.
-    """
-
-    __slots__ = ("_auditor",)
-
-    def __init__(self, auditor):
-        EventQueue.__init__(self)
-        self._auditor = auditor
-
-    def reserve(self):
-        seq = EventQueue.reserve(self)
-        self._auditor.note_reserved(seq)
-        return seq
-
-    def push(self, time, fn, args, seq=None):
-        event = EventQueue.push(self, time, fn, args, seq)
-        self._auditor.note_push(event, seq is not None)
-        return event
-
-    push_bare = push
-
-    def pop_entry(self, limit):
-        entry = EventQueue.pop_entry(self, limit)
-        if entry is not None:
-            self._auditor.note_exec(entry[2])
-        return entry
-
-
 class RaceAuditor:
     """Observes one simulation run for push-order tie-break hazards.
 
-    Pass to ``Simulator(seed, auditor=...)``; the simulator calls
-    :meth:`make_queue`/:meth:`make_stream`/:meth:`bind` at construction.
+    Pass to ``Simulator(seed, auditor=...)``; the simulator makes it its
+    queue's observer and calls :meth:`make_stream`/:meth:`bind` at
+    construction.
     After (or during) the run, inspect :meth:`tie_groups`,
     :meth:`hazards`, :meth:`rng_draws`, :meth:`trace` / :meth:`digest`,
     or :meth:`summary`.
@@ -190,9 +156,6 @@ class RaceAuditor:
 
     # -- simulator integration (called by Simulator.__init__) --------------
 
-    def make_queue(self):
-        return AuditQueue(self)
-
     def make_stream(self, root_seed, name):
         stream = CountingStream(root_seed, name)
         self._streams[name] = stream
@@ -205,29 +168,28 @@ class RaceAuditor:
                                "auditor per simulator")
         self.sim = sim
 
-    # -- queue callbacks ----------------------------------------------------
+    # -- queue observer callbacks -------------------------------------------
 
     def note_reserved(self, seq):
         self._reserved.add(seq)
 
-    def note_push(self, event, explicit_seq):
-        label = callback_label(event.fn)
-        args_sig = args_signature(event.args)
-        reserved = explicit_seq and event.seq in self._reserved
-        group = self._by_time.get(event.time)
+    def note_push(self, time, seq, fn, args, explicit_seq):
+        label = callback_label(fn)
+        args_sig = args_signature(args)
+        reserved = explicit_seq and seq in self._reserved
+        group = self._by_time.get(time)
         if group is None:
-            group = self._by_time[event.time] = TieGroup(event.time)
+            group = self._by_time[time] = TieGroup(time)
         group.members.append(TieMember(
-            event.seq, label, args_sig, reserved, self._exec_index))
-        self._pending[event.seq] = (label, args_sig, reserved)
+            seq, label, args_sig, reserved, self._exec_index))
+        self._pending[seq] = (label, args_sig, reserved)
         self.events_recorded += 1
 
-    def note_exec(self, event):
+    def note_exec(self, time, seq, fn, args):
         self._exec_index = self.events_executed
         self.events_executed += 1
         label, args_sig, reserved = self._pending.pop(
-            event.seq, (callback_label(event.fn),
-                        args_signature(event.args), False))
+            seq, (callback_label(fn), args_signature(args), False))
         deltas = []
         for name, stream in self._streams.items():
             delta = stream.draws - self._prev_draws[name]
@@ -235,11 +197,7 @@ class RaceAuditor:
                 self._prev_draws[name] = stream.draws
                 deltas.append((name, delta))
         deltas.sort()
-        entry = (
-            event.time.hex() if isinstance(event.time, float)
-            else repr(event.time),
-            event.seq, label, args_sig, reserved, tuple(deltas),
-        )
+        entry = (time.hex(), seq, label, args_sig, reserved, tuple(deltas))
         self._hash.update(repr(entry).encode("utf-8"))
         if self.capture:
             self._trace.append(entry)

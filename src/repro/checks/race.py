@@ -76,10 +76,7 @@ def _auditor_payload(auditor, fingerprint):
         # Index tie groups by the hex time of their instant so the parent
         # can attach slot provenance to whichever event diverged first.
         payload["tie_index"] = {
-            (g.time.hex() if isinstance(g.time, float) else repr(g.time)):
-                g.to_dict()
-            for g in auditor.tie_groups()
-        }
+            g.time.hex(): g.to_dict() for g in auditor.tie_groups()}
     return payload
 
 
@@ -258,7 +255,7 @@ def _localize(name, base_seed, other_seed):
     return {
         "index": index,
         "time": time_hex,
-        "time_s": float.fromhex(time_hex) if "0x" in time_hex else None,
+        "time_s": float.fromhex(time_hex),
         "left": _entry_dict(left_entry) if left_entry else None,
         "right": _entry_dict(right_entry) if right_entry else None,
         "tie_group": left.get("tie_index", {}).get(time_hex)

@@ -27,19 +27,18 @@ class Simulator:
         Root seed; all named RNG streams (see :meth:`rng`) derive from it.
     auditor:
         Optional :class:`repro.checks.auditor.RaceAuditor` (or anything with
-        its ``make_queue``/``make_stream`` interface) that observes every
-        scheduled event and RNG draw. Opt-in and zero-cost when ``None``:
-        the only difference is which queue class and stream factory the
-        constructor binds — no per-event branch exists on the hot path.
+        its ``make_stream``/``bind`` and queue-observer interface) that
+        observes every scheduled event and RNG draw. Opt-in: the queue is
+        told about reservations, pushes and executions only when an
+        auditor is given, and the run loop is the same either way.
     """
 
     def __init__(self, seed=0, auditor=None):
         self.seed = seed
+        self._queue = EventQueue(auditor)
         if auditor is None:
-            self._queue = EventQueue()
             self._stream_factory = make_stream
         else:
-            self._queue = auditor.make_queue()
             self._stream_factory = auditor.make_stream
             auditor.bind(self)
         #: Allocate a tie-breaking slot for a possible future event; the
@@ -67,7 +66,6 @@ class Simulator:
         self.now = 0.0
         self._rngs = {}
         self._running = False
-        self.events_executed = 0
 
     @property
     def events_scheduled(self):
@@ -80,6 +78,11 @@ class Simulator:
         computes (virtual-time servers, single-event link hops).
         """
         return self._queue.scheduled_total
+
+    @property
+    def events_executed(self):
+        """Callbacks the run loop has invoked, a raising one included."""
+        return self._queue.executed_total
 
     @property
     def events_cancelled(self):
@@ -170,49 +173,18 @@ class Simulator:
         self._running = True
         gc_was_enabled = gc.isenabled()
         gc.disable()
-        executed = 0
-        pop = self._queue.pop_entry
-        limit = _INF if until is None else until
-        budget = _INF if max_events is None else max_events
         try:
-            while executed < budget:
-                # Single heap operation per executed event: pop_entry
-                # discards cancelled shells, leaves an event beyond
-                # `limit` queued, and returns the next live entry.
-                entry = pop(limit)
-                if entry is None:
-                    if until is not None and until > self.now:
-                        # Stopping at `until` (live event beyond it, or
-                        # drained early) advances the clock exactly there;
-                        # an `until` behind the clock never moves it back.
-                        self.now = until
-                    break
-                self.now, _seq, fn, args = entry
-                if args is None:
-                    # A handle entry: `fn` is the Event. Retire it before
-                    # running the callback — a callback cancelling its own
-                    # event (a timer stopped from inside its firing) must
-                    # not count a second cancellation — and drop its
-                    # references, as Event.cancel would.
-                    event = fn
-                    fn = event.fn
-                    args = event.args
-                    event.cancelled = True
-                    event.fn = None
-                    event.args = ()
-                fn(*args)
-                executed += 1
-        except BaseException:
-            # Only a callback raises in the loop, and its event was
-            # popped: count it, or scheduled = executed + pending +
-            # cancelled breaks.
-            executed += 1
-            raise
+            executed = self._queue.run(self, until, max_events)
         finally:
             self._running = False
             if gc_was_enabled:
                 gc.enable()
-            self.events_executed += executed
+        if (until is not None and until > self.now
+                and (max_events is None or executed < max_events)):
+            # Stopped at `until` (a live event beyond it, or drained
+            # early), not by the budget: advance the clock exactly there.
+            # An `until` behind the clock never moves it back.
+            self.now = until
         return executed
 
     def step(self):

@@ -1,5 +1,7 @@
 """Unit tests for the dynamic :class:`RaceAuditor`."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.checks.auditor import (
@@ -73,6 +75,36 @@ def test_reserved_slots_defuse_the_hazard():
     assert not by_sig["'pushed'"].reserved
     assert not group.is_hazard()             # only one push-ordered member
     assert auditor.summary()["reserved_slots"] == 1
+
+
+def test_queue_tells_its_observer_of_reservations_pushes_and_executions():
+    """The audit hook: the compiled queue calls its observer at every
+    reservation, push (flagging an explicit seq) and execution, in order,
+    with the callback and args that ran — a handle's included."""
+    calls = []
+
+    class Recorder:
+        def note_reserved(self, seq):
+            calls.append(("reserved", seq))
+
+        def note_push(self, time, seq, fn, args, explicit_seq):
+            calls.append(("push", time, seq, fn, args, explicit_seq))
+
+        def note_exec(self, time, seq, fn, args):
+            calls.append(("exec", time, seq, fn, args))
+
+    queue = EventQueue(Recorder())
+    slot = queue.reserve()
+    queue.push(1.0, _noop, ("a",))
+    queue.push_bare(1.0, _noop, ("b",), slot)
+    assert queue.run(SimpleNamespace(now=0.0), None, None) == 2
+    assert calls == [
+        ("reserved", 0),
+        ("push", 1.0, 1, _noop, ("a",), False),
+        ("push", 1.0, 0, _noop, ("b",), True),
+        ("exec", 1.0, 0, _noop, ("b",)),
+        ("exec", 1.0, 1, _noop, ("a",)),
+    ]
 
 
 def test_origin_is_the_scheduling_events_exec_index():

@@ -173,16 +173,17 @@ def test_pop_entry_marks_a_handle_entry_with_args_none():
 
 
 def test_wheel_orders_across_and_within_buckets():
-    # Width 1e-3: 0.0004/0.0006 share bucket 0; 0.0014 is bucket 1;
-    # 0.25 is bucket 250. Interleave pushes and pops so late pushes land
-    # behind the drain frontier and must enter the current list in order.
+    # Times that shared, or straddled, the retired calendar queue's 1 ms
+    # buckets (0.0004/0.0006 in one, 0.0014 in the next, 0.25 far off).
+    # Interleave pushes and pops so late pushes land behind earlier pops
+    # and must still come out in order.
     queue = EventQueue()
     queue.push(0.25, "far", ())
     queue.push(0.0006, "b", ())
     queue.push(0.0004, "a", ())
     assert queue.pop().fn == "a"
-    # Frontier now at bucket 0; a new event in an already-drained range
-    # must still sort ahead of everything later.
+    # A new event in an already-drained range must still sort ahead of
+    # everything later.
     queue.push(0.0005, "a2", ())
     queue.push(0.0014, "c", ())
     assert [queue.pop().fn for _ in range(3)] == ["a2", "b", "c"]
@@ -195,8 +196,8 @@ def test_wheel_compaction_drops_emptied_buckets():
     events = [queue.push(float(i), "e", ()) for i in range(100)]
     for event in events[:70]:
         _cancel(queue, event)
-    # Buckets fully emptied by compaction leave stale indices in the
-    # bucket heap; popping must skip them and still drain in order.
+    # Compaction rebuilds the heap from the survivors; popping must still
+    # drain them in order.
     times = []
     while True:
         event = queue.pop()
@@ -208,9 +209,9 @@ def test_wheel_compaction_drops_emptied_buckets():
 
 
 def test_a_pending_future_event_retains_at_most_48_bytes():
-    # Future buckets are columns: a pending bare event is a raw double,
-    # a raw int64 and two list slots — no entry tuple, no boxed time or
-    # seq (an entry tuple alone is 80 bytes).
+    # A pending bare event is one 32-byte heap entry (a raw double, a raw
+    # int64 and two pointers) plus at most an eighth of growth slack — no
+    # entry tuple, no boxed time or seq (an entry tuple alone is 80 bytes).
     def fn():
         pass
 
@@ -221,7 +222,7 @@ def test_a_pending_future_event_retains_at_most_48_bytes():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for i in range(count):
-            # 200 buckets, 100 events each, distinct times within a bucket.
+            # 200 clusters of 100 distinct times each.
             queue.push_bare((1 + i % 200) * 1e-3 + i * 1e-8, fn, args)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:

@@ -292,3 +292,13 @@ def test_non_finite_times_are_rejected_by_name(sim, entry, bad):
     with pytest.raises(SimulationError, match="non-finite.*{}".format(bad)):
         _SCHEDULERS[entry](sim, bad)
     assert sim.pending() == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_push_event_rejects_a_non_finite_time(sim, bad):
+    """The unchecked hot-path push still refuses a time the heap cannot
+    order: nothing is queued and no sequence number is spent."""
+    with pytest.raises(ValueError, match="finite"):
+        sim.push_event(bad, print, ())
+    assert sim.pending() == sim.events_scheduled == 0
+    assert sim.push_event(1.0, print, ()) == 0
