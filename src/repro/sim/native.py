@@ -3,9 +3,10 @@
 :func:`load_extension` compiles ``<dir>/<name>.c`` with the C compiler and
 the Python headers this interpreter was built with (``sysconfig``'s
 ``CC`` and include directory) into ``<dir>/__pycache__/``, and imports
-the result. The file name carries a hash of the source and the
-interpreter's ``EXT_SUFFIX``, so an edited source or another Python
-version builds its own file and a stale one is never loaded.
+the result. The file name carries a hash of the source and the compiler
+flags, and the interpreter's ``EXT_SUFFIX``, so an edited source,
+changed flags or another Python version builds its own file and a stale
+one is never loaded.
 
 The compiler writes to a file named for this process, which is then
 renamed over the target: interpreters importing at once (spawned race
@@ -14,7 +15,10 @@ file or build their own copy and rename it into place, never read a
 half-written one.
 
 There is no fallback. Without a working compiler the import raises
-:class:`ImportError` naming the command that failed.
+:class:`ImportError` naming the command that failed, and an unwritable
+``__pycache__/`` (an install the importing user cannot write to, with no
+build of this source in it yet) raises :class:`ImportError` naming the
+directory.
 """
 
 import hashlib
@@ -27,26 +31,35 @@ import sysconfig
 from pathlib import Path
 
 
-def compile_command(source, output):
-    """The argv that compiles ``source`` into the extension ``output``."""
+def compile_flags():
+    """The compiler and its flags, without the input and output files."""
     config = sysconfig.get_config_var
     command = shlex.split(config("CC") or "cc")
     command += shlex.split(config("CCSHARED") or "-fPIC")
-    command += ["-O2", "-shared"]
+    # -DNDEBUG as in the interpreter's own extension builds: the header
+    # macros' asserts stay out of the run loop.
+    command += ["-O2", "-DNDEBUG", "-shared"]
     if sys.platform == "darwin":
         command += ["-undefined", "dynamic_lookup"]
     paths = sysconfig.get_paths()
     for include in dict.fromkeys((paths["include"], paths["platinclude"])):
         command.append("-I" + include)
-    return command + [str(source), "-o", str(output)]
+    return command
+
+
+def compile_command(source, output):
+    """The argv that compiles ``source`` into the extension ``output``."""
+    return compile_flags() + [str(source), "-o", str(output)]
 
 
 def extension_path(source):
-    """Where the build of this exact ``source`` text lives."""
+    """Where the build of this exact ``source`` text and these flags lives."""
     source = Path(source)
-    digest = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
+    digest = hashlib.sha256(source.read_bytes())
+    digest.update("\0".join(compile_flags()).encode())
     return source.parent / "__pycache__" / "{}.{}{}".format(
-        source.stem, digest, sysconfig.get_config_var("EXT_SUFFIX"))
+        source.stem, digest.hexdigest()[:16],
+        sysconfig.get_config_var("EXT_SUFFIX"))
 
 
 def build(source):
@@ -54,7 +67,10 @@ def build(source):
     target = extension_path(source)
     if target.exists():
         return target
-    target.parent.mkdir(exist_ok=True)
+    try:
+        target.parent.mkdir(exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(source, target.parent, exc) from exc
     partial = target.with_name("{}.{}.tmp".format(target.name, os.getpid()))
     command = compile_command(source, partial)
     try:
@@ -69,8 +85,18 @@ def build(source):
         raise ImportError("cannot build {}: `{}` exited with {}:\n{}".format(
             source, shlex.join(command), done.returncode,
             done.stderr.strip()))
-    os.replace(partial, target)
+    try:
+        os.replace(partial, target)
+    except OSError as exc:
+        raise _unwritable(source, target.parent, exc) from exc
     return target
+
+
+def _unwritable(source, directory, exc):
+    return ImportError(
+        "cannot build {}: cannot write to {} ({}); build it once from a "
+        "user that can, or install from a writable source tree".format(
+            source, directory, exc))
 
 
 def load_extension(source, name):

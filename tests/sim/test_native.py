@@ -94,3 +94,26 @@ def test_a_missing_compiler_raises_import_error_naming_the_command(
     monkeypatch.setattr(native, "compile_command", lambda src, out: command)
     with pytest.raises(ImportError, match="no-such-cc"):
         native.build(source)
+
+
+def test_an_unwritable_cache_raises_import_error_naming_the_directory(
+        source, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    with pytest.raises(ImportError) as raised:
+        native.load_extension(source, "_queue")
+    assert str(source.parent / "__pycache__") in str(raised.value)
+
+
+def test_the_build_matches_the_interpreters_release_flags():
+    flags = native.compile_flags()
+    assert "-DNDEBUG" in flags and "-O2" in flags
+
+
+def test_changed_compiler_flags_build_their_own_file(source, monkeypatch):
+    before = native.extension_path(source)
+    flags = native.compile_flags()
+    monkeypatch.setattr(native, "compile_flags", lambda: flags + ["-DX"])
+    assert native.extension_path(source) != before
