@@ -41,13 +41,12 @@ commit a message at ``now``, or they chain a whole round onto it at once.
 What the link keeps is ``busy_until`` and the messages not yet counted as
 sent; a message counts once its completion has passed the real clock.
 A message committed on a wire idle now has nothing ahead of it, so it
-lives in three slots (completion, payload, arrival handle) and costs no
-record; only a message committed behind work not yet serialised — a
-chained round, or a star send while earlier ones are still in flight —
-gets a ``(completion, size, payload, handle)`` record, in a deque the
-link creates when the first such message waits and drops at the next
-commit on an idle wire. The slot message, when there is one, is the
-oldest.
+lives in the link's one slot (completion, size, payload, arrival) and
+costs no record; only a message committed behind work not yet serialised
+— a chained round, or a star send while earlier ones are still in
+flight — gets a 32-byte record, in a buffer the link allocates when the
+first such message waits and frees at the next commit on an idle wire.
+The slot message, when there is one, is the oldest.
 
 :meth:`DirectedLink.degrade` re-times what has not finished serialising:
 each such message's arrival is cancelled and committed again at
@@ -55,16 +54,26 @@ each such message's arrival is cancelled and committed again at
 in FIFO order: the slot message, then the records), which keeps the
 documented "only messages serialised after the call see the new
 parameters" contract. Messages already serialised are propagating and keep
-the arrival they were given.
+the arrival they were given. Its arguments are checked, because the
+re-timed arrivals are pushed unchecked: ``latency_factor`` must be finite
+and > 0, ``extra_jitter_s`` finite and >= 0, and ``extra_jitter_s > 0``
+needs a ``jitter_rng`` to draw from; anything else raises
+:class:`ValueError` naming the field.
+
+:class:`DirectedLink` and its :class:`LinkStats` are compiled
+(``repro/sim/_kernel.c``, beside the event heap the arrivals go into);
+the Python reference model they replaced is `tests/net/reference_link.py`.
+``DirectedLink(sim, src, dst, latency_s, config, deliver,
+loss_hook=None)`` reads ``config`` when it is set (at construction and
+by :meth:`DirectedLink.degrade`). Its surface: ``commit``, ``transmit``,
+``degrade``, ``restore``, ``abort_pending_chain``, ``rebind_deliver``,
+``stats`` (drained to now), ``busy``, ``queue_length``, a settable
+``loss_hook``, ``config``, ``latency_s``, ``src``, ``dst`` and ``sim``;
+each arrival event calls its ``_arrive``.
 """
 
-from bisect import bisect_right
-from collections import deque
-from operator import itemgetter
-
+from repro.sim.events import compiled
 from repro.sim.server import check_service_time
-
-_completion = itemgetter(0)
 
 
 class LinkConfig:
@@ -101,290 +110,5 @@ class LinkConfig:
                 "{!r}".format(queue_capacity))
 
 
-class LinkStats:
-    """Per-link counters."""
-
-    __slots__ = ("sent", "dropped_queue", "dropped_loss", "delivered", "bytes_sent")
-
-    def __init__(self):
-        self.sent = 0
-        self.dropped_queue = 0
-        self.dropped_loss = 0
-        self.delivered = 0
-        self.bytes_sent = 0
-
-
-class DirectedLink:
-    """One direction of a channel: src -> dst."""
-
-    __slots__ = (
-        "sim", "src", "dst", "latency_s", "config", "_stats", "_busy_until",
-        "_done", "_payload", "_handle", "_behind", "_jitter_rng", "_deliver",
-        "_arrive_cb", "loss_hook", "_base_latency_s", "_base_config",
-        "_base_jitter_rng",
-    )
-
-    def __init__(self, sim, src, dst, latency_s, config, deliver, loss_hook=None):
-        """
-        Parameters
-        ----------
-        deliver:
-            Callback ``deliver(src_id, payload)`` invoked at the receiver
-            when the message arrives (after loss injection).
-        loss_hook:
-            Optional ``loss_hook(dst_id) -> bool``; True drops the message.
-        """
-        self.sim = sim
-        self.src = src
-        self.dst = dst
-        self.latency_s = latency_s
-        self.config = config
-        self._stats = LinkStats()
-        #: The instant the wire finishes everything committed so far.
-        self._busy_until = 0.0
-        # One bound method reused for every hop: creating `self._arrive`
-        # per transmission is a measurable share of hot-path allocation.
-        self._arrive_cb = self._arrive
-        #: The message committed on an idle wire and not yet counted as
-        #: sent: its serialisation completion, payload (None: no such
-        #: message) and arrival handle.
-        self._done = 0.0
-        self._payload = None
-        self._handle = None
-        #: Messages committed behind a busy wire and not yet counted, as
-        #: (completion, size_bytes, payload, arrival_handle) in completion
-        #: order, after the slot message. The deque is created when a
-        #: message first has to wait and dropped at the next commit on an
-        #: idle wire: a link only ever handed messages while idle owns
-        #: none.
-        self._behind = None
-        self._jitter_rng = sim.rng("link-jitter") if config.jitter_s > 0 else None
-        self._deliver = deliver
-        self.loss_hook = loss_hook
-        # Pristine parameters, restored when a fault-induced degradation ends.
-        self._base_latency_s = latency_s
-        self._base_config = config
-        self._base_jitter_rng = self._jitter_rng
-
-    @property
-    def stats(self):
-        """Counters, drained to the current instant before reading.
-
-        A message counts as ``sent`` once its serialisation completion
-        has passed.
-        """
-        self._drain_sent(self.sim.now)
-        return self._stats
-
-    def degrade(self, latency_factor=1.0, extra_jitter_s=0.0, jitter_rng=None):
-        """Degrade propagation relative to the link's pristine parameters.
-
-        Multiplies the one-way latency by ``latency_factor`` and widens the
-        uniform jitter by ``extra_jitter_s`` (drawn from ``jitter_rng``).
-        Neutral arguments (factor 1, no extra jitter) restore the link.
-        Messages already serialised keep their arrival; only messages
-        serialised after the call see the new parameters, so the arrival
-        of each message still queued or in service is cancelled and
-        committed again at ``completion + new delay`` (fresh jitter draw,
-        FIFO order).
-        """
-        base = self._base_config
-        self.latency_s = self._base_latency_s * latency_factor
-        if extra_jitter_s > 0:
-            self.config = LinkConfig(base.per_message_s, base.per_byte_s,
-                                     base.queue_capacity,
-                                     base.jitter_s + extra_jitter_s)
-            self._jitter_rng = jitter_rng
-        else:
-            self.config = base
-            self._jitter_rng = self._base_jitter_rng
-        sim = self.sim
-        self._drain_sent(sim.now)
-        if self._payload is not None:
-            sim.cancel(self._handle)
-            self._handle = self._arm(self._done, self._payload)
-        behind = self._behind
-        if behind:
-            for _ in range(len(behind)):
-                completion, size, payload, handle = behind.popleft()
-                sim.cancel(handle)
-                behind.append((completion, size, payload,
-                               self._arm(completion, payload)))
-
-    def restore(self):
-        """Undo any degradation (see :meth:`degrade`)."""
-        self.degrade()
-
-    @property
-    def busy(self):
-        """Whether committed work is still unserialised right now."""
-        return self.sim.now < self._busy_until
-
-    @property
-    def queue_length(self):
-        """Committed messages behind the oldest one not yet serialised."""
-        return max(0, self._drain_sent(self.sim.now) - 1)
-
-    def abort_pending_chain(self):
-        """Withdraw chained messages that have not started serialising.
-
-        Called when the sending node crashes mid-round: the reference
-        pump would simply never have transmitted the rest of the round.
-        The message in service stays — it is on the wire and arrives, as
-        it does in the reference — while everything queued behind it is
-        removed, its pre-armed arrival cancelled, and the link frees when
-        the message in service completes. Returns the number of
-        withdrawn messages.
-        """
-        sim = self.sim
-        removed = self._drain_sent(sim.now) - 1
-        if removed <= 0:
-            return 0
-        behind = self._behind
-        for _ in range(removed):
-            sim.cancel(behind.pop()[3])
-        self._busy_until = (self._done if self._payload is not None
-                            else behind[0][0])
-        return removed
-
-    def transmit(self, payload, at=None):
-        """Send a payload towards ``dst`` from instant ``at`` (default
-        now): :meth:`commit` behind the transmit-queue bound.
-
-        The bound counts the messages still serialising at ``at``, so a
-        caller may hand a message over ahead of time as long as ``at``
-        never decreases on the link. Returns False, and counts a drop,
-        if the transmit queue was full.
-        """
-        if at is None:
-            at = self.sim.now
-        capacity = self.config.queue_capacity
-        if capacity is not None and self._busy_until > at:
-            # The slot and the records bound what is unfinished at
-            # ``at``; only when they could exceed the capacity are the
-            # records that finish by ``at`` found, by bisection.
-            behind = self._behind
-            unfinished = len(behind) if behind else 0
-            if unfinished >= capacity:
-                if self._payload is not None and self._done > at:
-                    unfinished += 1
-                elif unfinished:
-                    unfinished -= bisect_right(behind, at, key=_completion)
-                if unfinished > capacity:
-                    self._stats.dropped_queue += 1
-                    return False
-        self.commit(payload, (payload,), at)
-        return True
-
-    def commit(self, payload, args, at):
-        """Serialise ``payload`` from instant ``at`` (``>= now``), after
-        the committed work, and arm the one event of its hop; returns the
-        serialisation completion.
-
-        No queue bound applies: senders that pace themselves (tracking
-        the instant the link frees) call this with ``at`` = now, because
-        their wire is idle by construction, or because they chain a round
-        onto it whose entries model pacing, not queue contention. ``args``
-        is the arrival's argument tuple ``(payload,)``; a node forwarding
-        one payload to many peers passes one shared tuple.
-
-        The arrival fires after the propagation delay: the latency plus,
-        on a jittered link, one draw taken here — when the arrival is
-        committed. :class:`LinkConfig` rejects negative times, so
-        ``completion >= now`` and ``delay >= 0`` by construction and the
-        arrival can take the kernel's unchecked hot path.
-        """
-        config = self.config
-        size = payload.size_bytes
-        service = config.per_message_s + size * config.per_byte_s
-        sim = self.sim
-        busy_until = self._busy_until
-        completion = self._busy_until = (
-            (at if busy_until <= at else busy_until) + service)
-        # _arm, inlined: this runs once per hop.
-        delay = self.latency_s
-        if self._jitter_rng is not None:
-            delay += self._jitter_rng.uniform(0.0, config.jitter_s)
-        handle = sim.push_event(completion + delay, self._arrive_cb, args)
-        stats = self._stats
-        behind = self._behind
-        now = sim.now
-        if busy_until <= now:
-            # Everything committed before has serialised: count it all,
-            # let the records go with their deque and keep the new
-            # message in the slots.
-            last = self._payload
-            if last is not None:
-                stats.sent += 1
-                stats.bytes_sent += last.size_bytes
-            if behind is not None:
-                for record in behind:
-                    stats.sent += 1
-                    stats.bytes_sent += record[1]
-                self._behind = None
-            self._done = completion
-            self._payload = payload
-            self._handle = handle
-            return completion
-        # _drain_sent, inlined: retiring before every append is what keeps
-        # the records O(in-flight).
-        last = self._payload
-        if last is not None and self._done <= now:
-            stats.sent += 1
-            stats.bytes_sent += last.size_bytes
-            self._payload = None
-        if behind is None:
-            behind = self._behind = deque()
-        else:
-            while behind and behind[0][0] <= now:
-                stats.sent += 1
-                stats.bytes_sent += behind.popleft()[1]
-        behind.append((completion, size, payload, handle))
-        return completion
-
-    def _arm(self, completion, payload):
-        """Schedule the arrival of a message serialising at ``completion``
-        under the current propagation parameters; returns its handle."""
-        delay = self.latency_s
-        if self._jitter_rng is not None:
-            delay += self._jitter_rng.uniform(0.0, self.config.jitter_s)
-        return self.sim.push_event(completion + delay, self._arrive_cb,
-                                   (payload,))
-
-    def _arrive(self, payload):
-        if self.loss_hook is not None and self.loss_hook(self.dst):
-            self._stats.dropped_loss += 1
-            return
-        self._stats.delivered += 1
-        self._deliver(self.src, payload)
-
-    def rebind_deliver(self, deliver):
-        """Point arrivals directly at the receiver's resolved callback.
-
-        The destination transport calls this once its receive callback is
-        claimed, cutting its dispatch frame out of every arrival. Purely
-        a call-graph flattening: the same callback runs with the same
-        arguments at the same instants.
-        """
-        self._deliver = deliver
-
-    def _drain_sent(self, now):
-        """Count messages whose serialisation has completed; return the
-        number still serialising or queued."""
-        stats = self._stats
-        pending = 0
-        last = self._payload
-        if last is not None:
-            if self._done > now:
-                pending = 1     # and nothing behind it has completed
-            else:
-                stats.sent += 1
-                stats.bytes_sent += last.size_bytes
-                self._payload = None
-        behind = self._behind
-        if behind:
-            while behind and behind[0][0] <= now:
-                stats.sent += 1
-                stats.bytes_sent += behind.popleft()[1]
-            pending += len(behind)
-        return pending
+LinkStats = compiled.LinkStats
+DirectedLink = compiled.DirectedLink

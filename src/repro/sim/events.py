@@ -5,8 +5,12 @@ increasing sequence number assigned at scheduling time. Two events scheduled
 for the same instant therefore fire in scheduling order, which keeps runs
 deterministic without relying on heap tie-breaking behaviour.
 
-Both classes are compiled: ``_queue.c`` next to this file is built on
+Both classes are compiled: ``_kernel.c`` next to this file is built on
 first import (:mod:`repro.sim.native`) and there is no pure-Python twin.
+The same extension holds the types a message hop goes through, which
+push into the queue directly: :class:`repro.sim.server.FifoServer`,
+:class:`repro.net.channel.DirectedLink` and
+:class:`repro.gossip.cache.InternedSeenCache`.
 :class:`EventQueue` is a binary min-heap of 32-byte entries ``{double
 time; int64 seq; fn; args}``; ``(time, seq)`` is unique, so the pop order
 is fully determined by the pushes. Its ``run(sim, limit, budget)`` is the
@@ -67,11 +71,11 @@ from pathlib import Path
 
 from repro.sim.native import load_extension
 
-_queue = load_extension(Path(__file__).with_name("_queue.c"),
-                        "repro.sim._queue")
+compiled = load_extension(Path(__file__).with_name("_kernel.c"),
+                          "repro.sim._kernel")
 
-Event = _queue.Event
-EventQueue = _queue.EventQueue
+Event = compiled.Event
+EventQueue = compiled.EventQueue
 
 
 def resolve_queue_backend():

@@ -37,8 +37,10 @@ def compile_flags():
     command = shlex.split(config("CC") or "cc")
     command += shlex.split(config("CCSHARED") or "-fPIC")
     # -DNDEBUG as in the interpreter's own extension builds: the header
-    # macros' asserts stay out of the run loop.
-    command += ["-O2", "-DNDEBUG", "-shared"]
+    # macros' asserts stay out of the run loop. -ffp-contract=off: no
+    # multiply and add fused into one rounding (an FMA, on any target
+    # that has one), so every float is the Python reference's bit for bit.
+    command += ["-O2", "-DNDEBUG", "-ffp-contract=off", "-shared"]
     if sys.platform == "darwin":
         command += ["-undefined", "dynamic_lookup"]
     paths = sysconfig.get_paths()

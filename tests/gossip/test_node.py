@@ -12,8 +12,10 @@ from repro.sim.kernel import Simulator
 
 
 def build_mesh(sim, adjacency, hooks_factory=None, costs=None,
-               link_config=None, deliveries=None, loss_hook=None):
-    """Wire GossipNodes over the given adjacency {node: [peers]}."""
+               link_config=None, deliveries=None, loss_hook=None,
+               link_cls=DirectedLink):
+    """Wire GossipNodes over the given adjacency {node: [peers]};
+    ``link_cls`` lets a test read a reference link's internals."""
     n = len(adjacency)
     costs = costs or GossipCosts(recv_fresh_s=1e-6, recv_dup_s=1e-6,
                                  send_per_peer_s=1e-6)
@@ -22,10 +24,10 @@ def build_mesh(sim, adjacency, hooks_factory=None, costs=None,
     for a in range(n):
         for b in adjacency[a]:
             if a < b:
-                transports[a].connect(DirectedLink(
+                transports[a].connect(link_cls(
                     sim, a, b, 0.001, link_config, transports[b].deliver,
                     loss_hook))
-                transports[b].connect(DirectedLink(
+                transports[b].connect(link_cls(
                     sim, b, a, 0.001, link_config, transports[a].deliver,
                     loss_hook))
     nodes = []

@@ -7,6 +7,7 @@ from repro.gossip.hooks import SemanticHooks
 from repro.net.channel import LinkConfig
 from repro.net.message import Payload, RawPayload, UidInterner
 from tests.gossip.test_node import LINE, build_mesh
+from tests.net.reference_link import DirectedLink as ReferenceLink
 
 
 class Packed(Payload):
@@ -32,7 +33,8 @@ def _send_to(node, peer_id, payload):
 
 
 def _committed(link):
-    """Uids the link has committed and not yet serialised, oldest first."""
+    """Uids a reference link has committed and not yet serialised, oldest
+    first."""
     slot = [link._payload.uid] if link._payload is not None else []
     return slot + [record[2].uid for record in link._behind or ()]
 
@@ -177,7 +179,8 @@ def test_one_forward_decides_each_peer_of_the_fan_out(sim):
     wire with its wake-up armed, a busy wire without one (the forward arms
     it) and a peer whose message validate filters. Only the idle peer's
     message is committed and reserves a slot; the filtered one is counted
-    and charged like the admitted one."""
+    and charged like the admitted one. The mesh runs on the Python
+    reference links, whose committed messages a test can read."""
     class SkipPeer4(SemanticHooks):
         def validate(self, payload, peer_id):
             return peer_id != 4
@@ -187,7 +190,8 @@ def test_one_forward_decides_each_peer_of_the_fan_out(sim):
     nodes = build_mesh(sim, {0: [1, 2, 3, 4], 1: [0], 2: [0], 3: [0],
                              4: [0]},
                        link_config=slow, deliveries=deliveries,
-                       hooks_factory=lambda i: SkipPeer4())
+                       hooks_factory=lambda i: SkipPeer4(),
+                       link_cls=ReferenceLink)
     node = nodes[0]
     senders = node._senders
     _send_to(node, 2, RawPayload("a", 10))      # onto peer 2's wire

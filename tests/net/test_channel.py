@@ -1,5 +1,7 @@
 """Tests for directed links: timing, queueing, drops, loss."""
 
+import gc
+
 import pytest
 
 from repro.net.channel import DirectedLink, LinkConfig
@@ -282,4 +284,38 @@ def test_abort_after_mid_round_degrade_withdraws_the_whole_tail(sim):
     assert seen == [("a", pytest.approx(0.021)), ("f", pytest.approx(0.022))]
     assert link.stats.sent == len(seen) == 2
     assert not link.busy and link.queue_length == 0
-    assert link._payload is None and not link._behind
+    # The link holds no message any more (its GC referents are what it
+    # keeps).
+    assert not [o for o in gc.get_referents(link) if isinstance(o, RawPayload)]
+
+
+# Degrade re-times arrivals that go into the heap without the kernel's
+# time checks, so its arguments are checked where they enter.
+
+@pytest.mark.parametrize("bad", [0.0, -30.0, float("nan"), float("inf")])
+def test_degrade_rejects_a_factor_not_finite_and_positive(sim, bad):
+    """``degrade(-30.0)`` once delivered before the message was sent."""
+    link = _link(sim, lambda src, p: None)
+    _commit(link, _payload())
+    with pytest.raises(ValueError, match="latency_factor"):
+        link.degrade(bad)
+    assert link.latency_s == 0.01
+
+
+@pytest.mark.parametrize("bad", [-1e-3, float("nan"), float("inf")])
+def test_degrade_rejects_negative_or_non_finite_extra_jitter(sim, bad):
+    link = _link(sim, lambda src, p: None)
+    with pytest.raises(ValueError, match="extra_jitter_s"):
+        link.degrade(1.0, bad, sim.rng("chaos-jitter"))
+    assert link.config.jitter_s == 0.0
+
+
+def test_degrade_with_extra_jitter_needs_a_jitter_rng(sim):
+    """Widening the jitter with nothing to draw from once set
+    ``config.jitter_s`` and silently drew no jitter."""
+    link = _link(sim, lambda src, p: None)
+    with pytest.raises(ValueError, match="jitter_rng"):
+        link.degrade(1.0, 0.004, None)
+    assert link.config.jitter_s == 0.0
+    link.degrade(1.0, 0.004, sim.rng("chaos-jitter"))
+    assert link.config.jitter_s == 0.004

@@ -34,12 +34,17 @@ the unserialised message that was committed on an idle wire, if any, and
 the records exactly the unserialised messages committed behind a busy one;
 between those the records never grow. A sender that paces itself on an
 idle link keeps no record and owns no deque (the regression at the
-bottom); a committed round adds its unserialised chain.
+bottom); a committed round adds its unserialised chain. Slots and records
+are read on the Python reference link (tests/net/reference_link.py); the
+compiled link, driven through the same properties, must hold exactly the
+unserialised messages, read as the payloads among its GC referents.
 
 Times are dyadic (a 2**-11 s tick; services of 3, 4 and 6 ticks) so
 advances land exactly on completion instants and the ``<=`` edges of the
 lazy drain are exercised without float noise.
 """
+
+import gc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +52,7 @@ from hypothesis import strategies as st
 from repro.net.channel import DirectedLink, LinkConfig
 from repro.net.message import RawPayload
 from repro.sim.kernel import Simulator
+from tests.net.reference_link import DirectedLink as ReferenceLink
 from tests.sim.reference_server import LegacyFifoServer
 
 TICK = 2.0 ** -11
@@ -80,16 +86,29 @@ class _Sent:
 
 
 def _records(link):
-    """How many messages the link holds as records (behind a busy wire)."""
+    """How many messages a reference link holds as records (behind a busy
+    wire)."""
     return len(link._behind) if link._behind is not None else 0
 
 
+def _held(link):
+    """The messages a compiled link holds, oldest first."""
+    return [o.data for o in gc.get_referents(link)
+            if isinstance(o, RawPayload)]
+
+
+def _kept(link):
+    """What must never grow between refreshes: a reference link's
+    records, or everything a compiled link holds."""
+    return _records(link) if isinstance(link, ReferenceLink) else len(
+        _held(link))
+
+
 class _Harness:
-    def __init__(self):
+    def __init__(self, link_cls):
         self.sim = Simulator(seed=3)
         self.delivered = 0
-        self.link = DirectedLink(self.sim, 0, 1, LATENCY, CONFIG,
-                                 self._deliver)
+        self.link = link_cls(self.sim, 0, 1, LATENCY, CONFIG, self._deliver)
         self.latency = LATENCY
         self.jitter = 0.0
         self.messages = []      # accepted and not withdrawn, in order
@@ -109,8 +128,12 @@ class _Harness:
         waiting = self.unserialised()
         slot = [m for m in waiting if m.idle]
         assert slot == waiting[:1] or not slot     # only ever the oldest
-        self.bound = len(waiting) - len(slot)
         link = self.link
+        if not isinstance(link, ReferenceLink):
+            self.bound = len(waiting)
+            assert _held(link) == waiting
+            return
+        self.bound = len(waiting) - len(slot)
         held = link._payload
         assert ([held.data] if held is not None else []) == slot
         assert _records(link) == self.bound
@@ -168,7 +191,7 @@ class _Harness:
             self.degrade()
         else:
             getattr(self, kind)()
-        assert _records(self.link) <= self.bound
+        assert _kept(self.link) <= self.bound
 
     def finish(self):
         self.sim.run()
@@ -176,16 +199,28 @@ class _Harness:
         assert (self.link.stats.sent == len(self.messages)
                 == self.delivered)
         assert not self.link.busy and self.link.queue_length == 0
-        assert self.link._payload is None and _records(self.link) == 0
+        assert _kept(self.link) == 0
+        if isinstance(self.link, ReferenceLink):
+            assert self.link._payload is None
+
+
+def _replay(link_cls, ops):
+    harness = _Harness(link_cls)
+    for op in ops:
+        harness.step(op)
+    harness.finish()
 
 
 @settings(max_examples=300, deadline=None)
 @given(OPS)
 def test_link_counters_match_recount_and_deque_is_bounded(ops):
-    harness = _Harness()
-    for op in ops:
-        harness.step(op)
-    harness.finish()
+    _replay(DirectedLink, ops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(OPS)
+def test_reference_link_keeps_slot_and_records_exact(ops):
+    _replay(ReferenceLink, ops)
 
 
 class _ReferenceLink:
@@ -352,11 +387,25 @@ def test_transmit_ahead_matches_transmit_at_the_instant(capacity, ops):
 
 def test_paced_idle_link_sender_keeps_no_record_and_owns_no_deque():
     """A self-pacing sender transmits only once the link has freed, so
-    every message is committed on an idle wire and sits in the slots: the
-    link never builds a record or the deque to hold one. (It once kept
-    every such message until 256 had piled up, and later one record.)"""
+    every message is committed on an idle wire and sits in the slot: the
+    link never builds a record or the buffer to hold one, and holds at
+    most that one message. (It once kept every such message until 256 had
+    piled up, and later one record.)"""
     sim = Simulator(seed=3)
     link = DirectedLink(sim, 0, 1, 0.05, LinkConfig(), lambda src, p: None)
+    for uid in range(10_000):
+        payload = RawPayload(uid, 100, data=uid)
+        sim.run(until=link.commit(payload, (payload,), sim.now))
+        assert _held(link) == [uid]
+    assert link.stats.sent == 10_000
+    assert _held(link) == []
+
+
+def test_paced_idle_reference_link_owns_no_deque():
+    """The same sender on the reference link: its slots take every
+    message, and it never creates the records' deque."""
+    sim = Simulator(seed=3)
+    link = ReferenceLink(sim, 0, 1, 0.05, LinkConfig(), lambda src, p: None)
     for uid in range(10_000):
         payload = RawPayload(uid, 100)
         sim.run(until=link.commit(payload, (payload,), sim.now))

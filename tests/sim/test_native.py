@@ -1,6 +1,6 @@
-"""The first-import build of the compiled event queue (repro.sim.native).
+"""The first-import build of the compiled kernel (repro.sim.native).
 
-Each test builds a private copy of ``_queue.c`` in a temporary directory,
+Each test builds a private copy of ``_kernel.c`` in a temporary directory,
 so its cache starts empty and the package's own build is never touched.
 """
 
@@ -15,7 +15,7 @@ import pytest
 
 from repro.sim import events, native
 
-SOURCE = Path(events.__file__).with_name("_queue.c")
+SOURCE = Path(events.__file__).with_name("_kernel.c")
 SRC_ROOT = str(Path(events.__file__).parents[2])
 
 # Waits for a go file so both interpreters reach the build together.
@@ -27,7 +27,7 @@ deadline = time.monotonic() + 60
 while not go.exists() and time.monotonic() < deadline:
     time.sleep(0.005)
 from repro.sim.native import load_extension
-module = load_extension(Path(sys.argv[1]), "_queue")
+module = load_extension(Path(sys.argv[1]), "_kernel")
 queue = module.EventQueue()
 queue.push_bare(1.0, print, ())
 assert len(queue) == 1
@@ -37,7 +37,7 @@ print(module.__file__)
 
 @pytest.fixture
 def source(tmp_path):
-    copy = tmp_path / "_queue.c"
+    copy = tmp_path / "_kernel.c"
     shutil.copyfile(SOURCE, copy)
     return copy
 
@@ -82,7 +82,7 @@ def test_a_failing_compile_raises_import_error_naming_the_command(
     command = [sys.executable, "-c", "raise SystemExit(3)"]
     monkeypatch.setattr(native, "compile_command", lambda src, out: command)
     with pytest.raises(ImportError) as raised:
-        native.load_extension(source, "_queue")
+        native.load_extension(source, "_kernel")
     assert shlex.join(command) in str(raised.value)
     assert "exited with 3" in str(raised.value)
     assert _cache_files(source) == []
@@ -103,13 +103,20 @@ def test_an_unwritable_cache_raises_import_error_naming_the_directory(
 
     monkeypatch.setattr(Path, "mkdir", refuse)
     with pytest.raises(ImportError) as raised:
-        native.load_extension(source, "_queue")
+        native.load_extension(source, "_kernel")
     assert str(source.parent / "__pycache__") in str(raised.value)
 
 
 def test_the_build_matches_the_interpreters_release_flags():
     flags = native.compile_flags()
     assert "-DNDEBUG" in flags and "-O2" in flags
+
+
+def test_the_build_fuses_no_multiply_add():
+    """A link's service time is ``per_message_s + size * per_byte_s``;
+    contracted into an FMA (always available on aarch64) it would round
+    once instead of twice and move run digests off the Python reference."""
+    assert "-ffp-contract=off" in native.compile_flags()
 
 
 def test_changed_compiler_flags_build_their_own_file(source, monkeypatch):

@@ -115,3 +115,27 @@ def test_submit_timed_returns_completion_time(sim):
     assert server.submit_timed(0.5, None) == pytest.approx(0.5)
     # Queued behind the first job: completion chains off busy_until.
     assert server.submit_timed(0.25, None) == pytest.approx(0.75)
+
+
+# A completion is pushed into the heap without the kernel's time checks,
+# so what it is computed from is checked where it enters.
+
+@pytest.mark.parametrize("bad", [-1e-3, float("nan"), float("inf")])
+@pytest.mark.parametrize("submit", ["submit_timed", "submit_acct"])
+def test_negative_or_non_finite_service_time_is_rejected(sim, submit, bad):
+    server = FifoServer(sim)
+    args = (bad, lambda: None) if submit == "submit_timed" else (bad,)
+    with pytest.raises(ValueError, match="service_time"):
+        getattr(server, submit)(*args)
+    assert not server.busy and sim.pending() == 0
+
+
+@pytest.mark.parametrize("bad", [0.0, -2.0, float("nan"), float("inf")])
+def test_slowdown_must_be_finite_and_positive(sim, bad):
+    """A negative slowdown once ran a callback before the clock."""
+    server = FifoServer(sim)
+    with pytest.raises(ValueError, match="slowdown"):
+        server.slowdown = bad
+    assert server.slowdown == 1.0
+    server.slowdown = 2.5
+    assert server.submit_timed(1.0, None) == 2.5

@@ -5,15 +5,17 @@ shape of a receive followed by its per-peer hook charges), services drawn
 log-uniformly from 1e-6 to 3e-2 s so that the order of the ``busy_time``
 sum shows in its bits, slowdown changes while jobs wait, callback,
 ``None`` and ``submit_acct`` jobs, interleaved observation
-probes — are driven through :class:`FifoServer` and the test-local
+probes — are driven through the compiled :class:`FifoServer`, its
+Python reference model (`reference_fifo.py`) and the test-local
 :class:`LegacyFifoServer` (`reference_server.py`) on separate simulators.
 Everything observable must coincide exactly: callback times and order,
 every job's completion (returned at submission by the virtual server,
 observed at its completion event by the reference), and ``busy``,
 ``queue_length``, ``busy_time`` and ``utilization`` at every probe, floats
-compared as ``float.hex``. After every submit, the virtual server's record
-of waiting jobs must be exactly the reference's queue: a job that has
-started leaves no record.
+compared as ``float.hex``. After every submit, each virtual server's
+waiting jobs must be exactly the reference's queue — read as
+``queue_length`` on the compiled server and as the record itself on the
+Python model: a job that has started leaves no record.
 
 Probe and submission instants come from continuous uniform draws, so they
 never collide exactly with a completion instant; same-timestamp
@@ -30,6 +32,7 @@ import pytest
 from repro.sim.kernel import Simulator
 from repro.sim.random import make_stream
 from repro.sim.server import FifoServer
+from tests.sim.reference_fifo import FifoServer as ReferenceFifoServer
 from tests.sim.reference_server import LegacyFifoServer
 
 _KINDS = ("callback", "none", "acct")
@@ -64,7 +67,7 @@ def _drive(server_cls, ops, horizon):
     """Run one trace against one server; return (log, completions)."""
     sim = Simulator(seed=99)
     server = server_cls(sim)
-    virtual = isinstance(server, FifoServer)
+    virtual = not isinstance(server, LegacyFifoServer)
     log = []
     completions = {}
 
@@ -96,6 +99,8 @@ def _drive(server_cls, ops, horizon):
         else:
             completion = server.submit_acct(service)
         completions[uid] = completion.hex()
+        if isinstance(server, FifoServer):
+            return server.queue_length
         return len(server._waiting)
 
     def do(op):
@@ -118,8 +123,10 @@ def _drive(server_cls, ops, horizon):
     return log, completions
 
 
-class _PathCounter(FifoServer):
-    """A :class:`FifoServer` that counts which path each submit takes."""
+class _PathCounter(ReferenceFifoServer):
+    """The reference model of :class:`FifoServer`, counting which path
+    each submit takes (the compiled server runs the same paths: the
+    lockstep properties in tests/properties/test_hop_lockstep.py)."""
 
     __slots__ = ("paths",)
 
@@ -150,8 +157,10 @@ class _PathCounter(FifoServer):
 def test_random_traces_equivalent(seed):
     ops, horizon = _generate_trace(seed)
     virtual_log, virtual_completions = _drive(FifoServer, ops, horizon)
+    model_log, model_completions = _drive(ReferenceFifoServer, ops, horizon)
     legacy_log, legacy_completions = _drive(LegacyFifoServer, ops, horizon)
-    assert virtual_log == legacy_log
+    assert virtual_log == model_log == legacy_log
+    assert model_completions == legacy_completions
     jobs = sum(len(op[2]) for op in ops if op[1] == "submit")
     assert len(virtual_completions) == jobs
     assert virtual_completions == legacy_completions
