@@ -14,16 +14,40 @@ Architecture per the paper's §3.3:
   One loop over the fan-out (:meth:`GossipNode._send`) validates and
   commits a message for an idle link itself and queues only the rest.
 
+The per-hop half is compiled (``repro/sim/_kernel.c``, beside the link,
+server and cache it calls): :class:`GossipNode` derives from the C
+``NodeCore``, whose ``_on_link_receive`` (the single-part receive),
+``_complete`` (deliver and forward) and ``_send`` (the fan-out loop) run
+without entering Python unless they call out — to the cache if it is not
+an :class:`InternedSeenCache`, to the application's ``deliver``, to
+overridden hooks, to a tracer, or to a busy peer's :meth:`_PeerSender.enqueue`.
+:class:`GossipStats` is a C type, and :class:`_PeerSender` keeps its link
+and pacing state in a C base. Python keeps what runs rarely: the
+broadcast, the aggregated receive (:meth:`GossipNode._receive_aggregated`)
+and everything behind a busy link (the sender's queue, wake-up and
+batched round). A subclass that defines ``_on_link_receive`` or
+``_complete`` (the pull strategies) has its own called. The Python form
+of the compiled paths is the reference model in
+``tests/gossip/reference_node.py``.
+
 Saturation model: all application-visible work (duplicate checks, delivery,
 forward fan-out) is charged to a single per-process CPU server; each link
 additionally charges transmission time. See DESIGN.md §5.2.
 """
 
 from repro.sim.actors import Actor
+from repro.sim.events import compiled
 from repro.sim.server import FifoServer, check_service_time
 from repro.gossip.cache import InternedSeenCache
 from repro.gossip.hooks import SemanticHooks
 from repro.net.message import UidInterner
+
+#: Counters matching the quantities reported in the paper's §4.3: the ten
+#: writable ints ``broadcasts``, ``received`` (pre-dedup), ``duplicates``,
+#: ``delivered``, ``forwarded`` (pre-filter), ``filtered``,
+#: ``aggregated_in``, ``aggregated_saved``, ``disaggregated`` and
+#: ``send_queue_drops``, and ``duplicate_fraction()``.
+GossipStats = compiled.GossipStats
 
 
 class GossipCosts:
@@ -47,35 +71,7 @@ class GossipCosts:
             check_service_time("GossipCosts." + name, getattr(self, name))
 
 
-class GossipStats:
-    """Counters matching the quantities reported in the paper's §4.3."""
-
-    __slots__ = (
-        "broadcasts", "received", "duplicates", "delivered", "forwarded",
-        "filtered", "aggregated_in", "aggregated_saved", "disaggregated",
-        "send_queue_drops",
-    )
-
-    def __init__(self):
-        self.broadcasts = 0          # locally broadcast messages
-        self.received = 0            # messages arriving over links (pre-dedup)
-        self.duplicates = 0          # discarded by the duplication check
-        self.delivered = 0           # handed to the application
-        self.forwarded = 0           # enqueued towards peers (pre-filter)
-        self.filtered = 0            # dropped by semantic validate()
-        self.aggregated_in = 0       # originals consumed by aggregation
-        self.aggregated_saved = 0    # transmissions avoided by aggregation
-        self.disaggregated = 0       # originals reconstructed on receipt
-        self.send_queue_drops = 0    # pending sends dropped (queue full)
-
-    def duplicate_fraction(self):
-        """Fraction of received messages discarded as duplicates."""
-        if self.received == 0:
-            return 0.0
-        return self.duplicates / self.received
-
-
-class _PeerSender:
+class _PeerSender(compiled.SenderCore):
     """Send routine for one peer: queue + validate/aggregate + pacing.
 
     There is one way to send, and it is event-free. Every link reports
@@ -97,10 +93,14 @@ class _PeerSender:
     The queue is a plain list that :meth:`_pump` takes whole, leaving an
     empty one in its place. It holds messages only while a wake-up is
     armed.
+
+    ``link``, ``_free_at`` (the instant the link serialises our traffic
+    until), ``_wakeup_armed`` and ``_wakeup_seq`` (the tie-break slot
+    reserved for the wake-up) live in the C base, where the compiled
+    fan-out reads and writes them; they start at 0.0, False and 0.
     """
 
-    __slots__ = ("node", "sim", "peer_id", "link", "queue",
-                 "capacity", "_free_at", "_wakeup_armed", "_wakeup_seq",
+    __slots__ = ("node", "sim", "peer_id", "queue", "capacity",
                  "_wakeup_event", "_round")
 
     def __init__(self, node, peer_id, link, capacity):
@@ -110,9 +110,6 @@ class _PeerSender:
         self.link = link
         self.queue = []
         self.capacity = capacity
-        self._free_at = 0.0      # link serialises our traffic until then
-        self._wakeup_armed = False   # a wake-up is outstanding
-        self._wakeup_seq = 0     # reserved tie-break slot for the wake-up
         self._wakeup_event = None    # handle, valid only while armed
         self._round = []         # (completion, seq) per chained message
 
@@ -255,21 +252,20 @@ class _PeerSender:
                 completion, self._wakeup, (), seq)
 
 
-class GossipNode(Actor):
+class GossipNode(compiled.NodeCore, Actor):
     """Push-gossip layer of one process.
 
-    Slotted: every receive touches half a dozen attributes, and flat
-    storage keeps those loads off the instance dict. Subclasses that add
+    The C base holds what every hop reads: ``alive``, ``deliver``, ``obs``,
+    ``stats``, ``cpu``, ``cache``, the validate callable, the service times
+    and the fan-out tuple. Python slots hold the rest. Subclasses that add
     state (the pull strategies) simply omit ``__slots__`` and get a dict
-    for their extras; the hot base attributes stay slotted either way.
+    for their extras.
     """
 
     __slots__ = (
-        "process_id", "transport", "costs", "deliver", "cpu",
-        "_cpu_submit", "_cpu_acct", "hooks_charged", "validate_default",
-        "aggregate_default", "stats", "obs", "alive", "_senders",
-        "_send_queue_capacity", "_fwd_pairs", "_fanout", "_svc_broadcast",
-        "_svc_receive", "_hooks", "_cache", "_register",
+        "sim", "name", "transport", "costs", "_cpu_submit", "_cpu_acct",
+        "hooks_charged", "validate_default", "aggregate_default", "_hooks",
+        "_senders", "_send_queue_capacity",
     )
 
     def __init__(self, sim, process_id, transport, costs=None, hooks=None,
@@ -295,41 +291,32 @@ class GossipNode(Actor):
         cpu:
             Optional shared :class:`FifoServer`; one is created if absent.
         """
-        super().__init__(sim, "gossip-{}".format(process_id))
-        self.process_id = process_id
+        Actor.__init__(self, sim, "gossip-{}".format(process_id))
         self.transport = transport
-        self.costs = costs or GossipCosts()
-        self.hooks = hooks or SemanticHooks()     # property: sets flags
-        self.cache = (cache if cache is not None  # property: binds probe
-                      else InternedSeenCache(interner=UidInterner()))
-        self.deliver = deliver
-        self.cpu = cpu or FifoServer(sim)
-        #: Fire-and-forget CPU submission for the receive/broadcast hot
-        #: path, bound once. The returned completion is never used here.
-        self._cpu_submit = self.cpu.submit_timed
-        #: Accounting-only CPU charge (no callback, no varargs packing).
-        self._cpu_acct = self.cpu.submit_acct
+        self.costs = costs = costs or GossipCosts()
+        hooks = hooks or SemanticHooks()
         #: Whether hook CPU time (``costs.hook_s``) is charged on the send
         #: path. Decided once against the hooks installed at construction,
         #: so observational wrappers attached later (e.g. the safety
         #: monitor's CheckedHooks) cannot perturb run timing.
         self.hooks_charged = (
-            type(self.hooks).validate is not SemanticHooks.validate
-            or type(self.hooks).aggregate is not SemanticHooks.aggregate
+            type(hooks).validate is not SemanticHooks.validate
+            or type(hooks).aggregate is not SemanticHooks.aggregate
         )
-        self.stats = GossipStats()
-        #: Tracer installed by ``obs=`` (repro.obs); None in untraced runs.
-        self.obs = None
-        self.alive = True
+        if cache is None:
+            cache = InternedSeenCache(interner=UidInterner())
+        cpu = cpu or FifoServer(sim)
+        compiled.NodeCore.__init__(
+            self, sim, process_id, cpu, cache, deliver, costs,
+            costs.hook_s if self.hooks_charged else 0.0)
+        self.hooks = hooks                        # property: sets flags
+        #: Fire-and-forget CPU submission for the broadcast and aggregated
+        #: receive, bound once. The returned completion is never used here.
+        self._cpu_submit = cpu.submit_timed
+        #: Accounting-only CPU charge (no callback, no varargs packing).
+        self._cpu_acct = cpu.submit_acct
         self._senders = {}
         self._send_queue_capacity = send_queue_capacity
-        #: Flat forward fan-out: a tuple of ``(peer_id, sender)`` pairs in
-        #: peer-insertion order plus precomputed CPU service times, rebuilt
-        #: whenever membership/overlay repair changes the peer set.
-        self._fwd_pairs = ()
-        self._fanout = 0
-        self._svc_broadcast = self.costs.recv_fresh_s
-        self._svc_receive = self.costs.recv_fresh_s
         transport.on_receive(self._on_link_receive)
 
     @property
@@ -349,18 +336,7 @@ class GossipNode(Actor):
         self.validate_default = type(hooks).validate is SemanticHooks.validate
         self.aggregate_default = (
             type(hooks).aggregate is SemanticHooks.aggregate)
-
-    @property
-    def cache(self):
-        return self._cache
-
-    @cache.setter
-    def cache(self, cache):
-        # Rebind the dedup probe on every swap: ``register_payload``
-        # interns the uid once and probes by dense id. The hot path
-        # always goes through ``self._register``.
-        self._cache = cache
-        self._register = cache.register_payload
+        self._validate = None if self.validate_default else hooks.validate
 
     # -- wiring ----------------------------------------------------------
 
@@ -388,13 +364,20 @@ class GossipNode(Actor):
         re-receiving old messages is harmless either way)."""
         self.alive = True
 
-    def add_peer(self, peer_id):
-        """Register a peer reachable through the transport's link."""
-        link = self.transport.link_to(peer_id)
-        self._senders[peer_id] = _PeerSender(
-            self, peer_id, link, self._send_queue_capacity
-        )
+    def add_peers(self, peer_ids):
+        """Register peers reachable through the transport's links, in
+        order, with one fan-out rebuild (the overlay's initial wiring)."""
+        link_to = self.transport.link_to
+        capacity = self._send_queue_capacity
+        senders = self._senders
+        for peer_id in peer_ids:
+            senders[peer_id] = _PeerSender(self, peer_id, link_to(peer_id),
+                                           capacity)
         self._rebuild_forward()
+
+    def add_peer(self, peer_id):
+        """Register one peer (membership repair)."""
+        self.add_peers((peer_id,))
 
     def remove_peer(self, peer_id):
         """Drop a peer (overlay repair); queued sends to it are lost."""
@@ -409,21 +392,12 @@ class GossipNode(Actor):
         """Recompute the flat fan-out state after a peer-set change.
 
         ``_fwd_pairs`` mirrors ``_senders.items()`` (same insertion order,
-        so the forward loop enqueues in exactly the dict-iteration order
-        the reference used); the service times are the same arithmetic the
-        per-receive code used to evaluate, hoisted to membership changes.
+        so the forward loop visits peers in dict-iteration order); the C
+        base derives ``_fanout``, ``_svc_broadcast`` (``recv_fresh_s +
+        fanout * send_per_peer_s``) and ``_svc_receive`` (the same with
+        ``max(0, fanout - 1)``) from it.
         """
-        self._fwd_pairs = tuple(self._senders.items())
-        fanout = len(self._fwd_pairs)
-        self._fanout = fanout
-        costs = self.costs
-        self._svc_broadcast = (
-            costs.recv_fresh_s + fanout * costs.send_per_peer_s)
-        recv_fanout = fanout - 1
-        if recv_fanout < 0:
-            recv_fanout = 0
-        self._svc_receive = (
-            costs.recv_fresh_s + recv_fanout * costs.send_per_peer_s)
+        self._set_forward(tuple(self._senders.items()))
 
     def peers(self):
         return list(self._senders)
@@ -439,38 +413,13 @@ class GossipNode(Actor):
             return  # re-broadcast of a known message: nothing to do
         self._cpu_submit(self._svc_broadcast, self._complete, payload, None)
 
-    def _complete(self, payload, src):
-        """Deliver a fresh ``payload`` and forward it to every peer but
-        ``src`` (``None`` for a local broadcast)."""
-        stats = self.stats
-        stats.delivered += 1
-        if self.deliver is not None:
-            self.deliver(payload)
-        stats.forwarded += self._send(payload, self._fwd_pairs, src)
-
     # -- receive path ------------------------------------------------------
 
-    def _on_link_receive(self, src, payload):
-        if not self.alive:
-            return
-        stats = self.stats
-        stats.received += 1
+    def _receive_aggregated(self, src, payload):
+        """An aggregated arrival, already checked alive and counted
+        received by the compiled receive: dedup each part, and one CPU job
+        for the fresh ones."""
         costs = self.costs
-        if not payload.aggregated:
-            # Single-part fast path: no part list, no service accumulator
-            # loop — identical charges and pushes, common-case receive.
-            obs = self.obs
-            if self._register(payload):
-                if obs is not None:
-                    obs.gossip_receive(self.process_id, src, payload, True)
-                self._cpu_submit(self._svc_receive, self._complete,
-                                 payload, src)
-            else:
-                stats.duplicates += 1
-                if obs is not None:
-                    obs.gossip_receive(self.process_id, src, payload, False)
-                self._cpu_acct(costs.recv_dup_s)
-            return
         parts = self._hooks.disaggregate(payload)
         self.stats.disaggregated += len(parts)
         register = self._register
@@ -506,44 +455,3 @@ class GossipNode(Actor):
         """The fresh parts of one aggregate, in its one CPU job."""
         for part in fresh:
             self._complete(part, src)
-
-    # -- send path ---------------------------------------------------------
-
-    def _send(self, payload, pairs, exclude=None):
-        """Hand ``payload`` to each ``(peer_id, sender)`` of ``pairs`` but
-        ``exclude``'s; returns how many.
-
-        The send decision for a whole fan-out, in one loop. A busy peer
-        (link serialising or wake-up armed) has the message queued. An
-        idle peer's queue is empty, and the message is decided here: it
-        is validated and charged ``hook_s``; if admitted, it is committed
-        with the arrival tuple the fan-out shares, after reserving the
-        slot a later wake-up fires in (first, so that wake-up precedes a
-        zero-latency arrival at the completion instant).
-        """
-        sim = self.sim
-        now = sim.now
-        reserve = sim.reserve_slot
-        validate = None if self.validate_default else self._hooks.validate
-        hook_s = self.costs.hook_s if self.hooks_charged else 0.0
-        args = (payload,)
-        count = 0
-        for peer_id, sender in pairs:
-            if peer_id == exclude:
-                continue
-            count += 1
-            if sender._wakeup_armed or now < sender._free_at:
-                sender.enqueue(payload)
-            elif validate is None or validate(payload, peer_id):
-                if hook_s > 0.0:
-                    self._cpu_acct(hook_s)
-                sender._wakeup_seq = reserve()
-                sender._free_at = sender.link.commit(payload, args, now)
-            else:
-                self.stats.filtered += 1
-                if self.obs is not None:
-                    self.obs.gossip_filtered(self.process_id, peer_id,
-                                             payload)
-                if hook_s > 0.0:
-                    self._cpu_acct(hook_s)
-        return count

@@ -202,8 +202,7 @@ def build_deployment(config, auditor=None, obs=None):
             nodes.append(node)
             communicators.append(GossipCommunicator(node))
         for i in range(n):
-            for peer in overlay.peers(i):
-                nodes[i].add_peer(peer)
+            nodes[i].add_peers(overlay.peers(i))
 
     processes = []
     for i in range(n):

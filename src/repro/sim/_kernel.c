@@ -1,9 +1,11 @@
 /* The simulator's compiled kernel: the pending-event queue and run loop,
- * and the three objects every message hop goes through -- the FIFO
+ * the three objects every message hop goes through -- the FIFO
  * server (repro.sim.server.FifoServer), the directed link
  * (repro.net.channel.DirectedLink, with its LinkStats) and the seen-cache
- * (repro.gossip.cache.InternedSeenCache). Their executable reference
- * models, in Python, live with the tests.
+ * (repro.gossip.cache.InternedSeenCache) -- and the gossip node's half of
+ * the hop (repro.gossip.node: the NodeCore base of GossipNode, the
+ * SenderCore base of its per-peer senders, and GossipStats). Their
+ * executable reference models, in Python, live with the tests.
  *
  * A binary min-heap of 32-byte entries {time, seq, fn, args} ordered by
  * (time, seq). seq is unique, so the order is total and no two entries
@@ -50,7 +52,11 @@
 static PyObject *str_now, *str_queue, *str_rng, *str_link_jitter,
     *str_arrive, *str_uniform, *str_size_bytes, *str_iid, *str_uid,
     *str_intern, *str_lookup, *str_per_message_s, *str_per_byte_s,
-    *str_queue_capacity, *str_jitter_s, *float_zero, *empty_tuple;
+    *str_queue_capacity, *str_jitter_s, *str_register_payload,
+    *str_recv_fresh_s, *str_recv_dup_s, *str_send_per_peer_s, *str_complete,
+    *str_aggregated, *str_receive_aggregated, *str_gossip_receive,
+    *str_gossip_filtered, *str_enqueue, *str_commit, *float_zero,
+    *empty_tuple;
 
 /* -- Event: the handle a handle entry points at -------------------------- */
 
@@ -431,21 +437,25 @@ queue_push_bare(QueueObject *q, PyObject *const *argv, Py_ssize_t nargs)
     return PyLong_FromLongLong(seq);
 }
 
+/* Allocate a seq without enqueueing, telling the observer: the seq, or
+ * -1 with an exception set. */
+static long long
+queue_reserve_seq(QueueObject *q)
+{
+    long long seq = q->next_seq++;
+    if (q->observer != NULL
+            && observed(PyObject_CallMethod(q->observer, "note_reserved",
+                                            "L", seq)) < 0) {
+        return -1;
+    }
+    return seq;
+}
+
 static PyObject *
 queue_reserve(QueueObject *q, PyObject *Py_UNUSED(ignored))
 {
-    PyObject *seq = PyLong_FromLongLong(q->next_seq);
-    if (seq == NULL) {
-        return NULL;
-    }
-    q->next_seq++;
-    if (q->observer != NULL
-            && observed(PyObject_CallMethod(q->observer, "note_reserved",
-                                            "O", seq)) < 0) {
-        Py_DECREF(seq);
-        return NULL;
-    }
-    return seq;
+    long long seq = queue_reserve_seq(q);
+    return seq < 0 ? NULL : PyLong_FromLongLong(seq);
 }
 
 /* 1 if the top entry is a shell (it is then removed and released), 0 if
@@ -1049,12 +1059,9 @@ server_charge_started(ServerObject *s, double now)
 /* Accept a job: its completion, or -1.0 with an exception set. Right
  * after every accept, waiting holds exactly the jobs not yet started. */
 static double
-server_accept(ServerObject *s, PyObject *service_obj)
+server_accept(ServerObject *s, double service)
 {
-    double service, now;
-    if (as_double(service_obj, &service) < 0) {
-        return -1.0;
-    }
+    double now;
     if (check_time("FifoServer service_time", service) < 0) {
         return -1.0;
     }
@@ -1129,7 +1136,11 @@ server_submit_timed(ServerObject *s, PyObject *const *argv, Py_ssize_t nargs)
                      "arguments (%zd given)", nargs);
         return NULL;
     }
-    double completion = server_accept(s, argv[0]);
+    double service;
+    if (as_double(argv[0], &service) < 0) {
+        return NULL;
+    }
+    double completion = server_accept(s, service);
     if (completion == -1.0 && PyErr_Occurred()) {
         return NULL;
     }
@@ -1153,8 +1164,12 @@ server_submit_timed(ServerObject *s, PyObject *const *argv, Py_ssize_t nargs)
 }
 
 static PyObject *
-server_submit_acct(ServerObject *s, PyObject *service)
+server_submit_acct(ServerObject *s, PyObject *service_obj)
 {
+    double service;
+    if (as_double(service_obj, &service) < 0) {
+        return NULL;
+    }
     double completion = server_accept(s, service);
     if (completion == -1.0 && PyErr_Occurred()) {
         return NULL;
@@ -2355,6 +2370,716 @@ static PyTypeObject CacheType = {
     .tp_members = cache_members,
 };
 
+/* -- GossipStats --------------------------------------------------------- */
+
+typedef struct {
+    PyObject_HEAD
+    long long broadcasts;
+    long long received;
+    long long duplicates;
+    long long delivered;
+    long long forwarded;
+    long long filtered;
+    long long aggregated_in;
+    long long aggregated_saved;
+    long long disaggregated;
+    long long send_queue_drops;
+} GossipStatsObject;
+
+static PyObject *
+gstats_duplicate_fraction(GossipStatsObject *s, PyObject *Py_UNUSED(ignored))
+{
+    if (s->received == 0) {
+        return PyFloat_FromDouble(0.0);
+    }
+    return PyFloat_FromDouble((double)s->duplicates / (double)s->received);
+}
+
+static PyMethodDef gstats_methods[] = {
+    {"duplicate_fraction", (PyCFunction)gstats_duplicate_fraction,
+     METH_NOARGS, "Fraction of received messages discarded as duplicates."},
+    {NULL, NULL, 0, NULL},
+};
+
+#define GSTAT(name, doc) \
+    {#name, T_LONGLONG, offsetof(GossipStatsObject, name), 0, doc}
+
+static PyMemberDef gstats_members[] = {
+    GSTAT(broadcasts, "Locally broadcast messages."),
+    GSTAT(received, "Messages arriving over links (pre-dedup)."),
+    GSTAT(duplicates, "Discarded by the duplication check."),
+    GSTAT(delivered, "Handed to the application."),
+    GSTAT(forwarded, "Enqueued towards peers (pre-filter)."),
+    GSTAT(filtered, "Dropped by semantic validate()."),
+    GSTAT(aggregated_in, "Originals consumed by aggregation."),
+    GSTAT(aggregated_saved, "Transmissions avoided by aggregation."),
+    GSTAT(disaggregated, "Originals reconstructed on receipt."),
+    GSTAT(send_queue_drops, "Pending sends dropped (queue full)."),
+    {NULL, 0, 0, 0, NULL},
+};
+
+#undef GSTAT
+
+/* It holds no references, so like LinkStats it is not a GC type. */
+static PyTypeObject GossipStatsType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.gossip.node.GossipStats",
+    .tp_doc = "Counters matching the quantities reported in the paper's "
+              "section 4.3.",
+    .tp_basicsize = sizeof(GossipStatsObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = PyType_GenericNew,
+    .tp_methods = gstats_methods,
+    .tp_members = gstats_members,
+};
+
+/* -- SenderCore: the pacing state of a gossip node's per-peer sender ----- */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *link;
+    double free_at;         /* the link serialises our traffic until then */
+    long long wakeup_seq;   /* reserved tie-break slot for the wake-up */
+    char wakeup_armed;      /* a wake-up is outstanding */
+} SenderObject;
+
+static int
+sender_traverse(SenderObject *s, visitproc visit, void *arg)
+{
+    Py_VISIT(s->link);
+    return 0;
+}
+
+static int
+sender_clear(SenderObject *s)
+{
+    Py_CLEAR(s->link);
+    return 0;
+}
+
+static void
+sender_dealloc(SenderObject *s)
+{
+    PyObject_GC_UnTrack(s);
+    sender_clear(s);
+    Py_TYPE(s)->tp_free((PyObject *)s);
+}
+
+static PyMemberDef sender_members[] = {
+    {"link", T_OBJECT_EX, offsetof(SenderObject, link), 0,
+     "The directed link to the peer."},
+    {"_free_at", T_DOUBLE, offsetof(SenderObject, free_at), 0,
+     "The instant the link finishes serialising this sender's traffic."},
+    {"_wakeup_armed", T_BOOL, offsetof(SenderObject, wakeup_armed), 0,
+     "Whether a wake-up is outstanding."},
+    {"_wakeup_seq", T_LONGLONG, offsetof(SenderObject, wakeup_seq), 0,
+     "The tie-break slot reserved at the last commit."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject SenderType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.gossip.node.SenderCore",
+    .tp_doc = "The state of a per-peer send routine that the compiled\n"
+              "fan-out reads and writes: link, _free_at, _wakeup_armed and\n"
+              "_wakeup_seq (0.0, False and 0 until set). Its queue and\n"
+              "wake-up live in the Python subclass.",
+    .tp_basicsize = sizeof(SenderObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = PyType_GenericNew,
+    .tp_dealloc = (destructor)sender_dealloc,
+    .tp_traverse = (traverseproc)sender_traverse,
+    .tp_clear = (inquiry)sender_clear,
+    .tp_members = sender_members,
+};
+
+/* -- NodeCore: a gossip node's receive, completion and fan-out ----------- */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *sim;
+    QueueObject *queue;
+    PyObject *process_id;
+    ServerObject *cpu;
+    PyObject *cache;
+    PyObject *register_cb;  /* cache.register_payload */
+    PyObject *deliver;      /* NULL or None: none */
+    PyObject *obs;          /* NULL or None: untraced */
+    PyObject *validate;     /* NULL or None: the default, admit all */
+    GossipStatsObject *stats;
+    PyObject *fwd_pairs;    /* tuple of (peer_id, sender) */
+    PyObject *complete_cb;  /* bound _complete: the fresh receive's job */
+    double recv_fresh_s, recv_dup_s, send_per_peer_s;
+    double hook_s;          /* charged per validate; 0.0: not charged */
+    double svc_broadcast, svc_receive;
+    Py_ssize_t fanout;
+    char alive;
+} NodeObject;
+
+static PyTypeObject NodeType;
+
+static inline PyObject *
+set_or_null(PyObject *obj)
+{
+    return obj == Py_None ? NULL : obj;
+}
+
+static int
+node_set_cache(NodeObject *self, PyObject *cache, void *Py_UNUSED(closure))
+{
+    if (cache == NULL) {
+        PyErr_SetString(PyExc_TypeError, "cannot delete cache");
+        return -1;
+    }
+    PyObject *register_cb = PyObject_GetAttr(cache, str_register_payload);
+    if (register_cb == NULL) {
+        return -1;
+    }
+    Py_INCREF(cache);
+    Py_XSETREF(self->cache, cache);
+    Py_XSETREF(self->register_cb, register_cb);
+    return 0;
+}
+
+static PyObject *
+node_get_cache(NodeObject *self, void *Py_UNUSED(closure))
+{
+    return Py_NewRef(self->cache != NULL ? self->cache : Py_None);
+}
+
+static int
+node_init(NodeObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *sim, *process_id, *cpu, *cache, *deliver, *costs;
+    double hook_s, fresh, dup, per_peer;
+    static char *kwlist[] = {"sim", "process_id", "cpu", "cache", "deliver",
+                             "costs", "hook_s", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOO!OOOd:NodeCore", kwlist,
+                                     &sim, &process_id, &ServerType, &cpu,
+                                     &cache, &deliver, &costs, &hook_s)) {
+        return -1;
+    }
+    if (attr_double(costs, str_recv_fresh_s, &fresh) < 0
+            || check_time("GossipCosts.recv_fresh_s", fresh) < 0
+            || attr_double(costs, str_recv_dup_s, &dup) < 0
+            || check_time("GossipCosts.recv_dup_s", dup) < 0
+            || attr_double(costs, str_send_per_peer_s, &per_peer) < 0
+            || check_time("GossipCosts.send_per_peer_s", per_peer) < 0
+            || check_time("GossipCosts.hook_s", hook_s) < 0
+            || node_set_cache(self, cache, NULL) < 0) {
+        return -1;
+    }
+    QueueObject *queue = sim_queue(sim, "GossipNode");
+    if (queue == NULL) {
+        return -1;
+    }
+    PyObject *stats = PyType_GenericNew(&GossipStatsType, NULL, NULL);
+    if (stats == NULL) {
+        Py_DECREF(queue);
+        return -1;
+    }
+    Py_INCREF(sim);
+    Py_XSETREF(self->sim, sim);
+    Py_XSETREF(self->queue, queue);
+    Py_INCREF(process_id);
+    Py_XSETREF(self->process_id, process_id);
+    Py_INCREF(cpu);
+    Py_XSETREF(self->cpu, (ServerObject *)cpu);
+    Py_INCREF(deliver);
+    Py_XSETREF(self->deliver, deliver);
+    Py_XSETREF(self->stats, (GossipStatsObject *)stats);
+    Py_INCREF(empty_tuple);
+    Py_XSETREF(self->fwd_pairs, empty_tuple);
+    Py_CLEAR(self->obs);
+    self->recv_fresh_s = fresh;
+    self->recv_dup_s = dup;
+    self->send_per_peer_s = per_peer;
+    self->hook_s = hook_s;
+    self->svc_broadcast = self->svc_receive = fresh;
+    self->fanout = 0;
+    self->alive = 1;
+    /* A subclass's _complete, if it defines one, is the job's callback. */
+    PyObject *complete_cb = PyObject_GetAttr((PyObject *)self,
+                                             str_complete);
+    if (complete_cb == NULL) {
+        return -1;
+    }
+    Py_XSETREF(self->complete_cb, complete_cb);
+    return 0;
+}
+
+/* 1 if payload is fresh (now registered), 0 if seen, -1 on error. */
+static int
+node_register(NodeObject *self, PyObject *payload)
+{
+    PyObject *cache = self->cache, *res;
+    if (cache == NULL) {
+        return cleared();
+    }
+    if (Py_IS_TYPE(cache, &CacheType)) {
+        res = cache_register_payload((CacheObject *)cache, payload);
+    }
+    else {
+        PyObject *register_cb = Py_NewRef(self->register_cb);
+        res = PyObject_CallOneArg(register_cb, payload);
+        Py_DECREF(register_cb);
+    }
+    if (res == NULL) {
+        return -1;
+    }
+    int fresh = PyObject_IsTrue(res);
+    Py_DECREF(res);
+    return fresh;
+}
+
+/* obs.<method>(process_id, peer_id, payload[, fresh]) when traced. */
+static int
+node_observe(NodeObject *self, PyObject *method, PyObject *peer_id,
+             PyObject *payload, PyObject *fresh)
+{
+    PyObject *obs = set_or_null(self->obs);
+    if (obs == NULL) {
+        return 0;
+    }
+    Py_INCREF(obs);
+    PyObject *argv[5] = {obs, self->process_id, peer_id, payload, fresh};
+    PyObject *res = PyObject_VectorcallMethod(method, argv,
+                                              fresh == NULL ? 4 : 5, NULL);
+    Py_DECREF(obs);
+    return observed(res);
+}
+
+/* A CPU charge that occupies the server and calls nothing back. */
+static inline int
+node_charge(NodeObject *self, double service)
+{
+    if (self->cpu == NULL) {
+        return cleared();
+    }
+    double completion = server_accept(self->cpu, service);
+    return completion == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+static PyObject *
+node_receive(NodeObject *self, PyObject *const *argv, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "_on_link_receive() takes 2 "
+                     "arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (!self->alive) {
+        Py_RETURN_NONE;
+    }
+    if (self->stats == NULL) {
+        cleared();
+        return NULL;
+    }
+    PyObject *src = argv[0], *payload = argv[1];
+    self->stats->received++;
+    PyObject *flag = PyObject_GetAttr(payload, str_aggregated);
+    if (flag == NULL) {
+        return NULL;
+    }
+    int aggregated = PyObject_IsTrue(flag);
+    Py_DECREF(flag);
+    if (aggregated < 0) {
+        return NULL;
+    }
+    if (aggregated) {
+        PyObject *call[3] = {(PyObject *)self, src, payload};
+        return PyObject_VectorcallMethod(str_receive_aggregated, call, 3,
+                                         NULL);
+    }
+    int fresh = node_register(self, payload);
+    if (fresh < 0) {
+        return NULL;
+    }
+    if (!fresh) {
+        self->stats->duplicates++;
+        if (node_observe(self, str_gossip_receive, src, payload,
+                         Py_False) < 0
+                || node_charge(self, self->recv_dup_s) < 0) {
+            return NULL;
+        }
+        Py_RETURN_NONE;
+    }
+    if (node_observe(self, str_gossip_receive, src, payload, Py_True) < 0) {
+        return NULL;
+    }
+    ServerObject *cpu = self->cpu;
+    if (cpu == NULL || self->complete_cb == NULL) {
+        cleared();
+        return NULL;
+    }
+    double completion = server_accept(cpu, self->svc_receive);
+    if (completion == -1.0 && PyErr_Occurred()) {
+        return NULL;
+    }
+    PyObject *job = PyTuple_Pack(2, payload, src);
+    if (job == NULL) {
+        return NULL;
+    }
+    long long seq = heap_push_bare(cpu->queue, completion, self->complete_cb,
+                                   job);
+    Py_DECREF(job);
+    if (seq < 0) {
+        return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+/* Commit payload onto a sender's link at now: a compiled link directly,
+ * any other through its commit method. The completion, or -1.0 with an
+ * exception set. */
+static double
+node_commit(PyObject *link, PyObject *payload, PyObject *args, double now)
+{
+    if (Py_IS_TYPE(link, &LinkType)) {
+        LinkObject *l = (LinkObject *)link;
+        if (l->stats == NULL) {
+            cleared();
+            return -1.0;
+        }
+        return link_commit_at(l, payload, args, now, now);
+    }
+    PyObject *at = PyFloat_FromDouble(now);
+    if (at == NULL) {
+        return -1.0;
+    }
+    PyObject *argv[4] = {link, payload, args, at};
+    PyObject *res = PyObject_VectorcallMethod(str_commit, argv, 4, NULL);
+    Py_DECREF(at);
+    if (res == NULL) {
+        return -1.0;
+    }
+    double completion;
+    int failed = as_double(res, &completion);
+    Py_DECREF(res);
+    return failed ? -1.0 : completion;
+}
+
+/* The decision for an idle peer: validate, charge hook_s, and either
+ * reserve the slot a later wake-up fires in and commit, or count the
+ * filtered message. *args is the fan-out's shared arrival tuple, built
+ * at the first commit. 0, or -1 with an exception set. */
+static int
+node_send_idle(NodeObject *self, SenderObject *sender, PyObject *peer_id,
+               PyObject *payload, PyObject *validate, PyObject **args,
+               double now)
+{
+    int admit = 1;
+    if (validate != NULL) {
+        PyObject *argv[2] = {payload, peer_id};
+        PyObject *res = PyObject_Vectorcall(validate, argv, 2, NULL);
+        if (res == NULL) {
+            return -1;
+        }
+        admit = PyObject_IsTrue(res);
+        Py_DECREF(res);
+        if (admit < 0) {
+            return -1;
+        }
+    }
+    if (!admit) {
+        self->stats->filtered++;
+        if (node_observe(self, str_gossip_filtered, peer_id, payload,
+                         NULL) < 0) {
+            return -1;
+        }
+        return self->hook_s > 0.0 ? node_charge(self, self->hook_s) : 0;
+    }
+    if (self->hook_s > 0.0 && node_charge(self, self->hook_s) < 0) {
+        return -1;
+    }
+    /* Reserved first, so that the wake-up precedes a zero-latency arrival
+     * at the completion instant. */
+    long long seq = queue_reserve_seq(self->queue);
+    if (seq < 0) {
+        return -1;
+    }
+    sender->wakeup_seq = seq;
+    if (*args == NULL && (*args = PyTuple_Pack(1, payload)) == NULL) {
+        return -1;
+    }
+    if (sender->link == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "sender has no link");
+        return -1;
+    }
+    PyObject *link = Py_NewRef(sender->link);
+    double completion = node_commit(link, payload, *args, now);
+    Py_DECREF(link);
+    if (completion == -1.0 && PyErr_Occurred()) {
+        return -1;
+    }
+    sender->free_at = completion;
+    return 0;
+}
+
+/* Hand payload to each (peer_id, sender) of the tuple pairs but
+ * exclude's: a busy sender queues it (enqueue), an idle one has it
+ * decided here. How many, or -1 with an exception set. */
+static Py_ssize_t
+node_fan_out(NodeObject *self, PyObject *payload, PyObject *pairs,
+             PyObject *exclude)
+{
+    double now;
+    if (self->stats == NULL || self->queue == NULL) {
+        return cleared();
+    }
+    if (sim_now(self->sim, &now) < 0) {
+        return -1;
+    }
+    PyObject *validate = Py_XNewRef(set_or_null(self->validate));
+    PyObject *args = NULL;
+    Py_ssize_t count = 0;
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(pairs); i++) {
+        PyObject *pair = PyTuple_GET_ITEM(pairs, i);
+        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
+            PyErr_SetString(PyExc_TypeError,
+                            "fan-out pairs must be (peer_id, sender) tuples");
+            goto error;
+        }
+        PyObject *peer_id = PyTuple_GET_ITEM(pair, 0);
+        PyObject *sender = PyTuple_GET_ITEM(pair, 1);
+        /* By ==, not identity: large int ids are distinct objects. An
+         * int never equals None. */
+        if (exclude != Py_None || !PyLong_CheckExact(peer_id)) {
+            int same = PyObject_RichCompareBool(peer_id, exclude, Py_EQ);
+            if (same < 0) {
+                goto error;
+            }
+            if (same) {
+                continue;
+            }
+        }
+        count++;
+        if (!PyObject_TypeCheck(sender, &SenderType)) {
+            PyErr_Format(PyExc_TypeError, "a fan-out sender must be a "
+                         "SenderCore, not %.100s", Py_TYPE(sender)->tp_name);
+            goto error;
+        }
+        SenderObject *s = (SenderObject *)sender;
+        if (s->wakeup_armed || now < s->free_at) {
+            PyObject *res = PyObject_CallMethodOneArg(sender, str_enqueue,
+                                                      payload);
+            if (res == NULL) {
+                goto error;
+            }
+            Py_DECREF(res);
+        }
+        else if (node_send_idle(self, s, peer_id, payload, validate, &args,
+                                now) < 0) {
+            goto error;
+        }
+    }
+    Py_XDECREF(validate);
+    Py_XDECREF(args);
+    return count;
+error:
+    Py_XDECREF(validate);
+    Py_XDECREF(args);
+    return -1;
+}
+
+static PyObject *
+node_send(NodeObject *self, PyObject *const *argv, Py_ssize_t nargs)
+{
+    if (nargs < 2 || nargs > 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "_send() takes 2 or 3 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    PyObject *pairs = PySequence_Tuple(argv[1]);
+    if (pairs == NULL) {
+        return NULL;
+    }
+    Py_ssize_t count = node_fan_out(self, argv[0], pairs,
+                                    nargs == 3 ? argv[2] : Py_None);
+    Py_DECREF(pairs);
+    return count < 0 ? NULL : PyLong_FromSsize_t(count);
+}
+
+static PyObject *
+node_complete(NodeObject *self, PyObject *const *argv, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "_complete() takes 2 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    PyObject *payload = argv[0], *src = argv[1];
+    if (self->stats == NULL) {
+        cleared();
+        return NULL;
+    }
+    self->stats->delivered++;
+    PyObject *deliver = set_or_null(self->deliver);
+    if (deliver != NULL) {
+        Py_INCREF(deliver);
+        PyObject *res = PyObject_CallOneArg(deliver, payload);
+        Py_DECREF(deliver);
+        if (res == NULL) {
+            return NULL;
+        }
+        Py_DECREF(res);
+    }
+    /* Read after deliver: it may have changed the peer set. */
+    PyObject *pairs = Py_XNewRef(self->fwd_pairs);
+    if (pairs == NULL) {
+        cleared();
+        return NULL;
+    }
+    Py_ssize_t count = node_fan_out(self, payload, pairs, src);
+    Py_DECREF(pairs);
+    if (count < 0) {
+        return NULL;
+    }
+    self->stats->forwarded += count;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+node_set_forward(NodeObject *self, PyObject *pairs)
+{
+    if (!PyTuple_CheckExact(pairs)) {
+        PyErr_Format(PyExc_TypeError, "_set_forward() takes a tuple, not "
+                     "%.100s", Py_TYPE(pairs)->tp_name);
+        return NULL;
+    }
+    Py_ssize_t fanout = PyTuple_GET_SIZE(pairs);
+    Py_ssize_t recv_fanout = fanout - 1 < 0 ? 0 : fanout - 1;
+    Py_INCREF(pairs);
+    Py_XSETREF(self->fwd_pairs, pairs);
+    self->fanout = fanout;
+    self->svc_broadcast = self->recv_fresh_s
+        + (double)fanout * self->send_per_peer_s;
+    self->svc_receive = self->recv_fresh_s
+        + (double)recv_fanout * self->send_per_peer_s;
+    Py_RETURN_NONE;
+}
+
+static int
+node_traverse(NodeObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->sim);
+    Py_VISIT(self->queue);
+    Py_VISIT(self->process_id);
+    Py_VISIT(self->cpu);
+    Py_VISIT(self->cache);
+    Py_VISIT(self->register_cb);
+    Py_VISIT(self->deliver);
+    Py_VISIT(self->obs);
+    Py_VISIT(self->validate);
+    Py_VISIT(self->stats);
+    Py_VISIT(self->fwd_pairs);
+    Py_VISIT(self->complete_cb);
+    return 0;
+}
+
+static int
+node_clear(NodeObject *self)
+{
+    Py_CLEAR(self->sim);
+    Py_CLEAR(self->queue);
+    Py_CLEAR(self->process_id);
+    Py_CLEAR(self->cpu);
+    Py_CLEAR(self->cache);
+    Py_CLEAR(self->register_cb);
+    Py_CLEAR(self->deliver);
+    Py_CLEAR(self->obs);
+    Py_CLEAR(self->validate);
+    Py_CLEAR(self->stats);
+    Py_CLEAR(self->fwd_pairs);
+    Py_CLEAR(self->complete_cb);
+    return 0;
+}
+
+static void
+node_dealloc(NodeObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    node_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMethodDef node_methods[] = {
+    {"_on_link_receive", (PyCFunction)(void (*)(void))node_receive,
+     METH_FASTCALL,
+     "_on_link_receive(src, payload): a link arrival. Nothing while dead;\n"
+     "else counted received. An aggregated payload goes to\n"
+     "_receive_aggregated. A duplicate is counted and charged recv_dup_s;\n"
+     "a fresh one becomes a CPU job of _svc_receive whose completion is\n"
+     "_complete(payload, src)."},
+    {"_complete", (PyCFunction)(void (*)(void))node_complete, METH_FASTCALL,
+     "_complete(payload, src): deliver a fresh payload and forward it to\n"
+     "every peer but src (None for a local broadcast)."},
+    {"_send", (PyCFunction)(void (*)(void))node_send, METH_FASTCALL,
+     "_send(payload, pairs, exclude=None) -> count\n\n"
+     "Hand payload to each (peer_id, sender) of pairs but exclude's. A\n"
+     "busy sender (wake-up armed, or its link serialising) queues it. For\n"
+     "an idle one it is decided here: validated (when the hooks override\n"
+     "validate) and charged hook_s; if admitted, a slot is reserved for a\n"
+     "later wake-up and the message committed onto the link with the\n"
+     "arrival tuple the fan-out shares."},
+    {"_set_forward", (PyCFunction)node_set_forward, METH_O,
+     "_set_forward(pairs): the fan-out tuple of (peer_id, sender), and\n"
+     "the broadcast and receive service times it implies."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef node_members[] = {
+    {"process_id", T_OBJECT, offsetof(NodeObject, process_id), READONLY,
+     NULL},
+    {"alive", T_BOOL, offsetof(NodeObject, alive), 0,
+     "False while crashed: inbound traffic is dropped."},
+    {"deliver", T_OBJECT, offsetof(NodeObject, deliver), 0,
+     "deliver(payload) callback into the application, or None."},
+    {"obs", T_OBJECT, offsetof(NodeObject, obs), 0,
+     "Tracer (repro.obs); None in untraced runs."},
+    {"stats", T_OBJECT, offsetof(NodeObject, stats), READONLY, NULL},
+    {"cpu", T_OBJECT, offsetof(NodeObject, cpu), READONLY,
+     "The FifoServer all application-visible work is charged to."},
+    {"_register", T_OBJECT, offsetof(NodeObject, register_cb), READONLY,
+     "The cache's register_payload."},
+    {"_validate", T_OBJECT, offsetof(NodeObject, validate), 0,
+     "hooks.validate, or None for the default (admit everything)."},
+    {"_fwd_pairs", T_OBJECT, offsetof(NodeObject, fwd_pairs), READONLY,
+     NULL},
+    {"_fanout", T_PYSSIZET, offsetof(NodeObject, fanout), READONLY, NULL},
+    {"_svc_broadcast", T_DOUBLE, offsetof(NodeObject, svc_broadcast),
+     READONLY, NULL},
+    {"_svc_receive", T_DOUBLE, offsetof(NodeObject, svc_receive), READONLY,
+     NULL},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyGetSetDef node_getset[] = {
+    {"cache", (getter)node_get_cache, (setter)node_set_cache,
+     "Duplicate detector; an InternedSeenCache is probed directly, any "
+     "other through its register_payload.", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject NodeType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.gossip.node.NodeCore",
+    .tp_doc = "NodeCore(sim, process_id, cpu, cache, deliver, costs, "
+              "hook_s)\n\n"
+              "The per-hop half of a gossip node: the single-part receive,\n"
+              "the deliver-and-forward completion and the fan-out loop.",
+    .tp_basicsize = sizeof(NodeObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = PyType_GenericNew,
+    .tp_init = (initproc)node_init,
+    .tp_dealloc = (destructor)node_dealloc,
+    .tp_traverse = (traverseproc)node_traverse,
+    .tp_clear = (inquiry)node_clear,
+    .tp_methods = node_methods,
+    .tp_members = node_members,
+    .tp_getset = node_getset,
+};
+
 static struct PyModuleDef kernel_module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
@@ -2375,6 +3100,14 @@ intern_strings(void)
         {&str_per_byte_s, "per_byte_s"},
         {&str_queue_capacity, "queue_capacity"},
         {&str_jitter_s, "jitter_s"},
+        {&str_register_payload, "register_payload"},
+        {&str_recv_fresh_s, "recv_fresh_s"}, {&str_recv_dup_s, "recv_dup_s"},
+        {&str_send_per_peer_s, "send_per_peer_s"},
+        {&str_complete, "_complete"}, {&str_aggregated, "aggregated"},
+        {&str_receive_aggregated, "_receive_aggregated"},
+        {&str_gossip_receive, "gossip_receive"},
+        {&str_gossip_filtered, "gossip_filtered"},
+        {&str_enqueue, "enqueue"}, {&str_commit, "commit"},
     };
     for (size_t i = 0; i < sizeof names / sizeof names[0]; i++) {
         *names[i].slot = PyUnicode_InternFromString(names[i].text);
@@ -2394,6 +3127,8 @@ PyInit__kernel(void)
         {"Event", &EventType}, {"EventQueue", &QueueType},
         {"FifoServer", &ServerType}, {"LinkStats", &StatsType},
         {"DirectedLink", &LinkType}, {"InternedSeenCache", &CacheType},
+        {"GossipStats", &GossipStatsType}, {"SenderCore", &SenderType},
+        {"NodeCore", &NodeType},
     };
     size_t count = sizeof types / sizeof types[0];
     for (size_t i = 0; i < count; i++) {

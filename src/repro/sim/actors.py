@@ -43,12 +43,10 @@ class Timer:
 class Actor:
     """Base class for simulated components.
 
-    Declares ``__slots__`` so hot subclasses (the gossip node) can opt
-    into flat attribute storage; subclasses that do not declare slots get
-    an instance ``__dict__`` as usual.
+    It declares no ``__slots__``, so that a subclass can also derive from
+    a compiled base (the gossip node does, and keeps ``sim`` and ``name``
+    in its own slots).
     """
-
-    __slots__ = ("sim", "name")
 
     def __init__(self, sim, name):
         self.sim = sim

@@ -31,8 +31,16 @@ import sysconfig
 from pathlib import Path
 
 
-def compile_flags():
-    """The compiler and its flags, without the input and output files."""
+def compile_flags(sanitize=False):
+    """The compiler and its flags, without the input and output files.
+
+    ``sanitize=True`` gives the checking build instead of the release
+    one: AddressSanitizer and UndefinedBehaviorSanitizer (any undefined
+    behaviour aborts), the header macros' asserts, and frames a report
+    can name. It hashes to its own cache file. Loading it needs the
+    sanitizer runtimes preloaded into the interpreter; ``tests/sanitize.py``
+    selects it for a test run.
+    """
     config = sysconfig.get_config_var
     command = shlex.split(config("CC") or "cc")
     command += shlex.split(config("CCSHARED") or "-fPIC")
@@ -40,7 +48,13 @@ def compile_flags():
     # macros' asserts stay out of the run loop. -ffp-contract=off: no
     # multiply and add fused into one rounding (an FMA, on any target
     # that has one), so every float is the Python reference's bit for bit.
-    command += ["-O2", "-DNDEBUG", "-ffp-contract=off", "-shared"]
+    if sanitize:
+        command += ["-O1", "-g", "-fno-omit-frame-pointer",
+                    "-fsanitize=address,undefined",
+                    "-fno-sanitize-recover=undefined"]
+    else:
+        command += ["-O2", "-DNDEBUG"]
+    command += ["-ffp-contract=off", "-shared"]
     if sys.platform == "darwin":
         command += ["-undefined", "dynamic_lookup"]
     paths = sysconfig.get_paths()

@@ -328,3 +328,40 @@ def test_aggregated_bundle_duplicates_counted_per_part(sim):
     assert node.stats.duplicates == 5
     sim.run()
     assert node.stats.delivered == 1
+
+
+@pytest.mark.parametrize("setup", ["gossip", "semantic"])
+def test_fan_out_follows_the_overlays_peer_order(setup, monkeypatch):
+    """Each node is wired with one call that rebuilds the fan-out once, and
+    the fan-out visits its peers in the overlay's order."""
+    from repro.runtime.deployment import build_deployment
+    from tests.conftest import fast_config
+
+    rebuilds = []
+    real = GossipNode._rebuild_forward
+    monkeypatch.setattr(GossipNode, "_rebuild_forward",
+                        lambda node: rebuilds.append(node) or real(node))
+    deployment = build_deployment(fast_config(setup=setup, n=13))
+    assert sorted(node.process_id for node in rebuilds) == list(range(13))
+    for node in deployment.nodes:
+        peers = list(deployment.overlay.peers(node.process_id))
+        assert [peer for peer, _ in node._fwd_pairs] == peers
+        assert [sender.peer_id for _, sender in node._fwd_pairs] == peers
+        assert node._fanout == len(peers)
+
+
+@pytest.mark.parametrize("fanout", [0, 1, 2, 5, 12])
+@pytest.mark.parametrize("costs", [
+    GossipCosts(),
+    GossipCosts(recv_fresh_s=1.7e-5, send_per_peer_s=3.3e-6),
+    GossipCosts(recv_fresh_s=0.1, send_per_peer_s=0.7),
+])
+def test_service_times_are_the_python_arithmetic_bit_for_bit(fanout, costs):
+    sim = Simulator(seed=1)
+    adjacency = {0: list(range(1, fanout + 1))}
+    adjacency.update({peer: [0] for peer in adjacency[0]})
+    node = build_mesh(sim, adjacency, costs=costs)[0]
+    receive = costs.recv_fresh_s + max(0, fanout - 1) * costs.send_per_peer_s
+    broadcast = costs.recv_fresh_s + fanout * costs.send_per_peer_s
+    assert node._svc_receive.hex() == receive.hex()
+    assert node._svc_broadcast.hex() == broadcast.hex()

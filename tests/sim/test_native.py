@@ -26,11 +26,12 @@ go = Path(sys.argv[2])
 deadline = time.monotonic() + 60
 while not go.exists() and time.monotonic() < deadline:
     time.sleep(0.005)
-from repro.sim.native import load_extension
+from repro.sim.native import extension_path, load_extension
 module = load_extension(Path(sys.argv[1]), "_kernel")
 queue = module.EventQueue()
 queue.push_bare(1.0, print, ())
 assert len(queue) == 1
+assert module.__file__ == str(extension_path(Path(sys.argv[1])))
 print(module.__file__)
 """
 
@@ -57,10 +58,11 @@ def test_two_interpreters_importing_at_once_load_the_same_file(source):
     results = [proc.communicate(timeout=120) for proc in procs]
     for proc, (_out, err) in zip(procs, results):
         assert proc.returncode == 0, err
+    # Both loaded the build of this source under the release flags.
     loaded = {out.strip() for out, _err in results}
-    assert loaded == {str(native.extension_path(source))}
+    assert len(loaded) == 1
     # One complete build and no partial file left behind.
-    assert _cache_files(source) == [native.extension_path(source).name]
+    assert _cache_files(source) == [Path(loaded.pop()).name]
 
 
 def test_an_edited_source_is_rebuilt_and_a_built_one_is_not(
@@ -108,8 +110,22 @@ def test_an_unwritable_cache_raises_import_error_naming_the_directory(
 
 
 def test_the_build_matches_the_interpreters_release_flags():
-    flags = native.compile_flags()
+    flags = native.compile_flags(sanitize=False)
     assert "-DNDEBUG" in flags and "-O2" in flags
+    assert not any(flag.startswith("-fsanitize") for flag in flags)
+
+
+def test_the_sanitizer_build_checks_instead_of_optimising():
+    release = native.compile_flags(sanitize=False)
+    flags = native.compile_flags(sanitize=True)
+    assert "-fsanitize=address,undefined" in flags
+    assert "-fno-sanitize-recover=undefined" in flags
+    assert "-DNDEBUG" not in flags and "-O2" not in flags
+    # The same floats as the release build, and its own cache file.
+    assert "-ffp-contract=off" in flags
+    assert [f for f in flags if f not in release] == [
+        "-O1", "-g", "-fno-omit-frame-pointer",
+        "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined"]
 
 
 def test_the_build_fuses_no_multiply_add():
