@@ -40,8 +40,8 @@ MEM_TOLERANCE = 1.3
 #: compiled (a pending receive job no longer holds a bound method).
 COMMITTED = {
     "fig3_n100": (
-        "795d47aca1cad169ca4d21d8a0cde8c4d30f8b49b922bb106c2bb98345a19521",
-        777_167, 10175.0),
+        "43ad729717638f14d682a19a49dc734dad4d80d39d10f0e5649314b820438b62",
+        777_166, 10175.0),
     "gossip_n1000": (
         "d941a972a1ff715eabdee6267ec6dd0df79c643f35fdb0557d4de544f2e83405",
         3_547_065, 50282.7),

@@ -2,7 +2,7 @@
 
 Three legs (see docs/static-analysis.md):
 
-* :mod:`repro.checks.linter` — an AST-based determinism linter (ten
+* :mod:`repro.checks.linter` — an AST-based determinism linter (nine
   rules: ambient state, tie-break hygiene, executor safety) that flags
   nondeterminism hazards before they can break the simulator's
   same-seed/same-run guarantee;
@@ -11,11 +11,11 @@ Three legs (see docs/static-analysis.md):
   quorum-backed decisions, aggregation reversibility) while a deployment
   runs;
 * :mod:`repro.checks.auditor` / :mod:`repro.checks.race` — a dynamic
-  :class:`RaceAuditor` recording same-timestamp tie groups, reserved-slot
-  provenance and per-stream RNG draw counts, plus the double-run
-  ``repro check --race`` harness that executes committed scenarios under
-  different ``PYTHONHASHSEED`` values and localizes the first divergent
-  event.
+  :class:`RaceAuditor` recording same-timestamp tie groups (with the
+  event that scheduled each member) and per-stream RNG draw counts, plus
+  the double-run ``repro check --race`` harness that executes committed
+  scenarios under different ``PYTHONHASHSEED`` values and localizes the
+  first divergent event.
 
 All are exposed through ``python -m repro check`` and, for the linter
 alone, ``python -m repro.checks``.

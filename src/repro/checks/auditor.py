@@ -15,21 +15,19 @@ simulation behaviour:
 
 * **tie groups** — every set of events scheduled for one identical
   virtual timestamp, each member tagged with its callback label, its
-  sequence number, whether that sequence number came from a *reserved
-  slot* (:meth:`Simulator.reserve_slot` — the explicit tie-break
-  mechanism) or from push order, and the event that scheduled it;
+  sequence number (its push order) and the event that scheduled it;
 * **RNG draw counts** — every named stream (``repro.sim.random``) is
   wrapped in a :class:`CountingStream`, so paired runs can be diffed to
   find which stream's draw sequence first slid when fingerprints differ;
 * **an execution trace** — one entry per executed event: ``(time, seq,
-  label, args signature, reserved flag, per-stream draw deltas)``,
+  label, args signature, per-stream draw deltas)``,
   address-free so two runs of identical behaviour produce identical
   traces. A rolling SHA-256 digest of the trace is always maintained;
   the full entry list is kept only when ``capture=True``.
 
 The auditor is strictly opt-in. It is the event queue's *observer*
-(:mod:`repro.sim.events`): the compiled queue tells it about every
-reservation, push and execution, and runs the same loop either way. An
+(:mod:`repro.sim.events`): the compiled queue tells it about every push
+and execution, and runs the same loop either way. An
 unattached simulator's queue has no observer and binds the plain
 :func:`make_stream`, so the audited machinery is never on the hot path
 (``benchmarks/e2e`` gates its cost).
@@ -78,13 +76,12 @@ def args_signature(args):
 class TieMember:
     """One event of a same-timestamp tie group, with push provenance."""
 
-    __slots__ = ("seq", "label", "args_sig", "reserved", "origin")
+    __slots__ = ("seq", "label", "args_sig", "origin")
 
-    def __init__(self, seq, label, args_sig, reserved, origin):
+    def __init__(self, seq, label, args_sig, origin):
         self.seq = seq
         self.label = label
         self.args_sig = args_sig
-        self.reserved = reserved      # seq came from reserve_slot()
         self.origin = origin          # exec index of the scheduling event
 
     def to_dict(self):
@@ -92,7 +89,6 @@ class TieMember:
             "seq": self.seq,
             "label": self.label,
             "args": self.args_sig,
-            "reserved": self.reserved,
             "origin": self.origin,
         }
 
@@ -109,17 +105,15 @@ class TieGroup:
     def is_hazard(self):
         """Whether this group's ordering depends on push order.
 
-        Two or more *non-reserved* members at one instant fire in push
-        order — the PR 4 hazard class. Push order is deterministic within
-        one interpreter, but it is exactly what a hash-ordered container
-        feeding the scheduling loop, a different ``PYTHONHASHSEED``, or a
-        lazily-armed wake-up perturbs; only a slot reserved at the point
-        where the *logical* order is decided pins it. Flagged groups are
-        an audit surface, not individually proven races: the double-run
+        Two or more members at one instant fire in push order. Push
+        order is deterministic within one interpreter, but it is exactly
+        what a hash-ordered container feeding the scheduling loop or a
+        different ``PYTHONHASHSEED`` perturbs. Flagged groups are an
+        audit surface, not individually proven races: the double-run
         harness (:mod:`repro.checks.race`) is the oracle for which of
         them actually bite.
         """
-        return sum(1 for m in self.members if not m.reserved) >= 2
+        return len(self.members) >= 2
 
     def to_dict(self):
         return {
@@ -146,7 +140,6 @@ class RaceAuditor:
         self._streams = {}            # name -> CountingStream
         self._prev_draws = {}         # name -> draws at last executed event
         self._by_time = {}            # time -> TieGroup
-        self._reserved = set()        # seqs handed out by reserve_slot
         self._pending = {}            # seq -> (label, args_sig) for exec lookup
         self._trace = []              # kept only when capture=True
         self._hash = hashlib.sha256()
@@ -170,26 +163,22 @@ class RaceAuditor:
 
     # -- queue observer callbacks -------------------------------------------
 
-    def note_reserved(self, seq):
-        self._reserved.add(seq)
-
-    def note_push(self, time, seq, fn, args, explicit_seq):
+    def note_push(self, time, seq, fn, args):
         label = callback_label(fn)
         args_sig = args_signature(args)
-        reserved = explicit_seq and seq in self._reserved
         group = self._by_time.get(time)
         if group is None:
             group = self._by_time[time] = TieGroup(time)
-        group.members.append(TieMember(
-            seq, label, args_sig, reserved, self._exec_index))
-        self._pending[seq] = (label, args_sig, reserved)
+        group.members.append(TieMember(seq, label, args_sig,
+                                       self._exec_index))
+        self._pending[seq] = (label, args_sig)
         self.events_recorded += 1
 
     def note_exec(self, time, seq, fn, args):
         self._exec_index = self.events_executed
         self.events_executed += 1
-        label, args_sig, reserved = self._pending.pop(
-            seq, (callback_label(fn), args_signature(args), False))
+        label, args_sig = self._pending.pop(
+            seq, (callback_label(fn), args_signature(args)))
         deltas = []
         for name, stream in self._streams.items():
             delta = stream.draws - self._prev_draws[name]
@@ -197,7 +186,7 @@ class RaceAuditor:
                 self._prev_draws[name] = stream.draws
                 deltas.append((name, delta))
         deltas.sort()
-        entry = (time.hex(), seq, label, args_sig, reserved, tuple(deltas))
+        entry = (time.hex(), seq, label, args_sig, tuple(deltas))
         self._hash.update(repr(entry).encode("utf-8"))
         if self.capture:
             self._trace.append(entry)
@@ -243,5 +232,4 @@ class RaceAuditor:
             "tie_groups": len(ties),
             "tied_events": sum(len(g.members) for g in ties),
             "hazard_groups": len(hazards),
-            "reserved_slots": len(self._reserved),
         }

@@ -25,9 +25,6 @@ anything other than the experiment seed:
   ``heapq.heappush``/``heappushpop``/``heapreplace`` or
   ``bisect.insort``/``insort_left``/``insort_right`` entry, or deep in a
   sort-key lambda (the trivial direct case stays ``unstable-sort-key``);
-* ``unreserved-tie`` — ``schedule(0, ...)``/``schedule(0.0, ...)`` or
-  ``schedule_at(<x>.now, ...)``: a same-timestamp event tie-broken by
-  push order instead of a reserved slot;
 * ``module-mutable-state`` — a mutable literal/factory bound at module
   level to a non-constant (non-UPPERCASE, non-dunder) name, which spawn
   workers mutate independently of the parent;
@@ -52,7 +49,6 @@ from repro.checks.rules import (
     RULES,
     SET_ITERATION,
     UNPICKLABLE_TASK,
-    UNRESERVED_TIE,
     UNSTABLE_SORT_KEY,
     WALL_CLOCK,
 )
@@ -196,7 +192,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self._check_wall_clock_call(node)
         self._check_sort_key(node)
         self._check_heap_entry(node)
-        self._check_schedule_tie(node)
         self._check_executor_task(node)
         if isinstance(node.func, ast.Name) and node.func.id == "sorted":
             self._order_safe.update(
@@ -325,33 +320,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
                     "`{}()` inside a `{}` entry; queue order would depend on "
                     "memory layout — use a monotonic sequence number "
                     "instead".format(identity.func.id, name),
-                )
-
-    def _check_schedule_tie(self, node):
-        func = node.func
-        if not isinstance(func, ast.Attribute) or not node.args:
-            return
-        if func.attr == "schedule":
-            delay = node.args[0]
-            if (isinstance(delay, ast.Constant)
-                    and not isinstance(delay.value, bool)
-                    and isinstance(delay.value, (int, float))
-                    and delay.value == 0):
-                self._report(
-                    UNRESERVED_TIE, node,
-                    "`schedule(0, ...)` lands at the current instant and is "
-                    "tie-broken by push order; use reserve_slot() + "
-                    "schedule_at_reserved() to pin its position",
-                )
-        elif func.attr == "schedule_at":
-            at = node.args[0]
-            if isinstance(at, ast.Attribute) and at.attr == "now":
-                self._report(
-                    UNRESERVED_TIE, node,
-                    "`schedule_at(<sim>.now, ...)` lands at the current "
-                    "instant and is tie-broken by push order; use "
-                    "reserve_slot() + schedule_at_reserved() to pin its "
-                    "position",
                 )
 
     def _check_executor_task(self, node):

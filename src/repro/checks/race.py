@@ -19,8 +19,7 @@ localizes the **first divergent event**, reporting:
 * the event's virtual time, sequence number, callback label and argument
   signature on both sides;
 * the same-timestamp **tie group** the event belongs to, each member
-  tagged with its slot provenance (reserved vs push-ordered, and the
-  event that scheduled it);
+  tagged with the event that scheduled it;
 * which named RNG **streams** had already diverged in cumulative draw
   count by that point — localizing stream-discipline leaks separately
   from tie-break leaks.
@@ -107,9 +106,7 @@ def _run_synthetic(capture):
         for node_id in members:
             sim.schedule(0.05, deliver, node_id)
 
-    # Single event at t=0: no tie to break (and this fixture is the
-    # planted hazard the race harness must catch anyway).
-    sim.schedule(0.0, pump)  # repro: allow-unreserved-tie
+    sim.schedule(0.0, pump)
     sim.run()
     digest = hashlib.sha256(repr(log).encode("utf-8")).hexdigest()
     return _auditor_payload(auditor, digest)
@@ -202,13 +199,12 @@ def _run_with_hash_seed(name, hash_seed, capture=False):
 
 
 def _entry_dict(entry):
-    time_hex, seq, label, args_sig, reserved, deltas = entry
+    time_hex, seq, label, args_sig, deltas = entry
     return {
         "time": time_hex,
         "seq": seq,
         "label": label,
         "args": args_sig,
-        "reserved": reserved,
         # Deltas are snapshotted when an event is popped, so they count
         # the draws made since the previous pop — i.e. by the *previous*
         # event's callback (and by setup code for the first entry).
@@ -220,7 +216,7 @@ def _cumulative_draws(trace, upto):
     """Per-stream cumulative draw counts over ``trace[:upto + 1]``."""
     totals = {}
     for entry in trace[:upto + 1]:
-        for name, delta in entry[5]:
+        for name, delta in entry[4]:
             totals[name] = totals.get(name, 0) + delta
     return totals
 
@@ -313,7 +309,6 @@ def _run_summary(payload):
         "rng_draws": summary["rng_draws"],
         "tie_groups": summary["tie_groups"],
         "hazard_groups": summary["hazard_groups"],
-        "reserved_slots": summary["reserved_slots"],
         "hash_seed_env": payload["hash_seed_env"],
     }
 

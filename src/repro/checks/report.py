@@ -58,9 +58,8 @@ def format_violations_text(violations):
 def _format_race_entry(side, entry):
     if entry is None:
         return "  {:<5}: (run ended — shorter trace)".format(side)
-    return "  {:<5}: seq {} {}({}) [{}]".format(
-        side, entry["seq"], entry["label"], entry["args"],
-        "reserved slot" if entry["reserved"] else "push-ordered")
+    return "  {:<5}: seq {} {}({})".format(
+        side, entry["seq"], entry["label"], entry["args"])
 
 
 def format_race_text(reports):
@@ -73,11 +72,9 @@ def format_race_text(reports):
             base = next(iter(runs.values()))
             lines.append(
                 "race: {!r} clean across hash seeds {} "
-                "({} events, {} tie groups, {} push-ordered, "
-                "{} reserved slots)".format(
+                "({} events, {} tie groups)".format(
                     report["scenario"], seeds,
-                    base["events_executed"], base["tie_groups"],
-                    base["hazard_groups"], base["reserved_slots"]))
+                    base["events_executed"], base["tie_groups"]))
             continue
         divergence = report["divergence"]
         pair = divergence.get("hash_seeds", [])
@@ -96,16 +93,13 @@ def format_race_text(reports):
         group = divergence.get("tie_group")
         if group:
             members = group["members"]
-            unreserved = sum(1 for m in members if not m["reserved"])
             lines.append(
-                "  tie group at that instant: {} members, {} push-ordered, "
-                "{} reserved".format(
-                    len(members), unreserved, len(members) - unreserved))
+                "  tie group at that instant: {} push-ordered "
+                "members".format(len(members)))
             for member in members[:8]:
                 lines.append(
-                    "    seq {:<6} {}({}) [{}] scheduled by event #{}".format(
+                    "    seq {:<6} {}({}) scheduled by event #{}".format(
                         member["seq"], member["label"], member["args"],
-                        "reserved" if member["reserved"] else "push-order",
                         member["origin"]))
             if len(members) > 8:
                 lines.append("    ... {} more members".format(

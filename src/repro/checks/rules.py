@@ -92,12 +92,6 @@ IDENTITY_TIE_BREAK = Rule(
     "identity is not stable across runs",
 )
 
-UNRESERVED_TIE = Rule(
-    "unreserved-tie",
-    "zero-delay/at-now schedule() creates a same-timestamp event "
-    "tie-broken by push order; reserve a slot or use a real delay",
-)
-
 MODULE_MUTABLE_STATE = Rule(
     "module-mutable-state",
     "mutable module-level state; spawn workers each mutate their own "
@@ -122,7 +116,6 @@ RULES = {
         MUTABLE_DEFAULT,
         HOT_SET_ITERATION,
         IDENTITY_TIE_BREAK,
-        UNRESERVED_TIE,
         MODULE_MUTABLE_STATE,
         UNPICKLABLE_TASK,
     )

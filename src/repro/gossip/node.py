@@ -78,11 +78,10 @@ class _PeerSender(compiled.SenderCore):
     the serialisation completion at commit time, so the sender tracks the
     instant the link frees (``_free_at``) arithmetically. A message for
     an idle link is committed by the node's fan-out loop
-    (:meth:`GossipNode._send`), which records ``_free_at`` and the
-    tie-break slot here. A message for a busy link is queued
-    (:meth:`enqueue`), and the first one queued arms the only event a
-    sender ever arms: a wake-up at ``_free_at``, in the slot reserved at
-    the last commit. Nothing commits onto the link while it is armed, so
+    (:meth:`GossipNode._send`), which records ``_free_at`` here. A
+    message for a busy link is queued (:meth:`enqueue`), and the first
+    one queued arms the only event a sender ever arms: a wake-up at
+    ``_free_at``. Nothing commits onto the link while it is armed, so
     it fires as the link frees; whatever has queued by then is
     validated/aggregated and committed whole as one chained round
     (:meth:`_pump`). A transmission with nothing behind it — the common
@@ -95,13 +94,12 @@ class _PeerSender(compiled.SenderCore):
     armed.
 
     ``link``, ``_free_at`` (the instant the link serialises our traffic
-    until), ``_wakeup_armed`` and ``_wakeup_seq`` (the tie-break slot
-    reserved for the wake-up) live in the C base, where the compiled
-    fan-out reads and writes them; they start at 0.0, False and 0.
+    until) and ``_wakeup_armed`` live in the C base, where the compiled
+    fan-out reads and writes them; they start at 0.0 and False.
     """
 
     __slots__ = ("node", "sim", "peer_id", "queue", "capacity",
-                 "_wakeup_event", "_round")
+                 "_wakeup_event")
 
     def __init__(self, node, peer_id, link, capacity):
         self.node = node
@@ -111,7 +109,6 @@ class _PeerSender(compiled.SenderCore):
         self.queue = []
         self.capacity = capacity
         self._wakeup_event = None    # handle, valid only while armed
-        self._round = []         # (completion, seq) per chained message
 
     @property
     def busy(self):
@@ -122,8 +119,7 @@ class _PeerSender(compiled.SenderCore):
         """Queue ``payload`` behind the busy link (see :attr:`busy`).
 
         The first message queued arms the wake-up: it fires when the link
-        frees, in the tie-break slot reserved at the last commit. A full
-        queue drops the message and counts the drop.
+        frees. A full queue drops the message and counts the drop.
         """
         queue = self.queue
         if self.capacity is not None and len(queue) >= self.capacity:
@@ -133,7 +129,7 @@ class _PeerSender(compiled.SenderCore):
         if not self._wakeup_armed:
             self._wakeup_armed = True
             self._wakeup_event = self.sim.push_event(
-                self._free_at, self._wakeup, (), self._wakeup_seq)
+                self._free_at, self._wakeup, ())
 
     def _pump(self):
         """Validate + aggregate what has queued and commit it to the wire."""
@@ -192,25 +188,14 @@ class _PeerSender(compiled.SenderCore):
         Every serialisation completion in the round is known now (FIFO
         chain: each message starts when its predecessor finishes), so the
         entire batch is chained onto the transmission server in one pass
-        — zero wake-up events instead of one per message. Each message's
-        tie-break slot is still reserved immediately before its transmit,
-        exactly where a per-message pump would reserve it, so a wake-up
-        lazily armed later (by an enqueue mid-round) fires in the
-        reference's queue position at the reference's instant: the end
-        of the round, which is when the per-message pump first looked at
-        the queue again.
+        — zero wake-up events instead of one per message. A wake-up
+        armed later (by an enqueue mid-round) fires at the end of the
+        round.
         """
-        sim = self.sim
-        reserve = sim.reserve_slot
         commit = self.link.commit
-        now = sim.now
-        round_tail = self._round
-        round_tail.clear()
+        now = self.sim.now
         for payload in batch:
-            seq = reserve()
             completion = commit(payload, (payload,), now)
-            round_tail.append((completion, seq))
-        self._wakeup_seq = seq
         self._free_at = completion
 
     def _wakeup(self):
@@ -225,31 +210,6 @@ class _PeerSender(compiled.SenderCore):
         self._wakeup_armed = False
         self._wakeup_event = None
         self.queue.clear()
-
-    def abort_round(self):
-        """Withdraw the committed-but-unserialised tail of the round.
-
-        Crash semantics: the per-message reference pump never submitted
-        messages it had not reached when the node crashed, so a batched
-        round's chain entries beyond the message in service are
-        un-committed (that message is on the wire and still arrives, as
-        in the reference). The pacing state rolls back to the in-service
-        message — including re-targeting a lazily-armed wake-up to the
-        instant and reserved slot the reference's wake-up would occupy,
-        so a post-recovery enqueue pumps at the reference's instant.
-        """
-        removed = self.link.abort_pending_chain()
-        if not removed:
-            return
-        round_tail = self._round
-        del round_tail[-removed:]
-        completion, seq = round_tail[-1]
-        self._free_at = completion
-        self._wakeup_seq = seq
-        if self._wakeup_armed and self._wakeup_event is not None:
-            self.sim.cancel(self._wakeup_event)
-            self._wakeup_event = self.sim.push_event(
-                completion, self._wakeup, (), seq)
 
 
 class GossipNode(compiled.NodeCore, Actor):
@@ -349,15 +309,12 @@ class GossipNode(compiled.NodeCore, Actor):
     def crash(self):
         """Stop participating: drop inbound traffic, lose queued sends.
 
-        A batched round committed to a link is rolled back to the message
-        in service (see :meth:`_PeerSender.abort_round`) — matching the
-        per-message pump, which would simply never have transmitted the
-        rest of the round.
+        Messages already committed to a link are on the NIC and still
+        arrive; only what waits in the senders' queues is lost.
         """
         self.alive = False
         for sender in self._senders.values():
             sender.queue.clear()
-            sender.abort_round()
 
     def recover(self):
         """Resume participation (the dedup cache survived on purpose:

@@ -66,10 +66,10 @@ the Python reference model they replaced is `tests/net/reference_link.py`.
 ``DirectedLink(sim, src, dst, latency_s, config, deliver,
 loss_hook=None)`` reads ``config`` when it is set (at construction and
 by :meth:`DirectedLink.degrade`). Its surface: ``commit``, ``transmit``,
-``degrade``, ``restore``, ``abort_pending_chain``, ``rebind_deliver``,
-``stats`` (drained to now), ``busy``, ``queue_length``, a settable
-``loss_hook``, ``config``, ``latency_s``, ``src``, ``dst`` and ``sim``;
-each arrival event calls its ``_arrive``.
+``degrade``, ``restore``, ``rebind_deliver``, ``stats`` (drained to now),
+``busy``, ``queue_length``, a settable ``loss_hook``, ``config``,
+``latency_s``, ``src``, ``dst`` and ``sim``; each arrival event calls its
+``_arrive``.
 """
 
 from repro.sim.events import compiled

@@ -73,7 +73,7 @@ class Deployment:
             # Startup is order-insensitive by design: process.start only
             # arms per-process timers, and the list order is the fixed
             # process-id order, so the push-order tie at t=0 is stable.
-            self.sim.schedule(0.0, process.start)  # repro: allow-unreserved-tie
+            self.sim.schedule(0.0, process.start)
         for node in self.nodes:
             node.start()
         for client in self.clients:

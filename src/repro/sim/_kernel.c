@@ -22,9 +22,8 @@
  * entries (and the heap holds at least COMPACT_MIN_SIZE) the heap is
  * compacted: shells dropped, tombstones cleared, heap rebuilt.
  *
- * An optional observer (the race auditor) is told about every
- * reservation, push and execution; it is NULL when off, so the hot paths
- * pay one pointer test.
+ * An optional observer (the race auditor) is told about every push and
+ * execution; it is NULL when off, so the hot paths pay one pointer test.
  *
  * Every Python call-out (a callback, a decref that may run a finaliser,
  * an observer method) happens while the heap is consistent, so a
@@ -321,18 +320,19 @@ observed(PyObject *result)
     return 0;
 }
 
-/* Insert {time, seq, fn, args}: the queue's one insertion path. With a
- * handle pointer (push) the entry holds a new Event, returned there;
- * without one the entry is bare. explicit_seq tells the observer whether
- * seq was reserved. 0, or -1 with an exception set. */
-static int
-heap_insert(QueueObject *q, double time, long long seq, PyObject *fn,
-            PyObject *args, int explicit_seq, PyObject **handle)
+/* Insert {time, next seq, fn, args}: the queue's one insertion path.
+ * With a handle pointer (push) the entry holds a new Event, returned
+ * there; without one the entry is bare. The entry's seq, or -1 with an
+ * exception set. */
+static long long
+heap_insert(QueueObject *q, double time, PyObject *fn, PyObject *args,
+            PyObject **handle)
 {
+    long long seq = q->next_seq++;
     Entry entry = {time, seq, fn, NULL};
     if (handle != NULL) {
-        /* Before the slot is reserved: allocating may run a collection,
-         * and a finaliser may push. */
+        /* Before the heap grows: allocating may run a collection, and a
+         * finaliser may push. */
         EventObject *ev = event_create(time, seq, fn, args);
         if (ev == NULL) {
             return -1;
@@ -358,14 +358,14 @@ heap_insert(QueueObject *q, double time, long long seq, PyObject *fn,
     q->pushed++;
     if (q->observer != NULL
             && observed(PyObject_CallMethod(
-                   q->observer, "note_push", "dLOOO", time, seq, fn, args,
-                   explicit_seq ? Py_True : Py_False)) < 0) {
+                   q->observer, "note_push", "dLOO", time, seq, fn,
+                   args)) < 0) {
         if (handle != NULL) {
             Py_CLEAR(*handle);
         }
         return -1;
     }
-    return 0;
+    return seq;
 }
 
 /* push_bare for the C types: time is finite and not before the clock.
@@ -373,19 +373,18 @@ heap_insert(QueueObject *q, double time, long long seq, PyObject *fn,
 static long long
 heap_push_bare(QueueObject *q, double time, PyObject *fn, PyObject *args)
 {
-    long long seq = q->next_seq++;
-    return heap_insert(q, time, seq, fn, args, 0, NULL) < 0 ? -1 : seq;
+    return heap_insert(q, time, fn, args, NULL);
 }
 
-/* The shared body of push and push_bare: parse (time, fn, args[, seq]),
- * take a seq into *seq_out, insert. 0, or -1 with an exception. */
-static int
+/* The shared body of push and push_bare: parse (time, fn, args) and
+ * insert. The entry's seq, or -1 with an exception set. */
+static long long
 queue_insert(QueueObject *q, PyObject *const *argv, Py_ssize_t nargs,
-             const char *name, long long *seq_out, PyObject **handle)
+             const char *name, PyObject **handle)
 {
-    if (nargs < 3 || nargs > 4) {
+    if (nargs != 3) {
         PyErr_Format(PyExc_TypeError,
-                     "%s() takes 3 or 4 arguments (%zd given)", name, nargs);
+                     "%s() takes 3 arguments (%zd given)", name, nargs);
         return -1;
     }
     double time = finite_time(argv[0]);
@@ -398,30 +397,14 @@ queue_insert(QueueObject *q, PyObject *const *argv, Py_ssize_t nargs,
                      name, Py_TYPE(args)->tp_name);
         return -1;
     }
-    int explicit_seq = nargs == 4 && argv[3] != Py_None;
-    long long seq;
-    if (explicit_seq) {
-        seq = PyLong_AsLongLong(argv[3]);
-        if (seq == -1 && PyErr_Occurred()) {
-            return -1;
-        }
-    }
-    else {
-        seq = q->next_seq++;
-    }
-    if (heap_insert(q, time, seq, fn, args, explicit_seq, handle) < 0) {
-        return -1;
-    }
-    *seq_out = seq;
-    return 0;
+    return heap_insert(q, time, fn, args, handle);
 }
 
 static PyObject *
 queue_push(QueueObject *q, PyObject *const *argv, Py_ssize_t nargs)
 {
-    long long seq;
     PyObject *handle = NULL;
-    if (queue_insert(q, argv, nargs, "push", &seq, &handle) < 0) {
+    if (queue_insert(q, argv, nargs, "push", &handle) < 0) {
         return NULL;
     }
     return handle;
@@ -430,31 +413,7 @@ queue_push(QueueObject *q, PyObject *const *argv, Py_ssize_t nargs)
 static PyObject *
 queue_push_bare(QueueObject *q, PyObject *const *argv, Py_ssize_t nargs)
 {
-    long long seq;
-    if (queue_insert(q, argv, nargs, "push_bare", &seq, NULL) < 0) {
-        return NULL;
-    }
-    return PyLong_FromLongLong(seq);
-}
-
-/* Allocate a seq without enqueueing, telling the observer: the seq, or
- * -1 with an exception set. */
-static long long
-queue_reserve_seq(QueueObject *q)
-{
-    long long seq = q->next_seq++;
-    if (q->observer != NULL
-            && observed(PyObject_CallMethod(q->observer, "note_reserved",
-                                            "L", seq)) < 0) {
-        return -1;
-    }
-    return seq;
-}
-
-static PyObject *
-queue_reserve(QueueObject *q, PyObject *Py_UNUSED(ignored))
-{
-    long long seq = queue_reserve_seq(q);
+    long long seq = queue_insert(q, argv, nargs, "push_bare", NULL);
     return seq < 0 ? NULL : PyLong_FromLongLong(seq);
 }
 
@@ -830,11 +789,9 @@ queue_dealloc(QueueObject *q)
 
 static PyMethodDef queue_methods[] = {
     {"push", (PyCFunction)(void (*)(void))queue_push, METH_FASTCALL,
-     "push(time, fn, args, seq=None) -> Event: enqueue a handle entry."},
+     "push(time, fn, args) -> Event: enqueue a handle entry."},
     {"push_bare", (PyCFunction)(void (*)(void))queue_push_bare, METH_FASTCALL,
-     "push_bare(time, fn, args, seq=None) -> seq: enqueue fn(*args)."},
-    {"reserve", (PyCFunction)queue_reserve, METH_NOARGS,
-     "Allocate and return a sequence number without enqueueing."},
+     "push_bare(time, fn, args) -> seq: enqueue fn(*args)."},
     {"pop_entry", (PyCFunction)queue_pop_entry, METH_O,
      "pop_entry(limit) -> (time, seq, fn, args) or None."},
     {"pop", (PyCFunction)(void (*)(void))queue_pop, METH_FASTCALL,
@@ -1858,33 +1815,6 @@ link_restore(LinkObject *l, PyObject *Py_UNUSED(ignored))
 }
 
 static PyObject *
-link_abort_pending_chain(LinkObject *l, PyObject *Py_UNUSED(ignored))
-{
-    double now;
-    if (sim_now(l->sim, &now) < 0) {
-        return NULL;
-    }
-    Py_ssize_t removed = link_drain_sent(l, now) - 1;
-    if (removed <= 0) {
-        return PyLong_FromLong(0);
-    }
-    for (Py_ssize_t i = 0; i < removed; i++) {
-        Record *record = ring_at(&l->records, --l->records.len,
-                                 sizeof(Record));
-        PyObject *payload = record->payload;
-        int failed = queue_cancel_seq(l->queue, record->seq) < 0;
-        Py_DECREF(payload);
-        if (failed) {
-            return NULL;
-        }
-    }
-    l->busy_until = l->payload != NULL
-        ? l->done
-        : ((Record *)ring_at(&l->records, 0, sizeof(Record)))->completion;
-    return PyLong_FromSsize_t(removed);
-}
-
-static PyObject *
 link_arrive(LinkObject *l, PyObject *payload)
 {
     if (l->stats == NULL) {
@@ -2064,11 +1994,6 @@ static PyMethodDef link_methods[] = {
      "order; messages already serialised keep theirs."},
     {"restore", (PyCFunction)link_restore, METH_NOARGS,
      "Undo any degradation (degrade())."},
-    {"abort_pending_chain", (PyCFunction)link_abort_pending_chain,
-     METH_NOARGS,
-     "Withdraw the committed messages behind the one in service (a\n"
-     "sender crashed mid-round), cancelling their arrivals; the wire\n"
-     "frees when that message completes. Returns how many."},
     {"rebind_deliver", (PyCFunction)link_rebind_deliver, METH_O,
      "Point arrivals directly at the receiver's resolved callback."},
     {NULL, NULL, 0, NULL},
@@ -2439,7 +2364,6 @@ typedef struct {
     PyObject_HEAD
     PyObject *link;
     double free_at;         /* the link serialises our traffic until then */
-    long long wakeup_seq;   /* reserved tie-break slot for the wake-up */
     char wakeup_armed;      /* a wake-up is outstanding */
 } SenderObject;
 
@@ -2472,8 +2396,6 @@ static PyMemberDef sender_members[] = {
      "The instant the link finishes serialising this sender's traffic."},
     {"_wakeup_armed", T_BOOL, offsetof(SenderObject, wakeup_armed), 0,
      "Whether a wake-up is outstanding."},
-    {"_wakeup_seq", T_LONGLONG, offsetof(SenderObject, wakeup_seq), 0,
-     "The tie-break slot reserved at the last commit."},
     {NULL, 0, 0, 0, NULL},
 };
 
@@ -2481,9 +2403,9 @@ static PyTypeObject SenderType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.gossip.node.SenderCore",
     .tp_doc = "The state of a per-peer send routine that the compiled\n"
-              "fan-out reads and writes: link, _free_at, _wakeup_armed and\n"
-              "_wakeup_seq (0.0, False and 0 until set). Its queue and\n"
-              "wake-up live in the Python subclass.",
+              "fan-out reads and writes: link, _free_at and _wakeup_armed\n"
+              "(0.0 and False until set). Its queue and wake-up live in\n"
+              "the Python subclass.",
     .tp_basicsize = sizeof(SenderObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
     .tp_new = PyType_GenericNew,
@@ -2760,9 +2682,9 @@ node_commit(PyObject *link, PyObject *payload, PyObject *args, double now)
 }
 
 /* The decision for an idle peer: validate, charge hook_s, and either
- * reserve the slot a later wake-up fires in and commit, or count the
- * filtered message. *args is the fan-out's shared arrival tuple, built
- * at the first commit. 0, or -1 with an exception set. */
+ * commit or count the filtered message. *args is the fan-out's shared
+ * arrival tuple, built at the first commit. 0, or -1 with an exception
+ * set. */
 static int
 node_send_idle(NodeObject *self, SenderObject *sender, PyObject *peer_id,
                PyObject *payload, PyObject *validate, PyObject **args,
@@ -2792,13 +2714,6 @@ node_send_idle(NodeObject *self, SenderObject *sender, PyObject *peer_id,
     if (self->hook_s > 0.0 && node_charge(self, self->hook_s) < 0) {
         return -1;
     }
-    /* Reserved first, so that the wake-up precedes a zero-latency arrival
-     * at the completion instant. */
-    long long seq = queue_reserve_seq(self->queue);
-    if (seq < 0) {
-        return -1;
-    }
-    sender->wakeup_seq = seq;
     if (*args == NULL && (*args = PyTuple_Pack(1, payload)) == NULL) {
         return -1;
     }
@@ -3019,9 +2934,8 @@ static PyMethodDef node_methods[] = {
      "Hand payload to each (peer_id, sender) of pairs but exclude's. A\n"
      "busy sender (wake-up armed, or its link serialising) queues it. For\n"
      "an idle one it is decided here: validated (when the hooks override\n"
-     "validate) and charged hook_s; if admitted, a slot is reserved for a\n"
-     "later wake-up and the message committed onto the link with the\n"
-     "arrival tuple the fan-out shares."},
+     "validate) and charged hook_s; if admitted, it is committed onto the\n"
+     "link with the arrival tuple the fan-out shares."},
     {"_set_forward", (PyCFunction)node_set_forward, METH_O,
      "_set_forward(pairs): the fan-out tuple of (peer_id, sender), and\n"
      "the broadcast and receive service times it implies."},

@@ -19,19 +19,16 @@ must be finite: a push of NaN or ±inf raises :class:`ValueError`. A time
 pushed as an ``int`` pops as the equal ``float``. An entry comes in two
 kinds:
 
-* a **bare** entry (``push_bare(time, fn, args, seq=None)``) *is* the
+* a **bare** entry (``push_bare(time, fn, args)``) *is* the
   event: the callback and its args tuple sit in the entry, no
   :class:`Event` is created, and the handle is the entry's ``seq``. This
   is the kernel's hot path (link arrivals, server completions, sender
   wake-ups — ~95 % of all events). ``args`` must be a tuple;
-* a **handle** entry (``push(time, fn, args, seq=None)``) holds the
+* a **handle** entry (``push(time, fn, args)``) holds the
   :class:`Event` it returns, a handle callers may keep and cancel at any
   time (``schedule``/``schedule_at``, timers). The run loop retires a
   handle (marks it cancelled, drops its references) before calling it.
 
-``reserve()`` allocates a ``seq`` without enqueueing, so an event pushed
-later with it fires exactly where one scheduled at reservation time would
-have; an unused reservation costs nothing but a gap in the sequence.
 ``pop_entry(limit)`` removes and returns the earliest live entry as
 ``(time, seq, fn, args)`` (``args is None`` marks a handle entry, whose
 ``fn`` is the :class:`Event`), or None when the queue is drained or that
@@ -61,9 +58,8 @@ included), so ``scheduled_total = executed_total + len(queue) +
 cancelled_total`` whenever only the run loop pops.
 
 ``EventQueue(observer)`` reports to an observer (the race auditor,
-:mod:`repro.checks.auditor`): ``note_reserved(seq)`` per reservation,
-``note_push(time, seq, fn, args, explicit_seq)`` per push and
-``note_exec(time, seq, fn, args)`` per executed event, just before its
+:mod:`repro.checks.auditor`): ``note_push(time, seq, fn, args)`` per push
+and ``note_exec(time, seq, fn, args)`` per executed event, just before its
 callback. The default, None, costs one pointer test per operation.
 """
 

@@ -29,8 +29,8 @@ class Simulator:
         Optional :class:`repro.checks.auditor.RaceAuditor` (or anything with
         its ``make_stream``/``bind`` and queue-observer interface) that
         observes every scheduled event and RNG draw. Opt-in: the queue is
-        told about reservations, pushes and executions only when an
-        auditor is given, and the run loop is the same either way.
+        told about pushes and executions only when an auditor is given,
+        and the run loop is the same either way.
     """
 
     def __init__(self, seed=0, auditor=None):
@@ -41,20 +41,12 @@ class Simulator:
         else:
             self._stream_factory = auditor.make_stream
             auditor.bind(self)
-        #: Allocate a tie-breaking slot for a possible future event; the
-        #: returned sequence number is passed to :meth:`schedule_at_reserved`.
-        #: Gossip senders call this once per transmission so a lazily-armed
-        #: pacing wake-up fires in exactly the heap position the
-        #: event-per-job reference allocated for its completion event.
-        #: Bound straight to the queue's counter — it sits on the
-        #: per-transmission hot path.
-        self.reserve_slot = self._queue.reserve
         #: Hot-path scheduling: push ``fn(*args)`` with pre-packed ``args``
-        #: (a tuple, always) and an optional reserved ``seq``, skipping
-        #: :meth:`schedule_at`'s past-check and creating no
-        #: :class:`~repro.sim.events.Event` — the queue entry is the whole
-        #: record. Only for callers whose target time is arithmetically
-        #: guaranteed not to precede the clock (virtual-time completions).
+        #: (a tuple, always), skipping :meth:`schedule_at`'s past-check
+        #: and creating no :class:`~repro.sim.events.Event` — the queue
+        #: entry is the whole record. Only for callers whose target time
+        #: is arithmetically guaranteed not to precede the clock
+        #: (virtual-time completions).
         #: Returns a handle for :meth:`cancel` that is valid only while the
         #: event is pending; callers that keep handles longer (timers,
         #: generic ``schedule``/``schedule_at``) get an ``Event``.
@@ -113,13 +105,6 @@ class Simulator:
         if not self.now <= time < _INF:
             raise self._bad_time(time)
         return self._queue.push(time, fn, args)
-
-    def schedule_at_reserved(self, time, seq, fn, *args):
-        """Like :meth:`schedule_at`, tie-broken as if scheduled when
-        ``seq`` was reserved."""
-        if not self.now <= time < _INF:
-            raise self._bad_time(time)
-        return self._queue.push(time, fn, args, seq)
 
     def _bad_time(self, time):
         if time < self.now:

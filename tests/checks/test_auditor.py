@@ -58,52 +58,33 @@ def test_same_timestamp_events_form_a_hazard_group():
     assert group.time == 1.0
     assert [m.args_sig for m in group.members] == ["'a'", "'b'"]
     assert all(m.origin == SETUP_ORIGIN for m in group.members)
-    assert group.is_hazard()                 # two push-ordered members
+    assert group.is_hazard()                 # two members
     assert auditor.group_at(2.0) is not None
     assert not auditor.group_at(2.0).is_hazard()
 
 
-def test_reserved_slots_defuse_the_hazard():
-    auditor = RaceAuditor()
-    sim = Simulator(seed=0, auditor=auditor)
-    slot = sim.reserve_slot()
-    sim.schedule(1.0, _noop, "pushed")
-    sim.schedule_at_reserved(1.0, slot, _noop, "reserved")
-    (group,) = auditor.tie_groups()
-    by_sig = {m.args_sig: m for m in group.members}
-    assert by_sig["'reserved'"].reserved
-    assert not by_sig["'pushed'"].reserved
-    assert not group.is_hazard()             # only one push-ordered member
-    assert auditor.summary()["reserved_slots"] == 1
-
-
-def test_queue_tells_its_observer_of_reservations_pushes_and_executions():
+def test_queue_tells_its_observer_of_pushes_and_executions():
     """The audit hook: the compiled queue calls its observer at every
-    reservation, push (flagging an explicit seq) and execution, in order,
-    with the callback and args that ran — a handle's included."""
+    push and execution, in order, with the callback and args that ran —
+    a handle's included."""
     calls = []
 
     class Recorder:
-        def note_reserved(self, seq):
-            calls.append(("reserved", seq))
-
-        def note_push(self, time, seq, fn, args, explicit_seq):
-            calls.append(("push", time, seq, fn, args, explicit_seq))
+        def note_push(self, time, seq, fn, args):
+            calls.append(("push", time, seq, fn, args))
 
         def note_exec(self, time, seq, fn, args):
             calls.append(("exec", time, seq, fn, args))
 
     queue = EventQueue(Recorder())
-    slot = queue.reserve()
     queue.push(1.0, _noop, ("a",))
-    queue.push_bare(1.0, _noop, ("b",), slot)
+    queue.push_bare(0.5, _noop, ("b",))
     assert queue.run(SimpleNamespace(now=0.0), None, None) == 2
     assert calls == [
-        ("reserved", 0),
-        ("push", 1.0, 1, _noop, ("a",), False),
-        ("push", 1.0, 0, _noop, ("b",), True),
-        ("exec", 1.0, 0, _noop, ("b",)),
-        ("exec", 1.0, 1, _noop, ("a",)),
+        ("push", 1.0, 0, _noop, ("a",)),
+        ("push", 0.5, 1, _noop, ("b",)),
+        ("exec", 0.5, 1, _noop, ("b",)),
+        ("exec", 1.0, 0, _noop, ("a",)),
     ]
 
 
@@ -159,8 +140,8 @@ def test_trace_entries_attribute_rng_draws_to_previous_event():
     first, second = auditor.trace()
     # Deltas are snapshotted at pop: the first entry predates any callback,
     # the second sees the draw made by the first event's callback.
-    assert first[5] == ()
-    assert second[5] == (("payload", 1),)
+    assert first[4] == ()
+    assert second[4] == (("payload", 1),)
     assert auditor.rng_draws() == {"payload": 2}
 
 

@@ -79,9 +79,11 @@ def test_suppressions_counted_in_json(tmp_path, capsys):
 
 def test_new_rules_reachable_from_cli(tmp_path, capsys):
     fixture = tmp_path / "fixture.py"
-    fixture.write_text("def f(sim, cb): sim.schedule(0, cb)\n")
+    fixture.write_text(
+        "import heapq\n"
+        "def f(h, x): heapq.heappush(h, (id(x), x))\n")
     assert main(["check", "--lint", str(fixture)]) == 1
-    assert "unreserved-tie" in capsys.readouterr().out
+    assert "identity-tie-break" in capsys.readouterr().out
 
 
 def test_unknown_race_scenario_is_a_usage_error(capsys):

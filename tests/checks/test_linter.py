@@ -306,26 +306,6 @@ def test_plain_insort_entry_not_flagged():
     assert lint(source) == []
 
 
-# -- unreserved-tie --------------------------------------------------------
-
-def test_schedule_zero_delay_flagged():
-    assert rule_ids(lint(
-        "def f(sim, cb): sim.schedule(0, cb)\n")) == ["unreserved-tie"]
-    assert rule_ids(lint(
-        "def f(sim, cb): sim.schedule(0.0, cb)\n")) == ["unreserved-tie"]
-
-
-def test_schedule_at_now_flagged():
-    findings = lint("def f(sim, cb): sim.schedule_at(sim.now, cb)\n")
-    assert rule_ids(findings) == ["unreserved-tie"]
-
-
-def test_positive_delay_and_reserved_not_flagged():
-    assert lint("def f(sim, cb): sim.schedule(0.1, cb)\n") == []
-    assert lint(
-        "def f(sim, cb, slot): sim.schedule_at_reserved(slot, cb)\n") == []
-
-
 # -- module-mutable-state --------------------------------------------------
 
 def test_module_level_mutable_flagged():
@@ -442,7 +422,7 @@ def test_rule_registry_lookup():
     assert set(RULES) == {
         "global-random", "wall-clock", "set-iteration",
         "unstable-sort-key", "mutable-default",
-        "hot-set-iteration", "identity-tie-break", "unreserved-tie",
+        "hot-set-iteration", "identity-tie-break",
         "module-mutable-state", "unpicklable-task",
     }
     try:

@@ -56,12 +56,11 @@ def test_synthetic_race_is_detected_with_provenance():
     assert divergence["left"]["args"] != divergence["right"]["args"]
     assert divergence["time_s"] == pytest.approx(0.05)
 
-    # Slot provenance: all 12 tied deliveries are push-ordered (none
-    # reserved), every one scheduled by the pump (event #0).
+    # Provenance: all 12 tied deliveries, every one scheduled by the
+    # pump (event #0).
     group = divergence["tie_group"]
     assert group["hazard"] is True
     assert len(group["members"]) == 12
-    assert all(not member["reserved"] for member in group["members"])
     assert all(member["origin"] == 0 for member in group["members"])
 
     # Stream provenance: the deliveries draw the same *count* from the

@@ -152,13 +152,9 @@ class ReferenceNode(GossipNode):
         (link serialising or wake-up armed) has the message queued. An
         idle peer's queue is empty, and the message is decided here: it
         is validated and charged ``hook_s``; if admitted, it is committed
-        with the arrival tuple the fan-out shares, after reserving the
-        slot a later wake-up fires in (first, so that wake-up precedes a
-        zero-latency arrival at the completion instant).
+        with the arrival tuple the fan-out shares.
         """
-        sim = self.sim
-        now = sim.now
-        reserve = sim.reserve_slot
+        now = self.sim.now
         validate = None if self.validate_default else self._hooks.validate
         hook_s = self.costs.hook_s if self.hooks_charged else 0.0
         args = (payload,)
@@ -172,7 +168,6 @@ class ReferenceNode(GossipNode):
             elif validate is None or validate(payload, peer_id):
                 if hook_s > 0.0:
                     self._cpu_acct(hook_s)
-                sender._wakeup_seq = reserve()
                 sender._free_at = sender.link.commit(payload, args, now)
             else:
                 self.stats.filtered += 1

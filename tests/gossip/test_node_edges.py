@@ -178,8 +178,8 @@ def test_one_forward_decides_each_peer_of_the_fan_out(sim):
     """One forward over four peers in four states: an idle wire, a busy
     wire with its wake-up armed, a busy wire without one (the forward arms
     it) and a peer whose message validate filters. Only the idle peer's
-    message is committed and reserves a slot; the filtered one is counted
-    and charged like the admitted one. The mesh runs on the Python
+    message is committed; the filtered one is counted and charged like
+    the admitted one. The mesh runs on the Python
     reference links, whose committed messages a test can read."""
     class SkipPeer4(SemanticHooks):
         def validate(self, payload, peer_id):
@@ -197,7 +197,6 @@ def test_one_forward_decides_each_peer_of_the_fan_out(sim):
     _send_to(node, 2, RawPayload("a", 10))      # onto peer 2's wire
     _send_to(node, 2, RawPayload("b", 10))      # queued, wake-up armed
     _send_to(node, 3, RawPayload("c", 10))      # onto peer 3's wire
-    assert [senders[p]._wakeup_seq for p in (1, 2, 3, 4)] == [0, 0, 2, 0]
     node._complete(RawPayload("m", 10), None)
     assert {p: _committed(senders[p].link) for p in (1, 2, 3, 4)} == {
         1: ["m"], 2: ["a"], 3: ["c"], 4: []}
@@ -207,9 +206,67 @@ def test_one_forward_decides_each_peer_of_the_fan_out(sim):
         False, True, True, False]
     assert (node.stats.forwarded, node.stats.filtered) == (4, 1)
     assert node.cpu.busy_time.hex() == "0x1.0c6f7a0b5ed8dp-20"
-    # Reserved in send order: "a" (0), its arrival (1), "c" (2), the
-    # arrival of "c" (3), then "m" to the idle peer 1 (4).
-    assert [senders[p]._wakeup_seq for p in (1, 2, 3, 4)] == [4, 0, 2, 0]
     assert sim.events_scheduled == 5            # 3 arrivals + 2 wake-ups
     sim.run()
     assert deliveries == [["m"], ["m"], ["a", "b", "m"], ["c", "m"], []]
+
+
+class _LoggingLink(ReferenceLink):
+    """A reference link that logs each commit (the instant and the
+    completion it returned) and each arrival."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.log = []
+
+    def commit(self, payload, args, at):
+        done = super().commit(payload, args, at)
+        self.log.append(("commit", payload.uid, self.sim.now, done))
+        return done
+
+    def _arrive(self, payload):
+        self.log.append(("arrive", payload.uid, self.sim.now))
+        super()._arrive(payload)
+
+
+def test_crash_mid_round_sends_the_committed_chain_and_drops_the_queue(sim):
+    """A node crashes while a batched round is chained on its busy link.
+    What it committed is on the NIC: every message arrives a latency
+    after the completion the link returned at commit. What waited in the
+    send queue is lost. After recovery an enqueue pumps when the link
+    frees."""
+    slow = LinkConfig(per_message_s=1e-3, per_byte_s=0.0)
+    deliveries = [[] for _ in range(2)]
+    nodes = build_mesh(sim, {0: [1], 1: [0]}, link_config=slow,
+                       deliveries=deliveries, link_cls=_LoggingLink)
+    node = nodes[0]
+    sender = node._senders[1]
+    link = sender.link
+    _send_to(node, 1, RawPayload("head", 10))   # idle: onto the wire
+    for uid in ("r0", "r1", "r2"):
+        _send_to(node, 1, RawPayload(uid, 10))  # queued behind "head"
+    sim.run(until=1e-3)             # the wake-up chains them as one round
+    sim.run(until=1.5e-3)           # "r0" serialising, two behind it
+    assert _committed(link) == ["r0", "r1", "r2"]
+    _send_to(node, 1, RawPayload("lost", 10))
+    assert sender._wakeup_armed and [p.uid for p in sender.queue] == ["lost"]
+    node.crash()
+    assert not sender.queue
+    assert _committed(link) == ["r0", "r1", "r2"]
+    sim.run(until=2.5e-3)
+    node.recover()
+    _send_to(node, 1, RawPayload("after", 10))  # the link is still busy
+    assert [p.uid for p in sender.queue] == ["after"]
+    sim.run()
+    commits = {uid: (now, done) for kind, uid, now, done in (
+        entry for entry in link.log if entry[0] == "commit")}
+    arrivals = {uid: now for kind, uid, now in (
+        entry for entry in link.log if entry[0] == "arrive")}
+    assert list(arrivals) == ["head", "r0", "r1", "r2", "after"]
+    for uid, arrived in arrivals.items():
+        assert arrived == commits[uid][1] + link.latency_s
+    # "after" was committed the instant the round's last message freed
+    # the link.
+    assert commits["after"][0] == commits["r2"][1]
+    assert deliveries[1] == ["head", "r0", "r1", "r2", "after"]
+    assert node.stats.send_queue_drops == 0

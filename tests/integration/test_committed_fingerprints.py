@@ -42,8 +42,8 @@ COMMITTED = {
         "f230a0b81b318e0a9a0815a4fcdd66d37010ff0696a84b9f3210854aeaf57bf4",
         476_270),
     "agg_heavy": (
-        "92a5a9e5e8b0054e6d85cbd8d990b88905dba123c3db8e654194d47b21c5e07a",
-        337_053),
+        "172ae07ae3458b14f828621aa0c71e5f833cfc2adf40de1b7baa7fbff6b75dec",
+        337_050),
     "baseline_faults": (
         "ac94e5e2406450a083b3ed75554b02b4077fd5189cd583cd55532d2f65d38c4b",
         78_281),
@@ -60,8 +60,8 @@ COMMITTED = {
         "74ff43af8a5d71904a0e43c1c0dea87a71cd8b822d911cd7ab498fe3458ad156",
         101_234),
     "degrade_jitter": (
-        "f17242ec4336a792ad48e095ace757a6371d87087508201e9bb90abfb26480bd",
-        206_366),
+        "a1607f412eabbb8ceeed45b0afea1c555917bdd5127fef5c3c0e7b09cabddf94",
+        206_876),
     "link_faults": (
         "be0f4dba032fc82275f534315415c63c10f2290580a5bdbfbbacdff88eb14ed4",
         13_364),
@@ -97,11 +97,16 @@ def test_regression_scenario_matches_committed_fingerprint(name):
 
 
 def test_degrade_jitter_is_safe_under_a_strict_monitor():
-    """Jittered, degraded links reorder arrivals; Paxos safety must hold
-    anyway, and the armed run must reproduce the committed bits."""
-    report = run_experiment(REGRESSION_SCENARIOS["degrade_jitter"](),
-                            monitor=SafetyMonitor(strict=True))
-    assert report_fingerprint(report) == COMMITTED["degrade_jitter"][0]
+    """Jittered, degraded links reorder arrivals, and heavy aggregation
+    rewrites batches at every busy link; Paxos safety must hold anyway,
+    every value must be decided, and the armed run must reproduce the
+    committed bits. These are the two tier-1 runs whose digests the tie
+    order of a sender's wake-up decides."""
+    for name in ("agg_heavy", "degrade_jitter"):
+        report = run_experiment(REGRESSION_SCENARIOS[name](),
+                                monitor=SafetyMonitor(strict=True))
+        assert report_fingerprint(report) == COMMITTED[name][0], name
+        assert report.submitted == report.decided, name
 
 
 def test_knob_the_run_never_reads_leaves_the_fingerprint_alone():

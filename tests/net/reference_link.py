@@ -203,28 +203,6 @@ class DirectedLink:
         """Committed messages behind the oldest one not yet serialised."""
         return max(0, self._drain_sent(self.sim.now) - 1)
 
-    def abort_pending_chain(self):
-        """Withdraw chained messages that have not started serialising.
-
-        Called when the sending node crashes mid-round: the reference
-        pump would simply never have transmitted the rest of the round.
-        The message in service stays — it is on the wire and arrives, as
-        it does in the reference — while everything queued behind it is
-        removed, its pre-armed arrival cancelled, and the link frees when
-        the message in service completes. Returns the number of
-        withdrawn messages.
-        """
-        sim = self.sim
-        removed = self._drain_sent(sim.now) - 1
-        if removed <= 0:
-            return 0
-        behind = self._behind
-        for _ in range(removed):
-            sim.cancel(behind.pop()[3])
-        self._busy_until = (self._done if self._payload is not None
-                            else behind[0][0])
-        return removed
-
     def transmit(self, payload, at=None):
         """Send a payload towards ``dst`` from instant ``at`` (default
         now): :meth:`commit` behind the transmit-queue bound.

@@ -1,7 +1,5 @@
 """Tests for directed links: timing, queueing, drops, loss."""
 
-import gc
-
 import pytest
 
 from repro.net.channel import DirectedLink, LinkConfig
@@ -262,31 +260,6 @@ def test_degrade_draws_jitter_for_unserialised_messages(sim):
     for arrived_at, sent_at in zip(seen, (0.001, 0.002, 0.003)):
         assert 0.02 <= arrived_at - sent_at <= 0.024 + 1e-12
     assert link.stats.sent == link.stats.delivered == 3
-
-
-def test_abort_after_mid_round_degrade_withdraws_the_whole_tail(sim):
-    """Regression: degrade() used to move the unserialised chain onto a
-    second path the link no longer tracked, so a later abort rolled the
-    server back while those messages still serialised and arrived."""
-    seen = []
-    link = _link(sim, lambda src, p: seen.append((p.uid, sim.now)),
-                 latency=0.01, per_message_s=0.001, per_byte_s=0.0)
-    for uid in "abc":
-        _commit(link, _payload(uid))
-    sim.run(until=0.0005)
-    link.degrade(2.0)
-    for uid in "de":
-        _commit(link, _payload(uid))
-    assert link.abort_pending_chain() == 4
-    # The wire is free right after the in-service message, not before.
-    assert _commit(link, _payload("f")) == pytest.approx(0.002)
-    sim.run()
-    assert seen == [("a", pytest.approx(0.021)), ("f", pytest.approx(0.022))]
-    assert link.stats.sent == len(seen) == 2
-    assert not link.busy and link.queue_length == 0
-    # The link holds no message any more (its GC referents are what it
-    # keeps).
-    assert not [o for o in gc.get_referents(link) if isinstance(o, RawPayload)]
 
 
 # Degrade re-times arrivals that go into the heap without the kernel's

@@ -21,9 +21,9 @@ The server's stream has bursts, ``None`` and accounting-only jobs,
 completion (the ``<=`` edges of the lazy charge). The link's has bounded
 ``transmit`` now and ahead of time (a non-decreasing ``at``), chained
 commits, ``degrade`` in mid-chain (latency and extra jitter),
-``restore``, ``abort_pending_chain``, a loss hook switched on and off,
-handovers and advances that land exactly on a committed completion, and
-jittered and bounded configurations. The cache's has registrations
+``restore``, a loss hook switched on and off, handovers and advances
+that land exactly on a committed completion, and jittered and bounded
+configurations. The cache's has registrations
 by uid and by payload, a payload interned elsewhere first, membership
 probes, a small window that evicts and ids far past the end of the
 membership array.
@@ -149,7 +149,6 @@ LINK_OPS = st.lists(
         st.tuples(st.just("degrade"), st.sampled_from([0.5, 1.0, 3.0]),
                   st.sampled_from([0.0, 0.0, 4e-4])),
         st.tuples(st.just("restore")),
-        st.tuples(st.just("abort")),
         st.tuples(st.just("loss"), st.booleans()),
         st.tuples(st.just("advance"), st.integers(1, 12)),
         st.tuples(st.just("to_done")),
@@ -229,8 +228,6 @@ def test_link_matches_its_reference_in_lockstep(capacity, jitter, ops):
                 link.degrade(op[1], op[2], side.sim.rng("test-jitter"))
             elif kind == "restore":
                 link.restore()
-            elif kind == "abort":
-                out.append(link.abort_pending_chain())
             elif kind == "loss":
                 link.loss_hook = _EveryThird() if op[1] else None
             elif kind == "advance":

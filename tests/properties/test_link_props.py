@@ -2,8 +2,8 @@
 
 A random interleaving of every way to hand a :class:`DirectedLink` a message
 (``commit`` / ``transmit``), the calls that
-rewrite its committed work (``degrade`` / ``restore`` /
-``abort_pending_chain``), clock advances and ``stats`` probes is replayed
+rewrite its committed work (``degrade`` / ``restore``), clock advances
+and ``stats`` probes is replayed
 against a brute-force reference: a flat list of every message ever accepted
 with its serialisation completion recomputed from first principles (FIFO
 wire: ``max(now, previous completion) + service``). At every probe ``sent``
@@ -64,7 +64,7 @@ OPS = st.lists(
     st.one_of(
         st.tuples(st.sampled_from(["commit", "transmit"]), SIZES),
         st.tuples(st.just("advance"), st.integers(min_value=1, max_value=8)),
-        st.tuples(st.sampled_from(["probe", "abort", "restore"])),
+        st.tuples(st.sampled_from(["probe", "restore"])),
         st.tuples(st.just("degrade"), st.sampled_from([0.5, 1.0, 2.0]),
                   st.sampled_from([0.0, 2.0 ** -9])),
     ),
@@ -164,13 +164,6 @@ class _Harness:
             message.jitter = self.jitter
         self.refresh_bound()
 
-    def abort(self):
-        # The newest jobs, bar the one in service, never serialise.
-        withdrawn = self.link.abort_pending_chain()
-        assert withdrawn == max(0, len(self.unserialised()) - 1)
-        if withdrawn:
-            del self.messages[-withdrawn:]
-
     def probe(self):
         now = self.sim.now
         counted = [m for m in self.messages if m.done <= now]
@@ -247,13 +240,6 @@ class _ReferenceLink:
         assert self.transmit(uid, size)
         server.capacity = capacity
 
-    def abort(self):
-        """Withdraw every job that has not started; returns how many."""
-        waiting = self.server._queue
-        withdrawn = len(waiting)
-        waiting.clear()
-        return withdrawn
-
     def _serialised(self, uid, size):
         self.sent += 1
         self.bytes_sent += size
@@ -270,7 +256,7 @@ SERVER_OPS = st.lists(
         st.tuples(st.just("burst"), SIZES,
                   st.integers(min_value=2, max_value=6)),
         st.tuples(st.just("advance"), st.integers(min_value=1, max_value=8)),
-        st.tuples(st.sampled_from(["probe", "abort"])),
+        st.tuples(st.just("probe")),
     ),
     max_size=120,
 )
@@ -315,8 +301,6 @@ def test_link_matches_the_transmission_server_it_replaced(capacity, ops):
             until = sim.now + op[1] * TICK
             sim.run(until=until)
             ref_sim.run(until=until)
-        elif kind == "abort":
-            assert link.abort_pending_chain() == ref.abort()
         elif kind != "probe":
             send(kind, op[1])
         probe()
@@ -325,7 +309,7 @@ def test_link_matches_the_transmission_server_it_replaced(capacity, ops):
     probe()
     assert arrivals == ref.arrivals
     # Every completion the link announced is when the server finished the
-    # job — unless the job was withdrawn before it started.
+    # job.
     for done_uid, done in ref.completions.items():
         assert completions.get(done_uid, done) == done
     assert link.stats.delivered == ref.sent == len(arrivals)

@@ -9,11 +9,10 @@ drives one random op stream through both and requires at every step:
 
 * all ten counters of every node;
 * the same executed events (callback name and argument signature) at
-  the same instants (``float.hex``), the same reservations and pushes,
-  the same deliveries and the same tracer calls;
+  the same instants (``float.hex``), the same pushes, the same
+  deliveries and the same tracer calls;
 * every link's stats and every CPU's ``busy_time``, bit for bit;
-* every sender's ``_free_at`` (``float.hex``), ``_wakeup_armed`` and
-  ``_wakeup_seq``.
+* every sender's ``_free_at`` (``float.hex``) and ``_wakeup_armed``.
 
 The stream has broadcasts, fresh, duplicate and aggregated receives
 (from the links and straight into ``_on_link_receive``), crash and
@@ -94,12 +93,9 @@ class _Recorder:
     def bind(self, sim):
         self.sim = sim
 
-    def note_reserved(self, seq):
-        self.log.append(("reserve", seq))
-
-    def note_push(self, time, seq, fn, args, explicit):
+    def note_push(self, time, seq, fn, args):
         self.log.append(("push", time.hex(), seq, fn.__name__,
-                         args_signature(args), explicit))
+                         args_signature(args)))
 
     def note_exec(self, time, seq, fn, args):
         self.log.append(("exec", time.hex(), seq, fn.__name__,
@@ -194,7 +190,7 @@ class _Mesh:
             stats = node.stats
             senders = tuple(
                 (peer_id, sender._free_at.hex(), sender._wakeup_armed,
-                 sender._wakeup_seq, len(sender.queue))
+                 len(sender.queue))
                 for peer_id, sender in node._senders.items())
             nodes.append((
                 stats.broadcasts, stats.received, stats.duplicates,

@@ -1,14 +1,14 @@
 """Property tests: the compiled event queue against the calendar queue.
 
 One random op stream — handle pushes (``push`` → :class:`Event`), bare
-pushes (``push_bare`` → ``seq``), ``reserve``, reserved pushes of either
-kind, cancellations of either kind, ``pop(limit)`` and
+pushes (``push_bare`` → ``seq``), cancellations of either kind,
+``pop(limit)`` and
 ``pop_entry(limit)`` — is replayed in lockstep against three queues:
 :class:`repro.sim.events.EventQueue` (the compiled heap), the calendar
 queue it replaced (``tests/sim/reference_queue.py``) and a naive model
 (a dict of live ``(time, seq)`` keys, sorted on demand). Only the public
 surface is used. At every step the two queues must hand out the same
-reserved seqs, pop the same ``(time, seq, fn, args)`` (the model's
+seqs, pop the same ``(time, seq, fn, args)`` (the model's
 minimum), and agree on every counter: ``len``, ``heap_size`` (live
 entries plus the shells still queued, so both must compact at the same
 cancellation and discard the same shells in passing),
@@ -43,15 +43,12 @@ TIMES = st.one_of(
               allow_nan=False, allow_infinity=False),
 )
 
-# Op encoding: ("push", t, bare) | ("reserve",) | ("push_reserved", t, bare)
-# — uses the oldest outstanding reservation, plain push if none |
-# ("cancel", k) — cancels the k-th (mod len) live event, whichever kind it
-# is | ("pop", limit_or_None) | ("pop_entry", limit).
+# Op encoding: ("push", t, bare) | ("cancel", k) — cancels the k-th
+# (mod len) live event, whichever kind it is | ("pop", limit_or_None) |
+# ("pop_entry", limit).
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("push"), TIMES, st.booleans()),
-        st.tuples(st.just("reserve")),
-        st.tuples(st.just("push_reserved"), TIMES, st.booleans()),
         st.tuples(st.just("cancel"), st.integers(min_value=0)),
         st.tuples(st.just("pop"), st.none() | TIMES),
         st.tuples(st.just("pop_entry"), TIMES),
@@ -78,21 +75,20 @@ class _Lockstep:
         self.ref = ReferenceQueue()
         # (time, seq) -> (handle, reference handle, push index)
         self.live = {}
-        self.reserved = []      # outstanding reservation seqs, oldest first
         self.pushed = self.popped = self.cancelled = 0
         self.compactions = 0
 
-    def push(self, time, bare, seq=None):
+    def push(self, time, bare):
         self.pushed += 1
         index = self.pushed
         if bare:
-            handle = self.queue.push_bare(time, index, (index,), seq)
-            ref_handle = self.ref.push_bare(time, index, (index,), seq)
+            handle = self.queue.push_bare(time, index, (index,))
+            ref_handle = self.ref.push_bare(time, index, (index,))
             assert handle.__class__ is int and handle == ref_handle
             key = (time, handle)
         else:
-            handle = self.queue.push(time, index, (index,), seq)
-            ref_handle = self.ref.push(time, index, (index,), seq)
+            handle = self.queue.push(time, index, (index,))
+            ref_handle = self.ref.push(time, index, (index,))
             assert handle.__class__ is Event and ref_handle.__class__ is RefEvent
             assert (handle.time, handle.seq, handle.fn, handle.args) == (
                 ref_handle.time, ref_handle.seq, index, (index,))
@@ -164,13 +160,6 @@ class _Lockstep:
         kind = op[0]
         if kind == "push":
             self.push(op[1], op[2])
-        elif kind == "reserve":
-            seq = self.queue.reserve()
-            assert seq == self.ref.reserve()
-            self.reserved.append(seq)
-        elif kind == "push_reserved":
-            self.push(op[1], op[2],
-                      self.reserved.pop(0) if self.reserved else None)
         elif kind == "cancel":
             if self.live:
                 self.cancel(op[1])

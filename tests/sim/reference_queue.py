@@ -102,9 +102,8 @@ class EventQueue:
     A min-heap of bucket indices finds the next non-empty bucket without
     scanning. Because a bucket's entire time range lies strictly before
     every later bucket's, the current list's head is always the global
-    minimum — the ``(time, seq)`` total order (including
-    :meth:`reserve`-pinned ties, which share a timestamp and therefore a
-    bucket) is preserved exactly.
+    minimum — the ``(time, seq)`` total order (ties share a timestamp and
+    therefore a bucket) is preserved exactly.
 
     There is no fixed horizon: buckets are created on demand however far
     ahead an event lands, and the index heap skips the empty gaps, so the
@@ -162,11 +161,7 @@ class EventQueue:
 
     @property
     def scheduled_total(self):
-        """Events ever pushed — the kernel event volume a run generates.
-
-        Reserved-but-unused sequence numbers (see :meth:`reserve`) are not
-        counted: they cost one integer increment, not a queue operation.
-        """
+        """Events ever pushed — the kernel event volume a run generates."""
         return self._pushed
 
     @property
@@ -180,43 +175,25 @@ class EventQueue:
         """Physical entries across all buckets, including shells."""
         return len(self) + self._shells
 
-    def reserve(self):
-        """Allocate and return a sequence number without enqueueing.
-
-        Lets a caller that *may* need an event later pin its tie-breaking
-        position now: an event pushed afterwards with the reserved ``seq``
-        fires exactly where an event scheduled at reservation time would
-        have. Unused reservations cost nothing but a gap in the sequence —
-        relative order of all other events is unaffected.
-        """
-        seq = self._seq
-        self._seq += 1
-        return seq
-
-    def push(self, time, fn, args, seq=None):
+    def push(self, time, fn, args):
         """Create and enqueue an event; returns its :class:`Event` handle.
 
-        ``seq`` (from :meth:`reserve`) overrides the tie-breaking position;
-        by default the event is sequenced at push time. The handle may be
-        kept indefinitely.
+        The event is sequenced at push time. The handle may be kept
+        indefinitely.
         """
-        if seq is None:
-            seq = self._seq
-            self._seq += 1
-        event = Event(time, seq, fn, args)
-        EventQueue.push_bare(self, time, event, None, seq)
+        event = Event(time, self._seq, fn, args)
+        EventQueue.push_bare(self, time, event, None)
         return event
 
-    def push_bare(self, time, fn, args, seq=None):
+    def push_bare(self, time, fn, args):
         """Enqueue ``fn(*args)`` with no :class:`Event`; returns its ``seq``.
 
         The kernel's hot path. ``args`` must be a tuple (``None`` marks a
         handle entry). The returned ``seq`` is the handle
         :meth:`cancel_bare` takes — valid only while the event is pending.
         """
-        if seq is None:
-            seq = self._seq
-            self._seq += 1
+        seq = self._seq
+        self._seq += 1
         self._pushed += 1
         idx = int(time * self._inv_width)
         if idx <= self._cur_idx:

@@ -2,6 +2,8 @@
 
 import tracemalloc
 
+import pytest
+
 from repro.sim.events import Event, EventQueue, resolve_queue_backend
 
 
@@ -86,27 +88,6 @@ def test_pop_returns_event_exactly_at_limit():
     assert queue.pop(2.0) is event
 
 
-def test_reserved_seq_pins_tie_break_position():
-    queue = EventQueue()
-    early_slot = queue.reserve()
-    queue.push(1.0, "pushed-first", ())
-    queue.push(1.0, "pushed-second", ())
-    # Armed later, but at the slot reserved before either push: fires first.
-    queue.push(1.0, "reserved", (), early_slot)
-    assert [queue.pop().fn for _ in range(3)] == [
-        "reserved", "pushed-first", "pushed-second"]
-
-
-def test_unused_reservation_is_harmless():
-    queue = EventQueue()
-    queue.reserve()
-    queue.push(1.0, "a", ())
-    queue.reserve()
-    queue.push(1.0, "b", ())
-    assert queue.scheduled_total == 2
-    assert [queue.pop().fn for _ in range(2)] == ["a", "b"]
-
-
 def _cancel(queue, event):
     """Cancel through the queue's bookkeeping (as Simulator.cancel does)."""
     event.cancel()
@@ -155,15 +136,24 @@ def test_order_preserved_after_compaction():
 
 def test_bare_push_returns_its_seq_and_creates_no_event():
     queue = EventQueue()
-    slot = queue.reserve()
-    assert queue.push_bare(1.0, "a", ()) == 1
-    assert queue.push_bare(1.0, "b", ("arg",), slot) == slot
+    assert queue.push_bare(2.0, "a", ()) == 0
+    assert queue.push_bare(1.0, "b", ("arg",)) == 1
     assert queue.scheduled_total == len(queue) == queue.heap_size == 2
     # The entry is the whole record: (time, seq, fn, args) as pushed.
-    assert queue.pop_entry(5.0) == (1.0, slot, "b", ("arg",))
-    assert queue.pop_entry(0.5) is None
-    assert queue.pop_entry(5.0) == (1.0, 1, "a", ())
+    assert queue.pop_entry(5.0) == (1.0, 1, "b", ("arg",))
+    assert queue.pop_entry(1.5) is None
+    assert queue.pop_entry(5.0) == (2.0, 0, "a", ())
     assert len(queue) == queue.heap_size == 0
+
+
+@pytest.mark.parametrize("push", ["push", "push_bare"])
+def test_push_takes_exactly_time_fn_and_args(push):
+    """No caller picks its own tie-break position: a seq is assigned at
+    push time, always."""
+    queue = EventQueue()
+    with pytest.raises(TypeError, match="takes 3 arguments"):
+        getattr(queue, push)(1.0, "a", (), 0)
+    assert queue.scheduled_total == len(queue) == 0
 
 
 def test_pop_entry_marks_a_handle_entry_with_args_none():

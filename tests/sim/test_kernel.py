@@ -234,11 +234,10 @@ def test_bare_event_cancelled_from_another_callback_never_runs(sim):
 def test_pop_wraps_a_bare_entry_in_an_event(sim):
     """The queue's Event-returning pop serves bare entries too: callers
     outside the run loop see ``.time/.seq/.fn/.args`` either way."""
-    slot = sim.reserve_slot()
-    sim.push_event(1.5, print, ("x", 2), slot)
+    seq = sim.push_event(1.5, print, ("x", 2))
     event = sim._queue.pop()
     assert (event.time, event.seq, event.fn, event.args) == (
-        1.5, slot, print, ("x", 2))
+        1.5, seq, print, ("x", 2))
     assert not event.cancelled
     assert sim.pending() == 0
 
@@ -252,37 +251,9 @@ def test_reentrant_run_raises(sim):
         sim.run()
 
 
-def test_reserved_slot_pins_tie_break_position(sim):
-    """An event armed late with a reserved seq fires as if scheduled at
-    reservation time — ahead of same-instant events scheduled in between."""
-    seen = []
-    slot = sim.reserve_slot()
-    sim.schedule_at(1.0, lambda: seen.append("later"))
-    sim.schedule_at_reserved(1.0, slot, lambda: seen.append("reserved"))
-    sim.run()
-    assert seen == ["reserved", "later"]
-
-
-def test_unused_reservation_costs_no_event(sim):
-    before = sim.events_scheduled
-    sim.reserve_slot()
-    assert sim.events_scheduled == before
-    assert sim.pending() == 0
-
-
-def test_schedule_at_reserved_in_past_raises(sim):
-    slot = sim.reserve_slot()
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.schedule_at_reserved(0.5, slot, lambda: None)
-
-
 _SCHEDULERS = {
     "schedule": lambda sim, t: sim.schedule(t, print),
     "schedule_at": lambda sim, t: sim.schedule_at(t, print),
-    "schedule_at_reserved": lambda sim, t: sim.schedule_at_reserved(
-        t, sim.reserve_slot(), print),
 }
 
 
