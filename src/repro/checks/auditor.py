@@ -102,24 +102,10 @@ class TieGroup:
         self.time = time
         self.members = []
 
-    def is_hazard(self):
-        """Whether this group's ordering depends on push order.
-
-        Two or more members at one instant fire in push order. Push
-        order is deterministic within one interpreter, but it is exactly
-        what a hash-ordered container feeding the scheduling loop or a
-        different ``PYTHONHASHSEED`` perturbs. Flagged groups are an
-        audit surface, not individually proven races: the double-run
-        harness (:mod:`repro.checks.race`) is the oracle for which of
-        them actually bite.
-        """
-        return len(self.members) >= 2
-
     def to_dict(self):
         return {
             "time": self.time.hex(),
             "members": [m.to_dict() for m in self.members],
-            "hazard": self.is_hazard(),
         }
 
 
@@ -130,8 +116,8 @@ class RaceAuditor:
     queue's observer and calls :meth:`make_stream`/:meth:`bind` at
     construction.
     After (or during) the run, inspect :meth:`tie_groups`,
-    :meth:`hazards`, :meth:`rng_draws`, :meth:`trace` / :meth:`digest`,
-    or :meth:`summary`.
+    :meth:`rng_draws`, :meth:`trace` / :meth:`digest`, or
+    :meth:`summary`.
     """
 
     def __init__(self, capture=False):
@@ -207,14 +193,17 @@ class RaceAuditor:
                 for name, stream in sorted(self._streams.items())}
 
     def tie_groups(self):
-        """Groups of two or more events scheduled at one instant."""
+        """Groups of two or more events scheduled at one instant.
+
+        Their members fire in push order. Push order is deterministic
+        within one interpreter, but it is exactly what a hash-ordered
+        container feeding the scheduling loop or a different
+        ``PYTHONHASHSEED`` perturbs. The groups are an audit surface, not
+        individually proven races: the double-run harness
+        (:mod:`repro.checks.race`) is the oracle for which of them bite.
+        """
         return [group for _time, group in sorted(self._by_time.items())
                 if len(group.members) >= 2]
-
-    def hazards(self):
-        """Tie groups whose ordering depends on push order (see
-        :meth:`TieGroup.is_hazard`)."""
-        return [group for group in self.tie_groups() if group.is_hazard()]
 
     def group_at(self, time):
         """The tie group at an exact virtual timestamp, or None."""
@@ -223,7 +212,6 @@ class RaceAuditor:
     def summary(self):
         """Compact, JSON-ready description of what the run did."""
         ties = self.tie_groups()
-        hazards = [g for g in ties if g.is_hazard()]
         return {
             "events_recorded": self.events_recorded,
             "events_executed": self.events_executed,
@@ -231,5 +219,4 @@ class RaceAuditor:
             "rng_draws": self.rng_draws(),
             "tie_groups": len(ties),
             "tied_events": sum(len(g.members) for g in ties),
-            "hazard_groups": len(hazards),
         }

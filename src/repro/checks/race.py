@@ -308,7 +308,6 @@ def _run_summary(payload):
         "events_executed": summary["events_executed"],
         "rng_draws": summary["rng_draws"],
         "tie_groups": summary["tie_groups"],
-        "hazard_groups": summary["hazard_groups"],
         "hash_seed_env": payload["hash_seed_env"],
     }
 

@@ -19,6 +19,8 @@ n=105 puts eight per region plus the coordinator.
 """
 
 import math
+from functools import reduce
+from operator import add
 
 #: Region names, index 0 is the coordinator's region.
 REGIONS = (
@@ -101,10 +103,13 @@ def _calibrate_speed():
         xs.append(_great_circle_km(origin, _COORDINATES[region]))
         ys.append(latency)
     n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var = sum((x - mean_x) ** 2 for x in xs)
+    # Summed left to right: from Python 3.12 on, sum() compensates float
+    # rounding (gh-100425), which moves the fit and every latency from it.
+    mean_x = reduce(add, xs, 0) / n
+    mean_y = reduce(add, ys, 0) / n
+    cov = reduce(add, [(x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)],
+                 0)
+    var = reduce(add, [(x - mean_x) ** 2 for x in xs], 0)
     slope = cov / var  # ms per km
     overhead = mean_y - slope * mean_x
     return max(0.0, overhead), 1.0 / slope

@@ -5,59 +5,12 @@ Classic Paxos acceptor over a multi-instance log with ranged Phase 1
 acceptor keeps a single promised round that applies to every instance — the
 standard Multi-Paxos arrangement — plus the per-instance accepted
 (round, value) pairs.
+
+The type is compiled (``repro/sim/_kernel.c``, beside the
+:class:`repro.paxos.process.PaxosProcess` base that drives it); its Python
+reference model is tests/paxos/reference_replica.py.
 """
 
-from repro.paxos.messages import Phase1b, Phase2b
+from repro.sim.events import compiled
 
-
-class Acceptor:
-    """Promise/accept state machine of one process."""
-
-    __slots__ = ("process_id", "promised_round", "accepted", "_forgotten")
-
-    def __init__(self, process_id):
-        self.process_id = process_id
-        self.promised_round = 0
-        #: instance -> (round, value) of the last accepted proposal.
-        self.accepted = {}
-        self._forgotten = 0  # watermark: instances <= this were compacted
-
-    def on_phase1a(self, msg):
-        """Handle a ranged Phase 1a; returns a Phase1b or None.
-
-        The promise is granted when the round is higher than any promised
-        or accepted before; the reply reports accepted values in instances
-        >= ``msg.from_instance`` so the coordinator can re-propose them.
-        """
-        if msg.round <= self.promised_round:
-            return None
-        self.promised_round = msg.round
-        accepted = [
-            (instance, round_, value)
-            for instance, (round_, value) in sorted(self.accepted.items())
-            if instance >= msg.from_instance
-        ]
-        return Phase1b(msg.round, self.process_id, accepted)
-
-    def on_phase2a(self, msg, attempt=0):
-        """Handle a Phase 2a; returns a Phase2b vote or None.
-
-        The proposal is accepted unless the acceptor promised a higher
-        round. Accepting also raises the promise to the proposal's round,
-        per the classic algorithm.
-        """
-        if msg.round < self.promised_round:
-            return None
-        self.promised_round = msg.round
-        self.accepted[msg.instance] = (msg.round, msg.value)
-        return Phase2b(
-            msg.instance, msg.round, msg.value.value_id, self.process_id, attempt
-        )
-
-    def forget_up_to(self, instance):
-        """Compact state for decided instances <= ``instance``."""
-        if instance <= self._forgotten:
-            return
-        for i in range(self._forgotten + 1, instance + 1):
-            self.accepted.pop(i, None)
-        self._forgotten = instance
+Acceptor = compiled.Acceptor

@@ -5,36 +5,12 @@ order, with no gaps (paper §2.3). The log buffers out-of-order decisions
 and releases the longest ready prefix; a missing instance blocks everything
 after it — the effect the paper's reliability study leans on ("a single
 unsuccessful instance renders all subsequent instances unsuccessful").
+
+The type is compiled (``repro/sim/_kernel.c``, beside the
+:class:`repro.paxos.process.PaxosProcess` base that drives it); its Python
+reference model is tests/paxos/reference_replica.py.
 """
 
+from repro.sim.events import compiled
 
-class DecisionLog:
-    """Orders decided values for delivery to the replicated state machine."""
-
-    __slots__ = ("next_instance", "_pending", "delivered_count")
-
-    def __init__(self, first_instance=1):
-        self.next_instance = first_instance
-        self._pending = {}
-        self.delivered_count = 0
-
-    def add(self, instance, value):
-        """Record a decision; idempotent for already-delivered instances."""
-        if instance < self.next_instance:
-            return
-        self._pending.setdefault(instance, value)
-
-    def pop_ready(self):
-        """Return the list of (instance, value) now deliverable in order."""
-        ready = []
-        while self.next_instance in self._pending:
-            value = self._pending.pop(self.next_instance)
-            ready.append((self.next_instance, value))
-            self.next_instance += 1
-        self.delivered_count += len(ready)
-        return ready
-
-    @property
-    def gap_blocked(self):
-        """Number of decided-but-undeliverable instances (behind a gap)."""
-        return len(self._pending)
+DecisionLog = compiled.DecisionLog

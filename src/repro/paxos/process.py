@@ -15,17 +15,17 @@ may ask of a process — and the base of the Paxos, S-Paxos and Raft classes.
 """
 
 from repro.sim.actors import Actor
-from repro.paxos.acceptor import Acceptor
+from repro.sim.events import compiled
 from repro.paxos.coordinator import Coordinator
-from repro.paxos.learner import Learner
-from repro.paxos.log import DecisionLog
 from repro.paxos.messages import (
+    HEADER_BYTES,
     ClientValue,
     Decision,
     Phase1a,
     Phase1b,
     Phase2a,
     Phase2b,
+    Value,
 )
 
 
@@ -71,6 +71,10 @@ class ProcessStats:
         self.election_retransmissions = 0
         #: In-flight values re-proposed by a takeover/elected coordinator.
         self.election_reproposals = 0
+
+
+compiled.register_replica(ProcessStats, Value, ClientValue, Phase1a, Phase1b,
+                          Phase2a, Phase2b, Decision, HEADER_BYTES)
 
 
 class ConsensusProcess(Actor):
@@ -162,8 +166,17 @@ class ConsensusProcess(Actor):
         raise NotImplementedError
 
 
-class PaxosProcess(ConsensusProcess):
-    """One Paxos participant playing all roles."""
+class PaxosProcess(compiled.PaxosCore, ConsensusProcess):
+    """One Paxos participant playing all roles.
+
+    The C base (``repro/sim/_kernel.c``) holds the acceptor, the learner
+    and the decision log, and runs :meth:`handle`: message dispatch, the
+    roles, and what follows a decision (tracing, the coordinator's
+    Decision broadcast, gap-free delivery to ``on_deliver`` and the
+    roles' compaction). It calls back into Python for the coordinator,
+    ``comm``, ``obs`` and ``on_deliver``. The coordinator's side and
+    takeover stay here.
+    """
 
     def __init__(self, sim, process_id, n, comm, coordinator_id=0,
                  retransmit_timeout=None, on_deliver=None):
@@ -179,24 +192,20 @@ class PaxosProcess(ConsensusProcess):
         The process never elects itself: a backup becomes coordinator only
         when the membership layer's election calls :meth:`take_over`.
         """
-        super().__init__(sim, "paxos-{}".format(process_id), process_id, n,
-                         comm, retransmit_timeout, on_deliver)
+        ConsensusProcess.__init__(
+            self, sim, "paxos-{}".format(process_id), process_id, n, comm,
+            retransmit_timeout, on_deliver)
+        # The acceptor, learner and log; _max_seen_round = 1; and the
+        # in-flight client values observed via gossip (_seen_values, less
+        # _decided_value_ids), tracked for re-proposal by a takeover
+        # coordinator once the membership layer's election switches
+        # _track_values on.
+        compiled.PaxosCore.__init__(self, process_id, n)
         self.is_coordinator = process_id == coordinator_id
-        self.acceptor = Acceptor(process_id)
-        self.learner = Learner(n)
-        self.log = DecisionLog()
         self.coordinator = (
             Coordinator(process_id, n, comm) if self.is_coordinator else None
         )
         self.takeovers = 0
-        self._max_seen_round = 1
-        #: in-flight client values observed via gossip (election only):
-        #: re-proposed by a takeover coordinator so they are not lost.
-        self._seen_values = {}
-        self._decided_value_ids = set()
-        #: Whether to track in-flight values for re-proposal; switched on
-        #: by the membership layer's election.
-        self._track_values = False
         #: Whether the current coordinator role was assumed by takeover or
         #: election (its retransmissions count as election-triggered).
         self._election_born = False
@@ -265,76 +274,6 @@ class PaxosProcess(ConsensusProcess):
             return
         self.stats.values_forwarded += 1
         self.comm.to_coordinator(ClientValue(value, self.process_id))
-
-    # -- message handling ----------------------------------------------------
-
-    def handle(self, payload):
-        """Entry point for every message delivered by the substrate."""
-        if not self.alive:
-            return
-        self.stats.messages_handled += 1
-        kind = type(payload)
-        if kind is Phase2b:
-            if payload.round > self._max_seen_round:
-                self._max_seen_round = payload.round
-            decided = self.learner.on_phase2b(payload)
-            if decided is not None:
-                self._on_decided(decided)
-        elif kind is Phase2a:
-            if payload.round > self._max_seen_round:
-                self._max_seen_round = payload.round
-            vote = self.acceptor.on_phase2a(payload, attempt=payload.uid[3])
-            if vote is not None:
-                self.comm.phase2b(vote)
-            decided = self.learner.on_phase2a(payload)
-            if decided is not None:
-                self._on_decided(decided)
-        elif kind is Decision:
-            decided = self.learner.on_decision(payload)
-            if decided is not None:
-                self._on_decided(decided)
-        elif kind is ClientValue:
-            if self._track_values:
-                value = payload.value
-                if value.value_id not in self._decided_value_ids:
-                    self._seen_values[value.value_id] = value
-            if self.coordinator is not None:
-                self.coordinator.on_client_value(payload.value, self.now)
-        elif kind is Phase1a:
-            if payload.round > self._max_seen_round:
-                self._max_seen_round = payload.round
-            promise = self.acceptor.on_phase1a(payload)
-            if promise is not None:
-                self.comm.to_coordinator(promise)
-        elif kind is Phase1b:
-            if self.coordinator is not None:
-                self.coordinator.on_phase1b(payload, self.now)
-
-    # -- decisions ------------------------------------------------------------
-
-    def _on_decided(self, decided):
-        instance, value = decided
-        if self.obs is not None:
-            self.obs.value_decided(self.process_id, instance, value.value_id)
-        if self.coordinator is not None:
-            # Inform all processes (paper §2.3); filtering turns this into
-            # the message that obsoletes the instance's Phase 2b traffic.
-            self.coordinator.on_decided(instance)
-            self.comm.broadcast(Decision(instance, self.learner_round(), value))
-        self.log.add(instance, value)
-        ready = self.log.pop_ready()
-        if ready:
-            self.stats.decisions_delivered += len(ready)
-            watermark = ready[-1][0]
-            self.acceptor.forget_up_to(watermark)
-            self.learner.forget_up_to(watermark)
-            if self._track_values:
-                for _, ready_value in ready:
-                    self._decided_value_ids.add(ready_value.value_id)
-                    self._seen_values.pop(ready_value.value_id, None)
-            if self.on_deliver is not None:
-                for ready_instance, ready_value in ready:
-                    self.on_deliver(ready_instance, ready_value)
 
     def learner_round(self):
         """Round tag used on Decision messages."""

@@ -11,6 +11,8 @@ aggregation savings).
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 
 class _ValueRecord:
@@ -62,8 +64,13 @@ class MetricsCollector:
 
 
 def mean(xs):
-    """Arithmetic mean; 0.0 for empty input."""
-    return sum(xs) / len(xs) if xs else 0.0
+    """Arithmetic mean; 0.0 for empty input.
+
+    Both statistics sum left to right, as ``sum()`` did before Python
+    3.12 began to compensate float rounding (gh-100425): a report's
+    numbers must not depend on the interpreter's version.
+    """
+    return reduce(add, xs, 0) / len(xs) if xs else 0.0
 
 
 def stddev(xs):
@@ -71,7 +78,8 @@ def stddev(xs):
     if len(xs) < 2:
         return 0.0
     mu = mean(xs)
-    return math.sqrt(sum((x - mu) ** 2 for x in xs) / (len(xs) - 1))
+    return math.sqrt(reduce(add, [(x - mu) ** 2 for x in xs], 0)
+                     / (len(xs) - 1))
 
 
 def percentile(sorted_xs, p):

@@ -59,7 +59,6 @@ def test_synthetic_race_is_detected_with_provenance():
     # Provenance: all 12 tied deliveries, every one scheduled by the
     # pump (event #0).
     group = divergence["tie_group"]
-    assert group["hazard"] is True
     assert len(group["members"]) == 12
     assert all(member["origin"] == 0 for member in group["members"])
 

@@ -1,9 +1,10 @@
 """Set-based vote bookkeeping: the executable reference models.
 
 These are the structures the sender-bitmask code in ``repro.core`` and
-``repro.paxos.learner`` replaced: aggregates that carry a ``frozenset`` of
-senders, filters that keep a ``set`` per vote key, an aggregator that
-builds a ``set`` per group and a learner that counts a ``set`` of voters.
+the Python learner (tests/paxos/reference_replica.py) replaced:
+aggregates that carry a ``frozenset`` of senders, filters that keep a
+``set`` per vote key, an aggregator that builds a ``set`` per group and a
+learner that counts a ``set`` of voters.
 They live with the tests because nothing else constructs them:
 ``tests/properties/test_vote_mask_props.py`` drives random vote streams
 through each pair and demands the same verdicts, counters, aggregates and
@@ -14,9 +15,9 @@ properties assert that it never fires.
 """
 
 from repro.net.message import Payload
-from repro.paxos import learner
 from repro.paxos.messages import HEADER_BYTES, Decision, Phase2b
 from repro.raft.messages import AppendAck, AppendEntries, CommitNotice
+from tests.paxos import reference_replica
 
 
 class FilterStats:
@@ -337,7 +338,7 @@ def raft_aggregator():
 
 # -- learner -------------------------------------------------------------------
 
-class Learner(learner.Learner):
+class Learner(reference_replica.Learner):
     """The learner whose Phase 2b count is a set of voters."""
 
     __slots__ = ()

@@ -90,3 +90,19 @@ def test_coordinator_is_process_zero_in_nv():
 def test_region_latency_ms_helper():
     assert regions.region_latency_ms(0, 1) == 7.0
     assert regions.region_latency_ms(0, 0) == regions.INTRA_REGION_LATENCY_MS
+
+
+def test_fit_and_mean_are_the_same_floats_on_every_python():
+    """The latency fit and the report's mean sum left to right.
+
+    Python 3.12's ``sum()`` compensates float rounding (gh-100425); with
+    it the fitted overhead moves by an ulp, every synthesized latency
+    with it, and the committed digests drawn on 3.10/3.11 no longer
+    match. These are the 3.10/3.11 bits.
+    """
+    from repro.runtime.metrics import mean
+
+    assert regions._OVERHEAD_MS == float.fromhex("0x1.58d975c4ac560p+2")
+    assert regions._KM_PER_MS == float.fromhex("0x1.37ec9f8f838efp+7")
+    # sum([0.1] * 10) left to right is 0x1.fffffffffffffp-1, not 1.0.
+    assert mean([0.1] * 10) == float.fromhex("0x1.9999999999999p-4")

@@ -1,5 +1,7 @@
 """Tests for the learner role."""
 
+import pytest
+
 from repro.paxos.learner import Learner
 from repro.paxos.messages import Decision, Phase2a, Phase2b, Value
 
@@ -115,3 +117,30 @@ def test_independent_instances():
     learner.on_phase2b(Phase2b(2, 1, "b", 0))
     assert learner.on_phase2b(Phase2b(2, 1, "b", 1)) == (2, _value("b"))
     assert learner.on_phase2b(Phase2b(1, 1, "a", 1)) == (1, _value("a"))
+
+
+def test_votes_from_senders_beyond_n_are_rejected():
+    """Seven votes from senders 13-19 once decided an instance at n=13."""
+    learner = Learner(13)
+    learner.on_phase2a(Phase2a(1, 1, _value()))
+    for sender in range(13, 20):
+        with pytest.raises(ValueError, match="sender.*13"):
+            learner.on_phase2b(Phase2b(1, 1, "v", sender))
+    assert not learner.is_decided(1)
+    assert learner.decided == {}
+
+
+def test_vote_from_a_negative_sender_is_rejected_by_name():
+    with pytest.raises(ValueError, match="sender.*-1"):
+        Learner(13).on_phase2b(Phase2b(1, 1, "v", -1))
+
+
+def test_majority_of_a_thousand_counts_every_word_of_the_bitset():
+    learner = Learner(1000)
+    learner.on_phase2a(Phase2a(1, 1, _value()))
+    voters = list(range(999, 498, -1))           # 501 senders, 8 words
+    for sender in voters[:-1]:
+        assert learner.on_phase2b(Phase2b(1, 1, "v", sender)) is None
+    assert learner.on_phase2b(Phase2b(1, 1, "v", 999)) is None   # again
+    assert learner.on_phase2b(Phase2b(1, 1, "v", voters[-1])) == (
+        1, _value())

@@ -6,12 +6,13 @@ which no digest shows. ``sys.getallocatedblocks()`` does: after a warm-up
 run has filled the interpreter's own caches, repeated runs of the same
 scenario must leave the count where it was. The scenarios cover the
 fault engine (crash, loss, partition and degrade on gossip and on the
-direct star), the pull strategy and the aggregating semantic hooks.
+direct star), the pull strategy, the aggregating semantic hooks and the
+fault-free star, where the compiled Paxos replica does most of the work.
 
 A reference kept to a callback's *result* hides from whole runs: a
-node's receive returns None and a loss hook a bool, and references to
-those allocate nothing. One link whose callbacks return fresh objects
-shows it.
+node's receive returns None, a loss hook a bool, a communicator and a
+client None, and references to those allocate nothing. One link and one
+Paxos process whose callbacks return fresh objects show it.
 """
 
 import gc
@@ -22,11 +23,13 @@ import pytest
 from repro.checks.scenarios import scenario_config
 from repro.net.channel import DirectedLink, LinkConfig
 from repro.net.message import RawPayload
+from repro.paxos.messages import ClientValue, Phase1a, Phase2a, Phase2b, Value
+from repro.paxos.process import Communicator, PaxosProcess
 from repro.runtime.runner import run_experiment
 from repro.sim.kernel import Simulator
 
 SCENARIOS = ["link_faults", "baseline_faults", "push_pull_loss",
-             "degrade_jitter", "fig7_overlay"]
+             "degrade_jitter", "fig7_overlay", "baseline_star"]
 RUNS = 4
 
 
@@ -65,3 +68,35 @@ def test_an_arrival_releases_what_its_callbacks_return():
     grown = sys.getallocatedblocks() - before
     assert link.stats.delivered == 2000
     assert grown < 100, "{} blocks more after 1000 arrivals".format(grown)
+
+
+class _FreshComm(Communicator):
+    def broadcast(self, payload):
+        return [payload]
+
+    to_coordinator = phase2b = broadcast
+
+
+def test_a_paxos_handle_releases_what_its_callbacks_return():
+    def burst():
+        process = PaxosProcess(Simulator(seed=1), 1, 3, _FreshComm(),
+                               coordinator_id=1,
+                               on_deliver=lambda instance, value: [value])
+        process.start()
+        for instance in range(1, 1001):
+            value = Value(("v", instance), 0)
+            process.handle(ClientValue(value, 0))
+            process.handle(Phase1a(instance, instance, 0))
+            process.handle(Phase2a(instance, instance, value))
+            for sender in (0, 2):
+                process.handle(Phase2b(instance, instance, value.value_id,
+                                       sender))
+        assert process.log.delivered_count == 1000
+
+    burst()
+    gc.collect()
+    before = sys.getallocatedblocks()
+    burst()
+    gc.collect()
+    grown = sys.getallocatedblocks() - before
+    assert grown < 100, "{} blocks more after 1000 decisions".format(grown)
