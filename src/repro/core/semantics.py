@@ -21,17 +21,21 @@ class PaxosSemantics(SemanticHooks):
         self.n = n
         self.enable_filtering = enable_filtering
         self.enable_aggregation = enable_aggregation
-        self.filter = None
-        if enable_filtering:
-            self.filter = SemanticFilter(n)
-            # The gossip node calls the filter's own validate: no wrapper
-            # frame per (message, peer).
-            self.validate = self.filter.validate
+        self.filter = SemanticFilter(n) if enable_filtering else None
         self.aggregator = SemanticAggregator()
+        # Unless a subclass overrides them, the gossip node calls the
+        # compiled filter's and aggregator's own validate and aggregate:
+        # no Python frame per (message, peer).
+        cls = type(self)
+        if self.filter is not None and cls.validate is PaxosSemantics.validate:
+            self.validate = self.filter.validate
+        if enable_aggregation and cls.aggregate is PaxosSemantics.aggregate:
+            self.aggregate = self.aggregator.aggregate
 
     def validate(self, payload, peer_id):
-        # Reached only with filtering disabled (see __init__).
-        return True
+        if self.filter is None:
+            return True
+        return self.filter.validate(payload, peer_id)
 
     def aggregate(self, payloads, peer_id):
         if not self.enable_aggregation:

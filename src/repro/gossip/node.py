@@ -14,20 +14,21 @@ Architecture per the paper's §3.3:
   One loop over the fan-out (:meth:`GossipNode._send`) validates and
   commits a message for an idle link itself and queues only the rest.
 
-The per-hop half is compiled (``repro/sim/_kernel.c``, beside the link,
-server and cache it calls): :class:`GossipNode` derives from the C
-``NodeCore``, whose ``_on_link_receive`` (the single-part receive),
-``_complete`` (deliver and forward) and ``_send`` (the fan-out loop) run
-without entering Python unless they call out — to the cache if it is not
-an :class:`InternedSeenCache`, to the application's ``deliver``, to
-overridden hooks, to a tracer, or to a busy peer's :meth:`_PeerSender.enqueue`.
-:class:`GossipStats` is a C type, and :class:`_PeerSender` keeps its link
-and pacing state in a C base. Python keeps what runs rarely: the
-broadcast, the aggregated receive (:meth:`GossipNode._receive_aggregated`)
-and everything behind a busy link (the sender's queue, wake-up and
-batched round). A subclass that defines ``_on_link_receive`` or
-``_complete`` (the pull strategies) has its own called. The Python form
-of the compiled paths is the reference model in
+The per-hop half and the send routines are compiled
+(``repro/sim/_kernel.c``, beside the link, server and cache they call):
+:class:`GossipNode` derives from the C ``NodeCore``, whose
+``_on_link_receive`` (the single-part receive), ``_complete`` (deliver and
+forward) and ``_send`` (the fan-out loop) run without entering Python
+unless they call out — to the cache if it is not an
+:class:`InternedSeenCache`, to the application's ``deliver``, to hooks
+other than the compiled filter and aggregator of :mod:`repro.core`, or to
+a tracer. :class:`_PeerSender` is the C ``SenderCore``: the queue, wake-up
+and batched round behind a busy link are compiled too, and
+:class:`GossipStats` is a C type. Python keeps what runs rarely: the
+broadcast and the aggregated receive
+(:meth:`GossipNode._receive_aggregated`). A subclass that defines
+``_on_link_receive`` or ``_complete`` (the pull strategies) has its own
+called. The Python form of the compiled paths is the reference model in
 ``tests/gossip/reference_node.py``.
 
 Saturation model: all application-visible work (duplicate checks, delivery,
@@ -79,153 +80,45 @@ class _PeerSender(compiled.SenderCore):
     instant the link frees (``_free_at``) arithmetically. A message for
     an idle link is committed by the node's fan-out loop
     (:meth:`GossipNode._send`), which records ``_free_at`` here. A
-    message for a busy link is queued (:meth:`enqueue`), and the first
+    message for a busy link is queued (``enqueue``), and the first
     one queued arms the only event a sender ever arms: a wake-up at
     ``_free_at``. Nothing commits onto the link while it is armed, so
     it fires as the link frees; whatever has queued by then is
     validated/aggregated and committed whole as one chained round
-    (:meth:`_pump`). A transmission with nothing behind it — the common
+    (``_wakeup``). A transmission with nothing behind it — the common
     case below saturation — costs no sender event at all. Link jitter
     changes none of this: the link draws it when it commits an arrival,
     and it moves arrivals, never completions.
 
-    The queue is a plain list that :meth:`_pump` takes whole, leaving an
+    The queue is a plain list that the round takes whole, leaving an
     empty one in its place. It holds messages only while a wake-up is
-    armed.
+    armed. ``busy`` is true while a batch is being serialised or paced;
+    ``discard()`` disarms the wake-up and forgets the queue.
 
-    ``link``, ``_free_at`` (the instant the link serialises our traffic
-    until) and ``_wakeup_armed`` live in the C base, where the compiled
-    fan-out reads and writes them; they start at 0.0 and False.
+    All of it is the compiled ``SenderCore`` (``repro/sim/_kernel.c``):
+    the round calls a compiled filter's and aggregator's own validate and
+    aggregate, and any other hooks through Python, as the node's fan-out
+    does. This subclass only names the sender's events (the wake-up's
+    label is ``_PeerSender._wakeup``). The Python it replaced is the
+    reference model in ``tests/gossip/reference_node.py``.
     """
 
-    __slots__ = ("node", "sim", "peer_id", "queue", "capacity",
-                 "_wakeup_event")
-
-    def __init__(self, node, peer_id, link, capacity):
-        self.node = node
-        self.sim = node.sim
-        self.peer_id = peer_id
-        self.link = link
-        self.queue = []
-        self.capacity = capacity
-        self._wakeup_event = None    # handle, valid only while armed
-
-    @property
-    def busy(self):
-        """True while a batch is being serialised or paced."""
-        return self._wakeup_armed or self.sim.now < self._free_at
-
-    def enqueue(self, payload):
-        """Queue ``payload`` behind the busy link (see :attr:`busy`).
-
-        The first message queued arms the wake-up: it fires when the link
-        frees. A full queue drops the message and counts the drop.
-        """
-        queue = self.queue
-        if self.capacity is not None and len(queue) >= self.capacity:
-            self.node.stats.send_queue_drops += 1
-            return
-        queue.append(payload)
-        if not self._wakeup_armed:
-            self._wakeup_armed = True
-            self._wakeup_event = self.sim.push_event(
-                self._free_at, self._wakeup, ())
-
-    def _pump(self):
-        """Validate + aggregate what has queued and commit it to the wire."""
-        node = self.node
-        hooks = node._hooks
-        batch = self.queue
-        self.queue = []
-        if node.validate_default:
-            # Default validate admits everything; skip the per-message
-            # calls (classic gossip's saturated batch path).
-            kept = batch
-        else:
-            kept = []
-            for payload in batch:
-                if hooks.validate(payload, self.peer_id):
-                    kept.append(payload)
-                else:
-                    node.stats.filtered += 1
-                    if node.obs is not None:
-                        node.obs.gossip_filtered(node.process_id,
-                                                 self.peer_id, payload)
-        # Messages run through validate, then (two or more) aggregate.
-        examined = len(batch)
-        if len(kept) > 1:
-            examined += len(kept)
-            if not node.aggregate_default:
-                before = len(kept)
-                kept = hooks.aggregate(kept, self.peer_id)
-                saved = before - len(kept)
-                if saved > 0:
-                    node.stats.aggregated_in += saved + sum(
-                        1 for p in kept if p.aggregated
-                    )
-                    node.stats.aggregated_saved += saved
-                    if node.obs is not None:
-                        for p in kept:
-                            if p.aggregated:
-                                # Votes in the sender bitmask; a Batch
-                                # has none.
-                                votes = getattr(p, "senders", 0).bit_count()
-                                node.obs.gossip_aggregated(
-                                    node.process_id, self.peer_id, p,
-                                    max(0, votes - 1))
-        if node.hooks_charged:
-            # The hooks ran inline: the charge occupies the CPU without
-            # delaying this batch; queued CPU work behind it is what pays.
-            service = examined * node.costs.hook_s
-            if service > 0.0:
-                node._cpu_acct(service)
-        if kept:
-            self._send_round(kept)
-
-    def _send_round(self, batch):
-        """Commit the whole validated batch to the wire arithmetically.
-
-        Every serialisation completion in the round is known now (FIFO
-        chain: each message starts when its predecessor finishes), so the
-        entire batch is chained onto the transmission server in one pass
-        — zero wake-up events instead of one per message. A wake-up
-        armed later (by an enqueue mid-round) fires at the end of the
-        round.
-        """
-        commit = self.link.commit
-        now = self.sim.now
-        for payload in batch:
-            completion = commit(payload, (payload,), now)
-        self._free_at = completion
-
-    def _wakeup(self):
-        self._wakeup_armed = False
-        self._wakeup_event = None
-        self._pump()
-
-    def discard(self):
-        """Disarm the outstanding wake-up and forget the queue it would
-        have pumped: the peer is gone (:meth:`GossipNode.remove_peer`)."""
-        self.sim.cancel(self._wakeup_event)
-        self._wakeup_armed = False
-        self._wakeup_event = None
-        self.queue.clear()
+    __slots__ = ()
 
 
 class GossipNode(compiled.NodeCore, Actor):
     """Push-gossip layer of one process.
 
     The C base holds what every hop reads: ``alive``, ``deliver``, ``obs``,
-    ``stats``, ``cpu``, ``cache``, the validate callable, the service times
-    and the fan-out tuple. Python slots hold the rest. Subclasses that add
+    ``stats``, ``cpu``, ``cache``, the validate and aggregate callables,
+    the service times and the fan-out tuple. Python slots hold the rest. Subclasses that add
     state (the pull strategies) simply omit ``__slots__`` and get a dict
     for their extras.
     """
 
     __slots__ = (
         "sim", "name", "transport", "costs", "_cpu_submit", "_cpu_acct",
-        "hooks_charged", "validate_default", "aggregate_default", "_hooks",
-        "_senders", "_send_queue_capacity",
+        "hooks_charged", "_hooks", "_senders", "_send_queue_capacity",
     )
 
     def __init__(self, sim, process_id, transport, costs=None, hooks=None,
@@ -285,18 +178,21 @@ class GossipNode(compiled.NodeCore, Actor):
 
     @hooks.setter
     def hooks(self, hooks):
-        # Refresh the per-hook defaultness flags on every swap (safety
-        # monitor wrappers, test doubles): the default validate admits
-        # everything and the default aggregate is the identity, so the
-        # hot path skips those calls entirely when the flag is set.
-        # ``hooks_charged`` is deliberately NOT refreshed — the CPU-charge
-        # decision is pinned at construction so observational wrappers
-        # cannot perturb run timing.
+        # Refresh the bound hooks on every swap (safety monitor wrappers,
+        # test doubles): the default validate admits everything and the
+        # default aggregate is the identity, so they are None and the hot
+        # path skips those calls entirely. ``hooks_charged`` is
+        # deliberately NOT refreshed — the CPU-charge decision is pinned
+        # at construction so observational wrappers cannot perturb run
+        # timing.
         self._hooks = hooks
-        self.validate_default = type(hooks).validate is SemanticHooks.validate
-        self.aggregate_default = (
-            type(hooks).aggregate is SemanticHooks.aggregate)
-        self._validate = None if self.validate_default else hooks.validate
+        kind = type(hooks)
+        self._validate = (
+            None if kind.validate is SemanticHooks.validate
+            else hooks.validate)
+        self._aggregate = (
+            None if kind.aggregate is SemanticHooks.aggregate
+            else hooks.aggregate)
 
     # -- wiring ----------------------------------------------------------
 

@@ -18,6 +18,14 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MembershipConfig:
     """Tunable knobs of the dynamic-membership layer."""
@@ -52,9 +60,18 @@ class MembershipConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type is float and not math.isfinite(value):
-                raise ValueError("{} must be finite, got {!r}".format(
-                    f.name, value))
+            if f.type is float:
+                if not _is_number(value):
+                    raise TypeError("{} must be a number, got {!r}".format(
+                        f.name, value))
+                if not math.isfinite(value):
+                    raise ValueError("{} must be finite, got {!r}".format(
+                        f.name, value))
+            elif f.type is int or (f.type == Optional[int]
+                                   and value is not None):
+                if not _is_int(value):
+                    raise TypeError("{} must be an int, got {!r}".format(
+                        f.name, value))
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         if self.suspicion_timeout <= self.heartbeat_interval:
@@ -64,6 +81,11 @@ class MembershipConfig:
             raise ValueError("dead_timeout must exceed suspicion_timeout")
         if self.initial_members is not None:
             members = tuple(self.initial_members)
+            for pid in members:
+                if not _is_int(pid):
+                    raise TypeError(
+                        "initial_members must hold process ids (ints), "
+                        "got {!r}".format(pid))
             if len(set(members)) != len(members):
                 raise ValueError("initial_members contains duplicates")
             if not members:

@@ -167,11 +167,10 @@ class ExperimentConfig:
             )
         initial = self.membership.members_at_start(self.n)
         for pid in initial:
-            if (not isinstance(pid, int) or isinstance(pid, bool)
-                    or not 0 <= pid < self.n):
+            if not 0 <= pid < self.n:
                 raise ValueError(
-                    "initial member {!r} out of range for n={}".format(
-                        pid, self.n))
+                    "initial_members: process id {!r} out of range for "
+                    "n={}".format(pid, self.n))
         if self.coordinator_id not in initial:
             raise ValueError(
                 "coordinator {} must be an initial member".format(

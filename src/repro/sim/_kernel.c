@@ -4,10 +4,11 @@
  * (repro.net.channel.DirectedLink, with its LinkStats) and the seen-cache
  * (repro.gossip.cache.InternedSeenCache) -- and the gossip node's half of
  * the hop (repro.gossip.node: the NodeCore base of GossipNode, the
- * SenderCore base of its per-peer senders, and GossipStats) -- and the
- * Paxos replica (repro.paxos: Acceptor, Learner, DecisionLog and the
- * PaxosCore base of PaxosProcess). Their executable reference models, in
- * Python, live with the tests.
+ * SenderCore base of its per-peer senders, and GossipStats) -- the Paxos
+ * replica (repro.paxos: Acceptor, Learner, DecisionLog and the PaxosCore
+ * base of PaxosProcess) -- and the semantic rules the senders call
+ * (repro.core: SemanticFilter and SemanticAggregator). Their executable
+ * reference models, in Python, live with the tests.
  *
  * A binary min-heap of 32-byte entries {time, seq, fn, args} ordered by
  * (time, seq). seq is unique, so the order is total and no two entries
@@ -56,8 +57,10 @@ static PyObject *str_now, *str_queue, *str_rng, *str_link_jitter,
     *str_queue_capacity, *str_jitter_s, *str_register_payload,
     *str_recv_fresh_s, *str_recv_dup_s, *str_send_per_peer_s, *str_complete,
     *str_aggregated, *str_receive_aggregated, *str_gossip_receive,
-    *str_gossip_filtered, *str_enqueue, *str_commit, *float_zero,
-    *empty_tuple;
+    *str_gossip_filtered, *str_commit, *str_disaggregate,
+    *str_senders, *str_bit_count, *str_gossip_aggregated, *str_wakeup,
+    *float_zero,
+    *long_zero, *long_one, *empty_tuple;
 
 /* -- Event: the handle a handle entry points at -------------------------- */
 
@@ -2360,62 +2363,33 @@ static PyTypeObject GossipStatsType = {
     .tp_members = gstats_members,
 };
 
-/* -- SenderCore: the pacing state of a gossip node's per-peer sender ----- */
+/* -- SenderCore: a gossip node's per-peer send routine ------------------ */
 
+/* Its methods follow NodeCore's, whose fields the pump reads. */
 typedef struct {
     PyObject_HEAD
     PyObject *link;
     double free_at;         /* the link serialises our traffic until then */
     char wakeup_armed;      /* a wake-up is outstanding */
+    char bounded;           /* capacity is not None */
+    PyObject *node;         /* the NodeCore it sends for */
+    PyObject *peer_id;
+    PyObject *queue;        /* list; holds messages only while armed */
+    Py_ssize_t limit;       /* capacity, when bounded */
+    long long wakeup_seq;   /* the armed wake-up's bare handle */
 } SenderObject;
 
-static int
-sender_traverse(SenderObject *s, visitproc visit, void *arg)
-{
-    Py_VISIT(s->link);
-    return 0;
-}
+static PyTypeObject SenderType;
 
-static int
-sender_clear(SenderObject *s)
-{
-    Py_CLEAR(s->link);
-    return 0;
-}
-
-static void
-sender_dealloc(SenderObject *s)
-{
-    PyObject_GC_UnTrack(s);
-    sender_clear(s);
-    Py_TYPE(s)->tp_free((PyObject *)s);
-}
-
-static PyMemberDef sender_members[] = {
-    {"link", T_OBJECT_EX, offsetof(SenderObject, link), 0,
-     "The directed link to the peer."},
-    {"_free_at", T_DOUBLE, offsetof(SenderObject, free_at), 0,
-     "The instant the link finishes serialising this sender's traffic."},
-    {"_wakeup_armed", T_BOOL, offsetof(SenderObject, wakeup_armed), 0,
-     "Whether a wake-up is outstanding."},
-    {NULL, 0, 0, 0, NULL},
-};
-
-static PyTypeObject SenderType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.gossip.node.SenderCore",
-    .tp_doc = "The state of a per-peer send routine that the compiled\n"
-              "fan-out reads and writes: link, _free_at and _wakeup_armed\n"
-              "(0.0 and False until set). Its queue and wake-up live in\n"
-              "the Python subclass.",
-    .tp_basicsize = sizeof(SenderObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
-    .tp_new = PyType_GenericNew,
-    .tp_dealloc = (destructor)sender_dealloc,
-    .tp_traverse = (traverseproc)sender_traverse,
-    .tp_clear = (inquiry)sender_clear,
-    .tp_members = sender_members,
-};
+/* The compiled semantics, defined beside the learner whose instance
+ * table the filter shares; the node calls them directly. */
+static PyObject *filter_validate(PyObject *self, PyObject *const *argv,
+                                 Py_ssize_t nargs, PyObject *kwnames);
+static int filter_admits(PyObject *filter, PyObject *payload,
+                         PyObject *peer_id);
+static PyObject *aggregator_aggregate(PyObject *self, PyObject *const *argv,
+                                      Py_ssize_t nargs, PyObject *kwnames);
+static PyObject *aggregator_merge(PyObject *obj, PyObject *payloads);
 
 /* -- NodeCore: a gossip node's receive, completion and fan-out ----------- */
 
@@ -2430,6 +2404,7 @@ typedef struct {
     PyObject *deliver;      /* NULL or None: none */
     PyObject *obs;          /* NULL or None: untraced */
     PyObject *validate;     /* NULL or None: the default, admit all */
+    PyObject *aggregate;    /* NULL or None: the default, the identity */
     GossipStatsObject *stats;
     PyObject *fwd_pairs;    /* tuple of (peer_id, sender) */
     PyObject *complete_cb;  /* bound _complete: the fresh receive's job */
@@ -2683,6 +2658,42 @@ node_commit(PyObject *link, PyObject *payload, PyObject *args, double now)
     return failed ? -1.0 : completion;
 }
 
+/* validate(payload, peer_id) as a truth value: the compiled filter's own
+ * check when validate is a SemanticFilter's bound validate, else a call.
+ * 1, 0, or -1 with an exception set. */
+static int
+hook_admits(PyObject *validate, PyObject *payload, PyObject *peer_id)
+{
+    if (PyCFunction_Check(validate) && PyCFunction_GET_FUNCTION(validate)
+            == (PyCFunction)(void (*)(void))filter_validate) {
+        return filter_admits(PyCFunction_GET_SELF(validate), payload,
+                             peer_id);
+    }
+    PyObject *argv[2] = {payload, peer_id};
+    PyObject *res = PyObject_Vectorcall(validate, argv, 2, NULL);
+    if (res == NULL) {
+        return -1;
+    }
+    int admit = PyObject_IsTrue(res);
+    Py_DECREF(res);
+    return admit;
+}
+
+/* aggregate(kept, peer_id): the compiled aggregator's own merge when
+ * aggregate is a SemanticAggregator's bound aggregate, else a call. */
+static PyObject *
+hook_aggregate(PyObject *aggregate, PyObject *kept, PyObject *peer_id)
+{
+    if (PyCFunction_Check(aggregate) && PyCFunction_GET_FUNCTION(aggregate)
+            == (PyCFunction)(void (*)(void))aggregator_aggregate) {
+        return aggregator_merge(PyCFunction_GET_SELF(aggregate), kept);
+    }
+    PyObject *argv[2] = {kept, peer_id};
+    return PyObject_Vectorcall(aggregate, argv, 2, NULL);
+}
+
+static int sender_push(SenderObject *self, PyObject *payload);
+
 /* The decision for an idle peer: validate, charge hook_s, and either
  * commit or count the filtered message. *args is the fan-out's shared
  * arrival tuple, built at the first commit. 0, or -1 with an exception
@@ -2692,18 +2703,10 @@ node_send_idle(NodeObject *self, SenderObject *sender, PyObject *peer_id,
                PyObject *payload, PyObject *validate, PyObject **args,
                double now)
 {
-    int admit = 1;
-    if (validate != NULL) {
-        PyObject *argv[2] = {payload, peer_id};
-        PyObject *res = PyObject_Vectorcall(validate, argv, 2, NULL);
-        if (res == NULL) {
-            return -1;
-        }
-        admit = PyObject_IsTrue(res);
-        Py_DECREF(res);
-        if (admit < 0) {
-            return -1;
-        }
+    int admit = validate == NULL ? 1 : hook_admits(validate, payload,
+                                                   peer_id);
+    if (admit < 0) {
+        return -1;
     }
     if (!admit) {
         self->stats->filtered++;
@@ -2778,12 +2781,9 @@ node_fan_out(NodeObject *self, PyObject *payload, PyObject *pairs,
         }
         SenderObject *s = (SenderObject *)sender;
         if (s->wakeup_armed || now < s->free_at) {
-            PyObject *res = PyObject_CallMethodOneArg(sender, str_enqueue,
-                                                      payload);
-            if (res == NULL) {
+            if (sender_push(s, payload) < 0) {
                 goto error;
             }
-            Py_DECREF(res);
         }
         else if (node_send_idle(self, s, peer_id, payload, validate, &args,
                                 now) < 0) {
@@ -2888,6 +2888,7 @@ node_traverse(NodeObject *self, visitproc visit, void *arg)
     Py_VISIT(self->deliver);
     Py_VISIT(self->obs);
     Py_VISIT(self->validate);
+    Py_VISIT(self->aggregate);
     Py_VISIT(self->stats);
     Py_VISIT(self->fwd_pairs);
     Py_VISIT(self->complete_cb);
@@ -2906,6 +2907,7 @@ node_clear(NodeObject *self)
     Py_CLEAR(self->deliver);
     Py_CLEAR(self->obs);
     Py_CLEAR(self->validate);
+    Py_CLEAR(self->aggregate);
     Py_CLEAR(self->stats);
     Py_CLEAR(self->fwd_pairs);
     Py_CLEAR(self->complete_cb);
@@ -2960,6 +2962,8 @@ static PyMemberDef node_members[] = {
      "The cache's register_payload."},
     {"_validate", T_OBJECT, offsetof(NodeObject, validate), 0,
      "hooks.validate, or None for the default (admit everything)."},
+    {"_aggregate", T_OBJECT, offsetof(NodeObject, aggregate), 0,
+     "hooks.aggregate, or None for the default (the identity)."},
     {"_fwd_pairs", T_OBJECT, offsetof(NodeObject, fwd_pairs), READONLY,
      NULL},
     {"_fanout", T_PYSSIZET, offsetof(NodeObject, fanout), READONLY, NULL},
@@ -2996,6 +3000,407 @@ static PyTypeObject NodeType = {
     .tp_getset = node_getset,
 };
 
+/* -- SenderCore's methods ------------------------------------------------ */
+
+/* Queue payload behind the busy link; the first one queued arms the
+ * wake-up at _free_at. A full queue drops it and counts the drop. 0, or
+ * -1 with an exception set. */
+static int
+sender_push(SenderObject *self, PyObject *payload)
+{
+    NodeObject *node = (NodeObject *)self->node;
+    if (node == NULL || self->queue == NULL || node->stats == NULL
+            || node->queue == NULL) {
+        return cleared();
+    }
+    if (self->bounded && PyList_GET_SIZE(self->queue) >= self->limit) {
+        node->stats->send_queue_drops++;
+        return 0;
+    }
+    if (PyList_Append(self->queue, payload) < 0) {
+        return -1;
+    }
+    if (self->wakeup_armed) {
+        return 0;
+    }
+    /* A bound method per arming, held by the heap entry only: a sender
+     * that leaves the fan-out (remove_peer) is in no reference cycle. */
+    PyObject *wakeup = PyObject_GetAttr((PyObject *)self, str_wakeup);
+    if (wakeup == NULL) {
+        return -1;
+    }
+    self->wakeup_armed = 1;
+    long long seq = heap_push_bare(node->queue, self->free_at, wakeup,
+                                   empty_tuple);
+    Py_DECREF(wakeup);
+    if (seq < 0) {
+        return -1;
+    }
+    self->wakeup_seq = seq;
+    return 0;
+}
+
+/* After aggregation saved transmissions: count the originals consumed
+ * and trace each aggregate with the votes it saved. */
+static int
+sender_note_aggregates(NodeObject *node, PyObject *peer_id, PyObject *kept,
+                       Py_ssize_t saved)
+{
+    PyObject *items = PySequence_Fast(kept, "aggregate() must return a "
+                                      "sequence");
+    if (items == NULL) {
+        return -1;
+    }
+    Py_ssize_t size = PySequence_Fast_GET_SIZE(items);
+    char *flags = PyMem_Malloc(size > 0 ? (size_t)size : 1);
+    Py_ssize_t aggregates = 0;
+    int failed = flags == NULL ? (PyErr_NoMemory(), -1) : 0;
+    for (Py_ssize_t i = 0; !failed && i < size; i++) {
+        PyObject *flag = PyObject_GetAttr(PySequence_Fast_GET_ITEM(items, i),
+                                          str_aggregated);
+        int truth = flag == NULL ? -1 : PyObject_IsTrue(flag);
+        Py_XDECREF(flag);
+        failed = truth < 0;
+        flags[i] = truth > 0;
+        aggregates += truth > 0;
+    }
+    if (!failed) {
+        node->stats->aggregated_in += saved + aggregates;
+        node->stats->aggregated_saved += saved;
+    }
+    for (Py_ssize_t i = 0; !failed && i < size
+            && set_or_null(node->obs) != NULL; i++) {
+        if (!flags[i]) {
+            continue;
+        }
+        /* Votes in the sender bitmask; a Batch has none. */
+        PyObject *p = PySequence_Fast_GET_ITEM(items, i), *count = NULL;
+        PyObject *senders = PyObject_GetAttr(p, str_senders);
+        if (senders == NULL && PyErr_ExceptionMatches(PyExc_AttributeError)) {
+            PyErr_Clear();
+            senders = Py_NewRef(long_zero);
+        }
+        long long votes = -1;
+        if (senders != NULL
+                && (count = PyObject_CallMethodNoArgs(senders,
+                                                      str_bit_count))
+                   != NULL) {
+            votes = PyLong_AsLongLong(count);
+        }
+        Py_XDECREF(count);
+        Py_XDECREF(senders);
+        PyObject *extra = votes == -1 && PyErr_Occurred() ? NULL
+            : PyLong_FromLongLong(votes - 1 > 0 ? votes - 1 : 0);
+        failed = extra == NULL
+            || node_observe(node, str_gossip_aggregated, peer_id, p,
+                            extra) < 0;
+        Py_XDECREF(extra);
+    }
+    PyMem_Free(flags);
+    Py_DECREF(items);
+    return failed ? -1 : 0;
+}
+
+/* Commit the whole validated batch onto the link at now, as one chain:
+ * each message starts when its predecessor finishes. */
+static int
+sender_send_round(SenderObject *self, PyObject *batch, double now)
+{
+    PyObject *items = PySequence_Fast(batch, "aggregate() must return a "
+                                      "sequence");
+    if (items == NULL) {
+        return -1;
+    }
+    double completion = self->free_at;
+    int failed = 0;
+    for (Py_ssize_t i = 0; !failed && i < PySequence_Fast_GET_SIZE(items);
+            i++) {
+        PyObject *payload = PySequence_Fast_GET_ITEM(items, i);
+        PyObject *args = PyTuple_Pack(1, payload);
+        PyObject *link = Py_XNewRef(self->link);
+        if (args == NULL || link == NULL) {
+            if (link == NULL && args != NULL) {
+                PyErr_SetString(PyExc_AttributeError, "sender has no link");
+            }
+            failed = 1;
+        }
+        else {
+            completion = node_commit(link, payload, args, now);
+            failed = completion == -1.0 && PyErr_Occurred();
+        }
+        Py_XDECREF(link);
+        Py_XDECREF(args);
+    }
+    Py_DECREF(items);
+    if (failed) {
+        return -1;
+    }
+    self->free_at = completion;
+    return 0;
+}
+
+/* Validate and aggregate what has queued, charge the hooks' CPU, and
+ * commit the survivors as one chained round. */
+static int
+sender_pump(SenderObject *self)
+{
+    NodeObject *node = (NodeObject *)self->node;
+    if (node == NULL || self->queue == NULL || self->peer_id == NULL
+            || node->stats == NULL) {
+        return cleared();
+    }
+    PyObject *fresh = PyList_New(0);
+    if (fresh == NULL) {
+        return -1;
+    }
+    PyObject *batch = self->queue;
+    self->queue = fresh;
+    Py_INCREF(node);
+    PyObject *peer_id = Py_NewRef(self->peer_id), *kept = NULL;
+    PyObject *validate = Py_XNewRef(set_or_null(node->validate));
+    PyObject *aggregate = NULL;
+    int failed = -1;
+    Py_ssize_t examined = PyList_GET_SIZE(batch);
+    if (validate == NULL) {
+        /* The default admits everything: no per-message calls. */
+        kept = Py_NewRef(batch);
+    }
+    else if ((kept = PyList_New(0)) == NULL) {
+        goto done;
+    }
+    for (Py_ssize_t i = 0; validate != NULL && i < PyList_GET_SIZE(batch);
+            i++) {
+        PyObject *payload = Py_NewRef(PyList_GET_ITEM(batch, i));
+        int admit = hook_admits(validate, payload, peer_id);
+        if (admit > 0) {
+            admit = PyList_Append(kept, payload);
+        }
+        else if (admit == 0) {
+            node->stats->filtered++;
+            admit = node_observe(node, str_gossip_filtered, peer_id,
+                                 payload, NULL);
+        }
+        Py_DECREF(payload);
+        if (admit < 0) {
+            goto done;
+        }
+    }
+    /* Messages run through validate, then (two or more) aggregate. */
+    Py_ssize_t before = PyList_GET_SIZE(kept);
+    if (before > 1) {
+        examined += before;
+        aggregate = Py_XNewRef(set_or_null(node->aggregate));
+        if (aggregate != NULL) {
+            PyObject *merged = hook_aggregate(aggregate, kept, peer_id);
+            if (merged == NULL) {
+                goto done;
+            }
+            Py_SETREF(kept, merged);
+            Py_ssize_t after = PyObject_Length(kept);
+            if (after < 0 || (before - after > 0 && sender_note_aggregates(
+                    node, peer_id, kept, before - after) < 0)) {
+                goto done;
+            }
+        }
+    }
+    /* The hooks ran inline: the charge occupies the CPU without delaying
+     * this batch; queued CPU work behind it is what pays. */
+    if (node->hook_s > 0.0) {
+        double service = (double)examined * node->hook_s;
+        if (service > 0.0 && node_charge(node, service) < 0) {
+            goto done;
+        }
+    }
+    int nonempty = PyObject_IsTrue(kept);
+    double now;
+    if (nonempty < 0 || (nonempty && (sim_now(node->sim, &now) < 0
+                                      || sender_send_round(self, kept, now)
+                                         < 0))) {
+        goto done;
+    }
+    failed = 0;
+done:
+    Py_XDECREF(aggregate);
+    Py_XDECREF(validate);
+    Py_XDECREF(kept);
+    Py_DECREF(peer_id);
+    Py_DECREF(batch);
+    Py_DECREF(node);
+    return failed;
+}
+
+static int
+sender_init(SenderObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *node, *peer_id, *link, *capacity = Py_None;
+    static char *kwlist[] = {"node", "peer_id", "link", "capacity", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!OO|O:SenderCore",
+                                     kwlist, &NodeType, &node, &peer_id,
+                                     &link, &capacity)) {
+        return -1;
+    }
+    Py_ssize_t limit = 0;
+    if (capacity != Py_None) {
+        limit = PyNumber_AsSsize_t(capacity, PyExc_OverflowError);
+        if (limit == -1 && PyErr_Occurred()) {
+            return -1;
+        }
+    }
+    PyObject *queue = PyList_New(0);
+    if (queue == NULL) {
+        return -1;
+    }
+    Py_XSETREF(self->queue, queue);
+    Py_INCREF(node);
+    Py_XSETREF(self->node, node);
+    Py_INCREF(peer_id);
+    Py_XSETREF(self->peer_id, peer_id);
+    Py_INCREF(link);
+    Py_XSETREF(self->link, link);
+    self->bounded = capacity != Py_None;
+    self->limit = limit;
+    self->free_at = 0.0;
+    self->wakeup_armed = 0;
+    self->wakeup_seq = -1;
+    return 0;
+}
+
+static PyObject *
+sender_enqueue(SenderObject *self, PyObject *payload)
+{
+    if (sender_push(self, payload) < 0) {
+        return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+sender_wakeup(SenderObject *self, PyObject *Py_UNUSED(ignored))
+{
+    self->wakeup_armed = 0;
+    self->wakeup_seq = -1;
+    if (sender_pump(self) < 0) {
+        return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+sender_discard(SenderObject *self, PyObject *Py_UNUSED(ignored))
+{
+    NodeObject *node = (NodeObject *)self->node;
+    if (node == NULL || node->queue == NULL || self->queue == NULL) {
+        cleared();
+        return NULL;
+    }
+    if (self->wakeup_armed && queue_cancel_seq(node->queue,
+                                               self->wakeup_seq) < 0) {
+        return NULL;
+    }
+    self->wakeup_armed = 0;
+    self->wakeup_seq = -1;
+    if (PyList_SetSlice(self->queue, 0, PyList_GET_SIZE(self->queue),
+                        NULL) < 0) {
+        return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+sender_get_busy(SenderObject *self, void *Py_UNUSED(closure))
+{
+    double now;
+    NodeObject *node = (NodeObject *)self->node;
+    if (self->wakeup_armed) {
+        Py_RETURN_TRUE;
+    }
+    if (sim_now(node == NULL ? NULL : node->sim, &now) < 0) {
+        return NULL;
+    }
+    return PyBool_FromLong(now < self->free_at);
+}
+
+static int
+sender_traverse(SenderObject *s, visitproc visit, void *arg)
+{
+    Py_VISIT(s->link);
+    Py_VISIT(s->node);
+    Py_VISIT(s->peer_id);
+    Py_VISIT(s->queue);
+    return 0;
+}
+
+static int
+sender_clear(SenderObject *s)
+{
+    Py_CLEAR(s->link);
+    Py_CLEAR(s->node);
+    Py_CLEAR(s->peer_id);
+    Py_CLEAR(s->queue);
+    return 0;
+}
+
+static void
+sender_dealloc(SenderObject *s)
+{
+    PyObject_GC_UnTrack(s);
+    sender_clear(s);
+    Py_TYPE(s)->tp_free((PyObject *)s);
+}
+
+static PyMethodDef sender_methods[] = {
+    {"enqueue", (PyCFunction)sender_enqueue, METH_O,
+     "enqueue(payload): queue payload behind the busy link. The first\n"
+     "message queued arms the wake-up at _free_at, the sender's only\n"
+     "event; a full queue drops the message and counts the drop."},
+    {"_wakeup", (PyCFunction)sender_wakeup, METH_NOARGS,
+     "The link frees: validate and aggregate what has queued (the queue\n"
+     "is taken whole), charge examined * hook_s when the hooks are\n"
+     "charged, and commit the survivors to the wire as one chained round."},
+    {"discard", (PyCFunction)sender_discard, METH_NOARGS,
+     "Disarm the outstanding wake-up and forget the queue it would have\n"
+     "pumped: the peer is gone (GossipNode.remove_peer)."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef sender_members[] = {
+    {"link", T_OBJECT_EX, offsetof(SenderObject, link), 0,
+     "The directed link to the peer."},
+    {"_free_at", T_DOUBLE, offsetof(SenderObject, free_at), 0,
+     "The instant the link finishes serialising this sender's traffic."},
+    {"_wakeup_armed", T_BOOL, offsetof(SenderObject, wakeup_armed), 0,
+     "Whether a wake-up is outstanding."},
+    {"peer_id", T_OBJECT, offsetof(SenderObject, peer_id), READONLY, NULL},
+    {"queue", T_OBJECT, offsetof(SenderObject, queue), READONLY,
+     "The pending messages; a new list after each round."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyGetSetDef sender_getset[] = {
+    {"busy", (getter)sender_get_busy, NULL,
+     "True while a batch is being serialised or paced.", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject SenderType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.gossip.node.SenderCore",
+    .tp_doc = "SenderCore(node, peer_id, link, capacity=None)\n\n"
+              "The send routine for one peer: its queue, its wake-up and\n"
+              "the batched round that validates, aggregates and commits\n"
+              "what queued behind a busy link.",
+    .tp_basicsize = sizeof(SenderObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = PyType_GenericNew,
+    .tp_init = (initproc)sender_init,
+    .tp_dealloc = (destructor)sender_dealloc,
+    .tp_traverse = (traverseproc)sender_traverse,
+    .tp_clear = (inquiry)sender_clear,
+    .tp_methods = sender_methods,
+    .tp_members = sender_members,
+    .tp_getset = sender_getset,
+};
+
 /* -- the Paxos replica: Acceptor, Learner, DecisionLog and PaxosCore ---- */
 
 /* The roles of repro.paxos (the acceptor, the learner and the gap-free
@@ -3014,20 +3419,27 @@ static PyTypeObject NodeType = {
 enum {
     F_INSTANCE, F_ROUND, F_VALUE, F_VALUE_ID, F_SENDER, F_FROM_INSTANCE,
     F_UID, F_SIZE_BYTES, F_IID, F_MESSAGES_HANDLED, F_DECISIONS_DELIVERED,
-    NFIELDS
+    F_SENDERS, F_ATTEMPT, F_TERM, F_INDEX, F_LEADER_COMMIT, NFIELDS
 };
 
 static const char *field_text[NFIELDS] = {
     "instance", "round", "value", "value_id", "sender", "from_instance",
     "uid", "size_bytes", "iid", "messages_handled", "decisions_delivered",
+    "senders", "attempt", "term", "index", "leader_commit",
 };
 
 static PyObject *field_name[NFIELDS];
 
+/* The replica's classes (register_replica), then the votes and decisions
+ * of both protocols that the compiled semantics switch on
+ * (register_semantics): Phase2b, Aggregated2b, Decision, AppendAck,
+ * AggregatedAck, CommitNotice and AppendEntries. */
 enum {
     K_STATS, K_VALUE, K_CLIENT, K_PHASE1A, K_PHASE1B, K_PHASE2A, K_PHASE2B,
-    K_DECISION, NKINDS
+    K_DECISION, K_VOTE, K_VOTES, K_DECIDE, K_ACK, K_ACKS, K_COMMIT, K_APPEND,
+    NKINDS
 };
+#define NREPLICA (K_DECISION + 1)
 
 /* A registered class and the offsets of its object slots (0: none). */
 typedef struct {
@@ -3037,7 +3449,7 @@ typedef struct {
 
 static Kind kinds[NKINDS];
 static PyObject *header_bytes;  /* a Phase 2b's size_bytes */
-static PyObject *long_zero, *str_2b, *str_phase2b, *str_broadcast,
+static PyObject *str_2b, *str_phase2b, *str_broadcast,
     *str_to_coordinator, *str_on_client_value, *str_on_phase1b,
     *str_on_decided, *str_value_decided;
 
@@ -3132,10 +3544,32 @@ slot_offset(PyTypeObject *type, PyObject *name)
     return offset;
 }
 
+/* The kind entry of type: its slot offsets for every field. */
+static Kind
+kind_of(PyTypeObject *type)
+{
+    Kind kind = {type, {0}};
+    for (int f = 0; f < NFIELDS; f++) {
+        kind.offset[f] = slot_offset(type, field_name[f]);
+    }
+    return kind;
+}
+
+/* Install types[i] as kinds[first + i], for i < count. */
+static void
+set_kinds(int first, PyTypeObject **types, const Kind *found, int count)
+{
+    for (int i = 0; i < count; i++) {
+        Py_INCREF(types[i]);
+        Py_XDECREF(kinds[first + i].type);
+        kinds[first + i] = found[i];
+    }
+}
+
 static PyObject *
 register_replica(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyTypeObject *types[NKINDS];
+    PyTypeObject *types[NREPLICA];
     PyObject *header;
     if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!O!O!O:register_replica",
                           &PyType_Type, &types[K_STATS],
@@ -3148,12 +3582,9 @@ register_replica(PyObject *Py_UNUSED(module), PyObject *args)
                           &PyType_Type, &types[K_DECISION], &header)) {
         return NULL;
     }
-    Kind found[NKINDS];
-    for (int i = 0; i < NKINDS; i++) {
-        found[i].type = types[i];
-        for (int f = 0; f < NFIELDS; f++) {
-            found[i].offset[f] = slot_offset(types[i], field_name[f]);
-        }
+    Kind found[NREPLICA];
+    for (int i = 0; i < NREPLICA; i++) {
+        found[i] = kind_of(types[i]);
     }
     for (size_t i = 0; i < NVOTE_FIELDS; i++) {
         if (found[K_PHASE2B].offset[vote_fields[i]] == 0) {
@@ -3163,11 +3594,7 @@ register_replica(PyObject *Py_UNUSED(module), PyObject *args)
             return NULL;
         }
     }
-    for (int i = 0; i < NKINDS; i++) {
-        Py_INCREF(types[i]);
-        Py_XDECREF(kinds[i].type);
-        kinds[i] = found[i];
-    }
+    set_kinds(0, types, found, NREPLICA);
     Py_INCREF(header);
     Py_XSETREF(header_bytes, header);
     Py_RETURN_NONE;
@@ -3694,35 +4121,40 @@ typedef struct {
     int ntallies, cap_tallies, nknown, cap_known;
 } Slate;
 
+/* Slates by instance: open addressing, linear probing. */
+typedef struct {
+    Slate **slots;
+    size_t mask;            /* capacity - 1; 0 with no table yet */
+    Py_ssize_t used;
+} SlateTable;
+
 typedef struct {
     PyObject_HEAD
     Py_ssize_t n, majority, words;
     PyObject *decided;      /* dict instance -> Value */
     PyObject *on_quorum;    /* NULL or None: unset */
     long long by_majority, by_message, forgotten;
-    Slate **slots;          /* open addressing, linear probing */
-    size_t mask;            /* capacity - 1; 0 with no table yet */
-    Py_ssize_t used;
+    SlateTable table;
     char busy;              /* inside a value id comparison */
 } LearnerObject;
 
 static PyTypeObject LearnerType;
 
 static inline size_t
-slot_home(const LearnerObject *self, long long instance)
+slot_home(const SlateTable *t, long long instance)
 {
     return (size_t)(((uint64_t)instance * 0x9E3779B97F4A7C15ull) >> 32)
-        & self->mask;
+        & t->mask;
 }
 
 static Slate *
-slate_find(const LearnerObject *self, long long instance)
+slate_find(const SlateTable *t, long long instance)
 {
-    if (self->slots == NULL) {
+    if (t->slots == NULL) {
         return NULL;
     }
-    for (size_t i = slot_home(self, instance);; i = (i + 1) & self->mask) {
-        Slate *slate = self->slots[i];
+    for (size_t i = slot_home(t, instance);; i = (i + 1) & t->mask) {
+        Slate *slate = t->slots[i];
         if (slate == NULL || slate->instance == instance) {
             return slate;
         }
@@ -3730,23 +4162,23 @@ slate_find(const LearnerObject *self, long long instance)
 }
 
 static int
-table_grow(LearnerObject *self)
+table_grow(SlateTable *t)
 {
-    size_t capacity = self->slots == NULL ? 16 : (self->mask + 1) * 2;
-    Slate **old = self->slots;
-    size_t old_capacity = old == NULL ? 0 : self->mask + 1;
+    size_t capacity = t->slots == NULL ? 16 : (t->mask + 1) * 2;
+    Slate **old = t->slots;
+    size_t old_capacity = old == NULL ? 0 : t->mask + 1;
     Slate **slots = PyMem_Calloc(capacity, sizeof(Slate *));
     if (slots == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    self->slots = slots;
-    self->mask = capacity - 1;
+    t->slots = slots;
+    t->mask = capacity - 1;
     for (size_t i = 0; i < old_capacity; i++) {
         if (old[i] != NULL) {
-            size_t j = slot_home(self, old[i]->instance);
+            size_t j = slot_home(t, old[i]->instance);
             while (slots[j] != NULL) {
-                j = (j + 1) & self->mask;
+                j = (j + 1) & t->mask;
             }
             slots[j] = old[i];
         }
@@ -3757,15 +4189,14 @@ table_grow(LearnerObject *self)
 
 /* The slate of instance, created empty if there is none. */
 static Slate *
-slate_get(LearnerObject *self, long long instance)
+slate_get(SlateTable *t, long long instance)
 {
-    Slate *slate = slate_find(self, instance);
+    Slate *slate = slate_find(t, instance);
     if (slate != NULL) {
         return slate;
     }
-    if (((size_t)self->used + 1) * 2 > (self->slots == NULL
-                                        ? 0 : self->mask + 1)
-            && table_grow(self) < 0) {
+    if (((size_t)t->used + 1) * 2 > (t->slots == NULL ? 0 : t->mask + 1)
+            && table_grow(t) < 0) {
         return NULL;
     }
     slate = PyMem_Calloc(1, sizeof(Slate));
@@ -3774,52 +4205,53 @@ slate_get(LearnerObject *self, long long instance)
         return NULL;
     }
     slate->instance = instance;
-    size_t i = slot_home(self, instance);
-    while (self->slots[i] != NULL) {
-        i = (i + 1) & self->mask;
+    size_t i = slot_home(t, instance);
+    while (t->slots[i] != NULL) {
+        i = (i + 1) & t->mask;
     }
-    self->slots[i] = slate;
-    self->used++;
+    t->slots[i] = slate;
+    t->used++;
     return slate;
 }
 
 /* Unlink instance's slate from the table (backward-shift deletion) and
  * return it, or NULL when there is none. */
 static Slate *
-slate_take(LearnerObject *self, long long instance)
+slate_take(SlateTable *t, long long instance)
 {
-    if (self->slots == NULL) {
+    if (t->used == 0) {
         return NULL;
     }
-    size_t i = slot_home(self, instance);
-    while (self->slots[i] != NULL && self->slots[i]->instance != instance) {
-        i = (i + 1) & self->mask;
+    size_t i = slot_home(t, instance);
+    while (t->slots[i] != NULL && t->slots[i]->instance != instance) {
+        i = (i + 1) & t->mask;
     }
-    Slate *slate = self->slots[i];
+    Slate *slate = t->slots[i];
     if (slate == NULL) {
         return NULL;
     }
-    self->slots[i] = NULL;
-    for (size_t j = (i + 1) & self->mask; self->slots[j] != NULL;
-            j = (j + 1) & self->mask) {
-        size_t home = slot_home(self, self->slots[j]->instance);
+    t->slots[i] = NULL;
+    for (size_t j = (i + 1) & t->mask; t->slots[j] != NULL;
+            j = (j + 1) & t->mask) {
+        size_t home = slot_home(t, t->slots[j]->instance);
         int stays = i <= j ? (i < home && home <= j) : (i < home || home <= j);
         if (!stays) {
-            self->slots[i] = self->slots[j];
-            self->slots[j] = NULL;
+            t->slots[i] = t->slots[j];
+            t->slots[j] = NULL;
             i = j;
         }
     }
-    self->used--;
+    t->used--;
     return slate;
 }
 
-/* Free an unlinked slate; its decrefs may run arbitrary code. */
+/* Free an unlinked slate; its decrefs may run arbitrary code. A tally's
+ * value id is NULL when its key is a bare round (a Raft term). */
 static void
 slate_free(Slate *slate)
 {
     for (int i = 0; i < slate->ntallies; i++) {
-        Py_DECREF(slate->tallies[i].value_id);
+        Py_XDECREF(slate->tallies[i].value_id);
     }
     for (int i = 0; i < slate->nknown; i++) {
         Py_DECREF(slate->known[i].value_id);
@@ -3833,17 +4265,59 @@ slate_free(Slate *slate)
     Py_XDECREF(decided_id);
 }
 
-/* a == b for value ids: 1, 0, or -1 with an exception set. The slates
- * stay put during an __eq__: the learner refuses to be re-entered. */
 static int
-same_id(LearnerObject *self, PyObject *a, PyObject *b)
+table_traverse(SlateTable *t, visitproc visit, void *arg)
+{
+    for (size_t i = 0; t->slots != NULL && i <= t->mask; i++) {
+        Slate *slate = t->slots[i];
+        if (slate == NULL) {
+            continue;
+        }
+        Py_VISIT(slate->decided_id);
+        for (int k = 0; k < slate->ntallies; k++) {
+            Py_VISIT(slate->tallies[k].value_id);
+        }
+        for (int k = 0; k < slate->nknown; k++) {
+            Py_VISIT(slate->known[k].value_id);
+            Py_VISIT(slate->known[k].value);
+        }
+    }
+    return 0;
+}
+
+/* Empty the table; the slates' decrefs run after it is consistent. */
+static void
+table_clear(SlateTable *t)
+{
+    Slate **slots = t->slots;
+    size_t capacity = slots == NULL ? 0 : t->mask + 1;
+    t->slots = NULL;
+    t->mask = 0;
+    t->used = 0;
+    for (size_t i = 0; i < capacity; i++) {
+        if (slots[i] != NULL) {
+            slate_free(slots[i]);
+        }
+    }
+    PyMem_Free(slots);
+}
+
+/* a == b for value ids (NULL equals only NULL): 1, 0, or -1 with an
+ * exception set. The slates stay put during an __eq__: their owner sets
+ * *busy and refuses to be re-entered. */
+static int
+same_id(char *busy, PyObject *a, PyObject *b)
 {
     if (a == b) {
         return 1;
     }
-    self->busy = 1;
+    if (a == NULL || b == NULL) {
+        return 0;
+    }
+    char was = *busy;
+    *busy = 1;
     int equal = PyObject_RichCompareBool(a, b, Py_EQ);
-    self->busy = 0;
+    *busy = was;
     return equal;
 }
 
@@ -3863,7 +4337,8 @@ static int
 slate_known(LearnerObject *self, Slate *slate, PyObject *value_id)
 {
     for (int i = 0; i < slate->nknown; i++) {
-        int equal = same_id(self, slate->known[i].value_id, value_id);
+        int equal = same_id(&self->busy, slate->known[i].value_id,
+                            value_id);
         if (equal != 0) {
             return equal < 0 ? -2 : i;
         }
@@ -3903,17 +4378,17 @@ slate_know(LearnerObject *self, Slate *slate, PyObject *value_id,
     return i;
 }
 
-/* The voter row of (round, value_id), added if new; NULL on error. */
+/* The voter row, words long, of (round, value_id), added if new; NULL
+ * on error. */
 static uint64_t *
-slate_voters(LearnerObject *self, Slate *slate, long long round,
+slate_voters(Slate *slate, Py_ssize_t words, char *busy, long long round,
              PyObject *value_id)
 {
-    Py_ssize_t words = self->words;
     for (int i = 0; i < slate->ntallies; i++) {
         if (slate->tallies[i].round != round) {
             continue;
         }
-        int equal = same_id(self, slate->tallies[i].value_id, value_id);
+        int equal = same_id(busy, slate->tallies[i].value_id, value_id);
         if (equal < 0) {
             return NULL;
         }
@@ -3941,7 +4416,7 @@ slate_voters(LearnerObject *self, Slate *slate, long long round,
     }
     int i = slate->ntallies++;
     slate->tallies[i].round = round;
-    slate->tallies[i].value_id = Py_NewRef(value_id);
+    slate->tallies[i].value_id = Py_XNewRef(value_id);
     uint64_t *row = slate->bits + (Py_ssize_t)i * words;
     memset(row, 0, (size_t)words * sizeof(uint64_t));
     return row;
@@ -3974,7 +4449,7 @@ learner_finalize(LearnerObject *self, PyObject *instance, Slate *slate,
     else {
         self->by_message++;
     }
-    slate_free(slate_take(self, slate->instance));
+    slate_free(slate_take(&self->table, slate->instance));
     *decided = value;
     return 1;
 }
@@ -4008,9 +4483,9 @@ learner_vote(LearnerObject *self, PyObject *instance, long long round,
     if (closed != 0) {
         return closed < 0 ? -1 : 0;
     }
-    Slate *slate = slate_get(self, number);
+    Slate *slate = slate_get(&self->table, number);
     uint64_t *row = slate == NULL ? NULL
-                                  : slate_voters(self, slate, round, value_id);
+        : slate_voters(slate, self->words, &self->busy, round, value_id);
     if (row == NULL) {
         return -1;
     }
@@ -4035,7 +4510,7 @@ learner_vote(LearnerObject *self, PyObject *instance, long long round,
         if (observed(res) < 0) {
             return -1;
         }
-        slate = slate_find(self, number);
+        slate = slate_find(&self->table, number);
         if (slate == NULL) {
             return 0;
         }
@@ -4065,7 +4540,7 @@ learner_learn(LearnerObject *self, PyObject *instance, PyObject *value,
     }
     PyObject *dropped = NULL;
     int outcome = -1;
-    Slate *slate = slate_get(self, number);
+    Slate *slate = slate_get(&self->table, number);
     int k = slate == NULL ? -1 : slate_know(self, slate, value_id, value,
                                             &dropped);
     if (k >= 0 && decide) {
@@ -4075,7 +4550,7 @@ learner_learn(LearnerObject *self, PyObject *instance, PyObject *value,
     }
     else if (k >= 0) {
         int equal = slate->decided_id == NULL
-            ? 0 : same_id(self, slate->decided_id, value_id);
+            ? 0 : same_id(&self->busy, slate->decided_id, value_id);
         outcome = equal <= 0 ? equal
             : learner_finalize(self, instance, slate, k, 1, decided);
     }
@@ -4089,9 +4564,9 @@ learner_forget(LearnerObject *self, long long instance)
     if (instance <= self->forgotten) {
         return 0;
     }
-    for (long long i = self->forgotten + 1; i <= instance && self->used > 0;
-            i++) {
-        Slate *slate = slate_take(self, i);
+    for (long long i = self->forgotten + 1;
+            i <= instance && self->table.used > 0; i++) {
+        Slate *slate = slate_take(&self->table, i);
         if (slate != NULL) {
             slate_free(slate);
         }
@@ -4215,37 +4690,13 @@ learner_traverse(LearnerObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->decided);
     Py_VISIT(self->on_quorum);
-    for (size_t i = 0; self->slots != NULL && i <= self->mask; i++) {
-        Slate *slate = self->slots[i];
-        if (slate == NULL) {
-            continue;
-        }
-        Py_VISIT(slate->decided_id);
-        for (int t = 0; t < slate->ntallies; t++) {
-            Py_VISIT(slate->tallies[t].value_id);
-        }
-        for (int k = 0; k < slate->nknown; k++) {
-            Py_VISIT(slate->known[k].value_id);
-            Py_VISIT(slate->known[k].value);
-        }
-    }
-    return 0;
+    return table_traverse(&self->table, visit, arg);
 }
 
 static int
 learner_clear(LearnerObject *self)
 {
-    Slate **slots = self->slots;
-    size_t capacity = slots == NULL ? 0 : self->mask + 1;
-    self->slots = NULL;
-    self->mask = 0;
-    self->used = 0;
-    for (size_t i = 0; i < capacity; i++) {
-        if (slots[i] != NULL) {
-            slate_free(slots[i]);
-        }
-    }
-    PyMem_Free(slots);
+    table_clear(&self->table);
     Py_CLEAR(self->decided);
     Py_CLEAR(self->on_quorum);
     return 0;
@@ -4294,7 +4745,7 @@ static PyMemberDef learner_members[] = {
      "first forms here (repro.obs); None when unset."},
     {"_forgotten", T_LONGLONG, offsetof(LearnerObject, forgotten), READONLY,
      "Watermark: messages about instances up to it are ignored."},
-    {"_undecided", T_PYSSIZET, offsetof(LearnerObject, used), READONLY,
+    {"_undecided", T_PYSSIZET, offsetof(LearnerObject, table.used), READONLY,
      "Instances holding vote or value state."},
     {NULL, 0, 0, 0, NULL},
 };
@@ -4315,6 +4766,1007 @@ static PyTypeObject LearnerType = {
     .tp_clear = (inquiry)learner_clear,
     .tp_methods = learner_methods,
     .tp_members = learner_members,
+};
+
+/* -- the compiled semantics: SemanticFilter and SemanticAggregator ------- */
+
+/* repro.core's filtering and aggregation rules (paper section 3.2) for
+ * Paxos and Raft alike; their executable reference models, in Python, are
+ * tests/core/reference_rules.py. A vote is a key plus senders: a Phase
+ * 2b or Aggregated2b votes for (round, value id) in an instance, an
+ * AppendAck or AggregatedAck for a term at a log index. A Decision
+ * decides its instance; a CommitNotice's index and an AppendEntries'
+ * leader_commit decide every index up to theirs.
+ *
+ * The filter keeps, per peer, the instances whose decision the peer must
+ * know (a watermark plus a sparse set) and the learner's instance table
+ * of (round, value id, sent-senders bitset): a Raft key is a term, whose
+ * tally has no value id. Senders are process ids in [0, n); a bitset is
+ * n bits wide and a majority a popcount, as in the learner. Instances,
+ * rounds and terms are C long longs (a larger int raises OverflowError).
+ * Message classes are matched exactly, as the Python rules' type switch
+ * did, and their fields read from their slots. */
+
+static PyObject *
+register_semantics(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyTypeObject *types[NKINDS - NREPLICA];
+    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!O!:register_semantics",
+                          &PyType_Type, &types[0], &PyType_Type, &types[1],
+                          &PyType_Type, &types[2], &PyType_Type, &types[3],
+                          &PyType_Type, &types[4], &PyType_Type, &types[5],
+                          &PyType_Type, &types[6])) {
+        return NULL;
+    }
+    Kind found[NKINDS - NREPLICA];
+    for (int i = 0; i < NKINDS - NREPLICA; i++) {
+        found[i] = kind_of(types[i]);
+    }
+    set_kinds(NREPLICA, types, found, NKINDS - NREPLICA);
+    Py_RETURN_NONE;
+}
+
+/* The kind of a vote or decision class of either protocol, or -1. */
+static inline int
+semantic_kind(PyTypeObject *type)
+{
+    for (int kind = NREPLICA; kind < NKINDS; kind++) {
+        if (kinds[kind].type == type) {
+            return kind;
+        }
+    }
+    return -1;
+}
+
+static int
+semantics_registered(void)
+{
+    if (kinds[K_VOTE].type == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "the vote and decision classes "
+                        "are not registered (repro.core.filtering registers "
+                        "them)");
+        return -1;
+    }
+    return 0;
+}
+
+/* What one peer is expected to know, from what was sent to it. */
+typedef struct {
+    long long watermark;    /* instances up to it are decided */
+    long long *sparse;      /* and these, ascending, above watermark + 1 */
+    Py_ssize_t nsparse, cap_sparse;
+    SlateTable votes;       /* undecided instances' sent senders */
+} Summary;
+
+typedef struct {
+    PyObject_HEAD
+    Py_ssize_t n, majority, words;
+    PyObject *peers;        /* dict peer_id -> index into summaries */
+    Summary *summaries;
+    Py_ssize_t npeers, cap_peers;
+    uint64_t *bits;         /* words: the senders of the vote at hand */
+    char busy;              /* judging: a value id's __eq__ may run */
+} FilterObject;
+
+static int
+summary_decided(const Summary *s, long long instance)
+{
+    if (instance <= s->watermark) {
+        return 1;
+    }
+    Py_ssize_t lo = 0, hi = s->nsparse;
+    while (lo < hi) {
+        Py_ssize_t mid = (lo + hi) / 2;
+        if (s->sparse[mid] < instance) {
+            lo = mid + 1;
+        }
+        else {
+            hi = mid;
+        }
+    }
+    return lo < s->nsparse && s->sparse[lo] == instance;
+}
+
+/* Mark instance decided and drop its vote state. 0, or -1 on error. */
+static int
+summary_mark(Summary *s, long long instance)
+{
+    if (summary_decided(s, instance)) {
+        return 0;
+    }
+    if (instance == s->watermark + 1) {
+        s->watermark = instance;
+        Py_ssize_t absorbed = 0;
+        while (absorbed < s->nsparse
+                && s->sparse[absorbed] == s->watermark + 1) {
+            s->watermark++;
+            absorbed++;
+        }
+        if (absorbed > 0) {
+            s->nsparse -= absorbed;
+            memmove(s->sparse, s->sparse + absorbed,
+                    (size_t)s->nsparse * sizeof(long long));
+        }
+    }
+    else {
+        if (s->nsparse == s->cap_sparse) {
+            Py_ssize_t capacity = s->cap_sparse == 0 ? 4 : s->cap_sparse * 2;
+            long long *sparse = PyMem_Realloc(
+                s->sparse, (size_t)capacity * sizeof(long long));
+            if (sparse == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            s->sparse = sparse;
+            s->cap_sparse = capacity;
+        }
+        Py_ssize_t at = s->nsparse;
+        while (at > 0 && s->sparse[at - 1] > instance) {
+            s->sparse[at] = s->sparse[at - 1];
+            at--;
+        }
+        s->sparse[at] = instance;
+        s->nsparse++;
+    }
+    Slate *slate = slate_take(&s->votes, instance);
+    if (slate != NULL) {
+        slate_free(slate);
+    }
+    return 0;
+}
+
+/* Mark every instance up to instance decided (a Raft prefix). */
+static int
+summary_mark_through(Summary *s, long long instance)
+{
+    for (long long i = s->watermark + 1; i <= instance; i++) {
+        if (summary_mark(s, i) < 0) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+static void
+summary_clear(Summary *s)
+{
+    PyMem_Free(s->sparse);
+    s->sparse = NULL;
+    s->nsparse = s->cap_sparse = 0;
+    table_clear(&s->votes);
+}
+
+/* A sender mask into bits (words long): an int whose every set bit is a
+ * process id below n. 0, or -1 with an exception set. */
+static int
+mask_bits(PyObject *mask, Py_ssize_t n, Py_ssize_t words, uint64_t *bits)
+{
+    if (!PyLong_Check(mask)) {
+        PyErr_Format(PyExc_TypeError, "a sender mask must be an int, not "
+                     "%.100s", Py_TYPE(mask)->tp_name);
+        return -1;
+    }
+    memset(bits, 0, (size_t)words * sizeof(uint64_t));
+    unsigned long long low = PyLong_AsUnsignedLongLong(mask);
+    if (low == (unsigned long long)-1 && PyErr_Occurred()) {
+        if (!PyErr_ExceptionMatches(PyExc_OverflowError)) {
+            return -1;
+        }
+        PyErr_Clear();
+        int negative = PyObject_RichCompareBool(mask, long_zero, Py_LT);
+        if (negative != 0) {
+            if (negative > 0) {
+                PyErr_Format(PyExc_ValueError, "a sender mask must not be "
+                             "negative, got %R", mask);
+            }
+            return -1;
+        }
+        size_t size = (size_t)words * sizeof(uint64_t);
+        unsigned char *bytes = PyMem_Malloc(size);
+        if (bytes == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+#if PY_VERSION_HEX >= 0x030D0000
+        int failed = _PyLong_AsByteArray((PyLongObject *)mask, bytes, size,
+                                         1, 0, 1);
+#else
+        int failed = _PyLong_AsByteArray((PyLongObject *)mask, bytes, size,
+                                         1, 0);
+#endif
+        if (failed == 0) {
+            for (size_t i = 0; i < size; i++) {
+                bits[i / 8] |= (uint64_t)bytes[i] << (8 * (i % 8));
+            }
+        }
+        PyMem_Free(bytes);
+        if (failed < 0) {
+            PyErr_Clear();
+            goto too_wide;
+        }
+    }
+    else {
+        bits[0] = low;
+    }
+    Py_ssize_t top = n - 64 * (words - 1);    /* bits used in the top word */
+    if (top < 64 && (bits[words - 1] >> top) != 0) {
+        goto too_wide;
+    }
+    return 0;
+too_wide:
+    PyErr_Format(PyExc_ValueError, "sender mask %R names a process id "
+                 "outside [0, %zd)", mask, n);
+    return -1;
+}
+
+/* The process id sender, checked to be in [0, n). */
+static Py_ssize_t
+voter_id(PyObject *sender, Py_ssize_t n)
+{
+    Py_ssize_t voter = PyLong_AsSsize_t(sender);
+    if (voter == -1 && PyErr_Occurred()) {
+        return -1;
+    }
+    if (voter < 0 || voter >= n) {
+        PyErr_Format(PyExc_ValueError, "a vote's sender must be a process "
+                     "id in [0, %zd), got %R", n, sender);
+        return -1;
+    }
+    return voter;
+}
+
+/* The summary of peer_id, created empty if there is none; NULL with an
+ * exception set, or with none when create is 0 and there is none. */
+static Summary *
+filter_summary(FilterObject *self, PyObject *peer_id, int create)
+{
+    PyObject *index = PyDict_GetItemWithError(self->peers, peer_id);
+    if (index != NULL) {
+        return &self->summaries[PyLong_AsSsize_t(index)];
+    }
+    if (PyErr_Occurred() || !create) {
+        return NULL;
+    }
+    if (self->npeers == self->cap_peers) {
+        Py_ssize_t capacity = self->cap_peers == 0 ? 4 : self->cap_peers * 2;
+        Summary *summaries = PyMem_Realloc(
+            self->summaries, (size_t)capacity * sizeof(Summary));
+        if (summaries == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        self->summaries = summaries;
+        self->cap_peers = capacity;
+    }
+    index = PyLong_FromSsize_t(self->npeers);
+    if (index == NULL) {
+        return NULL;
+    }
+    int failed = PyDict_SetItem(self->peers, peer_id, index);
+    Py_DECREF(index);
+    if (failed < 0) {
+        return NULL;
+    }
+    Summary *s = &self->summaries[self->npeers++];
+    memset(s, 0, sizeof(Summary));
+    return s;
+}
+
+/* The verdict on a vote or decision of kind towards peer_id: 1 sent, 0
+ * dropped, -1 on error. Runs with self->busy set. */
+static int
+filter_judge(FilterObject *self, PyObject *payload, int kind,
+             PyObject *peer_id)
+{
+    long long instance, round = 0;
+    PyObject *value_id = NULL, *senders = NULL;
+    int prefix = kind == K_ACK || kind == K_ACKS || kind == K_COMMIT
+        || kind == K_APPEND;
+    int vote = kind == K_VOTE || kind == K_VOTES || kind == K_ACK
+        || kind == K_ACKS;
+    int at_f = kind == K_APPEND ? F_LEADER_COMMIT
+        : prefix ? F_INDEX : F_INSTANCE;
+    Py_ssize_t voter = -1;
+    if (field_ll(payload, kind, at_f, &instance) < 0) {
+        return -1;
+    }
+    if (vote) {
+        int round_f = prefix ? F_TERM : F_ROUND;
+        int single = kind == K_VOTE || kind == K_ACK;
+        if (field_ll(payload, kind, round_f, &round) < 0
+                || (!prefix && (value_id = field(payload, kind,
+                                                 F_VALUE_ID)) == NULL)
+                || (senders = field(payload, kind, single ? F_SENDER
+                                                          : F_SENDERS))
+                   == NULL) {
+            goto error;
+        }
+        if (single ? (voter = voter_id(senders, self->n)) < 0
+                   : mask_bits(senders, self->n, self->words, self->bits)
+                     < 0) {
+            goto error;
+        }
+    }
+    Summary *s = filter_summary(self, peer_id, 1);
+    if (s == NULL) {
+        goto error;
+    }
+    if (vote) {
+        if (summary_decided(s, instance)) {
+            Py_XDECREF(value_id);
+            Py_DECREF(senders);
+            return 0;
+        }
+        Slate *slate = slate_get(&s->votes, instance);
+        uint64_t *row = slate == NULL ? NULL
+            : slate_voters(slate, self->words, &self->busy, round, value_id);
+        if (row == NULL) {
+            goto error;
+        }
+        Py_ssize_t count = 0;
+        if (voter >= 0) {
+            row[voter >> 6] |= (uint64_t)1 << (voter & 63);
+        }
+        for (Py_ssize_t w = 0; w < self->words; w++) {
+            if (voter < 0) {
+                row[w] |= self->bits[w];
+            }
+            count += __builtin_popcountll(row[w]);
+        }
+        Py_XDECREF(value_id);
+        Py_DECREF(senders);
+        value_id = senders = NULL;
+        if (count < self->majority) {
+            return 1;
+        }
+        /* The peer can now learn the decision from the votes sent. */
+    }
+    if ((prefix ? summary_mark_through(s, instance)
+                : summary_mark(s, instance)) < 0) {
+        return -1;
+    }
+    return 1;
+error:
+    Py_XDECREF(value_id);
+    Py_XDECREF(senders);
+    return -1;
+}
+
+/* The arguments (names[0], names[1]) of a fast call, by position or by
+ * name, into out. 0, or -1 with a TypeError set. */
+static int
+two_args(const char *method, const char *const names[2],
+         PyObject *const *argv, Py_ssize_t nargs, PyObject *kwnames,
+         PyObject *out[2])
+{
+    Py_ssize_t nkw = kwnames == NULL ? 0 : PyTuple_GET_SIZE(kwnames);
+    out[0] = nargs > 0 ? argv[0] : NULL;
+    out[1] = nargs > 1 ? argv[1] : NULL;
+    if (nargs > 2) {
+        PyErr_Format(PyExc_TypeError, "%s() takes 2 arguments (%zd given)",
+                     method, nargs + nkw);
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < nkw; i++) {
+        PyObject *name = PyTuple_GET_ITEM(kwnames, i);
+        int which = PyUnicode_CompareWithASCIIString(name, names[0]) == 0
+            ? 0 : PyUnicode_CompareWithASCIIString(name, names[1]) == 0
+            ? 1 : -1;
+        if (which < 0 || out[which] != NULL) {
+            PyErr_Format(PyExc_TypeError, which < 0
+                         ? "%s() got an unexpected keyword argument '%U'"
+                         : "%s() got multiple values for argument '%U'",
+                         method, name);
+            return -1;
+        }
+        out[which] = argv[nargs + i];
+    }
+    for (int i = 0; i < 2; i++) {
+        if (out[i] == NULL) {
+            PyErr_Format(PyExc_TypeError, "%s() missing required argument "
+                         "'%s'", method, names[i]);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* validate(payload, peer_id) as a truth value: 1, 0, or -1. */
+static int
+filter_admits(PyObject *filter, PyObject *payload, PyObject *peer_id)
+{
+    FilterObject *self = (FilterObject *)filter;
+    int kind = semantic_kind(Py_TYPE(payload));
+    if (kind < 0) {
+        return 1;
+    }
+    if (self->busy) {
+        PyErr_SetString(PyExc_RuntimeError, "SemanticFilter re-entered "
+                        "while judging a message");
+        return -1;
+    }
+    if (self->peers == NULL) {
+        return cleared();
+    }
+    self->busy = 1;
+    int verdict = filter_judge(self, payload, kind, peer_id);
+    self->busy = 0;
+    return verdict;
+}
+
+static PyObject *
+filter_validate(PyObject *self, PyObject *const *argv, Py_ssize_t nargs,
+                PyObject *kwnames)
+{
+    static const char *const names[2] = {"payload", "peer_id"};
+    PyObject *args[2];
+    if (two_args("validate", names, argv, nargs, kwnames, args) < 0) {
+        return NULL;
+    }
+    int verdict = filter_admits(self, args[0], args[1]);
+    return verdict < 0 ? NULL : PyBool_FromLong(verdict);
+}
+
+/* The sender set of a tally row as an int. */
+static PyObject *
+row_mask(const uint64_t *row, Py_ssize_t words)
+{
+    size_t size = (size_t)words * sizeof(uint64_t);
+    unsigned char *bytes = PyMem_Malloc(size);
+    if (bytes == NULL) {
+        return PyErr_NoMemory();
+    }
+    for (size_t i = 0; i < size; i++) {
+        bytes[i] = (unsigned char)(row[i / 8] >> (8 * (i % 8)));
+    }
+    PyObject *mask = _PyLong_FromByteArray(bytes, size, 1, 0);
+    PyMem_Free(bytes);
+    return mask;
+}
+
+/* {instance: {key: mask}}, a key being (round, value_id) or a term. */
+static PyObject *
+summary_votes(FilterObject *self, const Summary *s)
+{
+    PyObject *votes = PyDict_New();
+    const SlateTable *t = &s->votes;
+    for (size_t i = 0; votes != NULL && t->slots != NULL && i <= t->mask;
+            i++) {
+        Slate *slate = t->slots[i];
+        if (slate == NULL) {
+            continue;
+        }
+        PyObject *keys = PyDict_New(), *instance = NULL;
+        for (int k = 0; keys != NULL && k < slate->ntallies; k++) {
+            Tally *tally = &slate->tallies[k];
+            PyObject *key = tally->value_id == NULL
+                ? PyLong_FromLongLong(tally->round)
+                : Py_BuildValue("LO", tally->round, tally->value_id);
+            PyObject *mask = row_mask(slate->bits + k * self->words,
+                                      self->words);
+            if (key == NULL || mask == NULL
+                    || PyDict_SetItem(keys, key, mask) < 0) {
+                Py_CLEAR(keys);
+            }
+            Py_XDECREF(key);
+            Py_XDECREF(mask);
+        }
+        if (keys == NULL
+                || (instance = PyLong_FromLongLong(slate->instance)) == NULL
+                || PyDict_SetItem(votes, instance, keys) < 0) {
+            Py_CLEAR(votes);
+        }
+        Py_XDECREF(instance);
+        Py_XDECREF(keys);
+    }
+    return votes;
+}
+
+static PyObject *
+filter_get_summary(FilterObject *self, PyObject *peer_id)
+{
+    if (self->peers == NULL) {
+        cleared();
+        return NULL;
+    }
+    Summary *s = filter_summary(self, peer_id, 0);
+    if (s == NULL) {
+        if (PyErr_Occurred()) {
+            return NULL;
+        }
+        Py_RETURN_NONE;
+    }
+    PyObject *sparse = PyTuple_New(s->nsparse);
+    for (Py_ssize_t i = 0; sparse != NULL && i < s->nsparse; i++) {
+        PyObject *item = PyLong_FromLongLong(s->sparse[i]);
+        if (item == NULL) {
+            Py_CLEAR(sparse);
+            break;
+        }
+        PyTuple_SET_ITEM(sparse, i, item);
+    }
+    PyObject *votes = sparse == NULL ? NULL : summary_votes(self, s);
+    PyObject *result = votes == NULL ? NULL
+        : Py_BuildValue("LOO", s->watermark, sparse, votes);
+    Py_XDECREF(sparse);
+    Py_XDECREF(votes);
+    return result;
+}
+
+static int
+filter_init(FilterObject *self, PyObject *args, PyObject *kwds)
+{
+    Py_ssize_t n;
+    static char *kwlist[] = {"n", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "n:SemanticFilter", kwlist,
+                                     &n)) {
+        return -1;
+    }
+    if (n < 0) {
+        PyErr_Format(PyExc_ValueError, "n must be >= 0, got %zd", n);
+        return -1;
+    }
+    if (self->peers != NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "SemanticFilter is already initialised");
+        return -1;
+    }
+    if (semantics_registered() < 0) {
+        return -1;
+    }
+    Py_ssize_t words = n == 0 ? 1 : (n + 63) / 64;
+    self->bits = PyMem_Calloc((size_t)words, sizeof(uint64_t));
+    if (self->bits == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    self->peers = PyDict_New();
+    if (self->peers == NULL) {
+        return -1;
+    }
+    self->n = n;
+    self->majority = n / 2 + 1;
+    self->words = words;
+    return 0;
+}
+
+static int
+filter_traverse(FilterObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->peers);
+    for (Py_ssize_t i = 0; i < self->npeers; i++) {
+        int failed = table_traverse(&self->summaries[i].votes, visit, arg);
+        if (failed) {
+            return failed;
+        }
+    }
+    return 0;
+}
+
+static int
+filter_clear(FilterObject *self)
+{
+    Summary *summaries = self->summaries;
+    Py_ssize_t npeers = self->npeers;
+    self->summaries = NULL;
+    self->npeers = self->cap_peers = 0;
+    for (Py_ssize_t i = 0; i < npeers; i++) {
+        summary_clear(&summaries[i]);
+    }
+    PyMem_Free(summaries);
+    Py_CLEAR(self->peers);
+    return 0;
+}
+
+static void
+filter_dealloc(FilterObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    filter_clear(self);
+    PyMem_Free(self->bits);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMethodDef filter_methods[] = {
+    {"validate", (PyCFunction)(void (*)(void))filter_validate,
+     METH_FASTCALL | METH_KEYWORDS,
+     "validate(payload, peer_id) -> bool\n\n"
+     "False when payload must not be sent to peer_id: a vote for an\n"
+     "instance whose decision the peer must know. A vote that brings its\n"
+     "key to a majority of senders marks the instance (the prefix, for a\n"
+     "Raft ack) decided for the peer; so does a decision, which always\n"
+     "passes. Any other message passes untouched."},
+    {"summary", (PyCFunction)filter_get_summary, METH_O,
+     "summary(peer_id) -> (watermark, sparse, votes) or None\n\n"
+     "What peer_id is expected to know: instances up to watermark and\n"
+     "those in the ascending tuple sparse are decided; votes maps each\n"
+     "other instance sent votes for to {key: sender mask}, a key being\n"
+     "(round, value_id) or a Raft term. None before the first message."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef filter_members[] = {
+    {"n", T_PYSSIZET, offsetof(FilterObject, n), READONLY, NULL},
+    {"majority", T_PYSSIZET, offsetof(FilterObject, majority), READONLY,
+     NULL},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject FilterType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.core.filtering.SemanticFilter",
+    .tp_doc = "SemanticFilter(n)\n\n"
+              "Per-peer evaluation of the semantic filtering rules for n\n"
+              "processes.",
+    .tp_basicsize = sizeof(FilterObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_new = PyType_GenericNew,
+    .tp_init = (initproc)filter_init,
+    .tp_dealloc = (destructor)filter_dealloc,
+    .tp_traverse = (traverseproc)filter_traverse,
+    .tp_clear = (inquiry)filter_clear,
+    .tp_methods = filter_methods,
+    .tp_members = filter_members,
+};
+
+/* -- SemanticAggregator -------------------------------------------------- */
+
+/* One group of pending votes with equal keys: (instance, round, value id,
+ * attempt) for Paxos, (term, index, attempt) for Raft, with value_id
+ * NULL. Fields are the first vote's. The senders are a 64-bit mask while
+ * every one fits, an int otherwise. */
+typedef struct {
+    int kind;               /* K_VOTES or K_ACKS: the aggregate's class */
+    Py_hash_t hash;
+    PyObject *a, *b, *value_id, *attempt;
+    uint64_t small;
+    PyObject *big;          /* NULL: the mask is small */
+    Py_ssize_t count;
+    char emitted;
+} Group;
+
+typedef struct {
+    PyObject_HEAD
+    long long votes_absorbed, aggregates_built;
+} AggregatorObject;
+
+static void
+group_release(Group *g)
+{
+    Py_XDECREF(g->a);
+    Py_XDECREF(g->b);
+    Py_XDECREF(g->value_id);
+    Py_XDECREF(g->attempt);
+    Py_XDECREF(g->big);
+}
+
+/* The senders of a vote as a mask: a small one in *small (big NULL), or
+ * an int in *big. 0, or -1 with an exception set. */
+static int
+vote_mask(PyObject *payload, int kind, uint64_t *small, PyObject **big)
+{
+    *big = NULL;
+    if (kind == K_VOTE || kind == K_ACK) {
+        PyObject *sender = field(payload, kind, F_SENDER);
+        if (sender == NULL) {
+            return -1;
+        }
+        long long id = PyLong_CheckExact(sender)
+            ? PyLong_AsLongLong(sender) : -2;
+        if (id == -1 && PyErr_Occurred()) {
+            PyErr_Clear();
+            id = -2;
+        }
+        if (id >= 0 && id < 64) {
+            *small = (uint64_t)1 << id;
+        }
+        else {
+            *big = PyNumber_Lshift(long_one, sender);
+        }
+        Py_DECREF(sender);
+        return *big == NULL && !(id >= 0 && id < 64) ? -1 : 0;
+    }
+    PyObject *senders = field(payload, kind, F_SENDERS);
+    if (senders == NULL) {
+        return -1;
+    }
+    if (PyLong_CheckExact(senders)) {
+        unsigned long long mask = PyLong_AsUnsignedLongLong(senders);
+        if (!(mask == (unsigned long long)-1 && PyErr_Occurred())) {
+            *small = mask;
+            Py_DECREF(senders);
+            return 0;
+        }
+        PyErr_Clear();
+    }
+    *big = senders;
+    return 0;
+}
+
+/* The group key of a vote of kind into g (new references). */
+static int
+vote_key(PyObject *payload, int kind, Group *g)
+{
+    int paxos = kind == K_VOTE || kind == K_VOTES;
+    memset(g, 0, sizeof(Group));
+    g->kind = paxos ? K_VOTES : K_ACKS;
+    g->a = field(payload, kind, paxos ? F_INSTANCE : F_TERM);
+    g->b = g->a == NULL ? NULL : field(payload, kind,
+                                       paxos ? F_ROUND : F_INDEX);
+    if (g->b == NULL
+            || (paxos && (g->value_id = field(payload, kind,
+                                               F_VALUE_ID)) == NULL)) {
+        return -1;
+    }
+    if (kind == K_VOTE || kind == K_ACK) {
+        /* uid = (tag, ..., sender, attempt) */
+        PyObject *uid = field(payload, kind, F_UID);
+        if (uid == NULL) {
+            return -1;
+        }
+        g->attempt = PyTuple_CheckExact(uid) && PyTuple_GET_SIZE(uid) > 4
+            ? Py_NewRef(PyTuple_GET_ITEM(uid, 4))
+            : PySequence_GetItem(uid, 4);
+        Py_DECREF(uid);
+    }
+    else {
+        g->attempt = field(payload, kind, F_ATTEMPT);
+    }
+    if (g->attempt == NULL) {
+        return -1;
+    }
+    Py_hash_t ha = PyObject_Hash(g->a), hb = PyObject_Hash(g->b);
+    if (ha == -1 || hb == -1) {
+        return -1;
+    }
+    g->hash = (ha * 1000003) ^ hb ^ g->kind;
+    return 0;
+}
+
+/* 1 if groups a and b have equal keys, 0 if not, -1 on error. */
+static int
+same_key(const Group *a, const Group *b)
+{
+    if (a->hash != b->hash || a->kind != b->kind) {
+        return 0;
+    }
+    PyObject *left[] = {a->a, a->b, a->value_id, a->attempt};
+    PyObject *right[] = {b->a, b->b, b->value_id, b->attempt};
+    for (int i = 0; i < 4; i++) {
+        if (left[i] == right[i]) {
+            continue;
+        }
+        if (left[i] == NULL || right[i] == NULL) {
+            return 0;
+        }
+        int equal = PyObject_RichCompareBool(left[i], right[i], Py_EQ);
+        if (equal <= 0) {
+            return equal;
+        }
+    }
+    return 1;
+}
+
+/* g's senders |= the vote's (small, big). 0, or -1. */
+static int
+group_add(Group *g, uint64_t small, PyObject *big)
+{
+    if (g->big == NULL && big == NULL) {
+        g->small |= small;
+        return 0;
+    }
+    if (g->big == NULL
+            && (g->big = PyLong_FromUnsignedLongLong(g->small)) == NULL) {
+        return -1;
+    }
+    PyObject *other = big != NULL ? Py_NewRef(big)
+                                  : PyLong_FromUnsignedLongLong(small);
+    if (other == NULL) {
+        return -1;
+    }
+    PyObject *merged = PyNumber_InPlaceOr(g->big, other);
+    Py_DECREF(other);
+    if (merged == NULL) {
+        return -1;
+    }
+    Py_SETREF(g->big, merged);
+    return 0;
+}
+
+/* The aggregate of group g: Aggregated2b(instance, round, value_id,
+ * senders, attempt) or AggregatedAck(term, index, senders, attempt). */
+static PyObject *
+group_aggregate(const Group *g)
+{
+    PyObject *senders = g->big != NULL ? Py_NewRef(g->big)
+                                       : PyLong_FromUnsignedLongLong(g->small);
+    if (senders == NULL) {
+        return NULL;
+    }
+    PyObject *result;
+    if (g->kind == K_VOTES) {
+        PyObject *argv[] = {g->a, g->b, g->value_id, senders, g->attempt};
+        result = new_message(K_VOTES, argv, 5);
+    }
+    else {
+        PyObject *argv[] = {g->a, g->b, senders, g->attempt};
+        result = new_message(K_ACKS, argv, 4);
+    }
+    Py_DECREF(senders);
+    return result;
+}
+
+/* The replacement send list for payloads: payloads itself when no two
+ * votes share a key. */
+static PyObject *
+aggregator_merge(PyObject *obj, PyObject *payloads)
+{
+    AggregatorObject *self = (AggregatorObject *)obj;
+    /* A copy: a value id's __eq__ cannot change what is iterated. */
+    PyObject *seq = PySequence_Tuple(payloads);
+    if (seq == NULL) {
+        return NULL;
+    }
+    Py_ssize_t size = PyTuple_GET_SIZE(seq);
+    Group *groups = PyMem_Calloc(size > 0 ? (size_t)size : 1, sizeof(Group));
+    Py_ssize_t *group_of = PyMem_Calloc(size > 0 ? (size_t)size : 1,
+                                        sizeof(Py_ssize_t));
+    Py_ssize_t ngroups = 0;
+    PyObject *result = NULL;
+    int merges = 0;
+    if (groups == NULL || group_of == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < size; i++) {
+        PyObject *payload = PyTuple_GET_ITEM(seq, i);
+        int kind = semantic_kind(Py_TYPE(payload));
+        if (kind != K_VOTE && kind != K_VOTES && kind != K_ACK
+                && kind != K_ACKS) {
+            group_of[i] = -1;
+            continue;
+        }
+        Group *fresh = &groups[ngroups];
+        uint64_t small = 0;
+        PyObject *big = NULL;
+        if (vote_key(payload, kind, fresh) < 0
+                || vote_mask(payload, kind, &small, &big) < 0) {
+            group_release(fresh);
+            goto done;
+        }
+        Py_ssize_t g = 0;
+        for (; g < ngroups; g++) {
+            int equal = same_key(&groups[g], fresh);
+            if (equal < 0) {
+                group_release(fresh);
+                Py_XDECREF(big);
+                goto done;
+            }
+            if (equal) {
+                break;
+            }
+        }
+        if (g < ngroups) {
+            group_release(fresh);
+            merges = 1;
+        }
+        else {
+            ngroups++;
+        }
+        groups[g].count++;
+        int failed = group_add(&groups[g], small, big);
+        Py_XDECREF(big);
+        if (failed < 0) {
+            goto done;
+        }
+        group_of[i] = g;
+    }
+    if (!merges) {
+        result = Py_NewRef(payloads);
+        goto done;
+    }
+    result = PyList_New(0);
+    for (Py_ssize_t i = 0; result != NULL && i < size; i++) {
+        PyObject *payload = PyTuple_GET_ITEM(seq, i);
+        Group *g = group_of[i] < 0 ? NULL : &groups[group_of[i]];
+        if (g != NULL && g->emitted) {
+            continue;       /* absorbed into the aggregate emitted earlier */
+        }
+        PyObject *item = g == NULL || g->count < 2 ? Py_NewRef(payload)
+                                                   : group_aggregate(g);
+        if (item == NULL || PyList_Append(result, item) < 0) {
+            Py_CLEAR(result);
+        }
+        Py_XDECREF(item);
+        if (result != NULL && g != NULL && g->count >= 2) {
+            g->emitted = 1;
+            self->aggregates_built++;
+            self->votes_absorbed += g->count - 1;
+        }
+    }
+done:
+    for (Py_ssize_t g = 0; groups != NULL && g < ngroups; g++) {
+        group_release(&groups[g]);
+    }
+    PyMem_Free(groups);
+    PyMem_Free(group_of);
+    Py_DECREF(seq);
+    return result;
+}
+
+static PyObject *
+aggregator_aggregate(PyObject *self, PyObject *const *argv, Py_ssize_t nargs,
+                     PyObject *kwnames)
+{
+    static const char *const names[2] = {"payloads", "peer_id"};
+    PyObject *args[2];
+    if (two_args("aggregate", names, argv, nargs, kwnames, args) < 0) {
+        return NULL;
+    }
+    return aggregator_merge(self, args[0]);
+}
+
+static PyObject *
+aggregator_disaggregate(PyObject *Py_UNUSED(self), PyObject *payload)
+{
+    int kind = semantic_kind(Py_TYPE(payload));
+    if (kind == K_VOTES || kind == K_ACKS) {
+        return PyObject_CallMethodNoArgs(payload, str_disaggregate);
+    }
+    PyObject *parts = PyList_New(1);
+    if (parts != NULL) {
+        PyList_SET_ITEM(parts, 0, Py_NewRef(payload));
+    }
+    return parts;
+}
+
+static int
+aggregator_init(AggregatorObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, ":SemanticAggregator",
+                                     kwlist)) {
+        return -1;
+    }
+    self->votes_absorbed = self->aggregates_built = 0;
+    return semantics_registered();
+}
+
+static PyMethodDef aggregator_methods[] = {
+    {"aggregate", (PyCFunction)(void (*)(void))aggregator_aggregate,
+     METH_FASTCALL | METH_KEYWORDS,
+     "aggregate(payloads, peer_id) -> list\n\n"
+     "The replacement send list, order-preserving: the votes that share a\n"
+     "key become one aggregate carrying the union of their senders, at\n"
+     "the first one's position; everything else keeps its relative\n"
+     "order. payloads itself when no two votes share a key."},
+    {"disaggregate", (PyCFunction)aggregator_disaggregate, METH_O,
+     "disaggregate(payload) -> list: the original votes of an aggregate\n"
+     "(reversible rule), else [payload]."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef aggregator_members[] = {
+    {"votes_absorbed", T_LONGLONG,
+     offsetof(AggregatorObject, votes_absorbed), 0,
+     "Votes merged into an aggregate beyond its first."},
+    {"aggregates_built", T_LONGLONG,
+     offsetof(AggregatorObject, aggregates_built), 0, NULL},
+    {NULL, 0, 0, 0, NULL},
+};
+
+/* It holds no references, so like LinkStats it is not a GC type. */
+static PyTypeObject AggregatorType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.core.aggregation.SemanticAggregator",
+    .tp_doc = "SemanticAggregator()\n\n"
+              "Groups identical pending votes into multi-sender votes.",
+    .tp_basicsize = sizeof(AggregatorObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = PyType_GenericNew,
+    .tp_init = (initproc)aggregator_init,
+    .tp_methods = aggregator_methods,
+    .tp_members = aggregator_members,
 };
 
 /* -- PaxosCore: a Paxos process's message handling ------------------------ */
@@ -4817,6 +6269,11 @@ static PyMethodDef kernel_methods[] = {
      "                 Phase2a, Phase2b, Decision, header_bytes)\n\n"
      "The classes PaxosCore.handle dispatches on and whose slots the\n"
      "replica reads directly, and a Phase 2b's size in bytes."},
+    {"register_semantics", register_semantics, METH_VARARGS,
+     "register_semantics(Phase2b, Aggregated2b, Decision, AppendAck,\n"
+     "                   AggregatedAck, CommitNotice, AppendEntries)\n\n"
+     "The vote and decision classes SemanticFilter and SemanticAggregator\n"
+     "switch on and whose slots they read directly."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -4825,7 +6282,8 @@ static struct PyModuleDef kernel_module = {
     .m_name = "_kernel",
     .m_doc = "The simulator's event heap and run loop, the FIFO server, "
              "directed link and seen-cache a message hop goes through, the "
-             "gossip node's per-hop half and the Paxos replica.",
+             "gossip node's per-hop half and senders, the Paxos replica "
+             "and the semantic filter and aggregator.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };
@@ -4849,13 +6307,17 @@ intern_strings(void)
         {&str_receive_aggregated, "_receive_aggregated"},
         {&str_gossip_receive, "gossip_receive"},
         {&str_gossip_filtered, "gossip_filtered"},
-        {&str_enqueue, "enqueue"}, {&str_commit, "commit"},
+        {&str_commit, "commit"},
         {&str_2b, "2B"}, {&str_phase2b, "phase2b"},
         {&str_broadcast, "broadcast"},
         {&str_to_coordinator, "to_coordinator"},
         {&str_on_client_value, "on_client_value"},
         {&str_on_phase1b, "on_phase1b"}, {&str_on_decided, "on_decided"},
         {&str_value_decided, "value_decided"},
+        {&str_disaggregate, "disaggregate"}, {&str_senders, "senders"},
+        {&str_bit_count, "bit_count"},
+        {&str_gossip_aggregated, "gossip_aggregated"},
+        {&str_wakeup, "_wakeup"},
     };
     for (size_t i = 0; i < sizeof names / sizeof names[0]; i++) {
         *names[i].slot = PyUnicode_InternFromString(names[i].text);
@@ -4871,9 +6333,10 @@ intern_strings(void)
     }
     float_zero = PyFloat_FromDouble(0.0);
     long_zero = PyLong_FromLong(0);
+    long_one = PyLong_FromLong(1);
     empty_tuple = PyTuple_New(0);
-    return float_zero == NULL || long_zero == NULL || empty_tuple == NULL
-        ? -1 : 0;
+    return float_zero == NULL || long_zero == NULL || long_one == NULL
+        || empty_tuple == NULL ? -1 : 0;
 }
 
 PyMODINIT_FUNC
@@ -4886,7 +6349,8 @@ PyInit__kernel(void)
         {"GossipStats", &GossipStatsType}, {"SenderCore", &SenderType},
         {"NodeCore", &NodeType}, {"DecisionLog", &LogType},
         {"Acceptor", &AcceptorType}, {"Learner", &LearnerType},
-        {"PaxosCore", &CoreType},
+        {"PaxosCore", &CoreType}, {"SemanticFilter", &FilterType},
+        {"SemanticAggregator", &AggregatorType},
     };
     size_t count = sizeof types / sizeof types[0];
     for (size_t i = 0; i < count; i++) {

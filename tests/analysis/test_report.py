@@ -1,6 +1,7 @@
 """Tests for the EXPERIMENTS.md generator."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -118,3 +119,12 @@ def test_main_writes_file(results_dir, tmp_path):
     assert main([str(results_dir), str(output)]) == 0
     assert output.exists()
     assert "EXPERIMENTS" in output.read_text()
+
+
+def test_committed_experiments_md_is_the_render_of_the_committed_results():
+    """EXPERIMENTS.md is generated: it must equal, byte for byte, what
+    ``render`` makes of ``benchmarks/results`` (regenerate it with
+    ``python -m repro.analysis.report`` after changing either)."""
+    root = pathlib.Path(__file__).resolve().parents[2]
+    committed = (root / "EXPERIMENTS.md").read_bytes()
+    assert render(root / "benchmarks" / "results").encode() == committed

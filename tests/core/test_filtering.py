@@ -1,5 +1,7 @@
 """Tests for the semantic filtering rules (paper §3.2)."""
 
+import pytest
+
 from repro.core.filtering import SemanticFilter
 from repro.paxos.messages import (
     Aggregated2b,
@@ -46,7 +48,7 @@ def test_majority_of_votes_makes_further_votes_redundant():
         assert f.validate(_vote(1, sender), peer_id=9)
     # The majority marked the instance decided for the peer: every later
     # vote, for any round or value, is dropped as obsolete.
-    assert f._peers[9].decided_watermark == 1
+    assert f.summary(9)[0] == 1     # the decided watermark
     assert not f.validate(_vote(1, 3), peer_id=9)
     assert not f.validate(_vote(1, 4), peer_id=9)
     assert not f.validate(_vote(1, 4, round_=2, vid="w"), peer_id=9)
@@ -102,26 +104,53 @@ def test_vote_state_cleared_after_decision():
     f = SemanticFilter(n=5)
     f.validate(_vote(1, 0), peer_id=9)
     f.validate(Decision(1, 1, _value()), peer_id=9)
-    summary = f._peers[9]
-    assert 1 not in summary.vote_senders
+    watermark, sparse, votes = f.summary(9)
+    assert 1 not in votes
 
 
 def test_decided_set_compacts_to_watermark():
     f = SemanticFilter(n=5)
     for instance in (1, 2, 3, 4):
         f.validate(Decision(instance, 1, _value()), peer_id=9)
-    summary = f._peers[9]
-    assert summary.decided_watermark == 4
-    assert summary.decided_sparse == set()
+    watermark, sparse, votes = f.summary(9)
+    assert watermark == 4
+    assert sparse == ()
 
 
 def test_out_of_order_decisions_compact_later():
     f = SemanticFilter(n=5)
     f.validate(Decision(3, 1, _value()), peer_id=9)
-    summary = f._peers[9]
-    assert summary.decided_watermark == 0
-    assert summary.decided_sparse == {3}
+    watermark, sparse, votes = f.summary(9)
+    assert watermark == 0
+    assert sparse == (3,)
     f.validate(Decision(1, 1, _value()), peer_id=9)
     f.validate(Decision(2, 1, _value()), peer_id=9)
-    assert summary.decided_watermark == 3
-    assert summary.decided_sparse == set()
+    watermark, sparse, votes = f.summary(9)
+    assert watermark == 3
+    assert sparse == ()
+
+
+def test_a_vote_from_outside_the_processes_is_rejected_by_name():
+    """Senders are process ids in [0, n): the bitset is n bits wide."""
+    f = SemanticFilter(n=5)
+    with pytest.raises(ValueError, match="sender"):
+        f.validate(_vote(1, 5), peer_id=9)
+    with pytest.raises(ValueError, match="outside"):
+        f.validate(Aggregated2b(1, 1, "v", senders=mask(0, 5)), peer_id=9)
+    with pytest.raises(ValueError, match="negative"):
+        f.validate(Aggregated2b(1, 1, "v", senders=-1), peer_id=9)
+
+
+def test_a_majority_of_a_thousand_counts_every_word_of_the_bitset():
+    f = SemanticFilter(n=1000)   # majority = 501
+    senders = list(range(0, 1000, 2))     # 500 votes, across 16 words
+    assert f.validate(Aggregated2b(1, 1, "v", senders=mask(*senders)), 9)
+    assert f.summary(9)[2] == {1: {(1, "v"): mask(*senders)}}
+    assert f.validate(_vote(1, 999), peer_id=9)   # the 501st
+    assert f.summary(9) == (1, (), {})
+    assert not f.validate(_vote(1, 1), peer_id=9)
+
+
+def test_no_summary_before_the_first_message_to_a_peer():
+    f = SemanticFilter(n=5)
+    assert f.summary(9) is None

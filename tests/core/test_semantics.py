@@ -55,3 +55,26 @@ def test_filter_state_isolated_per_instance_of_hooks():
     b = PaxosSemantics(n=5)
     a.validate(Decision(1, 1, _value()), peer_id=2)
     assert b.validate(_votes(1)[0], peer_id=2)
+
+
+def test_the_node_is_handed_the_compiled_rules_themselves():
+    """With both techniques on, the hooks' validate and aggregate are the
+    compiled filter's and aggregator's own bound methods, which the gossip
+    node calls without entering Python."""
+    hooks = PaxosSemantics(n=5)
+    assert hooks.validate == hooks.filter.validate
+    assert hooks.aggregate == hooks.aggregator.aggregate
+
+
+def test_a_subclass_override_is_kept():
+    class Dropping(PaxosSemantics):
+        def validate(self, payload, peer_id):
+            return False
+
+        def aggregate(self, payloads, peer_id):
+            return super().aggregate(payloads, peer_id)[:1]
+
+    hooks = Dropping(n=5)
+    assert not hooks.validate(_votes(1)[0], peer_id=2)
+    merged = hooks.aggregate(_votes(3) + _votes(2, instance=2), peer_id=2)
+    assert [type(p) for p in merged] == [Aggregated2b]

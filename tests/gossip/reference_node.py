@@ -2,19 +2,22 @@
 
 :class:`repro.gossip.node.GossipNode` runs its single-part receive, its
 deliver-and-forward completion and its fan-out loop in the compiled
-kernel (``repro/sim/_kernel.c``), and its counters are a C type. This is
-the Python they replaced, kept verbatim: :class:`GossipStats`, and
-``_on_link_receive``, ``_complete``, ``_send`` and ``_rebuild_forward``
-(with the fan-out tuple and service times as plain attributes) on a
-subclass of the compiled node, so that everything else — the broadcast,
-the senders' queues and wake-ups, the hooks and the cache — is shared.
-It lives with the tests because nothing else constructs it:
-`tests/properties/test_node_lockstep.py` drives one op stream through a
-mesh of these and a mesh of compiled nodes and requires identical
-counters, events and sender state at every step.
+kernel (``repro/sim/_kernel.c``), its per-peer senders are the compiled
+``SenderCore`` (queue, wake-up and batched round), and its counters are a
+C type. This is the Python they replaced, kept verbatim:
+:class:`GossipStats`, :class:`_PeerSender` (on the compiled base, whose
+link and pacing state it keeps there), and ``_on_link_receive``,
+``_complete``, ``_send`` and ``_rebuild_forward`` (with the fan-out tuple
+and service times as plain attributes) on a subclass of the compiled node
+that builds its senders from it, so that everything else — the
+broadcast, the hooks and the cache — is shared. It lives with the tests
+because nothing else constructs it: `tests/properties/test_node_lockstep.py`
+drives one op stream through a mesh of these and a mesh of compiled nodes
+and requires identical counters, events and sender state at every step.
 """
 
 from repro.gossip.node import GossipNode
+from repro.sim.events import compiled
 
 
 class GossipStats:
@@ -45,6 +48,147 @@ class GossipStats:
         return self.duplicates / self.received
 
 
+class _PeerSender(compiled.SenderCore):
+    """Send routine for one peer: queue + validate/aggregate + pacing.
+
+    There is one way to send, and it is event-free. Every link reports
+    the serialisation completion at commit time, so the sender tracks the
+    instant the link frees (``_free_at``) arithmetically. A message for
+    an idle link is committed by the node's fan-out loop
+    (:meth:`GossipNode._send`), which records ``_free_at`` here. A
+    message for a busy link is queued (:meth:`enqueue`), and the first
+    one queued arms the only event a sender ever arms: a wake-up at
+    ``_free_at``. Nothing commits onto the link while it is armed, so
+    it fires as the link frees; whatever has queued by then is
+    validated/aggregated and committed whole as one chained round
+    (:meth:`_pump`). A transmission with nothing behind it — the common
+    case below saturation — costs no sender event at all. Link jitter
+    changes none of this: the link draws it when it commits an arrival,
+    and it moves arrivals, never completions.
+
+    The queue is a plain list that :meth:`_pump` takes whole, leaving an
+    empty one in its place. It holds messages only while a wake-up is
+    armed.
+
+    ``link``, ``_free_at`` (the instant the link serialises our traffic
+    until) and ``_wakeup_armed`` live in the C base, where the compiled
+    fan-out reads and writes them; they start at 0.0 and False.
+    """
+
+    __slots__ = ("node", "sim", "peer_id", "queue", "capacity",
+                 "_wakeup_event")
+
+    def __init__(self, node, peer_id, link, capacity):
+        self.node = node
+        self.sim = node.sim
+        self.peer_id = peer_id
+        self.link = link
+        self.queue = []
+        self.capacity = capacity
+        self._wakeup_event = None    # handle, valid only while armed
+
+    @property
+    def busy(self):
+        """True while a batch is being serialised or paced."""
+        return self._wakeup_armed or self.sim.now < self._free_at
+
+    def enqueue(self, payload):
+        """Queue ``payload`` behind the busy link (see :attr:`busy`).
+
+        The first message queued arms the wake-up: it fires when the link
+        frees. A full queue drops the message and counts the drop.
+        """
+        queue = self.queue
+        if self.capacity is not None and len(queue) >= self.capacity:
+            self.node.stats.send_queue_drops += 1
+            return
+        queue.append(payload)
+        if not self._wakeup_armed:
+            self._wakeup_armed = True
+            self._wakeup_event = self.sim.push_event(
+                self._free_at, self._wakeup, ())
+
+    def _pump(self):
+        """Validate + aggregate what has queued and commit it to the wire."""
+        node = self.node
+        hooks = node._hooks
+        batch = self.queue
+        self.queue = []
+        if node.validate_default:
+            # Default validate admits everything; skip the per-message
+            # calls (classic gossip's saturated batch path).
+            kept = batch
+        else:
+            kept = []
+            for payload in batch:
+                if hooks.validate(payload, self.peer_id):
+                    kept.append(payload)
+                else:
+                    node.stats.filtered += 1
+                    if node.obs is not None:
+                        node.obs.gossip_filtered(node.process_id,
+                                                 self.peer_id, payload)
+        # Messages run through validate, then (two or more) aggregate.
+        examined = len(batch)
+        if len(kept) > 1:
+            examined += len(kept)
+            if not node.aggregate_default:
+                before = len(kept)
+                kept = hooks.aggregate(kept, self.peer_id)
+                saved = before - len(kept)
+                if saved > 0:
+                    node.stats.aggregated_in += saved + sum(
+                        1 for p in kept if p.aggregated
+                    )
+                    node.stats.aggregated_saved += saved
+                    if node.obs is not None:
+                        for p in kept:
+                            if p.aggregated:
+                                # Votes in the sender bitmask; a Batch
+                                # has none.
+                                votes = getattr(p, "senders", 0).bit_count()
+                                node.obs.gossip_aggregated(
+                                    node.process_id, self.peer_id, p,
+                                    max(0, votes - 1))
+        if node.hooks_charged:
+            # The hooks ran inline: the charge occupies the CPU without
+            # delaying this batch; queued CPU work behind it is what pays.
+            service = examined * node.costs.hook_s
+            if service > 0.0:
+                node._cpu_acct(service)
+        if kept:
+            self._send_round(kept)
+
+    def _send_round(self, batch):
+        """Commit the whole validated batch to the wire arithmetically.
+
+        Every serialisation completion in the round is known now (FIFO
+        chain: each message starts when its predecessor finishes), so the
+        entire batch is chained onto the transmission server in one pass
+        — zero wake-up events instead of one per message. A wake-up
+        armed later (by an enqueue mid-round) fires at the end of the
+        round.
+        """
+        commit = self.link.commit
+        now = self.sim.now
+        for payload in batch:
+            completion = commit(payload, (payload,), now)
+        self._free_at = completion
+
+    def _wakeup(self):
+        self._wakeup_armed = False
+        self._wakeup_event = None
+        self._pump()
+
+    def discard(self):
+        """Disarm the outstanding wake-up and forget the queue it would
+        have pumped: the peer is gone (:meth:`GossipNode.remove_peer`)."""
+        self.sim.cancel(self._wakeup_event)
+        self._wakeup_armed = False
+        self._wakeup_event = None
+        self.queue.clear()
+
+
 class ReferenceNode(GossipNode):
     """A :class:`GossipNode` whose per-hop paths and counters are Python."""
 
@@ -62,6 +206,23 @@ class ReferenceNode(GossipNode):
     @property
     def stats(self):
         return self._stats
+
+    # The defaultness flags the Python paths read, from the bound hooks.
+    @property
+    def validate_default(self):
+        return self._validate is None
+
+    @property
+    def aggregate_default(self):
+        return self._aggregate is None
+
+    def add_peers(self, peer_ids):
+        """Register peers, each with a Python :class:`_PeerSender`."""
+        link_to = self.transport.link_to
+        for peer_id in peer_ids:
+            self._senders[peer_id] = _PeerSender(
+                self, peer_id, link_to(peer_id), self._send_queue_capacity)
+        self._rebuild_forward()
 
     def _rebuild_forward(self):
         """Recompute the flat fan-out state after a peer-set change.

@@ -83,3 +83,27 @@ def test_valid_membership_config_accepted():
     config = fast_config(membership=MembershipConfig(
         initial_members=(0, 1, 2, 3, 4)))
     assert config.membership.initial_members == (0, 1, 2, 3, 4)
+
+
+def test_non_numeric_timing_rejected_naming_the_field():
+    with pytest.raises(TypeError, match="heartbeat_interval"):
+        MembershipConfig(heartbeat_interval="x")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed_count", 1.5), ("seed_count", True), ("join_degree", 2.0),
+])
+def test_non_int_count_rejected_naming_the_field(field, value):
+    with pytest.raises(TypeError, match=field):
+        MembershipConfig(**{field: value})
+
+
+def test_non_int_initial_member_rejected_naming_the_field():
+    with pytest.raises(TypeError, match="initial_members.*True"):
+        MembershipConfig(initial_members=(True, 2))
+
+
+def test_out_of_range_initial_member_names_the_field():
+    with pytest.raises(ValueError, match="initial_members.*99"):
+        fast_config(n=13, membership=MembershipConfig(
+            initial_members=tuple(range(12)) + (99,)))

@@ -85,14 +85,16 @@ def test_filtered_votes_are_truly_redundant(schedule):
 )
 @settings(max_examples=100, deadline=None)
 def test_watermark_compaction_is_sound(instances):
-    """Whatever the decision order, knows_decision is exactly the set of
-    decided instances."""
+    """Whatever the decision order, the peer's summary knows exactly the
+    decided instances, as a watermark plus the sparse rest."""
     f = SemanticFilter(N)
     value = Value("v", 0, 8)
     decided = set()
     for instance in instances:
         f.validate(Decision(instance, 1, value), peer_id=3)
         decided.add(instance)
-    summary = f._peers[3]
+    watermark, sparse, votes = f.summary(3)
     for instance in range(1, 52):
-        assert summary.knows_decision(instance) == (instance in decided)
+        knows = instance <= watermark or instance in sparse
+        assert knows == (instance in decided)
+    assert watermark + 1 not in sparse and votes == {}

@@ -2,12 +2,13 @@
 
 ``gc.set_threshold(1)`` makes nearly every container allocation run a
 young-generation collection, so the C types' ``tp_traverse`` and
-``tp_clear`` run in the middle of pushes, commits, receives, fan-outs
-and Paxos handles (outside ``Simulator.run``, which pauses the
-collector). A reference the collector cannot see, or a pointer kept
-across a call-out that frees it, then shows as a wrong result or, on
-the sanitizer build (``tests/sanitize.py``), as a use after free. Fewer
-examples than the properties' own runs: each is much slower.
+``tp_clear`` run in the middle of pushes, commits, receives, fan-outs,
+Paxos handles, filter verdicts and aggregations (outside
+``Simulator.run``, which pauses the collector). A reference the
+collector cannot see, or a pointer kept across a call-out that frees
+it, then shows as a wrong result or, on the sanitizer build
+(``tests/sanitize.py``), as a use after free. Fewer examples than the
+properties' own runs: each is much slower.
 """
 
 import gc
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from tests.properties import test_hop_lockstep as hop
 from tests.properties import test_node_lockstep as node
 from tests.properties import test_replica_lockstep as replica
+from tests.properties import test_semantics_lockstep as semantics
 
 #: Each property with the strategies its ``@given`` draws from.
 PROPERTIES = [
@@ -33,6 +35,8 @@ PROPERTIES = [
      (replica.scenarios(),)),
     (replica.test_learner_table_matches_the_reference_learner,
      (replica.LEARNER_OPS,)),
+    (semantics.test_semantics_match_their_reference_in_lockstep,
+     (semantics.scenarios(),)),
 ]
 
 

@@ -17,23 +17,30 @@ drives one random op stream through both and requires at every step:
 The stream has broadcasts, fresh, duplicate and aggregated receives
 (from the links and straight into ``_on_link_receive``), crash and
 recover and a direct write to ``alive``, ``add_peer`` and
-``remove_peer``, a filtering ``validate`` swapped in and out on nodes
-whose hooks are charged and on nodes whose hooks are not, a tracer set
-and unset, send queues small enough to fill, one reference link (the
+``remove_peer``, hooks swapped in and out on nodes whose hooks are
+charged and on nodes whose hooks are not (a Python ``validate``, a Python
+``aggregate`` that packs a batch, and the compiled semantics of
+:mod:`repro.core`, fed Phase 2b votes and Decisions), a tracer set and
+unset, send queues small enough to fill, one reference link (the
 ``.commit`` path for a link that is not compiled) and process ids of
 257 and more, which are distinct int objects wherever they are equal.
+The reference nodes run the Python senders, so the compiled sender's
+queue, wake-up and batched round — validate, aggregate, their counters,
+tracer calls and CPU charge — are held to them too.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checks.auditor import args_signature
+from repro.core.semantics import PaxosSemantics
 from repro.gossip.cache import InternedSeenCache
 from repro.gossip.hooks import SemanticHooks
 from repro.gossip.node import GossipCosts, GossipNode
 from repro.net.channel import DirectedLink, LinkConfig
 from repro.net.message import Payload, RawPayload, UidInterner
 from repro.net.transport import Transport
+from repro.paxos.messages import Decision, Phase2b, Value
 from repro.sim.kernel import Simulator
 from repro.sim.random import make_stream
 from tests.gossip.reference_node import ReferenceNode
@@ -76,7 +83,22 @@ class FilterHooks(PlainHooks):
     """Overrides validate: drops a message to every third peer index."""
 
     def validate(self, payload, peer_id):
-        return (payload.uid[1] + peer_id) % 3 != 0
+        key = payload.uid[1]
+        if not isinstance(key, int):
+            key = len(payload.uid)
+        return (key + peer_id) % 3 != 0
+
+
+class PackHooks(PlainHooks):
+    """Overrides aggregate in Python: packs a whole batch."""
+
+    def aggregate(self, payloads, peer_id):
+        return [Packed(payloads)]
+
+
+#: What a ``hooks`` op installs, by index.
+HOOKS = (PlainHooks, FilterHooks, lambda: PaxosSemantics(len(IDS)),
+         PackHooks)
 
 
 class _Recorder:
@@ -111,12 +133,16 @@ class _Recorder:
                          self.sim.now.hex()))
 
     def gossip_aggregated(self, node_id, peer_id, payload, saved):
-        self.log.append(("obs-aggregated", node_id, peer_id, saved))
+        self.log.append(("obs-aggregated", node_id, peer_id,
+                         type(payload).__name__, payload.uid, saved,
+                         self.sim.now.hex()))
 
 
 class _Mesh:
     """Four nodes of one class over fully connected transports, wired as a
-    ring; node 0 and node 2 have charged (validate-overriding) hooks."""
+    ring. Node 1 starts with the default hooks (so its hooks are never
+    charged); node 0 filters in Python, node 2 runs the compiled
+    semantics and node 3 packs its batches in Python."""
 
     def __init__(self, node_cls):
         self.log = []
@@ -135,7 +161,7 @@ class _Mesh:
                     self.links.append(link)
         self.nodes = []
         for i in range(len(IDS)):
-            hooks = FilterHooks() if i in (0, 2) else PlainHooks()
+            hooks = HOOKS[(1, 0, 2, 3)[i]]()
             node = node_cls(self.sim, pid(i), transports[i], costs=COSTS,
                             hooks=hooks,
                             cache=InternedSeenCache(64, self.interner),
@@ -176,8 +202,13 @@ class _Mesh:
         elif kind == "remove_peer":
             self.nodes[op[1]].remove_peer(pid(op[2]))
         elif kind == "hooks":
-            node = self.nodes[op[1]]
-            node.hooks = FilterHooks() if op[2] else PlainHooks()
+            self.nodes[op[1]].hooks = HOOKS[op[2]]()
+        elif kind == "votes":
+            for sender in op[3]:
+                self.nodes[op[1]].broadcast(Phase2b(op[2], 1, "v", sender))
+        elif kind == "decide":
+            self.nodes[op[1]].broadcast(
+                Decision(op[2], 1, Value("v", 0, 8)))
         elif kind == "obs":
             for node in self.nodes:
                 node.obs = self.recorder if op[1] else None
@@ -221,7 +252,10 @@ NODE_OPS = st.lists(
         st.tuples(st.just("alive"), NODE, st.booleans()),
         st.tuples(st.just("add_peer"), NODE, NODE),
         st.tuples(st.just("remove_peer"), NODE, NODE),
-        st.tuples(st.just("hooks"), NODE, st.booleans()),
+        st.tuples(st.just("hooks"), NODE, st.integers(0, len(HOOKS) - 1)),
+        st.tuples(st.just("votes"), NODE, st.integers(1, 3),
+                  st.lists(NODE, min_size=1, max_size=4)),
+        st.tuples(st.just("decide"), NODE, st.integers(1, 3)),
         st.tuples(st.just("obs"), st.booleans()),
         st.tuples(st.just("advance"), st.integers(1, 40)),
     ),
@@ -258,4 +292,4 @@ def test_the_meshes_are_what_the_property_needs():
     assert sum(isinstance(link, RefLink) for link in compiled.links) == 1
     assert pid(2) == pid(2) and pid(2) is not pid(2)
     assert [n.hooks_charged for n in compiled.nodes] == [
-        True, False, True, False]
+        True, False, True, True]

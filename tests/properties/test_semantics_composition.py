@@ -1,7 +1,7 @@
 """Property: the composed semantic pipeline never loses decisions.
 
 The gossip send path applies validate() per message and then aggregate()
-on the survivors — exactly as `_PeerSender._pump` does. Whatever the
+on the survivors — exactly as a gossip sender's round does. Whatever the
 stream of votes and decisions, the peer must still be able to learn every
 instance's decision from what actually goes on the wire (after
 disaggregation at the receiving end).

@@ -4,7 +4,7 @@ Every set of voters on the semantic send path is an ``int`` whose bit *i*
 stands for process *i*. The code it replaced kept Python sets; that code
 lives on verbatim in :mod:`tests.core.reference_semantics`. Random
 multi-peer, multi-instance, multi-round streams run through both, the way
-``_PeerSender._pump`` runs a batch: validate each message for the peer,
+a sender's round runs a batch: validate each message for the peer,
 aggregate the survivors, then the peer disaggregates what arrives and
 (Paxos) hands the parts to its learner. One ``SemanticFilter`` and one
 ``SemanticAggregator`` serve both protocols; the reference keeps a filter

@@ -69,7 +69,8 @@ class TestFilter:
         f.validate(_ack(1, 0), peer_id=9)
         f.validate(_ack(2, 0), peer_id=9)
         f.validate(CommitNotice(1, 2), peer_id=9)
-        assert f._peers[9].vote_senders == {}
+        watermark, sparse, votes = f.summary(9)
+        assert votes == {}
 
 
 class TestAggregator:

@@ -6,13 +6,16 @@ which no digest shows. ``sys.getallocatedblocks()`` does: after a warm-up
 run has filled the interpreter's own caches, repeated runs of the same
 scenario must leave the count where it was. The scenarios cover the
 fault engine (crash, loss, partition and degrade on gossip and on the
-direct star), the pull strategy, the aggregating semantic hooks and the
-fault-free star, where the compiled Paxos replica does most of the work.
+direct star), the pull strategy, the aggregating semantic hooks (the
+compiled filter and aggregator, through the fan-out and the busy-link
+sender, for Paxos and for Raft) and the fault-free star, where the
+compiled Paxos replica does most of the work.
 
 A reference kept to a callback's *result* hides from whole runs: a
 node's receive returns None, a loss hook a bool, a communicator and a
-client None, and references to those allocate nothing. One link and one
-Paxos process whose callbacks return fresh objects show it.
+client None, a validate hook a bool, and references to those allocate
+nothing. One link, one Paxos process and one gossip node whose callbacks
+return fresh objects show it.
 """
 
 import gc
@@ -21,15 +24,19 @@ import sys
 import pytest
 
 from repro.checks.scenarios import scenario_config
+from repro.gossip.hooks import SemanticHooks
+from repro.gossip.node import GossipNode
 from repro.net.channel import DirectedLink, LinkConfig
 from repro.net.message import RawPayload
+from repro.net.transport import Transport
 from repro.paxos.messages import ClientValue, Phase1a, Phase2a, Phase2b, Value
 from repro.paxos.process import Communicator, PaxosProcess
 from repro.runtime.runner import run_experiment
 from repro.sim.kernel import Simulator
 
 SCENARIOS = ["link_faults", "baseline_faults", "push_pull_loss",
-             "degrade_jitter", "fig7_overlay", "baseline_star"]
+             "degrade_jitter", "fig7_overlay", "baseline_star", "agg_heavy",
+             "raft_semantic"]
 RUNS = 4
 
 
@@ -100,3 +107,41 @@ def test_a_paxos_handle_releases_what_its_callbacks_return():
     gc.collect()
     grown = sys.getallocatedblocks() - before
     assert grown < 100, "{} blocks more after 1000 decisions".format(grown)
+
+
+class _FreshHooks(SemanticHooks):
+    """Python hooks whose results are fresh objects: a true list from
+    validate, a new list (nothing merged) from aggregate."""
+
+    def validate(self, payload, peer_id):
+        return [payload]
+
+    def aggregate(self, payloads, peer_id):
+        return list(payloads)
+
+
+def test_a_send_round_releases_what_its_hooks_return():
+    def burst():
+        sim = Simulator(seed=1)
+        transport = Transport(0)
+        transport.connect(DirectedLink(
+            sim, 0, 1, 1e-3, LinkConfig(per_message_s=1e-3, per_byte_s=0.0),
+            lambda src, payload: None))
+        node = GossipNode(sim, 0, transport, hooks=_FreshHooks())
+        node.add_peers([1])
+        pairs = node._fwd_pairs
+        for round_ in range(1000):
+            # The first commits onto the idle link; the other two queue
+            # behind it and go out in one validated, aggregated round.
+            for k in range(3):
+                node._send(RawPayload((round_, k), 10), pairs)
+            sim.run()
+        assert node._senders[1].link.stats.sent == 3000
+
+    burst()
+    gc.collect()
+    before = sys.getallocatedblocks()
+    burst()
+    gc.collect()
+    grown = sys.getallocatedblocks() - before
+    assert grown < 100, "{} blocks more after 1000 send rounds".format(grown)
