@@ -43,6 +43,7 @@ from repro.runtime.sweep import (
     select_median_overlay,
     workload_sweep,
 )
+from repro.sim import census as run_census
 
 
 def _add_common(parser):
@@ -114,10 +115,17 @@ _REPORT_HEADERS = ["setup", "avg ms", "p99 ms", "p999 ms", "thr /s",
 
 def cmd_run(args):
     """Run one experiment with one setup and print its report."""
-    report = run_experiment(_config(args, args.setup))
+    census = {} if args.census else None
+    report = run_experiment(_config(args, args.setup), census=census)
     print(format_table(_REPORT_HEADERS, [_report_row(args.setup, report)],
                        title="{} / {} / n={} @ {}/s".format(
                            args.protocol, args.setup, args.n, args.rate)))
+    if census is not None:
+        print()
+        print(format_table(run_census.HEADERS,
+                           run_census.rows(census, report.decided),
+                           title="run-loop census, {} decided".format(
+                               report.decided)))
     return 0
 
 
@@ -293,6 +301,9 @@ def build_parser():
 
     p = sub.add_parser("run", help="run one experiment")
     p.add_argument("--setup", choices=SETUPS, default="semantic")
+    p.add_argument("--census", action="store_true",
+                   help="also print events and host time per callback "
+                        "and per decided value")
     _add_common(p)
     p.set_defaults(func=cmd_run)
 

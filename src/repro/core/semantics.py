@@ -24,13 +24,15 @@ class PaxosSemantics(SemanticHooks):
         self.filter = SemanticFilter(n) if enable_filtering else None
         self.aggregator = SemanticAggregator()
         # Unless a subclass overrides them, the gossip node calls the
-        # compiled filter's and aggregator's own validate and aggregate:
-        # no Python frame per (message, peer).
+        # compiled filter's and aggregator's own validate, aggregate and
+        # disaggregate: no Python frame per (message, peer) or arrival.
         cls = type(self)
         if self.filter is not None and cls.validate is PaxosSemantics.validate:
             self.validate = self.filter.validate
         if enable_aggregation and cls.aggregate is PaxosSemantics.aggregate:
             self.aggregate = self.aggregator.aggregate
+        if cls.disaggregate is PaxosSemantics.disaggregate:
+            self.disaggregate = self.aggregator.disaggregate
 
     def validate(self, payload, peer_id):
         if self.filter is None:

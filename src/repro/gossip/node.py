@@ -17,18 +17,22 @@ Architecture per the paper's §3.3:
 The per-hop half and the send routines are compiled
 (``repro/sim/_kernel.c``, beside the link, server and cache they call):
 :class:`GossipNode` derives from the C ``NodeCore``, whose
-``_on_link_receive`` (the single-part receive), ``_complete`` (deliver and
-forward) and ``_send`` (the fan-out loop) run without entering Python
-unless they call out — to the cache if it is not an
-:class:`InternedSeenCache`, to the application's ``deliver``, to hooks
-other than the compiled filter and aggregator of :mod:`repro.core`, or to
-a tracer. :class:`_PeerSender` is the C ``SenderCore``: the queue, wake-up
+``_on_link_receive`` (the receive, single-part or aggregated: an
+``Aggregated2b`` or ``AggregatedAck`` is split into its votes by the
+compiled aggregator, each built slot by slot), ``_complete`` and
+``_complete_parts`` (deliver and forward) and ``_send`` (the fan-out loop)
+run without entering Python unless they call out — to the cache if it is
+not an :class:`InternedSeenCache`, to hooks other than the compiled
+filter and aggregator of :mod:`repro.core`, to a tracer, or to the
+application. A fresh payload whose exact class was given a handler by
+``route(cls, handler)`` (membership traffic) goes to that handler, and
+any other to ``deliver``, a Paxos replica's ``handle`` called directly.
+:class:`_PeerSender` is the C ``SenderCore``: the queue, wake-up
 and batched round behind a busy link are compiled too, and
 :class:`GossipStats` is a C type. Python keeps what runs rarely: the
-broadcast and the aggregated receive
-(:meth:`GossipNode._receive_aggregated`). A subclass that defines
-``_on_link_receive`` or ``_complete`` (the pull strategies) has its own
-called. The Python form of the compiled paths is the reference model in
+broadcast. A subclass that defines ``_on_link_receive`` or ``_complete``
+(the pull strategies) has its own called. The Python form of the
+compiled paths is the reference model in
 ``tests/gossip/reference_node.py``.
 
 Saturation model: all application-visible work (duplicate checks, delivery,
@@ -110,14 +114,15 @@ class GossipNode(compiled.NodeCore, Actor):
     """Push-gossip layer of one process.
 
     The C base holds what every hop reads: ``alive``, ``deliver``, ``obs``,
-    ``stats``, ``cpu``, ``cache``, the validate and aggregate callables,
-    the service times and the fan-out tuple. Python slots hold the rest. Subclasses that add
-    state (the pull strategies) simply omit ``__slots__`` and get a dict
-    for their extras.
+    ``stats``, ``cpu``, ``cache``, the validate, aggregate and disaggregate
+    callables, the route table, the service times and the fan-out tuple.
+    Python slots hold the rest. Subclasses that add state (the pull
+    strategies) simply omit ``__slots__`` and get a dict for their
+    extras.
     """
 
     __slots__ = (
-        "sim", "name", "transport", "costs", "_cpu_submit", "_cpu_acct",
+        "sim", "name", "transport", "costs",
         "hooks_charged", "_hooks", "_senders", "_send_queue_capacity",
     )
 
@@ -163,11 +168,6 @@ class GossipNode(compiled.NodeCore, Actor):
             self, sim, process_id, cpu, cache, deliver, costs,
             costs.hook_s if self.hooks_charged else 0.0)
         self.hooks = hooks                        # property: sets flags
-        #: Fire-and-forget CPU submission for the broadcast and aggregated
-        #: receive, bound once. The returned completion is never used here.
-        self._cpu_submit = cpu.submit_timed
-        #: Accounting-only CPU charge (no callback, no varargs packing).
-        self._cpu_acct = cpu.submit_acct
         self._senders = {}
         self._send_queue_capacity = send_queue_capacity
         transport.on_receive(self._on_link_receive)
@@ -179,9 +179,10 @@ class GossipNode(compiled.NodeCore, Actor):
     @hooks.setter
     def hooks(self, hooks):
         # Refresh the bound hooks on every swap (safety monitor wrappers,
-        # test doubles): the default validate admits everything and the
-        # default aggregate is the identity, so they are None and the hot
-        # path skips those calls entirely. ``hooks_charged`` is
+        # test doubles): the default validate admits everything, the
+        # default aggregate is the identity and the default disaggregate
+        # returns the payload alone, so they are None and the hot path
+        # skips those calls entirely. ``hooks_charged`` is
         # deliberately NOT refreshed — the CPU-charge decision is pinned
         # at construction so observational wrappers cannot perturb run
         # timing.
@@ -193,6 +194,9 @@ class GossipNode(compiled.NodeCore, Actor):
         self._aggregate = (
             None if kind.aggregate is SemanticHooks.aggregate
             else hooks.aggregate)
+        self._disaggregate = (
+            None if kind.disaggregate is SemanticHooks.disaggregate
+            else hooks.disaggregate)
 
     # -- wiring ----------------------------------------------------------
 
@@ -264,47 +268,5 @@ class GossipNode(compiled.NodeCore, Actor):
         self.stats.broadcasts += 1
         if not self._register(payload):
             return  # re-broadcast of a known message: nothing to do
-        self._cpu_submit(self._svc_broadcast, self._complete, payload, None)
-
-    # -- receive path ------------------------------------------------------
-
-    def _receive_aggregated(self, src, payload):
-        """An aggregated arrival, already checked alive and counted
-        received by the compiled receive: dedup each part, and one CPU job
-        for the fresh ones."""
-        costs = self.costs
-        parts = self._hooks.disaggregate(payload)
-        self.stats.disaggregated += len(parts)
-        register = self._register
-        fresh = []
-        service = 0.0
-        duplicates = 0
-        obs = self.obs
-        for part in parts:
-            if register(part):
-                fresh.append(part)
-                service += costs.recv_fresh_s
-                if obs is not None:
-                    obs.gossip_receive(self.process_id, src, part, True)
-            else:
-                duplicates += 1
-                service += costs.recv_dup_s
-                if obs is not None:
-                    obs.gossip_receive(self.process_id, src, part, False)
-        # Count duplicates per part (matching ``disaggregated``), so an
-        # aggregated bundle of k already-seen messages is k duplicates —
-        # the paper's §4.3 per-message semantics.
-        self.stats.duplicates += duplicates
-        if not fresh:
-            self._cpu_acct(service)
-            return
-        fanout = self._fanout - 1
-        if fanout < 0:
-            fanout = 0
-        service += len(fresh) * fanout * costs.send_per_peer_s
-        self._cpu_submit(service, self._complete_parts, fresh, src)
-
-    def _complete_parts(self, fresh, src):
-        """The fresh parts of one aggregate, in its one CPU job."""
-        for part in fresh:
-            self._complete(part, src)
+        self.cpu.submit_timed(self._svc_broadcast, self._complete, payload,
+                              None)

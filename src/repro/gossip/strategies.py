@@ -137,8 +137,7 @@ class PullGossipNode(GossipNode):
         """Store and deliver a fresh ``payload``; pull never forwards."""
         self.store.add(payload)
         self.stats.delivered += 1
-        if self.deliver is not None:
-            self.deliver(payload)
+        self._deliver(payload)
 
     def _pull_round(self):
         peers = self.peers()

@@ -16,12 +16,7 @@ process that just joined (or rejoined) gets a full grace period before
 anyone may suspect it, and a rejoined observer starts its watches fresh.
 """
 
-from repro.membership.messages import (
-    DeadReport,
-    JoinAnnounce,
-    LeaveAnnounce,
-    MemberHeartbeat,
-)
+from repro.membership.messages import DeadReport, MemberHeartbeat
 from repro.sim.actors import Actor
 
 
@@ -72,21 +67,20 @@ class LivenessAgent(Actor):
 
     # -- inbound membership traffic ---------------------------------------
 
-    def on_membership(self, payload):
-        """Dispatch one membership payload peeled off the delivery path."""
-        kind = type(payload)
-        if kind is MemberHeartbeat:
-            self._on_heartbeat(payload)
-        elif kind is DeadReport:
-            self.service.apply_dead_report(
-                payload.reporter, payload.subject, payload.incarnation)
-        elif kind is JoinAnnounce or kind is LeaveAnnounce:
-            # The authoritative transition already happened in the view;
-            # the announce refreshes this observer's watch so a joiner is
-            # not suspected before its first beacon propagates.
-            self.last_heard[payload.sender] = self.now
+    # The node routes each membership class here by its exact class.
 
-    def _on_heartbeat(self, heartbeat):
+    def on_dead_report(self, report):
+        self.service.apply_dead_report(
+            report.reporter, report.subject, report.incarnation)
+
+    def on_announce(self, announce):
+        """A JoinAnnounce or LeaveAnnounce. The authoritative transition
+        already happened in the view; the announce refreshes this
+        observer's watch so a joiner is not suspected before its first
+        beacon propagates."""
+        self.last_heard[announce.sender] = self.now
+
+    def on_heartbeat(self, heartbeat):
         sender = heartbeat.sender
         if heartbeat.incarnation < self.service.view.incarnation(sender):
             return  # beacon from a dead epoch of a since-rejoined member

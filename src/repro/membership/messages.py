@@ -3,9 +3,10 @@
 Liveness traffic rides the same epidemic broadcast as consensus traffic
 (the paper's §3.3 substrate): heartbeats, dead reports and join/leave
 announcements are ordinary :class:`repro.net.message.Payload` subclasses
-whose uids make every logical message flood exactly once. The membership
-dispatcher installed by :class:`repro.membership.service.MembershipService`
-peels them off the delivery path before consensus sees them.
+whose uids make every logical message flood exactly once.
+:class:`repro.membership.service.MembershipService` routes each of the
+four classes, by exact class, from every gossip node straight to its
+liveness agent, so consensus never sees them.
 
 Uid kinds (``MHB``/``MDR``/``MJN``/``MLV``) are disjoint from the Paxos
 and Raft kinds, so the safety monitor and semantic hooks ignore them.
@@ -16,9 +17,6 @@ from repro.net.message import Payload
 #: Fixed metadata size charged per membership message (the consensus
 #: header size; membership messages carry no value body).
 MEMBERSHIP_HEADER_BYTES = 64
-
-#: Uid kinds the membership dispatcher claims off the delivery path.
-MEMBERSHIP_KINDS = frozenset(("MHB", "MDR", "MJN", "MLV"))
 
 
 class MemberHeartbeat(Payload):

@@ -6,9 +6,11 @@ One :class:`MembershipService` per deployment (built only when
 * the authoritative :class:`repro.membership.view.MembershipView` and the
   per-process :class:`repro.membership.liveness.LivenessAgent` detectors,
   driven by a single periodic scan;
-* the **delivery dispatcher** — each gossip node's ``deliver`` callback is
-  wrapped so membership payloads peel off to the local agent while
-  consensus traffic flows through untouched;
+* the **delivery routes** — each gossip node routes the four membership
+  payload classes, by exact class, straight to its local agent's
+  handlers (``GossipNode.route``, a per-node table the compiled
+  completion consults), while consensus traffic goes to ``deliver``
+  untouched;
 * **join / leave / rejoin** handling for the fault-plan events, including
   deterministic overlay repair: replacement k-out edges are drawn from the
   same ``"overlay"`` stream that built the initial overlay, joiners
@@ -27,9 +29,10 @@ fixed-membership runs are bit-identical with or without this package
 
 from repro.membership.liveness import LivenessAgent
 from repro.membership.messages import (
+    DeadReport,
     JoinAnnounce,
     LeaveAnnounce,
-    MEMBERSHIP_KINDS,
+    MemberHeartbeat,
 )
 from repro.membership.view import ALIVE, MembershipView
 from repro.sim.actors import Actor
@@ -171,32 +174,27 @@ class MembershipService(Actor):
         self._election = _ElectionDriver(self)
         self._scan_timer = None
         self._installed = False
-        self._wire_dispatch()
+        self._wire_routes()
         for process in processes:
             process.enable_value_tracking()
 
-    # -- delivery dispatch -------------------------------------------------
+    # -- delivery routes ---------------------------------------------------
 
-    def _wire_dispatch(self):
-        """Interpose on every node's deliver callback.
+    def _wire_routes(self):
+        """Route every node's membership payloads to its liveness agent.
 
-        Membership payloads route to the local liveness agent; everything
-        else continues to the consensus ``handle`` already installed.
+        The node looks a fresh payload's exact class up in its route
+        table; everything else continues to the consensus ``handle``
+        already installed as ``deliver``.
         """
         for pid in range(self.config.n):
             node = self.nodes[pid]
-            node.deliver = self._make_dispatcher(self.agents[pid],
-                                                 node.deliver)
-
-    @staticmethod
-    def _make_dispatcher(agent, downstream):
-        def deliver(payload):
-            uid = payload.uid
-            if isinstance(uid, tuple) and uid and uid[0] in MEMBERSHIP_KINDS:
-                agent.on_membership(payload)
-            elif downstream is not None:
-                downstream(payload)
-        return deliver
+            agent = self.agents[pid]
+            on_announce = agent.on_announce
+            node.route(MemberHeartbeat, agent.on_heartbeat)
+            node.route(DeadReport, agent.on_dead_report)
+            node.route(JoinAnnounce, on_announce)
+            node.route(LeaveAnnounce, on_announce)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -6,6 +6,17 @@ as the ``loss_hook`` of every link and drops each arriving message with a
 configured probability, using a dedicated RNG stream so that loss decisions
 are independent of every other source of randomness in the run.
 
+``ReceiverLossInjector(sim, rate=0.0, per_process=None, stream="faults")``
+is compiled (``repro/sim/_kernel.c``, beside the link that calls it
+directly on every arrival, without entering Python). ``rate`` and every
+``per_process`` rate (a mapping receiver id -> rate overriding ``rate``)
+must be within [0, 1]; anything else, NaN included, raises ``ValueError``
+naming the process. A call ``hook(dst)`` draws one ``random()`` from
+``sim.rng(stream)`` when the receiver's rate is positive and drops when
+the draw is below it; ``examined`` and ``dropped`` count the calls and the
+drops, and ``per_process`` returns a copy of the overrides. The Python it
+replaced is the reference model in ``tests/net/reference_loss.py``.
+
 :class:`GilbertElliottLossInjector` extends the model to *correlated* loss:
 a two-state Markov chain (Gilbert–Elliott) alternates between a good state
 with near-zero loss and a bad state where most messages are dropped,
@@ -14,44 +25,14 @@ producing the loss bursts real WANs exhibit. Both classes expose the same
 they are interchangeable at every ``loss_hook`` site.
 """
 
+from repro.sim.events import compiled
+
+ReceiverLossInjector = compiled.ReceiverLossInjector
+
 
 def _check_probability(name, value):
     if not 0.0 <= value <= 1.0:
         raise ValueError("{} must be within [0, 1]".format(name))
-
-
-class ReceiverLossInjector:
-    """Drops arriving messages with a fixed probability per receiver."""
-
-    __slots__ = ("rate", "_rng", "dropped", "examined", "_per_process")
-
-    def __init__(self, sim, rate=0.0, per_process=None, stream="faults"):
-        """
-        Parameters
-        ----------
-        rate:
-            Default drop probability in [0, 1].
-        per_process:
-            Optional dict overriding the rate for specific receiver ids.
-        """
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("loss rate must be within [0, 1]")
-        self.rate = rate
-        self._per_process = dict(per_process or {})
-        self._rng = sim.rng(stream)
-        self.dropped = 0
-        self.examined = 0
-
-    def __call__(self, dst):
-        """Return True when the message arriving at ``dst`` must be lost."""
-        self.examined += 1
-        rate = self._per_process.get(dst, self.rate)
-        if rate <= 0.0:
-            return False
-        if self._rng.random() < rate:
-            self.dropped += 1
-            return True
-        return False
 
 
 class GilbertElliottLossInjector:

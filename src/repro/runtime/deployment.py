@@ -83,9 +83,10 @@ class Deployment:
         if self.membership is not None:
             self.membership.install()
 
-    def run(self):
-        """Run the simulation to the end of the configured horizon."""
-        self.sim.run(until=self.config.end_of_run)
+    def run(self, census=None):
+        """Run the simulation to the end of the configured horizon;
+        ``census`` is :meth:`repro.sim.kernel.Simulator.run`'s."""
+        self.sim.run(until=self.config.end_of_run, census=census)
 
 
 def _connect_pair(sim, config, topology, transports, a, b, loss_hook):

@@ -4,14 +4,14 @@ from repro.runtime.deployment import build_deployment
 from repro.runtime.metrics import build_report
 
 
-def _execute(config, monitor, auditor=None, obs=None):
+def _execute(config, monitor, auditor=None, obs=None, census=None):
     deployment = build_deployment(config, auditor=auditor, obs=obs)
     if monitor is not None:
         # Armed before start so the monitor observes every message of the
         # run, including the coordinator's t=0 Phase 1a.
         monitor.attach(deployment)
     deployment.start()
-    deployment.run()
+    deployment.run(census)
     if monitor is not None:
         monitor.finalize()
     return deployment
@@ -29,7 +29,8 @@ def _finish_report(deployment):
     return report
 
 
-def run_experiment(config, monitor=None, auditor=None, obs=None):
+def run_experiment(config, monitor=None, auditor=None, obs=None,
+                   census=None):
     """Build, run and measure one experiment; returns a MetricsReport.
 
     Parameters
@@ -49,16 +50,22 @@ def run_experiment(config, monitor=None, auditor=None, obs=None):
         carries ``phases`` (per-phase latency decomposition) and
         ``timeline`` (the sampler's buckets). Never changes what the run
         computes or reports.
+    census:
+        Optional dict that receives the run loop's events and
+        nanoseconds per callback and per compiled span
+        (:mod:`repro.sim.census`). Never changes what the run computes,
+        and the report does not carry it.
     """
-    return _finish_report(_execute(config, monitor, auditor, obs))
+    return _finish_report(_execute(config, monitor, auditor, obs, census))
 
 
-def run_deployment(config, monitor=None, auditor=None, obs=None):
+def run_deployment(config, monitor=None, auditor=None, obs=None,
+                   census=None):
     """Like :func:`run_experiment` but returns the finished deployment too.
 
     Useful for tests and analyses that need to inspect internal state
     (per-node caches, learner counters, link statistics, the ``obs``
     tracer of a traced run).
     """
-    deployment = _execute(config, monitor, auditor, obs)
+    deployment = _execute(config, monitor, auditor, obs, census)
     return deployment, _finish_report(deployment)

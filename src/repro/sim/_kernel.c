@@ -47,18 +47,36 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+#include <time.h>
+#if defined(__x86_64__) || defined(__i386__)
+#include <x86intrin.h>
+#endif
 #include "structmember.h"
 
 #define COMPACT_MIN_SIZE 64
+
+/* Kept out of line: a rare path that would otherwise be inlined into a
+ * hot one (the census loop into run, the aggregated receive into the
+ * single-part one). Inlined whatever its callers: a helper of a hot
+ * path that a rare one shares (a receive's cache probe, a completion's
+ * delivery). */
+#if defined(__GNUC__)
+#define RARE_PATH __attribute__((noinline))
+#define HOT_PATH inline __attribute__((always_inline))
+#else
+#define RARE_PATH
+#define HOT_PATH inline
+#endif
 
 static PyObject *str_now, *str_queue, *str_rng, *str_link_jitter,
     *str_arrive, *str_uniform, *str_size_bytes, *str_iid, *str_uid,
     *str_intern, *str_lookup, *str_per_message_s, *str_per_byte_s,
     *str_queue_capacity, *str_jitter_s, *str_register_payload,
     *str_recv_fresh_s, *str_recv_dup_s, *str_send_per_peer_s, *str_complete,
-    *str_aggregated, *str_receive_aggregated, *str_gossip_receive,
+    *str_aggregated, *str_complete_parts, *str_gossip_receive,
     *str_gossip_filtered, *str_commit, *str_disaggregate,
     *str_senders, *str_bit_count, *str_gossip_aggregated, *str_wakeup,
+    *str_random,
     *float_zero,
     *long_zero, *long_one, *empty_tuple;
 
@@ -640,16 +658,342 @@ queue_cancel_bare(QueueObject *q, PyObject *seq)
     Py_RETURN_NONE;
 }
 
-/* run(sim, limit, budget): execute live events with time <= limit, at
- * most budget of them, setting sim.now to each one's time before calling
- * it. Returns the number executed. A callback that raises was popped, so
- * it is counted before the exception propagates. */
+/* -- the census: events and nanoseconds per callback --------------------- */
+
+/* run(..., census) counts each executed event and the time its callback
+ * took (inclusive of every C call it makes), per callback function, in a
+ * table of C counters; the compiled types that call each other time
+ * those calls as named spans. Times are read from the time-stamp counter
+ * where there is one (a read costs about half a clock_gettime) and
+ * scaled to CLOCK_MONOTONIC nanoseconds by the run's own span of both
+ * clocks; elsewhere they are CLOCK_MONOTONIC. At the end of the run the
+ * table is folded into the census dict. With no census the loop and the
+ * spans cost one pointer test. */
+
+enum {
+    SPAN_DELIVER, SPAN_ROUTE, SPAN_VALIDATE, SPAN_AGGREGATE, SPAN_LOSS,
+    SPAN_AGGREGATED, NSPANS
+};
+
+static const char *span_text[NSPANS] = {
+    "NodeCore._complete -> deliver",
+    "NodeCore._complete -> route",
+    "send -> validate",
+    "send -> aggregate",
+    "DirectedLink._arrive -> loss hook",
+    "NodeCore._on_link_receive -> aggregated receive",
+};
+
+/* One callback: a Python function (a bound method's __func__), a
+ * compiled method (the type of its self and its PyMethodDef), or the
+ * type of any other callable. The table owns a reference to key. */
+typedef struct {
+    PyObject *key;          /* NULL: an empty slot */
+    const PyMethodDef *def;
+    long long events;
+    long long ns;           /* in census_clock() ticks until folded */
+} CensusRow;
+
+typedef struct {
+    CensusRow *rows;
+    Py_ssize_t capacity;    /* a power of two */
+    Py_ssize_t used;
+    long long span_calls[NSPANS];
+    long long span_ns[NSPANS];
+} Census;
+
+/* The census of the run in progress; NULL when there is none. */
+static Census *census_active;
+
+static inline long long
+monotonic_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (long long)ts.tv_sec * 1000000000LL + ts.tv_nsec;
+}
+
+/* A census time stamp, in ticks. */
+static inline long long
+census_clock(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    return (long long)__rdtsc();
+#else
+    return monotonic_ns();
+#endif
+}
+
+/* The start of a span, or 0 when no census is running. */
+static inline long long
+span_begin(void)
+{
+    return census_active != NULL ? census_clock() : 0;
+}
+
+static inline void
+span_end(int span, long long start)
+{
+    if (start != 0 && census_active != NULL) {
+        census_active->span_calls[span]++;
+        census_active->span_ns[span] += census_clock() - start;
+    }
+}
+
+static void
+census_key(PyObject *fn, PyObject **key, const PyMethodDef **def)
+{
+    *def = NULL;
+    if (PyMethod_Check(fn)) {
+        *key = PyMethod_GET_FUNCTION(fn);
+        return;
+    }
+    if (PyCFunction_Check(fn)) {
+        PyObject *self = PyCFunction_GET_SELF(fn);
+        if (self != NULL && !PyModule_Check(self)) {
+            *key = (PyObject *)Py_TYPE(self);
+            *def = ((PyCFunctionObject *)fn)->m_ml;
+            return;
+        }
+    }
+    *key = PyFunction_Check(fn) || PyCFunction_Check(fn)
+        ? fn : (PyObject *)Py_TYPE(fn);
+}
+
+static inline size_t
+census_slot(const Census *c, PyObject *key, const PyMethodDef *def)
+{
+    uintptr_t h = ((uintptr_t)key >> 4) ^ ((uintptr_t)def >> 3);
+    return (size_t)(h * (uintptr_t)0x9E3779B97F4A7C15ULL >> 7)
+        & (size_t)(c->capacity - 1);
+}
+
+static int
+census_grow(Census *c)
+{
+    Py_ssize_t capacity = c->capacity * 2;
+    CensusRow *rows = PyMem_Calloc((size_t)capacity, sizeof(CensusRow));
+    if (rows == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    CensusRow *old = c->rows;
+    Py_ssize_t old_capacity = c->capacity;
+    c->rows = rows;
+    c->capacity = capacity;
+    for (Py_ssize_t i = 0; i < old_capacity; i++) {
+        if (old[i].key != NULL) {
+            size_t at = census_slot(c, old[i].key, old[i].def);
+            while (rows[at].key != NULL) {
+                at = (at + 1) & (size_t)(capacity - 1);
+            }
+            rows[at] = old[i];
+        }
+    }
+    PyMem_Free(old);
+    return 0;
+}
+
+/* The row of callback fn, inserted if new; NULL with an exception set. */
+static CensusRow *
+census_row(Census *c, PyObject *fn)
+{
+    PyObject *key;
+    const PyMethodDef *def;
+    census_key(fn, &key, &def);
+    size_t at = census_slot(c, key, def);
+    while (c->rows[at].key != NULL) {
+        if (c->rows[at].key == key && c->rows[at].def == def) {
+            return &c->rows[at];
+        }
+        at = (at + 1) & (size_t)(c->capacity - 1);
+    }
+    if (2 * (c->used + 1) > c->capacity) {
+        if (census_grow(c) < 0) {
+            return NULL;
+        }
+        return census_row(c, fn);
+    }
+    c->rows[at].key = Py_NewRef(key);
+    c->rows[at].def = def;
+    c->used++;
+    return &c->rows[at];
+}
+
+/* census[key] += (count, ns), a 2-tuple of ints. */
+static int
+census_add(PyObject *census, PyObject *key, long long count, long long ns)
+{
+    PyObject *old = PyDict_GetItemWithError(census, key);
+    if (old == NULL && PyErr_Occurred()) {
+        return -1;
+    }
+    long long old_count = 0, old_ns = 0;
+    if (old != NULL && !PyArg_ParseTuple(old, "LL;a census value is a "
+                                         "(count, ns) pair",
+                                         &old_count, &old_ns)) {
+        return -1;
+    }
+    PyObject *value = Py_BuildValue("(LL)", old_count + count, old_ns + ns);
+    if (value == NULL) {
+        return -1;
+    }
+    int failed = PyDict_SetItem(census, key, value);
+    Py_DECREF(value);
+    return failed;
+}
+
+/* Fold c into the census dict and release it. A compiled method's key
+ * is its method descriptor, looked up on its self's type. Keeps a
+ * pending exception. 0, or -1 with an exception set. */
+static int
+census_fold(Census *c, PyObject *census, long long run_events,
+            long long run_ns, double ns_per_tick)
+{
+    PyObject *exc_type, *exc_value, *exc_tb;
+    PyErr_Fetch(&exc_type, &exc_value, &exc_tb);
+    int failed = 0;
+    for (Py_ssize_t i = 0; i < c->capacity; i++) {
+        CensusRow *row = &c->rows[i];
+        if (row->key == NULL) {
+            continue;
+        }
+        if (!failed) {
+            PyObject *key = row->def == NULL ? Py_NewRef(row->key)
+                : PyObject_GetAttrString(row->key, row->def->ml_name);
+            failed = key == NULL
+                || census_add(census, key, row->events,
+                              llround(row->ns * ns_per_tick)) < 0;
+            Py_XDECREF(key);
+        }
+        Py_DECREF(row->key);
+    }
+    PyMem_Free(c->rows);
+    for (int s = 0; s < NSPANS && !failed; s++) {
+        if (c->span_calls[s] == 0) {
+            continue;
+        }
+        PyObject *key = PyUnicode_FromString(span_text[s]);
+        failed = key == NULL
+            || census_add(census, key, c->span_calls[s],
+                          llround(c->span_ns[s] * ns_per_tick)) < 0;
+        Py_XDECREF(key);
+    }
+    if (!failed) {
+        PyObject *key = PyUnicode_FromString("EventQueue.run");
+        failed = key == NULL
+            || census_add(census, key, run_events, run_ns) < 0;
+        Py_XDECREF(key);
+    }
+    if (exc_type != NULL) {
+        PyErr_Restore(exc_type, exc_value, exc_tb);
+        return -1;
+    }
+    return failed ? -1 : 0;
+}
+
+/* run()'s body for one popped entry, with the callback timed under row:
+ * set sim.now, tell the observer, call it. The entry's references are
+ * released. 0, or -1 with an exception set. */
+static int
+run_timed(QueueObject *q, PyObject *sim, Entry *e, CensusRow *row)
+{
+    PyObject *fn, *args;
+    if (e->args == NULL) {
+        /* Retire the handle before its callback runs: a callback
+         * cancelling its own event must not count a second
+         * cancellation. Its references move to this frame. */
+        event_take((EventObject *)e->fn, &fn, &args);
+        Py_DECREF(e->fn);
+    }
+    else {
+        fn = e->fn;
+        args = e->args;
+    }
+    q->executed++;
+    PyObject *now = PyFloat_FromDouble(e->time);
+    int failed = now == NULL || PyObject_SetAttr(sim, str_now, now) < 0;
+    Py_XDECREF(now);
+    if (!failed && q->observer != NULL) {
+        failed = observed(PyObject_CallMethod(
+            q->observer, "note_exec", "dLOO", e->time, e->seq, fn, args)) < 0;
+    }
+    PyObject *res = NULL;
+    if (!failed) {
+        long long start = census_clock();
+        res = PyObject_Call(fn, args, NULL);
+        row->ns += census_clock() - start;
+    }
+    Py_DECREF(fn);
+    Py_DECREF(args);
+    if (res == NULL) {
+        return -1;
+    }
+    Py_DECREF(res);
+    return 0;
+}
+
+/* The census loop: run()'s loop with each event counted and timed under
+ * its callback's row. */
+static RARE_PATH PyObject *
+queue_run_census(QueueObject *q, PyObject *sim, double limit, double budget,
+                 PyObject *census)
+{
+    Census c = {NULL, 16, 0, {0}, {0}};
+    c.rows = PyMem_Calloc((size_t)c.capacity, sizeof(CensusRow));
+    if (c.rows == NULL) {
+        return PyErr_NoMemory();
+    }
+    Census *outer = census_active;
+    census_active = &c;
+    long long executed = 0, start = monotonic_ns(), ticks = census_clock();
+    int failed = 0;
+    while ((double)executed < budget) {
+        Entry e;
+        int got = pop_live(q, limit, &e);
+        if (got <= 0) {
+            failed = got < 0;
+            break;
+        }
+        PyObject *fn = e.args == NULL ? ((EventObject *)e.fn)->fn : e.fn;
+        CensusRow *row = census_row(&c, fn);
+        executed++;
+        if (row == NULL) {
+            /* Counted, as run() counts a raising callback, and released. */
+            q->executed++;
+            Py_DECREF(e.fn);
+            Py_XDECREF(e.args);
+            failed = 1;
+            break;
+        }
+        row->events++;
+        if (run_timed(q, sim, &e, row) < 0) {
+            failed = 1;
+            break;
+        }
+    }
+    ticks = census_clock() - ticks;
+    long long elapsed = monotonic_ns() - start;
+    census_active = outer;
+    double ns_per_tick = ticks > 0 ? (double)elapsed / (double)ticks : 1.0;
+    if (census_fold(&c, census, executed, elapsed, ns_per_tick) < 0
+            || failed) {
+        return NULL;
+    }
+    return PyLong_FromLongLong(executed);
+}
+
+/* run(sim, limit, budget, census=None): execute live events with time <=
+ * limit, at most budget of them, setting sim.now to each one's time
+ * before calling it. Returns the number executed. A callback that raises
+ * was popped, so it is counted before the exception propagates. A census
+ * dict receives (events, ns) per callback and per span. */
 static PyObject *
 queue_run(QueueObject *q, PyObject *const *argv, Py_ssize_t nargs)
 {
-    if (nargs != 3) {
+    if (nargs != 3 && nargs != 4) {
         PyErr_Format(PyExc_TypeError,
-                     "run() takes 3 arguments (%zd given)", nargs);
+                     "run() takes 3 or 4 arguments (%zd given)", nargs);
         return NULL;
     }
     PyObject *sim = argv[0];
@@ -657,6 +1001,14 @@ queue_run(QueueObject *q, PyObject *const *argv, Py_ssize_t nargs)
     if (parse_bound(argv[1], &limit) < 0
             || parse_bound(argv[2], &budget) < 0) {
         return NULL;
+    }
+    if (nargs == 4 && argv[3] != Py_None) {
+        if (!PyDict_Check(argv[3])) {
+            PyErr_Format(PyExc_TypeError, "run() census must be a dict, "
+                         "not %.100s", Py_TYPE(argv[3])->tp_name);
+            return NULL;
+        }
+        return queue_run_census(q, sim, limit, budget, argv[3]);
     }
     long long executed = 0;
     while ((double)executed < budget) {
@@ -806,7 +1158,13 @@ static PyMethodDef queue_methods[] = {
     {"cancel_bare", (PyCFunction)queue_cancel_bare, METH_O,
      "Cancel the pending bare event whose push returned seq."},
     {"run", (PyCFunction)(void (*)(void))queue_run, METH_FASTCALL,
-     "run(sim, limit, budget) -> executed: the event loop."},
+     "run(sim, limit, budget, census=None) -> executed: the event loop.\n\n"
+     "A census dict receives, per executed callback's function (a\n"
+     "compiled method's descriptor), the pair (events, ns): the events\n"
+     "run and the CLOCK_MONOTONIC nanoseconds spent in them; per span of\n"
+     "one compiled type calling another, its name -> (calls, ns); and\n"
+     "'EventQueue.run' -> (events, ns) for the whole loop. Pairs add to\n"
+     "what the dict holds."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1336,6 +1694,222 @@ static PyTypeObject StatsType = {
     .tp_members = stats_members,
 };
 
+/* -- ReceiverLossInjector ------------------------------------------------ */
+
+/* The paper's receiver-side loss (section 4.5): the loss_hook of every
+ * link of a lossy run. A message arriving at dst is dropped with dst's
+ * rate (its per_process entry, else rate), decided by one random() of
+ * the simulator's named stream, the same object and call as the Python
+ * it replaced (tests/net/reference_loss.py). A link calls it directly;
+ * any other caller goes through __call__. */
+typedef struct {
+    PyObject_HEAD
+    double rate;
+    PyObject *per_process;  /* dict dst -> float rate, or NULL: none */
+    PyObject *rng;
+    PyObject *draw;         /* rng.random, bound once */
+    long long examined;
+    long long dropped;
+} LossObject;
+
+static PyTypeObject LossType;
+
+/* A copy of per_process with every rate a float in [0, 1]; NULL with
+ * ValueError naming the process otherwise. */
+static PyObject *
+loss_rates(PyObject *per_process)
+{
+    PyObject *given = PyObject_CallOneArg((PyObject *)&PyDict_Type,
+                                          per_process);
+    PyObject *rates = given == NULL ? NULL : PyDict_New();
+    PyObject *pid, *value;
+    Py_ssize_t pos = 0;
+    while (rates != NULL && PyDict_Next(given, &pos, &pid, &value)) {
+        double rate = PyFloat_AsDouble(value);
+        PyObject *as_float = NULL;
+        if (rate == -1.0 && PyErr_Occurred()) {
+            Py_CLEAR(rates);
+        }
+        else if (!(0.0 <= rate && rate <= 1.0)) {
+            PyErr_Format(PyExc_ValueError, "loss rate of process %R must "
+                         "be within [0, 1], got %R", pid, value);
+            Py_CLEAR(rates);
+        }
+        else if ((as_float = PyFloat_FromDouble(rate)) == NULL
+                 || PyDict_SetItem(rates, pid, as_float) < 0) {
+            Py_CLEAR(rates);
+        }
+        Py_XDECREF(as_float);
+    }
+    Py_XDECREF(given);
+    return rates;
+}
+
+static int
+loss_init(LossObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *sim, *per_process = Py_None, *stream = NULL;
+    double rate = 0.0;
+    static char *kwlist[] = {"sim", "rate", "per_process", "stream", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|dOO:ReceiverLossInjector",
+                                     kwlist, &sim, &rate, &per_process,
+                                     &stream)) {
+        return -1;
+    }
+    if (!(0.0 <= rate && rate <= 1.0)) {
+        PyErr_SetString(PyExc_ValueError, "loss rate must be within [0, 1]");
+        return -1;
+    }
+    PyObject *rates = NULL;
+    int given = per_process == Py_None ? 0 : PyObject_IsTrue(per_process);
+    if (given < 0 || (given && (rates = loss_rates(per_process)) == NULL)) {
+        return -1;
+    }
+    if (rates != NULL && PyDict_GET_SIZE(rates) == 0) {
+        Py_CLEAR(rates);
+    }
+    PyObject *name = stream != NULL ? Py_NewRef(stream)
+                                    : PyUnicode_FromString("faults");
+    PyObject *rng = name == NULL ? NULL
+        : PyObject_CallMethodOneArg(sim, str_rng, name);
+    Py_XDECREF(name);
+    PyObject *draw = rng == NULL ? NULL : PyObject_GetAttr(rng, str_random);
+    if (draw == NULL) {
+        Py_XDECREF(rng);
+        Py_XDECREF(rates);
+        return -1;
+    }
+    self->rate = rate;
+    Py_XSETREF(self->per_process, rates);
+    Py_XSETREF(self->rng, rng);
+    Py_XSETREF(self->draw, draw);
+    self->examined = self->dropped = 0;
+    return 0;
+}
+
+/* 1 if the message arriving at dst is lost, 0 if not, -1 on error. */
+static int
+loss_drops(LossObject *self, PyObject *dst)
+{
+    self->examined++;
+    double rate = self->rate;
+    if (self->per_process != NULL) {
+        PyObject *own = PyDict_GetItemWithError(self->per_process, dst);
+        if (own != NULL) {
+            rate = PyFloat_AS_DOUBLE(own);
+        }
+        else if (PyErr_Occurred()) {
+            return -1;
+        }
+    }
+    if (rate <= 0.0) {
+        return 0;
+    }
+    if (self->draw == NULL) {
+        return cleared();
+    }
+    PyObject *draw = Py_NewRef(self->draw);
+    PyObject *res = PyObject_Vectorcall(draw, NULL, 0, NULL);
+    Py_DECREF(draw);
+    if (res == NULL) {
+        return -1;
+    }
+    double x = PyFloat_AsDouble(res);
+    Py_DECREF(res);
+    if (x == -1.0 && PyErr_Occurred()) {
+        return -1;
+    }
+    if (x < rate) {
+        self->dropped++;
+        return 1;
+    }
+    return 0;
+}
+
+static PyObject *
+loss_call(LossObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *dst;
+    static char *kwlist[] = {"dst", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:ReceiverLossInjector",
+                                     kwlist, &dst)) {
+        return NULL;
+    }
+    int lost = loss_drops(self, dst);
+    return lost < 0 ? NULL : PyBool_FromLong(lost);
+}
+
+static PyObject *
+loss_get_per_process(LossObject *self, void *Py_UNUSED(closure))
+{
+    return self->per_process != NULL ? PyDict_Copy(self->per_process)
+                                     : PyDict_New();
+}
+
+static int
+loss_traverse(LossObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->per_process);
+    Py_VISIT(self->rng);
+    Py_VISIT(self->draw);
+    return 0;
+}
+
+static int
+loss_clear(LossObject *self)
+{
+    Py_CLEAR(self->per_process);
+    Py_CLEAR(self->rng);
+    Py_CLEAR(self->draw);
+    return 0;
+}
+
+static void
+loss_dealloc(LossObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    loss_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMemberDef loss_members[] = {
+    {"rate", T_DOUBLE, offsetof(LossObject, rate), READONLY,
+     "Drop probability of a receiver without a per_process entry."},
+    {"examined", T_LONGLONG, offsetof(LossObject, examined), 0,
+     "Arrivals judged."},
+    {"dropped", T_LONGLONG, offsetof(LossObject, dropped), 0,
+     "Arrivals dropped."},
+    {"_rng", T_OBJECT, offsetof(LossObject, rng), READONLY,
+     "The named stream the draws come from."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyGetSetDef loss_getset[] = {
+    {"per_process", (getter)loss_get_per_process, NULL,
+     "A copy of the per-receiver rates.", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject LossType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.net.faults.loss.ReceiverLossInjector",
+    .tp_doc = "ReceiverLossInjector(sim, rate=0.0, per_process=None, "
+              "stream='faults')\n\n"
+              "Drops arriving messages with a fixed probability per "
+              "receiver:\ncalled as hook(dst) -> bool. Every rate must be "
+              "within [0, 1].",
+    .tp_basicsize = sizeof(LossObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_new = PyType_GenericNew,
+    .tp_init = (initproc)loss_init,
+    .tp_call = (ternaryfunc)loss_call,
+    .tp_dealloc = (destructor)loss_dealloc,
+    .tp_traverse = (traverseproc)loss_traverse,
+    .tp_clear = (inquiry)loss_clear,
+    .tp_members = loss_members,
+    .tp_getset = loss_getset,
+};
+
 /* -- DirectedLink -------------------------------------------------------- */
 
 /* A message committed behind a busy wire and not yet counted as sent. */
@@ -1827,14 +2401,19 @@ link_arrive(LinkObject *l, PyObject *payload)
         return NULL;
     }
     if (l->loss_hook != NULL) {
+        long long start = span_begin();
         PyObject *hook = Py_NewRef(l->loss_hook);
-        PyObject *res = PyObject_CallOneArg(hook, l->dst);
-        Py_DECREF(hook);
-        if (res == NULL) {
-            return NULL;
+        int lost;
+        if (Py_IS_TYPE(hook, &LossType)) {
+            lost = loss_drops((LossObject *)hook, l->dst);
         }
-        int lost = PyObject_IsTrue(res);
-        Py_DECREF(res);
+        else {
+            PyObject *res = PyObject_CallOneArg(hook, l->dst);
+            lost = res == NULL ? -1 : PyObject_IsTrue(res);
+            Py_XDECREF(res);
+        }
+        Py_DECREF(hook);
+        span_end(SPAN_LOSS, start);
         if (lost < 0) {
             return NULL;
         }
@@ -2390,6 +2969,11 @@ static int filter_admits(PyObject *filter, PyObject *payload,
 static PyObject *aggregator_aggregate(PyObject *self, PyObject *const *argv,
                                       Py_ssize_t nargs, PyObject *kwnames);
 static PyObject *aggregator_merge(PyObject *obj, PyObject *payloads);
+static PyObject *aggregator_disaggregate(PyObject *self, PyObject *payload);
+static PyObject *disaggregate_parts(PyObject *payload);
+
+/* The Paxos replica's handle, which the node calls directly. */
+static PyObject *core_handle(PyObject *obj, PyObject *payload);
 
 /* -- NodeCore: a gossip node's receive, completion and fan-out ----------- */
 
@@ -2413,6 +2997,9 @@ typedef struct {
     double svc_broadcast, svc_receive;
     Py_ssize_t fanout;
     char alive;
+    /* Last, so that the per-hop fields above keep their cache lines. */
+    PyObject *disaggregate; /* NULL or None: the default, [payload] */
+    PyObject *routes;       /* NULL or tuple (cls, handler, cls, ...) */
 } NodeObject;
 
 static PyTypeObject NodeType;
@@ -2508,7 +3095,7 @@ node_init(NodeObject *self, PyObject *args, PyObject *kwds)
 }
 
 /* 1 if payload is fresh (now registered), 0 if seen, -1 on error. */
-static int
+static HOT_PATH int
 node_register(NodeObject *self, PyObject *payload)
 {
     PyObject *cache = self->cache, *res;
@@ -2559,6 +3146,116 @@ node_charge(NodeObject *self, double service)
     return completion == -1.0 && PyErr_Occurred() ? -1 : 0;
 }
 
+/* The parts of an aggregated payload: the compiled aggregator's own
+ * disaggregate when the hook is a SemanticAggregator's bound
+ * disaggregate, [payload] for the default hook (None), else a call. */
+static PyObject *
+node_disaggregate(NodeObject *self, PyObject *payload)
+{
+    PyObject *hook = set_or_null(self->disaggregate);
+    if (hook == NULL || (PyCFunction_Check(hook)
+            && PyCFunction_GET_FUNCTION(hook) == aggregator_disaggregate)) {
+        if (hook != NULL) {
+            return disaggregate_parts(payload);
+        }
+        PyObject *parts = PyList_New(1);
+        if (parts != NULL) {
+            PyList_SET_ITEM(parts, 0, Py_NewRef(payload));
+        }
+        return parts;
+    }
+    Py_INCREF(hook);
+    PyObject *parts = PyObject_CallOneArg(hook, payload);
+    Py_DECREF(hook);
+    return parts;
+}
+
+/* An aggregated arrival, already checked alive and counted received:
+ * dedup each part, counted disaggregated, and charge recv_fresh_s per
+ * fresh part and recv_dup_s per duplicate, summed in part order. The
+ * fresh parts are one CPU job, with the forward charge of each, whose
+ * completion is _complete_parts(fresh, src); with none fresh the charge
+ * calls nothing back. 0, or -1 with an exception set. */
+static RARE_PATH int
+node_receive_aggregated(NodeObject *self, PyObject *src, PyObject *payload)
+{
+    PyObject *parts = node_disaggregate(self, payload);
+    if (parts == NULL) {
+        return -1;
+    }
+    PyObject *seq = PySequence_Fast(parts, "disaggregate() must return a "
+                                    "sequence");
+    Py_DECREF(parts);
+    if (seq == NULL) {
+        return -1;
+    }
+    PyObject *fresh = PyList_New(0);
+    if (fresh == NULL || self->stats == NULL) {
+        Py_DECREF(seq);
+        Py_XDECREF(fresh);
+        return fresh == NULL ? -1 : cleared();
+    }
+    self->stats->disaggregated += PySequence_Fast_GET_SIZE(seq);
+    double service = 0.0;
+    long long duplicates = 0;
+    int failed = 0;
+    /* The size is read per part: a tracer may change a list's. */
+    for (Py_ssize_t i = 0; !failed && i < PySequence_Fast_GET_SIZE(seq);
+            i++) {
+        PyObject *part = Py_NewRef(PySequence_Fast_GET_ITEM(seq, i));
+        int is_fresh = node_register(self, part);
+        if (is_fresh > 0) {
+            service += self->recv_fresh_s;
+            failed = PyList_Append(fresh, part) < 0
+                || node_observe(self, str_gossip_receive, src, part,
+                                Py_True) < 0;
+        }
+        else if (is_fresh == 0) {
+            duplicates++;
+            service += self->recv_dup_s;
+            failed = node_observe(self, str_gossip_receive, src, part,
+                                  Py_False) < 0;
+        }
+        else {
+            failed = 1;
+        }
+        Py_DECREF(part);
+    }
+    Py_DECREF(seq);
+    if (failed) {
+        Py_DECREF(fresh);
+        return -1;
+    }
+    /* Per part, matching disaggregated: a bundle of k already-seen
+     * messages is k duplicates, the paper's section 4.3 semantics. */
+    self->stats->duplicates += duplicates;
+    Py_ssize_t nfresh = PyList_GET_SIZE(fresh);
+    if (nfresh == 0) {
+        Py_DECREF(fresh);
+        return node_charge(self, service);
+    }
+    Py_ssize_t fanout = self->fanout - 1 < 0 ? 0 : self->fanout - 1;
+    service += (double)(nfresh * fanout) * self->send_per_peer_s;
+    ServerObject *cpu = self->cpu;
+    if (cpu == NULL) {
+        Py_DECREF(fresh);
+        return cleared();
+    }
+    /* Bound per job, as rare as aggregates: a subclass's is honoured. */
+    PyObject *callback = PyObject_GetAttr((PyObject *)self,
+                                          str_complete_parts);
+    double completion = callback == NULL ? -1.0
+        : server_accept(cpu, service);
+    PyObject *job = completion == -1.0 && PyErr_Occurred() ? NULL
+        : PyTuple_Pack(2, fresh, src);
+    Py_DECREF(fresh);
+    long long seq_no = job == NULL ? -1
+        : heap_push_bare(cpu->queue, completion, callback, job);
+    Py_XDECREF(callback);
+    Py_XDECREF(job);
+    return seq_no < 0 ? -1 : 0;
+}
+
 static PyObject *
 node_receive(NodeObject *self, PyObject *const *argv, Py_ssize_t nargs)
 {
@@ -2586,9 +3283,13 @@ node_receive(NodeObject *self, PyObject *const *argv, Py_ssize_t nargs)
         return NULL;
     }
     if (aggregated) {
-        PyObject *call[3] = {(PyObject *)self, src, payload};
-        return PyObject_VectorcallMethod(str_receive_aggregated, call, 3,
-                                         NULL);
+        long long start = span_begin();
+        int failed = node_receive_aggregated(self, src, payload);
+        span_end(SPAN_AGGREGATED, start);
+        if (failed < 0) {
+            return NULL;
+        }
+        Py_RETURN_NONE;
     }
     int fresh = node_register(self, payload);
     if (fresh < 0) {
@@ -2664,18 +3365,23 @@ node_commit(PyObject *link, PyObject *payload, PyObject *args, double now)
 static int
 hook_admits(PyObject *validate, PyObject *payload, PyObject *peer_id)
 {
+    long long start = span_begin();
+    int admit;
     if (PyCFunction_Check(validate) && PyCFunction_GET_FUNCTION(validate)
             == (PyCFunction)(void (*)(void))filter_validate) {
-        return filter_admits(PyCFunction_GET_SELF(validate), payload,
-                             peer_id);
+        admit = filter_admits(PyCFunction_GET_SELF(validate), payload,
+                              peer_id);
     }
-    PyObject *argv[2] = {payload, peer_id};
-    PyObject *res = PyObject_Vectorcall(validate, argv, 2, NULL);
-    if (res == NULL) {
-        return -1;
+    else {
+        PyObject *argv[2] = {payload, peer_id};
+        PyObject *res = PyObject_Vectorcall(validate, argv, 2, NULL);
+        if (res == NULL) {
+            return -1;
+        }
+        admit = PyObject_IsTrue(res);
+        Py_DECREF(res);
     }
-    int admit = PyObject_IsTrue(res);
-    Py_DECREF(res);
+    span_end(SPAN_VALIDATE, start);
     return admit;
 }
 
@@ -2684,12 +3390,18 @@ hook_admits(PyObject *validate, PyObject *payload, PyObject *peer_id)
 static PyObject *
 hook_aggregate(PyObject *aggregate, PyObject *kept, PyObject *peer_id)
 {
+    long long start = span_begin();
+    PyObject *merged;
     if (PyCFunction_Check(aggregate) && PyCFunction_GET_FUNCTION(aggregate)
             == (PyCFunction)(void (*)(void))aggregator_aggregate) {
-        return aggregator_merge(PyCFunction_GET_SELF(aggregate), kept);
+        merged = aggregator_merge(PyCFunction_GET_SELF(aggregate), kept);
     }
-    PyObject *argv[2] = {kept, peer_id};
-    return PyObject_Vectorcall(aggregate, argv, 2, NULL);
+    else {
+        PyObject *argv[2] = {kept, peer_id};
+        merged = PyObject_Vectorcall(aggregate, argv, 2, NULL);
+    }
+    span_end(SPAN_AGGREGATE, start);
+    return merged;
 }
 
 static int sender_push(SenderObject *self, PyObject *payload);
@@ -2817,6 +3529,118 @@ node_send(NodeObject *self, PyObject *const *argv, Py_ssize_t nargs)
     return count < 0 ? NULL : PyLong_FromSsize_t(count);
 }
 
+/* Hand a fresh payload to the handler its exact class is routed to, or
+ * else to deliver: a Paxos replica's handle directly, anything else
+ * through a call. 0, or -1 with an exception set. */
+static HOT_PATH int
+node_deliver(NodeObject *self, PyObject *payload)
+{
+    PyObject *routes = self->routes;
+    Py_ssize_t size = routes == NULL ? 0 : PyTuple_GET_SIZE(routes);
+    for (Py_ssize_t i = 0; i + 1 < size; i += 2) {
+        if (PyTuple_GET_ITEM(routes, i) == (PyObject *)Py_TYPE(payload)) {
+            long long start = span_begin();
+            PyObject *handler = Py_NewRef(PyTuple_GET_ITEM(routes, i + 1));
+            PyObject *res = PyObject_CallOneArg(handler, payload);
+            Py_DECREF(handler);
+            span_end(SPAN_ROUTE, start);
+            return observed(res);
+        }
+    }
+    PyObject *deliver = set_or_null(self->deliver);
+    if (deliver == NULL) {
+        return 0;
+    }
+    long long start = span_begin();
+    PyObject *res;
+    Py_INCREF(deliver);
+    if (PyCFunction_Check(deliver)
+            && PyCFunction_GET_FUNCTION(deliver) == core_handle) {
+        res = core_handle(PyCFunction_GET_SELF(deliver), payload);
+    }
+    else {
+        res = PyObject_CallOneArg(deliver, payload);
+    }
+    Py_DECREF(deliver);
+    span_end(SPAN_DELIVER, start);
+    return observed(res);
+}
+
+static PyObject *
+node_deliver_method(NodeObject *self, PyObject *payload)
+{
+    if (node_deliver(self, payload) < 0) {
+        return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+node_route(NodeObject *self, PyObject *const *argv, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "route() takes 2 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (!PyType_Check(argv[0])) {
+        PyErr_Format(PyExc_TypeError, "route() takes a payload class, not "
+                     "%.100s", Py_TYPE(argv[0])->tp_name);
+        return NULL;
+    }
+    /* A flat tuple: a few classes are scanned faster than a dict is
+     * probed, and it is smaller. */
+    PyObject *old = self->routes;
+    Py_ssize_t size = old == NULL ? 0 : PyTuple_GET_SIZE(old), at = size;
+    for (Py_ssize_t i = 0; i + 1 < size; i += 2) {
+        if (PyTuple_GET_ITEM(old, i) == argv[0]) {
+            at = i;
+        }
+    }
+    PyObject *routes = PyTuple_New(at < size ? size : size + 2);
+    if (routes == NULL) {
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; i < size; i++) {
+        PyTuple_SET_ITEM(routes, i, Py_NewRef(PyTuple_GET_ITEM(old, i)));
+    }
+    if (at == size) {
+        PyTuple_SET_ITEM(routes, at, Py_NewRef(argv[0]));
+        PyTuple_SET_ITEM(routes, at + 1, Py_NewRef(argv[1]));
+    }
+    else {
+        Py_SETREF(((PyTupleObject *)routes)->ob_item[at + 1],
+                  Py_NewRef(argv[1]));
+    }
+    Py_XSETREF(self->routes, routes);
+    Py_RETURN_NONE;
+}
+
+/* _complete's body. 0, or -1 with an exception set. */
+static HOT_PATH int
+node_complete_one(NodeObject *self, PyObject *payload, PyObject *src)
+{
+    if (self->stats == NULL) {
+        return cleared();
+    }
+    self->stats->delivered++;
+    if (node_deliver(self, payload) < 0) {
+        return -1;
+    }
+    /* Read after deliver: it may have changed the peer set. */
+    PyObject *pairs = Py_XNewRef(self->fwd_pairs);
+    if (pairs == NULL) {
+        return cleared();
+    }
+    Py_ssize_t count = node_fan_out(self, payload, pairs, src);
+    Py_DECREF(pairs);
+    if (count < 0) {
+        return -1;
+    }
+    self->stats->forwarded += count;
+    return 0;
+}
+
 static PyObject *
 node_complete(NodeObject *self, PyObject *const *argv, Py_ssize_t nargs)
 {
@@ -2825,34 +3649,54 @@ node_complete(NodeObject *self, PyObject *const *argv, Py_ssize_t nargs)
                      "_complete() takes 2 arguments (%zd given)", nargs);
         return NULL;
     }
-    PyObject *payload = argv[0], *src = argv[1];
-    if (self->stats == NULL) {
-        cleared();
+    if (node_complete_one(self, argv[0], argv[1]) < 0) {
         return NULL;
     }
-    self->stats->delivered++;
-    PyObject *deliver = set_or_null(self->deliver);
-    if (deliver != NULL) {
-        Py_INCREF(deliver);
-        PyObject *res = PyObject_CallOneArg(deliver, payload);
-        Py_DECREF(deliver);
-        if (res == NULL) {
-            return NULL;
+    Py_RETURN_NONE;
+}
+
+/* _complete_parts(fresh, src): _complete each part in turn, the compiled
+ * one directly and a subclass's through a call. */
+static PyObject *
+node_complete_parts(NodeObject *self, PyObject *const *argv,
+                    Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "_complete_parts() takes 2 arguments (%zd given)",
+                     nargs);
+        return NULL;
+    }
+    PyObject *src = argv[1];
+    PyObject *iter = PyObject_GetIter(argv[0]);
+    if (iter == NULL) {
+        return NULL;
+    }
+    PyObject *part;
+    int failed = 0;
+    while (!failed && (part = PyIter_Next(iter)) != NULL) {
+        PyObject *complete = self->complete_cb;
+        if (complete == NULL) {
+            failed = cleared();
         }
-        Py_DECREF(res);
+        else if (PyCFunction_Check(complete)
+                 && PyCFunction_GET_FUNCTION(complete)
+                    == (PyCFunction)(void (*)(void))node_complete
+                 && PyCFunction_GET_SELF(complete) == (PyObject *)self) {
+            failed = node_complete_one(self, part, src);
+        }
+        else {
+            Py_INCREF(complete);
+            PyObject *call[2] = {part, src};
+            failed = observed(PyObject_Vectorcall(complete, call, 2, NULL));
+            Py_DECREF(complete);
+        }
+        Py_DECREF(part);
     }
-    /* Read after deliver: it may have changed the peer set. */
-    PyObject *pairs = Py_XNewRef(self->fwd_pairs);
-    if (pairs == NULL) {
-        cleared();
+    Py_DECREF(iter);
+    if (failed || PyErr_Occurred()) {
         return NULL;
     }
-    Py_ssize_t count = node_fan_out(self, payload, pairs, src);
-    Py_DECREF(pairs);
-    if (count < 0) {
-        return NULL;
-    }
-    self->stats->forwarded += count;
     Py_RETURN_NONE;
 }
 
@@ -2892,6 +3736,8 @@ node_traverse(NodeObject *self, visitproc visit, void *arg)
     Py_VISIT(self->stats);
     Py_VISIT(self->fwd_pairs);
     Py_VISIT(self->complete_cb);
+    Py_VISIT(self->disaggregate);
+    Py_VISIT(self->routes);
     return 0;
 }
 
@@ -2911,6 +3757,8 @@ node_clear(NodeObject *self)
     Py_CLEAR(self->stats);
     Py_CLEAR(self->fwd_pairs);
     Py_CLEAR(self->complete_cb);
+    Py_CLEAR(self->disaggregate);
+    Py_CLEAR(self->routes);
     return 0;
 }
 
@@ -2926,13 +3774,25 @@ static PyMethodDef node_methods[] = {
     {"_on_link_receive", (PyCFunction)(void (*)(void))node_receive,
      METH_FASTCALL,
      "_on_link_receive(src, payload): a link arrival. Nothing while dead;\n"
-     "else counted received. An aggregated payload goes to\n"
-     "_receive_aggregated. A duplicate is counted and charged recv_dup_s;\n"
-     "a fresh one becomes a CPU job of _svc_receive whose completion is\n"
-     "_complete(payload, src)."},
+     "else counted received. A duplicate is counted and charged\n"
+     "recv_dup_s; a fresh one becomes a CPU job of _svc_receive whose\n"
+     "completion is _complete(payload, src). An aggregated payload is\n"
+     "disaggregated (_disaggregate) and each part deduplicated; the\n"
+     "fresh ones become one CPU job whose completion is\n"
+     "_complete_parts(fresh, src)."},
     {"_complete", (PyCFunction)(void (*)(void))node_complete, METH_FASTCALL,
-     "_complete(payload, src): deliver a fresh payload and forward it to\n"
-     "every peer but src (None for a local broadcast)."},
+     "_complete(payload, src): deliver a fresh payload (_deliver) and\n"
+     "forward it to every peer but src (None for a local broadcast)."},
+    {"_complete_parts", (PyCFunction)(void (*)(void))node_complete_parts,
+     METH_FASTCALL,
+     "_complete_parts(fresh, src): _complete(part, src) for each of the\n"
+     "fresh parts of one aggregate, in its one CPU job."},
+    {"_deliver", (PyCFunction)node_deliver_method, METH_O,
+     "_deliver(payload): hand a fresh payload to the handler route()\n"
+     "registered for its exact class, else to deliver (if set)."},
+    {"route", (PyCFunction)(void (*)(void))node_route, METH_FASTCALL,
+     "route(cls, handler): deliver payloads of exactly class cls to\n"
+     "handler(payload) instead of deliver (membership traffic)."},
     {"_send", (PyCFunction)(void (*)(void))node_send, METH_FASTCALL,
      "_send(payload, pairs, exclude=None) -> count\n\n"
      "Hand payload to each (peer_id, sender) of pairs but exclude's. A\n"
@@ -2964,8 +3824,12 @@ static PyMemberDef node_members[] = {
      "hooks.validate, or None for the default (admit everything)."},
     {"_aggregate", T_OBJECT, offsetof(NodeObject, aggregate), 0,
      "hooks.aggregate, or None for the default (the identity)."},
+    {"_disaggregate", T_OBJECT, offsetof(NodeObject, disaggregate), 0,
+     "hooks.disaggregate, or None for the default ([payload])."},
     {"_fwd_pairs", T_OBJECT, offsetof(NodeObject, fwd_pairs), READONLY,
      NULL},
+    {"_routes", T_OBJECT, offsetof(NodeObject, routes), READONLY,
+     "The route() table, (cls, handler, cls, handler, ...), or None."},
     {"_fanout", T_PYSSIZET, offsetof(NodeObject, fanout), READONLY, NULL},
     {"_svc_broadcast", T_DOUBLE, offsetof(NodeObject, svc_broadcast),
      READONLY, NULL},
@@ -4787,6 +5651,21 @@ static PyTypeObject LearnerType = {
  * Message classes are matched exactly, as the Python rules' type switch
  * did, and their fields read from their slots. */
 
+/* The slots an AppendAck, an Aggregated2b and an AggregatedAck are
+ * built from, as their __init__ sets them. */
+static const int ack_fields[] = {F_UID, F_SIZE_BYTES, F_IID, F_TERM,
+                                 F_INDEX, F_SENDER};
+static const int votes_fields[] = {F_UID, F_SIZE_BYTES, F_IID, F_INSTANCE,
+                                   F_ROUND, F_VALUE_ID, F_SENDERS,
+                                   F_ATTEMPT};
+static const int acks_fields[] = {F_UID, F_SIZE_BYTES, F_IID, F_TERM,
+                                  F_INDEX, F_SENDERS, F_ATTEMPT};
+#define NACK_FIELDS (sizeof ack_fields / sizeof ack_fields[0])
+#define NVOTES_FIELDS (sizeof votes_fields / sizeof votes_fields[0])
+#define NACKS_FIELDS (sizeof acks_fields / sizeof acks_fields[0])
+
+static PyObject *str_ack, *str_a2b, *str_aack, *long_64;
+
 static PyObject *
 register_semantics(PyObject *Py_UNUSED(module), PyObject *args)
 {
@@ -4801,6 +5680,24 @@ register_semantics(PyObject *Py_UNUSED(module), PyObject *args)
     Kind found[NKINDS - NREPLICA];
     for (int i = 0; i < NKINDS - NREPLICA; i++) {
         found[i] = kind_of(types[i]);
+    }
+    /* The classes built slot by slot: a Raft ack (a disaggregated part)
+     * and both aggregates. */
+    struct { int kind; const int *fields; size_t count; } built[] = {
+        {K_ACK, ack_fields, NACK_FIELDS},
+        {K_VOTES, votes_fields, NVOTES_FIELDS},
+        {K_ACKS, acks_fields, NACKS_FIELDS},
+    };
+    for (size_t b = 0; b < sizeof built / sizeof built[0]; b++) {
+        const Kind *k = &found[built[b].kind - NREPLICA];
+        for (size_t i = 0; i < built[b].count; i++) {
+            if (k->offset[built[b].fields[i]] == 0) {
+                PyErr_Format(PyExc_TypeError, "%s must keep %U in "
+                             "__slots__", k->type->tp_name,
+                             field_name[built[b].fields[i]]);
+                return NULL;
+            }
+        }
     }
     set_kinds(NREPLICA, types, found, NKINDS - NREPLICA);
     Py_RETURN_NONE;
@@ -5573,26 +6470,97 @@ group_add(Group *g, uint64_t small, PyObject *big)
     return 0;
 }
 
+/* A new instance of the registered class of kind with its slots
+ * fields[i] set to values[i], as its __init__ sets them. The values are
+ * new references, stolen (all of them, whatever happens); a NULL one
+ * means its construction failed. NULL with an exception set. */
+static PyObject *
+new_slotted(int kind, const int *fields, PyObject **values, size_t count)
+{
+    PyTypeObject *type = kinds[kind].type;
+    PyObject *obj = NULL;
+    int complete = 1;
+    for (size_t i = 0; i < count; i++) {
+        complete = complete && values[i] != NULL;
+    }
+    if (complete && type == NULL) {
+        semantics_registered();
+    }
+    else if (complete) {
+        obj = type->tp_alloc(type, 0);
+    }
+    for (size_t i = 0; i < count; i++) {
+        if (obj != NULL) {
+            *(PyObject **)((char *)obj + kinds[kind].offset[fields[i]]) =
+                values[i];
+        }
+        else {
+            Py_XDECREF(values[i]);
+        }
+    }
+    return obj;
+}
+
+/* AppendAck(term, index, sender, attempt), built slot by slot. */
+static PyObject *
+new_ack(PyObject *term, PyObject *index, PyObject *sender, PyObject *attempt)
+{
+    PyObject *values[NACK_FIELDS] = {
+        PyTuple_Pack(5, str_ack, term, index, sender, attempt),
+        Py_NewRef(header_bytes), Py_NewRef(Py_None), Py_NewRef(term),
+        Py_NewRef(index), Py_NewRef(sender)};
+    return new_slotted(K_ACK, ack_fields, values, NACK_FIELDS);
+}
+
 /* The aggregate of group g: Aggregated2b(instance, round, value_id,
- * senders, attempt) or AggregatedAck(term, index, senders, attempt). */
+ * senders, attempt) or AggregatedAck(term, index, senders, attempt),
+ * built slot by slot: uid, and size_bytes = header + 8 + one byte per
+ * eight senders. */
 static PyObject *
 group_aggregate(const Group *g)
 {
-    PyObject *senders = g->big != NULL ? Py_NewRef(g->big)
-                                       : PyLong_FromUnsignedLongLong(g->small);
+    if (header_bytes == NULL) {
+        unregistered();
+        return NULL;
+    }
+    long long header = PyLong_AsLongLong(header_bytes), bits;
+    if (header == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    PyObject *senders;
+    if (g->big == NULL) {
+        bits = __builtin_popcountll(g->small);
+        senders = PyLong_FromUnsignedLongLong(g->small);
+    }
+    else {
+        PyObject *count = PyObject_CallMethodNoArgs(g->big, str_bit_count);
+        bits = count == NULL ? -1 : PyLong_AsLongLong(count);
+        Py_XDECREF(count);
+        if (bits == -1 && PyErr_Occurred()) {
+            return NULL;
+        }
+        senders = Py_NewRef(g->big);
+    }
     if (senders == NULL) {
         return NULL;
     }
+    PyObject *size = PyLong_FromLongLong(header + 8 + bits / 8);
     PyObject *result;
     if (g->kind == K_VOTES) {
-        PyObject *argv[] = {g->a, g->b, g->value_id, senders, g->attempt};
-        result = new_message(K_VOTES, argv, 5);
+        PyObject *values[NVOTES_FIELDS] = {
+            PyTuple_Pack(6, str_a2b, g->a, g->b, g->value_id, senders,
+                         g->attempt),
+            size, Py_NewRef(Py_None), Py_NewRef(g->a), Py_NewRef(g->b),
+            Py_NewRef(g->value_id), senders, Py_NewRef(g->attempt)};
+        result = new_slotted(K_VOTES, votes_fields, values, NVOTES_FIELDS);
     }
     else {
-        PyObject *argv[] = {g->a, g->b, senders, g->attempt};
-        result = new_message(K_ACKS, argv, 4);
+        PyObject *values[NACKS_FIELDS] = {
+            PyTuple_Pack(5, str_aack, g->a, g->b, senders, g->attempt),
+            size, Py_NewRef(Py_None), Py_NewRef(g->a), Py_NewRef(g->b),
+            senders, Py_NewRef(g->attempt)};
+        result = new_slotted(K_ACKS, acks_fields, values, NACKS_FIELDS);
     }
-    Py_DECREF(senders);
     return result;
 }
 
@@ -5706,18 +6674,116 @@ aggregator_aggregate(PyObject *self, PyObject *const *argv, Py_ssize_t nargs,
     return aggregator_merge(self, args[0]);
 }
 
+/* Append one part per sender of the mask senders (an int >= 0) to
+ * parts, ascending: a Phase 2b (instance a, round b) or an AppendAck
+ * (term a, index b). 0, or -1 with an exception set. */
+static int
+append_parts(PyObject *parts, int paxos, PyObject *a, PyObject *b,
+             PyObject *value_id, PyObject *senders, PyObject *attempt)
+{
+    PyObject *rest = Py_NewRef(senders);
+    long long base = 0;
+    int failed = 0;
+    while (!failed) {
+        /* The low 64 bits; the last word if the rest fits in them. */
+        unsigned long long word = PyLong_AsUnsignedLongLong(rest);
+        int last = !(word == (unsigned long long)-1 && PyErr_Occurred());
+        if (!last) {
+            if (!PyErr_ExceptionMatches(PyExc_OverflowError)) {
+                failed = -1;
+                break;
+            }
+            PyErr_Clear();
+            word = PyLong_AsUnsignedLongLongMask(rest);
+        }
+        while (word != 0 && !failed) {
+            PyObject *sender = PyLong_FromLongLong(
+                base + __builtin_ctzll(word));
+            word &= word - 1;
+            PyObject *part = sender == NULL ? NULL
+                : paxos ? new_vote(a, b, value_id, sender, attempt)
+                        : new_ack(a, b, sender, attempt);
+            Py_XDECREF(sender);
+            failed = part == NULL || PyList_Append(parts, part) < 0 ? -1 : 0;
+            Py_XDECREF(part);
+        }
+        if (last || failed) {
+            break;
+        }
+        PyObject *shifted = PyNumber_Rshift(rest, long_64);
+        if (shifted == NULL) {
+            failed = -1;
+            break;
+        }
+        Py_SETREF(rest, shifted);
+        base += 64;
+    }
+    Py_DECREF(rest);
+    return failed;
+}
+
+/* The original votes of a registered Aggregated2b (kind K_VOTES) or
+ * AggregatedAck (K_ACKS), ascending by sender, built slot by slot as its
+ * disaggregate() builds them through the vote classes' __init__; that
+ * method itself for a senders mask other than an int >= 0. */
 static PyObject *
-aggregator_disaggregate(PyObject *Py_UNUSED(self), PyObject *payload)
+vote_parts(PyObject *payload, int kind)
+{
+    int paxos = kind == K_VOTES;
+    if (header_bytes == NULL
+            || (paxos ? kinds[K_PHASE2B].type : kinds[K_ACK].type) == NULL) {
+        return PyObject_CallMethodNoArgs(payload, str_disaggregate);
+    }
+    PyObject *a = field(payload, kind, paxos ? F_INSTANCE : F_TERM);
+    PyObject *b = a == NULL ? NULL
+        : field(payload, kind, paxos ? F_ROUND : F_INDEX);
+    PyObject *value_id = b == NULL || !paxos ? NULL
+        : field(payload, kind, F_VALUE_ID);
+    PyObject *attempt = b == NULL || (paxos && value_id == NULL) ? NULL
+        : field(payload, kind, F_ATTEMPT);
+    PyObject *senders = attempt == NULL ? NULL
+        : field(payload, kind, F_SENDERS);
+    PyObject *parts = NULL;
+    if (senders != NULL) {
+        int negative = PyLong_CheckExact(senders)
+            ? PyObject_RichCompareBool(senders, long_zero, Py_LT) : 1;
+        if (negative > 0) {
+            parts = PyObject_CallMethodNoArgs(payload, str_disaggregate);
+        }
+        else if (negative == 0 && (parts = PyList_New(0)) != NULL
+                 && append_parts(parts, paxos, a, b, value_id, senders,
+                                 attempt) < 0) {
+            Py_CLEAR(parts);
+        }
+    }
+    Py_XDECREF(a);
+    Py_XDECREF(b);
+    Py_XDECREF(value_id);
+    Py_XDECREF(attempt);
+    Py_XDECREF(senders);
+    return parts;
+}
+
+/* disaggregate(payload): the parts of a registered aggregate, else
+ * [payload]. */
+static PyObject *
+disaggregate_parts(PyObject *payload)
 {
     int kind = semantic_kind(Py_TYPE(payload));
     if (kind == K_VOTES || kind == K_ACKS) {
-        return PyObject_CallMethodNoArgs(payload, str_disaggregate);
+        return vote_parts(payload, kind);
     }
     PyObject *parts = PyList_New(1);
     if (parts != NULL) {
         PyList_SET_ITEM(parts, 0, Py_NewRef(payload));
     }
     return parts;
+}
+
+static PyObject *
+aggregator_disaggregate(PyObject *Py_UNUSED(self), PyObject *payload)
+{
+    return disaggregate_parts(payload);
 }
 
 static int
@@ -6117,8 +7183,9 @@ core_phase1a(CoreObject *self, PyObject *msg)
 }
 
 static PyObject *
-core_handle(CoreObject *self, PyObject *payload)
+core_handle(PyObject *obj, PyObject *payload)
 {
+    CoreObject *self = (CoreObject *)obj;
     if (!self->alive) {
         Py_RETURN_NONE;
     }
@@ -6304,7 +7371,7 @@ intern_strings(void)
         {&str_recv_fresh_s, "recv_fresh_s"}, {&str_recv_dup_s, "recv_dup_s"},
         {&str_send_per_peer_s, "send_per_peer_s"},
         {&str_complete, "_complete"}, {&str_aggregated, "aggregated"},
-        {&str_receive_aggregated, "_receive_aggregated"},
+        {&str_complete_parts, "_complete_parts"},
         {&str_gossip_receive, "gossip_receive"},
         {&str_gossip_filtered, "gossip_filtered"},
         {&str_commit, "commit"},
@@ -6317,7 +7384,8 @@ intern_strings(void)
         {&str_disaggregate, "disaggregate"}, {&str_senders, "senders"},
         {&str_bit_count, "bit_count"},
         {&str_gossip_aggregated, "gossip_aggregated"},
-        {&str_wakeup, "_wakeup"},
+        {&str_wakeup, "_wakeup"}, {&str_random, "random"},
+        {&str_ack, "ACK"}, {&str_a2b, "A2B"}, {&str_aack, "AACK"},
     };
     for (size_t i = 0; i < sizeof names / sizeof names[0]; i++) {
         *names[i].slot = PyUnicode_InternFromString(names[i].text);
@@ -6334,9 +7402,10 @@ intern_strings(void)
     float_zero = PyFloat_FromDouble(0.0);
     long_zero = PyLong_FromLong(0);
     long_one = PyLong_FromLong(1);
+    long_64 = PyLong_FromLong(64);
     empty_tuple = PyTuple_New(0);
     return float_zero == NULL || long_zero == NULL || long_one == NULL
-        || empty_tuple == NULL ? -1 : 0;
+        || long_64 == NULL || empty_tuple == NULL ? -1 : 0;
 }
 
 PyMODINIT_FUNC
@@ -6351,6 +7420,7 @@ PyInit__kernel(void)
         {"Acceptor", &AcceptorType}, {"Learner", &LearnerType},
         {"PaxosCore", &CoreType}, {"SemanticFilter", &FilterType},
         {"SemanticAggregator", &AggregatorType},
+        {"ReceiverLossInjector", &LossType},
     };
     size_t count = sizeof types / sizeof types[0];
     for (size_t i = 0; i < count; i++) {

@@ -1,19 +1,24 @@
 """The gossip node's per-hop paths in Python: the executable reference model.
 
-:class:`repro.gossip.node.GossipNode` runs its single-part receive, its
+:class:`repro.gossip.node.GossipNode` runs its receive, its
 deliver-and-forward completion and its fan-out loop in the compiled
 kernel (``repro/sim/_kernel.c``), its per-peer senders are the compiled
 ``SenderCore`` (queue, wake-up and batched round), and its counters are a
 C type. This is the Python they replaced, kept verbatim:
 :class:`GossipStats`, :class:`_PeerSender` (on the compiled base, whose
-link and pacing state it keeps there), and ``_on_link_receive``,
-``_complete``, ``_send`` and ``_rebuild_forward`` (with the fan-out tuple
-and service times as plain attributes) on a subclass of the compiled node
-that builds its senders from it, so that everything else — the
-broadcast, the hooks and the cache — is shared. It lives with the tests
+link and pacing state it keeps there), and ``_on_link_receive`` (with
+the aggregated receive), ``_complete`` (which hands a payload whose
+exact class has a ``route`` to its handler, and any other to
+``deliver``), ``_complete_parts``, ``_send`` and ``_rebuild_forward``
+(with the fan-out tuple, service times and bound CPU submissions as
+plain attributes) on a subclass of the compiled node that builds its
+senders from it, so that everything else — the broadcast, the hooks and
+the cache — is shared. It lives with the tests
 because nothing else constructs it: `tests/properties/test_node_lockstep.py`
 drives one op stream through a mesh of these and a mesh of compiled nodes
-and requires identical counters, events and sender state at every step.
+and requires identical counters, events and sender state at every step;
+`tests/properties/test_receive_lockstep.py` does the same with
+aggregated votes and acks and a route.
 """
 
 from repro.gossip.node import GossipNode
@@ -193,11 +198,14 @@ class ReferenceNode(GossipNode):
     """A :class:`GossipNode` whose per-hop paths and counters are Python."""
 
     __slots__ = ("_stats", "_fwd_pairs", "_fanout", "_svc_broadcast",
-                 "_svc_receive")
+                 "_svc_receive", "_cpu_submit", "_cpu_acct")
 
     def __init__(self, *args, **kwargs):
         self._stats = GossipStats()
         super().__init__(*args, **kwargs)
+        #: The CPU's submissions, bound once.
+        self._cpu_submit = self.cpu.submit_timed
+        self._cpu_acct = self.cpu.submit_acct
         self._fwd_pairs = ()
         self._fanout = 0
         self._svc_broadcast = self.costs.recv_fresh_s
@@ -249,8 +257,14 @@ class ReferenceNode(GossipNode):
         ``src`` (``None`` for a local broadcast)."""
         stats = self.stats
         stats.delivered += 1
-        if self.deliver is not None:
-            self.deliver(payload)
+        routes = self._routes or ()
+        for at in range(0, len(routes), 2):
+            if routes[at] is type(payload):
+                routes[at + 1](payload)
+                break
+        else:
+            if self.deliver is not None:
+                self.deliver(payload)
         stats.forwarded += self._send(payload, self._fwd_pairs, src)
 
     def _on_link_receive(self, src, payload):
@@ -304,6 +318,11 @@ class ReferenceNode(GossipNode):
             fanout = 0
         service += len(fresh) * fanout * costs.send_per_peer_s
         self._cpu_submit(service, self._complete_parts, fresh, src)
+
+    def _complete_parts(self, fresh, src):
+        """The fresh parts of one aggregate, in its one CPU job."""
+        for part in fresh:
+            self._complete(part, src)
 
     def _send(self, payload, pairs, exclude=None):
         """Hand ``payload`` to each ``(peer_id, sender)`` of ``pairs`` but

@@ -38,6 +38,23 @@ def test_per_process_override(sim):
     assert injector(7)
 
 
+@pytest.mark.parametrize("rate", [1.5, -0.1, float("nan"), float("inf")])
+def test_per_process_rate_outside_unit_interval_names_the_process(sim, rate):
+    # 1.5 used to act as 1.0, and NaN or a negative rate never dropped.
+    with pytest.raises(ValueError, match="process 7 must be within"):
+        ReceiverLossInjector(sim, 0.1, per_process={3: 0.5, 7: rate})
+    with pytest.raises(ValueError, match="loss rate must be within"):
+        ReceiverLossInjector(sim, rate)
+
+
+def test_per_process_rates_are_kept_as_floats(sim):
+    injector = ReceiverLossInjector(sim, 0.25, per_process={7: 1, 8: 0})
+    assert injector.per_process == {7: 1.0, 8: 0.0}
+    assert injector.rate == 0.25
+    assert injector(7) and not injector(8)
+    assert ReceiverLossInjector(sim).per_process == {}
+
+
 def test_deterministic_given_seed(sim):
     a = ReceiverLossInjector(Simulator(seed=3), 0.5)
     b = ReceiverLossInjector(Simulator(seed=3), 0.5)

@@ -3,7 +3,7 @@
 ``gc.set_threshold(1)`` makes nearly every container allocation run a
 young-generation collection, so the C types' ``tp_traverse`` and
 ``tp_clear`` run in the middle of pushes, commits, receives, fan-outs,
-Paxos handles, filter verdicts and aggregations (outside
+Paxos handles, filter verdicts, aggregations and disaggregations (outside
 ``Simulator.run``, which pauses the collector). A reference the
 collector cannot see, or a pointer kept across a call-out that frees
 it, then shows as a wrong result or, on the sanitizer build
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from tests.properties import test_hop_lockstep as hop
 from tests.properties import test_node_lockstep as node
+from tests.properties import test_receive_lockstep as receive
 from tests.properties import test_replica_lockstep as replica
 from tests.properties import test_semantics_lockstep as semantics
 
@@ -37,6 +38,8 @@ PROPERTIES = [
      (replica.LEARNER_OPS,)),
     (semantics.test_semantics_match_their_reference_in_lockstep,
      (semantics.scenarios(),)),
+    (receive.test_aggregated_arrivals_match_the_reference_in_lockstep,
+     (receive.AGGREGATE_OPS,)),
 ]
 
 

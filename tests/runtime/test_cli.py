@@ -23,6 +23,16 @@ def test_run_command(capsys):
     assert "avg ms" in out
 
 
+def test_run_census_prints_time_per_callback(capsys):
+    assert main(_fast(["run", "--setup", "semantic", "--loss", "0.05",
+                       "--census"])) == 0
+    out = capsys.readouterr().out
+    assert "run-loop census" in out
+    assert "DirectedLink._arrive" in out
+    assert "> DirectedLink._arrive -> loss hook" in out
+    assert "(loop itself)" in out
+
+
 def test_run_rejects_bad_setup():
     with pytest.raises(SystemExit):
         main(["run", "--setup", "bogus"])

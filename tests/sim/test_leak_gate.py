@@ -8,8 +8,11 @@ scenario must leave the count where it was. The scenarios cover the
 fault engine (crash, loss, partition and degrade on gossip and on the
 direct star), the pull strategy, the aggregating semantic hooks (the
 compiled filter and aggregator, through the fan-out and the busy-link
-sender, for Paxos and for Raft) and the fault-free star, where the
-compiled Paxos replica does most of the work.
+sender, and the compiled aggregated receive, for Paxos and for Raft),
+membership churn (the membership classes routed by the node to the
+liveness agents), the compiled loss injector on every link of a lossy
+run, and the fault-free star, where the compiled Paxos replica does most
+of the work.
 
 A reference kept to a callback's *result* hides from whole runs: a
 node's receive returns None, a loss hook a bool, a communicator and a
@@ -36,7 +39,7 @@ from repro.sim.kernel import Simulator
 
 SCENARIOS = ["link_faults", "baseline_faults", "push_pull_loss",
              "degrade_jitter", "fig7_overlay", "baseline_star", "agg_heavy",
-             "raft_semantic"]
+             "raft_semantic", "churn_smoke", "fig6_loss"]
 RUNS = 4
 
 
