@@ -8,6 +8,7 @@ never change that. ``ObsConfig`` travels through the separate
 ``auditor=``.
 """
 
+import math
 from dataclasses import dataclass
 
 
@@ -43,9 +44,18 @@ class ObsConfig:
     max_hops_per_value: int = 512
 
     def __post_init__(self):
-        if self.tick_interval <= 0:
-            raise ValueError("tick_interval must be positive")
-        if self.max_hops_per_value < 0:
-            raise ValueError("max_hops_per_value must be >= 0")
+        tick, hops = self.tick_interval, self.max_hops_per_value
+        if not isinstance(tick, (int, float)) or isinstance(tick, bool):
+            raise TypeError(
+                "tick_interval must be a number, got {!r}".format(tick))
+        if not (tick > 0 and math.isfinite(tick)):
+            raise ValueError("tick_interval must be positive and finite, "
+                             "got {!r}".format(tick))
+        if not isinstance(hops, int) or isinstance(hops, bool):
+            raise TypeError(
+                "max_hops_per_value must be an int, got {!r}".format(hops))
+        if hops < 0:
+            raise ValueError(
+                "max_hops_per_value must be >= 0, got {!r}".format(hops))
         if self.hops and not self.spans:
             raise ValueError("hops annotations require spans")

@@ -68,7 +68,7 @@
 #define HOT_PATH inline
 #endif
 
-static PyObject *str_now, *str_queue, *str_rng, *str_link_jitter,
+static PyObject *str_queue, *str_rng, *str_link_jitter,
     *str_arrive, *str_uniform, *str_size_bytes, *str_iid, *str_uid,
     *str_intern, *str_lookup, *str_per_message_s, *str_per_byte_s,
     *str_queue_capacity, *str_jitter_s, *str_register_payload,
@@ -230,6 +230,7 @@ typedef struct {
     Entry *heap;
     Py_ssize_t size;
     Py_ssize_t capacity;
+    double now;             /* the simulated clock; only run() writes it */
     long long next_seq;
     long long pushed;
     long long popped;
@@ -892,11 +893,12 @@ census_fold(Census *c, PyObject *census, long long run_events,
     return failed ? -1 : 0;
 }
 
-/* run()'s body for one popped entry, with the callback timed under row:
- * set sim.now, tell the observer, call it. The entry's references are
- * released. 0, or -1 with an exception set. */
-static int
-run_timed(QueueObject *q, PyObject *sim, Entry *e, CensusRow *row)
+/* run()'s body for one popped entry: retire a handle, count it, set the
+ * clock to its time, tell the observer, call it (timed under row when
+ * there is a census) and release its references. 0, or -1 with an
+ * exception set. */
+static HOT_PATH int
+run_one(QueueObject *q, Entry *e, CensusRow *row)
 {
     PyObject *fn, *args;
     if (e->args == NULL) {
@@ -911,18 +913,19 @@ run_timed(QueueObject *q, PyObject *sim, Entry *e, CensusRow *row)
         args = e->args;
     }
     q->executed++;
-    PyObject *now = PyFloat_FromDouble(e->time);
-    int failed = now == NULL || PyObject_SetAttr(sim, str_now, now) < 0;
-    Py_XDECREF(now);
-    if (!failed && q->observer != NULL) {
-        failed = observed(PyObject_CallMethod(
-            q->observer, "note_exec", "dLOO", e->time, e->seq, fn, args)) < 0;
-    }
+    q->now = e->time;
     PyObject *res = NULL;
-    if (!failed) {
-        long long start = census_clock();
-        res = PyObject_Call(fn, args, NULL);
-        row->ns += census_clock() - start;
+    if (q->observer == NULL
+            || observed(PyObject_CallMethod(q->observer, "note_exec", "dLOO",
+                                            e->time, e->seq, fn, args)) == 0) {
+        if (row == NULL) {
+            res = PyObject_Call(fn, args, NULL);
+        }
+        else {
+            long long start = census_clock();
+            res = PyObject_Call(fn, args, NULL);
+            row->ns += census_clock() - start;
+        }
     }
     Py_DECREF(fn);
     Py_DECREF(args);
@@ -933,10 +936,51 @@ run_timed(QueueObject *q, PyObject *sim, Entry *e, CensusRow *row)
     return 0;
 }
 
-/* The census loop: run()'s loop with each event counted and timed under
- * its callback's row. */
+/* The event loop: run live events with time <= limit, at most budget of
+ * them, counting each one in *executed; with a census c, each under its
+ * callback's row. Stopped at limit rather than by the budget (a live
+ * event beyond it, or drained), it advances the clock to a finite limit;
+ * a limit behind the clock never moves it back. 0, or -1 with an
+ * exception set. */
+static HOT_PATH int
+run_loop(QueueObject *q, double limit, double budget, Census *c,
+         long long *executed)
+{
+    while ((double)*executed < budget) {
+        Entry e;
+        int got = pop_live(q, limit, &e);
+        if (got <= 0) {
+            if (got == 0 && limit > q->now && limit < Py_HUGE_VAL) {
+                q->now = limit;
+            }
+            return got;
+        }
+        CensusRow *row = NULL;
+        if (c != NULL) {
+            PyObject *fn = e.args == NULL ? ((EventObject *)e.fn)->fn : e.fn;
+            row = census_row(c, fn);
+            if (row == NULL) {
+                /* Counted, as a raising callback is, and released. */
+                ++*executed;
+                q->executed++;
+                Py_DECREF(e.fn);
+                Py_XDECREF(e.args);
+                return -1;
+            }
+            row->events++;
+        }
+        ++*executed;
+        if (run_one(q, &e, row) < 0) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* run()'s loop with each event counted and timed under its callback's
+ * row, folded into the census dict at the end. */
 static RARE_PATH PyObject *
-queue_run_census(QueueObject *q, PyObject *sim, double limit, double budget,
+queue_run_census(QueueObject *q, double limit, double budget,
                  PyObject *census)
 {
     Census c = {NULL, 16, 0, {0}, {0}};
@@ -947,31 +991,7 @@ queue_run_census(QueueObject *q, PyObject *sim, double limit, double budget,
     Census *outer = census_active;
     census_active = &c;
     long long executed = 0, start = monotonic_ns(), ticks = census_clock();
-    int failed = 0;
-    while ((double)executed < budget) {
-        Entry e;
-        int got = pop_live(q, limit, &e);
-        if (got <= 0) {
-            failed = got < 0;
-            break;
-        }
-        PyObject *fn = e.args == NULL ? ((EventObject *)e.fn)->fn : e.fn;
-        CensusRow *row = census_row(&c, fn);
-        executed++;
-        if (row == NULL) {
-            /* Counted, as run() counts a raising callback, and released. */
-            q->executed++;
-            Py_DECREF(e.fn);
-            Py_XDECREF(e.args);
-            failed = 1;
-            break;
-        }
-        row->events++;
-        if (run_timed(q, sim, &e, row) < 0) {
-            failed = 1;
-            break;
-        }
-    }
+    int failed = run_loop(q, limit, budget, &c, &executed) < 0;
     ticks = census_clock() - ticks;
     long long elapsed = monotonic_ns() - start;
     census_active = outer;
@@ -983,71 +1003,35 @@ queue_run_census(QueueObject *q, PyObject *sim, double limit, double budget,
     return PyLong_FromLongLong(executed);
 }
 
-/* run(sim, limit, budget, census=None): execute live events with time <=
- * limit, at most budget of them, setting sim.now to each one's time
- * before calling it. Returns the number executed. A callback that raises
- * was popped, so it is counted before the exception propagates. A census
+/* run(limit, budget, census=None): execute live events with time <=
+ * limit, at most budget of them, the clock set to each one's time before
+ * it is called. Returns the number executed. A callback that raises was
+ * popped, so it is counted before the exception propagates. A census
  * dict receives (events, ns) per callback and per span. */
 static PyObject *
 queue_run(QueueObject *q, PyObject *const *argv, Py_ssize_t nargs)
 {
-    if (nargs != 3 && nargs != 4) {
+    if (nargs != 2 && nargs != 3) {
         PyErr_Format(PyExc_TypeError,
-                     "run() takes 3 or 4 arguments (%zd given)", nargs);
+                     "run() takes 2 or 3 arguments (%zd given)", nargs);
         return NULL;
     }
-    PyObject *sim = argv[0];
     double limit, budget;
-    if (parse_bound(argv[1], &limit) < 0
-            || parse_bound(argv[2], &budget) < 0) {
+    if (parse_bound(argv[0], &limit) < 0
+            || parse_bound(argv[1], &budget) < 0) {
         return NULL;
     }
-    if (nargs == 4 && argv[3] != Py_None) {
-        if (!PyDict_Check(argv[3])) {
+    if (nargs == 3 && argv[2] != Py_None) {
+        if (!PyDict_Check(argv[2])) {
             PyErr_Format(PyExc_TypeError, "run() census must be a dict, "
-                         "not %.100s", Py_TYPE(argv[3])->tp_name);
+                         "not %.100s", Py_TYPE(argv[2])->tp_name);
             return NULL;
         }
-        return queue_run_census(q, sim, limit, budget, argv[3]);
+        return queue_run_census(q, limit, budget, argv[2]);
     }
     long long executed = 0;
-    while ((double)executed < budget) {
-        Entry e;
-        int got = pop_live(q, limit, &e);
-        if (got <= 0) {
-            if (got < 0) {
-                return NULL;
-            }
-            break;
-        }
-        PyObject *fn, *args;
-        if (e.args == NULL) {
-            /* Retire the handle before its callback runs: a callback
-             * cancelling its own event must not count a second
-             * cancellation. Its references move to this frame. */
-            event_take((EventObject *)e.fn, &fn, &args);
-            Py_DECREF(e.fn);
-        }
-        else {
-            fn = e.fn;
-            args = e.args;
-        }
-        executed++;
-        q->executed++;
-        PyObject *now = PyFloat_FromDouble(e.time);
-        int failed = now == NULL || PyObject_SetAttr(sim, str_now, now) < 0;
-        Py_XDECREF(now);
-        if (!failed && q->observer != NULL) {
-            failed = observed(PyObject_CallMethod(
-                q->observer, "note_exec", "dLOO", e.time, e.seq, fn, args)) < 0;
-        }
-        PyObject *res = failed ? NULL : PyObject_Call(fn, args, NULL);
-        Py_DECREF(fn);
-        Py_DECREF(args);
-        if (res == NULL) {
-            return NULL;
-        }
-        Py_DECREF(res);
+    if (run_loop(q, limit, budget, NULL, &executed) < 0) {
+        return NULL;
     }
     return PyLong_FromLongLong(executed);
 }
@@ -1074,6 +1058,12 @@ static PyObject *
 queue_get_executed_total(QueueObject *q, void *Py_UNUSED(closure))
 {
     return PyLong_FromLongLong(q->executed);
+}
+
+static PyObject *
+queue_get_now(QueueObject *q, void *Py_UNUSED(closure))
+{
+    return PyFloat_FromDouble(q->now);
 }
 
 static PyObject *
@@ -1158,7 +1148,7 @@ static PyMethodDef queue_methods[] = {
     {"cancel_bare", (PyCFunction)queue_cancel_bare, METH_O,
      "Cancel the pending bare event whose push returned seq."},
     {"run", (PyCFunction)(void (*)(void))queue_run, METH_FASTCALL,
-     "run(sim, limit, budget, census=None) -> executed: the event loop.\n\n"
+     "run(limit, budget, census=None) -> executed: the event loop.\n\n"
      "A census dict receives, per executed callback's function (a\n"
      "compiled method's descriptor), the pair (events, ns): the events\n"
      "run and the CLOCK_MONOTONIC nanoseconds spent in them; per span of\n"
@@ -1177,6 +1167,9 @@ static PyGetSetDef queue_getset[] = {
      "Callbacks the run loop invoked, a raising one included.", NULL},
     {"heap_size", (getter)queue_get_heap_size, NULL,
      "Physical entries, cancelled shells included.", NULL},
+    {"now", (getter)queue_get_now, NULL,
+     "The simulated clock: the time of the event running or last run,\n"
+     "or the limit a run stopped at.", NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
 
@@ -1217,20 +1210,16 @@ as_double(PyObject *obj, double *value)
     return *value == -1.0 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* sim.now as a double. 0, or -1 with an exception set. */
+/* The clock of a type's queue (NULL: cleared by the garbage collector).
+ * 0, or -1 with an exception set. */
 static inline int
-sim_now(PyObject *sim, double *now)
+queue_now(QueueObject *queue, double *now)
 {
-    if (sim == NULL) {
+    if (queue == NULL) {
         return cleared();
     }
-    PyObject *obj = PyObject_GetAttr(sim, str_now);
-    if (obj == NULL) {
-        return -1;
-    }
-    int failed = as_double(obj, now);
-    Py_DECREF(obj);
-    return failed;
+    *now = queue->now;
+    return 0;
 }
 
 /* A ValueError naming the field and the rule value broke; returns -1. */
@@ -1385,7 +1374,7 @@ server_accept(ServerObject *s, double service)
     if (check_time("FifoServer service_time", service) < 0) {
         return -1.0;
     }
-    if (sim_now(s->sim, &now) < 0) {
+    if (queue_now(s->queue, &now) < 0) {
         return -1.0;
     }
     if (s->slowdown != 1.0) {
@@ -1502,7 +1491,7 @@ static int
 server_busy_time(ServerObject *s, double *busy_time)
 {
     double now;
-    if (sim_now(s->sim, &now) < 0) {
+    if (queue_now(s->queue, &now) < 0) {
         return -1;
     }
     server_charge_started(s, now);
@@ -1541,7 +1530,7 @@ static PyObject *
 server_get_queue_length(ServerObject *s, void *Py_UNUSED(closure))
 {
     double now;
-    if (sim_now(s->sim, &now) < 0) {
+    if (queue_now(s->queue, &now) < 0) {
         return NULL;
     }
     server_charge_started(s, now);
@@ -1552,7 +1541,7 @@ static PyObject *
 server_get_busy(ServerObject *s, void *Py_UNUSED(closure))
 {
     double now;
-    if (sim_now(s->sim, &now) < 0) {
+    if (queue_now(s->queue, &now) < 0) {
         return NULL;
     }
     return PyBool_FromLong(s->busy_until > now);
@@ -2214,7 +2203,7 @@ link_commit(LinkObject *l, PyObject *const *argv, Py_ssize_t nargs)
                      "%.100s", Py_TYPE(argv[1])->tp_name);
         return NULL;
     }
-    if (sim_now(l->sim, &now) < 0 || link_at(argv[2], now, &at) < 0) {
+    if (queue_now(l->queue, &now) < 0 || link_at(argv[2], now, &at) < 0) {
         return NULL;
     }
     double completion = link_commit_at(l, argv[0], argv[1], at, now);
@@ -2251,7 +2240,7 @@ link_transmit(LinkObject *l, PyObject *const *argv, Py_ssize_t nargs)
                      "transmit() takes 1 or 2 arguments (%zd given)", nargs);
         return NULL;
     }
-    if (sim_now(l->sim, &now) < 0
+    if (queue_now(l->queue, &now) < 0
             || link_at(nargs == 2 ? argv[1] : Py_None, now, &at) < 0) {
         return NULL;
     }
@@ -2329,7 +2318,7 @@ link_degrade(LinkObject *l, PyObject *args, PyObject *kwds)
     if (check_time("degraded latency_s", latency) < 0) {
         return NULL;
     }
-    if (sim_now(l->sim, &now) < 0) {
+    if (queue_now(l->queue, &now) < 0) {
         return NULL;
     }
     PyObject *base = l->base_config;
@@ -2446,7 +2435,7 @@ static PyObject *
 link_get_stats(LinkObject *l, void *Py_UNUSED(closure))
 {
     double now;
-    if (sim_now(l->sim, &now) < 0) {
+    if (queue_now(l->queue, &now) < 0) {
         return NULL;
     }
     link_drain_sent(l, now);
@@ -2457,7 +2446,7 @@ static PyObject *
 link_get_busy(LinkObject *l, void *Py_UNUSED(closure))
 {
     double now;
-    if (sim_now(l->sim, &now) < 0) {
+    if (queue_now(l->queue, &now) < 0) {
         return NULL;
     }
     return PyBool_FromLong(now < l->busy_until);
@@ -2467,7 +2456,7 @@ static PyObject *
 link_get_queue_length(LinkObject *l, void *Py_UNUSED(closure))
 {
     double now;
-    if (sim_now(l->sim, &now) < 0) {
+    if (queue_now(l->queue, &now) < 0) {
         return NULL;
     }
     Py_ssize_t pending = link_drain_sent(l, now);
@@ -3455,13 +3444,10 @@ static Py_ssize_t
 node_fan_out(NodeObject *self, PyObject *payload, PyObject *pairs,
              PyObject *exclude)
 {
-    double now;
     if (self->stats == NULL || self->queue == NULL) {
         return cleared();
     }
-    if (sim_now(self->sim, &now) < 0) {
-        return -1;
-    }
+    double now = self->queue->now;
     PyObject *validate = Py_XNewRef(set_or_null(self->validate));
     PyObject *args = NULL;
     Py_ssize_t count = 0;
@@ -4077,7 +4063,7 @@ sender_pump(SenderObject *self)
     }
     int nonempty = PyObject_IsTrue(kept);
     double now;
-    if (nonempty < 0 || (nonempty && (sim_now(node->sim, &now) < 0
+    if (nonempty < 0 || (nonempty && (queue_now(node->queue, &now) < 0
                                       || sender_send_round(self, kept, now)
                                          < 0))) {
         goto done;
@@ -4178,7 +4164,7 @@ sender_get_busy(SenderObject *self, void *Py_UNUSED(closure))
     if (self->wakeup_armed) {
         Py_RETURN_TRUE;
     }
-    if (sim_now(node == NULL ? NULL : node->sim, &now) < 0) {
+    if (queue_now(node == NULL ? NULL : node->queue, &now) < 0) {
         return NULL;
     }
     return PyBool_FromLong(now < self->free_at);
@@ -6840,6 +6826,7 @@ static PyTypeObject AggregatorType = {
 typedef struct {
     PyObject_HEAD
     PyObject *sim;
+    QueueObject *queue;     /* sim's, bound with it */
     PyObject *process_id;
     PyObject *comm;
     PyObject *on_deliver;   /* NULL or None: none */
@@ -6914,7 +6901,7 @@ core_call(PyObject *target, PyObject *method, PyObject *arg, PyObject *arg2)
     return observed(res);
 }
 
-/* The coordinator's method(arg, sim.now), if there is a coordinator. */
+/* The coordinator's method(arg, now), if there is a coordinator. */
 static int
 core_to_coordinator(CoreObject *self, PyObject *method, PyObject *arg)
 {
@@ -6922,11 +6909,11 @@ core_to_coordinator(CoreObject *self, PyObject *method, PyObject *arg)
     if (coordinator == NULL) {
         return 0;
     }
-    if (self->sim == NULL) {
+    if (self->queue == NULL) {
         return cleared();
     }
     Py_INCREF(coordinator);
-    PyObject *now = PyObject_GetAttr(self->sim, str_now);
+    PyObject *now = PyFloat_FromDouble(self->queue->now);
     int failed = now == NULL ? -1 : core_call(coordinator, method, arg, now);
     Py_XDECREF(now);
     Py_DECREF(coordinator);
@@ -7229,6 +7216,7 @@ static int
 core_traverse(CoreObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->sim);
+    Py_VISIT(self->queue);
     Py_VISIT(self->process_id);
     Py_VISIT(self->comm);
     Py_VISIT(self->on_deliver);
@@ -7247,6 +7235,7 @@ static int
 core_clear(CoreObject *self)
 {
     Py_CLEAR(self->sim);
+    Py_CLEAR(self->queue);
     Py_CLEAR(self->process_id);
     Py_CLEAR(self->comm);
     Py_CLEAR(self->on_deliver);
@@ -7283,8 +7272,36 @@ static PyMethodDef core_methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
+static PyObject *
+core_get_sim(CoreObject *self, void *Py_UNUSED(closure))
+{
+    return Py_NewRef(self->sim == NULL ? Py_None : self->sim);
+}
+
+/* Setting sim binds its queue, whose clock the coordinator calls read. */
+static int
+core_set_sim(CoreObject *self, PyObject *sim, void *Py_UNUSED(closure))
+{
+    if (sim == NULL) {
+        PyErr_SetString(PyExc_TypeError, "cannot delete sim");
+        return -1;
+    }
+    QueueObject *queue = sim_queue(sim, "PaxosProcess");
+    if (queue == NULL) {
+        return -1;
+    }
+    Py_XSETREF(self->sim, Py_NewRef(sim));
+    Py_XSETREF(self->queue, queue);
+    return 0;
+}
+
+static PyGetSetDef core_getset[] = {
+    {"sim", (getter)core_get_sim, (setter)core_set_sim,
+     "The Simulator; setting it binds its event queue.", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
 static PyMemberDef core_members[] = {
-    {"sim", T_OBJECT, offsetof(CoreObject, sim), 0, NULL},
     {"process_id", T_OBJECT, offsetof(CoreObject, process_id), 0, NULL},
     {"comm", T_OBJECT, offsetof(CoreObject, comm), 0,
      "The Communicator binding to the substrate."},
@@ -7328,6 +7345,7 @@ static PyTypeObject CoreType = {
     .tp_clear = (inquiry)core_clear,
     .tp_methods = core_methods,
     .tp_members = core_members,
+    .tp_getset = core_getset,
 };
 
 static PyMethodDef kernel_methods[] = {
@@ -7359,7 +7377,7 @@ static int
 intern_strings(void)
 {
     struct { PyObject **slot; const char *text; } names[] = {
-        {&str_now, "now"}, {&str_queue, "_queue"}, {&str_rng, "rng"},
+        {&str_queue, "_queue"}, {&str_rng, "rng"},
         {&str_link_jitter, "link-jitter"}, {&str_arrive, "_arrive"},
         {&str_uniform, "uniform"}, {&str_size_bytes, "size_bytes"},
         {&str_iid, "iid"}, {&str_uid, "uid"}, {&str_intern, "intern"},

@@ -13,11 +13,15 @@ push into the queue directly: :class:`repro.sim.server.FifoServer`,
 :class:`repro.gossip.cache.InternedSeenCache`.
 :class:`EventQueue` is a binary min-heap of 32-byte entries ``{double
 time; int64 seq; fn; args}``; ``(time, seq)`` is unique, so the pop order
-is fully determined by the pushes. Its ``run(sim, limit, budget)`` is the
-simulator's event loop (:meth:`repro.sim.kernel.Simulator.run`). A time
-must be finite: a push of NaN or ±inf raises :class:`ValueError`. A time
-pushed as an ``int`` pops as the equal ``float``. An entry comes in two
-kinds:
+is fully determined by the pushes. Its ``run(limit, budget)`` is the
+simulator's event loop (:meth:`repro.sim.kernel.Simulator.run`). The queue
+holds the simulated clock, a C double read as ``now``
+(:attr:`repro.sim.kernel.Simulator.now`): ``run`` sets it to each event's
+time before calling it and leaves it at a finite ``limit`` when it stops
+there rather than at ``budget``. Nothing else writes it, and the compiled
+types read it in C. A time must be finite: a push of NaN or ±inf raises
+:class:`ValueError`. A time pushed as an ``int`` pops as the equal
+``float``. An entry comes in two kinds:
 
 * a **bare** entry (``push_bare(time, fn, args)``) *is* the
   event: the callback and its args tuple sit in the entry, no

@@ -1,6 +1,6 @@
 """The discrete-event simulator core.
 
-A :class:`Simulator` owns a virtual clock and an event queue. Components
+A :class:`Simulator` owns an event queue holding the virtual clock. Components
 schedule callbacks with :meth:`Simulator.schedule` (relative delay) or
 :meth:`Simulator.schedule_at` (absolute time) and the loop executes them in
 timestamp order. The simulator is single-threaded and deterministic.
@@ -51,13 +51,14 @@ class Simulator:
         #: event is pending; callers that keep handles longer (timers,
         #: generic ``schedule``/``schedule_at``) get an ``Event``.
         self.push_event = self._queue.push_bare
-        #: Current simulated time in seconds. Public but read-only by
-        #: convention: only :meth:`run` advances it. A plain attribute
-        #: rather than a property — the virtual-time hot paths (sender
-        #: pacing, lazy server drains) read the clock on every message.
-        self.now = 0.0
         self._rngs = {}
         self._running = False
+
+    @property
+    def now(self):
+        """Current simulated time in seconds, a read-only float: the
+        queue's clock, which only its run loop (:meth:`run`) moves."""
+        return self._queue.now
 
     @property
     def events_scheduled(self):
@@ -138,8 +139,10 @@ class Simulator:
 
         Stops when the queue drains, when simulated time would pass
         ``until``, or after ``max_events`` callbacks. Returns the number of
-        events executed by this call. When stopping at ``until`` the clock is
-        advanced exactly to ``until`` so back-to-back ``run`` calls compose.
+        events executed by this call. Stopped at ``until`` rather than by
+        the budget, the loop leaves the clock exactly there (never moving
+        it back), so back-to-back ``run`` calls compose; otherwise it stays
+        at the last event run.
         ``until`` must be finite: NaN would disable the horizon and an
         infinite one would park the clock where nothing can be scheduled.
 
@@ -164,18 +167,11 @@ class Simulator:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            executed = self._queue.run(self, until, max_events, census)
+            return self._queue.run(until, max_events, census)
         finally:
             self._running = False
             if gc_was_enabled:
                 gc.enable()
-        if (until is not None and until > self.now
-                and (max_events is None or executed < max_events)):
-            # Stopped at `until` (a live event beyond it, or drained
-            # early), not by the budget: advance the clock exactly there.
-            # An `until` behind the clock never moves it back.
-            self.now = until
-        return executed
 
     def step(self):
         """Execute exactly one event; returns True if one was executed."""

@@ -1,7 +1,5 @@
 """Unit tests for the dynamic :class:`RaceAuditor`."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.checks.auditor import (
@@ -77,7 +75,7 @@ def test_queue_tells_its_observer_of_pushes_and_executions():
     queue = EventQueue(Recorder())
     queue.push(1.0, _noop, ("a",))
     queue.push_bare(0.5, _noop, ("b",))
-    assert queue.run(SimpleNamespace(now=0.0), None, None) == 2
+    assert queue.run(None, None) == 2
     assert calls == [
         ("push", 1.0, 0, _noop, ("a",)),
         ("push", 0.5, 1, _noop, ("b",)),

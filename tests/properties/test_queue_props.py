@@ -24,8 +24,6 @@ reference and drive the compiled run loop against the reference's pop
 order.
 """
 
-from types import SimpleNamespace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -220,14 +218,13 @@ def test_run_executes_in_reference_order(pushes, cancels, limit, budget):
     order: within ``limit``, at most ``budget`` callbacks, the clock set
     to each event's time as it runs, and each handle retired first."""
     queue, ref = EventQueue(), ReferenceQueue()
-    sim = SimpleNamespace(now=-1.0)
     executed = []
 
     def callback(index, handle_box):
         handle = handle_box[0]
         # A handle is retired before its callback runs.
         assert handle.__class__ is int or handle.cancelled
-        executed.append((sim.now, index))
+        executed.append((queue.now, index))
 
     handles, ref_handles = [], []
     for index, (time, bare) in enumerate(pushes):
@@ -248,7 +245,7 @@ def test_run_executes_in_reference_order(pushes, cancels, limit, budget):
         _cancel(ref, ref_handles[index])
     assert queue.heap_size == ref.heap_size
 
-    count = queue.run(sim, limit, budget)
+    count = queue.run(limit, budget)
     expect = []
     while budget is None or len(expect) < budget:
         event = ref.pop(limit)
