@@ -1,14 +1,9 @@
-"""Ablation — gossip-layer design choices.
+"""Ablation — aggregation vs network-level batching.
 
-Two studies of mechanisms the paper mentions but does not evaluate:
-
-1. **Duplicate detection** (paper §3.3): the bounded recently-seen cache
-   versus the sliding Bloom filter alternative. Expectation: equivalent
-   dissemination with both, since either suppresses re-forwarding.
-2. **Aggregation vs network-level batching** (paper §3.2): batching also
-   coalesces pending messages, but a batch's size grows with its contents
-   while a semantically aggregated vote does not — so batching saves
-   per-message overhead, not bytes.
+A study of a mechanism the paper mentions but does not evaluate (§3.2):
+batching also coalesces pending messages, but a batch's size grows with
+its contents while a semantically aggregated vote does not — so batching
+saves per-message overhead, not bytes.
 """
 
 from benchmarks.conftest import SCALE, bench_config, save_results
@@ -30,22 +25,6 @@ def _wire_bytes(deployment):
         for transport in deployment.transports
         for link in transport._links.values()
     )
-
-
-def run_dedup_study():
-    plan = PLAN[SCALE]
-    results = {}
-    for name, use_bloom in (("lru-cache", False), ("bloom-filter", True)):
-        config = bench_config("gossip", plan["n"], plan["rate"],
-                              plan["values"], use_bloom_dedup=use_bloom)
-        deployment, report = run_deployment(config)
-        results[name] = {
-            "received_total": report.messages.received_total,
-            "duplicate_fraction": report.messages.duplicate_fraction,
-            "avg_latency_ms": report.avg_latency_s * 1000,
-            "not_ordered": report.not_ordered,
-        }
-    return results
 
 
 def run_batching_study():
@@ -88,29 +67,6 @@ def run_batching_study():
         "not_ordered": report.not_ordered,
     }
     return results
-
-
-def test_ablation_dedup_structures(benchmark):
-    results = benchmark.pedantic(run_dedup_study, rounds=1, iterations=1)
-
-    print()
-    print(format_table(
-        ["dedup", "msgs received", "dup fraction", "avg latency ms"],
-        [[name,
-          entry["received_total"],
-          "{:.0%}".format(entry["duplicate_fraction"]),
-          "{:.0f}".format(entry["avg_latency_ms"])]
-         for name, entry in results.items()],
-        title="Ablation: duplicate detection structure (paper §3.3)",
-    ))
-    save_results("ablation_dedup", {"scale": SCALE, "data": results})
-
-    lru = results["lru-cache"]
-    bloom = results["bloom-filter"]
-    assert lru["not_ordered"] == 0
-    assert bloom["not_ordered"] == 0
-    assert abs(bloom["received_total"] - lru["received_total"]) \
-        < 0.25 * lru["received_total"]
 
 
 def test_ablation_aggregation_vs_batching(benchmark):

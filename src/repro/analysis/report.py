@@ -236,7 +236,6 @@ def render(results_dir):
 
     for name, title in (
         ("ablation_semantics", "Ablation — filtering vs aggregation"),
-        ("ablation_dedup", "Ablation — duplicate-detection structures"),
         ("ablation_batching", "Ablation — aggregation vs network batching"),
         ("ext_raft", "Extension — Raft over gossip (paper §5.1)"),
         ("ext_strategies", "Extension — dissemination strategies (§2.2)"),

@@ -13,14 +13,11 @@ implemented for Paxos by :mod:`repro.core`.
 
 from repro.gossip.hooks import SemanticHooks
 from repro.gossip.cache import InternedSeenCache
-from repro.gossip.bloom import BloomPositionCache, InternedSlidingBloomFilter
 from repro.gossip.node import GossipNode, GossipCosts, GossipStats
 
 __all__ = [
     "SemanticHooks",
     "InternedSeenCache",
-    "InternedSlidingBloomFilter",
-    "BloomPositionCache",
     "GossipNode",
     "GossipCosts",
     "GossipStats",

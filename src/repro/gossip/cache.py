@@ -1,4 +1,4 @@
-"""Recently-seen message cache (paper §3.3).
+"""Recently-seen message cache (paper §3.3), the one duplicate detector.
 
 Bounded, insertion-ordered set of message unique identifiers used for
 duplicate suppression in the push dissemination. As in the paper, the cache
@@ -18,9 +18,10 @@ interner)`` needs the interner; its surface is ``register(uid)``,
 ``register_payload(payload)`` (both True for a fresh id; a payload's uid
 is interned once per deployment into ``payload.iid``), ``uid in cache``,
 ``len(cache)``, the counters ``registered``, ``hits`` and ``evictions``,
-and ``capacity`` and ``interner``. Its Python form is the reference model
-in ``tests/gossip/reference_cache.py``, and the dict-backed, uid-keyed
-form before that is in ``tests/gossip/reference_dedup.py``.
+and ``capacity`` and ``interner``. It is the only cache a gossip node
+takes: the node calls its probe in C. Its Python form is the reference
+model in ``tests/gossip/reference_cache.py``, and the dict-backed,
+uid-keyed form before that is in ``tests/gossip/reference_dedup.py``.
 """
 
 from repro.sim.events import compiled

@@ -21,10 +21,10 @@ The per-hop half and the send routines are compiled
 ``Aggregated2b`` or ``AggregatedAck`` is split into its votes by the
 compiled aggregator, each built slot by slot), ``_complete`` and
 ``_complete_parts`` (deliver and forward) and ``_send`` (the fan-out loop)
-run without entering Python unless they call out — to the cache if it is
-not an :class:`InternedSeenCache`, to hooks other than the compiled
-filter and aggregator of :mod:`repro.core`, to a tracer, or to the
-application. A fresh payload whose exact class was given a handler by
+run without entering Python unless they call out — to hooks other than
+the compiled filter and aggregator of :mod:`repro.core`, to a tracer, or
+to the application; the cache, an :class:`InternedSeenCache`, is probed
+in C. A fresh payload whose exact class was given a handler by
 ``route(cls, handler)`` (membership traffic) goes to that handler, and
 any other to ``deliver``, a Paxos replica's ``handle`` called directly.
 :class:`_PeerSender` is the C ``SenderCore``: the queue, wake-up
@@ -138,12 +138,12 @@ class GossipNode(compiled.NodeCore, Actor):
             :class:`SemanticHooks`; defaults to the no-op implementation
             (classic gossip).
         cache:
-            Duplicate detector (recently-seen cache or sliding Bloom
-            filter). Nodes that exchange payloads must build theirs over
-            one shared :class:`repro.net.message.UidInterner`, because a
-            payload carries a single interned id; the default, an
-            :class:`InternedSeenCache` over a private interner, suits a
-            node on its own.
+            The recently-seen cache, an :class:`InternedSeenCache` (the
+            setter raises ``TypeError`` for anything else). Nodes that
+            exchange payloads must build theirs over one shared
+            :class:`repro.net.message.UidInterner`, because a payload
+            carries a single interned id; the default, a cache over a
+            private interner, suits a node on its own.
         deliver:
             ``deliver(payload)`` callback into the application (consensus).
         cpu:
@@ -266,7 +266,7 @@ class GossipNode(compiled.NodeCore, Actor):
         if not self.alive:
             return
         self.stats.broadcasts += 1
-        if not self._register(payload):
+        if not self.cache.register_payload(payload):
             return  # re-broadcast of a known message: nothing to do
         self.cpu.submit_timed(self._svc_broadcast, self._complete, payload,
                               None)

@@ -127,7 +127,7 @@ class PullGossipNode(GossipNode):
         if not self.alive:
             return
         self.stats.broadcasts += 1
-        if not self._register(payload):
+        if not self.cache.register_payload(payload):
             return
         self.store.add(payload)
         self.cpu.submit_timed(self.costs.recv_fresh_s, self._complete,
@@ -188,7 +188,7 @@ class PullGossipNode(GossipNode):
             else:
                 parts = (payload,)
             for part in parts:
-                if not self._register(part):
+                if not self.cache.register_payload(part):
                     continue
                 self.pull_messages_recovered += 1
                 self._complete(part, src)

@@ -44,6 +44,11 @@ class ObsConfig:
     max_hops_per_value: int = 512
 
     def __post_init__(self):
+        for name in ("spans", "hops", "timeseries"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise TypeError(
+                    "{} must be a bool, got {!r}".format(name, value))
         tick, hops = self.tick_interval, self.max_hops_per_value
         if not isinstance(tick, (int, float)) or isinstance(tick, bool):
             raise TypeError(

@@ -7,6 +7,7 @@ override sizes, rates, and fault parameters per figure.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -19,6 +20,24 @@ from repro.net.regions import REGIONS
 
 #: The paper's three setups (§4.1).
 SETUPS = ("baseline", "gossip", "semantic")
+
+#: Fields that must be a ``bool``: a truthy string would turn them on.
+_SWITCHES = ("enable_filtering", "enable_aggregation", "spaxos")
+#: Fields that must be integral: anything ``operator.index`` takes, numpy
+#: ints included, but not a ``bool``. The optional ones may also be None.
+_INTEGERS = ("seed", "region_seed")
+_OPTIONAL_INTEGERS = ("k", "num_clients", "send_queue_capacity",
+                      "num_regions", "overlay_seed")
+
+
+def _is_integral(value):
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 @dataclass
@@ -76,7 +95,6 @@ class ExperimentConfig:
     costs: GossipCosts = field(default_factory=GossipCosts)
     link: LinkConfig = field(default_factory=LinkConfig)
     send_queue_capacity: Optional[int] = 20_000  # per peer; None = unbounded
-    use_bloom_dedup: bool = False        # sliding Bloom filter instead of LRU cache
 
     # -- beyond the paper's topology (the large-N scenarios) ----------------------
     #: Number of synthetic regions (repro.net.regions.synthetic_regions);
@@ -88,6 +106,7 @@ class ExperimentConfig:
     overlay_family: str = "kout"
 
     def __post_init__(self):
+        self._validate_types()
         if self.setup not in SETUPS:
             raise ValueError(
                 "unknown setup {!r}; expected one of {}".format(self.setup, SETUPS)
@@ -151,6 +170,20 @@ class ExperimentConfig:
             self.n, membership=self.membership,
             num_regions=(len(REGIONS) if self.num_regions is None
                          else self.num_regions))
+
+    def _validate_types(self):
+        for name in _SWITCHES:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise TypeError(
+                    "{} must be a bool, got {!r}".format(name, value))
+        for name in _INTEGERS + _OPTIONAL_INTEGERS:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_INTEGERS:
+                continue
+            if not _is_integral(value):
+                raise TypeError(
+                    "{} must be an int, got {!r}".format(name, value))
 
     def _validate_membership(self):
         if self.membership is None:

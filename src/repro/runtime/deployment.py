@@ -12,7 +12,6 @@ the same ``overlay_seed`` use the *same* overlay.
 """
 
 from repro.core.semantics import PaxosSemantics
-from repro.gossip.bloom import BloomPositionCache, InternedSlidingBloomFilter
 from repro.gossip.cache import InternedSeenCache
 from repro.gossip.node import GossipNode
 from repro.gossip.strategies import PullGossipNode, PushPullGossipNode
@@ -35,7 +34,8 @@ from repro.runtime.metrics import MetricsCollector
 from repro.sim.kernel import Simulator
 from repro.sim.random import make_stream
 
-#: Entries each node's LRU dedup cache holds (the non-Bloom variant).
+#: Entries each node's recently-seen cache holds (paper §3.3): an
+#: :class:`InternedSeenCache` over the deployment's interner.
 DEDUP_CACHE_CAPACITY = 200_000
 
 
@@ -105,24 +105,6 @@ def _connect_pair(sim, config, topology, transports, a, b, loss_hook):
     transports[a].accept(link_ba)
 
 
-def _dedup_factory(config, interner):
-    """Per-node dedup constructor over the deployment-wide interner.
-
-    Both variants are array-backed: dedup probes index by interned dense
-    id instead of hashing structured uids.
-    """
-    if config.use_bloom_dedup:
-        positions = BloomPositionCache(
-            interner, num_bits=1 << 17, num_hashes=4)
-
-        def make():
-            return InternedSlidingBloomFilter(positions)
-    else:
-        def make():
-            return InternedSeenCache(DEDUP_CACHE_CAPACITY, interner)
-    return make
-
-
 def build_deployment(config, auditor=None, obs=None):
     """Construct the simulated system described by ``config``.
 
@@ -173,7 +155,6 @@ def build_deployment(config, auditor=None, obs=None):
             _connect_pair(sim, config, topology, transports, a, b, loss_injector)
         semantic = config.setup == "semantic"
         interner = UidInterner()
-        make_dedup = _dedup_factory(config, interner)
         for i in range(n):
             hooks = (
                 PaxosSemantics(
@@ -187,7 +168,7 @@ def build_deployment(config, auditor=None, obs=None):
             common = dict(
                 costs=config.costs,
                 hooks=hooks,
-                cache=make_dedup(),
+                cache=InternedSeenCache(DEDUP_CACHE_CAPACITY, interner),
                 send_queue_capacity=config.send_queue_capacity,
             )
             if config.gossip_strategy == "push":

@@ -71,8 +71,8 @@
 static PyObject *str_queue, *str_rng, *str_link_jitter,
     *str_arrive, *str_uniform, *str_size_bytes, *str_iid, *str_uid,
     *str_intern, *str_lookup, *str_per_message_s, *str_per_byte_s,
-    *str_queue_capacity, *str_jitter_s, *str_register_payload,
-    *str_recv_fresh_s, *str_recv_dup_s, *str_send_per_peer_s, *str_complete,
+    *str_queue_capacity, *str_jitter_s, *str_recv_fresh_s,
+    *str_recv_dup_s, *str_send_per_peer_s, *str_complete,
     *str_aggregated, *str_complete_parts, *str_gossip_receive,
     *str_gossip_filtered, *str_commit, *str_disaggregate,
     *str_senders, *str_bit_count, *str_gossip_aggregated, *str_wakeup,
@@ -2972,8 +2972,7 @@ typedef struct {
     QueueObject *queue;
     PyObject *process_id;
     ServerObject *cpu;
-    PyObject *cache;
-    PyObject *register_cb;  /* cache.register_payload */
+    CacheObject *cache;
     PyObject *deliver;      /* NULL or None: none */
     PyObject *obs;          /* NULL or None: untraced */
     PyObject *validate;     /* NULL or None: the default, admit all */
@@ -3006,20 +3005,21 @@ node_set_cache(NodeObject *self, PyObject *cache, void *Py_UNUSED(closure))
         PyErr_SetString(PyExc_TypeError, "cannot delete cache");
         return -1;
     }
-    PyObject *register_cb = PyObject_GetAttr(cache, str_register_payload);
-    if (register_cb == NULL) {
+    if (!Py_IS_TYPE(cache, &CacheType)) {
+        PyErr_Format(PyExc_TypeError,
+                     "cache must be an InternedSeenCache, not %.200s",
+                     Py_TYPE(cache)->tp_name);
         return -1;
     }
     Py_INCREF(cache);
-    Py_XSETREF(self->cache, cache);
-    Py_XSETREF(self->register_cb, register_cb);
+    Py_XSETREF(self->cache, (CacheObject *)cache);
     return 0;
 }
 
 static PyObject *
 node_get_cache(NodeObject *self, void *Py_UNUSED(closure))
 {
-    return Py_NewRef(self->cache != NULL ? self->cache : Py_None);
+    return Py_NewRef(self->cache != NULL ? (PyObject *)self->cache : Py_None);
 }
 
 static int
@@ -3087,24 +3087,15 @@ node_init(NodeObject *self, PyObject *args, PyObject *kwds)
 static HOT_PATH int
 node_register(NodeObject *self, PyObject *payload)
 {
-    PyObject *cache = self->cache, *res;
-    if (cache == NULL) {
+    if (self->cache == NULL) {
         return cleared();
     }
-    if (Py_IS_TYPE(cache, &CacheType)) {
-        res = cache_register_payload((CacheObject *)cache, payload);
-    }
-    else {
-        PyObject *register_cb = Py_NewRef(self->register_cb);
-        res = PyObject_CallOneArg(register_cb, payload);
-        Py_DECREF(register_cb);
-    }
+    PyObject *res = cache_register_payload(self->cache, payload);
     if (res == NULL) {
         return -1;
     }
-    int fresh = PyObject_IsTrue(res);
     Py_DECREF(res);
-    return fresh;
+    return res == Py_True;
 }
 
 /* obs.<method>(process_id, peer_id, payload[, fresh]) when traced. */
@@ -3714,7 +3705,6 @@ node_traverse(NodeObject *self, visitproc visit, void *arg)
     Py_VISIT(self->process_id);
     Py_VISIT(self->cpu);
     Py_VISIT(self->cache);
-    Py_VISIT(self->register_cb);
     Py_VISIT(self->deliver);
     Py_VISIT(self->obs);
     Py_VISIT(self->validate);
@@ -3735,7 +3725,6 @@ node_clear(NodeObject *self)
     Py_CLEAR(self->process_id);
     Py_CLEAR(self->cpu);
     Py_CLEAR(self->cache);
-    Py_CLEAR(self->register_cb);
     Py_CLEAR(self->deliver);
     Py_CLEAR(self->obs);
     Py_CLEAR(self->validate);
@@ -3804,8 +3793,6 @@ static PyMemberDef node_members[] = {
     {"stats", T_OBJECT, offsetof(NodeObject, stats), READONLY, NULL},
     {"cpu", T_OBJECT, offsetof(NodeObject, cpu), READONLY,
      "The FifoServer all application-visible work is charged to."},
-    {"_register", T_OBJECT, offsetof(NodeObject, register_cb), READONLY,
-     "The cache's register_payload."},
     {"_validate", T_OBJECT, offsetof(NodeObject, validate), 0,
      "hooks.validate, or None for the default (admit everything)."},
     {"_aggregate", T_OBJECT, offsetof(NodeObject, aggregate), 0,
@@ -3826,8 +3813,7 @@ static PyMemberDef node_members[] = {
 
 static PyGetSetDef node_getset[] = {
     {"cache", (getter)node_get_cache, (setter)node_set_cache,
-     "Duplicate detector; an InternedSeenCache is probed directly, any "
-     "other through its register_payload.", NULL},
+     "Duplicate detector: an InternedSeenCache, probed directly.", NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
 
@@ -7385,7 +7371,6 @@ intern_strings(void)
         {&str_per_byte_s, "per_byte_s"},
         {&str_queue_capacity, "queue_capacity"},
         {&str_jitter_s, "jitter_s"},
-        {&str_register_payload, "register_payload"},
         {&str_recv_fresh_s, "recv_fresh_s"}, {&str_recv_dup_s, "recv_dup_s"},
         {&str_send_per_peer_s, "send_per_peer_s"},
         {&str_complete, "_complete"}, {&str_aggregated, "aggregated"},

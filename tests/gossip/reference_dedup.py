@@ -1,14 +1,12 @@
-"""Uid-keyed duplicate detectors: the executable reference models.
+"""The uid-keyed duplicate detector: an executable reference model.
 
-These are the structures :class:`repro.gossip.cache.InternedSeenCache` and
-:class:`repro.gossip.bloom.InternedSlidingBloomFilter` replaced with
-arrays over interned dense ids. They live with the tests because nothing
-else constructs them: `tests/properties/test_interner_props.py` drives
-random registration traces through each pair and demands the same
-verdicts, counters, membership and (for the filter) bitmaps.
+This is the structure :class:`repro.gossip.cache.InternedSeenCache`
+replaced with arrays over interned dense ids. It lives with the tests
+because nothing else constructs it:
+`tests/properties/test_interner_props.py` drives random registration
+traces through both and demands the same verdicts, counters and
+membership.
 """
-
-import hashlib
 
 
 class RecentlySeenCache:
@@ -48,64 +46,3 @@ class RecentlySeenCache:
     def register_payload(self, payload):
         return self.register(payload.uid)
 
-
-class _BloomGeneration:
-    __slots__ = ("bits", "num_bits", "inserted")
-
-    def __init__(self, num_bits):
-        self.bits = 0
-        self.num_bits = num_bits
-        self.inserted = 0
-
-    def _positions(self, uid, num_hashes):
-        digest = hashlib.blake2b(repr(uid).encode("utf-8"), digest_size=16).digest()
-        value = int.from_bytes(digest, "big")
-        for i in range(num_hashes):
-            yield (value >> (i * 17)) % self.num_bits
-
-    def add(self, uid, num_hashes):
-        for pos in self._positions(uid, num_hashes):
-            self.bits |= 1 << pos
-        self.inserted += 1
-
-    def contains(self, uid, num_hashes):
-        bits = self.bits
-        return all((bits >> pos) & 1 for pos in self._positions(uid, num_hashes))
-
-
-class SlidingBloomFilter:
-    """Two-generation sliding Bloom filter that digests the uid per probe."""
-
-    __slots__ = ("num_bits", "num_hashes", "generation_size",
-                 "_current", "_previous", "registered", "hits")
-
-    def __init__(self, num_bits=1 << 17, num_hashes=4, generation_size=20_000):
-        self.num_bits = num_bits
-        self.num_hashes = num_hashes
-        self.generation_size = generation_size
-        self._current = _BloomGeneration(num_bits)
-        self._previous = None
-        self.registered = 0
-        self.hits = 0
-
-    def __contains__(self, uid):
-        if self._current.contains(uid, self.num_hashes):
-            return True
-        if self._previous is not None:
-            return self._previous.contains(uid, self.num_hashes)
-        return False
-
-    def register(self, uid):
-        """Record ``uid``; returns True if it looked fresh."""
-        if uid in self:
-            self.hits += 1
-            return False
-        self._current.add(uid, self.num_hashes)
-        self.registered += 1
-        if self._current.inserted >= self.generation_size:
-            self._previous = self._current
-            self._current = _BloomGeneration(self.num_bits)
-        return True
-
-    def register_payload(self, payload):
-        return self.register(payload.uid)

@@ -277,7 +277,7 @@ class ReferenceNode(GossipNode):
             # Single-part fast path: no part list, no service accumulator
             # loop — identical charges and pushes, common-case receive.
             obs = self.obs
-            if self._register(payload):
+            if self.cache.register_payload(payload):
                 if obs is not None:
                     obs.gossip_receive(self.process_id, src, payload, True)
                 self._cpu_submit(self._svc_receive, self._complete,
@@ -290,7 +290,7 @@ class ReferenceNode(GossipNode):
             return
         parts = self._hooks.disaggregate(payload)
         self.stats.disaggregated += len(parts)
-        register = self._register
+        register = self.cache.register_payload
         fresh = []
         service = 0.0
         duplicates = 0

@@ -89,6 +89,26 @@ def test_tiny_cache_causes_refording_not_deadlock(sim):
     assert "m1" in deliveries[3] and "m2" in deliveries[3]
 
 
+class _DuckCache:
+    def register_payload(self, payload):
+        return True
+
+
+@pytest.mark.parametrize("cache", [object(), _DuckCache()],
+                         ids=["object", "duck-typed"])
+def test_cache_setter_takes_only_an_interned_seen_cache(sim, cache):
+    deliveries = [[] for _ in range(2)]
+    nodes = build_mesh(sim, {0: [1], 1: [0]}, deliveries=deliveries)
+    kept = nodes[1].cache
+    with pytest.raises(TypeError, match=type(cache).__name__):
+        nodes[1].cache = cache
+    assert nodes[1].cache is kept
+    nodes[0].broadcast(RawPayload("m", 10))
+    sim.run()
+    assert deliveries[1] == ["m"]
+    assert kept.registered == 1
+
+
 def test_crashed_node_breaks_line_topology(sim):
     deliveries = [[] for _ in range(4)]
     nodes = build_mesh(sim, LINE, deliveries=deliveries)

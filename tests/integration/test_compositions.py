@@ -1,8 +1,8 @@
 """Feature-composition matrix.
 
 Each feature works alone; these runs pin the pairwise compositions that
-could plausibly interact (strategy x protocol, faults x variant, dedup x
-semantics, ...). Every run must still order values and keep total order.
+could plausibly interact (strategy x protocol, faults x variant, ...).
+Every run must still order values and keep total order.
 """
 
 import pytest
@@ -18,8 +18,8 @@ COMPOSITIONS = [
     pytest.param(dict(setup="semantic", protocol="raft",
                       gossip_strategy="push-pull", pull_interval=0.1),
                  id="raft+semantic+push-pull"),
-    pytest.param(dict(setup="semantic", spaxos=True, use_bloom_dedup=True),
-                 id="spaxos+semantic+bloom"),
+    pytest.param(dict(setup="semantic", spaxos=True),
+                 id="spaxos+semantic"),
     pytest.param(dict(setup="gossip", spaxos=True, loss_rate=0.05,
                       retransmit_timeout=0.4, drain=4.0),
                  id="spaxos+loss+retransmit"),
@@ -33,9 +33,8 @@ COMPOSITIONS = [
     pytest.param(dict(setup="gossip", gossip_strategy="push-pull",
                       pull_interval=0.1, loss_rate=0.10, drain=5.0),
                  id="push-pull+loss"),
-    pytest.param(dict(setup="semantic", enable_aggregation=False,
-                      use_bloom_dedup=True),
-                 id="filtering-only+bloom"),
+    pytest.param(dict(setup="semantic", enable_aggregation=False),
+                 id="filtering-only"),
     pytest.param(dict(setup="semantic", faults=((1.0, Crash(0)),),
                       membership=MembershipConfig(), retransmit_timeout=0.4,
                       drain=5.0),

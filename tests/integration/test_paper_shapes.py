@@ -158,17 +158,6 @@ def test_aggregation_savings_scale_with_load():
     assert low.messages.aggregated_saved > 0
 
 
-def test_bloom_dedup_drop_in_equivalence():
-    """The sliding Bloom filter yields a working system with comparable
-    message totals to the LRU cache."""
-    lru = run_experiment(fast_config(setup="gossip", n=13, rate=40))
-    bloom = run_experiment(fast_config(setup="gossip", n=13, rate=40,
-                                       use_bloom_dedup=True))
-    assert bloom.not_ordered == 0
-    assert (abs(bloom.messages.received_total - lru.messages.received_total)
-            < 0.2 * lru.messages.received_total)
-
-
 def test_filtering_only_and_aggregation_only_both_help():
     """Ablation sanity: each technique alone reduces traffic."""
     base = run_experiment(fast_config(setup="gossip", n=13, rate=200,

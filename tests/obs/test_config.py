@@ -35,3 +35,10 @@ def test_max_hops_per_value_must_not_be_negative():
 def test_valid_values_are_kept():
     config = ObsConfig(tick_interval=1, max_hops_per_value=0)
     assert config.tick_interval == 1 and config.max_hops_per_value == 0
+
+
+@pytest.mark.parametrize("field", ["spans", "hops", "timeseries"])
+@pytest.mark.parametrize("value", ["no", 0, 1, None])
+def test_switches_must_be_bools(field, value):
+    with pytest.raises(TypeError, match="^{} must be a bool".format(field)):
+        ObsConfig(**{field: value})

@@ -1,28 +1,21 @@
 """Property tests for the uid interner and the array-backed dedup caches.
 
-The flat-state hot path rests on two behavioural-equivalence claims
-against the uid-keyed reference models of
-``tests/gossip/reference_dedup.py``:
-
-* :class:`InternedSeenCache` is indistinguishable from
-  :class:`RecentlySeenCache` — same freshness verdicts, same
-  ``registered``/``hits``/``evictions`` counters, same membership — for
-  *any* trace of registrations under *any* capacity;
-* :class:`InternedSlidingBloomFilter` is indistinguishable from
-  :class:`SlidingBloomFilter` — including false positives, since both
-  derive bit positions from the same blake2b digest.
-
-These properties are what let the array forms replace the uid-keyed ones
+The flat-state hot path rests on one behavioural-equivalence claim
+against the uid-keyed reference model of
+``tests/gossip/reference_dedup.py``: :class:`InternedSeenCache` is
+indistinguishable from :class:`RecentlySeenCache` — same freshness
+verdicts, same ``registered``/``hits``/``evictions`` counters, same
+membership — for *any* trace of registrations under *any* capacity.
+This property is what let the array form replace the uid-keyed one
 without disturbing a single committed fingerprint.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gossip.bloom import BloomPositionCache, InternedSlidingBloomFilter
 from repro.gossip.cache import InternedSeenCache
 from repro.net.message import Payload, UidInterner
-from tests.gossip.reference_dedup import RecentlySeenCache, SlidingBloomFilter
+from tests.gossip.reference_dedup import RecentlySeenCache
 
 #: Structured uids like the gossip layer's (kind, sender, counter) tuples,
 #: drawn from a small space so traces revisit uids (duplicates, eviction
@@ -110,51 +103,3 @@ def test_interned_seen_cache_matches_dict_cache(uids, capacity, fresh_payload):
     for uid in set(uids):
         assert (uid in interned) == (uid in reference)
 
-
-# -- sliding-bloom equivalence -----------------------------------------------
-
-
-@given(
-    uids=st.lists(_uids, max_size=300),
-    generation_size=st.integers(min_value=1, max_value=40),
-)
-@settings(max_examples=100, deadline=None)
-def test_interned_bloom_matches_uid_keyed_bloom(uids, generation_size):
-    """Identical verdicts, counters, bitmaps — false positives included.
-
-    A tiny bit space (64 bits) makes false positives and generation
-    rotations frequent, so the trace exercises exactly the paths where a
-    divergence would hide.
-    """
-    num_bits, num_hashes = 64, 4
-    interner = UidInterner()
-    positions = BloomPositionCache(interner, num_bits, num_hashes)
-    reference = SlidingBloomFilter(num_bits, num_hashes, generation_size)
-    interned = InternedSlidingBloomFilter(positions, generation_size)
-    for uid in uids:
-        assert (interned.register_payload(Payload(uid, 64))
-                == reference.register_payload(Payload(uid, 64)))
-        assert interned.registered == reference.registered
-        assert interned.hits == reference.hits
-        # Same bitmaps, same rotation state.
-        assert interned._current.bits == reference._current.bits
-        assert interned._current.inserted == reference._current.inserted
-        assert ((interned._previous is None)
-                == (reference._previous is None))
-        if interned._previous is not None:
-            assert interned._previous.bits == reference._previous.bits
-    for uid in set(uids):
-        assert (uid in interned) == (uid in reference)
-
-
-@given(uids=st.lists(_uids, min_size=1, max_size=50))
-@settings(max_examples=50, deadline=None)
-def test_interned_bloom_contains_handles_uninterned_uids(uids):
-    """Probing a uid the interner never saw must not intern it."""
-    interner = UidInterner()
-    positions = BloomPositionCache(interner, 64, 4)
-    interned = InternedSlidingBloomFilter(positions)
-    probe = ("never-registered", 999, 999)
-    before = len(interner)
-    assert (probe in interned) in (True, False)
-    assert len(interner) == before

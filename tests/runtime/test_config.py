@@ -104,6 +104,35 @@ def test_bad_value_rejected_naming_the_field(field, value):
         ExperimentConfig(gossip_strategy="pull", **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("enable_filtering", "no"),
+    ("enable_aggregation", "no"),
+    ("spaxos", "no"),
+    ("spaxos", 1),
+    ("k", 2.5),
+    ("k", True),
+    ("num_clients", 2.5),
+    ("send_queue_capacity", 1.5),
+    ("num_regions", "4"),
+    ("seed", 1.0),
+    ("seed", None),
+    ("overlay_seed", False),
+    ("region_seed", 0.5),
+])
+def test_mistyped_switch_or_count_rejected_naming_the_field(field, value):
+    """A truthy string would turn a switch on, and a float count fails
+    only part-way through the build."""
+    with pytest.raises(TypeError, match="^{} must be a".format(field)):
+        ExperimentConfig(**{field: value})
+
+
+def test_numpy_ints_are_accepted_as_counts_and_seeds():
+    np = pytest.importorskip("numpy")
+    config = ExperimentConfig(k=np.int64(3), num_clients=np.int32(2),
+                              seed=np.int64(4), region_seed=np.uint8(1))
+    assert config.effective_k == 3
+
+
 def test_zero_value_size_and_disabled_retransmission_stay_legal():
     ExperimentConfig(value_size=0, retransmit_timeout=None)
 

@@ -1,10 +1,10 @@
 """Tests for deployment wiring of the three setups."""
 
 from repro.core.semantics import PaxosSemantics
-from repro.gossip.bloom import InternedSlidingBloomFilter
+from repro.gossip.cache import InternedSeenCache
 from repro.gossip.hooks import SemanticHooks
 from repro.gossip.node import GossipNode
-from repro.runtime.deployment import build_deployment
+from repro.runtime.deployment import DEDUP_CACHE_CAPACITY, build_deployment
 from repro.runtime.direct import DirectNode
 from tests.conftest import fast_config
 
@@ -83,16 +83,12 @@ def test_loss_injector_only_when_configured():
     assert lossy.loss_injector.rate == 0.1
 
 
-def test_bloom_dedup_option():
-    deployment = build_deployment(fast_config(use_bloom_dedup=True))
-    assert all(
-        type(node.cache) is InternedSlidingBloomFilter
-        for node in deployment.nodes
-    )
-    # All nodes share the deployment's position cache and interner.
-    positions = {id(node.cache.positions) for node in deployment.nodes}
-    assert len(positions) == 1
-    assert deployment.nodes[0].cache.positions.interner is deployment.interner
+def test_every_node_has_a_seen_cache_over_the_deployment_interner():
+    deployment = build_deployment(fast_config())
+    for node in deployment.nodes:
+        assert type(node.cache) is InternedSeenCache
+        assert node.cache.capacity == DEDUP_CACHE_CAPACITY
+        assert node.cache.interner is deployment.interner
 
 
 def test_processes_wired_to_nodes():
