@@ -22,8 +22,8 @@ PLAN = {
 def _wire_bytes(deployment):
     return sum(
         link.stats.bytes_sent
-        for transport in deployment.transports
-        for link in transport._links.values()
+        for node in deployment.nodes
+        for link in node.links.values()
     )
 
 

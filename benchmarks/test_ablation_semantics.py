@@ -40,8 +40,8 @@ def run_ablation():
         deployment, report = run_deployment(config)
         bytes_sent = sum(
             link.stats.bytes_sent
-            for transport in deployment.transports
-            for link in transport._links.values()
+            for node in deployment.nodes
+            for link in node.links.values()
         )
         results[name] = (report, bytes_sent)
     return results

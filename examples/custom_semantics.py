@@ -21,11 +21,10 @@ Run:  python examples/custom_semantics.py
 from repro.gossip.cache import InternedSeenCache
 from repro.gossip.hooks import SemanticHooks
 from repro.gossip.node import GossipCosts, GossipNode
-from repro.net.channel import DirectedLink, LinkConfig
+from repro.net.channel import LinkConfig, connect
 from repro.net.message import Payload, UidInterner
 from repro.net.overlay import generate_overlay
 from repro.net.topology import Topology
-from repro.net.transport import Transport
 from repro.sim.kernel import Simulator
 from repro.sim.random import make_stream
 
@@ -108,16 +107,6 @@ class WatermarkSemantics(SemanticHooks):
 def build(sim, semantic):
     topology = Topology(N)
     overlay = generate_overlay(N, 2, make_stream(7, "overlay"))
-    transports = [Transport(i) for i in range(N)]
-    link_config = LinkConfig()
-    for edge in overlay.edges:
-        a, b = sorted(edge)
-        transports[a].connect(DirectedLink(
-            sim, a, b, topology.latency_s(a, b), link_config,
-            transports[b].deliver))
-        transports[b].connect(DirectedLink(
-            sim, b, a, topology.latency_s(b, a), link_config,
-            transports[a].deliver))
     progress = [dict() for _ in range(N)]
     nodes = []
     # One interner for the whole overlay: a payload's dense id is stamped
@@ -125,14 +114,18 @@ def build(sim, semantic):
     interner = UidInterner()
     for i in range(N):
         hooks = WatermarkSemantics() if semantic else None
-        node = GossipNode(sim, i, transports[i], costs=GossipCosts(),
-                          hooks=hooks,
+        node = GossipNode(sim, i, costs=GossipCosts(), hooks=hooks,
                           cache=InternedSeenCache(interner=interner))
         node.deliver = (lambda p, i=i:
                         progress[i].__setitem__(p.sender, max(
                             progress[i].get(p.sender, -1), p.watermark))
                         if isinstance(p, Announce) else None)
         nodes.append(node)
+    link_config = LinkConfig()
+    for edge in overlay.edges:
+        a, b = sorted(edge)
+        connect(nodes[a], nodes[b], topology.latency_s(a, b), link_config)
+        connect(nodes[b], nodes[a], topology.latency_s(b, a), link_config)
     for i in range(N):
         for peer in overlay.peers(i):
             nodes[i].add_peer(peer)

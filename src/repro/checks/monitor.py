@@ -68,14 +68,18 @@ class CheckedHooks(SemanticHooks):
     """Wraps a deployment's :class:`SemanticHooks` with reversibility checks.
 
     Delegates every call to the wrapped hooks and verifies, per aggregate
-    batch, that no vote is lost or invented. Installed per node by
-    :meth:`SafetyMonitor.attach`; usable standalone in unit tests.
+    batch, that no vote is lost or invented. A hook the wrapped hooks set
+    to None (a disabled technique) is None here too. Installed per node
+    by :meth:`SafetyMonitor.attach`; usable standalone in unit tests.
     """
 
     def __init__(self, inner, monitor, node_id=None):
         self.inner = inner
         self.monitor = monitor
         self.node_id = node_id
+        for name in ("validate", "aggregate"):
+            if getattr(inner, name) is None:
+                setattr(self, name, None)
 
     def validate(self, payload, peer_id):
         return self.inner.validate(payload, peer_id)

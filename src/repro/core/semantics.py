@@ -15,7 +15,15 @@ from repro.gossip.hooks import SemanticHooks
 
 
 class PaxosSemantics(SemanticHooks):
-    """validate/aggregate/disaggregate with consensus knowledge (§3.2)."""
+    """validate/aggregate/disaggregate with consensus knowledge (§3.2).
+
+    The hooks are the compiled filter's and aggregator's own bound
+    methods, which the gossip node calls without entering Python. A
+    disabled technique's hook is None: the node makes no call for it (it
+    admits every message, or sends a batch as it stands) and, as for any
+    semantic hooks, still charges ``hook_s`` per message examined. A
+    subclass that defines a hook keeps its own.
+    """
 
     def __init__(self, n, enable_filtering=True, enable_aggregation=True):
         self.n = n
@@ -23,28 +31,14 @@ class PaxosSemantics(SemanticHooks):
         self.enable_aggregation = enable_aggregation
         self.filter = SemanticFilter(n) if enable_filtering else None
         self.aggregator = SemanticAggregator()
-        # Unless a subclass overrides them, the gossip node calls the
-        # compiled filter's and aggregator's own validate, aggregate and
-        # disaggregate: no Python frame per (message, peer) or arrival.
         cls = type(self)
-        if self.filter is not None and cls.validate is PaxosSemantics.validate:
-            self.validate = self.filter.validate
-        if enable_aggregation and cls.aggregate is PaxosSemantics.aggregate:
-            self.aggregate = self.aggregator.aggregate
-        if cls.disaggregate is PaxosSemantics.disaggregate:
+        if cls.validate is SemanticHooks.validate:
+            self.validate = (self.filter.validate if enable_filtering
+                             else None)
+        if cls.aggregate is SemanticHooks.aggregate:
+            self.aggregate = (self.aggregator.aggregate if enable_aggregation
+                              else None)
+        # Disaggregation works even with local aggregation disabled: peers
+        # running the full semantics may send us aggregated votes.
+        if cls.disaggregate is SemanticHooks.disaggregate:
             self.disaggregate = self.aggregator.disaggregate
-
-    def validate(self, payload, peer_id):
-        if self.filter is None:
-            return True
-        return self.filter.validate(payload, peer_id)
-
-    def aggregate(self, payloads, peer_id):
-        if not self.enable_aggregation:
-            return payloads
-        return self.aggregator.aggregate(payloads, peer_id)
-
-    def disaggregate(self, payload):
-        # Disaggregation must work even when local aggregation is disabled:
-        # peers running the full semantics may send us aggregated votes.
-        return self.aggregator.disaggregate(payload)

@@ -14,7 +14,9 @@ behaviour without being modified itself:
   rules) or the message itself (non-reversible rules).
 
 The default implementation is a no-op: with it, the gossip layer behaves
-exactly like classic gossip.
+exactly like classic gossip, and charges no hook CPU time. Hooks may set
+``validate`` or ``aggregate`` to None (a disabled technique): the node
+then makes no call for it, and charges hook time as for any other hooks.
 
 **Reversibility contract** (paper §3.2): an aggregation rule must neither
 lose nor invent protocol messages — flattening a send batch through

@@ -76,6 +76,12 @@ class GossipCosts:
             check_service_time("GossipCosts." + name, getattr(self, name))
 
 
+def _is_noop(hooks, name):
+    """Whether ``hooks``' ``name`` hook is SemanticHooks' no-op."""
+    hook = getattr(hooks, name)
+    return getattr(hook, "__func__", None) is getattr(SemanticHooks, name)
+
+
 class _PeerSender(compiled.SenderCore):
     """Send routine for one peer: queue + validate/aggregate + pacing.
 
@@ -122,18 +128,20 @@ class GossipNode(compiled.NodeCore, Actor):
     """
 
     __slots__ = (
-        "sim", "name", "transport", "costs",
+        "sim", "name", "links", "costs",
         "hooks_charged", "_hooks", "_senders", "_send_queue_capacity",
     )
 
-    def __init__(self, sim, process_id, transport, costs=None, hooks=None,
-                 cache=None, deliver=None, cpu=None, send_queue_capacity=None):
+    def __init__(self, sim, process_id, costs=None, hooks=None, cache=None,
+                 deliver=None, cpu=None, send_queue_capacity=None):
         """
+        The node starts with no links: :func:`repro.net.channel.connect`
+        files each outgoing link in ``links`` (by destination id, in
+        connect order) and points each incoming one's arrivals at
+        ``_on_link_receive``; :meth:`add_peers` then gossips over them.
+
         Parameters
         ----------
-        transport:
-            The process's :class:`repro.net.transport.Transport`; its links
-            carry gossip traffic and its receive callback is claimed here.
         hooks:
             :class:`SemanticHooks`; defaults to the no-op implementation
             (classic gossip).
@@ -150,17 +158,17 @@ class GossipNode(compiled.NodeCore, Actor):
             Optional shared :class:`FifoServer`; one is created if absent.
         """
         Actor.__init__(self, sim, "gossip-{}".format(process_id))
-        self.transport = transport
+        self.links = {}
         self.costs = costs = costs or GossipCosts()
         hooks = hooks or SemanticHooks()
         #: Whether hook CPU time (``costs.hook_s``) is charged on the send
-        #: path. Decided once against the hooks installed at construction,
-        #: so observational wrappers attached later (e.g. the safety
-        #: monitor's CheckedHooks) cannot perturb run timing.
-        self.hooks_charged = (
-            type(hooks).validate is not SemanticHooks.validate
-            or type(hooks).aggregate is not SemanticHooks.aggregate
-        )
+        #: path: unless validate and aggregate are both the no-op defaults
+        #: (classic gossip). A hook set to None makes no call but is still
+        #: charged. Decided once against the hooks installed at
+        #: construction, so observational wrappers attached later (e.g.
+        #: the safety monitor's CheckedHooks) cannot perturb run timing.
+        self.hooks_charged = not (_is_noop(hooks, "validate")
+                                  and _is_noop(hooks, "aggregate"))
         if cache is None:
             cache = InternedSeenCache(interner=UidInterner())
         cpu = cpu or FifoServer(sim)
@@ -170,7 +178,6 @@ class GossipNode(compiled.NodeCore, Actor):
         self.hooks = hooks                        # property: sets flags
         self._senders = {}
         self._send_queue_capacity = send_queue_capacity
-        transport.on_receive(self._on_link_receive)
 
     @property
     def hooks(self):
@@ -181,22 +188,15 @@ class GossipNode(compiled.NodeCore, Actor):
         # Refresh the bound hooks on every swap (safety monitor wrappers,
         # test doubles): the default validate admits everything, the
         # default aggregate is the identity and the default disaggregate
-        # returns the payload alone, so they are None and the hot path
-        # skips those calls entirely. ``hooks_charged`` is
-        # deliberately NOT refreshed — the CPU-charge decision is pinned
-        # at construction so observational wrappers cannot perturb run
-        # timing.
+        # returns the payload alone, so they are bound as None, like a
+        # hook the hooks object set to None, and the hot path skips those
+        # calls entirely. ``hooks_charged`` is deliberately NOT refreshed
+        # — the CPU-charge decision is pinned at construction so
+        # observational wrappers cannot perturb run timing.
         self._hooks = hooks
-        kind = type(hooks)
-        self._validate = (
-            None if kind.validate is SemanticHooks.validate
-            else hooks.validate)
-        self._aggregate = (
-            None if kind.aggregate is SemanticHooks.aggregate
-            else hooks.aggregate)
-        self._disaggregate = (
-            None if kind.disaggregate is SemanticHooks.disaggregate
-            else hooks.disaggregate)
+        self._validate, self._aggregate, self._disaggregate = (
+            None if _is_noop(hooks, name) else getattr(hooks, name)
+            for name in ("validate", "aggregate", "disaggregate"))
 
     # -- wiring ----------------------------------------------------------
 
@@ -222,13 +222,13 @@ class GossipNode(compiled.NodeCore, Actor):
         self.alive = True
 
     def add_peers(self, peer_ids):
-        """Register peers reachable through the transport's links, in
-        order, with one fan-out rebuild (the overlay's initial wiring)."""
-        link_to = self.transport.link_to
+        """Register peers reachable over ``links``, in order, with one
+        fan-out rebuild (the overlay's initial wiring)."""
+        links = self.links
         capacity = self._send_queue_capacity
         senders = self._senders
         for peer_id in peer_ids:
-            senders[peer_id] = _PeerSender(self, peer_id, link_to(peer_id),
+            senders[peer_id] = _PeerSender(self, peer_id, links[peer_id],
                                            capacity)
         self._rebuild_forward()
 

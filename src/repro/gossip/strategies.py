@@ -95,9 +95,9 @@ class PullResponse(Payload):
 class PullGossipNode(GossipNode):
     """Pull-only dissemination: no eager forwarding, periodic digests."""
 
-    def __init__(self, sim, process_id, transport, pull_interval=0.05,
-                 pull_fanout=1, store_capacity=10_000, **kwargs):
-        super().__init__(sim, process_id, transport, **kwargs)
+    def __init__(self, sim, process_id, pull_interval=0.05, pull_fanout=1,
+                 store_capacity=10_000, **kwargs):
+        super().__init__(sim, process_id, **kwargs)
         self.pull_interval = pull_interval
         self.pull_fanout = pull_fanout
         self.store = MessageStore(store_capacity)
@@ -197,10 +197,9 @@ class PullGossipNode(GossipNode):
 class PushPullGossipNode(PullGossipNode):
     """Eager push with periodic pull as anti-entropy repair."""
 
-    def __init__(self, sim, process_id, transport, pull_interval=0.2,
-                 pull_fanout=1, **kwargs):
-        super().__init__(sim, process_id, transport,
-                         pull_interval=pull_interval,
+    def __init__(self, sim, process_id, pull_interval=0.2, pull_fanout=1,
+                 **kwargs):
+        super().__init__(sim, process_id, pull_interval=pull_interval,
                          pull_fanout=pull_fanout, **kwargs)
 
     def _complete(self, payload, src):

@@ -1,5 +1,9 @@
 """Network substrate: regions, latency model, channels, overlays, faults.
 
+A channel is two :class:`DirectedLink` objects, one per direction, built
+by :func:`connect`: each delivers straight into its destination node, and
+each node keeps its outgoing links in ``links``.
+
 This package replaces the paper's AWS/libp2p testbed with a simulated
 network whose WAN latencies are anchored on the paper's Table 1. See
 DESIGN.md §2 for the substitution rationale.
@@ -13,8 +17,7 @@ from repro.net.regions import (
 )
 from repro.net.topology import Topology
 from repro.net.message import Payload
-from repro.net.channel import DirectedLink, LinkConfig
-from repro.net.transport import Transport
+from repro.net.channel import DirectedLink, LinkConfig, connect
 from repro.net.overlay import Overlay, generate_overlay
 from repro.net.faults import (
     FaultEngine,
@@ -32,7 +35,7 @@ __all__ = [
     "Payload",
     "DirectedLink",
     "LinkConfig",
-    "Transport",
+    "connect",
     "Overlay",
     "generate_overlay",
     "FaultEngine",

@@ -66,10 +66,15 @@ the Python reference model they replaced is `tests/net/reference_link.py`.
 ``DirectedLink(sim, src, dst, latency_s, config, deliver,
 loss_hook=None)`` reads ``config`` when it is set (at construction and
 by :meth:`DirectedLink.degrade`). Its surface: ``commit``, ``transmit``,
-``degrade``, ``restore``, ``rebind_deliver``, ``stats`` (drained to now),
-``busy``, ``queue_length``, a settable ``loss_hook``, ``config``,
-``latency_s``, ``src``, ``dst`` and ``sim``; each arrival event calls its
-``_arrive``.
+``degrade``, ``restore``, ``stats`` (drained to now), ``busy``,
+``queue_length``, a settable ``loss_hook``, ``config``, ``latency_s``,
+``deliver``, ``src``, ``dst`` and ``sim``; each arrival event calls its
+``_arrive``, which calls ``deliver(src, payload)``.
+
+Nothing sits between a link and the nodes at its ends: :func:`connect`
+builds the link ``src -> dst`` with ``deliver`` fixed to the destination
+node's ``_on_link_receive``, and files it in the source node's ``links``
+(a dict by destination id, in connect order).
 """
 
 from repro.sim.events import compiled
@@ -112,3 +117,15 @@ class LinkConfig:
 
 LinkStats = compiled.LinkStats
 DirectedLink = compiled.DirectedLink
+
+
+def connect(src, dst, latency_s, config, loss_hook=None):
+    """Build the directed link from node ``src`` to node ``dst``.
+
+    Arrivals go straight into ``dst._on_link_receive``; the link joins
+    ``src.links`` under ``dst``'s id and is returned.
+    """
+    link = DirectedLink(src.sim, src.process_id, dst.process_id, latency_s,
+                        config, dst._on_link_receive, loss_hook)
+    src.links[dst.process_id] = link
+    return link

@@ -88,10 +88,9 @@ class _ChaosHook:
 class FaultEngine:
     """Installs a fault plan's events on a deployment's clock and links."""
 
-    def __init__(self, sim, topology, transports, nodes, processes, plan):
+    def __init__(self, sim, topology, nodes, processes, plan):
         self.sim = sim
         self.topology = topology
-        self.transports = transports
         self.nodes = nodes
         self.processes = processes
         self.plan = plan
@@ -113,9 +112,9 @@ class FaultEngine:
     # -- wiring --------------------------------------------------------------
 
     def _links(self):
-        for transport in self.transports:
-            for link in transport.links():
-                yield link
+        """Every directed link: by source id, then in connect order."""
+        for node in self.nodes:
+            yield from node.links.values()
 
     def install(self):
         """Schedule the plan's events (once)."""
@@ -131,7 +130,7 @@ class FaultEngine:
         chaos rules stay uniform across the whole overlay."""
         if self._interposed:
             for src, dst in ((a, b), (b, a)):
-                self._wrap(self.transports[src].link_to(dst))
+                self._wrap(self.nodes[src].links[dst])
 
     def _wrap(self, link):
         if not isinstance(link.loss_hook, _ChaosHook):

@@ -61,14 +61,14 @@ class TimelineSampler:
 
     def _scan_links(self):
         """Group any not-yet-seen directed links by their source region."""
-        transports = self.deployment.transports
-        total = sum(len(transport.links()) for transport in transports)
+        nodes = self.deployment.nodes
+        total = sum(len(node.links) for node in nodes)
         if total == self._known_links:
             return
         topology = self.deployment.topology
         by_region = {region: [] for region in self._regions}
-        for transport in transports:
-            for link in transport.links():
+        for node in nodes:
+            for link in node.links.values():
                 by_region[topology.region_name(link.src)].append(link)
         self._links_by_region = by_region
         self._known_links = total

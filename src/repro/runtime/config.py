@@ -7,6 +7,7 @@ override sizes, rates, and fault parameters per figure.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -25,9 +26,14 @@ SETUPS = ("baseline", "gossip", "semantic")
 _SWITCHES = ("enable_filtering", "enable_aggregation", "spaxos")
 #: Fields that must be integral: anything ``operator.index`` takes, numpy
 #: ints included, but not a ``bool``. The optional ones may also be None.
-_INTEGERS = ("seed", "region_seed")
+_INTEGERS = ("n", "coordinator_id", "value_size", "seed", "region_seed")
 _OPTIONAL_INTEGERS = ("k", "num_clients", "send_queue_capacity",
                       "num_regions", "overlay_seed")
+#: Fields that must be real numbers (not a ``bool``); the optional one may
+#: also be None.
+_REALS = ("rate", "warmup", "duration", "drain", "loss_rate",
+          "pull_interval")
+_OPTIONAL_REALS = ("retransmit_timeout",)
 
 
 def _is_integral(value):
@@ -181,9 +187,20 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is None and name in _OPTIONAL_INTEGERS:
                 continue
+            if isinstance(value, float) and not math.isfinite(value):
+                # A bad value, like a negative one, not a bad type.
+                raise ValueError(
+                    "{} must be finite, got {!r}".format(name, value))
             if not _is_integral(value):
                 raise TypeError(
                     "{} must be an int, got {!r}".format(name, value))
+        for name in _REALS + _OPTIONAL_REALS:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_REALS:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(
+                    "{} must be a real number, got {!r}".format(name, value))
 
     def _validate_membership(self):
         if self.membership is None:

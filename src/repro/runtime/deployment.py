@@ -16,14 +16,13 @@ from repro.gossip.cache import InternedSeenCache
 from repro.gossip.node import GossipNode
 from repro.gossip.strategies import PullGossipNode, PushPullGossipNode
 from repro.membership.service import MembershipService
-from repro.net.channel import DirectedLink
+from repro.net.channel import connect
 from repro.net.faults.engine import FaultEngine
 from repro.net.faults.loss import ReceiverLossInjector
 from repro.net.message import UidInterner
 from repro.net.overlay import generate_overlay
 from repro.net.regions import synthetic_regions
 from repro.net.topology import Topology
-from repro.net.transport import Transport
 from repro.paxos.process import PaxosProcess
 from repro.paxos.spaxos import SPaxosProcess
 from repro.raft.process import RaftProcess
@@ -42,15 +41,14 @@ DEDUP_CACHE_CAPACITY = 200_000
 class Deployment:
     """A fully wired simulated system, ready to run."""
 
-    def __init__(self, config, sim, topology, overlay, transports, nodes,
-                 processes, clients, collector, loss_injector,
+    def __init__(self, config, sim, topology, overlay, nodes, processes,
+                 clients, collector, loss_injector,
                  fault_engine=None, membership=None, obs=None,
                  interner=None):
         self.config = config
         self.sim = sim
         self.topology = topology
         self.overlay = overlay          # None in the Baseline setup
-        self.transports = transports
         self.nodes = nodes              # GossipNode or DirectNode per process
         self.processes = processes
         self.clients = clients
@@ -89,20 +87,13 @@ class Deployment:
         self.sim.run(until=self.config.end_of_run, census=census)
 
 
-def _connect_pair(sim, config, topology, transports, a, b, loss_hook):
-    """Create the two directed links of one bi-directional channel."""
-    link_ab = DirectedLink(
-        sim, a, b, topology.latency_s(a, b), config.link,
-        deliver=transports[b].deliver, loss_hook=loss_hook,
-    )
-    transports[a].connect(link_ab)
-    transports[b].accept(link_ab)
-    link_ba = DirectedLink(
-        sim, b, a, topology.latency_s(b, a), config.link,
-        deliver=transports[a].deliver, loss_hook=loss_hook,
-    )
-    transports[b].connect(link_ba)
-    transports[a].accept(link_ba)
+def _connect_pair(config, topology, nodes, a, b, loss_hook):
+    """Create the two directed links of one bi-directional channel,
+    ``a -> b`` first."""
+    connect(nodes[a], nodes[b], topology.latency_s(a, b), config.link,
+            loss_hook)
+    connect(nodes[b], nodes[a], topology.latency_s(b, a), config.link,
+            loss_hook)
 
 
 def build_deployment(config, auditor=None, obs=None):
@@ -130,8 +121,11 @@ def build_deployment(config, auditor=None, obs=None):
     loss_injector = (
         ReceiverLossInjector(sim, config.loss_rate) if config.loss_rate > 0 else None
     )
-    transports = [Transport(i) for i in range(n)]
 
+    # Nodes first, then their links, then the peer sets. No node or link
+    # constructor draws from an RNG or schedules an event (a jittered
+    # link only looks up its named stream), so the order moves nothing;
+    # each node's ``links`` fills in connect order.
     overlay = None
     overlay_rng = None
     interner = None
@@ -139,20 +133,18 @@ def build_deployment(config, auditor=None, obs=None):
     communicators = []
 
     if config.setup == "baseline":
-        for i in range(1, n):
-            _connect_pair(sim, config, topology, transports,
-                          config.coordinator_id, i, loss_injector)
         for i in range(n):
-            node = DirectNode(sim, i, transports[i], config.costs)
+            node = DirectNode(sim, i, config.costs)
             nodes.append(node)
             communicators.append(BaselineCommunicator(node, config.coordinator_id))
+        for i in range(n):
+            if i != config.coordinator_id:
+                _connect_pair(config, topology, nodes, config.coordinator_id,
+                              i, loss_injector)
     else:
         overlay_rng = make_stream(config.effective_overlay_seed, "overlay")
         overlay = generate_overlay(n, config.effective_k, overlay_rng,
                                    family=config.overlay_family)
-        for edge in overlay.edges:
-            a, b = sorted(edge)
-            _connect_pair(sim, config, topology, transports, a, b, loss_injector)
         semantic = config.setup == "semantic"
         interner = UidInterner()
         for i in range(n):
@@ -172,17 +164,20 @@ def build_deployment(config, auditor=None, obs=None):
                 send_queue_capacity=config.send_queue_capacity,
             )
             if config.gossip_strategy == "push":
-                node = GossipNode(sim, i, transports[i], **common)
+                node = GossipNode(sim, i, **common)
             elif config.gossip_strategy == "pull":
-                node = PullGossipNode(sim, i, transports[i],
+                node = PullGossipNode(sim, i,
                                       pull_interval=config.pull_interval,
                                       **common)
             else:
-                node = PushPullGossipNode(sim, i, transports[i],
+                node = PushPullGossipNode(sim, i,
                                           pull_interval=config.pull_interval,
                                           **common)
             nodes.append(node)
             communicators.append(GossipCommunicator(node))
+        for edge in overlay.edges:
+            a, b = sorted(edge)
+            _connect_pair(config, topology, nodes, a, b, loss_injector)
         for i in range(n):
             nodes[i].add_peers(overlay.peers(i))
 
@@ -226,18 +221,17 @@ def build_deployment(config, auditor=None, obs=None):
     fault_plan = config.fault_plan
     fault_engine = None
     if fault_plan is not None:
-        fault_engine = FaultEngine(sim, topology, transports, nodes,
-                                   processes, fault_plan)
+        fault_engine = FaultEngine(sim, topology, nodes, processes,
+                                   fault_plan)
 
     membership = None
     if config.membership is not None:
         # Reuses the deployment's "overlay" stream so repair/join edges are
         # a deterministic continuation of the initial overlay draw.
         def _lazy_connect(a, b):
-            if b in transports[a].peers():
+            if b in nodes[a].links:
                 return False
-            _connect_pair(sim, config, topology, transports, a, b,
-                          loss_injector)
+            _connect_pair(config, topology, nodes, a, b, loss_injector)
             return True
 
         membership = MembershipService(
@@ -253,6 +247,6 @@ def build_deployment(config, auditor=None, obs=None):
 
         tracer = Tracer(sim, config, obs)
 
-    return Deployment(config, sim, topology, overlay, transports, nodes,
-                      processes, clients, collector, loss_injector,
-                      fault_engine, membership, obs=tracer, interner=interner)
+    return Deployment(config, sim, topology, overlay, nodes, processes,
+                      clients, collector, loss_injector, fault_engine,
+                      membership, obs=tracer, interner=interner)

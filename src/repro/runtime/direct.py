@@ -35,19 +35,24 @@ class DirectStats:
 
 
 class DirectNode(Actor):
-    """Point-to-point sender/receiver with a CPU service queue."""
+    """Point-to-point sender/receiver with a CPU service queue.
 
-    def __init__(self, sim, process_id, transport, costs, deliver=None, cpu=None):
+    The node starts with no links: :func:`repro.net.channel.connect`
+    files each outgoing link in ``links`` (by destination id, in connect
+    order) and points each incoming one's arrivals at
+    ``_on_link_receive``.
+    """
+
+    def __init__(self, sim, process_id, costs, deliver=None, cpu=None):
         super().__init__(sim, "direct-{}".format(process_id))
         self.process_id = process_id
-        self.transport = transport
+        self.links = {}
         self.costs = costs
         self.deliver = deliver
         self.cpu = cpu or FifoServer(sim)
         self.stats = DirectStats()
         self.hooks = None           # no semantic layer on direct links
         self.alive = True
-        transport.on_receive(self._on_link_receive)
 
     def start(self):
         """Nothing to arm: a direct node has no periodic work."""
@@ -68,16 +73,16 @@ class DirectNode(Actor):
             return
         self.stats.sent += 1
         at = self.cpu.submit_acct(self.costs.send_per_peer_s)
-        self.transport.link_to(dst).transmit(payload, at)
+        self.links[dst].transmit(payload, at)
 
     def send_all(self, payload, include_self=True):
         """Send to every connected peer (the coordinator's one-to-many)."""
         if not self.alive:
             return
-        links = self.transport.links()
+        links = self.links
         self.stats.sent += len(links)
         at = self.cpu.submit_acct(len(links) * self.costs.send_per_peer_s)
-        for link in links:
+        for link in links.values():
             link.transmit(payload, at)
         if include_self:
             self._local_delivery(payload)

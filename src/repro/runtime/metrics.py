@@ -298,9 +298,9 @@ def _collect_message_stats(deployment):
         stats.loss_examined = deployment.loss_injector.examined
 
     # Link-level aggregates: every directed link appears in exactly one
-    # transport (its sender's), so summing over transports counts each once.
-    for transport in deployment.transports:
-        for link in transport.links():
+    # node's links (its sender's), so summing over nodes counts each once.
+    for node in deployment.nodes:
+        for link in node.links.values():
             link_stats = link.stats
             stats.link_sent += link_stats.sent
             stats.link_delivered += link_stats.delivered

@@ -2424,14 +2424,6 @@ link_arrive(LinkObject *l, PyObject *payload)
 }
 
 static PyObject *
-link_rebind_deliver(LinkObject *l, PyObject *deliver)
-{
-    Py_INCREF(deliver);
-    Py_XSETREF(l->deliver, deliver);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 link_get_stats(LinkObject *l, void *Py_UNUSED(closure))
 {
     double now;
@@ -2567,8 +2559,6 @@ static PyMethodDef link_methods[] = {
      "order; messages already serialised keep theirs."},
     {"restore", (PyCFunction)link_restore, METH_NOARGS,
      "Undo any degradation (degrade())."},
-    {"rebind_deliver", (PyCFunction)link_rebind_deliver, METH_O,
-     "Point arrivals directly at the receiver's resolved callback."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2576,6 +2566,8 @@ static PyMemberDef link_members[] = {
     {"sim", T_OBJECT, offsetof(LinkObject, sim), READONLY, NULL},
     {"src", T_OBJECT, offsetof(LinkObject, src), READONLY, NULL},
     {"dst", T_OBJECT, offsetof(LinkObject, dst), READONLY, NULL},
+    {"deliver", T_OBJECT, offsetof(LinkObject, deliver), READONLY,
+     "deliver(src, payload), called at each arrival let through."},
     {"config", T_OBJECT, offsetof(LinkObject, config), READONLY,
      "The LinkConfig in force (degrade swaps it)."},
     {NULL, 0, 0, 0, NULL},

@@ -1,7 +1,11 @@
 """Tests for the combined PaxosSemantics hooks."""
 
+import pytest
+
 from repro.core.semantics import PaxosSemantics
+from repro.gossip.node import GossipNode
 from repro.paxos.messages import Aggregated2b, Decision, Phase2b, Value
+from repro.sim.kernel import Simulator
 from tests.conftest import mask
 
 
@@ -26,9 +30,9 @@ def test_validate_uses_filter():
 
 
 def test_validate_passes_all_when_filtering_disabled():
+    """No filter and no validate: the node admits every message."""
     hooks = PaxosSemantics(n=5, enable_filtering=False)
-    hooks.validate(Decision(1, 1, _value()), peer_id=2)
-    assert hooks.validate(_votes(1)[0], peer_id=2)
+    assert hooks.filter is None and hooks.validate is None
 
 
 def test_aggregate_merges_when_enabled():
@@ -38,9 +42,23 @@ def test_aggregate_merges_when_enabled():
 
 
 def test_aggregate_identity_when_disabled():
-    hooks = PaxosSemantics(n=5, enable_aggregation=False)
-    votes = _votes(3)
-    assert hooks.aggregate(votes, peer_id=2) is votes
+    """No aggregate: the node sends a batch as it stands."""
+    assert PaxosSemantics(n=5, enable_aggregation=False).aggregate is None
+
+
+@pytest.mark.parametrize("filtering, aggregation", [
+    (False, True), (True, False), (False, False)])
+def test_a_disabled_technique_binds_no_hook_and_is_still_charged(
+        filtering, aggregation):
+    """The node makes no call for a disabled technique, and charges
+    ``hook_s`` as for the full semantics."""
+    hooks = PaxosSemantics(5, enable_filtering=filtering,
+                           enable_aggregation=aggregation)
+    node = GossipNode(Simulator(seed=1), 0, hooks=hooks)
+    assert (node._validate is None) is not filtering
+    assert (node._aggregate is None) is not aggregation
+    assert node._disaggregate == hooks.aggregator.disaggregate
+    assert node.hooks_charged
 
 
 def test_disaggregate_works_even_with_aggregation_disabled():
@@ -72,7 +90,7 @@ def test_a_subclass_override_is_kept():
             return False
 
         def aggregate(self, payloads, peer_id):
-            return super().aggregate(payloads, peer_id)[:1]
+            return self.aggregator.aggregate(payloads, peer_id)[:1]
 
     hooks = Dropping(n=5)
     assert not hooks.validate(_votes(1)[0], peer_id=2)

@@ -226,10 +226,9 @@ class ReferenceNode(GossipNode):
 
     def add_peers(self, peer_ids):
         """Register peers, each with a Python :class:`_PeerSender`."""
-        link_to = self.transport.link_to
         for peer_id in peer_ids:
             self._senders[peer_id] = _PeerSender(
-                self, peer_id, link_to(peer_id), self._send_queue_capacity)
+                self, peer_id, self.links[peer_id], self._send_queue_capacity)
         self._rebuild_forward()
 
     def _rebuild_forward(self):

@@ -5,40 +5,38 @@ import pytest
 from repro.gossip.cache import InternedSeenCache
 from repro.gossip.hooks import SemanticHooks
 from repro.gossip.node import GossipCosts, GossipNode
-from repro.net.channel import DirectedLink, LinkConfig
+from repro.net.channel import LinkConfig, connect
 from repro.net.message import Payload, RawPayload, UidInterner
-from repro.net.transport import Transport
 from repro.sim.kernel import Simulator
 
 
 def build_mesh(sim, adjacency, hooks_factory=None, costs=None,
                link_config=None, deliveries=None, loss_hook=None,
-               link_cls=DirectedLink):
-    """Wire GossipNodes over the given adjacency {node: [peers]};
-    ``link_cls`` lets a test read a reference link's internals."""
+               link_cls=None):
+    """Wire GossipNodes over the given adjacency {node: [peers]}; links of
+    ``link_cls`` (a reference link) let a test read their internals."""
     n = len(adjacency)
     costs = costs or GossipCosts(recv_fresh_s=1e-6, recv_dup_s=1e-6,
                                  send_per_peer_s=1e-6)
     link_config = link_config or LinkConfig(per_message_s=1e-6, per_byte_s=0.0)
-    transports = [Transport(i) for i in range(n)]
-    for a in range(n):
-        for b in adjacency[a]:
-            if a < b:
-                transports[a].connect(link_cls(
-                    sim, a, b, 0.001, link_config, transports[b].deliver,
-                    loss_hook))
-                transports[b].connect(link_cls(
-                    sim, b, a, 0.001, link_config, transports[a].deliver,
-                    loss_hook))
     nodes = []
     interner = UidInterner()     # one per mesh: payloads carry one iid
     for i in range(n):
         hooks = hooks_factory(i) if hooks_factory else None
-        node = GossipNode(sim, i, transports[i], costs=costs, hooks=hooks,
+        node = GossipNode(sim, i, costs=costs, hooks=hooks,
                           cache=InternedSeenCache(1000, interner))
         if deliveries is not None:
             node.deliver = lambda p, i=i: deliveries[i].append(p.uid)
         nodes.append(node)
+    for a in range(n):
+        for b in adjacency[a]:
+            if a < b:
+                for src, dst in ((nodes[a], nodes[b]), (nodes[b], nodes[a])):
+                    link = connect(src, dst, 0.001, link_config, loss_hook)
+                    if link_cls is not None:
+                        src.links[dst.process_id] = link_cls(
+                            sim, link.src, link.dst, 0.001, link_config,
+                            link.deliver, loss_hook)
     for i in range(n):
         for peer in adjacency[i]:
             nodes[i].add_peer(peer)
@@ -187,14 +185,9 @@ def test_duplicate_fraction_stat(sim):
 
 def test_send_queue_capacity_drops(sim):
     slow = LinkConfig(per_message_s=10.0, per_byte_s=0.0)
-    transports = [Transport(0), Transport(1)]
-    transports[0].connect(DirectedLink(sim, 0, 1, 0.001, slow,
-                                       transports[1].deliver))
-    transports[1].connect(DirectedLink(sim, 1, 0, 0.001, slow,
-                                       transports[0].deliver))
-    node = GossipNode(sim, 0, transports[0],
-                      costs=GossipCosts(1e-6, 1e-6, 1e-6),
+    node = GossipNode(sim, 0, costs=GossipCosts(1e-6, 1e-6, 1e-6),
                       send_queue_capacity=2)
+    connect(node, GossipNode(sim, 1), 0.001, slow)
     node.add_peer(1)
     for i in range(10):
         node.broadcast(RawPayload(("m", i), 10))
@@ -292,9 +285,9 @@ def test_hooks_charged_detects_aggregate_override():
             return payloads
 
     sim = Simulator(seed=1)
-    node = GossipNode(sim, 0, Transport(0), hooks=AggregateOnly())
+    node = GossipNode(sim, 0, hooks=AggregateOnly())
     assert node.hooks_charged
-    assert not GossipNode(sim, 1, Transport(1)).hooks_charged
+    assert not GossipNode(sim, 1).hooks_charged
 
 
 def test_aggregated_bundle_duplicates_counted_per_part(sim):
@@ -314,7 +307,7 @@ def test_aggregated_bundle_duplicates_counted_per_part(sim):
         def disaggregate(self, payload):
             return list(payload.parts)
 
-    node = GossipNode(sim, 0, Transport(0), hooks=PackHooks())
+    node = GossipNode(sim, 0, hooks=PackHooks())
     stale = [RawPayload("m{}".format(i), 10) for i in range(3)]
     for part in stale:
         node.cache.register(part.uid)

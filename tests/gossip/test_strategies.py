@@ -11,9 +11,8 @@ from repro.gossip.strategies import (
     PullResponse,
     PushPullGossipNode,
 )
-from repro.net.channel import DirectedLink, LinkConfig
+from repro.net.channel import LinkConfig, connect
 from repro.net.message import RawPayload, UidInterner
-from repro.net.transport import Transport
 
 
 def build_mesh(sim, adjacency, node_class, deliveries=None, loss_hook=None,
@@ -22,25 +21,20 @@ def build_mesh(sim, adjacency, node_class, deliveries=None, loss_hook=None,
     costs = GossipCosts(recv_fresh_s=1e-6, recv_dup_s=1e-6,
                         send_per_peer_s=1e-6)
     link_config = LinkConfig(per_message_s=1e-6, per_byte_s=0.0)
-    transports = [Transport(i) for i in range(n)]
-    for a in range(n):
-        for b in adjacency[a]:
-            if a < b:
-                transports[a].connect(DirectedLink(
-                    sim, a, b, 0.001, link_config, transports[b].deliver,
-                    loss_hook))
-                transports[b].connect(DirectedLink(
-                    sim, b, a, 0.001, link_config, transports[a].deliver,
-                    loss_hook))
     nodes = []
     interner = UidInterner()     # one per mesh: payloads carry one iid
     for i in range(n):
-        node = node_class(sim, i, transports[i], costs=costs,
+        node = node_class(sim, i, costs=costs,
                           cache=InternedSeenCache(10_000, interner),
                           **node_kwargs)
         if deliveries is not None:
             node.deliver = lambda p, i=i: deliveries[i].append(p.uid)
         nodes.append(node)
+    for a in range(n):
+        for b in adjacency[a]:
+            if a < b:
+                connect(nodes[a], nodes[b], 0.001, link_config, loss_hook)
+                connect(nodes[b], nodes[a], 0.001, link_config, loss_hook)
     for i in range(n):
         for peer in adjacency[i]:
             nodes[i].add_peer(peer)

@@ -56,7 +56,7 @@ def test_broken_aggregation_rule_caught_mid_run():
 
     class VoteDroppingSemantics(PaxosSemantics):
         def aggregate(self, payloads, peer_id):
-            return super().aggregate(payloads, peer_id)[:-1]
+            return self.aggregator.aggregate(payloads, peer_id)[:-1]
 
     config = fast_config(setup="semantic", rate=120.0)
     deployment = build_deployment(config)

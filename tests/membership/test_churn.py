@@ -83,7 +83,7 @@ def test_graceful_leave_repairs_overlay():
     assert membership["leaves"] == 1
     assert membership["dead_reports_sent"] == 0   # graceful, not a death
     assert membership["edges_removed"] > 0
-    # No member gossips to the leaver after the repair (transport links
+    # No member gossips to the leaver after the repair (a node's links
     # persist — they are created lazily and never destroyed — but the
     # gossip fan-out no longer includes the leaver).
     for pid, node in enumerate(deployment.nodes):

@@ -97,7 +97,7 @@ class DirectedLink:
 
     __slots__ = (
         "sim", "src", "dst", "latency_s", "config", "_stats", "_busy_until",
-        "_done", "_payload", "_handle", "_behind", "_jitter_rng", "_deliver",
+        "_done", "_payload", "_handle", "_behind", "_jitter_rng", "deliver",
         "_arrive_cb", "loss_hook", "_base_latency_s", "_base_config",
         "_base_jitter_rng",
     )
@@ -137,7 +137,7 @@ class DirectedLink:
         #: none.
         self._behind = None
         self._jitter_rng = sim.rng("link-jitter") if config.jitter_s > 0 else None
-        self._deliver = deliver
+        self.deliver = deliver
         self.loss_hook = loss_hook
         # Pristine parameters, restored when a fault-induced degradation ends.
         self._base_latency_s = latency_s
@@ -312,17 +312,7 @@ class DirectedLink:
             self._stats.dropped_loss += 1
             return
         self._stats.delivered += 1
-        self._deliver(self.src, payload)
-
-    def rebind_deliver(self, deliver):
-        """Point arrivals directly at the receiver's resolved callback.
-
-        The destination transport calls this once its receive callback is
-        claimed, cutting its dispatch frame out of every arrival. Purely
-        a call-graph flattening: the same callback runs with the same
-        arguments at the same instants.
-        """
-        self._deliver = deliver
+        self.deliver(self.src, payload)
 
     def _drain_sent(self, now):
         """Count messages whose serialisation has completed; return the

@@ -76,18 +76,18 @@ def test_burst_chains_are_per_link_and_clearable():
 
 
 def _loss_hooks(deployment):
-    return [link.loss_hook for transport in deployment.transports
-            for link in transport.links()]
+    return [link.loss_hook for node in deployment.nodes
+            for link in node.links.values()]
 
 
 def _connect_new_pair(deployment):
     """Connect the first unconnected pair, as overlay repair does."""
-    transports = deployment.transports
-    a, b = next((a, b) for a in range(len(transports))
-                for b in range(a + 1, len(transports))
-                if b not in transports[a].peers())
-    _connect_pair(deployment.sim, deployment.config, deployment.topology,
-                  transports, a, b, deployment.loss_injector)
+    nodes = deployment.nodes
+    a, b = next((a, b) for a in range(len(nodes))
+                for b in range(a + 1, len(nodes))
+                if b not in nodes[a].links)
+    _connect_pair(deployment.config, deployment.topology, nodes, a, b,
+                  deployment.loss_injector)
     return a, b
 
 
@@ -145,7 +145,7 @@ def test_interposer_sits_on_links_only_while_a_link_fault_is_in_force(
 def test_degrade_scales_latency_and_restores():
     deployment = _deployment()
     engine = deployment.fault_engine
-    link = deployment.transports[0].links()[0]
+    link = next(iter(deployment.nodes[0].links.values()))
     region = deployment.topology.region
     base = link.latency_s
     engine.degrade(region(link.src), region(link.dst), 3.0, 0.0)
@@ -157,7 +157,7 @@ def test_degrade_scales_latency_and_restores():
 def test_degrade_adds_jitter_and_restores():
     deployment = _deployment()
     engine = deployment.fault_engine
-    link = deployment.transports[0].links()[0]
+    link = next(iter(deployment.nodes[0].links.values()))
     region = deployment.topology.region
     base_jitter = link.config.jitter_s
     engine.degrade(region(link.src), region(link.dst), 1.0, 0.004)
@@ -169,7 +169,7 @@ def test_degrade_adds_jitter_and_restores():
 def test_degrade_leaves_other_region_pairs_alone():
     deployment = _deployment()
     engine = deployment.fault_engine
-    links = [link for t in deployment.transports for link in t.links()]
+    links = [link for node in deployment.nodes for link in node.links.values()]
     region = deployment.topology.region
     target = links[0]
     wanted = frozenset((region(target.src), region(target.dst)))

@@ -37,9 +37,8 @@ from repro.core.semantics import PaxosSemantics
 from repro.gossip.cache import InternedSeenCache
 from repro.gossip.hooks import SemanticHooks
 from repro.gossip.node import GossipCosts, GossipNode
-from repro.net.channel import DirectedLink, LinkConfig
+from repro.net.channel import LinkConfig, connect
 from repro.net.message import Payload, RawPayload, UidInterner
-from repro.net.transport import Transport
 from repro.paxos.messages import Decision, Phase2b, Value
 from repro.sim.kernel import Simulator
 from repro.sim.random import make_stream
@@ -139,7 +138,7 @@ class _Recorder:
 
 
 class _Mesh:
-    """Four nodes of one class over fully connected transports, wired as a
+    """Four nodes of one class, fully connected, gossiping over a
     ring. Node 1 starts with the default hooks (so its hooks are never
     charged); node 0 filters in Python, node 2 runs the compiled
     semantics and node 3 packs its batches in Python."""
@@ -149,26 +148,25 @@ class _Mesh:
         self.recorder = _Recorder(self.log)
         self.sim = Simulator(seed=11, auditor=self.recorder)
         self.interner = UidInterner()
-        transports = [Transport(pid(i)) for i in range(len(IDS))]
-        self.links = []
-        for a in range(len(IDS)):
-            for b in range(len(IDS)):
-                if a != b:
-                    cls = RefLink if (a, b) == REF_LINK else DirectedLink
-                    link = cls(self.sim, pid(a), pid(b), 1e-3, LINK,
-                               transports[b].deliver)
-                    transports[a].connect(link)
-                    self.links.append(link)
         self.nodes = []
         for i in range(len(IDS)):
             hooks = HOOKS[(1, 0, 2, 3)[i]]()
-            node = node_cls(self.sim, pid(i), transports[i], costs=COSTS,
-                            hooks=hooks,
+            node = node_cls(self.sim, pid(i), costs=COSTS, hooks=hooks,
                             cache=InternedSeenCache(64, self.interner),
                             send_queue_capacity=2)
             node.deliver = (lambda payload, i=i: self.log.append(
                 ("deliver", i, payload.uid, self.sim.now.hex())))
             self.nodes.append(node)
+        for a, src in enumerate(self.nodes):
+            for b, dst in enumerate(self.nodes):
+                if a != b:
+                    connect(src, dst, 1e-3, LINK)
+        src, dst = (self.nodes[i] for i in REF_LINK)
+        src.links[dst.process_id] = RefLink(
+            self.sim, src.process_id, dst.process_id, 1e-3, LINK,
+            dst._on_link_receive)
+        self.links = [link for node in self.nodes
+                      for link in node.links.values()]
         for i, node in enumerate(self.nodes):
             node.add_peers([pid(b) for a, b in RING if a == i]
                            + [pid(a) for a, b in RING if b == i])

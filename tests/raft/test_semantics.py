@@ -107,12 +107,8 @@ class TestAggregator:
 
 class TestCombinedHooks:
     def test_flags(self):
-        hooks = PaxosSemantics(5, enable_filtering=False)
-        hooks.validate(CommitNotice(1, 5), peer_id=1)
-        assert hooks.validate(_ack(1, 0), peer_id=1)
-        hooks = PaxosSemantics(5, enable_aggregation=False)
-        acks = [_ack(1, 0), _ack(1, 1)]
-        assert hooks.aggregate(acks, 1) is acks
+        assert PaxosSemantics(5, enable_filtering=False).validate is None
+        assert PaxosSemantics(5, enable_aggregation=False).aggregate is None
 
     def test_disaggregate_always_available(self):
         hooks = PaxosSemantics(5, enable_aggregation=False)

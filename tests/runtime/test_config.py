@@ -118,10 +118,23 @@ def test_bad_value_rejected_naming_the_field(field, value):
     ("seed", None),
     ("overlay_seed", False),
     ("region_seed", 0.5),
+    ("n", 7.0),
+    ("coordinator_id", 1.5),
+    ("coordinator_id", True),
+    ("value_size", 100.5),
+    ("value_size", True),
+    ("rate", "50"),
+    ("warmup", "0.5"),
+    ("duration", None),
+    ("drain", True),
+    ("loss_rate", "0.1"),
+    ("pull_interval", "0.05"),
+    ("retransmit_timeout", "0.4"),
 ])
 def test_mistyped_switch_or_count_rejected_naming_the_field(field, value):
-    """A truthy string would turn a switch on, and a float count fails
-    only part-way through the build."""
+    """A truthy string would turn a switch on, a float count fails only
+    part-way through the build (a float coordinator decides nothing) and
+    a string time fails on a comparison that names no field."""
     with pytest.raises(TypeError, match="^{} must be a".format(field)):
         ExperimentConfig(**{field: value})
 

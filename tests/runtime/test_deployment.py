@@ -1,20 +1,24 @@
 """Tests for deployment wiring of the three setups."""
 
+import pytest
+
+from repro.checks.scenarios import scenario_config
 from repro.core.semantics import PaxosSemantics
 from repro.gossip.cache import InternedSeenCache
 from repro.gossip.hooks import SemanticHooks
 from repro.gossip.node import GossipNode
 from repro.runtime.deployment import DEDUP_CACHE_CAPACITY, build_deployment
 from repro.runtime.direct import DirectNode
+from repro.runtime.runner import run_experiment
 from tests.conftest import fast_config
 
 
 def test_baseline_is_a_star_around_coordinator():
     deployment = build_deployment(fast_config(setup="baseline", n=7))
     assert deployment.overlay is None
-    assert sorted(deployment.transports[0].peers()) == [1, 2, 3, 4, 5, 6]
+    assert sorted(deployment.nodes[0].links) == [1, 2, 3, 4, 5, 6]
     for i in range(1, 7):
-        assert deployment.transports[i].peers() == [0]
+        assert list(deployment.nodes[i].links) == [0]
     assert all(type(node) is DirectNode for node in deployment.nodes)
 
 
@@ -24,7 +28,7 @@ def test_gossip_uses_overlay_links():
     assert overlay is not None
     assert overlay.is_connected()
     for i in range(9):
-        assert sorted(deployment.transports[i].peers()) == list(overlay.peers(i))
+        assert sorted(deployment.nodes[i].links) == list(overlay.peers(i))
         assert sorted(deployment.nodes[i].peers()) == list(overlay.peers(i))
     assert all(type(node) is GossipNode for node in deployment.nodes)
 
@@ -89,6 +93,58 @@ def test_every_node_has_a_seen_cache_over_the_deployment_interner():
         assert type(node.cache) is InternedSeenCache
         assert node.cache.capacity == DEDUP_CACHE_CAPACITY
         assert node.cache.interner is deployment.interner
+
+
+def _assert_wiring(deployment, pairs):
+    """Each link delivers straight into its destination node, and walking
+    the nodes reads the links by source id, then in the order ``pairs``
+    connected them (``a -> b`` before ``b -> a``)."""
+    nodes = deployment.nodes
+    links = [link for node in nodes for link in node.links.values()]
+    directed = [edge for a, b in pairs for edge in ((a, b), (b, a))]
+    assert [(link.src, link.dst) for link in links] == sorted(
+        directed, key=lambda edge: edge[0])
+    assert all(link.deliver == nodes[link.dst]._on_link_receive
+               for link in links)
+    engine = deployment.fault_engine
+    assert engine is None or list(engine._links()) == links
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(setup="baseline", coordinator_id=2), dict(setup="gossip"),
+    dict(setup="semantic", gossip_strategy="push-pull")],
+    ids=["baseline", "push", "push-pull"])
+def test_links_deliver_into_their_nodes_in_connect_order(overrides):
+    deployment = build_deployment(fast_config(n=9, **overrides))
+    overlay = deployment.overlay
+    pairs = ([(2, i) for i in range(9) if i != 2] if overlay is None
+             else [sorted(edge) for edge in overlay.edges])
+    _assert_wiring(deployment, pairs)
+
+
+def test_links_of_a_join_deliver_into_their_nodes_in_connect_order():
+    deployment = build_deployment(scenario_config("churn_smoke"))
+    pairs = [sorted(edge) for edge in deployment.overlay.edges]
+    membership = deployment.membership
+    lazy = membership.connect_pair
+
+    def recorded(a, b):
+        created = lazy(a, b)
+        if created:
+            pairs.append((a, b))
+        return created
+
+    membership.connect_pair = recorded
+    deployment.start()
+    deployment.sim.run(until=0.7)               # process 8 joins at 0.55
+    assert deployment.nodes[8].links
+    _assert_wiring(deployment, pairs)
+
+
+def test_a_star_around_another_coordinator_decides():
+    """Process 0 is a spoke like any other."""
+    report = run_experiment(fast_config(setup="baseline", coordinator_id=2))
+    assert report.throughput > 0
 
 
 def test_processes_wired_to_nodes():

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.gossip.node import GossipCosts
-from repro.net.channel import DirectedLink, LinkConfig
+from repro.net.channel import LinkConfig, connect
 from repro.net.message import RawPayload
-from repro.net.transport import Transport
 from repro.runtime.direct import DirectNode
 
 
@@ -14,18 +13,13 @@ def build_star(sim, n=4, costs=None, config=None):
     costs = costs or GossipCosts(recv_fresh_s=1e-6, recv_dup_s=1e-6,
                                  send_per_peer_s=1e-6)
     config = config or LinkConfig(per_message_s=1e-6, per_byte_s=0.0)
-    transports = [Transport(i) for i in range(n)]
-    for i in range(1, n):
-        transports[0].connect(DirectedLink(sim, 0, i, 0.001, config,
-                                           transports[i].deliver))
-        transports[i].connect(DirectedLink(sim, i, 0, 0.001, config,
-                                           transports[0].deliver))
     deliveries = [[] for _ in range(n)]
-    nodes = []
-    for i in range(n):
-        node = DirectNode(sim, i, transports[i], costs,
-                          deliver=lambda p, i=i: deliveries[i].append(p.uid))
-        nodes.append(node)
+    nodes = [DirectNode(sim, i, costs,
+                        deliver=lambda p, i=i: deliveries[i].append(p.uid))
+             for i in range(n)]
+    for i in range(1, n):
+        connect(nodes[0], nodes[i], 0.001, config)
+        connect(nodes[i], nodes[0], 0.001, config)
     return nodes, deliveries
 
 

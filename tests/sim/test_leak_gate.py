@@ -29,9 +29,8 @@ import pytest
 from repro.checks.scenarios import scenario_config
 from repro.gossip.hooks import SemanticHooks
 from repro.gossip.node import GossipNode
-from repro.net.channel import DirectedLink, LinkConfig
+from repro.net.channel import DirectedLink, LinkConfig, connect
 from repro.net.message import RawPayload
-from repro.net.transport import Transport
 from repro.paxos.messages import ClientValue, Phase1a, Phase2a, Phase2b, Value
 from repro.paxos.process import Communicator, PaxosProcess
 from repro.runtime.runner import run_experiment
@@ -126,11 +125,9 @@ class _FreshHooks(SemanticHooks):
 def test_a_send_round_releases_what_its_hooks_return():
     def burst():
         sim = Simulator(seed=1)
-        transport = Transport(0)
-        transport.connect(DirectedLink(
-            sim, 0, 1, 1e-3, LinkConfig(per_message_s=1e-3, per_byte_s=0.0),
-            lambda src, payload: None))
-        node = GossipNode(sim, 0, transport, hooks=_FreshHooks())
+        node = GossipNode(sim, 0, hooks=_FreshHooks())
+        connect(node, GossipNode(sim, 1), 1e-3,
+                LinkConfig(per_message_s=1e-3, per_byte_s=0.0))
         node.add_peers([1])
         pairs = node._fwd_pairs
         for round_ in range(1000):
