@@ -1,19 +1,8 @@
 """Small statistics helpers shared by benches and examples."""
 
-from repro.runtime.metrics import mean, percentile, stddev
+from repro.runtime.metrics import cdf_points, mean, percentile, stddev
 
-
-def cdf_points(samples, max_points=200):
-    """Empirical CDF as (value, cumulative fraction) pairs."""
-    xs = sorted(samples)
-    n = len(xs)
-    if n == 0:
-        return []
-    step = max(1, n // max_points)
-    points = [(xs[i], (i + 1) / n) for i in range(0, n, step)]
-    if points[-1][1] != 1.0:
-        points.append((xs[-1], 1.0))
-    return points
+__all__ = ["cdf_points", "summarize"]
 
 
 def summarize(samples):

@@ -17,8 +17,8 @@ Three legs (see docs/static-analysis.md):
   scenarios under different ``PYTHONHASHSEED`` values and localizes the
   first divergent event.
 
-All are exposed through ``python -m repro check`` and, for the linter
-alone, ``python -m repro.checks``.
+All are exposed through ``python -m repro check`` (``--lint`` for the
+linter alone).
 """
 
 from repro.checks.auditor import RaceAuditor

@@ -20,8 +20,10 @@ Exit codes (identical for the text and JSON reporters):
 * **1** — at least one finding, violation or divergent race scenario.
 * **2** — usage error (nonexistent lint path, unknown race scenario).
 
-The lint pass imports nothing outside the stdlib-backed checks package,
-so it stays usable even when simulation dependencies are unavailable.
+The linter itself is the standard library's ``ast`` and nothing more,
+but the lint pass is not free of the runtime: importing any ``repro``
+module imports the package, whose ``__init__`` loads the simulation
+runtime and the compiled kernel. The lint pass runs no simulation.
 """
 
 import os

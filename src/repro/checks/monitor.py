@@ -37,7 +37,7 @@ records violations and keeps watching, the mode ``repro check
 
 from collections import Counter
 
-from repro.gossip.hooks import SemanticHooks
+from repro.gossip.hooks import SemanticHooks, is_noop
 from repro.paxos.messages import mask_senders
 
 
@@ -67,22 +67,24 @@ class Violation:
 class CheckedHooks(SemanticHooks):
     """Wraps a deployment's :class:`SemanticHooks` with reversibility checks.
 
-    Delegates every call to the wrapped hooks and verifies, per aggregate
-    batch, that no vote is lost or invented. A hook the wrapped hooks set
-    to None (a disabled technique) is None here too. Installed per node
-    by :meth:`SafetyMonitor.attach`; usable standalone in unit tests.
+    Verifies, per aggregate batch and per disaggregated payload, that no
+    vote is lost or invented. Only what can break the contract is wrapped:
+    ``validate`` is the wrapped hooks' own, and an ``aggregate`` or
+    ``disaggregate`` that is None (a disabled technique) or
+    :class:`SemanticHooks`' no-op is bound as it is, so a node makes the
+    calls an unmonitored one makes. Installed per node by
+    :meth:`SafetyMonitor.attach`; usable standalone in unit tests.
     """
 
     def __init__(self, inner, monitor, node_id=None):
         self.inner = inner
         self.monitor = monitor
         self.node_id = node_id
-        for name in ("validate", "aggregate"):
-            if getattr(inner, name) is None:
-                setattr(self, name, None)
-
-    def validate(self, payload, peer_id):
-        return self.inner.validate(payload, peer_id)
+        self.validate = inner.validate
+        for name in ("aggregate", "disaggregate"):
+            hook = getattr(inner, name)
+            if hook is None or is_noop(inner, name):
+                setattr(self, name, hook)
 
     def aggregate(self, payloads, peer_id):
         result = self.inner.aggregate(payloads, peer_id)

@@ -14,11 +14,11 @@ The rule is opportunistic: it only does anything when the send routine has
 accumulated several pending messages, i.e. under moderate-to-high load —
 and, unlike batching, it never delays a send (paper §3.2).
 
-The aggregator is compiled (``repro/sim/_kernel.c``; the vote classes are
-registered by :mod:`repro.core.filtering`, which the package imports
-first), and a gossip node whose aggregate hook is an aggregator's calls it
-without entering Python. The Python it replaced is the reference model in
-``tests/core/reference_rules.py``.
+The aggregator is compiled (``repro/sim/_kernel/semantics.c``; the vote
+classes are registered by :mod:`repro.core.filtering`, which the package
+imports first), and a gossip node whose aggregate hook is an aggregator's
+calls it without entering Python. The Python it replaced is the reference
+model in ``tests/reference/rules.py``.
 """
 
 from repro.sim.events import compiled

@@ -27,13 +27,13 @@ Memory is bounded: per peer, vote summaries are deleted the moment the
 instance is marked decided, and the decided-instance set is compacted to a
 watermark plus a sparse remainder (always empty for Raft's prefixes).
 
-The filter is compiled (``repro/sim/_kernel.c``): a peer's summary is the
-learner's instance table of ``(round, value id, sender bitset)`` tallies,
-so a majority is a popcount, and a gossip node whose validate hook is a
-filter's calls it without entering Python. Senders are process ids in
-``[0, n)``; the Python it replaced is the reference model in
-``tests/core/reference_rules.py``. ``summary(peer_id)`` exposes a peer's
-summary.
+The filter is compiled (``repro/sim/_kernel/semantics.c``): a peer's
+summary is the learner's instance table of ``(round, value id, sender
+bitset)`` tallies, so a majority is a popcount, and a gossip node whose
+validate hook is a filter's calls it without entering Python. Senders
+are process ids in ``[0, n)``; the Python it replaced is the reference
+model in ``tests/reference/rules.py``. ``summary(peer_id)`` exposes a
+peer's summary.
 """
 
 from repro.paxos.messages import Aggregated2b, Decision, Phase2b

@@ -12,16 +12,16 @@ The set is array-backed over a deployment-wide
 id, the FIFO window is a ring of 32-bit ids — O(1) without hashing
 structured uids, which is what keeps the dedup probe flat at N=1000.
 
-:class:`InternedSeenCache` is compiled (``repro/sim/_kernel.c``, one
-extension with the event heap). ``InternedSeenCache(capacity=100_000,
+:class:`InternedSeenCache` is compiled (``repro/sim/_kernel/cache.c``,
+one extension with the event heap). ``InternedSeenCache(capacity=100_000,
 interner)`` needs the interner; its surface is ``register(uid)``,
 ``register_payload(payload)`` (both True for a fresh id; a payload's uid
 is interned once per deployment into ``payload.iid``), ``uid in cache``,
 ``len(cache)``, the counters ``registered``, ``hits`` and ``evictions``,
 and ``capacity`` and ``interner``. It is the only cache a gossip node
 takes: the node calls its probe in C. Its Python form is the reference
-model in ``tests/gossip/reference_cache.py``, and the dict-backed,
-uid-keyed form before that is in ``tests/gossip/reference_dedup.py``.
+model in ``tests/reference/cache.py``, and the dict-backed,
+uid-keyed form before that is in ``tests/reference/dedup.py``.
 """
 
 from repro.sim.events import compiled

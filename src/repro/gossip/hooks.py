@@ -58,3 +58,9 @@ class SemanticHooks:
         the payload itself and their aggregates are delivered as-is.
         """
         return [payload]
+
+
+def is_noop(hooks, name):
+    """Whether ``hooks``' ``name`` hook is SemanticHooks' no-op."""
+    hook = getattr(hooks, name)
+    return getattr(hook, "__func__", None) is getattr(SemanticHooks, name)

@@ -15,8 +15,8 @@ Architecture per the paper's §3.3:
   commits a message for an idle link itself and queues only the rest.
 
 The per-hop half and the send routines are compiled
-(``repro/sim/_kernel.c``, beside the link, server and cache they call):
-:class:`GossipNode` derives from the C ``NodeCore``, whose
+(``repro/sim/_kernel/node.c``, one extension with the link, server and
+cache they call): :class:`GossipNode` derives from the C ``NodeCore``, whose
 ``_on_link_receive`` (the receive, single-part or aggregated: an
 ``Aggregated2b`` or ``AggregatedAck`` is split into its votes by the
 compiled aggregator, each built slot by slot), ``_complete`` and
@@ -33,7 +33,7 @@ and batched round behind a busy link are compiled too, and
 broadcast. A subclass that defines ``_on_link_receive`` or ``_complete``
 (the pull strategies) has its own called. The Python form of the
 compiled paths is the reference model in
-``tests/gossip/reference_node.py``.
+``tests/reference/node.py``.
 
 Saturation model: all application-visible work (duplicate checks, delivery,
 forward fan-out) is charged to a single per-process CPU server; each link
@@ -44,7 +44,7 @@ from repro.sim.actors import Actor
 from repro.sim.events import compiled
 from repro.sim.server import FifoServer, check_service_time
 from repro.gossip.cache import InternedSeenCache
-from repro.gossip.hooks import SemanticHooks
+from repro.gossip.hooks import SemanticHooks, is_noop
 from repro.net.message import UidInterner
 
 #: Counters matching the quantities reported in the paper's §4.3: the ten
@@ -76,12 +76,6 @@ class GossipCosts:
             check_service_time("GossipCosts." + name, getattr(self, name))
 
 
-def _is_noop(hooks, name):
-    """Whether ``hooks``' ``name`` hook is SemanticHooks' no-op."""
-    hook = getattr(hooks, name)
-    return getattr(hook, "__func__", None) is getattr(SemanticHooks, name)
-
-
 class _PeerSender(compiled.SenderCore):
     """Send routine for one peer: queue + validate/aggregate + pacing.
 
@@ -105,12 +99,12 @@ class _PeerSender(compiled.SenderCore):
     armed. ``busy`` is true while a batch is being serialised or paced;
     ``discard()`` disarms the wake-up and forgets the queue.
 
-    All of it is the compiled ``SenderCore`` (``repro/sim/_kernel.c``):
+    All of it is the compiled ``SenderCore`` (``repro/sim/_kernel/node.c``):
     the round calls a compiled filter's and aggregator's own validate and
     aggregate, and any other hooks through Python, as the node's fan-out
     does. This subclass only names the sender's events (the wake-up's
     label is ``_PeerSender._wakeup``). The Python it replaced is the
-    reference model in ``tests/gossip/reference_node.py``.
+    reference model in ``tests/reference/node.py``.
     """
 
     __slots__ = ()
@@ -167,8 +161,8 @@ class GossipNode(compiled.NodeCore, Actor):
         #: charged. Decided once against the hooks installed at
         #: construction, so observational wrappers attached later (e.g.
         #: the safety monitor's CheckedHooks) cannot perturb run timing.
-        self.hooks_charged = not (_is_noop(hooks, "validate")
-                                  and _is_noop(hooks, "aggregate"))
+        self.hooks_charged = not (is_noop(hooks, "validate")
+                                  and is_noop(hooks, "aggregate"))
         if cache is None:
             cache = InternedSeenCache(interner=UidInterner())
         cpu = cpu or FifoServer(sim)
@@ -195,7 +189,7 @@ class GossipNode(compiled.NodeCore, Actor):
         # observational wrappers cannot perturb run timing.
         self._hooks = hooks
         self._validate, self._aggregate, self._disaggregate = (
-            None if _is_noop(hooks, name) else getattr(hooks, name)
+            None if is_noop(hooks, name) else getattr(hooks, name)
             for name in ("validate", "aggregate", "disaggregate"))
 
     # -- wiring ----------------------------------------------------------

@@ -41,17 +41,11 @@ class MembershipConfig:
     #: Process ids forming the cluster at t=0; ``None`` means all ``n``
     #: processes. Ids outside this set start dormant and enter via ``Join``.
     initial_members: Optional[tuple] = None
-    #: How many low-id alive members act as seed nodes a joiner registers
-    #: with (its first overlay edges point at them).
-    seed_count: int = 1
-    #: Edges a joining process opens; ``None`` uses the experiment's
-    #: effective overlay ``k``.
-    join_degree: Optional[int] = None
     #: Base delay before the first election attempt after the leader is
-    #: declared dead (or leaves); grows by ``election_backoff_factor`` per
-    #: failed attempt, capped at ``election_backoff_max``.
+    #: declared dead (or leaves); doubles per failed attempt
+    #: (``repro.membership.service.ELECTION_BACKOFF_FACTOR``), capped at
+    #: ``election_backoff_max``.
     election_backoff: float = 0.25
-    election_backoff_factor: float = 2.0
     election_backoff_max: float = 1.0
     #: Uniform jitter added to every election delay (draws from the
     #: ``"election"`` named stream), de-synchronizing election storms.
@@ -66,11 +60,6 @@ class MembershipConfig:
                         f.name, value))
                 if not math.isfinite(value):
                     raise ValueError("{} must be finite, got {!r}".format(
-                        f.name, value))
-            elif f.type is int or (f.type == Optional[int]
-                                   and value is not None):
-                if not _is_int(value):
-                    raise TypeError("{} must be an int, got {!r}".format(
                         f.name, value))
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
@@ -94,14 +83,8 @@ class MembershipConfig:
             # of declaration order.
             object.__setattr__(self, "initial_members",
                                tuple(sorted(members)))
-        if self.seed_count < 1:
-            raise ValueError("seed_count must be at least 1")
-        if self.join_degree is not None and self.join_degree < 1:
-            raise ValueError("join_degree must be at least 1")
         if self.election_backoff <= 0:
             raise ValueError("election_backoff must be positive")
-        if self.election_backoff_factor < 1.0:
-            raise ValueError("election_backoff_factor must be >= 1")
         if self.election_backoff_max < self.election_backoff:
             raise ValueError(
                 "election_backoff_max must be >= election_backoff")

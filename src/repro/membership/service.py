@@ -41,6 +41,11 @@ from repro.sim.actors import Actor
 #: LeaveAnnounce, in heartbeat intervals, so the announce (and any queued
 #: consensus traffic) drains before its edges are torn down.
 LEAVE_LINGER_INTERVALS = 2.0
+#: How many low-id alive members act as seed nodes a joiner registers with
+#: (its first overlay edges point at them).
+SEED_COUNT = 1
+#: What each failed election attempt multiplies the next one's delay by.
+ELECTION_BACKOFF_FACTOR = 2.0
 
 
 class MembershipStats:
@@ -96,7 +101,7 @@ class _ElectionDriver:
         mcfg = service.mcfg
         delay = min(
             mcfg.election_backoff
-            * (mcfg.election_backoff_factor ** self._attempts),
+            * (ELECTION_BACKOFF_FACTOR ** self._attempts),
             mcfg.election_backoff_max,
         )
         if mcfg.election_jitter > 0.0:
@@ -308,20 +313,19 @@ class MembershipService(Actor):
         agent.start_heartbeats(self._phase(pid))
 
     def _connect_joiner(self, pid):
-        """Open the joiner's k-out edges: seed members first, then random.
+        """Open the joiner's k-out edges (the experiment's effective overlay
+        ``k``): seed members first, then random.
 
         Random picks draw from the ``"overlay"`` stream over the sorted
         candidate list, so join topology is a deterministic function of the
         overlay seed and event history.
         """
-        degree = self.mcfg.join_degree
-        if degree is None:
-            degree = self.config.effective_k
+        degree = self.config.effective_k
         node = self.nodes[pid]
         current = set(node.peers())
         candidates = [m for m in self.view.alive_members()
                       if m != pid and m not in current]
-        for seed in candidates[:self.mcfg.seed_count]:
+        for seed in candidates[:SEED_COUNT]:
             if len(current) >= degree:
                 break
             self._add_edge(pid, seed)

@@ -61,8 +61,9 @@ needs a ``jitter_rng`` to draw from; anything else raises
 :class:`ValueError` naming the field.
 
 :class:`DirectedLink` and its :class:`LinkStats` are compiled
-(``repro/sim/_kernel.c``, beside the event heap the arrivals go into);
-the Python reference model they replaced is `tests/net/reference_link.py`.
+(``repro/sim/_kernel/link.c``, one extension with the event heap the
+arrivals go into); the Python reference model they replaced is
+`tests/reference/link.py`.
 ``DirectedLink(sim, src, dst, latency_s, config, deliver,
 loss_hook=None)`` reads ``config`` when it is set (at construction and
 by :meth:`DirectedLink.degrade`). Its surface: ``commit``, ``transmit``,

@@ -7,15 +7,15 @@ configured probability, using a dedicated RNG stream so that loss decisions
 are independent of every other source of randomness in the run.
 
 ``ReceiverLossInjector(sim, rate=0.0, per_process=None, stream="faults")``
-is compiled (``repro/sim/_kernel.c``, beside the link that calls it
-directly on every arrival, without entering Python). ``rate`` and every
+is compiled (``repro/sim/_kernel/link.c``, beside the link that calls
+it directly on every arrival, without entering Python). ``rate`` and every
 ``per_process`` rate (a mapping receiver id -> rate overriding ``rate``)
 must be within [0, 1]; anything else, NaN included, raises ``ValueError``
 naming the process. A call ``hook(dst)`` draws one ``random()`` from
 ``sim.rng(stream)`` when the receiver's rate is positive and drops when
 the draw is below it; ``examined`` and ``dropped`` count the calls and the
 drops, and ``per_process`` returns a copy of the overrides. The Python it
-replaced is the reference model in ``tests/net/reference_loss.py``.
+replaced is the reference model in ``tests/reference/loss.py``.
 
 :class:`GilbertElliottLossInjector` extends the model to *correlated* loss:
 a two-state Markov chain (Gilbert–Elliott) alternates between a good state

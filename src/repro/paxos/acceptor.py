@@ -6,9 +6,10 @@ acceptor keeps a single promised round that applies to every instance — the
 standard Multi-Paxos arrangement — plus the per-instance accepted
 (round, value) pairs.
 
-The type is compiled (``repro/sim/_kernel.c``, beside the
-:class:`repro.paxos.process.PaxosProcess` base that drives it); its Python
-reference model is tests/paxos/reference_replica.py.
+The type is compiled (``repro/sim/_kernel/replica.c``; the
+:class:`repro.paxos.process.PaxosProcess` base that drives it is
+``core.c``, in the same extension); its Python
+reference model is tests/reference/replica.py.
 """
 
 from repro.sim.events import compiled

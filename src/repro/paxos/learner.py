@@ -12,9 +12,10 @@ is known (the Phase 2a may still be in flight); such decisions are held
 set is a bitset of ``n`` bits, so a vote from a sender outside ``[0, n)``
 raises :class:`ValueError` naming the sender.
 
-The type is compiled (``repro/sim/_kernel.c``, beside the
-:class:`repro.paxos.process.PaxosProcess` base that drives it); its Python
-reference model is tests/paxos/reference_replica.py.
+The type is compiled (``repro/sim/_kernel/replica.c``; the
+:class:`repro.paxos.process.PaxosProcess` base that drives it is
+``core.c``, in the same extension); its Python
+reference model is tests/reference/replica.py.
 """
 
 from repro.sim.events import compiled

@@ -169,7 +169,7 @@ class ConsensusProcess(Actor):
 class PaxosProcess(compiled.PaxosCore, ConsensusProcess):
     """One Paxos participant playing all roles.
 
-    The C base (``repro/sim/_kernel.c``) holds the acceptor, the learner
+    The C base (``repro/sim/_kernel/core.c``) holds the acceptor, the learner
     and the decision log, and runs :meth:`handle`: message dispatch, the
     roles, and what follows a decision (tracing, the coordinator's
     Decision broadcast, gap-free delivery to ``on_deliver`` and the

@@ -97,6 +97,23 @@ def percentile(sorted_xs, p):
     return min(max(value, sorted_xs[low]), sorted_xs[high])
 
 
+def cdf_points(samples, max_points=200):
+    """Empirical CDF as (value, cumulative fraction) pairs.
+
+    Subsampled to roughly ``max_points`` entries; the largest sample is
+    always kept, so the curve reaches 1.0 at the maximum.
+    """
+    xs = sorted(samples)
+    n = len(xs)
+    if n == 0:
+        return []
+    step = max(1, n // max_points)
+    points = [(xs[i], (i + 1) / n) for i in range(0, n, step)]
+    if points[-1][1] != 1.0:
+        points.append((xs[-1], 1.0))
+    return points
+
+
 @dataclass
 class MessageStats:
     """Substrate-level counters aggregated across processes."""
@@ -218,20 +235,9 @@ class MetricsReport:
         return self.latency_percentile_s(99.9)
 
     def latency_cdf(self, points=100):
-        """(latency_s, cumulative_fraction) pairs for CDF plotting.
-
-        Subsampled to roughly ``points`` entries; the final sample is
-        always retained so the curve reaches 1.0 at the max latency.
-        """
-        xs = self.latencies_s
-        if not xs:
-            return []
-        n = len(xs)
-        pairs = [(xs[i], (i + 1) / n) for i in range(n)]
-        sampled = pairs[:: max(1, n // points)]
-        if sampled[-1] is not pairs[-1]:
-            sampled.append(pairs[-1])
-        return sampled
+        """(latency_s, cumulative_fraction) pairs for CDF plotting, about
+        ``points`` of them (:func:`cdf_points`)."""
+        return cdf_points(self.latencies_s, points)
 
     # -- throughput & reliability ----------------------------------------------
 

@@ -3,10 +3,12 @@
 :func:`load_extension` compiles ``<dir>/<name>.c`` with the C compiler and
 the Python headers this interpreter was built with (``sysconfig``'s
 ``CC`` and include directory) into ``<dir>/__pycache__/``, and imports
-the result. The file name carries a hash of the source and the compiler
-flags, and the interpreter's ``EXT_SUFFIX``, so an edited source,
-changed flags or another Python version builds its own file and a stale
-one is never loaded.
+the result. A source may be one translation unit in parts: the files in
+``<dir>/<name>/`` beside it, which it ``#include``s. The file name
+carries a hash of the source, its parts and the compiler flags, and the
+interpreter's ``EXT_SUFFIX``, so an edited source or part, changed flags
+or another Python version builds its own file and a stale one is never
+loaded.
 
 The compiler writes to a file named for this process, which is then
 renamed over the target: interpreters importing at once (spawned race
@@ -69,9 +71,13 @@ def compile_command(source, output):
 
 
 def extension_path(source):
-    """Where the build of this exact ``source`` text and these flags lives."""
+    """Where the build of this exact text of ``source`` and its parts (the
+    ``*.c`` and ``*.h`` files of the directory named after it, such as
+    ``_kernel/`` for ``_kernel.c``), and these flags, lives."""
     source = Path(source)
-    digest = hashlib.sha256(source.read_bytes())
+    digest = hashlib.sha256()
+    for path in [source] + sorted(source.with_suffix("").glob("*.[ch]")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
     digest.update("\0".join(compile_flags()).encode())
     return source.parent / "__pycache__" / "{}.{}{}".format(
         source.stem, digest.hexdigest()[:16],

@@ -21,12 +21,12 @@ event, at the precomputed completion, for a job with a real callback.
 A job that starts on submission leaves no record; only the service times
 of jobs that wait are kept, until they start. ``busy_time`` charges each
 job at its start, in FIFO order, as a per-job event loop (one kernel event
-per job, chained start-to-completion: `tests/sim/reference_server.py`)
+per job, chained start-to-completion: `tests/reference/server.py`)
 does, so every read equals that reference bit for bit.
 
-The type is compiled (``_kernel.c``, beside the event heap it pushes
-completions into; its Python reference model is
-`tests/sim/reference_fifo.py`). ``FifoServer(sim)`` takes a
+The type is compiled (``_kernel/server.c``, one extension with the event
+heap it pushes completions into; its Python reference model is
+`tests/reference/fifo.py`). ``FifoServer(sim)`` takes a
 :class:`repro.sim.Simulator`, and its surface is
 ``submit_timed(service_time, fn, *args)`` and ``submit_acct(service_time)``
 (both return the completion), ``busy_time``, ``queue_length``, ``busy``,

@@ -33,8 +33,3 @@ def mask(*senders):
     for sender in senders:
         bits |= 1 << sender
     return bits
-
-
-@pytest.fixture
-def config_factory():
-    return fast_config

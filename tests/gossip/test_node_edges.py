@@ -7,7 +7,7 @@ from repro.gossip.hooks import SemanticHooks
 from repro.net.channel import LinkConfig
 from repro.net.message import Payload, RawPayload, UidInterner
 from tests.gossip.test_node import LINE, build_mesh
-from tests.net.reference_link import DirectedLink as ReferenceLink
+from tests.reference.link import DirectedLink as ReferenceLink
 
 
 class Packed(Payload):

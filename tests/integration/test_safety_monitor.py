@@ -51,6 +51,19 @@ def test_monitor_is_observational(setup):
     assert armed.messages.received_total == unarmed.messages.received_total
 
 
+def test_arming_the_monitor_binds_no_hook_an_unarmed_node_skips():
+    """Only what the monitor checks is wrapped: a classic gossip node binds
+    no hook, a semantic node the compiled filter's own validate."""
+    gossip = build_deployment(fast_config(setup="gossip"))
+    semantic = build_deployment(fast_config(setup="semantic"))
+    SafetyMonitor().attach(gossip)
+    SafetyMonitor().attach(semantic)
+    assert {(node._validate, node._aggregate, node._disaggregate)
+            for node in gossip.nodes} == {(None, None, None)}
+    for node in semantic.nodes:
+        assert node._validate == node.hooks.inner.filter.validate
+
+
 def test_broken_aggregation_rule_caught_mid_run():
     """A vote-dropping aggregation rule trips the monitor inside the run."""
 

@@ -2,8 +2,8 @@
 
 :class:`FifoServer`, :class:`DirectedLink` and :class:`InternedSeenCache`
 are compiled (``repro/sim/_kernel.c``); the Python classes they replaced
-are kept verbatim as reference models (tests/sim/reference_fifo.py,
-tests/net/reference_link.py, tests/gossip/reference_cache.py). Each
+are kept verbatim as reference models (tests/reference/fifo.py,
+tests/reference/link.py, tests/reference/cache.py). Each
 property drives one random op stream through a compiled object and its
 model, each on its own simulator with the same seed, and requires the
 same results at every step:
@@ -37,9 +37,10 @@ from repro.net.channel import DirectedLink, LinkConfig
 from repro.net.message import RawPayload, UidInterner
 from repro.sim.kernel import Simulator
 from repro.sim.server import FifoServer
-from tests.gossip.reference_cache import InternedSeenCache as RefCache
-from tests.net.reference_link import DirectedLink as RefLink
-from tests.sim.reference_fifo import FifoServer as RefServer
+from tests.reference.cache import InternedSeenCache as RefCache
+from tests.reference.fifo import FifoServer as RefServer
+from tests.reference.link import DirectedLink as RefLink
+from tests.reference.lockstep import Recorder, lockstep
 
 # Microsecond multiples are not dyadic, so the order of a busy_time sum
 # shows in its bits.
@@ -55,11 +56,14 @@ class _Side:
 
     def __init__(self, make):
         self.sim = Simulator(seed=11)
-        self.log = []
+        self.recorder = Recorder(self.sim)
         self.obj = make(self)
 
-    def note(self, *entry):
-        self.log.append(entry + (self.sim.now.hex(),))
+    def state(self):
+        return self.recorder.log
+
+    def finish(self):
+        self.sim.run()
 
 
 # -- the FIFO server ----------------------------------------------------------
@@ -87,51 +91,45 @@ def _server_probe(side):
             _kernel_counts(side.sim))
 
 
+def _server_step(side, op):
+    server, kind = side.obj, op[0]
+    out = []
+    if kind == "submit":
+        done = []
+        for offset, (service, how) in enumerate(op[1]):
+            if how == "fn":
+                completion = server.submit_timed(
+                    service, side.recorder.note, "job", side.job + offset)
+            elif how == "none":
+                completion = server.submit_timed(service, None)
+            else:
+                completion = server.submit_acct(service)
+            done.append(completion.hex())
+            side.last = completion
+        side.job += len(op[1])
+        out.append(done)
+    elif kind == "slowdown":
+        server.slowdown = op[1]
+    elif kind == "advance":
+        side.sim.run(until=side.sim.now + op[1])
+    elif kind == "to_last_completion":
+        side.sim.run(until=max(side.last, side.sim.now))
+    elif kind == "probe":
+        # Only here: a read charges the started jobs, and paths that
+        # charge them at submission must be reached too.
+        out.append(_server_probe(side))
+    out.append((server.busy, _kernel_counts(side.sim)))
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(SERVER_OPS)
 def test_server_matches_its_reference_in_lockstep(ops):
     sides = [_Side(lambda side: FifoServer(side.sim)),
              _Side(lambda side: RefServer(side.sim))]
-    last = 0.0
-    job = 0
-    for op in ops:
-        kind = op[0]
-        results = []
-        for side in sides:
-            server = side.obj
-            out = []
-            results.append(out)
-            if kind == "submit":
-                done = []
-                for offset, (service, how) in enumerate(op[1]):
-                    if how == "fn":
-                        completion = server.submit_timed(
-                            service, side.note, "job", job + offset)
-                    elif how == "none":
-                        completion = server.submit_timed(service, None)
-                    else:
-                        completion = server.submit_acct(service)
-                    done.append(completion.hex())
-                    last = completion
-                out.append(done)
-            elif kind == "slowdown":
-                server.slowdown = op[1]
-            elif kind == "advance":
-                side.sim.run(until=side.sim.now + op[1])
-            elif kind == "to_last_completion":
-                side.sim.run(until=max(last, side.sim.now))
-            elif kind == "probe":
-                # Only here: a read charges the started jobs, and paths
-                # that charge them at submission must be reached too.
-                out.append(_server_probe(side))
-            out.append((server.busy, _kernel_counts(side.sim)))
-        if kind == "submit":
-            job += len(op[1])
-        assert results[0] == results[1]
-        assert sides[0].log == sides[1].log
     for side in sides:
-        side.sim.run()
-    assert sides[0].log == sides[1].log
+        side.last, side.job = 0.0, 0
+    lockstep(sides, ops, _server_step, _Side.state, _Side.finish)
     assert _server_probe(sides[0]) == _server_probe(sides[1])
 
 
@@ -184,6 +182,45 @@ def _link_probe(side):
             _kernel_counts(side.sim))
 
 
+def _link_step(side, op):
+    link, now, kind = side.obj, side.sim.now, op[0]
+    out = []
+    if kind in ("commit", "round"):
+        count = op[2] if kind == "round" else 1
+        args = []
+        for offset in range(count):
+            payload = RawPayload(side.uid + offset, op[1])
+            args.append(link.commit(payload, (payload,), now))
+        out.append([completion.hex() for completion in args])
+        side.completions.extend(args)
+    elif kind == "transmit":
+        out.append(link.transmit(RawPayload(side.uid, op[1])))
+    elif kind == "ahead":
+        side.at = max(side.at, now) + op[2] * TICK
+        out.append(link.transmit(RawPayload(side.uid, op[1]), side.at))
+    elif kind == "at_done":
+        side.at = (_next_done(side.completions, max(side.at, now))
+                   or max(side.at, now))
+        out.append(link.transmit(RawPayload(side.uid, op[1]), side.at))
+    elif kind == "degrade":
+        link.degrade(op[1], op[2], side.sim.rng("test-jitter"))
+    elif kind == "restore":
+        link.restore()
+    elif kind == "loss":
+        link.loss_hook = _EveryThird() if op[1] else None
+    elif kind == "advance":
+        side.sim.run(until=now + op[1] * TICK)
+    elif kind == "to_done":
+        side.sim.run(until=_next_done(side.completions, now) or now)
+    elif kind == "probe":
+        # Only here: a read retires what has serialised, and the retiring
+        # done by commits must be reached too.
+        out.append(_link_probe(side))
+    out.append((link.busy, _kernel_counts(side.sim)))
+    side.uid += op[2] if kind == "round" else 1
+    return out
+
+
 @settings(max_examples=1000, deadline=None)
 @given(st.sampled_from([None, 0, 1, 3]), st.sampled_from([0.0, 3e-4]),
        LINK_OPS)
@@ -194,61 +231,14 @@ def test_link_matches_its_reference_in_lockstep(capacity, jitter, ops):
     def make(cls):
         def build(side):
             return cls(side.sim, 0, 1, 1.7e-3, config,
-                       lambda src, p: side.note("arrive", src, p.uid))
+                       lambda src, p: side.recorder.note("arrive", src,
+                                                         p.uid))
         return build
 
     sides = [_Side(make(DirectedLink)), _Side(make(RefLink))]
-    at = 0.0
-    uid = 0
-    completions = []
-    for op in ops:
-        kind = op[0]
-        results = []
-        ahead = None
-        for side in sides:
-            link, now = side.obj, side.sim.now
-            out = []
-            results.append(out)
-            if kind in ("commit", "round"):
-                count = op[2] if kind == "round" else 1
-                args = []
-                for offset in range(count):
-                    payload = RawPayload(uid + offset, op[1])
-                    args.append(link.commit(payload, (payload,), now))
-                out.append([completion.hex() for completion in args])
-            elif kind == "transmit":
-                out.append(link.transmit(RawPayload(uid, op[1])))
-            elif kind == "ahead":
-                ahead = max(at, now) + op[2] * TICK
-                out.append(link.transmit(RawPayload(uid, op[1]), ahead))
-            elif kind == "at_done":
-                ahead = _next_done(completions, max(at, now)) or max(at, now)
-                out.append(link.transmit(RawPayload(uid, op[1]), ahead))
-            elif kind == "degrade":
-                link.degrade(op[1], op[2], side.sim.rng("test-jitter"))
-            elif kind == "restore":
-                link.restore()
-            elif kind == "loss":
-                link.loss_hook = _EveryThird() if op[1] else None
-            elif kind == "advance":
-                side.sim.run(until=now + op[1] * TICK)
-            elif kind == "to_done":
-                side.sim.run(until=_next_done(completions, now) or now)
-            elif kind == "probe":
-                # Only here: a read retires what has serialised, and the
-                # retiring done by commits must be reached too.
-                out.append(_link_probe(side))
-            out.append((link.busy, _kernel_counts(side.sim)))
-        if ahead is not None:
-            at = ahead
-        if kind in ("commit", "round"):
-            completions.extend(args)
-        uid += op[2] if kind == "round" else 1
-        assert results[0] == results[1]
-        assert sides[0].log == sides[1].log
     for side in sides:
-        side.sim.run()
-    assert sides[0].log == sides[1].log
+        side.at, side.uid, side.completions = 0.0, 0, []
+    lockstep(sides, ops, _link_step, _Side.state, _Side.finish)
     assert _link_probe(sides[0]) == _link_probe(sides[1])
 
 
@@ -266,33 +256,33 @@ CACHE_OPS = st.lists(
 )
 
 
+def _cache_step(side, op):
+    (cache, interner), (kind, uid) = side, op
+    out = []
+    if kind == "register":
+        out.append(cache.register(("m", uid)))
+    elif kind == "payload":
+        payload = RawPayload(("m", uid), 10)
+        out.append((cache.register_payload(payload), payload.iid))
+    elif kind == "foreign":
+        # Interned elsewhere first (another node's cache), so the payload
+        # arrives carrying its id.
+        payload = RawPayload(("m", uid), 10)
+        interner.intern_payload(payload)
+        out.append(cache.register_payload(payload))
+    else:
+        out.append(("m", uid) in cache)
+    out.append((len(cache), cache.registered, cache.hits, cache.evictions,
+                len(interner)))
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 8), CACHE_OPS)
 def test_cache_matches_its_reference_in_lockstep(capacity, ops):
     interners = [UidInterner(), UidInterner()]
     caches = [InternedSeenCache(capacity, interners[0]),
               RefCache(capacity, interners[1])]
-    for kind, uid in ops:
-        results = []
-        for cache, interner in zip(caches, interners):
-            out = []
-            results.append(out)
-            if kind == "register":
-                out.append(cache.register(("m", uid)))
-            elif kind == "payload":
-                payload = RawPayload(("m", uid), 10)
-                out.append((cache.register_payload(payload),
-                                payload.iid))
-            elif kind == "foreign":
-                # Interned elsewhere first (another node's cache), so the
-                # payload arrives carrying its id.
-                payload = RawPayload(("m", uid), 10)
-                interner.intern_payload(payload)
-                out.append(cache.register_payload(payload))
-            else:
-                out.append(("m", uid) in cache)
-            out.append((len(cache), cache.registered, cache.hits,
-                            cache.evictions, len(interner)))
-        assert results[0] == results[1]
+    lockstep(list(zip(caches, interners)), ops, _cache_step)
     assert ([("m", uid) in caches[0] for uid in range(401)]
             == [("m", uid) in caches[1] for uid in range(401)])

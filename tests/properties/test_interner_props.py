@@ -2,7 +2,7 @@
 
 The flat-state hot path rests on one behavioural-equivalence claim
 against the uid-keyed reference model of
-``tests/gossip/reference_dedup.py``: :class:`InternedSeenCache` is
+``tests/reference/dedup.py``: :class:`InternedSeenCache` is
 indistinguishable from :class:`RecentlySeenCache` — same freshness
 verdicts, same ``registered``/``hits``/``evictions`` counters, same
 membership — for *any* trace of registrations under *any* capacity.
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.gossip.cache import InternedSeenCache
 from repro.net.message import Payload, UidInterner
-from tests.gossip.reference_dedup import RecentlySeenCache
+from tests.reference.dedup import RecentlySeenCache
 
 #: Structured uids like the gossip layer's (kind, sender, counter) tuples,
 #: drawn from a small space so traces revisit uids (duplicates, eviction

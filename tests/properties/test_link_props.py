@@ -18,7 +18,7 @@ one); the second property holds it to the transmission *server* it
 replaced: a like interleaving — now with bounded transmit queues, bursts
 that fill them and ``commit`` on a busy link — drives a
 :class:`DirectedLink` and a reference link built on the event-per-job
-``LegacyFifoServer`` (tests/sim/reference_server.py), and every verdict,
+``LegacyFifoServer`` (tests/reference/server.py), and every verdict,
 completion, arrival and counter must coincide.
 
 The third property holds a star send, handed over when its CPU job is
@@ -35,7 +35,7 @@ the records exactly the unserialised messages committed behind a busy one;
 between those the records never grow. A sender that paces itself on an
 idle link keeps no record and owns no deque (the regression at the
 bottom); a committed round adds its unserialised chain. Slots and records
-are read on the Python reference link (tests/net/reference_link.py); the
+are read on the Python reference link (tests/reference/link.py); the
 compiled link, driven through the same properties, must hold exactly the
 unserialised messages, read as the payloads among its GC referents.
 
@@ -52,8 +52,8 @@ from hypothesis import strategies as st
 from repro.net.channel import DirectedLink, LinkConfig
 from repro.net.message import RawPayload
 from repro.sim.kernel import Simulator
-from tests.net.reference_link import DirectedLink as ReferenceLink
-from tests.sim.reference_server import LegacyFifoServer
+from tests.reference.link import DirectedLink as ReferenceLink
+from tests.reference.server import LegacyFifoServer
 
 TICK = 2.0 ** -11
 SIZES = st.sampled_from([512, 1024, 2048])

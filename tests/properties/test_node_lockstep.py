@@ -2,7 +2,7 @@
 
 :class:`repro.gossip.node.GossipNode` runs its single-part receive, its
 deliver-and-forward completion and its fan-out loop in C; the Python
-they replaced is the reference model in tests/gossip/reference_node.py.
+they replaced is the reference model in tests/reference/node.py.
 The property builds the same small mesh twice, one of compiled nodes and
 one of reference nodes, each on its own simulator with the same seed,
 drives one random op stream through both and requires at every step:
@@ -32,7 +32,6 @@ tracer calls and CPU charge — are held to them too.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checks.auditor import args_signature
 from repro.core.semantics import PaxosSemantics
 from repro.gossip.cache import InternedSeenCache
 from repro.gossip.hooks import SemanticHooks
@@ -41,9 +40,9 @@ from repro.net.channel import LinkConfig, connect
 from repro.net.message import Payload, RawPayload, UidInterner
 from repro.paxos.messages import Decision, Phase2b, Value
 from repro.sim.kernel import Simulator
-from repro.sim.random import make_stream
-from tests.gossip.reference_node import ReferenceNode
-from tests.net.reference_link import DirectedLink as RefLink
+from tests.reference.link import DirectedLink as RefLink
+from tests.reference.lockstep import Recorder, lockstep
+from tests.reference.node import ReferenceNode
 
 #: Process ids, spelled so that every use builds its own int object: an
 #: ``exclude`` compared by identity would then miss.
@@ -100,43 +99,6 @@ HOOKS = (PlainHooks, FilterHooks, lambda: PaxosSemantics(len(IDS)),
          PackHooks)
 
 
-class _Recorder:
-    """Queue observer and tracer: logs what both sides must agree on."""
-
-    def __init__(self, log):
-        self.log = log
-        self.sim = None
-
-    # -- the queue's observer interface
-    def make_stream(self, root_seed, name):
-        return make_stream(root_seed, name)
-
-    def bind(self, sim):
-        self.sim = sim
-
-    def note_push(self, time, seq, fn, args):
-        self.log.append(("push", time.hex(), seq, fn.__name__,
-                         args_signature(args)))
-
-    def note_exec(self, time, seq, fn, args):
-        self.log.append(("exec", time.hex(), seq, fn.__name__,
-                         args_signature(args)))
-
-    # -- the tracer's gossip hooks
-    def gossip_receive(self, node_id, peer_id, payload, fresh):
-        self.log.append(("obs-receive", node_id, peer_id, payload.uid, fresh,
-                         self.sim.now.hex()))
-
-    def gossip_filtered(self, node_id, peer_id, payload):
-        self.log.append(("obs-filtered", node_id, peer_id, payload.uid,
-                         self.sim.now.hex()))
-
-    def gossip_aggregated(self, node_id, peer_id, payload, saved):
-        self.log.append(("obs-aggregated", node_id, peer_id,
-                         type(payload).__name__, payload.uid, saved,
-                         self.sim.now.hex()))
-
-
 class _Mesh:
     """Four nodes of one class, fully connected, gossiping over a
     ring. Node 1 starts with the default hooks (so its hooks are never
@@ -144,8 +106,8 @@ class _Mesh:
     semantics and node 3 packs its batches in Python."""
 
     def __init__(self, node_cls):
-        self.log = []
-        self.recorder = _Recorder(self.log)
+        self.recorder = Recorder()
+        self.log = self.recorder.log
         self.sim = Simulator(seed=11, auditor=self.recorder)
         self.interner = UidInterner()
         self.nodes = []
@@ -154,8 +116,8 @@ class _Mesh:
             node = node_cls(self.sim, pid(i), costs=COSTS, hooks=hooks,
                             cache=InternedSeenCache(64, self.interner),
                             send_queue_capacity=2)
-            node.deliver = (lambda payload, i=i: self.log.append(
-                ("deliver", i, payload.uid, self.sim.now.hex())))
+            node.deliver = (lambda payload, i=i: self.recorder.note(
+                "deliver", i, payload.uid))
             self.nodes.append(node)
         for a, src in enumerate(self.nodes):
             for b, dst in enumerate(self.nodes):
@@ -235,6 +197,12 @@ class _Mesh:
         return (nodes, links, self.sim.events_scheduled, self.sim.pending(),
                 self.sim.events_cancelled)
 
+    def state(self):
+        return self.log, self.snapshot()
+
+    def finish(self):
+        self.sim.run()
+
 
 NODE = st.integers(0, len(IDS) - 1)
 UID = st.integers(0, 12)
@@ -264,17 +232,8 @@ NODE_OPS = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(NODE_OPS)
 def test_node_matches_its_reference_in_lockstep(ops):
-    sides = [_Mesh(GossipNode), _Mesh(ReferenceNode)]
-    assert sides[0].snapshot() == sides[1].snapshot()
-    for op in ops:
-        for side in sides:
-            side.apply(op)
-        assert sides[0].log == sides[1].log
-        assert sides[0].snapshot() == sides[1].snapshot()
-    for side in sides:
-        side.sim.run()
-    assert sides[0].log == sides[1].log
-    assert sides[0].snapshot() == sides[1].snapshot()
+    lockstep([_Mesh(GossipNode), _Mesh(ReferenceNode)], ops, _Mesh.apply,
+             _Mesh.state, _Mesh.finish)
 
 
 def test_the_meshes_are_what_the_property_needs():
@@ -286,7 +245,7 @@ def test_the_meshes_are_what_the_property_needs():
     assert type(node)._complete is not ReferenceNode._complete
     assert type(node.stats).__module__ == "repro.gossip.node"
     assert type(reference.nodes[0].stats).__module__ == (
-        "tests.gossip.reference_node")
+        "tests.reference.node")
     assert sum(isinstance(link, RefLink) for link in compiled.links) == 1
     assert pid(2) == pid(2) and pid(2) is not pid(2)
     assert [n.hooks_charged for n in compiled.nodes] == [

@@ -5,7 +5,7 @@ pushes (``push_bare`` → ``seq``), cancellations of either kind,
 ``pop(limit)`` and
 ``pop_entry(limit)`` — is replayed in lockstep against three queues:
 :class:`repro.sim.events.EventQueue` (the compiled heap), the calendar
-queue it replaced (``tests/sim/reference_queue.py``) and a naive model
+queue it replaced (``tests/reference/queue.py``) and a naive model
 (a dict of live ``(time, seq)`` keys, sorted on demand). Only the public
 surface is used. At every step the two queues must hand out the same
 seqs, pop the same ``(time, seq, fn, args)`` (the model's
@@ -29,8 +29,8 @@ from hypothesis import strategies as st
 
 from repro.sim.events import Event, EventQueue
 
-from tests.sim.reference_queue import Event as RefEvent
-from tests.sim.reference_queue import EventQueue as ReferenceQueue
+from tests.reference.queue import Event as RefEvent
+from tests.reference.queue import EventQueue as ReferenceQueue
 
 TIME_PALETTE = [0.0, 0.0004, 0.0005, 0.0009, 0.001, 0.0011,
                 0.002, 0.01, 0.0101, 0.25, 1.0, 7.5]

@@ -2,8 +2,8 @@
 
 The loss draw, the aggregated receive and the routing of a fresh payload
 are compiled (``repro/sim/_kernel.c``); the Python they replaced is the
-reference model in ``tests/net/reference_loss.py`` and
-``tests/gossip/reference_node.py``.
+reference model in ``tests/reference/loss.py`` and
+``tests/reference/node.py``.
 
 * **The loss injector.** One random default rate, ``per_process`` map,
   stream name and stream of thousands of receivers drive the compiled
@@ -40,9 +40,10 @@ from repro.net.message import RawPayload
 from repro.paxos.messages import Aggregated2b, Phase2b
 from repro.raft.messages import AggregatedAck, AppendAck
 from repro.sim.kernel import Simulator
-from tests.gossip.reference_node import ReferenceNode
-from tests.net.reference_loss import ReceiverLossInjector as RefInjector
 from tests.properties.test_node_lockstep import NODE, _Mesh, pid
+from tests.reference.lockstep import lockstep
+from tests.reference.loss import ReceiverLossInjector as RefInjector
+from tests.reference.node import ReferenceNode
 
 RATE = st.one_of(st.sampled_from([0.0, 1.0, 0.5]),
                  st.floats(0.0, 1.0, allow_nan=False))
@@ -147,9 +148,9 @@ class _AggregateMesh(_Mesh):
             _, index, index_, sender = op
             self.nodes[index].broadcast(AppendAck(2, index_, sender))
         elif kind == "route":
-            log, sim = self.log, self.sim
+            note = self.recorder.note
             self.nodes[op[1]].route(AppendAck, lambda payload, i=op[1]: (
-                log.append(("route", i, payload.uid, sim.now.hex()))))
+                note("route", i, payload.uid)))
         elif kind == "hooks":
             self.nodes[op[1]].hooks = HOOKS[op[2]]()
         else:
@@ -182,17 +183,8 @@ AGGREGATE_OPS = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(AGGREGATE_OPS)
 def test_aggregated_arrivals_match_the_reference_in_lockstep(ops):
-    sides = [_AggregateMesh(GossipNode), _AggregateMesh(ReferenceNode)]
-    assert sides[0].snapshot() == sides[1].snapshot()
-    for op in ops:
-        for side in sides:
-            side.apply(op)
-        assert sides[0].log == sides[1].log
-        assert sides[0].snapshot() == sides[1].snapshot()
-    for side in sides:
-        side.sim.run()
-    assert sides[0].log == sides[1].log
-    assert sides[0].snapshot() == sides[1].snapshot()
+    lockstep([_AggregateMesh(GossipNode), _AggregateMesh(ReferenceNode)],
+             ops, _AggregateMesh.apply, _Mesh.state, _Mesh.finish)
 
 
 def test_the_compiled_node_disaggregates_the_semantics_aggregates_itself():

@@ -2,7 +2,7 @@
 
 :class:`repro.paxos.process.PaxosProcess` keeps its acceptor, learner and
 decision log in C and runs ``handle`` there (``PaxosCore``); the Python
-they replaced is :class:`tests.paxos.reference_replica.ReferenceProcess`.
+they replaced is :class:`tests.reference.replica.ReferenceProcess`.
 The property builds one process of each, drives one random op stream
 through both (the same payload objects, as a broadcast would) and
 requires at every step:
@@ -43,10 +43,11 @@ from repro.paxos.messages import (
     Value,
 )
 from repro.paxos.learner import Learner
-from repro.paxos.process import Communicator, PaxosProcess, ProcessStats
+from repro.paxos.process import PaxosProcess, ProcessStats
 from repro.sim.kernel import Simulator
-from tests.paxos import reference_replica
-from tests.paxos.reference_replica import ReferenceProcess
+from tests.reference import replica
+from tests.reference.lockstep import Recorder, lockstep
+from tests.reference.replica import ReferenceProcess
 
 SIZES = (1, 4, 13, 100, 1000)
 INSTANCES = st.integers(1, 5)
@@ -54,82 +55,14 @@ ROUNDS = st.integers(0, 3)
 VALUES = [Value(("c", k), client_id=k % 3, size_bytes=10 + k)
           for k in range(3)]
 VALUE = st.sampled_from(VALUES)
+#: The process method a bare op calls, where it is not the op's name.
+METHODS = {"track": "enable_value_tracking"}
 
 
-def describe(payload):
-    """A payload as comparable data: class, uid, size and fields."""
-    fields = [type(payload).__name__, payload.uid, payload.size_bytes,
-              payload.iid]
-    for name in ("instance", "round", "value_id", "sender", "from_instance",
-                 "coordinator", "origin"):
-        if hasattr(payload, name):
-            fields.append((name, getattr(payload, name)))
-    if hasattr(payload, "value"):
-        fields.append(("value", payload.value.value_id))
-    if hasattr(payload, "accepted"):
-        fields.append(("accepted", [(i, r, v.value_id)
-                                    for i, r, v in payload.accepted]))
-    return tuple(fields)
-
-
-class RecordingComm(Communicator):
-    def __init__(self, log):
-        self.log = log
-
-    def broadcast(self, payload):
-        self.log.append(("broadcast", describe(payload)))
-
-    def to_coordinator(self, payload):
-        self.log.append(("to_coordinator", describe(payload)))
-
-    def phase2b(self, payload):
-        self.log.append(("phase2b", describe(payload)))
-
-
-class RecordingTracer:
-    def __init__(self, log):
-        self.log = log
-
-    def __getattr__(self, name):
-        def record(*args, **kwargs):
-            self.log.append((name, args, sorted(kwargs.items())))
-        return record
-
-
-def build(cls, n, leads):
-    log = []
-    process = cls(Simulator(seed=1), n - 1, n, RecordingComm(log),
-                  coordinator_id=n - 1 if leads else 0,
-                  on_deliver=lambda i, v: log.append(("deliver", i,
-                                                      v.value_id)))
-    process.start()
-    return process, log
-
-
-def state(process):
-    learner, acceptor, log = process.learner, process.acceptor, process.log
-    coordinator = process.coordinator
+def _undecided(learner):
+    """The compiled learner's count, or the reference's instance dict's."""
     undecided = getattr(learner, "_undecided", None)
-    if undecided is None:
-        undecided = len(learner._instances)
-    return {
-        "stats": [getattr(process.stats, f) for f in ProcessStats.__slots__],
-        "max_seen_round": process._max_seen_round,
-        "seen": sorted(process._seen_values),
-        "decided_ids": sorted(process._decided_value_ids),
-        "coordinator": None if coordinator is None else (
-            coordinator.round, coordinator.phase1_complete,
-            coordinator.next_instance, sorted(coordinator.proposals)),
-        "decided": {i: v.value_id for i, v in learner.decided.items()},
-        "modes": process.decision_modes(),
-        "learner_forgotten": learner._forgotten,
-        "undecided": undecided,
-        "promised": acceptor.promised_round,
-        "accepted": {i: (r, v.value_id)
-                     for i, (r, v) in acceptor.accepted.items()},
-        "acceptor_forgotten": acceptor._forgotten,
-        "log": (log.next_instance, log.delivered_count, log.gap_blocked),
-    }
+    return len(learner._instances) if undecided is None else undecided
 
 
 def payloads(op):
@@ -159,21 +92,6 @@ def payloads(op):
     return []
 
 
-def apply(process, op, messages, tracer):
-    kind = op[0]
-    if messages:
-        return [process.handle(message) for message in messages]
-    if kind == "submit":
-        return process.submit_value(op[1])
-    if kind == "obs":
-        return process.install_obs(tracer)
-    if kind == "take_over":
-        return process.take_over()
-    method = {"crash": "crash", "recover": "recover",
-              "step_down": "step_down", "track": "enable_value_tracking"}
-    return getattr(process, method[kind])()
-
-
 @st.composite
 def scenarios(draw):
     n = draw(st.sampled_from(SIZES))
@@ -200,32 +118,73 @@ def scenarios(draw):
     return n, leads, draw(st.lists(ops, min_size=10, max_size=80))
 
 
-def outcome(call):
-    try:
-        return ("ok", call())
-    except Exception as exc:     # the two sides must raise alike
-        return ("raised", type(exc).__name__)
+class _Side:
+    """A process, and the log its comm calls, its deliveries and its
+    tracer (installed by an op) fill: one recorder is comm and tracer."""
+
+    def __init__(self, cls, n, leads):
+        self.recorder = Recorder()
+        log = self.log = self.recorder.log
+        self.process = cls(Simulator(seed=1), n - 1, n, self.recorder,
+                           coordinator_id=n - 1 if leads else 0,
+                           on_deliver=lambda i, v: log.append(
+                               ("deliver", i, v.value_id)))
+        self.process.start()
+
+    def step(self, op_messages):
+        """One op's outcome: its result, or the class of its exception."""
+        (kind, *args), messages = op_messages
+        process = self.process
+        try:
+            if messages:
+                result = [process.handle(message) for message in messages]
+            elif kind == "submit":
+                result = process.submit_value(args[0])
+            elif kind == "obs":
+                result = process.install_obs(self.recorder)
+            else:
+                result = getattr(process, METHODS.get(kind, kind))()
+        except Exception as exc:     # the two sides must raise alike
+            return ("raised", type(exc).__name__)
+        return ("ok", result)
+
+    def state(self):
+        process = self.process
+        learner, acceptor, log = process.learner, process.acceptor, process.log
+        coordinator = process.coordinator
+        return self.log, {
+            "stats": [getattr(process.stats, f)
+                      for f in ProcessStats.__slots__],
+            "max_seen_round": process._max_seen_round,
+            "seen": sorted(process._seen_values),
+            "decided_ids": sorted(process._decided_value_ids),
+            "coordinator": None if coordinator is None else (
+                coordinator.round, coordinator.phase1_complete,
+                coordinator.next_instance, sorted(coordinator.proposals)),
+            "decided": {i: v.value_id for i, v in learner.decided.items()},
+            "modes": process.decision_modes(),
+            "learner_forgotten": learner._forgotten,
+            "undecided": _undecided(learner),
+            "promised": acceptor.promised_round,
+            "accepted": {i: (r, v.value_id)
+                         for i, (r, v) in acceptor.accepted.items()},
+            "acceptor_forgotten": acceptor._forgotten,
+            "log": (log.next_instance, log.delivered_count, log.gap_blocked),
+        }
 
 
 @settings(max_examples=300, deadline=None)
 @given(scenarios())
 def test_replica_matches_its_reference_in_lockstep(scenario):
     n, leads, ops = scenario
-    compiled, compiled_log = build(PaxosProcess, n, leads)
-    reference, reference_log = build(ReferenceProcess, n, leads)
-    compiled_tracer = RecordingTracer(compiled_log)
-    reference_tracer = RecordingTracer(reference_log)
-    assert compiled_log == reference_log
-    for op in ops:
-        messages = payloads(op)
-        got = outcome(lambda: apply(compiled, op, messages, compiled_tracer))
-        want = outcome(
-            lambda: apply(reference, op, messages, reference_tracer))
-        assert got == want, op
-        assert compiled_log == reference_log, op
-        assert state(compiled) == state(reference), op
+    # Each op's messages are built once, for both processes.
+    sides = [_Side(PaxosProcess, n, leads), _Side(ReferenceProcess, n, leads)]
+    lockstep(sides, ((op, payloads(op)) for op in ops), _Side.step,
+             _Side.state)
 
 
+LEARNER_METHODS = {"2a": "on_phase2a", "2b": "on_phase2b",
+                   "decision": "on_decision"}
 LEARNER_OPS = st.lists(st.one_of(
     st.tuples(st.just("2a"), st.integers(1, 400), VALUE),
     st.tuples(st.just("2b"), st.integers(1, 400), st.integers(0, 1), VALUE,
@@ -235,27 +194,33 @@ LEARNER_OPS = st.lists(st.one_of(
 ), max_size=300)
 
 
+def _learner_message(op):
+    """The message an op hands both learners, or None for a forget."""
+    kind = op[0]
+    if kind == "2a":
+        return Phase2a(op[1], 1, op[2])
+    if kind == "2b":
+        _, instance, round_, value, sender = op
+        return Phase2b(instance, round_, value.value_id, sender)
+    if kind == "decision":
+        return Decision(op[1], 1, op[2])
+    return None
+
+
+def _learner_step(learner, op_message):
+    (kind, arg, *_), message = op_message
+    if message is None:
+        return learner.forget_up_to(arg)
+    return getattr(learner, LEARNER_METHODS[kind])(message)
+
+
 @settings(max_examples=200, deadline=None)
 @given(LEARNER_OPS)
 def test_learner_table_matches_the_reference_learner(ops):
-    learner, reference = Learner(5), reference_replica.Learner(5)
-    for op in ops:
-        kind = op[0]
-        if kind == "forget":
-            learner.forget_up_to(op[1])
-            reference.forget_up_to(op[1])
-            continue
-        if kind == "2a":
-            message, method = Phase2a(op[1], 1, op[2]), "on_phase2a"
-        elif kind == "2b":
-            _, instance, round_, value, sender = op
-            message = Phase2b(instance, round_, value.value_id, sender)
-            method = "on_phase2b"
-        else:
-            message, method = Decision(op[1], 1, op[2]), "on_decision"
-        assert (getattr(learner, method)(message)
-                == getattr(reference, method)(message)), op
-        assert learner._undecided == len(reference._instances), op
+    learner, reference = Learner(5), replica.Learner(5)
+    lockstep([learner, reference],
+             ((op, _learner_message(op)) for op in ops), _learner_step,
+             _undecided)
     assert learner.decided == reference.decided
     assert learner._forgotten == reference._forgotten
     assert ((learner.decided_by_majority, learner.decided_by_message)

@@ -3,7 +3,7 @@ their Python models.
 
 :class:`repro.core.filtering.SemanticFilter` and
 :class:`repro.core.aggregation.SemanticAggregator` are compiled; the
-Python they replaced is ``tests/core/reference_rules.py``. The property
+Python they replaced is ``tests/reference/rules.py``. The property
 builds one filter and one aggregator of each kind for n processes,
 drives one random stream of sends through both and requires at every
 step:
@@ -39,24 +39,14 @@ from repro.raft.messages import (
     CommitNotice,
     LogEntry,
 )
-from tests.core import reference_rules
+from tests.reference import rules
+from tests.reference.lockstep import describe, lockstep
 
 SIZES = (1, 4, 13, 100, 1000)
 #: Peer ids, spelled so that every use builds its own int object.
 PEERS = ("0", "3", "300", "70000")
 VALUE = Value(("c", 1), client_id=0, size_bytes=10)
 VALUE_IDS = ("v", ("c", 1), ("c", 2))
-FIELDS = ("instance", "round", "value_id", "sender", "senders", "attempt",
-          "term", "index", "leader_commit")
-
-
-def describe(payload):
-    """A payload as comparable data: class, uid, size and fields."""
-    return (type(payload).__name__, payload.uid, payload.size_bytes,
-            payload.iid, tuple(getattr(payload, name, None)
-                               for name in FIELDS))
-
-
 def build(spec):
     """A fresh message from its spec."""
     kind, args = spec[0], spec[1:]
@@ -141,21 +131,27 @@ def run_op(filt, aggregator, op):
     return [result is batch, merged, parts]
 
 
+def _state(side):
+    """Every peer's summary, as the compiled filter reports it, and the
+    aggregator's counters."""
+    filt, aggregator = side
+    if isinstance(filt, SemanticFilter):
+        summaries = [filt.summary(int(peer)) for peer in PEERS]
+    else:
+        summaries = [summary_of(filt, int(peer)) for peer in PEERS]
+    return summaries, aggregator.votes_absorbed, aggregator.aggregates_built
+
+
 @settings(max_examples=300, deadline=None)
 @given(scenarios())
 def test_semantics_match_their_reference_in_lockstep(scenario):
     n, ops = scenario
     mine = (SemanticFilter(n), SemanticAggregator())
-    theirs = (reference_rules.SemanticFilter(n),
-              reference_rules.SemanticAggregator())
+    theirs = (rules.SemanticFilter(n),
+              rules.SemanticAggregator())
     assert mine[0].majority == theirs[0].majority
-    for op in ops:
-        assert run_op(*mine, op) == run_op(*theirs, op)
-        for peer in PEERS:
-            assert mine[0].summary(int(peer)) == summary_of(theirs[0],
-                                                            int(peer))
-        assert ((mine[1].votes_absorbed, mine[1].aggregates_built)
-                == (theirs[1].votes_absorbed, theirs[1].aggregates_built))
+    lockstep([mine, theirs], ops, lambda side, op: run_op(*side, op),
+             _state)
 
 
 def test_the_models_are_what_the_property_needs():
@@ -164,5 +160,5 @@ def test_the_models_are_what_the_property_needs():
     assert type(SemanticFilter(4)).__module__ == "repro.core.filtering"
     assert not hasattr(SemanticFilter(4), "__dict__")
     assert SemanticFilter.validate.__class__.__name__ == "method_descriptor"
-    assert reference_rules.SemanticFilter.validate.__class__ is type(
+    assert rules.SemanticFilter.validate.__class__ is type(
         test_the_models_are_what_the_property_needs)

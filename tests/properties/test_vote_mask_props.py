@@ -2,7 +2,7 @@
 
 Every set of voters on the semantic send path is an ``int`` whose bit *i*
 stands for process *i*. The code it replaced kept Python sets; that code
-lives on verbatim in :mod:`tests.core.reference_semantics`. Random
+lives on verbatim in :mod:`tests.reference.semantics`. Random
 multi-peer, multi-instance, multi-round streams run through both, the way
 a sender's round runs a batch: validate each message for the peer,
 aggregate the survivors, then the peer disaggregates what arrives and
@@ -29,7 +29,7 @@ from repro.paxos.messages import (Aggregated2b, Decision, Phase2a, Phase2b,
 from repro.raft.messages import (AggregatedAck, AppendAck, AppendEntries,
                                  CommitNotice, LogEntry)
 from tests.conftest import mask
-from tests.core import reference_semantics as ref
+from tests.reference import semantics as ref
 
 N = 7
 VALUES = {vid: Value(vid, 0, 8) for vid in "xy"}

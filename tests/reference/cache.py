@@ -1,7 +1,7 @@
 """The interned seen-cache in Python: the executable reference model.
 
 This is :class:`repro.gossip.cache.InternedSeenCache` as it was before it
-moved into the compiled kernel (``repro/sim/_kernel.c``), kept verbatim:
+moved into the compiled kernel (``repro/sim/_kernel/cache.c``), kept verbatim:
 membership is ``present[iid]`` on a bytearray grown geometrically to the
 interner's size, and the FIFO window is a deque of iids in insertion
 order. It lives with the tests because nothing else constructs it:

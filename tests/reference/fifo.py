@@ -1,12 +1,12 @@
 """The virtual-time FIFO server in Python: the executable reference model.
 
 This is :class:`repro.sim.server.FifoServer` as it was before the type
-moved into the compiled kernel (``repro/sim/_kernel.c``), kept verbatim.
+moved into the compiled kernel (``repro/sim/_kernel/server.c``), kept verbatim.
 It lives with the tests because nothing else constructs it:
 `tests/properties/test_hop_lockstep.py` drives one op stream through it
 and the compiled type and requires identical results at every step, and
 `tests/sim/test_server_equivalence.py` holds both to the event-per-job
-server of `reference_server.py`.
+server of `tests/reference/server.py`.
 
 A FIFO single server is work-conserving and its service times are fixed
 at submission, so a job's completion is known when it is accepted::

@@ -2,7 +2,7 @@
 
 This is :class:`repro.net.channel.DirectedLink` (and its ``LinkStats``)
 as they were before they moved into the compiled kernel
-(``repro/sim/_kernel.c``), kept verbatim. They live with the tests
+(``repro/sim/_kernel/link.c``), kept verbatim. They live with the tests
 because nothing else constructs them: `tests/properties/test_hop_lockstep.py`
 drives one op stream through this link and the compiled one and requires
 identical results at every step, and the link properties

@@ -1,11 +1,12 @@
 """The receiver-side loss injector in Python: the executable reference model.
 
 :class:`repro.net.faults.loss.ReceiverLossInjector` is compiled
-(``repro/sim/_kernel.c``) and a link calls it directly on every arrival.
+(``repro/sim/_kernel/link.c``) and a link calls it directly on every
+arrival.
 This is the Python it replaced, kept verbatim (the compiled type also
 rejects a ``per_process`` rate outside [0, 1], which this one accepts).
 It lives with the tests because nothing else constructs it:
-``tests/properties/test_loss_lockstep.py`` drives one stream of receivers
+``tests/properties/test_receive_lockstep.py`` drives one stream of receivers
 through this and the compiled injector and requires identical verdicts,
 counters and generator state at every step.
 """

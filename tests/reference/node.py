@@ -2,7 +2,7 @@
 
 :class:`repro.gossip.node.GossipNode` runs its receive, its
 deliver-and-forward completion and its fan-out loop in the compiled
-kernel (``repro/sim/_kernel.c``), its per-peer senders are the compiled
+kernel (``repro/sim/_kernel/node.c``), its per-peer senders are the compiled
 ``SenderCore`` (queue, wake-up and batched round), and its counters are a
 C type. This is the Python they replaced, kept verbatim:
 :class:`GossipStats`, :class:`_PeerSender` (on the compiled base, whose

@@ -1,7 +1,7 @@
 """The calendar queue: the executable reference model of the event queue.
 
 This is the pure-Python queue the simulator ran on before the compiled
-heap of ``repro/sim/_queue.c`` replaced it, kept verbatim. It lives with
+heap of ``repro/sim/_kernel/queue.c`` replaced it, kept verbatim. It lives with
 the tests because nothing else constructs it:
 `tests/properties/test_queue_props.py` drives one random op stream
 through it and :class:`repro.sim.events.EventQueue` and requires

@@ -5,9 +5,9 @@ roles as they were written in Python, and :class:`ReferenceProcess` is
 ``PaxosProcess`` with them and with its Python ``handle`` and
 ``_on_decided``; it borrows every other method (the coordinator's side,
 takeover, step-down, obs) from :class:`repro.paxos.process.PaxosProcess`.
-``repro/sim/_kernel.c`` compiles the roles and the handle
-(``PaxosCore``); tests/properties/test_replica_lockstep.py holds the two
-to each other. The one addition: a Phase 2b vote from a sender outside
+The compiled kernel holds the roles (``repro/sim/_kernel/replica.c``)
+and the handle (``PaxosCore``, ``core.c``);
+tests/properties/test_replica_lockstep.py holds the two to each other. The one addition: a Phase 2b vote from a sender outside
 ``[0, n)`` raises ``ValueError``, as the compiled learner's bitset needs.
 """
 

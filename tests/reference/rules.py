@@ -3,7 +3,7 @@ reference models.
 
 :class:`repro.core.filtering.SemanticFilter` and
 :class:`repro.core.aggregation.SemanticAggregator` are compiled
-(``repro/sim/_kernel.c``, beside the learner whose instance table the
+(``repro/sim/_kernel/semantics.c``, beside the learner whose instance table the
 filter's per-peer summaries reuse). This is the Python they replaced,
 kept verbatim. It lives with the tests because nothing else constructs
 it: ``tests/properties/test_semantics_lockstep.py`` drives one stream of

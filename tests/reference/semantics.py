@@ -1,7 +1,7 @@
 """Set-based vote bookkeeping: the executable reference models.
 
 These are the structures the sender-bitmask code in ``repro.core`` and
-the Python learner (tests/paxos/reference_replica.py) replaced:
+the Python learner (tests/reference/replica.py) replaced:
 aggregates that carry a ``frozenset`` of senders, filters that keep a
 ``set`` per vote key, an aggregator that builds a ``set`` per group and a
 learner that counts a ``set`` of voters.
@@ -17,7 +17,7 @@ properties assert that it never fires.
 from repro.net.message import Payload
 from repro.paxos.messages import HEADER_BYTES, Decision, Phase2b
 from repro.raft.messages import AppendAck, AppendEntries, CommitNotice
-from tests.paxos import reference_replica
+from tests.reference import replica as reference_replica
 
 
 class FilterStats:

@@ -1,6 +1,6 @@
 """The first-import build of the compiled kernel (repro.sim.native).
 
-Each test builds a private copy of ``_kernel.c`` in a temporary directory,
+Each test builds a private copy of the kernel source in a temporary directory,
 so its cache starts empty and the package's own build is never touched.
 """
 
@@ -40,6 +40,7 @@ print(module.__file__)
 def source(tmp_path):
     copy = tmp_path / "_kernel.c"
     shutil.copyfile(SOURCE, copy)
+    shutil.copytree(SOURCE.with_suffix(""), copy.with_suffix(""))
     return copy
 
 
@@ -73,10 +74,16 @@ def test_an_edited_source_is_rebuilt_and_a_built_one_is_not(
     second = native.build(source)
     assert second != first and second.exists() and first.exists()
     assert second == native.extension_path(source)
+    # An edited part, with the unit itself untouched, builds afresh too.
+    with open(source.with_suffix("") / "queue.c", "a") as fh:
+        fh.write("\n/* edited */\n")
+    third = native.build(source)
+    assert third not in (first, second) and third.exists()
+    assert third == native.extension_path(source)
     # A cache hit runs no compiler: a failing one would raise here.
     monkeypatch.setattr(native, "compile_command",
                         lambda src, out: ["false"])
-    assert native.build(source) == second
+    assert native.build(source) == third
 
 
 def test_a_failing_compile_raises_import_error_naming_the_command(

@@ -6,8 +6,8 @@ log-uniformly from 1e-6 to 3e-2 s so that the order of the ``busy_time``
 sum shows in its bits, slowdown changes while jobs wait, callback,
 ``None`` and ``submit_acct`` jobs, interleaved observation
 probes — are driven through the compiled :class:`FifoServer`, its
-Python reference model (`reference_fifo.py`) and the test-local
-:class:`LegacyFifoServer` (`reference_server.py`) on separate simulators.
+Python reference model (`tests/reference/fifo.py`) and the test-local
+:class:`LegacyFifoServer` (`tests/reference/server.py`) on separate simulators.
 Everything observable must coincide exactly: callback times and order,
 every job's completion (returned at submission by the virtual server,
 observed at its completion event by the reference), and ``busy``,
@@ -32,8 +32,8 @@ import pytest
 from repro.sim.kernel import Simulator
 from repro.sim.random import make_stream
 from repro.sim.server import FifoServer
-from tests.sim.reference_fifo import FifoServer as ReferenceFifoServer
-from tests.sim.reference_server import LegacyFifoServer
+from tests.reference.fifo import FifoServer as ReferenceFifoServer
+from tests.reference.server import LegacyFifoServer
 
 _KINDS = ("callback", "none", "acct")
 
